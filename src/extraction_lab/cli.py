@@ -71,6 +71,10 @@ def _cmd_verify(args) -> int:
         ok, total = counts[check_id]
         status = "pass" if ok == total else "FAIL"
         print(f"{status}  {check_id}: {ok}/{total}")
+    solved = [[v for k, v in r.flags.items() if k.startswith("converged")]
+              for r in result.reports]
+    solved = [flags for flags in solved if flags]
+    print(f"unconverged rows: {sum(not all(flags) for flags in solved)}/{len(solved)}")
     print(f"reports: {json_path} {csv_path}")
     print("all checks passed" if result.all_pass else "FAILURES present")
     return 0 if result.all_pass else 1

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import Bits, index_to_bits
-from .operators import check_hermitian, hermitian_trace_norm, tensor
+from .operators import _not_psd, check_hermitian, hermitian_trace_norm, tensor
 
-PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-9
 
 
@@ -50,7 +48,7 @@ def validate_cq(state: CqState, atol: float = TRACE_ATOL) -> CqState:
         if b.shape != (state.side_dim, state.side_dim):
             raise ValueError(f"block for {sym} has shape {b.shape}, expected side_dim {state.side_dim}")
         w = np.linalg.eigvalsh(b)
-        if w.size and w[0] < -PSD_ATOL * max(1.0, float(abs(w[-1]))):
+        if _not_psd(w):
             raise ValueError(f"conditional operator for {sym} is not PSD (min eig {w[0]:.3e})")
         total += float(np.trace(b).real)
     if abs(total - 1.0) > atol:
@@ -248,6 +246,8 @@ def distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) 
     total = 0.0
     for rest in sorted(groups, key=lambda r: (r is not None, r)):
         zmap = groups[rest]
+        if len(zmap) > uniform_dim:
+            raise ValueError(f"{len(zmap)} output symbols exceed uniform_dim={uniform_dim}")
         target = sum(zmap[z] for z in sorted(zmap)) / uniform_dim
         target_norm = hermitian_trace_norm(target)
         present = 0
@@ -270,7 +270,3 @@ def to_dense(state: CqState, symbols=None) -> np.ndarray:
         if block is not None:
             out[i * d : (i + 1) * d, i * d : (i + 1) * d] = block
     return out
-
-
-def full_alphabet(n: int) -> list[Bits]:
-    return [index_to_bits(i, n) for i in range(1 << n)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cq_states import CqState, marginal_side
-from .operators import eigh, op_power, tensor
+from .operators import _herm, _kernel_mask, _max_eig, eigh, op_power, tensor
 
 NEG_INF = float("-inf")
 KERNEL_LEAK_ATOL = 1e-9
@@ -39,19 +39,13 @@ def h_min_classical(dist: dict) -> float:
 
 def _kernel_projector(sigma: np.ndarray) -> np.ndarray:
     w, v = eigh(sigma)
-    thresh = 1e-10 * max(float(w[-1]), 0.0) if w.size else 0.0
-    dead = v[:, w <= thresh]
+    dead = v[:, _kernel_mask(w)]
     return dead @ dead.conj().T
 
 
 def _kernel_ok(block: np.ndarray, proj_kernel: np.ndarray) -> bool:
     leak = float(np.trace(proj_kernel @ block @ proj_kernel).real)
     return leak <= KERNEL_LEAK_ATOL
-
-
-def _max_eig(h: np.ndarray) -> float:
-    hs = 0.5 * (h + h.conj().T)
-    return float(np.linalg.eigvalsh(hs)[-1])
 
 
 def h_min_rel(rho, sigma, dim_a: int | None = None) -> float:
@@ -134,10 +128,6 @@ def _support_basis(rho_b: np.ndarray) -> np.ndarray:
     w, v = eigh(rho_b)
     thresh = 1e-12 * max(float(w[-1]), 0.0)
     return v[:, w > thresh]
-
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
 
 
 def h_min_cond(state: CqState, iters: int = 500, tol: float = 1e-8) -> EntropyResult:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2 import Bits, MatrixFamily, gf2_matvec
+from .gf2 import Bits, MatrixFamily, gf2_matvec, index_to_bits
 
 
 def ip_eval(x: Bits, y: Bits) -> int:
@@ -122,7 +122,7 @@ def two_universality_collision_prob(x: Bits, xp: Bits) -> Fraction:
         raise ValueError("exhaustive enumeration capped at n <= 20")
     hits = 0
     for idx in range(1 << n):
-        y = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
+        y = index_to_bits(idx, n)
         if ip_eval(y, x) == ip_eval(y, xp):
             hits += 1
     return Fraction(hits, 1 << n)

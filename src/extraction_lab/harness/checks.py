@@ -1,32 +1,41 @@
 """Check registry: one entry per verified inequality family.
 
-A check builds deterministic scenarios from its seed, computes the exact
-measured quantity, and compares it against catalog bounds or a stated
-numerical slack.  Every comparison becomes
-one BoundReport row; a row passes iff measured <= epsilon + 1e-9.
+A check is data: the params it accepts, each with its default, and a
+generator that turns (params, rng) into a stream of cases.  A case holds
+the report params, a scenario label and one (bound_id, measured, epsilon)
+row per comparison.  :func:`run_check` does the rest in the same way for
+every check: it validates params, seeds the rng, applies repetitions,
+times each case, numbers the scenarios and emits one BoundReport per row.
+A row passes iff measured <= epsilon + 1e-9.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, asdict
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from ..cq_states import (
-    CqState,
     apply_classical_function,
-    build_cq,
     classical_state,
     distance_to_uniform,
     extractor_output_from_joint,
     extractor_output_state,
-    full_alphabet,
     markov_block_state,
+    to_dense,
 )
 from ..entropies import h2_cond, h2_rel, h_min_cond, h_min_rel
 from ..extractors import deor_extractor, ip_extractor
-from ..gf2 import build_field_family, build_shift_family, gf2_matvec, gf2_rank, index_to_bits
+from ..gf2 import (
+    all_bit_vectors,
+    build_field_family,
+    build_shift_family,
+    gf2_matvec,
+    gf2_rank,
+    index_to_bits,
+)
 from ..operators import (
     conditional_mutual_information,
     partial_trace,
@@ -45,13 +54,15 @@ from ..xor_analysis import (
 )
 from .bounds import base_exponent, bound_value
 from .scenarios import (
-    _random_distribution,
+    _random_cq,
+    _random_source,
     make_flat_source,
     make_markov_scenario,
     make_side_info,
 )
 
 PASS_TOL = 1e-9
+ENTROPY_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,21 +83,35 @@ class BoundReport:
         return row
 
 
-def _report(check_id, bound_id, params, measured, epsilon, runtime_ms, scenario, flags=None):
-    return BoundReport(
-        check_id=check_id,
-        bound_id=bound_id,
-        params=dict(params),
-        measured_delta=float(measured),
-        bound_epsilon=float(epsilon),
-        passed=bool(measured <= epsilon + PASS_TOL),
-        runtime_ms=float(runtime_ms),
-        scenario=scenario,
-        flags=dict(flags or {}),
-    )
+class Case(NamedTuple):
+    """One scenario of a check and the comparisons made on it."""
+
+    params: dict     # n, m, r, k1, k2 as built by _k_params
+    label: str       # scenario text; run_check prefixes "sNNNNN "
+    rows: list       # (bound_id, measured, epsilon) tuples
+    flags: dict = {}     # read only; run_check copies it into each report
+
+
+class Check(NamedTuple):
+    """Every accepted param with its default, and the case generator."""
+
+    defaults: dict
+    cases: Callable[[dict, np.random.Generator], Iterator[Case]]
+
+
+CHECKS: dict[str, Check] = {}
+
+
+def _check(check_id: str, **defaults):
+    def register(cases):
+        CHECKS[check_id] = Check(defaults, cases)
+        return cases
+    return register
 
 
 def _family(kind: str, n: int, m: int, cache={}):
+    if kind not in ("field", "shift"):
+        raise ValueError(f"unknown family kind {kind!r}; known: field, shift")
     key = (kind, n, m)
     if key not in cache:
         cache[key] = build_field_family(n, m) if kind == "field" else build_shift_family(n, m)
@@ -99,339 +124,207 @@ def _k_params(n, m, r, k1, k2):
             "k1": max(float(k1), 0.0) + 0.0, "k2": max(float(k2), 0.0) + 0.0}
 
 
-def _random_cq(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1) -> CqState:
-    dist = _random_distribution(n_bits, rng, min_support=min_support)
-    if dim == 1:
-        return classical_state(dist)
-    conds = {sym: random_density(dim, rng) for sym in sorted(dist)}
-    return build_cq(dist, conds, side_dim=dim)
+def _catalog(bounds, params: dict, measured) -> list:
+    return [(b, measured, bound_value(b, params)) for b in bounds]
+
+
+def _random_family(rng: np.random.Generator, n_min: int, n_max: int, m_max: int):
+    n = int(rng.integers(n_min, n_max + 1))
+    m = int(rng.integers(1, min(m_max, n) + 1))
+    kind = "field" if rng.random() < 0.5 else "shift"
+    return kind, _family(kind, n, m)
+
+
+def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
+    """A random family and two quantum sources, with the output's distance to uniform."""
+    kind, fam = _random_family(rng, n_min, n_max, m_max)
+    s1, s2 = _random_source(fam.n, rng), _random_source(fam.n, rng)
+    out = extractor_output_state(deor_extractor(fam), s1.state, s2.state, strong_in)
+    delta = distance_to_uniform(out, 1 << fam.m, strong=strong_in is not None)
+    return kind, fam, s1, s2, delta
+
+
+def _flat_grid(ext, n: int, side: str, strong_in):
+    """Every prefix-flat (k1, k2) pair under one side model, with its strong distance."""
+    for k1 in range(n + 1):
+        s1 = make_side_info(side, make_flat_source(n, k1))
+        for k2 in range(n + 1):
+            s2 = make_side_info(side, make_flat_source(n, k2))
+            out = extractor_output_state(ext, s1.state, s2.state, strong_in)
+            yield k1, k2, s1, s2, distance_to_uniform(out, 1 << ext.m, strong=True)
 
 
 # ---------------------------------------------------------------------------
 # Extractor bound checks
 # ---------------------------------------------------------------------------
 
-def check_b1_exhaustive(params: dict, seed: int) -> list[BoundReport]:
+@_check("b1-exhaustive-flat", ns=(3, 4), ms=(1, 2), families=("field", "shift"),
+        sides=("trivial", "classical_leak"), bounds=("B1",), strong_in="x1")
+def _b1_exhaustive(p, rng):
     """Exhaustive prefix-flat grid for the exact product-type bound."""
-    ns = tuple(params.get("ns", (3, 4)))
-    ms = tuple(params.get("ms", (1, 2)))
-    families = tuple(params.get("families", ("field", "shift")))
-    sides = tuple(params.get("sides", ("trivial", "classical_leak")))
-    bounds = tuple(params.get("bounds", ("B1",)))
-    strong_in = params.get("strong_in", "x1")
-    reports = []
-    idx = 0
-    for kind in families:
-        for n in ns:
-            for m in ms:
+    for kind in p["families"]:
+        for n in p["ns"]:
+            for m in p["ms"]:
                 fam = _family(kind, n, m)
                 ext = deor_extractor(fam)
-                for side in sides:
-                    for k1 in range(n + 1):
-                        s1 = make_side_info(side, make_flat_source(n, k1))
-                        for k2 in range(n + 1):
-                            t0 = time.perf_counter()
-                            s2 = make_side_info(side, make_flat_source(n, k2))
-                            out = extractor_output_state(ext, s1.state, s2.state, strong_in)
-                            delta = distance_to_uniform(out, 1 << m, strong=True)
-                            dt = (time.perf_counter() - t0) * 1e3
-                            p = _k_params(n, m, fam.r, s1.k, s2.k)
-                            scen = (f"s{idx:05d} {kind} n={n} m={m} side={side} "
-                                    f"flat=({k1},{k2})")
-                            for b in bounds:
-                                reports.append(_report("b1-exhaustive-flat", b, p, delta,
-                                                       bound_value(b, p), dt, scen))
-                            idx += 1
-    return reports
+                for side in p["sides"]:
+                    for k1, k2, s1, s2, delta in _flat_grid(ext, n, side, p["strong_in"]):
+                        kp = _k_params(n, m, fam.r, s1.k, s2.k)
+                        yield Case(kp, f"{kind} n={n} m={m} side={side} flat=({k1},{k2})",
+                                   _catalog(p["bounds"], kp, delta))
 
 
-def _random_source(n: int, rng: np.random.Generator):
-    k_target = int(rng.integers(max(1, n - 2), n + 1))
-    rule = "prefix" if rng.random() < 0.5 else "random"
-    dist = make_flat_source(n, k_target, rule, seed=int(rng.integers(2 ** 31)))
-    model = "bb84" if rng.random() < 0.5 else "random_pure"
-    if model == "bb84":
-        kw = {"bits": int(rng.integers(1, 3))}
-    else:
-        kw = {"dim": int(rng.integers(2, 5))}
-    return make_side_info(model, dist, seed=int(rng.integers(2 ** 31)), **kw)
-
-
-def check_b1_quantum(params: dict, seed: int) -> list[BoundReport]:
+@_check("b1-quantum-product", count=200, n_min=3, n_max=5, m_max=3,
+        bounds=("B1", "B6", "B3", "B4"), strong_in="x1")
+def _b1_quantum(p, rng):
     """Randomized quantum product-type scenarios with solver-certified entropies."""
-    count = int(params.get("count", 200))
-    n_min = int(params.get("n_min", 3))
-    n_max = int(params.get("n_max", 5))
-    m_max = int(params.get("m_max", 3))
-    bounds = tuple(params.get("bounds", ("B1", "B6", "B3", "B4")))
-    strong_in = params.get("strong_in", "x1")
-    rng = np.random.default_rng(seed)
-    reports = []
-    for idx in range(count):
-        t0 = time.perf_counter()
-        n = int(rng.integers(n_min, n_max + 1))
-        m = int(rng.integers(1, min(m_max, n) + 1))
-        kind = "field" if rng.random() < 0.5 else "shift"
-        fam = _family(kind, n, m)
-        ext = deor_extractor(fam)
-        s1 = _random_source(n, rng)
-        s2 = _random_source(n, rng)
-        out = extractor_output_state(ext, s1.state, s2.state, strong_in)
-        delta = distance_to_uniform(out, 1 << m, strong=True)
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(n, m, fam.r, s1.k, s2.k)
-        scen = f"s{idx:05d} {kind} n={n} m={m} sides=({s1.model},{s2.model})"
-        flags = {"converged1": s1.flags.get("converged", True),
-                 "converged2": s2.flags.get("converged", True)}
-        for b in bounds:
-            reports.append(_report("b1-quantum-product", b, p, delta,
-                                   bound_value(b, p), dt, scen, flags))
-    return reports
+    for _ in range(p["count"]):
+        kind, fam, s1, s2, delta = _random_deor_output(
+            rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
+        kp = _k_params(fam.n, fam.m, fam.r, s1.k, s2.k)
+        yield Case(kp, f"{kind} n={fam.n} m={fam.m} sides=({s1.model},{s2.model})",
+                   _catalog(p["bounds"], kp, delta),
+                   {"converged1": s1.flags.get("converged", True),
+                    "converged2": s2.flags.get("converged", True)})
 
 
-def check_b8_weak(params: dict, seed: int) -> list[BoundReport]:
+@_check("b8-weak-quantum", count=50, n_max=4)
+def _b8_weak(p, rng):
     """Weak-output variant: same pipeline with no copied source register."""
-    count = int(params.get("count", 50))
-    n_max = int(params.get("n_max", 4))
-    rng = np.random.default_rng(seed)
-    reports = []
-    for idx in range(count):
-        t0 = time.perf_counter()
-        n = int(rng.integers(3, n_max + 1))
-        m = int(rng.integers(1, min(2, n) + 1))
-        kind = "field" if rng.random() < 0.5 else "shift"
-        fam = _family(kind, n, m)
-        ext = deor_extractor(fam)
-        s1 = _random_source(n, rng)
-        s2 = _random_source(n, rng)
-        out = extractor_output_state(ext, s1.state, s2.state, None)
-        delta = distance_to_uniform(out, 1 << m, strong=False)
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(n, m, fam.r, s1.k, s2.k)
-        scen = f"s{idx:05d} {kind} n={n} m={m} weak"
-        reports.append(_report("b8-weak-quantum", "B8", p, delta,
-                               bound_value("B8", p), dt, scen))
-    return reports
+    for _ in range(p["count"]):
+        kind, fam, s1, s2, delta = _random_deor_output(rng, 3, p["n_max"], 2, None)
+        kp = _k_params(fam.n, fam.m, fam.r, s1.k, s2.k)
+        # No convergence flags yet: adding them changes the report bytes.
+        yield Case(kp, f"{kind} n={fam.n} m={fam.m} weak", _catalog(("B8",), kp, delta))
 
 
-def check_b2_markov(params: dict, seed: int) -> list[BoundReport]:
+@_check("b2-markov", count=40, n_min=2, n_max=4, bounds=("B2", "B5", "B10", "B11"))
+def _b2_markov(p, rng):
     """Markov block scenarios against the Markov-model bound family."""
-    count = int(params.get("count", 40))
-    n_min = int(params.get("n_min", 2))
-    n_max = int(params.get("n_max", 4))
-    bounds = tuple(params.get("bounds", ("B2", "B5", "B10", "B11")))
-    rng = np.random.default_rng(seed)
-    reports = []
-    for idx in range(count):
-        t0 = time.perf_counter()
-        n = int(rng.integers(n_min, n_max + 1))
-        m = int(rng.integers(1, min(2, n) + 1))
-        kind = "field" if rng.random() < 0.5 else "shift"
+    for _ in range(p["count"]):
+        kind, fam = _random_family(rng, p["n_min"], p["n_max"], 2)
         classical = bool(rng.random() < 0.5)
-        fam = _family(kind, n, m)
-        ext = deor_extractor(fam)
-        scn = make_markov_scenario(n, int(rng.integers(2, 4)),
+        scn = make_markov_scenario(fam.n, int(rng.integers(2, 4)),
                                    seed=int(rng.integers(2 ** 31)),
                                    classical=classical)
         joint = markov_block_state(scn)
-        marg1 = apply_classical_function(joint, lambda sym: sym[0])
-        marg2 = apply_classical_function(joint, lambda sym: sym[1])
-        res1, res2 = h_min_cond(marg1), h_min_cond(marg2)
-        out = extractor_output_from_joint(ext, joint, "x1")
-        delta = distance_to_uniform(out, 1 << m, strong=True)
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(n, m, fam.r, res1.value, res2.value)
+        res1 = h_min_cond(apply_classical_function(joint, lambda sym: sym[0]))
+        res2 = h_min_cond(apply_classical_function(joint, lambda sym: sym[1]))
+        out = extractor_output_from_joint(deor_extractor(fam), joint, "x1")
+        delta = distance_to_uniform(out, 1 << fam.m, strong=True)
+        kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
-        scen = f"s{idx:05d} {kind} n={n} m={m} {model} blocks={len(scn.weights)}"
-        flags = {"converged1": res1.converged, "converged2": res2.converged}
-        for b in bounds:
-            reports.append(_report("b2-markov", b, p, delta,
-                                   bound_value(b, p), dt, scen, flags))
-    return reports
+        yield Case(kp, f"{kind} n={fam.n} m={fam.m} {model} blocks={len(scn.weights)}",
+                   _catalog(p["bounds"], kp, delta),
+                   {"converged1": res1.converged, "converged2": res2.converged})
 
 
-def check_ip_classical(params: dict, seed: int) -> list[BoundReport]:
+@_check("ip-classical", ns=(2, 3, 4), sides=("trivial", "classical_leak"))
+def _ip_classical(p, rng):
     """Exhaustive flat grid for the inner-product extractor."""
-    ns = tuple(params.get("ns", (2, 3, 4)))
-    sides = tuple(params.get("sides", ("trivial", "classical_leak")))
-    reports = []
-    idx = 0
-    for n in ns:
+    for n in p["ns"]:
         ext = ip_extractor(n)
-        for side in sides:
-            for k1 in range(n + 1):
-                s1 = make_side_info(side, make_flat_source(n, k1))
-                for k2 in range(n + 1):
-                    t0 = time.perf_counter()
-                    s2 = make_side_info(side, make_flat_source(n, k2))
-                    out = extractor_output_state(ext, s1.state, s2.state, "x1")
-                    delta = distance_to_uniform(out, 2, strong=True)
-                    dt = (time.perf_counter() - t0) * 1e3
-                    p = _k_params(n, 1, 0, s1.k, s2.k)
-                    scen = f"s{idx:05d} ip n={n} side={side} flat=({k1},{k2})"
-                    reports.append(_report("ip-classical", "B7", p, delta,
-                                           bound_value("B7", p), dt, scen))
-                    idx += 1
-    return reports
+        for side in p["sides"]:
+            for k1, k2, s1, s2, delta in _flat_grid(ext, n, side, "x1"):
+                kp = _k_params(n, 1, 0, s1.k, s2.k)
+                yield Case(kp, f"ip n={n} side={side} flat=({k1},{k2})",
+                           _catalog(("B7",), kp, delta))
 
 
 # ---------------------------------------------------------------------------
 # Markov structure and identity checks
 # ---------------------------------------------------------------------------
 
-def _dense_tripartite(joint: CqState, n1: int, n2: int):
-    a1 = full_alphabet(n1)
-    a2 = full_alphabet(n2)
-    d = joint.side_dim
-    dim = len(a1) * len(a2) * d
-    out = np.zeros((dim, dim), dtype=complex)
-    for i1, x1 in enumerate(a1):
-        for i2, x2 in enumerate(a2):
-            block = joint.blocks.get((x1, x2))
-            if block is not None:
-                lo = (i1 * len(a2) + i2) * d
-                out[lo:lo + d, lo:lo + d] = block
-    return out, (len(a1), len(a2), d)
-
-
-def check_markov_cmi(params: dict, seed: int) -> list[BoundReport]:
+@_check("markov-cmi", count=100)
+def _markov_cmi(p, rng):
     """Conditional mutual information of constructed Markov block states."""
-    count = int(params.get("count", 100))
-    rng = np.random.default_rng(seed)
-    reports = []
-    for idx in range(count):
-        t0 = time.perf_counter()
+    for _ in range(p["count"]):
         n = int(rng.integers(1, 3))
         classical = bool(rng.random() < 0.3)
         scn = make_markov_scenario(n, int(rng.integers(2, 4)),
                                    seed=int(rng.integers(2 ** 31)),
                                    classical=classical)
         joint = markov_block_state(scn)
-        dense, dims = _dense_tripartite(joint, n, n)
-        cmi = conditional_mutual_information(dense, dims)
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(n, 1, 0, 0.0, 0.0)
-        scen = f"s{idx:05d} markov-cmi n={n} blocks={len(scn.weights)} side={joint.side_dim}"
-        reports.append(_report("markov-cmi", "cmi-zero", p, cmi, 0.0, dt, scen))
-    return reports
+        alphabet = all_bit_vectors(n)
+        dense = to_dense(joint, [(a, b) for a in alphabet for b in alphabet])
+        cmi = conditional_mutual_information(
+            dense, (len(alphabet), len(alphabet), joint.side_dim))
+        yield Case(_k_params(n, 1, 0, 0.0, 0.0),
+                   f"markov-cmi n={n} blocks={len(scn.weights)} side={joint.side_dim}",
+                   [("cmi-zero", cmi, 0.0)])
 
 
-def check_measured_xor(params: dict, seed: int) -> list[BoundReport]:
+@_check("measured-xor-random", count=1000, m_max=2, dim_max=3)
+def _measured_xor(p, rng):
     """Distance to uniform against the masked-bit measured bound."""
-    count = int(params.get("count", 1000))
-    m_max = int(params.get("m_max", 2))
-    dim_max = int(params.get("dim_max", 3))
-    rng = np.random.default_rng(seed)
-    reports = []
-    for idx in range(count):
-        t0 = time.perf_counter()
-        m = int(rng.integers(1, m_max + 1))
-        dim = int(rng.integers(1, dim_max + 1))
+    for _ in range(p["count"]):
+        m = int(rng.integers(1, p["m_max"] + 1))
+        dim = int(rng.integers(1, p["dim_max"] + 1))
         state = _random_cq(m, dim, rng)
         lhs = distance_to_uniform(state, 1 << m, strong=False)
-        rhs = measured_xor_bound(state)
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(max(m, 1), m, 0, 0.0, 0.0)
-        scen = f"s{idx:05d} xor m={m} dim={dim}"
-        reports.append(_report("measured-xor-random", "measured-xor", p, lhs, rhs, dt, scen))
-    return reports
+        yield Case(_k_params(m, m, 0, 0.0, 0.0), f"xor m={m} dim={dim}",
+                   [("measured-xor", lhs, measured_xor_bound(state))])
 
 
-def check_useful_prop(params: dict, seed: int) -> list[BoundReport]:
+@_check("useful-prop-random", count=1000)
+def _useful_prop(p, rng):
     """Squared distance against the Fourier-side bound for arbitrary sigma."""
-    count = int(params.get("count", 1000))
-    rng = np.random.default_rng(seed)
-    reports = []
-    for idx in range(count):
-        t0 = time.perf_counter()
+    for _ in range(p["count"]):
         m = int(rng.integers(1, 3))
         dim = int(rng.integers(1, 4))
         state = _random_cq(m, dim, rng)
         sigma = random_density(dim, rng)
         lhs = distance_to_uniform(state, 1 << m, strong=False) ** 2
-        rhs = squared_distance_fourier_bound(state, sigma)
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(max(m, 1), m, 0, 0.0, 0.0)
-        scen = f"s{idx:05d} fourier m={m} dim={dim}"
-        reports.append(_report("useful-prop-random", "fourier-rhs", p, lhs, rhs, dt, scen))
-    return reports
+        yield Case(_k_params(m, m, 0, 0.0, 0.0), f"fourier m={m} dim={dim}",
+                   [("fourier-rhs", lhs, squared_distance_fourier_bound(state, sigma))])
 
 
-def check_parseval(params: dict, seed: int) -> list[BoundReport]:
+@_check("parseval-random", count=100)
+def _parseval(p, rng):
     """Norm preservation of the matrix-valued transform."""
-    count = int(params.get("count", 100))
-    rng = np.random.default_rng(seed)
-    reports = []
-    for idx in range(count):
-        t0 = time.perf_counter()
+    for _ in range(p["count"]):
         m = int(rng.integers(1, 4))
         d = int(rng.integers(1, 5))
         values = rng.standard_normal((1 << m, d, d)) + 1j * rng.standard_normal((1 << m, d, d))
         mvf = MatrixValuedFunction(m=m, d=d, values=values)
         dev = abs(mvf_l2_norm(mvf_fourier(mvf)) - mvf_l2_norm(mvf))
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(max(m, 1), m, 0, 0.0, 0.0)
-        scen = f"s{idx:05d} parseval m={m} d={d}"
-        reports.append(_report("parseval-random", "parseval", p, dev, 0.0, dt, scen))
-    return reports
+        yield Case(_k_params(m, m, 0, 0.0, 0.0), f"parseval m={m} d={d}",
+                   [("parseval", dev, 0.0)])
 
 
-def check_pgm_commutation(params: dict, seed: int) -> list[BoundReport]:
+@_check("pgm-commutation", count=200)
+def _pgm_commutation(p, rng):
     """Measurement-then-relabel equals relabel-then-measurement, elementwise."""
-    count = int(params.get("count", 200))
-    rng = np.random.default_rng(seed)
-    reports = []
-    for idx in range(count):
-        t0 = time.perf_counter()
+    for _ in range(p["count"]):
         n_bits = int(rng.integers(1, 4))
         dim = int(rng.integers(2, 5))
         state = _random_cq(n_bits, dim, rng, min_support=2)
         out_bits = int(rng.integers(1, 3))
         table = {sym: index_to_bits(int(rng.integers(1 << out_bits)), out_bits)
                  for sym in state.symbols()}
-        fn = lambda sym, table=table: table[sym]
-        lhs = pgm(apply_classical_function(state, fn))
-        rhs_elements = {}
-        base = pgm(state)
-        for sym, el in base.elements.items():
-            y = fn(sym)
-            rhs_elements[y] = rhs_elements.get(y, 0) + el
-        dev = max(float(np.max(np.abs(lhs.elements[y] - rhs_elements[y])))
-                  for y in lhs.elements)
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(max(n_bits, 1), out_bits, 0, 0.0, 0.0)
-        scen = f"s{idx:05d} pgm-commute n={n_bits} dim={dim} out={out_bits}"
-        reports.append(_report("pgm-commutation", "channel-equality", p, dev, 0.0,
-                               dt, scen, {"criterion_tol": 1e-10}))
-    return reports
+        lhs = pgm(apply_classical_function(state, lambda sym: table[sym]))
+        rhs: dict = {}
+        for sym, el in pgm(state).elements.items():
+            rhs[table[sym]] = rhs.get(table[sym], 0) + el
+        dev = max(float(np.max(np.abs(lhs.elements[y] - rhs[y]))) for y in lhs.elements)
+        yield Case(_k_params(n_bits, out_bits, 0, 0.0, 0.0),
+                   f"pgm-commute n={n_bits} dim={dim} out={out_bits}",
+                   [("channel-equality", dev, 0.0)], {"criterion_tol": 1e-10})
 
 
-def check_hmin_linear_drop(params: dict, seed: int) -> list[BoundReport]:
+@_check("hmin-linear-drop", exhaustive_n=3, random_ns=(4, 5, 6), per_n=25)
+def _hmin_linear_drop(p, rng):
     """Entropy decrease under GF(2) maps bounded by the rank deficiency."""
-    exhaustive_n = int(params.get("exhaustive_n", 3))
-    random_ns = tuple(params.get("random_ns", (4, 5, 6)))
-    per_n = int(params.get("per_n", 25))
-    slack = 1e-6
-    rng = np.random.default_rng(seed)
-    reports = []
-    idx = 0
-
-    def run_case(state, base, mat, n, label):
-        nonlocal idx
-        t0 = time.perf_counter()
-        mapped = apply_classical_function(state, lambda x, mat=mat: gf2_matvec(mat, x))
-        lifted = h_min_cond(mapped)
+    def case(state, base, mat, label):
+        n = mat.shape[0]
+        lifted = h_min_cond(apply_classical_function(state, lambda x: gf2_matvec(mat, x)))
         r = n - gf2_rank(mat)
-        measured = (base.value - r) - lifted.value
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(n, 1, min(r, n - 1), base.value, lifted.value)
-        scen = f"s{idx:05d} linear-drop {label} n={n} r={r}"
-        flags = {"converged": base.converged and lifted.converged}
-        reports.append(_report("hmin-linear-drop", "rank-drop", p, measured, slack,
-                               dt, scen, flags))
-        idx += 1
+        return Case(_k_params(n, 1, min(r, n - 1), base.value, lifted.value),
+                    f"linear-drop {label} n={n} r={r}",
+                    [("rank-drop", (base.value - r) - lifted.value, ENTROPY_SLACK)],
+                    {"converged": base.converged and lifted.converged})
 
-    n = exhaustive_n
+    n = p["exhaustive_n"]
     states = [
         _random_cq(n, 2, rng, min_support=2),
         classical_state(make_flat_source(n, n - 1, "random", seed=int(rng.integers(2 ** 31)))),
@@ -439,48 +332,33 @@ def check_hmin_linear_drop(params: dict, seed: int) -> list[BoundReport]:
     bases = [h_min_cond(s) for s in states]
     for mat_idx in range(1 << (n * n)):
         mat = np.array(index_to_bits(mat_idx, n * n), dtype=np.uint8).reshape(n, n)
-        pick = mat_idx % len(states)
-        run_case(states[pick], bases[pick], mat, n, "exhaustive")
-    for n in random_ns:
+        yield case(states[mat_idx % 2], bases[mat_idx % 2], mat, "exhaustive")
+    for n in p["random_ns"]:
         state = _random_cq(n, int(rng.integers(1, 4)), rng, min_support=2)
         base = h_min_cond(state)
-        for _ in range(per_n):
+        for _ in range(p["per_n"]):
             mat = np.array(rng.integers(0, 2, size=(n, n)), dtype=np.uint8)
-            run_case(state, base, mat, n, "random")
-    return reports
+            yield case(state, base, mat, "random")
 
 
-def check_hmin_le_h2(params: dict, seed: int) -> list[BoundReport]:
+@_check("hmin-le-h2", count=500)
+def _hmin_le_h2(p, rng):
     """Min-entropy below collision entropy, relative and optimized."""
-    count = int(params.get("count", 500))
-    slack = 1e-6
-    rng = np.random.default_rng(seed)
-    reports = []
-    for idx in range(count):
-        t0 = time.perf_counter()
+    for _ in range(p["count"]):
         n_bits = int(rng.integers(1, 4))
         dim = int(rng.integers(1, 4))
         state = _random_cq(n_bits, dim, rng)
         sigma = random_density(dim, rng) if dim > 1 else np.ones((1, 1), dtype=complex)
         rel_gap = h_min_rel(state, sigma) - h2_rel(state, sigma)
         opt_gap = h_min_cond(state).value - h2_cond(state).value
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(max(n_bits, 1), 1, 0, 0.0, 0.0)
-        scen = f"s{idx:05d} entropy-order n={n_bits} dim={dim}"
-        reports.append(_report("hmin-le-h2", "relative", p, rel_gap, slack,
-                               dt / 2, scen))
-        reports.append(_report("hmin-le-h2", "optimized", p, opt_gap, slack,
-                               dt / 2, scen))
-    return reports
+        yield Case(_k_params(n_bits, 1, 0, 0.0, 0.0), f"entropy-order n={n_bits} dim={dim}",
+                   [("relative", rel_gap, ENTROPY_SLACK), ("optimized", opt_gap, ENTROPY_SLACK)])
 
 
-def check_one_two_norm(params: dict, seed: int) -> list[BoundReport]:
+@_check("one-two-norm", count=500)
+def _one_two_norm(p, rng):
     """Trace distance bounded through the conjugated 2-distance."""
-    count = int(params.get("count", 500))
-    rng = np.random.default_rng(seed)
-    reports = []
-    for idx in range(count):
-        t0 = time.perf_counter()
+    for _ in range(p["count"]):
         dim_a = int(rng.integers(2, 5))
         dim_b = int(rng.integers(2, 5))
         rho = random_density(dim_a * dim_b, rng)
@@ -489,67 +367,90 @@ def check_one_two_norm(params: dict, seed: int) -> list[BoundReport]:
         delta = trace_distance(rho, tensor(np.eye(dim_a) / dim_a, rho_b), check_trace=False)
         rhs = 0.5 * np.sqrt(dim_a * np.trace(sigma).real
                             * l2_distance_to_uniform(rho, dim_a, sigma))
-        dt = (time.perf_counter() - t0) * 1e3
-        p = _k_params(dim_a, 1, 0, 0.0, 0.0)
-        scen = f"s{idx:05d} one-two-norm dims=({dim_a},{dim_b})"
-        reports.append(_report("one-two-norm", "two-norm-rhs", p, delta, rhs, dt, scen))
-    return reports
+        yield Case(_k_params(dim_a, 1, 0, 0.0, 0.0), f"one-two-norm dims=({dim_a},{dim_b})",
+                   [("two-norm-rhs", delta, rhs)])
 
 
-def check_bound_ordering(params: dict, seed: int) -> list[BoundReport]:
+@_check("bound-ordering", count=10000)
+def _bound_ordering(p, rng):
     """Pointwise comparison of the exact bound against the generic lifts."""
-    count = int(params.get("count", 10000))
-    rng = np.random.default_rng(seed)
-    reports = []
-    made = 0
-    while made < count:
-        n = int(rng.integers(2, 25))
-        m = int(rng.integers(1, min(8, n) + 1))
-        r = int(rng.integers(0, min(m, n - 1) + 1)) if n > 1 else 0
-        k1 = float(rng.uniform(0, n))
-        k2 = float(rng.uniform(0, n))
-        p = _k_params(n, m, r, k1, k2)
-        if base_exponent(n, m, r, k1, k2) < 0:
-            continue
-        b1 = bound_value("B1", p)
-        scen = f"s{made:05d} ordering n={n} m={m} r={r}"
-        for other in ("B6", "B4"):
-            reports.append(_report("bound-ordering", other, p, b1,
-                                   bound_value(other, p), 0.0, scen))
-        made += 1
-    return reports
+    for _ in range(p["count"]):
+        while True:     # rejection-sample the regime where the exact bound is nontrivial
+            n = int(rng.integers(2, 25))
+            m = int(rng.integers(1, min(8, n) + 1))
+            r = int(rng.integers(0, min(m, n - 1) + 1))
+            k1 = float(rng.uniform(0, n))
+            k2 = float(rng.uniform(0, n))
+            if base_exponent(n, m, r, k1, k2) >= 0:
+                break
+        kp = _k_params(n, m, r, k1, k2)
+        b1 = bound_value("B1", kp)
+        yield Case(kp, f"ordering n={n} m={m} r={r}",
+                   [(other, b1, bound_value(other, kp)) for other in ("B6", "B4")])
 
-
-CHECKS = {
-    "b1-exhaustive-flat": check_b1_exhaustive,
-    "b1-quantum-product": check_b1_quantum,
-    "b8-weak-quantum": check_b8_weak,
-    "b2-markov": check_b2_markov,
-    "ip-classical": check_ip_classical,
-    "markov-cmi": check_markov_cmi,
-    "measured-xor-random": check_measured_xor,
-    "useful-prop-random": check_useful_prop,
-    "parseval-random": check_parseval,
-    "pgm-commutation": check_pgm_commutation,
-    "hmin-linear-drop": check_hmin_linear_drop,
-    "hmin-le-h2": check_hmin_le_h2,
-    "one-two-norm": check_one_two_norm,
-    "bound-ordering": check_bound_ordering,
-}
 
 CHECK_IDS = tuple(sorted(CHECKS))
+
+
+def _validated(where: str, value, default):
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"{where} must be a non-empty list, got {value!r}")
+        return tuple(_validated(where, item, default[0]) for item in value)
+    if type(value) is not type(default):
+        raise ValueError(f"{where} must be of type {type(default).__name__}, got {value!r}")
+    if isinstance(value, int) and value < 1:
+        raise ValueError(f"{where} must be positive, got {value}")
+    return value
+
+
+def resolve_params(check_id: str, params) -> dict:
+    """The check's defaults overridden by ``params``.
+
+    Raises ValueError for an unknown key, a value whose type differs from
+    the default's, an integer below 1 or an empty list.
+    """
+    defaults = CHECKS[check_id].defaults
+    if not isinstance(params, dict):
+        raise ValueError(f"{check_id}: params must be an object, got {params!r}")
+    resolved = dict(defaults)
+    for key, value in params.items():
+        if key not in defaults:
+            raise ValueError(f"{check_id}: unknown param {key!r}; "
+                             f"accepted: {', '.join(sorted(defaults))}")
+        resolved[key] = _validated(f"{check_id}: param {key!r}", value, defaults[key])
+    return resolved
 
 
 def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
     """Run one registered check; deterministic given (params, seed)."""
     if check_id not in CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
-    config = dict(config or {})
-    params = dict(config.get("params", {}))
+    config = config or {}
+    params = resolve_params(check_id, config.get("params", {}))
     seed = int(config.get("seed", 0))
     repetitions = int(config.get("repetitions", 1))
+    if repetitions < 1:
+        raise ValueError(f"{check_id}: repetitions must be positive, got {repetitions}")
     reports: list[BoundReport] = []
     for rep in range(repetitions):
         rep_seed = seed if repetitions == 1 else seed + 10007 * rep
-        reports.extend(CHECKS[check_id](params, rep_seed))
+        cases = CHECKS[check_id].cases(params, np.random.default_rng(rep_seed))
+        t0 = time.perf_counter()
+        for idx, case in enumerate(cases):
+            runtime_ms = (time.perf_counter() - t0) * 1e3
+            scenario = f"s{idx:05d} {case.label}"
+            for bound_id, measured, epsilon in case.rows:
+                reports.append(BoundReport(
+                    check_id=check_id,
+                    bound_id=bound_id,
+                    params=dict(case.params),
+                    measured_delta=float(measured),
+                    bound_epsilon=float(epsilon),
+                    passed=bool(measured <= epsilon + PASS_TOL),
+                    runtime_ms=runtime_ms,
+                    scenario=scenario,
+                    flags=dict(case.flags),
+                ))
+            t0 = time.perf_counter()    # the next case's time is spent inside the generator
     return reports

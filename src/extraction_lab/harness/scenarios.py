@@ -15,7 +15,7 @@ import numpy as np
 from ..cq_states import CqState, MarkovScenario, build_cq, classical_state
 from ..entropies import h_min_classical, h_min_cond
 from ..gf2 import index_to_bits
-from ..operators import random_pure_state
+from ..operators import random_density, random_pure_state
 
 SIDE_MODELS = ("trivial", "classical_leak", "bb84", "random_pure")
 
@@ -118,6 +118,26 @@ def _random_distribution(n: int, rng: np.random.Generator, min_support: int = 1)
     weights = rng.random(support) + 1e-3
     weights = weights / weights.sum()
     return {index_to_bits(i, n): float(w) for i, w in zip(chosen, weights)}
+
+
+def _random_cq(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1) -> CqState:
+    dist = _random_distribution(n_bits, rng, min_support=min_support)
+    if dim == 1:
+        return classical_state(dist)
+    conds = {sym: random_density(dim, rng) for sym in sorted(dist)}
+    return build_cq(dist, conds, side_dim=dim)
+
+
+def _random_source(n: int, rng: np.random.Generator):
+    k_target = int(rng.integers(max(1, n - 2), n + 1))
+    rule = "prefix" if rng.random() < 0.5 else "random"
+    dist = make_flat_source(n, k_target, rule, seed=int(rng.integers(2 ** 31)))
+    model = "bb84" if rng.random() < 0.5 else "random_pure"
+    if model == "bb84":
+        kw = {"bits": int(rng.integers(1, 3))}
+    else:
+        kw = {"dim": int(rng.integers(2, 5))}
+    return make_side_info(model, dist, seed=int(rng.integers(2 ** 31)), **kw)
 
 
 def _random_factor(n: int, side_dim: int, rng: np.random.Generator,

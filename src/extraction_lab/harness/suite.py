@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .checks import CHECK_IDS, run_check
+from .checks import CHECK_IDS, resolve_params, run_check
 
 SCHEMA_VERSION = 1
 
@@ -71,29 +71,45 @@ SUITES: dict[str, dict] = {
 }
 
 SUITE_NAMES = tuple(sorted(SUITES))
+ENTRY_KEYS = ("id", "params", "seed", "repetitions")
 
 
 def load_config(suite: str) -> dict:
-    """Resolve a suite name or JSON config path to a config dict."""
+    """Resolve a suite name or JSON config path to a validated config dict."""
     if suite in SUITES:
-        return {"name": suite, **SUITES[suite]}
-    path = Path(suite)
-    if not path.exists():
-        raise ValueError(f"unknown suite {suite!r} and no such config file; "
-                         f"built-in suites: {', '.join(SUITE_NAMES)}")
-    try:
-        config = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict) or "checks" not in config:
-        raise ValueError(f"config {path} must be an object with a 'checks' list")
+        config = {"name": suite, **SUITES[suite]}
+    else:
+        path = Path(suite)
+        if not path.exists():
+            raise ValueError(f"unknown suite {suite!r} and no such config file; "
+                             f"built-in suites: {', '.join(SUITE_NAMES)}")
+        try:
+            config = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(config, dict) or not isinstance(config.get("checks"), list):
+            raise ValueError(f"config {path} must be an object with a 'checks' list")
+        config.setdefault("name", path.stem)
     for entry in config["checks"]:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ValueError("every check entry needs an 'id'")
-        if entry["id"] not in CHECK_IDS:
-            raise ValueError(f"unknown check id {entry['id']!r}")
-    config.setdefault("name", path.stem)
+        _validate_entry(entry)
     return config
+
+
+def _validate_entry(entry) -> None:
+    if not isinstance(entry, dict) or "id" not in entry:
+        raise ValueError("every check entry needs an 'id'")
+    if entry["id"] not in CHECK_IDS:
+        raise ValueError(f"unknown check id {entry['id']!r}")
+    unknown = sorted(set(entry) - set(ENTRY_KEYS))
+    if unknown:
+        raise ValueError(f"check entry {entry['id']!r} has unknown keys {unknown}; "
+                         f"accepted: {', '.join(ENTRY_KEYS)}")
+    for key, low in (("seed", 0), ("repetitions", 1)):
+        value = entry.get(key, low)
+        if type(value) is not int or value < low:
+            raise ValueError(f"check entry {entry['id']!r}: {key} must be an integer "
+                             f">= {low}, got {value!r}")
+    resolve_params(entry["id"], entry.get("params", {}))
 
 
 @dataclass(frozen=True)

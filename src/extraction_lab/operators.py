@@ -13,6 +13,7 @@ import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 KERNEL_RTOL = 1e-10       # eigenvalues <= KERNEL_RTOL * lambda_max count as kernel
+PSD_RTOL = 1e-10          # lambda_min >= -PSD_RTOL * max(1, |lambda_max|) counts as PSD
 MAX_EIG_DIM = 4096
 
 
@@ -31,6 +32,28 @@ def check_hermitian(a, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     if dev > atol:
         raise ValueError(f"operator is not Hermitian (max deviation {dev:.3e})")
     return m
+
+
+# The package's one PSD test, kernel cut and Hermitian part.  Every module
+# imports these rather than restating a threshold; they are not public API.
+
+def _not_psd(w: np.ndarray) -> bool:
+    """True when ascending eigenvalues ``w`` fall below the PSD tolerance."""
+    return bool(w.size and w[0] < -PSD_RTOL * max(1.0, float(abs(w[-1]))))
+
+
+def _kernel_mask(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues ``w`` at or below the relative kernel threshold."""
+    top = float(w[-1]) if w.size else 0.0
+    return w <= KERNEL_RTOL * max(top, 0.0)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
+
+
+def _max_eig(h: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(_herm(h))[-1])
 
 
 def eigh(h):
@@ -56,11 +79,9 @@ def op_power(h, p: float, kernel_policy: str = "pseudo") -> np.ndarray:
     if kernel_policy not in ("pseudo", "strict"):
         raise ValueError(f"unknown kernel policy {kernel_policy!r}")
     w, v = eigh(h)
-    top = float(w[-1]) if w.size else 0.0
-    if w.size and w[0] < -1e-10 * max(1.0, abs(top)):
+    if _not_psd(w):
         raise ValueError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
-    thresh = KERNEL_RTOL * max(top, 0.0)
-    kernel = w <= thresh
+    kernel = _kernel_mask(w)
     if p < 0 and kernel_policy == "strict" and np.any(kernel):
         raise np.linalg.LinAlgError("strict kernel policy: operator is singular")
     fw = np.zeros_like(w)
@@ -76,9 +97,7 @@ def op_power(h, p: float, kernel_policy: str = "pseudo") -> np.ndarray:
 
 def support_projector(h) -> np.ndarray:
     w, v = eigh(h)
-    thresh = KERNEL_RTOL * max(float(w[-1]), 0.0) if w.size else 0.0
-    live = w > thresh
-    vs = v[:, live]
+    vs = v[:, ~_kernel_mask(w)]
     return vs @ vs.conj().T
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cq_states import CqState, apply_classical_function, marginal_side
-from .gf2 import index_to_bits
-from .operators import check_hermitian, op_power, partial_trace, tensor
+from .gf2 import bits_to_index, index_to_bits
+from .operators import _herm, _not_psd, check_hermitian, op_power, partial_trace, tensor
 
 MAX_FOURIER_BITS = 12
 
@@ -39,10 +39,7 @@ def mvf_from_blocks(m: int, d: int, blocks: dict) -> MatrixValuedFunction:
     """Build a matrix-valued function from a symbol -> matrix map (zeros elsewhere)."""
     vals = np.zeros((1 << m, d, d), dtype=complex)
     for sym, mat in blocks.items():
-        idx = 0
-        for b in sym:
-            idx = (idx << 1) | (b & 1)
-        vals[idx] = mat
+        vals[bits_to_index(sym)] = mat
     return MatrixValuedFunction(m=m, d=d, values=vals)
 
 
@@ -89,7 +86,7 @@ def validate_povm(povm: POVM, atol: float = 1e-9) -> POVM:
     for outcome, el in povm.elements.items():
         e = check_hermitian(el, atol=1e-9)
         w = np.linalg.eigvalsh(e)
-        if w.size and w[0] < -1e-10 * max(1.0, float(abs(w[-1]))):
+        if _not_psd(w):
             raise ValueError(f"POVM element for {outcome} is not PSD (min eig {w[0]:.3e})")
         total += e
     if np.max(np.abs(total - np.eye(dim))) > atol:
@@ -112,7 +109,7 @@ def pgm(state: CqState) -> POVM:
     if np.max(np.abs(deficit)) > 1e-12:
         first = symbols[0]
         elements[first] = elements[first] + deficit
-    return POVM(elements={sym: 0.5 * (e + e.conj().T) for sym, e in elements.items()})
+    return POVM(elements={sym: _herm(e) for sym, e in elements.items()})
 
 
 def measure_operator(povm: POVM, op) -> dict:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from extraction_lab.cli import main
 from extraction_lab.gf2 import read_family
 
@@ -93,3 +95,33 @@ def test_verify_custom_config(tmp_path):
                  "--out", str(tmp_path / "o")]) == 0
     doc = json.loads((tmp_path / "o" / "report.json").read_text())
     assert doc["summary"]["n_reports"] == 55
+
+
+@pytest.mark.parametrize("config", [
+    {"checks": [{"id": "measured-xor-random", "params": {"cout": 3}}]},
+    {"checks": [{"id": "b1-exhaustive-flat", "params": {"ns": 5}}]},
+    {"checks": 5},
+    {"checks": [{"id": "parseval-random", "params": {"count": 0}}]},
+])
+def test_verify_malformed_config_exits_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["verify", "--suite", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_prints_unconverged_rows(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checks": [
+        {"id": "b1-quantum-product", "params": {"count": 6, "n_max": 3}},
+        {"id": "parseval-random", "params": {"count": 3}},
+    ]}))
+    assert main(["verify", "--suite", str(cfg), "--seed", "5",
+                 "--out", str(tmp_path / "o")]) == 0
+    rows = json.loads((tmp_path / "o" / "report.json").read_text())["reports"]
+    solved = [r["flags"] for r in rows if "converged1" in r["flags"]]
+    bad = sum(not (f["converged1"] and f["converged2"]) for f in solved)
+    assert len(solved) == 24
+    assert f"unconverged rows: {bad}/24" in capsys.readouterr().out.splitlines()

@@ -12,7 +12,6 @@ from extraction_lab.cq_states import (
     distance_to_uniform,
     extractor_output_from_joint,
     extractor_output_state,
-    full_alphabet,
     markov_block_state,
     marginal_side,
     product,
@@ -20,7 +19,7 @@ from extraction_lab.cq_states import (
     validate_cq,
 )
 from extraction_lab.extractors import deor_extractor, ip_extractor
-from extraction_lab.gf2 import build_field_family
+from extraction_lab.gf2 import all_bit_vectors, build_field_family
 from extraction_lab.operators import (
     conditional_mutual_information,
     partial_trace,
@@ -48,7 +47,7 @@ def test_build_cq_validation():
 def test_point_mass_and_uniform():
     point = classical_state({(1, 0): 1.0})
     assert point.symbols() == [(1, 0)]
-    uni = classical_state({b: 0.25 for b in full_alphabet(2)})
+    uni = classical_state({b: 0.25 for b in all_bit_vectors(2)})
     assert abs(uni.total_trace() - 1.0) < 1e-12
     assert uni.probabilities()[(0, 1)] == 0.25
 
@@ -60,7 +59,7 @@ def test_marginal_side():
 
 
 def test_apply_classical_function():
-    uni = classical_state({b: 0.25 for b in full_alphabet(2)})
+    uni = classical_state({b: 0.25 for b in all_bit_vectors(2)})
     same = apply_classical_function(uni, lambda s: s)
     assert same.probabilities() == uni.probabilities()
     const = apply_classical_function(uni, lambda s: (0,))
@@ -114,7 +113,7 @@ def test_markov_block_state_has_zero_cmi(rng):
                      (random_cq_state(1, 2, rng), random_cq_state(1, 2, rng))),
         )
         joint = markov_block_state(scn)
-        symbols = [(a, b) for a in full_alphabet(1) for b in full_alphabet(1)]
+        symbols = [(a, b) for a in all_bit_vectors(1) for b in all_bit_vectors(1)]
         dense = to_dense(joint, symbols)
         cmi = conditional_mutual_information(dense, (2, 2, joint.side_dim))
         assert abs(cmi) <= 1e-9
@@ -144,7 +143,7 @@ def test_extractor_output_anchor_value():
     # only x1 = 0000 contributes, delta = (1/16) * (1/2) = 1/32.
     fam = build_field_family(4, 1)
     ext = deor_extractor(fam)
-    uni = classical_state({b: 1 / 16 for b in full_alphabet(4)})
+    uni = classical_state({b: 1 / 16 for b in all_bit_vectors(4)})
     out = extractor_output_state(ext, uni, uni, "x1")
     delta = distance_to_uniform(out, 2, strong=True)
     assert abs(delta - 1 / 32) < 1e-12
@@ -181,7 +180,7 @@ def test_output_from_joint_matches_pair_version(rng):
 
 
 def test_distance_trivial_cases():
-    uni = classical_state({b: 0.25 for b in full_alphabet(2)})
+    uni = classical_state({b: 0.25 for b in all_bit_vectors(2)})
     out = apply_classical_function(uni, lambda s: (s[0],))
     assert distance_to_uniform(out, 2) < 1e-12
     det = classical_state({(0,): 1.0})
@@ -189,6 +188,16 @@ def test_distance_trivial_cases():
     # Missing output symbols count with their uniform target weight.
     half = classical_state({(0, 0): 1.0})
     assert abs(distance_to_uniform(half, 4) - 0.75) < 1e-12
+
+
+def test_distance_rejects_more_symbols_than_uniform_dim():
+    uni = classical_state({b: 0.25 for b in all_bit_vectors(2)})
+    assert distance_to_uniform(uni, 4) < 1e-12
+    with pytest.raises(ValueError, match="exceed uniform_dim"):
+        distance_to_uniform(uni, 2)
+    strong = apply_classical_function(uni, lambda s: (s, (0,)))
+    with pytest.raises(ValueError, match="exceed uniform_dim"):
+        distance_to_uniform(strong, 2, strong=True)
 
 
 def test_blockwise_distance_equals_dense(rng):
@@ -203,14 +212,14 @@ def test_blockwise_distance_equals_dense(rng):
         # the union alphabet and take the plain trace distance.
         if strong:
             rests = sorted({k[1] for k in out.blocks})
-            keys = [(z, x) for z in full_alphabet(2) for x in rests]
+            keys = [(z, x) for z in all_bit_vectors(2) for x in rests]
             target = {}
             for x in rests:
-                tot = sum(out.blocks.get((z, x), 0) for z in full_alphabet(2))
-                for z in full_alphabet(2):
+                tot = sum(out.blocks.get((z, x), 0) for z in all_bit_vectors(2))
+                for z in all_bit_vectors(2):
                     target[(z, x)] = tot / 4
         else:
-            keys = full_alphabet(2)
+            keys = all_bit_vectors(2)
             tot = sum(out.blocks.values())
             target = {z: tot / 4 for z in keys}
         dense_state = dense_cq(out, keys)

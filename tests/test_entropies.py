@@ -7,7 +7,6 @@ from extraction_lab.cq_states import (
     apply_classical_function,
     build_cq,
     classical_state,
-    full_alphabet,
     marginal_side,
 )
 from extraction_lab.entropies import (
@@ -19,7 +18,7 @@ from extraction_lab.entropies import (
     h_min_cond,
     h_min_rel,
 )
-from extraction_lab.gf2 import gf2_matvec
+from extraction_lab.gf2 import all_bit_vectors, gf2_matvec
 from extraction_lab.operators import random_density, tensor
 from extraction_lab.xor_analysis import apply_measurement, pgm
 
@@ -38,7 +37,7 @@ def cc_closed_form_h_min(state):
 
 
 def test_h_min_classical():
-    assert h_min_classical({b: 1 / 4 for b in full_alphabet(2)}) == 2.0
+    assert h_min_classical({b: 1 / 4 for b in all_bit_vectors(2)}) == 2.0
     assert h_min_classical({(0,): 1.0}) == 0.0
     assert abs(h_min_classical({(0, 0): .5, (0, 1): .25, (1, 0): .25}) - 1.0) < 1e-12
     with pytest.raises(ValueError):
@@ -47,13 +46,13 @@ def test_h_min_classical():
 
 def test_h_min_rel_uniform_times_state(rng):
     sigma = random_density(3, rng)
-    st = build_cq({b: 0.25 for b in full_alphabet(2)},
-                  {b: sigma for b in full_alphabet(2)}, side_dim=3)
+    st = build_cq({b: 0.25 for b in all_bit_vectors(2)},
+                  {b: sigma for b in all_bit_vectors(2)}, side_dim=3)
     assert abs(h_min_rel(st, sigma) - 2.0) < 1e-9
 
 
 def test_h_min_rel_flat_and_kernel():
-    flat = classical_state({b: 0.25 for b in full_alphabet(2)})
+    flat = classical_state({b: 0.25 for b in all_bit_vectors(2)})
     assert abs(h_min_rel(flat, np.ones((1, 1))) - 2.0) < 1e-12
     st = bb84_state()
     sigma = np.diag([1.0, 0.0]).astype(complex)   # kernel hits the |+> block
@@ -113,7 +112,7 @@ def test_h_min_cond_bb84_helstrom(rng):
 
 
 def test_h2_rel_values():
-    flat = classical_state({b: 1 / 8 for b in full_alphabet(3)})
+    flat = classical_state({b: 1 / 8 for b in all_bit_vectors(3)})
     assert abs(h2_rel(flat, np.ones((1, 1))) - 3.0) < 1e-12
     st = classical_state({(0, 0): .5, (0, 1): .25, (1, 0): .25})
     assert abs(h2_rel(st, np.ones((1, 1))) + np.log2(3 / 8)) < 1e-12

@@ -7,7 +7,6 @@ from extraction_lab.cq_states import (
     classical_state,
     distance_to_uniform,
     extractor_output_state,
-    full_alphabet,
 )
 from extraction_lab.extractors import (
     ExtractorSpec,
@@ -20,6 +19,7 @@ from extraction_lab.extractors import (
 )
 from extraction_lab.gf2 import (
     a_s,
+    all_bit_vectors,
     build_field_family,
     build_shift_family,
     gf2_matvec,
@@ -149,9 +149,9 @@ def test_strongness_symmetry_under_transposition():
         ext = deor_extractor(fam)
         text = deor_extractor(transpose_family(fam))
         n = fam.n
-        uni = classical_state({b: 1.0 / (1 << n) for b in full_alphabet(n)})
+        uni = classical_state({b: 1.0 / (1 << n) for b in all_bit_vectors(n)})
         lo = classical_state({b: 1.0 / (1 << (n - 1))
-                              for b in full_alphabet(n)[: 1 << (n - 1)]})
+                              for b in all_bit_vectors(n)[: 1 << (n - 1)]})
         d_x2 = distance_to_uniform(
             extractor_output_state(ext, lo, uni, "x2"), 1 << fam.m, strong=True)
         d_x1_t = distance_to_uniform(

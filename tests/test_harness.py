@@ -1,11 +1,13 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from extraction_lab.entropies import h_min_cond
 from extraction_lab.harness import load_config, run_check, run_suite, write_reports
-from extraction_lab.harness.checks import CHECK_IDS
+from extraction_lab.harness.checks import CHECK_IDS, CHECKS, resolve_params
 from extraction_lab.harness.scenarios import (
     make_flat_source,
     make_markov_scenario,
@@ -90,6 +92,68 @@ def test_every_check_runs_and_passes(check_id, small):
     for r in reports:
         assert r.check_id == check_id
         assert set(r.params) == {"n", "m", "r", "k1", "k2"}
+    # These fields depend only on the PCG64 draws, so the digest pins each
+    # check's draw order on any machine.
+    drawn = [(r.bound_id, r.scenario, r.params["n"], r.params["m"], r.params["r"])
+             for r in reports]
+    assert hashlib.sha256(json.dumps(drawn).encode()).hexdigest() == DRAW_DIGESTS[check_id]
+
+
+DRAW_DIGESTS = {
+    "b1-exhaustive-flat": "3183a7151690ecd59a93ae4039b86f7cec35bcc8a867dc5369e78d23f446232f",
+    "b1-quantum-product": "2c9623e6f0ac50be995fc9d6e69c47bbe26d8342b77f3e36b1492824bf330bbd",
+    "b8-weak-quantum": "b5413b3b1e3f10316e0a0c2e25d80b788a27cc691972db29c5160a1a61083031",
+    "b2-markov": "07abf47e0085a91d3a5533503b33dd9573d3a386d6804860025b1e1a3287581f",
+    "ip-classical": "3eb3ee0b3dba7440c7803a46dfbd68851ad363c2df83eab0943b0fa4ef1b3692",
+    "markov-cmi": "40292ec4a63a0cf966c46d0a5e604d4b6dbcd052d9fefab7518e3b08514557b7",
+    "measured-xor-random": "ca44a9ab7fade546ea3f34ea5f5d86653e06618c547e00762d6b392269fd9b56",
+    "useful-prop-random": "6febc4b579214adfaee9821e1182050d24703f3ccc82b6c3647d5d7b9eb104ec",
+    "parseval-random": "9d23d32c52ef5bfb5207e09e4f773fd8c26c3e76c5a1feaed8a5439c3b5226f1",
+    "pgm-commutation": "c57b13ae2b1715c3b9fe578a5669a8b48789435fb975831bdf5cb92bb6c3829f",
+    "hmin-linear-drop": "559e02bd010cf809a5208006a26c9e30b131c5d69dbca62c99b0f783f5727dad",
+    "hmin-le-h2": "a5047e21ec709edae46a3761c496342474b050b173c9e29910727997a42b7a78",
+    "one-two-norm": "e8eba841a7c7e2c5e77ea7cba7c6373589b194b5ae4a8ba8ac2df2b009846f51",
+    "bound-ordering": "3f9ad161a66910c3cb7d1dc58d46f9ade8fa31cf64d329ae20729b8643e781e6",
+}
+
+
+@pytest.mark.parametrize("check_id,params,match", [
+    ("bound-ordering", {"cout": 3}, "unknown param 'cout'"),
+    ("b1-exhaustive-flat", {"ns": 5}, "non-empty list"),
+    ("b1-exhaustive-flat", {"ns": []}, "non-empty list"),
+    ("b1-exhaustive-flat", {"ns": [3, "4"]}, "of type int"),
+    ("b1-quantum-product", {"count": 0}, "positive"),
+    ("b1-quantum-product", {"count": 2.0}, "of type int"),
+    ("b1-quantum-product", {"count": True}, "of type int"),
+    ("b1-quantum-product", {"strong_in": None}, "of type str"),
+    ("hmin-linear-drop", {"random_ns": [4, -1]}, "positive"),
+    ("parseval-random", [("count", 3)], "must be an object"),
+])
+def test_resolve_params_rejects(check_id, params, match):
+    with pytest.raises(ValueError, match=match):
+        resolve_params(check_id, params)
+    with pytest.raises(ValueError, match=match):
+        run_check(check_id, {"params": params})
+
+
+def test_resolve_params_defaults_and_overrides():
+    assert resolve_params("parseval-random", {}) == {"count": 100}
+    got = resolve_params("b1-exhaustive-flat", {"ns": [3], "sides": ["trivial"]})
+    assert got["ns"] == (3,) and got["sides"] == ("trivial",)
+    assert got["ms"] == CHECKS["b1-exhaustive-flat"].defaults["ms"]
+
+
+def test_unknown_family_kind_is_rejected():
+    with pytest.raises(ValueError, match="unknown family kind"):
+        run_check("b1-exhaustive-flat", {"params": {"families": ["feild"], "ns": [3]}})
+
+
+def test_readme_lists_every_check_param():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for check_id, check in CHECKS.items():
+        for key, default in check.defaults.items():
+            shown = json.dumps(list(default) if isinstance(default, tuple) else default)
+            assert f"| `{check_id}` | `{key}` | `{shown}` |" in readme, (check_id, key)
 
 
 def test_run_check_deterministic_replay():
@@ -110,11 +174,15 @@ def test_run_check_repetitions():
     reports = run_check("parseval-random",
                         {"params": {"count": 3}, "seed": 1, "repetitions": 2})
     assert len(reports) == 6
+    with pytest.raises(ValueError, match="repetitions"):
+        run_check("parseval-random", {"repetitions": 0})
 
 
 def test_load_config_builtin_and_file(tmp_path):
     cfg = load_config("quick")
     assert cfg["name"] == "quick" and cfg["checks"]
+    for name in ("paper-table-1", "full"):
+        assert load_config(name)["checks"]      # built-in suites pass validation too
     path = tmp_path / "custom.json"
     path.write_text(json.dumps({"checks": [
         {"id": "bound-ordering", "params": {"count": 10}, "seed": 3},
@@ -131,6 +199,22 @@ def test_load_config_builtin_and_file(tmp_path):
     badid.write_text(json.dumps({"checks": [{"id": "zzz"}]}))
     with pytest.raises(ValueError, match="unknown check id"):
         load_config(str(badid))
+
+
+@pytest.mark.parametrize("config,match", [
+    ({"checks": 5}, "'checks' list"),
+    ({"checks": {"id": "parseval-random"}}, "'checks' list"),
+    ({"checks": [{"id": "parseval-random", "sed": 3}]}, "unknown keys \\['sed'\\]"),
+    ({"checks": [{"id": "parseval-random", "repetitions": 0}]}, "repetitions"),
+    ({"checks": [{"id": "parseval-random", "repetitions": "2"}]}, "repetitions"),
+    ({"checks": [{"id": "parseval-random", "seed": -1}]}, "seed"),
+    ({"checks": [{"id": "parseval-random", "params": {"count": 0}}]}, "positive"),
+])
+def test_load_config_rejects_malformed_entries(tmp_path, config, match):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=match):
+        load_config(str(path))
 
 
 def test_run_suite_empty_and_reports(tmp_path):

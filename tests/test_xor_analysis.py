@@ -8,9 +8,9 @@ from extraction_lab.cq_states import (
     build_cq,
     classical_state,
     distance_to_uniform,
-    full_alphabet,
     marginal_side,
 )
+from extraction_lab.gf2 import all_bit_vectors
 from extraction_lab.operators import (
     partial_trace,
     random_density,
@@ -160,8 +160,8 @@ def test_pgm_function_commutation(rng):
 
 def test_fourier_bound_uniform_independent():
     sigma = np.eye(2, dtype=complex) / 2
-    st = build_cq({b: 0.25 for b in full_alphabet(2)},
-                  {b: sigma for b in full_alphabet(2)}, side_dim=2)
+    st = build_cq({b: 0.25 for b in all_bit_vectors(2)},
+                  {b: sigma for b in all_bit_vectors(2)}, side_dim=2)
     assert squared_distance_fourier_bound(st, marginal_side(st)) < 1e-12
 
 
@@ -179,10 +179,10 @@ def test_fourier_bound_matches_double_sum_oracle(rng):
         sigma = random_density(2, rng)
         quarter = op_power(sigma, -0.25, "pseudo")
         blocks = {z: quarter @ st.blocks.get(z, np.zeros((2, 2))) @ quarter
-                  for z in full_alphabet(m)}
+                  for z in all_bit_vectors(m)}
         acc = 0.0
         for s_idx in range(1, 1 << m):
-            s = full_alphabet(m)[s_idx]
+            s = all_bit_vectors(m)[s_idx]
             for z, mz in blocks.items():
                 for zp, mzp in blocks.items():
                     sign = (-1) ** (sum(a & b for a, b in zip(s, z))
@@ -210,8 +210,8 @@ def test_fourier_bound_kernel_violation():
 
 def test_measured_xor_uniform_independent():
     sigma = np.eye(2, dtype=complex) / 2
-    st = build_cq({b: 0.25 for b in full_alphabet(2)},
-                  {b: sigma for b in full_alphabet(2)}, side_dim=2)
+    st = build_cq({b: 0.25 for b in all_bit_vectors(2)},
+                  {b: sigma for b in all_bit_vectors(2)}, side_dim=2)
     assert measured_xor_bound(st) < 1e-7
     assert distance_to_uniform(st, 4) < 1e-12
 
