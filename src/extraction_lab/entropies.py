@@ -21,7 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cq_states import CqState, marginal_side
-from .operators import _herm, _kernel_mask, _max_eig, eigh, op_power, tensor
+from .operators import (
+    _herm,
+    _kernel_mask,
+    _max_eig,
+    _psd_eigh,
+    _spectral_power,
+    eigh,
+    op_power,
+    tensor,
+)
 
 NEG_INF = float("-inf")
 KERNEL_LEAK_ATOL = 1e-9
@@ -37,38 +46,73 @@ def h_min_classical(dist: dict) -> float:
     return -float(np.log2(max(probs)))
 
 
-def _kernel_projector(sigma: np.ndarray) -> np.ndarray:
-    w, v = eigh(sigma)
+def _block_stack(state: CqState) -> np.ndarray:
+    """The conditional blocks as one (N, d, d) array, in sorted-symbol order."""
+    return np.array([state.blocks[s] for s in state.symbols()], dtype=complex)
+
+
+def _block_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum over the leading (symbol) axis, adding one block at a time.
+
+    The certified values, and so the report bytes, are those of a Python
+    ``sum`` over the blocks in sorted-symbol order.  ``stack.sum(axis=0)``
+    may add pairwise and then differs in the last bit, which the solver
+    iteration amplifies; ``np.add.accumulate`` adds strictly in order.
+    The trailing ``+ 0.0`` turns the -0.0 of an all-(-0.0) entry into the
+    +0.0 that ``0 + x`` gives, so every bit matches.
+    """
+    return np.add.accumulate(stack, axis=0)[-1] + 0.0
+
+
+def _traces(stack: np.ndarray) -> np.ndarray:
+    """Real trace of each operator in a stack."""
+    return np.trace(stack, axis1=-2, axis2=-1).real
+
+
+def _kernel_projector(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     dead = v[:, _kernel_mask(w)]
     return dead @ dead.conj().T
 
 
-def _kernel_ok(block: np.ndarray, proj_kernel: np.ndarray) -> bool:
-    leak = float(np.trace(proj_kernel @ block @ proj_kernel).real)
-    return leak <= KERNEL_LEAK_ATOL
+def _kernel_leaks(blocks: np.ndarray, w: np.ndarray, v: np.ndarray) -> bool:
+    """True when the kernel of the operator with eigenpairs (w, v) meets a block."""
+    proj = _kernel_projector(w, v)
+    return bool(np.any(_traces(proj @ blocks @ proj) > KERNEL_LEAK_ATOL))
+
+
+def _h_min_rel_blocks(blocks: np.ndarray, sigma: np.ndarray) -> float:
+    """H_min of the stacked blocks relative to sigma."""
+    w, v = _psd_eigh(sigma)
+    if _kernel_leaks(blocks, w, v):
+        return NEG_INF
+    inv_sqrt = _spectral_power(w, v, -0.5)
+    tops = np.linalg.eigvalsh(_herm(inv_sqrt @ blocks @ inv_sqrt))[:, -1]
+    return -float(np.log2(max(0.0, float(tops.max()))))
+
+
+def _h2_rel_blocks(blocks: np.ndarray, total: float, w: np.ndarray, v: np.ndarray) -> float:
+    """H_2 of the blocks relative to the PSD operator with eigenpairs (w, v)."""
+    if _kernel_leaks(blocks, w, v):
+        return NEG_INF
+    quarter = _spectral_power(w, v, -0.25)
+    conj = quarter @ blocks @ quarter
+    return -float(np.log2(_block_sum(_traces(conj @ conj)) / total))
 
 
 def h_min_rel(rho, sigma, dim_a: int | None = None) -> float:
     """H_min of rho relative to sigma; -inf when ker(sigma) leaks into rho.
 
-    ``rho`` is a CqState (evaluated block by block) or a dense bipartite
-    operator, in which case ``dim_a`` gives the classical/first dimension.
+    ``rho`` is a CqState (evaluated on its stacked blocks) or a dense
+    bipartite operator, in which case ``dim_a`` gives the classical/first
+    dimension.
     """
     sig = np.asarray(sigma, dtype=complex)
     if isinstance(rho, CqState):
-        proj = _kernel_projector(sig)
-        inv_sqrt = op_power(sig, -0.5, "pseudo")
-        worst = 0.0
-        for sym in rho.symbols():
-            block = rho.blocks[sym]
-            if not _kernel_ok(block, proj):
-                return NEG_INF
-            worst = max(worst, _max_eig(inv_sqrt @ block @ inv_sqrt))
-        return -float(np.log2(worst))
+        return _h_min_rel_blocks(_block_stack(rho), sig)
     if dim_a is None:
         raise ValueError("dense input requires dim_a")
     mat = np.asarray(rho, dtype=complex)
-    big_proj = tensor(np.eye(dim_a), _kernel_projector(sig))
+    big_proj = tensor(np.eye(dim_a), _kernel_projector(*eigh(sig)))
     if float(np.trace(big_proj @ mat @ big_proj).real) > KERNEL_LEAK_ATOL:
         return NEG_INF
     big_inv = tensor(np.eye(dim_a), op_power(sig, -0.5, "pseudo"))
@@ -77,18 +121,8 @@ def h_min_rel(rho, sigma, dim_a: int | None = None) -> float:
 
 def h2_rel(rho: CqState, sigma) -> float:
     """Collision entropy of a cq-state relative to sigma (blockwise form)."""
-    sig = np.asarray(sigma, dtype=complex)
-    proj = _kernel_projector(sig)
-    quarter = op_power(sig, -0.25, "pseudo")
-    total = rho.total_trace()
-    acc = 0.0
-    for sym in rho.symbols():
-        block = rho.blocks[sym]
-        if not _kernel_ok(block, proj):
-            return NEG_INF
-        conj = quarter @ block @ quarter
-        acc += float(np.trace(conj @ conj).real)
-    return -float(np.log2(acc / total))
+    w, v = _psd_eigh(np.asarray(sigma, dtype=complex))
+    return _h2_rel_blocks(_block_stack(rho), rho.total_trace(), w, v)
 
 
 @dataclass(frozen=True)
@@ -148,10 +182,11 @@ def _h_min_solver(state: CqState, iters: int, tol: float) -> EntropyResult:
     rho_b = marginal_side(state)
     basis = _support_basis(rho_b)
     d = state.side_dim
-    proj_blocks = [basis.conj().T @ state.blocks[s] @ basis for s in state.symbols()]
-    k = basis.shape[1]
-    povm = [np.eye(k, dtype=complex) / len(proj_blocks) for _ in proj_blocks]
+    stack = _block_stack(state)
+    blocks = basis.conj().T @ stack @ basis
+    n, k = blocks.shape[0], basis.shape[1]
     eye = np.eye(k, dtype=complex)
+    povm = np.repeat(eye[None] / n, n, axis=0)
 
     best_ub = float("inf")
     best_y = eye.copy()
@@ -159,24 +194,24 @@ def _h_min_solver(state: CqState, iters: int, tol: float) -> EntropyResult:
     iterations = 0
     for it in range(iters):
         iterations = it + 1
-        y0 = _herm(sum(lam @ blk for lam, blk in zip(povm, proj_blocks)))
-        mu = max(_max_eig(blk - y0) for blk in proj_blocks)
+        weighted = povm @ blocks
+        y0 = _herm(_block_sum(weighted))
+        mu = float(np.linalg.eigvalsh(_herm(blocks - y0))[:, -1].max())
         y = y0 + max(mu, 0.0) * eye
         ub = float(np.trace(y).real)
-        pri = float(sum(np.trace(lam @ blk).real for lam, blk in zip(povm, proj_blocks)))
+        pri = float(_block_sum(_traces(weighted)))
         best_pri = max(best_pri, pri)
         if ub < best_ub:
             best_ub, best_y = ub, y
         if best_ub - best_pri <= tol * max(best_ub, 1e-300):
             break
-        g = _herm(sum(blk @ lam @ blk for lam, blk in zip(povm, proj_blocks)))
+        g = _herm(_block_sum(blocks @ povm @ blocks))
         g_inv_sqrt = op_power(g, -0.5, "pseudo")
-        povm = [_herm(g_inv_sqrt @ blk @ lam @ blk @ g_inv_sqrt)
-                for lam, blk in zip(povm, proj_blocks)]
+        povm = _herm(g_inv_sqrt @ blocks @ povm @ blocks @ g_inv_sqrt)
 
     sigma_y = basis @ (best_y / np.trace(best_y).real) @ basis.conj().T
     candidates = [sigma_y, rho_b, np.eye(d, dtype=complex) / d]
-    scored = [(h_min_rel(state, s), s) for s in candidates]
+    scored = [(_h_min_rel_blocks(stack, s), s) for s in candidates]
     value, sigma = max(scored, key=lambda t: t[0])
     upper = -float(np.log2(best_pri)) if best_pri > 0 else float("inf")
     gap = max(upper - value, 0.0)
@@ -199,18 +234,15 @@ def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-8) -> EntropyResul
     rho_b = marginal_side(state)
     basis = _support_basis(rho_b)
     k = basis.shape[1]
-    proj_state = CqState(
-        side_dim=k,
-        blocks={s: basis.conj().T @ state.blocks[s] @ basis for s in state.symbols()},
-    )
-    proj_rho_b = marginal_side(proj_state)
+    blocks = basis.conj().T @ _block_stack(state) @ basis
+    total = float(_block_sum(_traces(blocks)))
+    proj_rho_b = _block_sum(blocks)
     hmin = _h_min_solver(state, iters, tol)
     starts = [
         proj_rho_b / np.trace(proj_rho_b).real,
         np.eye(k, dtype=complex) / k,
         basis.conj().T @ hmin.sigma @ basis / max(np.trace(basis.conj().T @ hmin.sigma @ basis).real, 1e-300),
     ]
-    blocks = [proj_state.blocks[s] for s in proj_state.symbols()]
 
     best_val = NEG_INF
     best_sigma = starts[0]
@@ -219,14 +251,15 @@ def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-8) -> EntropyResul
         prev = NEG_INF
         for it in range(iters):
             iterations += 1
-            val = h2_rel(proj_state, sigma)
+            w, v = _psd_eigh(sigma)
+            val = _h2_rel_blocks(blocks, total, w, v)
             if val > best_val:
                 best_val, best_sigma = val, sigma
             if val != NEG_INF and abs(val - prev) <= 1e-13:
                 break
             prev = val
-            tau = op_power(sigma, -0.5, "pseudo")
-            phi = _herm(sum(b @ tau @ b for b in blocks))
+            tau = _spectral_power(w, v, -0.5)
+            phi = _herm(_block_sum(blocks @ tau @ blocks))
             prop = op_power(phi, 2.0 / 3.0, "pseudo")
             tr = float(np.trace(prop).real)
             if tr <= 0:

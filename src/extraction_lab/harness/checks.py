@@ -12,7 +12,7 @@ A row passes iff measured <= epsilon + 1e-9.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -76,11 +76,6 @@ class BoundReport:
     runtime_ms: float
     scenario: str
     flags: dict
-
-    def as_row(self) -> dict:
-        row = asdict(self)
-        row["pass"] = row.pop("passed")
-        return row
 
 
 class Case(NamedTuple):

@@ -49,7 +49,8 @@ def _kernel_mask(w: np.ndarray) -> np.ndarray:
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part of an operator, or of each operator in a stack."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def _max_eig(h: np.ndarray) -> float:
@@ -69,6 +70,31 @@ def eigh(h):
     return w, v
 
 
+def _psd_eigh(h):
+    """Eigendecomposition of an operator that must be positive semidefinite."""
+    w, v = eigh(h)
+    if _not_psd(w):
+        raise ValueError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
+    return w, v
+
+
+def _spectral_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """H^p from the eigenpairs (w ascending, V) of a PSD operator H.
+
+    Eigenvalues at or below the relative kernel threshold map to 0: the
+    "pseudo" kernel policy (Moore-Penrose convention for p < 0).
+    """
+    fw = np.zeros_like(w)
+    live = ~_kernel_mask(w)
+    if p == 0:
+        fw[live] = 1.0                      # support projector convention
+    elif p > 0:
+        fw[live] = np.clip(w[live], 0.0, None) ** p
+    else:
+        fw[live] = w[live] ** p
+    return (v * fw) @ v.conj().T
+
+
 def op_power(h, p: float, kernel_policy: str = "pseudo") -> np.ndarray:
     """Spectral power H^p of a positive semidefinite operator.
 
@@ -78,21 +104,10 @@ def op_power(h, p: float, kernel_policy: str = "pseudo") -> np.ndarray:
     """
     if kernel_policy not in ("pseudo", "strict"):
         raise ValueError(f"unknown kernel policy {kernel_policy!r}")
-    w, v = eigh(h)
-    if _not_psd(w):
-        raise ValueError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
-    kernel = _kernel_mask(w)
-    if p < 0 and kernel_policy == "strict" and np.any(kernel):
+    w, v = _psd_eigh(h)
+    if p < 0 and kernel_policy == "strict" and np.any(_kernel_mask(w)):
         raise np.linalg.LinAlgError("strict kernel policy: operator is singular")
-    fw = np.zeros_like(w)
-    live = ~kernel
-    if p == 0:
-        fw[live] = 1.0                      # support projector convention
-    elif p > 0:
-        fw[live] = np.clip(w[live], 0.0, None) ** p
-    else:
-        fw[live] = w[live] ** p
-    return (v * fw) @ v.conj().T
+    return _spectral_power(w, v, p)
 
 
 def support_projector(h) -> np.ndarray:

@@ -1,0 +1,269 @@
+"""Oracles for the batched entropy solvers.
+
+The reference functions below are the per-block loops that the batched
+``_h_min_solver`` and ``h2_cond`` replaced, kept verbatim as the exact
+oracle: the batched solvers must reproduce them bit for bit (same value,
+gap, iteration count, convergence flag and sigma bytes), because the
+report bytes rest on them.  A Helstrom closed form checks two-symbol
+states independently of either implementation.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from extraction_lab.cq_states import CqState, build_cq, marginal_side
+from extraction_lab.entropies import (
+    KERNEL_LEAK_ATOL,
+    NEG_INF,
+    EntropyResult,
+    _h_min_solver,
+    _is_classical,
+    _support_basis,
+    h2_cond,
+    h_min_cond,
+)
+from extraction_lab.gf2 import index_to_bits
+from extraction_lab.operators import (
+    _herm,
+    _kernel_mask,
+    _max_eig,
+    eigh,
+    op_power,
+    random_density,
+    random_pure_state,
+)
+
+KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
+KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+
+
+# -- per-block reference loops ------------------------------------------------
+
+def _ref_kernel_projector(sigma):
+    w, v = eigh(sigma)
+    dead = v[:, _kernel_mask(w)]
+    return dead @ dead.conj().T
+
+
+def _ref_kernel_ok(block, proj_kernel):
+    leak = float(np.trace(proj_kernel @ block @ proj_kernel).real)
+    return leak <= KERNEL_LEAK_ATOL
+
+
+def _ref_h_min_rel(rho, sigma):
+    sig = np.asarray(sigma, dtype=complex)
+    proj = _ref_kernel_projector(sig)
+    inv_sqrt = op_power(sig, -0.5, "pseudo")
+    worst = 0.0
+    for sym in rho.symbols():
+        block = rho.blocks[sym]
+        if not _ref_kernel_ok(block, proj):
+            return NEG_INF
+        worst = max(worst, _max_eig(inv_sqrt @ block @ inv_sqrt))
+    return -float(np.log2(worst))
+
+
+def _ref_h2_rel(rho, sigma):
+    sig = np.asarray(sigma, dtype=complex)
+    proj = _ref_kernel_projector(sig)
+    quarter = op_power(sig, -0.25, "pseudo")
+    total = rho.total_trace()
+    acc = 0.0
+    for sym in rho.symbols():
+        block = rho.blocks[sym]
+        if not _ref_kernel_ok(block, proj):
+            return NEG_INF
+        conj = quarter @ block @ quarter
+        acc += float(np.trace(conj @ conj).real)
+    return -float(np.log2(acc / total))
+
+
+def _ref_h_min_solver(state, iters, tol):
+    rho_b = marginal_side(state)
+    basis = _support_basis(rho_b)
+    d = state.side_dim
+    proj_blocks = [basis.conj().T @ state.blocks[s] @ basis for s in state.symbols()]
+    k = basis.shape[1]
+    povm = [np.eye(k, dtype=complex) / len(proj_blocks) for _ in proj_blocks]
+    eye = np.eye(k, dtype=complex)
+
+    best_ub = float("inf")
+    best_y = eye.copy()
+    best_pri = 0.0
+    iterations = 0
+    for it in range(iters):
+        iterations = it + 1
+        y0 = _herm(sum(lam @ blk for lam, blk in zip(povm, proj_blocks)))
+        mu = max(_max_eig(blk - y0) for blk in proj_blocks)
+        y = y0 + max(mu, 0.0) * eye
+        ub = float(np.trace(y).real)
+        pri = float(sum(np.trace(lam @ blk).real for lam, blk in zip(povm, proj_blocks)))
+        best_pri = max(best_pri, pri)
+        if ub < best_ub:
+            best_ub, best_y = ub, y
+        if best_ub - best_pri <= tol * max(best_ub, 1e-300):
+            break
+        g = _herm(sum(blk @ lam @ blk for lam, blk in zip(povm, proj_blocks)))
+        g_inv_sqrt = op_power(g, -0.5, "pseudo")
+        povm = [_herm(g_inv_sqrt @ blk @ lam @ blk @ g_inv_sqrt)
+                for lam, blk in zip(povm, proj_blocks)]
+
+    sigma_y = basis @ (best_y / np.trace(best_y).real) @ basis.conj().T
+    candidates = [sigma_y, rho_b, np.eye(d, dtype=complex) / d]
+    scored = [(_ref_h_min_rel(state, s), s) for s in candidates]
+    value, sigma = max(scored, key=lambda t: t[0])
+    upper = -float(np.log2(best_pri)) if best_pri > 0 else float("inf")
+    gap = max(upper - value, 0.0)
+    return EntropyResult(value, sigma, gap <= 1e-6, gap, iterations)
+
+
+def _ref_h2_cond(state, iters=500, tol=1e-8):
+    """Solver path of h2_cond (the caller excludes classical states)."""
+    rho_b = marginal_side(state)
+    basis = _support_basis(rho_b)
+    k = basis.shape[1]
+    proj_state = CqState(
+        side_dim=k,
+        blocks={s: basis.conj().T @ state.blocks[s] @ basis for s in state.symbols()},
+    )
+    proj_rho_b = marginal_side(proj_state)
+    hmin = _ref_h_min_solver(state, iters, tol)
+    starts = [
+        proj_rho_b / np.trace(proj_rho_b).real,
+        np.eye(k, dtype=complex) / k,
+        basis.conj().T @ hmin.sigma @ basis / max(np.trace(basis.conj().T @ hmin.sigma @ basis).real, 1e-300),
+    ]
+    blocks = [proj_state.blocks[s] for s in proj_state.symbols()]
+
+    best_val = NEG_INF
+    best_sigma = starts[0]
+    iterations = 0
+    for sigma in starts:
+        prev = NEG_INF
+        for it in range(iters):
+            iterations += 1
+            val = _ref_h2_rel(proj_state, sigma)
+            if val > best_val:
+                best_val, best_sigma = val, sigma
+            if val != NEG_INF and abs(val - prev) <= 1e-13:
+                break
+            prev = val
+            tau = op_power(sigma, -0.5, "pseudo")
+            phi = _herm(sum(b @ tau @ b for b in blocks))
+            prop = op_power(phi, 2.0 / 3.0, "pseudo")
+            tr = float(np.trace(prop).real)
+            if tr <= 0:
+                break
+            sigma = _herm(0.5 * sigma + 0.5 * prop / tr)
+
+    sigma_full = basis @ best_sigma @ basis.conj().T
+    value = _ref_h2_rel(state, sigma_full)
+    converged = value >= hmin.value - 1e-9 and np.isfinite(value)
+    return EntropyResult(value, sigma_full, converged, max(hmin.value - value, 0.0), iterations)
+
+
+# -- seeded states -------------------------------------------------------------
+
+KINDS = ("bb84", "random_pure", "random_density", "low_rank")
+
+
+def _bb84(sym, bits):
+    c = KET0 if sym[0] == 0 else KETPLUS
+    for i in range(1, bits):
+        c = np.kron(c, KET0 if sym[i] == 0 else KETPLUS)
+    return c
+
+
+def _low_rank_pure(dim, rank, rng):
+    """Pure states inside one random rank-dimensional subspace of C^dim."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    iso, _ = np.linalg.qr(g)
+    return lambda: iso @ random_pure_state(rank, rng) @ iso.conj().T
+
+
+def oracle_state(kind, rng):
+    """A non-classical cq-state with 2..16 symbols and side dim 2..4."""
+    while True:
+        n_sym = int(rng.integers(2, 17))
+        chosen = sorted(int(i) for i in rng.choice(16, size=n_sym, replace=False))
+        syms = [index_to_bits(i, 4) for i in chosen]
+        weights = rng.random(n_sym) + 1e-3
+        dist = dict(zip(syms, (weights / weights.sum()).tolist()))
+        if kind == "bb84":
+            bits = int(rng.integers(1, 3))
+            conds = {s: _bb84(s, bits) for s in syms}
+        elif kind == "random_pure":
+            dim = int(rng.integers(2, 5))
+            conds = {s: random_pure_state(dim, rng) for s in syms}
+        elif kind == "random_density":
+            dim = int(rng.integers(2, 5))
+            conds = {s: random_density(dim, rng) for s in syms}
+        else:
+            dim = int(rng.integers(3, 5))
+            make = _low_rank_pure(dim, int(rng.integers(1, dim)), rng)
+            conds = {s: make() for s in syms}
+        state = build_cq(dist, conds)
+        if not _is_classical(state):
+            return state
+
+
+def oracle_states(count, seed):
+    rng = np.random.default_rng(seed)
+    return [oracle_state(KINDS[i % len(KINDS)], rng) for i in range(count)]
+
+
+def assert_same_result(new, ref, label):
+    assert (new.value, new.gap, new.iterations, new.converged) == \
+        (ref.value, ref.gap, ref.iterations, ref.converged), label
+    assert new.sigma.shape == ref.sigma.shape and new.sigma.dtype == ref.sigma.dtype, label
+    assert new.sigma.tobytes() == ref.sigma.tobytes(), label
+
+
+# -- exact-equality oracle -----------------------------------------------------
+
+def test_oracle_states_cover_the_grid():
+    states = oracle_states(100, seed=11)
+    dims = {s.side_dim for s in states}
+    alphabets = {len(s.blocks) for s in states}
+    ranks = [_support_basis(marginal_side(s)).shape[1] for s in states]
+    assert dims == {2, 3, 4}
+    assert min(alphabets) == 2 and max(alphabets) >= 15
+    assert any(r < s.side_dim for r, s in zip(ranks, states))
+
+
+def test_batched_h_min_solver_matches_per_block_loop():
+    for i, state in enumerate(oracle_states(100, seed=11)):
+        assert_same_result(_h_min_solver(state, 500, 1e-8),
+                           _ref_h_min_solver(state, 500, 1e-8), f"state {i}")
+
+
+def test_batched_h_min_solver_matches_unconverged():
+    results = []
+    for i, state in enumerate(oracle_states(24, seed=12)):
+        new = _h_min_solver(state, 5, 1e-8)
+        assert_same_result(new, _ref_h_min_solver(state, 5, 1e-8), f"state {i}")
+        results.append(new)
+    assert any(r.iterations == 5 and not r.converged for r in results)
+
+
+def test_batched_h2_cond_matches_per_block_loop():
+    for i, state in enumerate(oracle_states(32, seed=13)):
+        assert_same_result(h2_cond(state), _ref_h2_cond(state), f"state {i}")
+    for i, state in enumerate(oracle_states(8, seed=14)):
+        assert_same_result(h2_cond(state, iters=5), _ref_h2_cond(state, iters=5),
+                           f"state {i}, iters=5")
+
+
+# -- Helstrom closed form --------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4),
+       p0=st.floats(0.02, 0.98), pure=st.booleans())
+def test_h_min_cond_two_symbols_brackets_helstrom(seed, dim, p0, pure):
+    rng = np.random.default_rng(seed)
+    make = random_pure_state if pure else random_density
+    state = build_cq({(0,): p0, (1,): 1.0 - p0}, {(0,): make(dim, rng), (1,): make(dim, rng)})
+    diff = state.blocks[(0,)] - state.blocks[(1,)]
+    helstrom = -np.log2(0.5 * (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum()))
+    res = h_min_cond(state)
+    assert res.value - 1e-9 <= helstrom <= res.value + res.gap + 1e-9
