@@ -117,7 +117,7 @@ def _cmd_entropy(args) -> int:
     model = side.pop("model", "trivial")
     source = make_side_info(model, dist, seed=int(scenario.get("seed", 0)), **side)
     hmin = h_min_cond(source.state)
-    h2 = h2_cond(source.state)
+    h2 = h2_cond(source.state, hmin=hmin)
     out = {
         "model": model,
         "side_dim": source.state.side_dim,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq_states import CqState, marginal_side
+from .cq_states import CqState, _block_stack, _traces, marginal_side
 from .operators import (
     _herm,
     _kernel_mask,
@@ -46,11 +46,6 @@ def h_min_classical(dist: dict) -> float:
     return -float(np.log2(max(probs)))
 
 
-def _block_stack(state: CqState) -> np.ndarray:
-    """The conditional blocks as one (N, d, d) array, in sorted-symbol order."""
-    return np.array([state.blocks[s] for s in state.symbols()], dtype=complex)
-
-
 def _block_sum(stack: np.ndarray) -> np.ndarray:
     """Sum over the leading (symbol) axis, adding one block at a time.
 
@@ -62,11 +57,6 @@ def _block_sum(stack: np.ndarray) -> np.ndarray:
     +0.0 that ``0 + x`` gives, so every bit matches.
     """
     return np.add.accumulate(stack, axis=0)[-1] + 0.0
-
-
-def _traces(stack: np.ndarray) -> np.ndarray:
-    """Real trace of each operator in a stack."""
-    return np.trace(stack, axis1=-2, axis2=-1).real
 
 
 def _kernel_projector(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -218,13 +208,16 @@ def _h_min_solver(state: CqState, iters: int, tol: float) -> EntropyResult:
     return EntropyResult(value, sigma, gap <= 1e-6, gap, iterations)
 
 
-def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-8) -> EntropyResult:
+def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-8,
+            hmin: EntropyResult | None = None) -> EntropyResult:
     """Conditional collision entropy sup_sigma H_2(rho|sigma).
 
     Exact for classical side registers; otherwise a stationarity fixed
     point on sigma with keep-best iterates and deterministic restarts.
     The min-entropy solver's sigma is included as a candidate so that
-    h2_cond >= h_min_cond holds structurally.
+    h2_cond >= h_min_cond holds structurally.  A caller that already has
+    ``h_min_cond(state, iters, tol)`` passes it as ``hmin`` and the
+    min-entropy solver is not run again.
     """
     if state.side_dim > SOLVER_SIDE_CAP:
         raise ValueError(f"side_dim {state.side_dim} exceeds solver cap {SOLVER_SIDE_CAP}")
@@ -237,7 +230,8 @@ def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-8) -> EntropyResul
     blocks = basis.conj().T @ _block_stack(state) @ basis
     total = float(_block_sum(_traces(blocks)))
     proj_rho_b = _block_sum(blocks)
-    hmin = _h_min_solver(state, iters, tol)
+    if hmin is None:
+        hmin = _h_min_solver(state, iters, tol)
     starts = [
         proj_rho_b / np.trace(proj_rho_b).real,
         np.eye(k, dtype=complex) / k,

@@ -1,16 +1,28 @@
 """Two-source extractor evaluation: the deor family and the inner product.
 
-Evaluators are pure functions on bit tuples, exposed both for exhaustive
-combinatorial loops and (through cq_states.apply_classical_function and
-the output-state builders) as classical channels on cq-states.
+Evaluators are pure functions on bit tuples, for exhaustive combinatorial
+loops.  Each extractor also has its output table, the index of its output
+for every input pair at once; the output-state builders in cq_states read
+that table instead of evaluating pair by pair.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2 import Bits, MatrixFamily, gf2_matvec, index_to_bits
+import numpy as np
+
+from .gf2 import (
+    MAX_TABLE_BITS,
+    Bits,
+    MatrixFamily,
+    bits_to_index,
+    gf2_images,
+    gf2_matvec,
+    index_to_bits,
+)
 
 
 def ip_eval(x: Bits, y: Bits) -> int:
@@ -25,6 +37,42 @@ def deor_eval(family: MatrixFamily, x: Bits, y: Bits) -> Bits:
     if len(x) != family.n or len(y) != family.n:
         raise ValueError(f"inputs must be {family.n}-bit strings")
     return tuple(ip_eval(gf2_matvec(mat, x), y) for mat in family.matrices)
+
+
+def _parity(a: np.ndarray) -> np.ndarray:
+    return (np.bitwise_count(a) & 1).astype(np.int64)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
+def _inputs(n: int) -> np.ndarray:
+    """Every n-bit input index, refusing tables of more than 2^MAX_TABLE_BITS pairs."""
+    if 2 * n > MAX_TABLE_BITS:
+        raise ValueError(f"output table over 2^{2 * n} input pairs not supported "
+                         f"(at most 2^{MAX_TABLE_BITS})")
+    return np.arange(1 << n)
+
+
+def ip_table(n: int) -> np.ndarray:
+    """table[i, j] = ip_eval(x, y) for x, y the n-bit vectors of index i, j."""
+    xs = _inputs(n)
+    return _parity(xs[:, None] & xs)
+
+
+def deor_table(family: MatrixFamily) -> np.ndarray:
+    """table[i, j] = bits_to_index(deor_eval(family, x, y)) for every input pair.
+
+    Each A_k x comes from one vectorised product over all x; output bit k
+    is the parity of (A_k x) & y, and bit 1 is the most significant.
+    """
+    ys = _inputs(family.n)
+    table = np.zeros((ys.size, ys.size), dtype=np.int64)
+    for mat in family.matrices:
+        table = (table << 1) | _parity(gf2_images(mat)[:, None] & ys)
+    return table
 
 
 @dataclass(frozen=True)
@@ -57,6 +105,11 @@ class ExtractorSpec:
         if self.kind == "deor":
             return deor_eval(self.family, x, y)
         return (ip_eval(x, y),)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Read-only (2^n1, 2^n2) array of output indices, one per input pair."""
+        return _read_only(deor_table(self.family) if self.kind == "deor" else ip_table(self.n1))
 
     @property
     def r(self) -> int:
@@ -102,6 +155,11 @@ class ComponentExtractor:
     def __call__(self, x: Bits, y: Bits) -> Bits:
         out = deor_eval(self.family, x, y)
         return (sum(si & oi for si, oi in zip(self.s, out)) & 1,)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Read-only (2^n, 2^n) array of output bits, one per input pair."""
+        return _read_only(_parity(deor_table(self.family) & bits_to_index(self.s)))
 
 
 def s_component(family: MatrixFamily, s: Bits) -> ComponentExtractor:

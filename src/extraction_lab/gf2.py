@@ -22,6 +22,7 @@ Bits = tuple[int, ...]
 
 MAX_DIM = 64            # dense GF(2) algebra is desk scale only
 MAX_ENUM_M = 20         # 2^m - 1 selector enumeration guard
+MAX_TABLE_BITS = 22     # tables over every input index hold at most 2^22 entries
 
 
 def parse_bits(s: str) -> Bits:
@@ -96,6 +97,25 @@ def gf2_matvec(m, x: Bits) -> Bits:
         raise ValueError(f"dimension mismatch: {mat.shape[1]} columns, {len(x)}-bit vector")
     xs = np.asarray(x, dtype=np.uint8)
     return tuple(int(v) for v in (mat.astype(np.int64) @ xs) & 1)
+
+
+def _bit_table(n: int) -> np.ndarray:
+    """The (2^n, n) 0/1 array whose row i is index_to_bits(i, n)."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def gf2_images(m) -> np.ndarray:
+    """Index of M x for every input x at once, the matrix validated once.
+
+    Entry i is bits_to_index(gf2_matvec(m, index_to_bits(i, columns))).
+    """
+    mat = as_gf2_matrix(m)
+    rows, cols = mat.shape
+    if max(rows, cols) > MAX_TABLE_BITS:
+        raise ValueError(f"images of a {rows}x{cols} matrix over every input not supported "
+                         f"(at most {MAX_TABLE_BITS} bits)")
+    images = (_bit_table(cols) @ mat.T.astype(np.int64)) & 1
+    return images @ (1 << np.arange(rows - 1, -1, -1))
 
 
 def gf2_matmul(a, b) -> np.ndarray:

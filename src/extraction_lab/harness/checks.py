@@ -141,10 +141,9 @@ def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
 
 def _flat_grid(ext, n: int, side: str, strong_in):
     """Every prefix-flat (k1, k2) pair under one side model, with its strong distance."""
-    for k1 in range(n + 1):
-        s1 = make_side_info(side, make_flat_source(n, k1))
-        for k2 in range(n + 1):
-            s2 = make_side_info(side, make_flat_source(n, k2))
+    sources = [make_side_info(side, make_flat_source(n, k)) for k in range(n + 1)]
+    for k1, s1 in enumerate(sources):
+        for k2, s2 in enumerate(sources):
             out = extractor_output_state(ext, s1.state, s2.state, strong_in)
             yield k1, k2, s1, s2, distance_to_uniform(out, 1 << ext.m, strong=True)
 
@@ -345,7 +344,8 @@ def _hmin_le_h2(p, rng):
         state = _random_cq(n_bits, dim, rng)
         sigma = random_density(dim, rng) if dim > 1 else np.ones((1, 1), dtype=complex)
         rel_gap = h_min_rel(state, sigma) - h2_rel(state, sigma)
-        opt_gap = h_min_cond(state).value - h2_cond(state).value
+        hmin = h_min_cond(state)
+        opt_gap = hmin.value - h2_cond(state, hmin=hmin).value
         yield Case(_k_params(n_bits, 1, 0, 0.0, 0.0), f"entropy-order n={n_bits} dim={dim}",
                    [("relative", rel_gap, ENTROPY_SLACK), ("optimized", opt_gap, ENTROPY_SLACK)])
 

@@ -28,7 +28,7 @@ def as_operator(a) -> np.ndarray:
 
 def check_hermitian(a, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     m = as_operator(a)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    dev = float(_hermitian_deviation(m))
     if dev > atol:
         raise ValueError(f"operator is not Hermitian (max deviation {dev:.3e})")
     return m
@@ -46,6 +46,11 @@ def _kernel_mask(w: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues ``w`` at or below the relative kernel threshold."""
     top = float(w[-1]) if w.size else 0.0
     return w <= KERNEL_RTOL * max(top, 0.0)
+
+
+def _hermitian_deviation(a: np.ndarray) -> np.ndarray:
+    """Largest entry of |A - A^dagger|, for an operator or each operator in a stack."""
+    return np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -124,8 +129,24 @@ def trace_norm(s) -> float:
 
 def hermitian_trace_norm(s) -> float:
     """Trace norm of a Hermitian matrix via its eigenvalues (cheaper than SVD)."""
-    m = check_hermitian(s, atol=1e-9)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    return float(hermitian_trace_norms(as_operator(s)[None])[0])
+
+
+def hermitian_trace_norms(stack) -> np.ndarray:
+    """Trace norm of each Hermitian matrix in an (N, d, d) stack.
+
+    One finiteness and Hermiticity check (within 1e-9) covers the whole
+    stack, and one stacked eigvalsh gives every spectrum.
+    """
+    m = np.asarray(stack, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected an (N, d, d) stack, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("operator has non-finite entries")
+    dev = float(_hermitian_deviation(m).max(initial=0.0))
+    if dev > 1e-9:
+        raise ValueError(f"operator is not Hermitian (max deviation {dev:.3e})")
+    return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
 
 
 def trace_distance(rho, sigma, check_trace: bool = True) -> float:

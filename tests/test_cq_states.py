@@ -256,3 +256,36 @@ def test_extractor_output_rejects_bad_alphabet(rng):
         extractor_output_state(ext, s1, s2, None)
     with pytest.raises(ValueError):
         extractor_output_state(ext, s2, s2, "x3")
+
+
+def test_extractor_output_rejects_non_binary_symbols():
+    # An entry outside {0, 1} used to pass the length check and give a
+    # distance (0.75 here) with no error.
+    ext = deor_extractor(build_field_family(3, 2))
+    bad = classical_state({(0, 2, 1): 0.5, (1, 0, 0): 0.5})
+    good = classical_state({(0, 1, 1): 0.5, (1, 0, 0): 0.5})
+    for strong_in in (None, "x1", "x2"):
+        with pytest.raises(ValueError, match=r"\(0, 2, 1\) is not an 3-bit string"):
+            extractor_output_state(ext, bad, good, strong_in)
+        with pytest.raises(ValueError, match="source 2 alphabet"):
+            extractor_output_state(ext, good, bad, strong_in)
+        with pytest.raises(ValueError, match="not an 3-bit string"):
+            extractor_output_from_joint(ext, product(good, bad), strong_in)
+    with pytest.raises(ValueError, match="not an .x1, x2. pair"):
+        extractor_output_from_joint(ext, good, None)
+
+
+def test_validate_cq_names_the_offending_block():
+    good = np.eye(2, dtype=complex) / 4
+    skew = np.array([[0.25, 0.1], [0.0, 0.25]], dtype=complex)
+    neg = np.diag([0.75, -0.25]).astype(complex)
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    for bad, match in ((skew, "not Hermitian"), (neg, "not PSD"),
+                       (nan, "non-finite"), (np.eye(3) / 6, "shape")):
+        state = CqState(side_dim=2, blocks={(0,): good, (1,): bad, (2,): good})
+        with pytest.raises(ValueError, match=rf"\(1,\).*{match}|{match}.*\(1,\)"):
+            validate_cq(state)
+    with pytest.raises(ValueError, match="trace"):
+        validate_cq(CqState(side_dim=2, blocks={(0,): good}))
+    with pytest.raises(ValueError, match="trace"):
+        validate_cq(CqState(side_dim=2, blocks={}))

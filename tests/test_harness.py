@@ -248,3 +248,30 @@ def test_suite_parallel_matches_serial():
 def test_check_ids_registry():
     assert "b1-exhaustive-flat" in CHECK_IDS
     assert len(CHECK_IDS) == 14
+
+
+# Every extractor-output path of the harness on one small config: the flat
+# grids (strong x1 and x2), ip-classical, the weak output of b8-weak-quantum,
+# the joint output of b2-markov, and hmin-le-h2 for h2_cond.  The digest was
+# taken with the per-pair output-state builders, before the output tables.
+OUTPUT_PATHS_CONFIG = {"checks": [
+    {"id": "b1-exhaustive-flat",
+     "params": {"ns": [3, 4], "ms": [1, 2], "families": ["field", "shift"],
+                "sides": ["trivial", "classical_leak"]}},
+    {"id": "b1-exhaustive-flat",
+     "params": {"ns": [3], "ms": [2], "families": ["shift"], "sides": ["classical_leak"],
+                "strong_in": "x2"}},
+    {"id": "ip-classical", "params": {"ns": [2, 3]}},
+    {"id": "b8-weak-quantum", "params": {"count": 6, "n_max": 4}},
+    {"id": "b2-markov", "params": {"count": 8, "n_max": 3}},
+    {"id": "hmin-le-h2", "params": {"count": 20}},
+]}
+OUTPUT_PATHS_DIGEST = "f49357afd3cc99b4ae1841b801feffcff131c3b21e62bda2be7bbe0d39ee4212"
+
+
+def test_output_paths_report_digest(tmp_path):
+    path = tmp_path / "output-paths.json"
+    path.write_text(json.dumps(OUTPUT_PATHS_CONFIG))
+    result = run_suite(load_config(str(path)), seed=5)
+    assert len(result.reports) == 472 and result.all_pass
+    assert hashlib.sha256(render_json(result).encode()).hexdigest() == OUTPUT_PATHS_DIGEST

@@ -1,0 +1,284 @@
+"""Oracles for the extractor output tables and the stacked output states.
+
+Two independent routes:
+
+* every output table equals per-pair evaluation (``deor_eval``,
+  ``ip_eval``, the s-component evaluator) on every input pair;
+* the per-pair ``extractor_output_state``, ``extractor_output_from_joint``
+  and ``distance_to_uniform`` that the table-driven, stacked versions
+  replaced, kept verbatim below, give bitwise-equal blocks and distances.
+  Report bytes rest on that equality.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from extraction_lab.cq_states import (
+    CqState,
+    _strong_flag,
+    build_cq,
+    classical_state,
+    distance_to_uniform,
+    extractor_output_from_joint,
+    extractor_output_state,
+    markov_block_state,
+    product,
+)
+from extraction_lab.extractors import (
+    deor_eval,
+    deor_extractor,
+    ip_eval,
+    ip_extractor,
+    s_component,
+)
+from extraction_lab.gf2 import (
+    all_bit_vectors,
+    bits_to_index,
+    build_field_family,
+    build_shift_family,
+    index_to_bits,
+)
+from extraction_lab.harness.scenarios import make_markov_scenario
+from extraction_lab.operators import check_hermitian, random_density, random_pure_state, tensor
+
+FAMILIES = {"field": build_field_family, "shift": build_shift_family}
+
+
+# -- the output tables against per-pair evaluation ----------------------------
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_deor_and_component_tables_match_per_pair(kind, n):
+    vectors = all_bit_vectors(n)
+    for m in range(1, n + 1):
+        fam = FAMILIES[kind](n, m)
+        table = deor_extractor(fam).table
+        assert table.shape == (1 << n, 1 << n) and not table.flags.writeable
+        selectors = [index_to_bits(i, m) for i in range(1, 1 << m)]
+        components = [s_component(fam, s).table for s in selectors]
+        for i, x in enumerate(vectors):
+            for j, y in enumerate(vectors):
+                out = deor_eval(fam, x, y)
+                assert index_to_bits(int(table[i, j]), m) == out
+                for s, comp in zip(selectors, components):
+                    assert comp[i, j] == sum(si & oi for si, oi in zip(s, out)) & 1
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_component_table_matches_component_evaluator(kind):
+    fam = FAMILIES[kind](3, 3)
+    vectors = all_bit_vectors(3)
+    for idx in range(1, 8):
+        comp = s_component(fam, index_to_bits(idx, 3))
+        for i, x in enumerate(vectors):
+            for j, y in enumerate(vectors):
+                assert (int(comp.table[i, j]),) == comp(x, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_ip_table_matches_per_pair(n):
+    vectors = all_bit_vectors(n)
+    table = ip_extractor(n).table
+    for i, x in enumerate(vectors):
+        for j, y in enumerate(vectors):
+            assert table[i, j] == ip_eval(x, y)
+
+
+def test_table_refuses_oversized_alphabets():
+    with pytest.raises(ValueError, match="not supported"):
+        ip_extractor(12).table
+
+
+# -- per-pair reference copies (the replaced implementations, verbatim) --------
+
+def _ref_hermitian_trace_norm(s) -> float:
+    m = check_hermitian(s, atol=1e-9)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+
+
+def _ref_check_alphabet(state: CqState, n: int, which: str) -> None:
+    for sym in state.blocks:
+        if not isinstance(sym, tuple) or len(sym) != n:
+            raise ValueError(f"{which} alphabet symbol {sym!r} is not an {n}-bit string")
+
+
+def _ref_extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqState:
+    flag = _strong_flag(strong_in)
+    _ref_check_alphabet(s1, ext.n1, "source 1")
+    _ref_check_alphabet(s2, ext.n2, "source 2")
+    blocks: dict = {}
+    if flag == "x2":
+        for x2 in s2.symbols():
+            grouped: dict = {}
+            for x1 in s1.symbols():
+                z = ext(x1, x2)
+                grouped[z] = grouped.get(z, 0) + s1.blocks[x1]
+            for z, acc in grouped.items():
+                blocks[(z, x2)] = tensor(acc, s2.blocks[x2])
+        return CqState(side_dim=s1.side_dim * s2.side_dim, blocks=blocks)
+    for x1 in s1.symbols():
+        grouped = {}
+        for x2 in s2.symbols():
+            z = ext(x1, x2)
+            grouped[z] = grouped.get(z, 0) + s2.blocks[x2]
+        for z, acc in grouped.items():
+            piece = tensor(s1.blocks[x1], acc)
+            if flag == "x1":
+                blocks[(z, x1)] = piece
+            else:
+                blocks[z] = blocks.get(z, 0) + piece
+    return CqState(side_dim=s1.side_dim * s2.side_dim, blocks=blocks)
+
+
+def _ref_extractor_output_from_joint(ext, joint: CqState, strong_in=None) -> CqState:
+    flag = _strong_flag(strong_in)
+    blocks: dict = {}
+    for sym in joint.symbols():
+        x1, x2 = sym
+        z = ext(x1, x2)
+        key = (z, x1) if flag == "x1" else (z, x2) if flag == "x2" else z
+        blocks[key] = blocks.get(key, 0) + joint.blocks[sym]
+    return CqState(side_dim=joint.side_dim, blocks=blocks)
+
+
+def _ref_distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) -> float:
+    groups: dict = {}
+    for sym, block in state.blocks.items():
+        if strong:
+            if not (isinstance(sym, tuple) and len(sym) == 2):
+                raise ValueError(f"strong output symbols must be (z, x) pairs, got {sym!r}")
+            z, rest = sym
+        else:
+            z, rest = sym, None
+        groups.setdefault(rest, {})[z] = block
+    total = 0.0
+    for rest in sorted(groups, key=lambda r: (r is not None, r)):
+        zmap = groups[rest]
+        if len(zmap) > uniform_dim:
+            raise ValueError(f"{len(zmap)} output symbols exceed uniform_dim={uniform_dim}")
+        target = sum(zmap[z] for z in sorted(zmap)) / uniform_dim
+        target_norm = _ref_hermitian_trace_norm(target)
+        present = 0
+        for z in sorted(zmap):
+            total += _ref_hermitian_trace_norm(zmap[z] - target)
+            present += 1
+        total += (uniform_dim - present) * target_norm
+    return 0.5 * total
+
+
+# -- random inputs --------------------------------------------------------------
+
+def random_source(n: int, dim: int, rng, pure: bool = False) -> CqState:
+    """A quantum (or, for dim 1, classical) source on a random n-bit support."""
+    size = int(rng.integers(1, (1 << n) + 1))
+    chosen = sorted(int(i) for i in rng.choice(1 << n, size=size, replace=False))
+    weights = rng.random(size) + 1e-3
+    dist = {index_to_bits(i, n): float(w) for i, w in zip(chosen, weights / weights.sum())}
+    if dim == 1:
+        return classical_state(dist)
+    make = random_pure_state if pure else random_density
+    return build_cq(dist, {sym: make(dim, rng) for sym in sorted(dist)}, side_dim=dim)
+
+
+def random_extractor(n: int, rng):
+    """deor over a field or shift family, one of its s-components, or ip."""
+    pick = int(rng.integers(3))
+    if pick == 2:
+        return ip_extractor(n)
+    m = int(rng.integers(1, n + 1))
+    fam = FAMILIES["field" if rng.random() < 0.5 else "shift"](n, m)
+    if pick == 0:
+        return deor_extractor(fam)
+    return s_component(fam, index_to_bits(int(rng.integers(1, 1 << m)), m))
+
+
+def assert_same_state(new: CqState, ref: CqState, label):
+    assert new.side_dim == ref.side_dim, label
+    assert sorted(new.blocks) == sorted(ref.blocks), label
+    for key, block in ref.blocks.items():
+        got = new.blocks[key]
+        assert got.shape == block.shape and got.dtype == block.dtype, (label, key)
+        assert got.tobytes() == block.tobytes(), (label, key)
+
+
+def check_against_reference(ext, s1, s2, label):
+    """Both builders and the distance agree bit for bit with the per-pair copies."""
+    for strong_in in (None, "x1", "x2"):
+        strong = strong_in is not None
+        tag = (label, strong_in)
+        new = extractor_output_state(ext, s1, s2, strong_in)
+        ref = _ref_extractor_output_state(ext, s1, s2, strong_in)
+        assert_same_state(new, ref, tag)
+        assert distance_to_uniform(new, 1 << ext.m, strong) == \
+            _ref_distance_to_uniform(ref, 1 << ext.m, strong), tag
+        joint = product(s1, s2)
+        assert_same_state(extractor_output_from_joint(ext, joint, strong_in),
+                          _ref_extractor_output_from_joint(ext, joint, strong_in), tag)
+
+
+# -- bitwise oracle ---------------------------------------------------------------
+
+def test_output_states_match_per_pair_reference():
+    rng = np.random.default_rng(404)
+    dims = set()
+    for i in range(60):
+        n = int(rng.integers(1, 5))
+        d1, d2 = (int(d) for d in rng.integers(1, 5, size=2))
+        dims.update((d1, d2))
+        ext = random_extractor(n, rng)
+        pure = bool(rng.random() < 0.5)
+        check_against_reference(ext, random_source(n, d1, rng, pure),
+                                random_source(n, d2, rng, pure), f"case {i}")
+    assert dims == {1, 2, 3, 4}
+
+
+def test_markov_joint_output_matches_per_pair_reference():
+    rng = np.random.default_rng(405)
+    for i in range(20):
+        n = int(rng.integers(1, 4))
+        joint = markov_block_state(make_markov_scenario(
+            n, int(rng.integers(2, 4)), seed=int(rng.integers(2 ** 31)),
+            classical=bool(rng.random() < 0.5)))
+        ext = random_extractor(n, rng)
+        for strong_in in (None, "x1", "x2"):
+            new = extractor_output_from_joint(ext, joint, strong_in)
+            ref = _ref_extractor_output_from_joint(ext, joint, strong_in)
+            assert_same_state(new, ref, (i, strong_in))
+            strong = strong_in is not None
+            assert distance_to_uniform(new, 1 << ext.m, strong) == \
+                _ref_distance_to_uniform(ref, 1 << ext.m, strong), (i, strong_in)
+
+
+def test_distance_matches_reference_on_sparse_outputs():
+    # Output alphabets with missing z (weight-zero symbols) and uneven groups.
+    rng = np.random.default_rng(406)
+    for i in range(40):
+        m = int(rng.integers(1, 4))
+        dim = int(rng.integers(1, 5))
+        zs = all_bit_vectors(m)
+        rests = [(0,), (1,)]
+        blocks = {}
+        for z in zs:
+            for rest in rests:
+                if rng.random() < 0.6:
+                    blocks[(z, rest)] = random_density(dim, rng) * float(rng.random()) \
+                        if dim > 1 else np.array([[rng.random()]], dtype=complex)
+        if not blocks:
+            continue
+        state = CqState(side_dim=dim, blocks=blocks)
+        assert distance_to_uniform(state, 1 << m, strong=True) == \
+            _ref_distance_to_uniform(state, 1 << m, strong=True), i
+        weak = CqState(side_dim=dim, blocks={bits_to_index(z) * 2 + r[0]: b
+                                             for (z, r), b in blocks.items()})
+        assert distance_to_uniform(weak, 2 << m) == _ref_distance_to_uniform(weak, 2 << m), i
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+       d1=st.integers(1, 4), d2=st.integers(1, 4), pure=st.booleans())
+def test_output_state_property_matches_reference(seed, n, d1, d2, pure):
+    rng = np.random.default_rng(seed)
+    ext = random_extractor(n, rng)
+    check_against_reference(ext, random_source(n, d1, rng, pure),
+                            random_source(n, d2, rng, pure), seed)
