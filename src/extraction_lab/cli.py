@@ -80,20 +80,39 @@ def _cmd_verify(args) -> int:
     return 0 if result.all_pass else 1
 
 
+# The keys each scenario form accepts; any other key is refused, never ignored.
+_SCENARIO_KEYS = {"markov": "markov", "dist": "dist seed side_info",
+                  "flat": "n k support seed side_info"}
+_MARKOV_KEYS = "n blocks seed classical"
+
+
+def _only_keys(where: str, value, accepted: str) -> dict:
+    """``value`` if it is a JSON object with no key outside the space-separated ``accepted``."""
+    if not isinstance(value, dict) or not set(value) <= set(accepted.split()):
+        raise ValueError(f"{where} must be a JSON object with keys among: {accepted}; "
+                         f"got {value!r}")
+    return value
+
+
 def _load_scenario(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        scenario = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"scenario file is not valid JSON: {exc}") from exc
+    form = next((f for f in ("markov", "dist") if isinstance(scenario, dict) and f in scenario),
+                "flat")
+    return _only_keys("scenario", scenario, _SCENARIO_KEYS[form])
 
 
 def _cmd_entropy(args) -> int:
     scenario = _load_scenario(args.state)
     if "markov" in scenario:
-        mk = scenario["markov"]
+        mk = _only_keys("markov", scenario["markov"], _MARKOV_KEYS)
+        classical = mk.get("classical", False)
+        if not isinstance(classical, bool):
+            raise ValueError(f"markov: classical must be true or false, got {classical!r}")
         scn = make_markov_scenario(int(mk["n"]), int(mk.get("blocks", 2)),
-                                   seed=int(mk.get("seed", 0)),
-                                   classical=bool(mk.get("classical", False)))
+                                   seed=int(mk.get("seed", 0)), classical=classical)
         joint = markov_block_state(scn)
         res1 = h_min_cond(apply_classical_function(joint, lambda sym: sym[0]))
         res2 = h_min_cond(apply_classical_function(joint, lambda sym: sym[1]))
@@ -113,7 +132,10 @@ def _cmd_entropy(args) -> int:
         dist = make_flat_source(int(scenario["n"]), int(scenario["k"]),
                                 scenario.get("support", "prefix"),
                                 seed=int(scenario.get("seed", 0)))
-    side = dict(scenario.get("side_info", {"model": "trivial"}))
+    side = scenario.get("side_info", {"model": "trivial"})
+    if not isinstance(side, dict):
+        raise ValueError(f"side_info must be a JSON object, got {side!r}")
+    side = dict(side)
     model = side.pop("model", "trivial")
     source = make_side_info(model, dist, seed=int(scenario.get("seed", 0)), **side)
     hmin = h_min_cond(source.state)

@@ -1,54 +1,72 @@
 """Classical-quantum states as block-diagonal collections of operators.
 
-A cq-state is stored as a map from classical symbols to subnormalized PSD
-conditional operators on the quantum side register.  Operations work on
-the blocks, either one by one or as one (N, d, d) stack; a state is never
-materialized as one dense matrix except through :func:`to_dense`, which
-exists for cross-checks (the dense and blockwise routes must agree) and
-for conditional-mutual-information evaluation of Markov block states.
+A cq-state sum_x |x><x| (x) rho_{B and x} is stored one way: its sorted
+symbols and one read-only complex (N, d, d) stack whose row i is the
+subnormalized PSD conditional operator of symbol i.  ``state.blocks``
+maps each symbol to its row, a view of the stack, never a copy.  A state
+is never materialized as one dense matrix except through
+:func:`to_dense`, which exists for cross-checks (the dense and blockwise
+routes must agree) and for conditional-mutual-information evaluation of
+Markov block states.
 
 Symbols are hashable tuples: bit tuples for plain registers, nested
 tuples such as ``(z_bits, x_bits)`` for composite classical registers.
-Deterministic iteration uses sorted symbol order throughout so results
-are bit-reproducible.
+Sums over blocks add one block at a time in sorted-symbol order, so
+results are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .gf2 import all_bit_vectors, bits_to_index
-from .operators import _hermitian_deviation, _not_psd, hermitian_trace_norms, tensor
+from .operators import _hermitian_deviation, _not_psd, hermitian_trace_norms
 
 TRACE_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
 class CqState:
-    """Map symbol -> subnormalized conditional operator rho_{B and x}."""
+    """Sorted symbols and the read-only (N, d, d) ``stack`` of their blocks.
 
-    side_dim: int
-    blocks: dict = field(repr=False)
+    ``CqState(side_dim, blocks)`` copies the blocks into the stack and raises
+    ValueError, naming the symbol, for one not of shape (side_dim, side_dim);
+    ``blocks`` then maps each symbol to its row, a view of the stack.
+    """
 
-    def symbols(self):
-        return sorted(self.blocks)
+    __slots__ = ("side_dim", "stack", "blocks", "_symbols")
+
+    def __init__(self, side_dim: int, blocks):
+        symbols = sorted(blocks)
+        for sym in symbols:
+            if np.shape(blocks[sym]) != (side_dim, side_dim):
+                raise ValueError(f"block for {sym} has shape {np.shape(blocks[sym])}, "
+                                 f"expected side_dim {side_dim}")
+        stack = np.array([blocks[s] for s in symbols], dtype=complex)
+        self._adopt(side_dim, symbols, stack.reshape(-1, side_dim, side_dim))
+
+    @classmethod
+    def _from_stack(cls, side_dim: int, symbols, stack: np.ndarray) -> CqState:
+        """Wrap a complex (N, d, d) stack, not copied, whose rows follow sorted ``symbols``."""
+        state = cls.__new__(cls)
+        state._adopt(side_dim, symbols, stack)
+        return state
+
+    def _adopt(self, side_dim: int, symbols, stack: np.ndarray) -> None:
+        stack.flags.writeable = False
+        self.side_dim, self.stack, self._symbols = side_dim, stack, tuple(symbols)
+        self.blocks = MappingProxyType(dict(zip(self._symbols, stack)))
+
+    def symbols(self) -> list:
+        return list(self._symbols)
 
     def probabilities(self) -> dict:
-        return {sym: float(np.trace(b).real) for sym, b in sorted(self.blocks.items())}
+        return dict(zip(self._symbols, _traces(self.stack).tolist()))
 
     def total_trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks.values()))
-
-
-def _block_stack(state: CqState, symbols=None) -> np.ndarray:
-    """The blocks of ``symbols`` (default: sorted symbols) as one (N, d, d) array."""
-    if symbols is None:
-        symbols = state.symbols()
-    if not symbols:
-        return np.zeros((0, state.side_dim, state.side_dim), dtype=complex)
-    return np.array([state.blocks[s] for s in symbols], dtype=complex)
+        return float(_block_sum(_traces(self.stack)))
 
 
 def _traces(stack: np.ndarray) -> np.ndarray:
@@ -56,15 +74,24 @@ def _traces(stack: np.ndarray) -> np.ndarray:
     return np.trace(stack, axis1=-2, axis2=-1).real
 
 
+def _block_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum over the leading (symbol) axis, adding one block at a time.
+
+    The certified values, and so the report bytes, are those of a Python
+    ``sum`` over the blocks in sorted-symbol order.  ``stack.sum(axis=0)``
+    may add pairwise and then differs in the last bit, which the solver
+    iteration amplifies; ``np.add.accumulate`` adds strictly in order.
+    The trailing ``+ 0.0`` turns the -0.0 of an all-(-0.0) entry into the
+    +0.0 that ``0 + x`` gives, so every bit matches.
+    """
+    if not len(stack):
+        return np.zeros(stack.shape[1:], dtype=stack.dtype)
+    return np.add.accumulate(stack, axis=0)[-1] + 0.0
+
+
 def validate_cq(state: CqState, atol: float = TRACE_ATOL) -> CqState:
-    """Check every block (finite, Hermitian, PSD, side_dim square) and the unit trace."""
-    d = state.side_dim
-    symbols = list(state.blocks)
-    for sym in symbols:
-        if np.shape(state.blocks[sym]) != (d, d):
-            raise ValueError(f"block for {sym} has shape {np.shape(state.blocks[sym])}, "
-                             f"expected side_dim {d}")
-    stack = _block_stack(state, symbols)
+    """Check every block (finite, Hermitian, PSD) and the unit trace."""
+    symbols, stack = state.symbols(), state.stack
     finite = np.isfinite(stack).all(axis=(-2, -1))
     for sym, ok, dev in zip(symbols, finite, _hermitian_deviation(stack)):
         if not ok:
@@ -74,9 +101,7 @@ def validate_cq(state: CqState, atol: float = TRACE_ATOL) -> CqState:
     for sym, w in zip(symbols, np.linalg.eigvalsh(stack)):
         if _not_psd(w):
             raise ValueError(f"conditional operator for {sym} is not PSD (min eig {w[0]:.3e})")
-    total = 0.0
-    for trace in _traces(stack).tolist():
-        total += trace
+    total = state.total_trace()
     if abs(total - 1.0) > atol:
         raise ValueError(f"cq-state trace {total} != 1")
     return state
@@ -97,8 +122,6 @@ def build_cq(dist: dict, cond_states: dict, side_dim: int | None = None) -> CqSt
         cond = np.asarray(cond_states[sym], dtype=complex)
         if dim is None:
             dim = cond.shape[0]
-        if cond.shape != (dim, dim):
-            raise ValueError(f"conditional for {sym} has shape {cond.shape}")
         if abs(np.trace(cond).real - 1.0) > TRACE_ATOL:
             raise ValueError(f"conditional state for {sym} is not normalized")
         blocks[sym] = p * cond
@@ -114,31 +137,26 @@ def classical_state(dist: dict) -> CqState:
 
 
 def marginal_side(state: CqState) -> np.ndarray:
-    out = np.zeros((state.side_dim, state.side_dim), dtype=complex)
-    for sym in state.symbols():
-        out += state.blocks[sym]
-    return out
+    """rho_B, the sum of the blocks in sorted-symbol order."""
+    return _block_sum(state.stack)
 
 
 def apply_classical_function(state: CqState, f) -> CqState:
-    """Push the classical register through f, summing merged blocks."""
-    blocks: dict = {}
-    for sym in state.symbols():
-        out_sym = f(sym)
-        if out_sym in blocks:
-            blocks[out_sym] = blocks[out_sym] + state.blocks[sym]
-        else:
-            blocks[out_sym] = state.blocks[sym].copy()
-    return CqState(side_dim=state.side_dim, blocks=blocks)
+    """Push the classical register through f, summing merged blocks in sorted-symbol order."""
+    groups: dict = {}
+    index = np.array([groups.setdefault(f(sym), len(groups)) for sym in state.symbols()],
+                     dtype=np.intp)
+    sums = np.zeros((len(groups),) + state.stack.shape[1:], dtype=complex)
+    np.add.at(sums, index, state.stack)
+    return CqState(side_dim=state.side_dim, blocks=dict(zip(groups, sums)))
 
 
 def product(s1: CqState, s2: CqState) -> CqState:
     """Independent pair: alphabet of pairs, side register C1 (x) C2."""
-    blocks = {}
-    for a in s1.symbols():
-        for b in s2.symbols():
-            blocks[(a, b)] = tensor(s1.blocks[a], s2.blocks[b])
-    return CqState(side_dim=s1.side_dim * s2.side_dim, blocks=blocks)
+    side_dim = s1.side_dim * s2.side_dim
+    stack = _kron_stack(s1.stack[:, None], s2.stack[None]).reshape(-1, side_dim, side_dim)
+    symbols = [(a, b) for a in s1.symbols() for b in s2.symbols()]
+    return CqState._from_stack(side_dim, symbols, stack)
 
 
 @dataclass(frozen=True)
@@ -165,25 +183,21 @@ def markov_block_state(scenario: MarkovScenario) -> CqState:
     w * rho^z_{C1 and x1} (x) rho^z_{C2 and x2} in its diagonal slot.
     By construction I(X1:X2|C) = 0 for the embedded state.
     """
-    dims = [(s1.side_dim, s2.side_dim) for s1, s2 in scenario.factors]
-    side_dim = sum(d1 * d2 for d1, d2 in dims)
-    offsets = np.cumsum([0] + [d1 * d2 for d1, d2 in dims])
-    alpha1 = sorted({a for s1, _ in scenario.factors for a in s1.blocks})
-    alpha2 = sorted({b for _, s2 in scenario.factors for b in s2.blocks})
-    blocks = {}
-    for a in alpha1:
-        for b in alpha2:
-            acc = np.zeros((side_dim, side_dim), dtype=complex)
-            nonzero = False
-            for z, (w, (s1, s2)) in enumerate(zip(scenario.weights, scenario.factors)):
-                if w <= 0 or a not in s1.blocks or b not in s2.blocks:
-                    continue
-                lo, hi = offsets[z], offsets[z + 1]
-                acc[lo:hi, lo:hi] = w * tensor(s1.blocks[a], s2.blocks[b])
-                nonzero = True
-            if nonzero:
-                blocks[(a, b)] = acc
-    return CqState(side_dim=side_dim, blocks=blocks)
+    offsets = np.cumsum([0] + [s1.side_dim * s2.side_dim for s1, s2 in scenario.factors])
+    side_dim = int(offsets[-1])
+    alpha1 = sorted({a for s1, _ in scenario.factors for a in s1.symbols()})
+    alpha2 = sorted({b for _, s2 in scenario.factors for b in s2.symbols()})
+    stack = np.zeros((len(alpha1), len(alpha2), side_dim, side_dim), dtype=complex)
+    present = np.zeros(stack.shape[:2], dtype=bool)
+    for lo, hi, w, (s1, s2) in zip(offsets, offsets[1:], scenario.weights, scenario.factors):
+        if w > 0:
+            at = np.ix_([alpha1.index(a) for a in s1.symbols()],
+                        [alpha2.index(b) for b in s2.symbols()])
+            stack[at + (slice(lo, hi),) * 2] = w * _kron_stack(s1.stack[:, None], s2.stack[None])
+            present[at] = True
+    rows, cols = np.nonzero(present)
+    symbols = [(alpha1[r], alpha2[c]) for r, c in zip(rows.tolist(), cols.tolist())]
+    return CqState._from_stack(side_dim, symbols, stack[rows, cols])
 
 
 def _strong_flag(strong_in) -> str | None:
@@ -219,9 +233,9 @@ def _grouped(stack: np.ndarray, outputs: np.ndarray, n_out: int):
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a[k], b[k]) for every k, as one broadcast product."""
-    k, p, q = a.shape[0], a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, p, q)
+    """np.kron(a[k], b[k]) for every k (leading axes broadcast), as one product."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqState:
@@ -239,24 +253,24 @@ def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqS
                                _symbol_indices(sym2, ext.n2, "source 2"))]
     z_bits = all_bit_vectors(ext.m)
     n_out = len(z_bits)
-    b1, b2 = _block_stack(s1, sym1), _block_stack(s2, sym2)
     side_dim = s1.side_dim * s2.side_dim
+    # Pieces follow (z, copied symbol) order, the sorted order of the output symbols.
     if flag == "x2":
-        sums, present = _grouped(b1, outputs.T, n_out)
-        rows, zs = np.nonzero(present)
-        pieces, copied = _kron_stack(sums[rows, zs], b2[rows]), sym2
+        sums, present = _grouped(s1.stack, outputs.T, n_out)
+        zs, rows = np.nonzero(present.T)
+        pieces, copied = _kron_stack(sums[rows, zs], s2.stack[rows]), sym2
     else:
-        sums, present = _grouped(b2, outputs, n_out)
-        rows, zs = np.nonzero(present)
-        pieces, copied = _kron_stack(b1[rows], sums[rows, zs]), sym1
+        sums, present = _grouped(s2.stack, outputs, n_out)
+        zs, rows = np.nonzero(present.T)
+        pieces, copied = _kron_stack(s1.stack[rows], sums[rows, zs]), sym1
     if flag is None:
         # Weak output: add the pieces of each z over x1, in sorted order.
-        weak = np.zeros((n_out, side_dim, side_dim), dtype=complex)
-        np.add.at(weak, zs, pieces)
-        return CqState(side_dim=side_dim,
-                       blocks={z_bits[z]: weak[z] for z in np.unique(zs).tolist()})
-    keys = [(z_bits[z], copied[r]) for r, z in zip(rows.tolist(), zs.tolist())]
-    return CqState(side_dim=side_dim, blocks=dict(zip(keys, pieces)))
+        out, group = np.unique(zs, return_inverse=True)
+        weak = np.zeros((len(out), side_dim, side_dim), dtype=complex)
+        np.add.at(weak, group, pieces)
+        return CqState._from_stack(side_dim, [z_bits[z] for z in out.tolist()], weak)
+    keys = [(z_bits[z], copied[r]) for z, r in zip(zs.tolist(), rows.tolist())]
+    return CqState._from_stack(side_dim, keys, pieces)
 
 
 def extractor_output_from_joint(ext, joint: CqState, strong_in=None) -> CqState:
@@ -272,16 +286,18 @@ def extractor_output_from_joint(ext, joint: CqState, strong_in=None) -> CqState:
     i1 = _symbol_indices([sym[0] for sym in symbols], ext.n1, "source 1")
     i2 = _symbol_indices([sym[1] for sym in symbols], ext.n2, "source 2")
     z_bits = all_bit_vectors(ext.m)
-    rest = i1 if flag == "x1" else i2 if flag == "x2" else 0
-    keys, first, groups = np.unique(rest * len(z_bits) + ext.table[i1, i2],
+    rest, n_rest = (i1, 1 << ext.n1) if flag == "x1" else (i2, 1 << ext.n2) if flag == "x2" \
+        else (0, 1)
+    # Keys sort like the output symbols (z, x_i): z first, then the copied index.
+    keys, first, groups = np.unique(ext.table[i1, i2] * n_rest + rest,
                                     return_index=True, return_inverse=True)
     sums = np.zeros((len(keys), joint.side_dim, joint.side_dim), dtype=complex)
-    np.add.at(sums, groups, _block_stack(joint, symbols))
+    np.add.at(sums, groups, joint.stack)
     names = []
     for key, k in zip(keys.tolist(), first.tolist()):
-        z = z_bits[key % len(z_bits)]
+        z = z_bits[key // n_rest]
         names.append(z if flag is None else (z, symbols[k][0 if flag == "x1" else 1]))
-    return CqState(side_dim=joint.side_dim, blocks=dict(zip(names, sums)))
+    return CqState._from_stack(joint.side_dim, names, sums)
 
 
 def distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) -> float:
@@ -294,32 +310,28 @@ def distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) 
     including output symbols of weight zero that the alphabet omits.
     Every trace norm comes from one stacked eigvalsh.
     """
-    groups: dict = {}
-    for sym in state.blocks:
-        if strong:
+    symbols = state.symbols()
+    if strong:
+        for sym in symbols:
             if not (isinstance(sym, tuple) and len(sym) == 2):
                 raise ValueError(f"strong output symbols must be (z, x) pairs, got {sym!r}")
-            z, rest = sym
-        else:
-            z, rest = sym, None
-        groups.setdefault(rest, {})[z] = sym
-    order, sizes = [], []
-    for rest in sorted(groups, key=lambda r: (r is not None, r)):
-        zmap = groups[rest]
-        if len(zmap) > uniform_dim:
-            raise ValueError(f"{len(zmap)} output symbols exceed uniform_dim={uniform_dim}")
-        order.extend(zmap[z] for z in sorted(zmap))
-        sizes.append(len(zmap))
-    stack = _block_stack(state, order)
-    group_of = np.repeat(np.arange(len(sizes)), sizes)
-    targets = np.zeros((len(sizes),) + stack.shape[1:], dtype=complex)
-    np.add.at(targets, group_of, stack)
+    rests = [sym[1] for sym in symbols] if strong else [None] * len(symbols)
+    # One group per rest (x_i, or None for a weak state), in sorted order.  In
+    # sorted-symbol order the blocks of each group already come in z order.
+    group_ids = {rest: g for g, rest in enumerate(sorted(set(rests)))}
+    group_of = np.array([group_ids[rest] for rest in rests], dtype=np.intp)
+    sizes = np.bincount(group_of, minlength=len(group_ids)).tolist()
+    if max(sizes, default=0) > uniform_dim:
+        raise ValueError(f"{max(sizes)} output symbols exceed uniform_dim={uniform_dim}")
+    targets = np.zeros((len(sizes),) + state.stack.shape[1:], dtype=complex)
+    np.add.at(targets, group_of, state.stack)
     targets = targets / uniform_dim
-    norms = hermitian_trace_norms(np.concatenate([targets, stack - targets[group_of]])).tolist()
+    norms = hermitian_trace_norms(np.concatenate([targets, state.stack - targets[group_of]]))
+    block_norms = norms[len(sizes):][np.argsort(group_of, kind="stable")].tolist()
     total = 0.0
-    start = len(sizes)          # the block norms follow the target norms
-    for target_norm, present in zip(norms, sizes):
-        for norm in norms[start:start + present]:
+    start = 0
+    for target_norm, present in zip(norms[:len(sizes)].tolist(), sizes):
+        for norm in block_norms[start:start + present]:
             total += norm
         start += present
         total += (uniform_dim - present) * target_norm

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq_states import CqState, _block_stack, _traces, marginal_side
+from .cq_states import CqState, _block_sum, _traces, marginal_side
 from .operators import (
     _herm,
     _kernel_mask,
@@ -44,19 +44,6 @@ def h_min_classical(dist: dict) -> float:
     if not probs or any(p < -1e-12 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
         raise ValueError("not a probability distribution")
     return -float(np.log2(max(probs)))
-
-
-def _block_sum(stack: np.ndarray) -> np.ndarray:
-    """Sum over the leading (symbol) axis, adding one block at a time.
-
-    The certified values, and so the report bytes, are those of a Python
-    ``sum`` over the blocks in sorted-symbol order.  ``stack.sum(axis=0)``
-    may add pairwise and then differs in the last bit, which the solver
-    iteration amplifies; ``np.add.accumulate`` adds strictly in order.
-    The trailing ``+ 0.0`` turns the -0.0 of an all-(-0.0) entry into the
-    +0.0 that ``0 + x`` gives, so every bit matches.
-    """
-    return np.add.accumulate(stack, axis=0)[-1] + 0.0
 
 
 def _kernel_projector(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -98,21 +85,21 @@ def h_min_rel(rho, sigma, dim_a: int | None = None) -> float:
     """
     sig = np.asarray(sigma, dtype=complex)
     if isinstance(rho, CqState):
-        return _h_min_rel_blocks(_block_stack(rho), sig)
+        return _h_min_rel_blocks(rho.stack, sig)
     if dim_a is None:
         raise ValueError("dense input requires dim_a")
     mat = np.asarray(rho, dtype=complex)
     big_proj = tensor(np.eye(dim_a), _kernel_projector(*eigh(sig)))
     if float(np.trace(big_proj @ mat @ big_proj).real) > KERNEL_LEAK_ATOL:
         return NEG_INF
-    big_inv = tensor(np.eye(dim_a), op_power(sig, -0.5, "pseudo"))
+    big_inv = tensor(np.eye(dim_a), op_power(sig, -0.5))
     return -float(np.log2(_max_eig(big_inv @ mat @ big_inv)))
 
 
 def h2_rel(rho: CqState, sigma) -> float:
     """Collision entropy of a cq-state relative to sigma (blockwise form)."""
     w, v = _psd_eigh(np.asarray(sigma, dtype=complex))
-    return _h2_rel_blocks(_block_stack(rho), rho.total_trace(), w, v)
+    return _h2_rel_blocks(rho.stack, rho.total_trace(), w, v)
 
 
 @dataclass(frozen=True)
@@ -125,23 +112,19 @@ class EntropyResult:
 
 
 def _is_classical(state: CqState) -> bool:
-    for block in state.blocks.values():
-        off = block - np.diag(np.diag(block))
-        if block.shape[0] > 1 and np.max(np.abs(off)) > DIAG_ATOL:
-            return False
-    return True
+    off_diagonal = state.stack[:, ~np.eye(state.side_dim, dtype=bool)]
+    return not np.any(np.abs(off_diagonal) > DIAG_ATOL)
 
 
 def _classical_h_min(state: CqState) -> EntropyResult:
-    diags = np.array([np.diag(state.blocks[s]).real for s in state.symbols()])
-    per_b = diags.max(axis=0)
+    per_b = np.diagonal(state.stack, axis1=-2, axis2=-1).real.max(axis=0)
     p_guess = float(per_b.sum())
     sigma = np.diag(per_b / p_guess).astype(complex)
     return EntropyResult(-float(np.log2(p_guess)), sigma, True, 0.0, 0)
 
 
 def _classical_h2(state: CqState) -> EntropyResult:
-    diags = np.array([np.diag(state.blocks[s]).real for s in state.symbols()])
+    diags = np.diagonal(state.stack, axis1=-2, axis2=-1).real
     roots = np.sqrt((diags ** 2).sum(axis=0))
     z = float(roots.sum())
     sigma = np.diag(roots / z).astype(complex)
@@ -172,8 +155,7 @@ def _h_min_solver(state: CqState, iters: int, tol: float) -> EntropyResult:
     rho_b = marginal_side(state)
     basis = _support_basis(rho_b)
     d = state.side_dim
-    stack = _block_stack(state)
-    blocks = basis.conj().T @ stack @ basis
+    blocks = basis.conj().T @ state.stack @ basis
     n, k = blocks.shape[0], basis.shape[1]
     eye = np.eye(k, dtype=complex)
     povm = np.repeat(eye[None] / n, n, axis=0)
@@ -196,12 +178,12 @@ def _h_min_solver(state: CqState, iters: int, tol: float) -> EntropyResult:
         if best_ub - best_pri <= tol * max(best_ub, 1e-300):
             break
         g = _herm(_block_sum(blocks @ povm @ blocks))
-        g_inv_sqrt = op_power(g, -0.5, "pseudo")
+        g_inv_sqrt = op_power(g, -0.5)
         povm = _herm(g_inv_sqrt @ blocks @ povm @ blocks @ g_inv_sqrt)
 
     sigma_y = basis @ (best_y / np.trace(best_y).real) @ basis.conj().T
     candidates = [sigma_y, rho_b, np.eye(d, dtype=complex) / d]
-    scored = [(_h_min_rel_blocks(stack, s), s) for s in candidates]
+    scored = [(_h_min_rel_blocks(state.stack, s), s) for s in candidates]
     value, sigma = max(scored, key=lambda t: t[0])
     upper = -float(np.log2(best_pri)) if best_pri > 0 else float("inf")
     gap = max(upper - value, 0.0)
@@ -227,7 +209,7 @@ def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-8,
     rho_b = marginal_side(state)
     basis = _support_basis(rho_b)
     k = basis.shape[1]
-    blocks = basis.conj().T @ _block_stack(state) @ basis
+    blocks = basis.conj().T @ state.stack @ basis
     total = float(_block_sum(_traces(blocks)))
     proj_rho_b = _block_sum(blocks)
     if hmin is None:
@@ -254,7 +236,7 @@ def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-8,
             prev = val
             tau = _spectral_power(w, v, -0.5)
             phi = _herm(_block_sum(blocks @ tau @ blocks))
-            prop = op_power(phi, 2.0 / 3.0, "pseudo")
+            prop = op_power(phi, 2.0 / 3.0)
             tr = float(np.trace(prop).real)
             if tr <= 0:
                 break

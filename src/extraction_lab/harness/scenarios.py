@@ -17,7 +17,9 @@ from ..entropies import h_min_classical, h_min_cond
 from ..gf2 import index_to_bits
 from ..operators import random_density, random_pure_state
 
-SIDE_MODELS = ("trivial", "classical_leak", "bb84", "random_pure")
+# Every side-information model with the params it accepts and their defaults.
+SIDE_PARAMS = {"trivial": {}, "classical_leak": {"leak": "parity"}, "bb84": {"bits": 1},
+               "random_pure": {"dim": 2}}
 
 _KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -59,13 +61,24 @@ def _leak_function(name: str, n: int):
 
 
 def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> SourceWithSide:
-    """Attach side information of the named model to a classical source."""
+    """Attach side information of the named model, with its SIDE_PARAMS, to a source."""
+    if model == "markov_blocks":
+        raise ValueError("markov_blocks scenarios pair two sources; "
+                         "build them with make_markov_scenario")
+    if model not in SIDE_PARAMS:
+        raise ValueError(f"unknown side-information model {model!r}; known: {list(SIDE_PARAMS)}")
+    unknown = sorted(set(params) - set(SIDE_PARAMS[model]))
+    if unknown:
+        raise ValueError(f"{model} side information takes no param(s) {unknown}; "
+                         f"accepted: {list(SIDE_PARAMS[model])}")
+    params = {**SIDE_PARAMS[model], **params}
+
     if model == "trivial":
         state = classical_state(dist)
         return SourceWithSide(state, h_min_classical(dist), model, {"certified": "exact"})
 
     if model == "classical_leak":
-        leak, dim = _leak_function(params.get("leak", "parity"), len(next(iter(dist))))
+        leak, dim = _leak_function(params["leak"], len(next(iter(dist))))
         conds = {}
         for sym in dist:
             c = np.zeros((dim, dim), dtype=complex)
@@ -77,7 +90,7 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
         return SourceWithSide(state, res.value, model, {"certified": "exact"})
 
     if model == "bb84":
-        bits = int(params.get("bits", 1))
+        bits = int(params["bits"])
         if not 1 <= bits <= 2:
             raise ValueError("bb84 model encodes 1 or 2 leading bits")
         conds = {}
@@ -94,7 +107,7 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
                                "gap": res.gap})
 
     if model == "random_pure":
-        dim = int(params.get("dim", 2))
+        dim = int(params["dim"])
         if not 2 <= dim <= 4:
             raise ValueError("random_pure side dimension must be 2..4")
         rng = np.random.default_rng(seed)
@@ -104,11 +117,6 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
         return SourceWithSide(state, res.value, model,
                               {"certified": "solver", "converged": res.converged,
                                "gap": res.gap})
-
-    if model == "markov_blocks":
-        raise ValueError("markov_blocks scenarios pair two sources; "
-                         "build them with make_markov_scenario")
-    raise ValueError(f"unknown side-information model {model!r}; known: {SIDE_MODELS}")
 
 
 def _random_distribution(n: int, rng: np.random.Generator, min_support: int = 1) -> dict:

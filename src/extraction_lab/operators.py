@@ -3,8 +3,9 @@
 Operators are plain numpy complex arrays.  Functions here assume (and
 where cheap, verify) Hermiticity; eigendecompositions are delegated to
 LAPACK via numpy, which returns eigenvalues in ascending order.  Operator
-powers use an explicit kernel policy so that expressions like
-sigma^{-1/4} rho sigma^{-1/4} are well defined for singular sigma.
+powers map the kernel to zero (the pseudo-inverse convention) so that
+expressions like sigma^{-1/4} rho sigma^{-1/4} are well defined for
+singular sigma.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _psd_eigh(h):
 def _spectral_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     """H^p from the eigenpairs (w ascending, V) of a PSD operator H.
 
-    Eigenvalues at or below the relative kernel threshold map to 0: the
-    "pseudo" kernel policy (Moore-Penrose convention for p < 0).
+    Eigenvalues at or below the relative kernel threshold map to 0
+    (Moore-Penrose convention for p < 0).
     """
     fw = np.zeros_like(w)
     live = ~_kernel_mask(w)
@@ -100,19 +101,14 @@ def _spectral_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     return (v * fw) @ v.conj().T
 
 
-def op_power(h, p: float, kernel_policy: str = "pseudo") -> np.ndarray:
+def op_power(h, p: float) -> np.ndarray:
     """Spectral power H^p of a positive semidefinite operator.
 
-    Under the "pseudo" policy, eigenvalues at or below the relative kernel
-    threshold map to 0 (Moore-Penrose convention for p < 0).  Under
-    "strict", a negative power of a singular operator raises.
+    Eigenvalues at or below the relative kernel threshold map to 0
+    (Moore-Penrose convention for p < 0; p = 0 gives the support
+    projector).
     """
-    if kernel_policy not in ("pseudo", "strict"):
-        raise ValueError(f"unknown kernel policy {kernel_policy!r}")
-    w, v = _psd_eigh(h)
-    if p < 0 and kernel_policy == "strict" and np.any(_kernel_mask(w)):
-        raise np.linalg.LinAlgError("strict kernel policy: operator is singular")
-    return _spectral_power(w, v, p)
+    return _spectral_power(*_psd_eigh(h), p)
 
 
 def support_projector(h) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq_states import CqState, apply_classical_function, marginal_side
+from .cq_states import CqState, _block_sum, _traces, apply_classical_function, marginal_side
 from .gf2 import bits_to_index, index_to_bits
 from .operators import _herm, _not_psd, check_hermitian, op_power, partial_trace, tensor
 
@@ -35,11 +35,11 @@ class MatrixValuedFunction:
             raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
 
 
-def mvf_from_blocks(m: int, d: int, blocks: dict) -> MatrixValuedFunction:
-    """Build a matrix-valued function from a symbol -> matrix map (zeros elsewhere)."""
+def mvf_from_blocks(m: int, symbols, stack: np.ndarray) -> MatrixValuedFunction:
+    """Matrix-valued function with value stack[i] at m-bit symbols[i] (zeros elsewhere)."""
+    d = stack.shape[-1]
     vals = np.zeros((1 << m, d, d), dtype=complex)
-    for sym, mat in blocks.items():
-        vals[bits_to_index(sym)] = mat
+    vals[np.array([bits_to_index(sym) for sym in symbols], dtype=np.intp)] = stack
     return MatrixValuedFunction(m=m, d=d, values=vals)
 
 
@@ -101,15 +101,12 @@ def pgm(state: CqState) -> POVM:
     is assigned to the lexicographically first outcome so the result is a
     genuine POVM on the full space.
     """
-    rho_b = marginal_side(state)
-    inv_sqrt = op_power(rho_b, -0.5, "pseudo")
-    symbols = state.symbols()
-    elements = {sym: inv_sqrt @ state.blocks[sym] @ inv_sqrt for sym in symbols}
-    deficit = np.eye(state.side_dim, dtype=complex) - sum(elements.values())
+    inv_sqrt = op_power(marginal_side(state), -0.5)
+    elements = inv_sqrt @ state.stack @ inv_sqrt
+    deficit = np.eye(state.side_dim, dtype=complex) - _block_sum(elements)
     if np.max(np.abs(deficit)) > 1e-12:
-        first = symbols[0]
-        elements[first] = elements[first] + deficit
-    return POVM(elements={sym: _herm(e) for sym, e in elements.items()})
+        elements[0] += deficit
+    return POVM(elements=dict(zip(state.symbols(), _herm(elements))))
 
 
 def measure_operator(povm: POVM, op) -> dict:
@@ -123,11 +120,11 @@ def apply_measurement(povm: POVM, state: CqState) -> CqState:
     """Measure the side register: classical-classical state on (x, outcome)."""
     if povm.dim() != state.side_dim:
         raise ValueError("POVM dimension does not match the side register")
-    blocks = {}
-    for sym in state.symbols():
-        for outcome, p in measure_operator(povm, state.blocks[sym]).items():
-            blocks[(sym, outcome)] = np.array([[p]], dtype=complex)
-    return CqState(side_dim=1, blocks=blocks)
+    outcomes = povm.outcomes()
+    effects = np.array([povm.elements[o] for o in outcomes], dtype=complex)
+    probs = _traces(effects @ state.stack[:, None]).astype(complex)
+    keys = [(sym, o) for sym in state.symbols() for o in outcomes]
+    return CqState(side_dim=1, blocks=dict(zip(keys, probs.reshape(-1, 1, 1))))
 
 
 def squared_distance_fourier_bound(state: CqState, sigma) -> float:
@@ -139,21 +136,13 @@ def squared_distance_fourier_bound(state: CqState, sigma) -> float:
     """
     m = _output_bits(state)
     sig = np.asarray(sigma, dtype=complex)
-    quarter = op_power(sig, -0.25, "pseudo")
-    kernel = np.eye(state.side_dim, dtype=complex) - op_power(sig, 0.0, "pseudo")
-    conj_blocks = {}
-    for sym in state.symbols():
-        block = state.blocks[sym]
-        if float(np.trace(kernel @ block @ kernel).real) > 1e-9:
-            raise ValueError("sigma kernel is not contained in the state kernel")
-        conj_blocks[sym] = quarter @ block @ quarter
-    mvf = mvf_from_blocks(m, state.side_dim, conj_blocks)
-    fourier = mvf_fourier(mvf)
-    acc = 0.0
-    for idx in range(1, 1 << m):
-        f = fourier.values[idx]
-        acc += float(np.trace(f @ f).real)
-    return ((1 << m) / 4.0) * acc
+    quarter = op_power(sig, -0.25)
+    kernel = np.eye(state.side_dim, dtype=complex) - op_power(sig, 0.0)
+    if np.any(_traces(kernel @ state.stack @ kernel) > 1e-9):
+        raise ValueError("sigma kernel is not contained in the state kernel")
+    fourier = mvf_fourier(mvf_from_blocks(m, state.symbols(), quarter @ state.stack @ quarter))
+    nonzero = fourier.values[1:]
+    return ((1 << m) / 4.0) * float(_block_sum(_traces(nonzero @ nonzero)))
 
 
 def measured_xor_bound(state: CqState) -> float:
@@ -172,28 +161,18 @@ def measured_xor_bound(state: CqState) -> float:
         masked = apply_classical_function(
             state, lambda z, s=s: (sum(si & zi for si, zi in zip(s, z)) & 1,))
         povm = pgm(masked)
-        joint = apply_measurement(povm, masked)
+        joint = apply_measurement(povm, masked).probabilities()
         ref = measure_operator(povm, rho_e)
-        target_blocks = {}
-        for i in ((0,), (1,)):
+        total = 0.0
+        for bit in ((0,), (1,)):
             for outcome, q in ref.items():
-                target_blocks[(i, outcome)] = np.array([[0.5 * q]], dtype=complex)
-        acc += _cc_distance(joint, target_blocks)
+                total += abs(joint.get((bit, outcome), 0.0) - 0.5 * q)
+        acc += 0.5 * total
     return float(np.sqrt(0.5 * acc))
 
 
-def _cc_distance(state: CqState, target_blocks: dict) -> float:
-    keys = sorted(set(state.blocks) | set(target_blocks))
-    total = 0.0
-    for key in keys:
-        a = float(state.blocks[key][0, 0].real) if key in state.blocks else 0.0
-        b = float(target_blocks[key][0, 0].real) if key in target_blocks else 0.0
-        total += abs(a - b)
-    return 0.5 * total
-
-
 def _output_bits(state: CqState) -> int:
-    lengths = {len(sym) for sym in state.blocks}
+    lengths = {len(sym) for sym in state.symbols()}
     if len(lengths) != 1:
         raise ValueError("state symbols must all be bit tuples of one length")
     (m,) = lengths
@@ -215,6 +194,6 @@ def l2_distance_to_uniform(rho_ab, dim_a: int, sigma_b) -> float:
         raise ValueError("dimension mismatch between rho_AB and (dim_a, sigma_b)")
     rho_b = partial_trace(rho, (dim_a, dim_b), keep=(1,))
     centered = rho - tensor(np.eye(dim_a) / dim_a, rho_b)
-    weight = tensor(np.eye(dim_a), op_power(sig, -0.25, "pseudo"))
+    weight = tensor(np.eye(dim_a), op_power(sig, -0.25))
     conj = weight @ centered @ weight
     return float(np.trace(conj @ conj).real)

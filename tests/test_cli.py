@@ -62,6 +62,25 @@ def test_entropy_markov_scenario(tmp_path, capsys):
     assert 0.0 <= out["h_min_cond_x2"] <= 2.0
 
 
+@pytest.mark.parametrize("scenario", [
+    {"n": 3, "k": 2, "suport": "random", "side_info": {"model": "bb84", "bitz": 2}},
+    {"n": 3, "k": 2, "side_info": {"model": "bb84", "bitz": 2}},
+    {"n": 2, "k": 2, "side_info": {"model": "trivial", "dim": 2}},
+    {"n": 2, "k": 2, "side_info": "bb84"},
+    {"dist": {"00": 0.5, "11": 0.5}, "k": 1},
+    {"markov": {"n": 2, "blockz": 3, "classical": "false"}},
+    {"markov": {"n": 2, "classical": "false"}},
+    {"markov": {"n": 2}, "seed": 3},
+    [2, 2],
+])
+def test_entropy_malformed_scenario_exits_2(tmp_path, capsys, scenario):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario))
+    assert main(["entropy", "--state", str(scen)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_entropy_bad_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{не json")

@@ -1,0 +1,273 @@
+"""Oracles for the consumers that read a cq-state's (N, d, d) stack.
+
+The reference functions below are the dict-based loops that the stacked
+``marginal_side``, ``probabilities``, ``total_trace``, ``product``,
+``apply_classical_function``, ``pgm``, ``apply_measurement``,
+``squared_distance_fourier_bound`` and ``measured_xor_bound`` replaced,
+kept verbatim (apart from ``op_power`` no longer taking a kernel-policy
+argument) as the exact oracle: the stacked versions must reproduce them
+bit for bit, because the report bytes rest on them.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from extraction_lab.cq_states import (
+    CqState,
+    apply_classical_function,
+    build_cq,
+    classical_state,
+    marginal_side,
+    product,
+)
+from extraction_lab.gf2 import bits_to_index, index_to_bits
+from extraction_lab.operators import (
+    _herm,
+    op_power,
+    random_density,
+    random_pure_state,
+    tensor,
+)
+from extraction_lab.xor_analysis import (
+    MAX_FOURIER_BITS,
+    POVM,
+    MatrixValuedFunction,
+    apply_measurement,
+    measure_operator,
+    measured_xor_bound,
+    mvf_fourier,
+    pgm,
+    squared_distance_fourier_bound,
+)
+
+
+# -- dict-based reference copies -------------------------------------------------
+
+def _ref_marginal_side(state: CqState) -> np.ndarray:
+    out = np.zeros((state.side_dim, state.side_dim), dtype=complex)
+    for sym in state.symbols():
+        out += state.blocks[sym]
+    return out
+
+
+def _ref_probabilities(state: CqState) -> dict:
+    return {sym: float(np.trace(b).real) for sym, b in sorted(state.blocks.items())}
+
+
+def _ref_total_trace(state: CqState) -> float:
+    return float(sum(np.trace(b).real for b in state.blocks.values()))
+
+
+def _ref_apply_classical_function(state: CqState, f) -> CqState:
+    blocks: dict = {}
+    for sym in state.symbols():
+        out_sym = f(sym)
+        if out_sym in blocks:
+            blocks[out_sym] = blocks[out_sym] + state.blocks[sym]
+        else:
+            blocks[out_sym] = state.blocks[sym].copy()
+    return CqState(side_dim=state.side_dim, blocks=blocks)
+
+
+def _ref_product(s1: CqState, s2: CqState) -> CqState:
+    blocks = {}
+    for a in s1.symbols():
+        for b in s2.symbols():
+            blocks[(a, b)] = tensor(s1.blocks[a], s2.blocks[b])
+    return CqState(side_dim=s1.side_dim * s2.side_dim, blocks=blocks)
+
+
+def _ref_mvf_from_blocks(m: int, d: int, blocks: dict) -> MatrixValuedFunction:
+    vals = np.zeros((1 << m, d, d), dtype=complex)
+    for sym, mat in blocks.items():
+        vals[bits_to_index(sym)] = mat
+    return MatrixValuedFunction(m=m, d=d, values=vals)
+
+
+def _ref_pgm(state: CqState) -> POVM:
+    rho_b = _ref_marginal_side(state)
+    inv_sqrt = op_power(rho_b, -0.5)
+    symbols = state.symbols()
+    elements = {sym: inv_sqrt @ state.blocks[sym] @ inv_sqrt for sym in symbols}
+    deficit = np.eye(state.side_dim, dtype=complex) - sum(elements.values())
+    if np.max(np.abs(deficit)) > 1e-12:
+        first = symbols[0]
+        elements[first] = elements[first] + deficit
+    return POVM(elements={sym: _herm(e) for sym, e in elements.items()})
+
+
+def _ref_apply_measurement(povm: POVM, state: CqState) -> CqState:
+    if povm.dim() != state.side_dim:
+        raise ValueError("POVM dimension does not match the side register")
+    blocks = {}
+    for sym in state.symbols():
+        for outcome, p in measure_operator(povm, state.blocks[sym]).items():
+            blocks[(sym, outcome)] = np.array([[p]], dtype=complex)
+    return CqState(side_dim=1, blocks=blocks)
+
+
+def _ref_output_bits(state: CqState) -> int:
+    lengths = {len(sym) for sym in state.blocks}
+    if len(lengths) != 1:
+        raise ValueError("state symbols must all be bit tuples of one length")
+    (m,) = lengths
+    if m > MAX_FOURIER_BITS:
+        raise ValueError(f"output length {m} exceeds cap {MAX_FOURIER_BITS}")
+    return m
+
+
+def _ref_squared_distance_fourier_bound(state: CqState, sigma) -> float:
+    m = _ref_output_bits(state)
+    sig = np.asarray(sigma, dtype=complex)
+    quarter = op_power(sig, -0.25)
+    kernel = np.eye(state.side_dim, dtype=complex) - op_power(sig, 0.0)
+    conj_blocks = {}
+    for sym in state.symbols():
+        block = state.blocks[sym]
+        if float(np.trace(kernel @ block @ kernel).real) > 1e-9:
+            raise ValueError("sigma kernel is not contained in the state kernel")
+        conj_blocks[sym] = quarter @ block @ quarter
+    mvf = _ref_mvf_from_blocks(m, state.side_dim, conj_blocks)
+    fourier = mvf_fourier(mvf)
+    acc = 0.0
+    for idx in range(1, 1 << m):
+        f = fourier.values[idx]
+        acc += float(np.trace(f @ f).real)
+    return ((1 << m) / 4.0) * acc
+
+
+def _ref_cc_distance(state: CqState, target_blocks: dict) -> float:
+    keys = sorted(set(state.blocks) | set(target_blocks))
+    total = 0.0
+    for key in keys:
+        a = float(state.blocks[key][0, 0].real) if key in state.blocks else 0.0
+        b = float(target_blocks[key][0, 0].real) if key in target_blocks else 0.0
+        total += abs(a - b)
+    return 0.5 * total
+
+
+def _ref_measured_xor_bound(state: CqState) -> float:
+    m = _ref_output_bits(state)
+    rho_e = _ref_marginal_side(state)
+    acc = 0.0
+    for idx in range(1, 1 << m):
+        s = index_to_bits(idx, m)
+        masked = _ref_apply_classical_function(
+            state, lambda z, s=s: (sum(si & zi for si, zi in zip(s, z)) & 1,))
+        povm = _ref_pgm(masked)
+        joint = _ref_apply_measurement(povm, masked)
+        ref = measure_operator(povm, rho_e)
+        target_blocks = {}
+        for i in ((0,), (1,)):
+            for outcome, q in ref.items():
+                target_blocks[(i, outcome)] = np.array([[0.5 * q]], dtype=complex)
+        acc += _ref_cc_distance(joint, target_blocks)
+    return float(np.sqrt(0.5 * acc))
+
+
+# -- random inputs -----------------------------------------------------------------
+
+def random_state(m: int, dim: int, rng) -> CqState:
+    """1-16 symbols of m bits; side dim 1-4, with rank-deficient marginals.
+
+    Blocks are full-rank densities, pure states, or densities confined to
+    a random subspace of half the side dimension.
+    """
+    size = int(rng.integers(1, min(16, 1 << m) + 1))
+    chosen = sorted(int(i) for i in rng.choice(1 << m, size=size, replace=False))
+    weights = rng.random(size) + 1e-3
+    dist = {index_to_bits(i, m): float(w) for i, w in zip(chosen, weights / weights.sum())}
+    if dim == 1:
+        return classical_state(dist)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        conds = {sym: random_density(dim, rng) for sym in dist}
+    elif kind == 1:
+        conds = {sym: random_pure_state(dim, rng) for sym in dist}
+    else:
+        basis = np.linalg.qr(rng.standard_normal((dim, dim))
+                             + 1j * rng.standard_normal((dim, dim)))[0][:, :max(1, dim // 2)]
+        conds = {sym: basis @ random_density(basis.shape[1], rng) @ basis.conj().T
+                 for sym in dist}
+    return build_cq(dist, conds, side_dim=dim)
+
+
+def assert_same_state(new: CqState, ref: CqState, label):
+    assert new.side_dim == ref.side_dim, label
+    assert new.symbols() == ref.symbols(), label
+    for sym in ref.symbols():
+        assert new.blocks[sym].tobytes() == ref.blocks[sym].tobytes(), (label, sym)
+
+
+def assert_same_povm(new: POVM, ref: POVM, label):
+    assert new.outcomes() == ref.outcomes(), label
+    for outcome in ref.outcomes():
+        assert new.elements[outcome].tobytes() == ref.elements[outcome].tobytes(), \
+            (label, outcome)
+
+
+def check_against_reference(state: CqState, rng, label):
+    """Every stacked consumer agrees bit for bit with its dict-based copy."""
+    assert marginal_side(state).tobytes() == _ref_marginal_side(state).tobytes(), label
+    assert state.probabilities() == _ref_probabilities(state), label
+    assert state.total_trace() == _ref_total_trace(state), label
+    parity = lambda z: (sum(z) & 1,)  # noqa: E731
+    assert_same_state(apply_classical_function(state, parity),
+                      _ref_apply_classical_function(state, parity), label)
+    other = random_state(1, int(rng.integers(1, 3)), rng)
+    assert_same_state(product(state, other), _ref_product(state, other), label)
+
+    povm = _ref_pgm(state)
+    assert_same_povm(pgm(state), povm, label)
+    assert_same_state(apply_measurement(povm, state), _ref_apply_measurement(povm, state), label)
+    rho_e = marginal_side(state)
+    d = state.side_dim
+    for sigma in (rho_e / np.trace(rho_e).real, random_density(d, rng) if d > 1 else rho_e):
+        assert squared_distance_fourier_bound(state, sigma) == \
+            _ref_squared_distance_fourier_bound(state, sigma), label
+    assert measured_xor_bound(state) == _ref_measured_xor_bound(state), label
+
+
+# -- bitwise oracle -------------------------------------------------------------------
+
+def test_stacked_consumers_match_dict_reference():
+    rng = np.random.default_rng(505)
+    dims, sizes = set(), set()
+    for i in range(120):
+        state = random_state(int(rng.integers(1, 5)), int(rng.integers(1, 5)), rng)
+        dims.add(state.side_dim)
+        sizes.add(len(state.symbols()))
+        check_against_reference(state, rng, f"case {i}")
+    assert dims == {1, 2, 3, 4}
+    assert {1, 16} <= sizes
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), dim=st.integers(1, 4))
+def test_stacked_consumers_property_matches_dict_reference(seed, m, dim):
+    rng = np.random.default_rng(seed)
+    check_against_reference(random_state(m, dim, rng), rng, seed)
+
+
+# -- the representation ----------------------------------------------------------------
+
+def test_blocks_are_read_only_views_of_the_stack():
+    blocks = {(1, 0): np.diag([0.5, 0.25]), (0, 0): np.eye(2) / 8}
+    state = CqState(side_dim=2, blocks=blocks)
+    assert state.symbols() == [(0, 0), (1, 0)]
+    assert state.stack.shape == (2, 2, 2) and state.stack.dtype == complex
+    for i, sym in enumerate(state.symbols()):
+        assert np.shares_memory(state.blocks[sym], state.stack)
+        assert state.blocks[sym].tobytes() == state.stack[i].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        state.blocks[(0, 0)][0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.stack[1] = 0.0
+    with pytest.raises(TypeError):
+        state.blocks[(0, 0)] = np.eye(2)
+    blocks[(0, 0)][0, 0] = 7.0          # the caller's arrays were copied
+    assert state.blocks[(0, 0)][0, 0] == 0.125
+    empty = CqState(side_dim=3, blocks={})
+    assert empty.stack.shape == (0, 3, 3) and empty.total_trace() == 0.0
+    assert marginal_side(empty).tobytes() == np.zeros((3, 3), dtype=complex).tobytes()

@@ -280,11 +280,13 @@ def test_validate_cq_names_the_offending_block():
     skew = np.array([[0.25, 0.1], [0.0, 0.25]], dtype=complex)
     neg = np.diag([0.75, -0.25]).astype(complex)
     nan = np.full((2, 2), np.nan, dtype=complex)
-    for bad, match in ((skew, "not Hermitian"), (neg, "not PSD"),
-                       (nan, "non-finite"), (np.eye(3) / 6, "shape")):
+    for bad, match in ((skew, "not Hermitian"), (neg, "not PSD"), (nan, "non-finite")):
         state = CqState(side_dim=2, blocks={(0,): good, (1,): bad, (2,): good})
         with pytest.raises(ValueError, match=rf"\(1,\).*{match}|{match}.*\(1,\)"):
             validate_cq(state)
+    # A wrong shape is refused when the state is built.
+    with pytest.raises(ValueError, match=r"\(1,\).*shape"):
+        CqState(side_dim=2, blocks={(0,): good, (1,): np.eye(3) / 6, (2,): good})
     with pytest.raises(ValueError, match="trace"):
         validate_cq(CqState(side_dim=2, blocks={(0,): good}))
     with pytest.raises(ValueError, match="trace"):

@@ -126,7 +126,7 @@ def test_h2_rel_matches_dense_oracle(rng):
         dense = np.zeros((len(st.symbols()) * 2,) * 2, dtype=complex)
         for i, sym in enumerate(st.symbols()):
             dense[i * 2:(i + 1) * 2, i * 2:(i + 1) * 2] = st.blocks[sym]
-        w = tensor(np.eye(len(st.symbols())), op_power(sigma, -0.25, "pseudo"))
+        w = tensor(np.eye(len(st.symbols())), op_power(sigma, -0.25))
         conj = w @ dense @ w
         oracle = -np.log2(np.trace(conj @ conj).real)
         assert abs(h2_rel(st, sigma) - oracle) < 1e-9

@@ -53,7 +53,7 @@ def _ref_kernel_ok(block, proj_kernel):
 def _ref_h_min_rel(rho, sigma):
     sig = np.asarray(sigma, dtype=complex)
     proj = _ref_kernel_projector(sig)
-    inv_sqrt = op_power(sig, -0.5, "pseudo")
+    inv_sqrt = op_power(sig, -0.5)
     worst = 0.0
     for sym in rho.symbols():
         block = rho.blocks[sym]
@@ -66,7 +66,7 @@ def _ref_h_min_rel(rho, sigma):
 def _ref_h2_rel(rho, sigma):
     sig = np.asarray(sigma, dtype=complex)
     proj = _ref_kernel_projector(sig)
-    quarter = op_power(sig, -0.25, "pseudo")
+    quarter = op_power(sig, -0.25)
     total = rho.total_trace()
     acc = 0.0
     for sym in rho.symbols():
@@ -104,7 +104,7 @@ def _ref_h_min_solver(state, iters, tol):
         if best_ub - best_pri <= tol * max(best_ub, 1e-300):
             break
         g = _herm(sum(blk @ lam @ blk for lam, blk in zip(povm, proj_blocks)))
-        g_inv_sqrt = op_power(g, -0.5, "pseudo")
+        g_inv_sqrt = op_power(g, -0.5)
         povm = [_herm(g_inv_sqrt @ blk @ lam @ blk @ g_inv_sqrt)
                 for lam, blk in zip(povm, proj_blocks)]
 
@@ -148,9 +148,9 @@ def _ref_h2_cond(state, iters=500, tol=1e-8):
             if val != NEG_INF and abs(val - prev) <= 1e-13:
                 break
             prev = val
-            tau = op_power(sigma, -0.5, "pseudo")
+            tau = op_power(sigma, -0.5)
             phi = _herm(sum(b @ tau @ b for b in blocks))
-            prop = op_power(phi, 2.0 / 3.0, "pseudo")
+            prop = op_power(phi, 2.0 / 3.0)
             tr = float(np.trace(prop).real)
             if tr <= 0:
                 break

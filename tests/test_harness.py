@@ -275,3 +275,14 @@ def test_output_paths_report_digest(tmp_path):
     result = run_suite(load_config(str(path)), seed=5)
     assert len(result.reports) == 472 and result.all_pass
     assert hashlib.sha256(render_json(result).encode()).hexdigest() == OUTPUT_PATHS_DIGEST
+
+
+# sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
+# refactor keeps these bytes; a change that moves rows on purpose updates the
+# digest and lists the moved rows in CHANGES.md.
+PAPER_TABLE_1_DIGEST = "273b8b04699df9df70470e7db2f1d1fe2264d50e9a9a498849abdf65ffe0c66d"
+
+
+def test_paper_table_1_report_digest():
+    result = run_suite(load_config("paper-table-1"), seed=42)
+    assert hashlib.sha256(render_json(result).encode()).hexdigest() == PAPER_TABLE_1_DIGEST

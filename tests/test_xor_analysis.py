@@ -177,7 +177,7 @@ def test_fourier_bound_matches_double_sum_oracle(rng):
         m = int(rng.integers(1, 3))
         st = random_cq_state(m, 2, rng)
         sigma = random_density(2, rng)
-        quarter = op_power(sigma, -0.25, "pseudo")
+        quarter = op_power(sigma, -0.25)
         blocks = {z: quarter @ st.blocks.get(z, np.zeros((2, 2))) @ quarter
                   for z in all_bit_vectors(m)}
         acc = 0.0
@@ -251,7 +251,7 @@ def test_l2_distance_evaluator_matches_manual(rng):
     rho = random_density(6, rng)
     sigma = random_density(3, rng)
     rho_b = partial_trace(rho, (2, 3), keep=(1,))
-    w = tensor(np.eye(2), op_power(sigma, -0.25, "pseudo"))
+    w = tensor(np.eye(2), op_power(sigma, -0.25))
     centered = rho - tensor(np.eye(2) / 2, rho_b)
     manual = np.trace((w @ centered @ w) @ (w @ centered @ w)).real
     assert abs(l2_distance_to_uniform(rho, 2, sigma) - manual) < 1e-12
