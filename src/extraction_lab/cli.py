@@ -71,10 +71,8 @@ def _cmd_verify(args) -> int:
         ok, total = counts[check_id]
         status = "pass" if ok == total else "FAIL"
         print(f"{status}  {check_id}: {ok}/{total}")
-    solved = [[v for k, v in r.flags.items() if k.startswith("converged")]
-              for r in result.reports]
-    solved = [flags for flags in solved if flags]
-    print(f"unconverged rows: {sum(not all(flags) for flags in solved)}/{len(solved)}")
+    summary = result.summary
+    print(f"unconverged rows: {summary['n_unconverged']}/{summary['n_solver_rows']}")
     print(f"reports: {json_path} {csv_path}")
     print("all checks passed" if result.all_pass else "FAILURES present")
     return 0 if result.all_pass else 1
@@ -94,6 +92,20 @@ def _only_keys(where: str, value, accepted: str) -> dict:
     return value
 
 
+def _integer(where: str, value) -> int:
+    """``value`` if it is a JSON integer; a float, string or bool is refused, never coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _probability(symbol: str, value) -> float:
+    """A ``dist`` entry if it is a JSON number; a string or bool is refused, never coerced."""
+    if type(value) not in (int, float):
+        raise ValueError(f"dist: probability of {symbol!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _load_scenario(path: str) -> dict:
     try:
         scenario = json.loads(Path(path).read_text())
@@ -111,8 +123,10 @@ def _cmd_entropy(args) -> int:
         classical = mk.get("classical", False)
         if not isinstance(classical, bool):
             raise ValueError(f"markov: classical must be true or false, got {classical!r}")
-        scn = make_markov_scenario(int(mk["n"]), int(mk.get("blocks", 2)),
-                                   seed=int(mk.get("seed", 0)), classical=classical)
+        scn = make_markov_scenario(_integer("markov: n", mk["n"]),
+                                   _integer("markov: blocks", mk.get("blocks", 2)),
+                                   seed=_integer("markov: seed", mk.get("seed", 0)),
+                                   classical=classical)
         joint = markov_block_state(scn)
         res1 = h_min_cond(apply_classical_function(joint, lambda sym: sym[0]))
         res2 = h_min_cond(apply_classical_function(joint, lambda sym: sym[1]))
@@ -126,18 +140,20 @@ def _cmd_entropy(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
 
+    seed = _integer("seed", scenario.get("seed", 0))
     if "dist" in scenario:
-        dist = {parse_bits(k): float(v) for k, v in scenario["dist"].items()}
+        dist = {parse_bits(k): _probability(k, v) for k, v in scenario["dist"].items()}
+        if len({len(sym) for sym in dist}) > 1:
+            raise ValueError(f"dist symbols must all have one length, got {sorted(scenario['dist'])}")
     else:
-        dist = make_flat_source(int(scenario["n"]), int(scenario["k"]),
-                                scenario.get("support", "prefix"),
-                                seed=int(scenario.get("seed", 0)))
+        dist = make_flat_source(_integer("n", scenario["n"]), _integer("k", scenario["k"]),
+                                scenario.get("support", "prefix"), seed=seed)
     side = scenario.get("side_info", {"model": "trivial"})
     if not isinstance(side, dict):
         raise ValueError(f"side_info must be a JSON object, got {side!r}")
     side = dict(side)
     model = side.pop("model", "trivial")
-    source = make_side_info(model, dist, seed=int(scenario.get("seed", 0)), **side)
+    source = make_side_info(model, dist, seed=seed, **side)
     hmin = h_min_cond(source.state)
     h2 = h2_cond(source.state, hmin=hmin)
     out = {

@@ -2,16 +2,23 @@
 
 The relative quantities H_min(rho|sigma) and H_2(rho|sigma) are exact
 spectral evaluations.  The optimized quantities sup_sigma are computed by
-deterministic solvers that only ever return *achieved* values: every
-candidate sigma is an explicit density operator, so the reported entropy
-is a sound lower bound on the true supremum regardless of convergence.
+deterministic solvers that only ever return *achieved* values, so the
+reported entropy is a sound lower bound on the true supremum regardless
+of convergence.
 
-For H_min the solver iterates a discrimination-measurement fixed point
-and extracts a feasible dual certificate (an operator dominating every
-conditional block); the gap between the certificate and the primal
-success probability bounds the distance to the true supremum and is
-reported on the result.  Classical side information is handled by exact
-closed forms.  Kernel violations return -inf, mirroring the definition.
+For H_min the solver works on the guessing-probability SDP
+p_guess = min tr Y subject to Y >= rho_x for every x, with
+h_min_cond = -log2 p_guess (Koenig, Renner, Schaffner, IEEE TIT 55(9),
+2009).  A log-barrier interior-point method minimises
+t tr Y - sum_x log det(Y - rho_x) on the blocks projected onto the support
+of rho_B, one batched Newton step at a time, multiplying t by 8 whenever
+the iterate is centred.  The value comes from the dual Y, made rigorous in
+floating point: lambda_min(Y - rho_x) minus a rounding bound for eigvalsh
+must be non-negative for every block, else Y is shifted by that much
+times the identity.  The barrier's measurements S_x^{-1}/t, renormalised
+to a POVM, give the primal bound; the gap between the two is reported on
+the result.  Classical side information is handled by exact closed forms.
+Kernel violations return -inf, mirroring the definition.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .operators import (
     _max_eig,
     _psd_eigh,
     _spectral_power,
+    _trusted_psd_eigh,
     eigh,
     op_power,
     tensor,
@@ -36,6 +44,16 @@ NEG_INF = float("-inf")
 KERNEL_LEAK_ATOL = 1e-9
 DIAG_ATOL = 1e-12
 SOLVER_SIDE_CAP = 16
+CONVERGED_GAP_BITS = 1e-6
+BARRIER_GROWTH = 8.0       # t grows by this factor at each centred iterate
+BARRIER_T_CAP = 1e13       # past this t, S_x^{-1} is dominated by rounding
+CENTRED = 1e-6             # Newton decrement^2 at which an iterate counts as centred
+NEAR_CENTRED = 1e-3        # decrement^2 below which the primal bound is evaluated
+# eigvalsh is backward stable: the computed spectrum of Y - rho_x is exact
+# for a matrix within ROUNDING_FACTOR * d * eps * (|Y|_F + |rho_x|_F) in
+# spectral norm, which also covers forming the difference (Golub and Van
+# Loan, Matrix Computations, 4th ed., 2013, section 8.1).
+ROUNDING_FACTOR = 8.0
 
 
 def h_min_classical(dist: dict) -> float:
@@ -132,17 +150,22 @@ def _classical_h2(state: CqState) -> EntropyResult:
 
 
 def _support_basis(rho_b: np.ndarray) -> np.ndarray:
-    w, v = eigh(rho_b)
-    thresh = 1e-12 * max(float(w[-1]), 0.0)
-    return v[:, w > thresh]
+    w, v = np.linalg.eigh(rho_b)
+    return v[:, ~_kernel_mask(w)]
 
 
-def h_min_cond(state: CqState, iters: int = 500, tol: float = 1e-8) -> EntropyResult:
+def h_min_cond(state: CqState, iters: int = 500, tol: float = 1e-10) -> EntropyResult:
     """Conditional min-entropy sup_sigma H_min(rho|sigma).
 
-    Exact for classical side registers; otherwise a measurement fixed
-    point with a dual certificate.  ``result.gap`` bounds the shortfall
-    to the true supremum in bits.
+    Exact for classical side registers.  Otherwise the guessing-probability
+    SDP is solved by a log-barrier method: ``iters`` caps its Newton steps
+    (``result.iterations`` counts them) and ``tol`` is the target relative
+    gap between the dual and primal guessing probabilities; the solver also
+    stops once t passes ``BARRIER_T_CAP``.  ``result.value`` comes from a
+    dual Y that dominates every block in exact arithmetic, so it is sound
+    whether or not the solver converged; ``result.gap`` bounds the
+    shortfall to the true supremum in bits, ``result.converged`` is
+    ``gap <= 1e-6`` and ``result.sigma`` is Y / tr Y.
     """
     if state.side_dim > SOLVER_SIDE_CAP:
         raise ValueError(f"side_dim {state.side_dim} exceeds solver cap {SOLVER_SIDE_CAP}")
@@ -152,45 +175,127 @@ def h_min_cond(state: CqState, iters: int = 500, tol: float = 1e-8) -> EntropyRe
 
 
 def _h_min_solver(state: CqState, iters: int, tol: float) -> EntropyResult:
-    rho_b = marginal_side(state)
-    basis = _support_basis(rho_b)
-    d = state.side_dim
-    blocks = basis.conj().T @ state.stack @ basis
-    n, k = blocks.shape[0], basis.shape[1]
-    eye = np.eye(k, dtype=complex)
-    povm = np.repeat(eye[None] / n, n, axis=0)
-
-    best_ub = float("inf")
-    best_y = eye.copy()
-    best_pri = 0.0
-    iterations = 0
-    for it in range(iters):
-        iterations = it + 1
-        weighted = povm @ blocks
-        y0 = _herm(_block_sum(weighted))
-        mu = float(np.linalg.eigvalsh(_herm(blocks - y0))[:, -1].max())
-        y = y0 + max(mu, 0.0) * eye
-        ub = float(np.trace(y).real)
-        pri = float(_block_sum(_traces(weighted)))
-        best_pri = max(best_pri, pri)
-        if ub < best_ub:
-            best_ub, best_y = ub, y
-        if best_ub - best_pri <= tol * max(best_ub, 1e-300):
-            break
-        g = _herm(_block_sum(blocks @ povm @ blocks))
-        g_inv_sqrt = op_power(g, -0.5)
-        povm = _herm(g_inv_sqrt @ blocks @ povm @ blocks @ g_inv_sqrt)
-
-    sigma_y = basis @ (best_y / np.trace(best_y).real) @ basis.conj().T
-    candidates = [sigma_y, rho_b, np.eye(d, dtype=complex) / d]
-    scored = [(_h_min_rel_blocks(state.stack, s), s) for s in candidates]
-    value, sigma = max(scored, key=lambda t: t[0])
-    upper = -float(np.log2(best_pri)) if best_pri > 0 else float("inf")
+    basis = _support_basis(marginal_side(state))
+    y, p_primal, steps = _guessing_barrier(basis.conj().T @ state.stack @ basis, iters, tol)
+    y = _dominating(basis @ y @ basis.conj().T, state.stack)
+    p_dual = float(np.trace(y).real)
+    value = -float(np.log2(p_dual))
+    upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
     gap = max(upper - value, 0.0)
-    return EntropyResult(value, sigma, gap <= 1e-6, gap, iterations)
+    return EntropyResult(value, y / p_dual, gap <= CONVERGED_GAP_BITS, gap, steps)
 
 
-def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-8,
+def _guessing_barrier(blocks: np.ndarray, iters: int, tol: float):
+    """Barrier method for min tr Y s.t. Y > blocks[x]; blocks are (N, k, k), sum PD.
+
+    Returns the feasible Y of least trace, the best primal guessing
+    probability and the number of Newton steps.
+    """
+    n, k = blocks.shape[0], blocks.shape[1]
+    eye = np.eye(k, dtype=complex)
+    y = (1.5 * float(np.linalg.eigvalsh(blocks)[:, -1].max()) + 1e-3) * eye
+    s = y - blocks
+    log_det = _log_det(np.linalg.cholesky(s))
+    t = n * k / float(np.trace(y).real)
+    best_dual, best_y, best_primal = float(np.trace(y).real), y, 0.0
+    last_decrement = float("inf")
+    steps = 0
+    while steps < iters:
+        steps += 1
+        s_inv = np.linalg.inv(s)
+        s_inv_sum = _herm(s_inv.sum(axis=0))
+        # Newton system sum_x S_x^-1 D S_x^-1 = s_inv_sum - t I in row-major
+        # vec form; the solution is a - t b, so raising t needs no new solve.
+        flat = s_inv.reshape(n, k * k)
+        hess = (flat.T @ flat).reshape(k, k, k, k).transpose(0, 3, 1, 2).reshape(k * k, k * k)
+        rhs = np.column_stack([s_inv_sum.ravel(), eye.ravel()])
+        a, b = np.linalg.solve(hess, rhs).T.reshape(2, k, k)
+        delta, decrement = _newton_step(a, b, s_inv_sum, t)
+        if decrement <= NEAR_CENTRED or steps == iters:
+            best_primal = max(best_primal, _primal_bound(y, s, s_inv, s_inv_sum / t, t))
+            if best_dual - best_primal <= tol * best_dual or steps == iters:
+                break
+            # Centred, or Newton no longer shrinks the decrement (rounding floor).
+            if decrement <= CENTRED or decrement > 0.25 * last_decrement:
+                if t >= BARRIER_T_CAP:
+                    break
+                t *= BARRIER_GROWTH
+                delta, decrement = _newton_step(a, b, s_inv_sum, t)
+                last_decrement = float("inf")
+            else:
+                last_decrement = decrement
+        step = _feasible_step(y, delta, blocks, t, log_det, decrement)
+        if step is None:
+            break
+        y, s, log_det = step
+        if float(np.trace(y).real) < best_dual:
+            best_dual, best_y = float(np.trace(y).real), y
+    return best_y, best_primal, steps
+
+
+def _newton_step(a, b, s_inv_sum, t):
+    """The Hermitian Newton direction a - t b and its squared decrement."""
+    delta = _herm(a - t * b)
+    return delta, float(np.vdot(s_inv_sum, delta).real) - t * float(np.trace(delta).real)
+
+
+def _log_det(chol: np.ndarray) -> float:
+    return 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
+
+
+def _feasible_step(y, delta, blocks, t, log_det, decrement):
+    """Backtrack from the full Newton step while some Y - rho_x is not PD.
+
+    A batched Cholesky is the feasibility test; a feasible step is also
+    halved (down to 1/1024) until it decreases the barrier objective by
+    a quarter of the decrement it predicts.  None when no step is feasible.
+    """
+    tr_delta = float(np.trace(delta).real)
+    alpha = 1.0
+    while alpha > 1e-12:
+        y_new = y + alpha * delta
+        s_new = y_new - blocks
+        try:
+            new_log_det = _log_det(np.linalg.cholesky(s_new))
+        except np.linalg.LinAlgError:
+            alpha *= 0.5
+            continue
+        drop = (new_log_det - log_det) - t * alpha * tr_delta
+        if drop >= 0.25 * alpha * decrement or alpha < 1e-3:
+            return y_new, s_new, new_log_det
+        alpha *= 0.5
+    return None
+
+
+def _primal_bound(y, s, s_inv, g, t) -> float:
+    """Guessing probability of the POVM G^-1/2 (S_x^-1 / t) G^-1/2, with G = sum_x S_x^-1 / t.
+
+    Written as tr Y - sum_x tr(E_x S_x), which keeps its accuracy when the
+    S_x are nearly singular; 0 when rounding has left G not PD.
+    """
+    w, v = np.linalg.eigh(g)
+    if w[0] <= 0:
+        return 0.0
+    g_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    slack = float(np.vdot(g_inv_sqrt @ s @ g_inv_sqrt, s_inv).real) / t
+    return float(np.trace(y).real) - slack
+
+
+def _dominating(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``y`` plus the least multiple of I that provably dominates every block.
+
+    The smallest eigenvalue of each y - rho_x, less the eigvalsh rounding
+    bound, must be non-negative; if it is not, y is shifted by its negation.
+    """
+    d = y.shape[0]
+    lowest = np.linalg.eigvalsh(y - stack)[:, 0]
+    rounding = ROUNDING_FACTOR * d * np.finfo(float).eps * (
+        np.linalg.norm(y) + np.linalg.norm(stack, axis=(1, 2)))
+    shift = -float((lowest - rounding).min())
+    return y + shift * np.eye(d) if shift > 0 else y
+
+
+def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-10,
             hmin: EntropyResult | None = None) -> EntropyResult:
     """Conditional collision entropy sup_sigma H_2(rho|sigma).
 
@@ -227,7 +332,7 @@ def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-8,
         prev = NEG_INF
         for it in range(iters):
             iterations += 1
-            w, v = _psd_eigh(sigma)
+            w, v = _trusted_psd_eigh(sigma)
             val = _h2_rel_blocks(blocks, total, w, v)
             if val > best_val:
                 best_val, best_sigma = val, sigma
@@ -236,7 +341,7 @@ def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-8,
             prev = val
             tau = _spectral_power(w, v, -0.5)
             phi = _herm(_block_sum(blocks @ tau @ blocks))
-            prop = op_power(phi, 2.0 / 3.0)
+            prop = _spectral_power(*_trusted_psd_eigh(phi), 2.0 / 3.0)
             tr = float(np.trace(prop).real)
             if tr <= 0:
                 break

@@ -32,6 +32,7 @@ from ..gf2 import (
     all_bit_vectors,
     build_field_family,
     build_shift_family,
+    gf2_images,
     gf2_matvec,
     gf2_rank,
     index_to_bits,
@@ -139,6 +140,12 @@ def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
     return kind, fam, s1, s2, delta
 
 
+def _source_flags(s1, s2) -> dict:
+    """The solver convergence flags of two sources; exact sources count as converged."""
+    return {"converged1": s1.flags.get("converged", True),
+            "converged2": s2.flags.get("converged", True)}
+
+
 def _flat_grid(ext, n: int, side: str, strong_in):
     """Every prefix-flat (k1, k2) pair under one side model, with its strong distance."""
     sources = [make_side_info(side, make_flat_source(n, k)) for k in range(n + 1)]
@@ -177,9 +184,7 @@ def _b1_quantum(p, rng):
             rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
         kp = _k_params(fam.n, fam.m, fam.r, s1.k, s2.k)
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} sides=({s1.model},{s2.model})",
-                   _catalog(p["bounds"], kp, delta),
-                   {"converged1": s1.flags.get("converged", True),
-                    "converged2": s2.flags.get("converged", True)})
+                   _catalog(p["bounds"], kp, delta), _source_flags(s1, s2))
 
 
 @_check("b8-weak-quantum", count=50, n_max=4)
@@ -188,8 +193,8 @@ def _b8_weak(p, rng):
     for _ in range(p["count"]):
         kind, fam, s1, s2, delta = _random_deor_output(rng, 3, p["n_max"], 2, None)
         kp = _k_params(fam.n, fam.m, fam.r, s1.k, s2.k)
-        # No convergence flags yet: adding them changes the report bytes.
-        yield Case(kp, f"{kind} n={fam.n} m={fam.m} weak", _catalog(("B8",), kp, delta))
+        yield Case(kp, f"{kind} n={fam.n} m={fam.m} weak", _catalog(("B8",), kp, delta),
+                   _source_flags(s1, s2))
 
 
 @_check("b2-markov", count=40, n_min=2, n_max=4, bounds=("B2", "B5", "B10", "B11"))
@@ -309,9 +314,15 @@ def _pgm_commutation(p, rng):
 @_check("hmin-linear-drop", exhaustive_n=3, random_ns=(4, 5, 6), per_n=25)
 def _hmin_linear_drop(p, rng):
     """Entropy decrease under GF(2) maps bounded by the rank deficiency."""
-    def case(state, base, mat, label):
+    def case(state, memo, base, mat, label):
         n = mat.shape[0]
-        lifted = h_min_cond(apply_classical_function(state, lambda x: gf2_matvec(mat, x)))
+        # Maps with one kernel merge the inputs into the same cosets, so their
+        # lifted stacks hold bitwise-equal blocks in another order and one
+        # certificate serves them all: ``memo`` holds one solve per kernel.
+        kernel = np.flatnonzero(gf2_images(mat) == 0).tobytes()
+        if kernel not in memo:
+            memo[kernel] = h_min_cond(apply_classical_function(state, lambda x: gf2_matvec(mat, x)))
+        lifted = memo[kernel]
         r = n - gf2_rank(mat)
         return Case(_k_params(n, 1, min(r, n - 1), base.value, lifted.value),
                     f"linear-drop {label} n={n} r={r}",
@@ -324,15 +335,17 @@ def _hmin_linear_drop(p, rng):
         classical_state(make_flat_source(n, n - 1, "random", seed=int(rng.integers(2 ** 31)))),
     ]
     bases = [h_min_cond(s) for s in states]
+    memos = [{}, {}]
     for mat_idx in range(1 << (n * n)):
         mat = np.array(index_to_bits(mat_idx, n * n), dtype=np.uint8).reshape(n, n)
-        yield case(states[mat_idx % 2], bases[mat_idx % 2], mat, "exhaustive")
+        i = mat_idx % 2
+        yield case(states[i], memos[i], bases[i], mat, "exhaustive")
     for n in p["random_ns"]:
         state = _random_cq(n, int(rng.integers(1, 4)), rng, min_support=2)
-        base = h_min_cond(state)
+        base, memo = h_min_cond(state), {}
         for _ in range(p["per_n"]):
             mat = np.array(rng.integers(0, 2, size=(n, n)), dtype=np.uint8)
-            yield case(state, base, mat, "random")
+            yield case(state, memo, base, mat, "random")
 
 
 @_check("hmin-le-h2", count=500)

@@ -71,6 +71,11 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
     if unknown:
         raise ValueError(f"{model} side information takes no param(s) {unknown}; "
                          f"accepted: {list(SIDE_PARAMS[model])}")
+    for key, value in params.items():
+        default = SIDE_PARAMS[model][key]
+        if type(value) is not type(default):
+            raise ValueError(f"{model} side information: {key} must be of type "
+                             f"{type(default).__name__}, got {value!r}")
     params = {**SIDE_PARAMS[model], **params}
 
     if model == "trivial":
@@ -90,7 +95,7 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
         return SourceWithSide(state, res.value, model, {"certified": "exact"})
 
     if model == "bb84":
-        bits = int(params["bits"])
+        bits = params["bits"]
         if not 1 <= bits <= 2:
             raise ValueError("bb84 model encodes 1 or 2 leading bits")
         conds = {}
@@ -107,7 +112,7 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
                                "gap": res.gap})
 
     if model == "random_pure":
-        dim = int(params["dim"])
+        dim = params["dim"]
         if not 2 <= dim <= 4:
             raise ValueError("random_pure side dimension must be 2..4")
         rng = np.random.default_rng(seed)

@@ -148,17 +148,29 @@ def run_suite(config: dict, seed: int = 0, jobs: int = 1) -> SuiteResult:
 
 
 def _summarize(reports) -> dict:
+    """Row counts and worst ratios.
+
+    ``n_solver_rows`` counts rows carrying a solver convergence flag
+    (``converged``, ``converged1``, ``converged2``) and ``n_unconverged``
+    those with any such flag false.
+    """
     ratios: dict[str, float] = {}
-    failed = 0
+    failed = solved = unconverged = 0
     for r in reports:
         if not r.passed:
             failed += 1
         if r.bound_epsilon > 0:
             ratio = r.measured_delta / r.bound_epsilon
             ratios[r.bound_id] = max(ratios.get(r.bound_id, 0.0), ratio)
+        flags = [v for k, v in r.flags.items() if k.startswith("converged")]
+        if flags:
+            solved += 1
+            unconverged += not all(flags)
     return {
         "n_reports": len(reports),
         "n_failed": failed,
+        "n_solver_rows": solved,
+        "n_unconverged": unconverged,
         "max_ratio_by_bound": {k: ratios[k] for k in sorted(ratios)},
     }
 

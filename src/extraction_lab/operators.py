@@ -78,7 +78,19 @@ def eigh(h):
 
 def _psd_eigh(h):
     """Eigendecomposition of an operator that must be positive semidefinite."""
-    w, v = eigh(h)
+    return _checked_psd(*eigh(h))
+
+
+def _trusted_psd_eigh(h: np.ndarray):
+    """_psd_eigh for a Hermitian complex operator the package built itself.
+
+    Solver loops call this on their own iterates: it skips the finiteness
+    and Hermiticity checks of :func:`eigh` and keeps the PSD check.
+    """
+    return _checked_psd(*np.linalg.eigh(h))
+
+
+def _checked_psd(w: np.ndarray, v: np.ndarray):
     if _not_psd(w):
         raise ValueError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
     return w, v

@@ -72,6 +72,14 @@ def test_entropy_markov_scenario(tmp_path, capsys):
     {"markov": {"n": 2, "classical": "false"}},
     {"markov": {"n": 2}, "seed": 3},
     [2, 2],
+    {"n": 2.9, "k": 2, "seed": "5"},
+    {"n": 3, "k": 2.0},
+    {"n": 3, "k": 2, "seed": True},
+    {"markov": {"n": 2, "blocks": 2.5}},
+    {"dist": {"0": 0.5, "11": 0.5}},
+    {"dist": {"00": "0.5", "11": 0.5}},
+    {"n": 2, "k": 2, "side_info": {"model": "bb84", "bits": 1.7}},
+    {"n": 2, "k": 2, "side_info": {"model": "random_pure", "dim": "3"}},
 ])
 def test_entropy_malformed_scenario_exits_2(tmp_path, capsys, scenario):
     scen = tmp_path / "scen.json"
@@ -139,8 +147,9 @@ def test_verify_prints_unconverged_rows(tmp_path, capsys):
     ]}))
     assert main(["verify", "--suite", str(cfg), "--seed", "5",
                  "--out", str(tmp_path / "o")]) == 0
-    rows = json.loads((tmp_path / "o" / "report.json").read_text())["reports"]
-    solved = [r["flags"] for r in rows if "converged1" in r["flags"]]
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    solved = [r["flags"] for r in doc["reports"] if "converged1" in r["flags"]]
     bad = sum(not (f["converged1"] and f["converged2"]) for f in solved)
     assert len(solved) == 24
+    assert (doc["summary"]["n_solver_rows"], doc["summary"]["n_unconverged"]) == (24, bad)
     assert f"unconverged rows: {bad}/24" in capsys.readouterr().out.splitlines()

@@ -1,11 +1,14 @@
-"""Oracles for the batched entropy solvers.
+"""Oracles for the entropy solvers.
 
-The reference functions below are the per-block loops that the batched
-``_h_min_solver`` and ``h2_cond`` replaced, kept verbatim as the exact
-oracle: the batched solvers must reproduce them bit for bit (same value,
-gap, iteration count, convergence flag and sigma bytes), because the
-report bytes rest on them.  A Helstrom closed form checks two-symbol
-states independently of either implementation.
+``_ref_h_min_solver`` is the measurement fixed point (Jezek, Rehacek,
+Fiurasek, PRA 65, 060301, 2002) that the barrier-method ``_h_min_solver``
+replaced, kept verbatim.  Both return achieved values, so the new value
+must lie in [old value - new gap, -log2(old primal)].  ``_ref_h2_cond`` is
+the per-block loop the batched ``h2_cond`` replaced; given the same
+``hmin=`` result the two must agree bit for bit.  Closed forms check the
+min-entropy solver independently of either implementation: the Helstrom
+bound for two symbols and the pretty-good-measurement value for
+geometrically uniform pure states.
 """
 
 import numpy as np
@@ -117,8 +120,11 @@ def _ref_h_min_solver(state, iters, tol):
     return EntropyResult(value, sigma, gap <= 1e-6, gap, iterations)
 
 
-def _ref_h2_cond(state, iters=500, tol=1e-8):
-    """Solver path of h2_cond (the caller excludes classical states)."""
+def _ref_h2_cond(state, hmin, iters=500):
+    """Solver path of h2_cond (the caller excludes classical states).
+
+    Verbatim but for taking the min-entropy result as ``hmin``.
+    """
     rho_b = marginal_side(state)
     basis = _support_basis(rho_b)
     k = basis.shape[1]
@@ -127,7 +133,6 @@ def _ref_h2_cond(state, iters=500, tol=1e-8):
         blocks={s: basis.conj().T @ state.blocks[s] @ basis for s in state.symbols()},
     )
     proj_rho_b = marginal_side(proj_state)
-    hmin = _ref_h_min_solver(state, iters, tol)
     starts = [
         proj_rho_b / np.trace(proj_rho_b).real,
         np.eye(k, dtype=complex) / k,
@@ -219,7 +224,10 @@ def assert_same_result(new, ref, label):
     assert new.sigma.tobytes() == ref.sigma.tobytes(), label
 
 
-# -- exact-equality oracle -----------------------------------------------------
+# -- oracles --------------------------------------------------------------------
+
+ROUNDING_BITS = 1e-12     # rounding of the two logs when both solvers are exact
+
 
 def test_oracle_states_cover_the_grid():
     states = oracle_states(100, seed=11)
@@ -231,26 +239,42 @@ def test_oracle_states_cover_the_grid():
     assert any(r < s.side_dim for r, s in zip(ranks, states))
 
 
-def test_batched_h_min_solver_matches_per_block_loop():
+def _dominated_by(res, state):
+    """Smallest eigenvalue over x of Y - rho_x, with Y = 2^-value sigma the solver's dual."""
+    y = res.sigma * 2.0 ** -res.value
+    return float(np.linalg.eigvalsh(y - state.stack)[:, 0].min())
+
+
+def test_barrier_h_min_solver_brackets_fixed_point():
     for i, state in enumerate(oracle_states(100, seed=11)):
-        assert_same_result(_h_min_solver(state, 500, 1e-8),
-                           _ref_h_min_solver(state, 500, 1e-8), f"state {i}")
+        new = _h_min_solver(state, 500, 1e-10)
+        old = _ref_h_min_solver(state, 500, 1e-8)
+        assert new.converged and new.iterations < 500, f"state {i}"
+        assert old.value - new.gap - ROUNDING_BITS <= new.value, f"state {i}"
+        assert new.value <= old.value + old.gap + ROUNDING_BITS, f"state {i}"
 
 
-def test_batched_h_min_solver_matches_unconverged():
-    results = []
+def test_barrier_dual_dominates_every_block():
+    for i, state in enumerate(oracle_states(100, seed=11)):
+        assert _dominated_by(_h_min_solver(state, 500, 1e-10), state) >= 0.0, f"state {i}"
+
+
+def test_barrier_h_min_solver_unconverged_is_sound():
     for i, state in enumerate(oracle_states(24, seed=12)):
-        new = _h_min_solver(state, 5, 1e-8)
-        assert_same_result(new, _ref_h_min_solver(state, 5, 1e-8), f"state {i}")
-        results.append(new)
-    assert any(r.iterations == 5 and not r.converged for r in results)
+        capped = _h_min_solver(state, 5, 1e-10)
+        full = _h_min_solver(state, 500, 1e-10)
+        assert capped.iterations == 5 and not capped.converged, f"state {i}"
+        assert capped.value <= full.value + full.gap + ROUNDING_BITS, f"state {i}"
+        assert _dominated_by(capped, state) >= 0.0, f"state {i}"
 
 
 def test_batched_h2_cond_matches_per_block_loop():
     for i, state in enumerate(oracle_states(32, seed=13)):
-        assert_same_result(h2_cond(state), _ref_h2_cond(state), f"state {i}")
+        hmin = h_min_cond(state)
+        assert_same_result(h2_cond(state, hmin=hmin), _ref_h2_cond(state, hmin), f"state {i}")
     for i, state in enumerate(oracle_states(8, seed=14)):
-        assert_same_result(h2_cond(state, iters=5), _ref_h2_cond(state, iters=5),
+        hmin = h_min_cond(state, iters=5)
+        assert_same_result(h2_cond(state, iters=5, hmin=hmin), _ref_h2_cond(state, hmin, iters=5),
                            f"state {i}, iters=5")
 
 
@@ -267,3 +291,27 @@ def test_h_min_cond_two_symbols_brackets_helstrom(seed, dim, p0, pure):
     helstrom = -np.log2(0.5 * (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum()))
     res = h_min_cond(state)
     assert res.value - 1e-9 <= helstrom <= res.value + res.gap + 1e-9
+
+
+# -- geometrically uniform pure states ---------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), n_states=st.integers(2, 16))
+def test_h_min_cond_geometrically_uniform_states(seed, dim, n_states):
+    """psi_j = U^j psi_0 with U^N = I, equiprobable: the PGM is optimal and
+    p_guess = (sum_k sqrt(lambda_k(G)))^2 / N^2 for the Gram matrix G
+    (Eldar and Forney, IEEE TIT 47(3), 2001)."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    phases = np.exp(2j * np.pi * rng.integers(0, n_states, size=dim) / n_states)
+    kets = np.array([phases ** j * psi for j in range(n_states)])
+    lam = np.linalg.eigvalsh(kets.conj() @ kets.T)
+    live = lam > 1e-12 * lam[-1]        # rank(G) <= dim; sqrt would amplify rounding
+    exact = -np.log2(np.sqrt(lam[live]).sum() ** 2 / n_states ** 2)
+    syms = [index_to_bits(j, 4) for j in range(n_states)]
+    state = build_cq({s: 1.0 / n_states for s in syms},
+                     {s: np.outer(k, k.conj()) for s, k in zip(syms, kets)})
+    res = h_min_cond(state)
+    assert res.converged
+    assert res.value - 1e-9 <= exact <= res.value + res.gap + 1e-9

@@ -7,13 +7,16 @@ import pytest
 
 from extraction_lab.entropies import h_min_cond
 from extraction_lab.harness import load_config, run_check, run_suite, write_reports
+from extraction_lab.gf2 import gf2_images, gf2_matvec, index_to_bits
+from extraction_lab.harness import checks
 from extraction_lab.harness.checks import CHECK_IDS, CHECKS, resolve_params
 from extraction_lab.harness.scenarios import (
+    _random_cq,
     make_flat_source,
     make_markov_scenario,
     make_side_info,
 )
-from extraction_lab.harness.suite import render_csv, render_json
+from extraction_lab.harness.suite import _summarize, render_csv, render_json
 from extraction_lab.cq_states import markov_block_state, apply_classical_function
 
 
@@ -250,10 +253,56 @@ def test_check_ids_registry():
     assert len(CHECK_IDS) == 14
 
 
+def test_maps_with_one_kernel_lift_to_the_same_blocks():
+    # The premise of the hmin-linear-drop memo: every 3x3 GF(2) matrix with
+    # a given kernel lifts a state to bitwise-equal blocks in another order.
+    state = _random_cq(3, 2, np.random.default_rng(4), min_support=8)
+    by_kernel: dict = {}
+    for idx in range(1 << 9):
+        mat = np.array(index_to_bits(idx, 9), dtype=np.uint8).reshape(3, 3)
+        lifted = apply_classical_function(state, lambda x: gf2_matvec(mat, x))
+        blocks = sorted(block.tobytes() for block in lifted.stack)
+        kernel = np.flatnonzero(gf2_images(mat) == 0).tobytes()
+        assert by_kernel.setdefault(kernel, blocks) == blocks
+    assert len(by_kernel) == 16
+
+
+def test_hmin_linear_drop_solves_once_per_kernel(monkeypatch):
+    solved = []
+
+    def counting(state, *args, **kwargs):
+        solved.append(state)
+        return h_min_cond(state, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "h_min_cond", counting)
+    reports = run_check("hmin-linear-drop",
+                        {"params": {"exhaustive_n": 3, "random_ns": [4], "per_n": 6}, "seed": 2})
+    assert len(reports) == 512 + 6 and all(r.passed for r in reports)
+    # two exhaustive bases with at most 16 kernels each, one random base and its maps
+    assert len(solved) <= 2 + 2 * 16 + 1 + 6
+
+
+def test_weak_quantum_rows_carry_source_flags():
+    reports = run_check("b8-weak-quantum", {"params": {"count": 4}, "seed": 9})
+    assert all(set(r.flags) == {"converged1", "converged2"} for r in reports)
+
+
+def test_summary_counts_unconverged_rows():
+    def report(flags):
+        return checks.BoundReport("c", "B1", {}, 0.0, 1.0, True, 0.0, "s", flags)
+
+    rows = [report({}), report({"converged": True}), report({"converged": False}),
+            report({"converged1": True, "converged2": False}), report({"criterion_tol": 1e-10})]
+    summary = _summarize(rows)
+    assert (summary["n_solver_rows"], summary["n_unconverged"]) == (3, 2)
+
+
 # Every extractor-output path of the harness on one small config: the flat
 # grids (strong x1 and x2), ip-classical, the weak output of b8-weak-quantum,
 # the joint output of b2-markov, and hmin-le-h2 for h2_cond.  The digest was
-# taken with the per-pair output-state builders, before the output tables.
+# taken with the per-pair output-state builders, before the output tables,
+# and re-taken when the barrier-method h_min_cond replaced the fixed point
+# and b8-weak-quantum rows gained convergence flags.
 OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b1-exhaustive-flat",
      "params": {"ns": [3, 4], "ms": [1, 2], "families": ["field", "shift"],
@@ -266,7 +315,7 @@ OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 8, "n_max": 3}},
     {"id": "hmin-le-h2", "params": {"count": 20}},
 ]}
-OUTPUT_PATHS_DIGEST = "f49357afd3cc99b4ae1841b801feffcff131c3b21e62bda2be7bbe0d39ee4212"
+OUTPUT_PATHS_DIGEST = "91c7ebaded24a81c11f924bf8447ff9fbc5013c7adc41ee2c97d8b4a97fcffa7"
 
 
 def test_output_paths_report_digest(tmp_path):
@@ -280,7 +329,7 @@ def test_output_paths_report_digest(tmp_path):
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
-PAPER_TABLE_1_DIGEST = "273b8b04699df9df70470e7db2f1d1fe2264d50e9a9a498849abdf65ffe0c66d"
+PAPER_TABLE_1_DIGEST = "3eeb6843da4049cd9ca7a98f958a47287d89e3e7832b565e640509bd84bf0ff6"
 
 
 def test_paper_table_1_report_digest():
