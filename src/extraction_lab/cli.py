@@ -154,7 +154,7 @@ def _cmd_entropy(args) -> int:
     side = dict(side)
     model = side.pop("model", "trivial")
     source = make_side_info(model, dist, seed=seed, **side)
-    hmin = h_min_cond(source.state)
+    hmin = source.hmin
     h2 = h2_cond(source.state, hmin=hmin)
     out = {
         "model": model,

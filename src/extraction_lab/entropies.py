@@ -12,7 +12,11 @@ h_min_cond = -log2 p_guess (Koenig, Renner, Schaffner, IEEE TIT 55(9),
 2009).  A log-barrier interior-point method minimises
 t tr Y - sum_x log det(Y - rho_x) on the blocks projected onto the support
 of rho_B, one batched Newton step at a time, multiplying t by 8 whenever
-the iterate is centred.  The value comes from the dual Y, made rigorous in
+the iterate is centred.  It starts at the pretty-good measurement: Y at
+that measurement's Lagrange operator sum_x rho_x E_x, shifted to dominate
+every block strictly, and t where the barrier's duality gap equals the
+start's measured gap, so few steps are spent far from the optimum.  The
+value comes from the dual Y, made rigorous in
 floating point: lambda_min(Y - rho_x) minus a rounding bound for eigvalsh
 must be non-negative for every block, else Y is shifted by that much
 times the identity.  The barrier's measurements S_x^{-1}/t, renormalised
@@ -188,20 +192,22 @@ def _h_min_solver(state: CqState, iters: int, tol: float) -> EntropyResult:
 def _guessing_barrier(blocks: np.ndarray, iters: int, tol: float):
     """Barrier method for min tr Y s.t. Y > blocks[x]; blocks are (N, k, k), sum PD.
 
-    Returns the feasible Y of least trace, the best primal guessing
-    probability and the number of Newton steps.
+    Starts at ``_pgm_start``; after each increase of t the line search
+    starts at 1 / BARRIER_GROWTH of the Newton step.  Returns the feasible
+    Y of least trace, the best primal guessing probability and the number
+    of Newton steps.
     """
     n, k = blocks.shape[0], blocks.shape[1]
     eye = np.eye(k, dtype=complex)
-    y = (1.5 * float(np.linalg.eigvalsh(blocks)[:, -1].max()) + 1e-3) * eye
+    y, t = _pgm_start(blocks)
     s = y - blocks
     log_det = _log_det(np.linalg.cholesky(s))
-    t = n * k / float(np.trace(y).real)
     best_dual, best_y, best_primal = float(np.trace(y).real), y, 0.0
     last_decrement = float("inf")
     steps = 0
     while steps < iters:
         steps += 1
+        alpha = 1.0
         s_inv = np.linalg.inv(s)
         s_inv_sum = _herm(s_inv.sum(axis=0))
         # Newton system sum_x S_x^-1 D S_x^-1 = s_inv_sum - t I in row-major
@@ -222,15 +228,39 @@ def _guessing_barrier(blocks: np.ndarray, iters: int, tol: float):
                 t *= BARRIER_GROWTH
                 delta, decrement = _newton_step(a, b, s_inv_sum, t)
                 last_decrement = float("inf")
+                # At a centred point of the scalar problem the boundary lies
+                # at alpha = 1 / (BARRIER_GROWTH - 1), so longer steps fail.
+                alpha = 1.0 / BARRIER_GROWTH
             else:
                 last_decrement = decrement
-        step = _feasible_step(y, delta, blocks, t, log_det, decrement)
+        step = _feasible_step(y, delta, blocks, t, log_det, decrement, alpha)
         if step is None:
             break
         y, s, log_det = step
         if float(np.trace(y).real) < best_dual:
             best_dual, best_y = float(np.trace(y).real), y
     return best_y, best_primal, steps
+
+
+def _pgm_start(blocks: np.ndarray):
+    """Barrier start (Y0, t0) from the pretty-good measurement.
+
+    E_x = rho^-1/2 rho_x rho^-1/2 (Hausladen and Wootters, J. Mod. Opt. 41,
+    1994) guesses with p_pgm >= p_guess^2 (Barnum and Knill, J. Math. Phys.
+    43, 2002).  Its Lagrange operator L = sum_x rho_x E_x is the optimal Y
+    when E is optimal (Holevo; Yuen, Kennedy and Lax); Y0 is L shifted to
+    dominate every block strictly, and t0 makes the barrier's duality gap
+    N k / t0 equal the measured gap tr Y0 - p_pgm.
+    """
+    n, k = blocks.shape[0], blocks.shape[1]
+    inv_sqrt = _spectral_power(*np.linalg.eigh(_block_sum(blocks)), -0.5)
+    pgm = inv_sqrt @ blocks @ inv_sqrt
+    p_pgm = float(_block_sum(_traces(pgm @ blocks)))
+    lagrange = _herm(_block_sum(blocks @ pgm))
+    shift = max(0.0, float(np.linalg.eigvalsh(blocks - lagrange)[:, -1].max()))
+    slack = max(float(np.trace(lagrange).real) + k * shift - p_pgm, 1e-12 * p_pgm)
+    y = lagrange + (shift + slack / k) * np.eye(k)
+    return y, n * k / (float(np.trace(y).real) - p_pgm)
 
 
 def _newton_step(a, b, s_inv_sum, t):
@@ -243,15 +273,14 @@ def _log_det(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
 
 
-def _feasible_step(y, delta, blocks, t, log_det, decrement):
-    """Backtrack from the full Newton step while some Y - rho_x is not PD.
+def _feasible_step(y, delta, blocks, t, log_det, decrement, alpha):
+    """Backtrack from the Newton step ``alpha * delta`` while some Y - rho_x is not PD.
 
     A batched Cholesky is the feasibility test; a feasible step is also
     halved (down to 1/1024) until it decreases the barrier objective by
     a quarter of the decrement it predicts.  None when no step is feasible.
     """
     tr_delta = float(np.trace(delta).real)
-    alpha = 1.0
     while alpha > 1e-12:
         y_new = y + alpha * delta
         s_new = y_new - blocks

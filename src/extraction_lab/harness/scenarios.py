@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cq_states import CqState, MarkovScenario, build_cq, classical_state
-from ..entropies import h_min_classical, h_min_cond
+from ..entropies import EntropyResult, h_min_classical, h_min_cond
 from ..gf2 import index_to_bits
 from ..operators import random_density, random_pure_state
 
@@ -44,12 +44,20 @@ def make_flat_source(n: int, k: int, support_rule: str = "prefix",
 
 @dataclass(frozen=True)
 class SourceWithSide:
-    """A source together with its side information and certified entropy."""
+    """A source together with its side information and certified entropy.
+
+    ``hmin`` is the ``h_min_cond`` result of ``state``, kept so that no
+    caller solves it again; its value is the certified entropy ``k``.
+    """
 
     state: CqState
-    k: float
     model: str
     flags: dict
+    hmin: EntropyResult
+
+    @property
+    def k(self) -> float:
+        return self.hmin.value
 
 
 def _leak_function(name: str, n: int):
@@ -79,8 +87,9 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
     params = {**SIDE_PARAMS[model], **params}
 
     if model == "trivial":
-        state = classical_state(dist)
-        return SourceWithSide(state, h_min_classical(dist), model, {"certified": "exact"})
+        # h_min_cond's closed form for a one-dimensional side register, without its checks.
+        hmin = EntropyResult(h_min_classical(dist), np.ones((1, 1), dtype=complex), True, 0.0, 0)
+        return SourceWithSide(classical_state(dist), model, {"certified": "exact"}, hmin)
 
     if model == "classical_leak":
         leak, dim = _leak_function(params["leak"], len(next(iter(dist))))
@@ -92,7 +101,7 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
             conds[sym] = c
         state = build_cq(dist, conds, side_dim=dim)
         res = h_min_cond(state)
-        return SourceWithSide(state, res.value, model, {"certified": "exact"})
+        return SourceWithSide(state, model, {"certified": "exact"}, res)
 
     if model == "bb84":
         bits = params["bits"]
@@ -107,9 +116,8 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
             conds[sym] = c
         state = build_cq(dist, conds, side_dim=2 ** bits)
         res = h_min_cond(state)
-        return SourceWithSide(state, res.value, model,
-                              {"certified": "solver", "converged": res.converged,
-                               "gap": res.gap})
+        return SourceWithSide(state, model, {"certified": "solver", "converged": res.converged,
+                                             "gap": res.gap}, res)
 
     if model == "random_pure":
         dim = params["dim"]
@@ -119,9 +127,8 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
         conds = {sym: random_pure_state(dim, rng) for sym in sorted(dist)}
         state = build_cq(dist, conds, side_dim=dim)
         res = h_min_cond(state)
-        return SourceWithSide(state, res.value, model,
-                              {"certified": "solver", "converged": res.converged,
-                               "gap": res.gap})
+        return SourceWithSide(state, model, {"certified": "solver", "converged": res.converged,
+                                             "gap": res.gap}, res)
 
 
 def _random_distribution(n: int, rng: np.random.Generator, min_support: int = 1) -> dict:

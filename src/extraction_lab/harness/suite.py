@@ -122,6 +122,8 @@ class SuiteResult:
 
 
 def run_suite(config: dict, seed: int = 0, jobs: int = 1) -> SuiteResult:
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     entries = config["checks"]
 
     def run_entry(pos_entry):

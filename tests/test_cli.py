@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from extraction_lab import entropies
 from extraction_lab.cli import main
 from extraction_lab.gf2 import read_family
 
@@ -89,6 +90,19 @@ def test_entropy_malformed_scenario_exits_2(tmp_path, capsys, scenario):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_entropy_solves_the_source_once(tmp_path, capsys, monkeypatch):
+    runs = []
+    solver = entropies._h_min_solver
+    monkeypatch.setattr(entropies, "_h_min_solver",
+                        lambda *args: runs.append(args) or solver(*args))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"n": 3, "k": 2, "side_info": {"model": "bb84", "bits": 2}}))
+    assert main(["entropy", "--state", str(scen)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(runs) == 1
+    assert out["h_min_cond"] == out["certified_k"] and out["h_min_converged"]
+
+
 def test_entropy_bad_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{не json")
@@ -136,6 +150,14 @@ def test_verify_malformed_config_exits_2(tmp_path, capsys, config):
     assert main(["verify", "--suite", str(cfg), "--seed", "0",
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_verify_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    assert main(["verify", "--suite", "quick", "--seed", "0", "--jobs", jobs,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: jobs must be an integer >= 1")
     assert not (tmp_path / "o").exists()
 
 

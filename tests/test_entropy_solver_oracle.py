@@ -3,7 +3,11 @@
 ``_ref_h_min_solver`` is the measurement fixed point (Jezek, Rehacek,
 Fiurasek, PRA 65, 060301, 2002) that the barrier-method ``_h_min_solver``
 replaced, kept verbatim.  Both return achieved values, so the new value
-must lie in [old value - new gap, -log2(old primal)].  ``_ref_h2_cond`` is
+must lie in [old value - new gap, -log2(old primal)].
+``_ref_cold_barrier`` is the barrier as it was before it started at the
+pretty-good measurement: from Y = (1.5 max lambda_max + 1e-3) I, with every
+line search from the full Newton step; the same bracket holds between the
+two starts.  ``_ref_h2_cond`` is
 the per-block loop the batched ``h2_cond`` replaced; given the same
 ``hmin=`` result the two must agree bit for bit.  Closed forms check the
 min-entropy solver independently of either implementation: the Helstrom
@@ -16,11 +20,21 @@ from hypothesis import given, settings, strategies as st
 
 from extraction_lab.cq_states import CqState, build_cq, marginal_side
 from extraction_lab.entropies import (
+    BARRIER_GROWTH,
+    BARRIER_T_CAP,
+    CENTRED,
+    CONVERGED_GAP_BITS,
     KERNEL_LEAK_ATOL,
+    NEAR_CENTRED,
     NEG_INF,
     EntropyResult,
+    _dominating,
     _h_min_solver,
     _is_classical,
+    _log_det,
+    _newton_step,
+    _pgm_start,
+    _primal_bound,
     _support_basis,
     h2_cond,
     h_min_cond,
@@ -118,6 +132,80 @@ def _ref_h_min_solver(state, iters, tol):
     upper = -float(np.log2(best_pri)) if best_pri > 0 else float("inf")
     gap = max(upper - value, 0.0)
     return EntropyResult(value, sigma, gap <= 1e-6, gap, iterations)
+
+
+def _ref_cold_barrier(blocks, iters, tol):
+    """The barrier's cold start and full-step line search, verbatim but for names."""
+    n, k = blocks.shape[0], blocks.shape[1]
+    eye = np.eye(k, dtype=complex)
+    y = (1.5 * float(np.linalg.eigvalsh(blocks)[:, -1].max()) + 1e-3) * eye
+    s = y - blocks
+    log_det = _log_det(np.linalg.cholesky(s))
+    t = n * k / float(np.trace(y).real)
+    best_dual, best_y, best_primal = float(np.trace(y).real), y, 0.0
+    last_decrement = float("inf")
+    steps = 0
+    while steps < iters:
+        steps += 1
+        s_inv = np.linalg.inv(s)
+        s_inv_sum = _herm(s_inv.sum(axis=0))
+        # Newton system sum_x S_x^-1 D S_x^-1 = s_inv_sum - t I in row-major
+        # vec form; the solution is a - t b, so raising t needs no new solve.
+        flat = s_inv.reshape(n, k * k)
+        hess = (flat.T @ flat).reshape(k, k, k, k).transpose(0, 3, 1, 2).reshape(k * k, k * k)
+        rhs = np.column_stack([s_inv_sum.ravel(), eye.ravel()])
+        a, b = np.linalg.solve(hess, rhs).T.reshape(2, k, k)
+        delta, decrement = _newton_step(a, b, s_inv_sum, t)
+        if decrement <= NEAR_CENTRED or steps == iters:
+            best_primal = max(best_primal, _primal_bound(y, s, s_inv, s_inv_sum / t, t))
+            if best_dual - best_primal <= tol * best_dual or steps == iters:
+                break
+            # Centred, or Newton no longer shrinks the decrement (rounding floor).
+            if decrement <= CENTRED or decrement > 0.25 * last_decrement:
+                if t >= BARRIER_T_CAP:
+                    break
+                t *= BARRIER_GROWTH
+                delta, decrement = _newton_step(a, b, s_inv_sum, t)
+                last_decrement = float("inf")
+            else:
+                last_decrement = decrement
+        step = _ref_feasible_step(y, delta, blocks, t, log_det, decrement)
+        if step is None:
+            break
+        y, s, log_det = step
+        if float(np.trace(y).real) < best_dual:
+            best_dual, best_y = float(np.trace(y).real), y
+    return best_y, best_primal, steps
+
+
+def _ref_feasible_step(y, delta, blocks, t, log_det, decrement):
+    tr_delta = float(np.trace(delta).real)
+    alpha = 1.0
+    while alpha > 1e-12:
+        y_new = y + alpha * delta
+        s_new = y_new - blocks
+        try:
+            new_log_det = _log_det(np.linalg.cholesky(s_new))
+        except np.linalg.LinAlgError:
+            alpha *= 0.5
+            continue
+        drop = (new_log_det - log_det) - t * alpha * tr_delta
+        if drop >= 0.25 * alpha * decrement or alpha < 1e-3:
+            return y_new, s_new, new_log_det
+        alpha *= 0.5
+    return None
+
+
+def _ref_cold_h_min_solver(state, iters, tol):
+    """``_h_min_solver`` around ``_ref_cold_barrier``."""
+    basis = _support_basis(marginal_side(state))
+    y, p_primal, steps = _ref_cold_barrier(basis.conj().T @ state.stack @ basis, iters, tol)
+    y = _dominating(basis @ y @ basis.conj().T, state.stack)
+    p_dual = float(np.trace(y).real)
+    value = -float(np.log2(p_dual))
+    upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
+    gap = max(upper - value, 0.0)
+    return EntropyResult(value, y / p_dual, gap <= CONVERGED_GAP_BITS, gap, steps)
 
 
 def _ref_h2_cond(state, hmin, iters=500):
@@ -268,6 +356,65 @@ def test_barrier_h_min_solver_unconverged_is_sound():
         assert _dominated_by(capped, state) >= 0.0, f"state {i}"
 
 
+def test_warm_start_brackets_cold_start():
+    warm_steps = cold_steps = 0
+    for i, state in enumerate(oracle_states(100, seed=11)):
+        warm = _h_min_solver(state, 500, 1e-10)
+        cold = _ref_cold_h_min_solver(state, 500, 1e-10)
+        assert warm.converged and cold.converged, f"state {i}"
+        assert cold.value - warm.gap - ROUNDING_BITS <= warm.value, f"state {i}"
+        assert warm.value <= cold.value + cold.gap + ROUNDING_BITS, f"state {i}"
+        warm_steps += warm.iterations
+        cold_steps += cold.iterations
+    assert warm_steps < cold_steps
+
+
+def _assert_start_dominates(state, label):
+    """Y0 - rho_x passes the barrier's Cholesky test for every block; returns N k / t0."""
+    basis = _support_basis(marginal_side(state))
+    blocks = basis.conj().T @ state.stack @ basis
+    y0, t0 = _pgm_start(blocks)
+    assert t0 > 0, label
+    np.linalg.cholesky(y0 - blocks)
+    return blocks.shape[0] * blocks.shape[1] / t0
+
+
+def test_pgm_start_dominates_oracle_blocks():
+    for i, state in enumerate(oracle_states(100, seed=11)):
+        _assert_start_dominates(state, f"state {i}")
+
+
+def _rotation(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(g)[0]
+
+
+def _edge_cases(rng):
+    """(label, state, exact p_guess) for starts where the PGM is exact or degenerate."""
+    syms = [index_to_bits(j, 2) for j in range(4)]
+    priors = np.array([0.1, 0.2, 0.3, 0.4])
+    dist = dict(zip(syms, priors.tolist()))
+    yield "single symbol", build_cq({syms[0]: 1.0}, {syms[0]: random_density(3, rng)}), 1.0
+    rot = _rotation(4, rng)
+    for count in (3, 4):
+        kets = {s: np.outer(rot[:, j], rot[:, j].conj()) for j, s in enumerate(syms[:count])}
+        part = {s: dist[s] / priors[:count].sum() for s in syms[:count]}
+        yield f"{count} orthogonal pure states", build_cq(part, kets), 1.0
+    sigma = random_density(3, rng)
+    yield "identical blocks", build_cq(dist, {s: sigma for s in syms}), priors.max()
+    psi = random_pure_state(3, rng)
+    yield "one pure state", build_cq(dist, {s: psi for s in syms}), priors.max()
+
+
+def test_pgm_start_edge_cases_are_exact():
+    for label, state, p_exact in _edge_cases(np.random.default_rng(5)):
+        assert not _is_classical(state), label
+        _assert_start_dominates(state, label)
+        res = h_min_cond(state)
+        assert res.converged, label
+        assert abs(res.value - -np.log2(p_exact)) <= 1e-9, label
+
+
 def test_batched_h2_cond_matches_per_block_loop():
     for i, state in enumerate(oracle_states(32, seed=13)):
         hmin = h_min_cond(state)
@@ -315,3 +462,5 @@ def test_h_min_cond_geometrically_uniform_states(seed, dim, n_states):
     res = h_min_cond(state)
     assert res.converged
     assert res.value - 1e-9 <= exact <= res.value + res.gap + 1e-9
+    # The PGM is optimal here, so the start's slack sits at its 1e-12 floor.
+    assert _assert_start_dominates(state, "geometrically uniform") <= 1.01e-12 * 2.0 ** -exact

@@ -39,6 +39,11 @@ def test_make_side_info_models():
     dist = make_flat_source(2, 2)
     trivial = make_side_info("trivial", dist)
     assert trivial.k == 2.0 and trivial.state.side_dim == 1
+    skewed = make_side_info("trivial", {(0,): 0.3, (1,): 0.7})
+    solved = h_min_cond(skewed.state)
+    assert (skewed.hmin.value, skewed.hmin.converged, skewed.hmin.gap, skewed.hmin.iterations) \
+        == (solved.value, solved.converged, solved.gap, solved.iterations)
+    assert skewed.hmin.sigma.tobytes() == solved.sigma.tobytes()
 
     leak = make_side_info("classical_leak", dist)
     assert abs(leak.k - 1.0) < 1e-9        # parity of a uniform 2-bit source
@@ -301,8 +306,9 @@ def test_summary_counts_unconverged_rows():
 # grids (strong x1 and x2), ip-classical, the weak output of b8-weak-quantum,
 # the joint output of b2-markov, and hmin-le-h2 for h2_cond.  The digest was
 # taken with the per-pair output-state builders, before the output tables,
-# and re-taken when the barrier-method h_min_cond replaced the fixed point
-# and b8-weak-quantum rows gained convergence flags.
+# re-taken when the barrier-method h_min_cond replaced the fixed point and
+# b8-weak-quantum rows gained convergence flags, and again when the barrier
+# started at the pretty-good measurement.
 OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b1-exhaustive-flat",
      "params": {"ns": [3, 4], "ms": [1, 2], "families": ["field", "shift"],
@@ -315,7 +321,7 @@ OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 8, "n_max": 3}},
     {"id": "hmin-le-h2", "params": {"count": 20}},
 ]}
-OUTPUT_PATHS_DIGEST = "91c7ebaded24a81c11f924bf8447ff9fbc5013c7adc41ee2c97d8b4a97fcffa7"
+OUTPUT_PATHS_DIGEST = "7ca6ccc6bf46a2644a8b2c738c7ef2a7f2b795c5f679ce4f8bb938efa855a05d"
 
 
 def test_output_paths_report_digest(tmp_path):
@@ -329,7 +335,7 @@ def test_output_paths_report_digest(tmp_path):
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
-PAPER_TABLE_1_DIGEST = "3eeb6843da4049cd9ca7a98f958a47287d89e3e7832b565e640509bd84bf0ff6"
+PAPER_TABLE_1_DIGEST = "ecc66dafee9d935a68f99570355d9e7e48c36af9232ed2774b056f49af7d3f18"
 
 
 def test_paper_table_1_report_digest():
