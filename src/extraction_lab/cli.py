@@ -155,7 +155,7 @@ def _cmd_entropy(args) -> int:
     model = side.pop("model", "trivial")
     source = make_side_info(model, dist, seed=seed, **side)
     hmin = source.hmin
-    h2 = h2_cond(source.state, hmin=hmin)
+    h2 = h2_cond(source.state)
     out = {
         "model": model,
         "side_dim": source.state.side_dim,
@@ -163,6 +163,7 @@ def _cmd_entropy(args) -> int:
         "h_min_cond": hmin.value,
         "h_min_converged": bool(hmin.converged),
         "h2_cond": h2.value,
+        "h2_converged": bool(h2.converged),
         "certified_k": source.k,
     }
     print(json.dumps(out, indent=2, sort_keys=True))

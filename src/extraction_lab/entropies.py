@@ -21,8 +21,20 @@ floating point: lambda_min(Y - rho_x) minus a rounding bound for eigvalsh
 must be non-negative for every block, else Y is shifted by that much
 times the identity.  The barrier's measurements S_x^{-1}/t, renormalised
 to a POVM, give the primal bound; the gap between the two is reported on
-the result.  Classical side information is handled by exact closed forms.
-Kernel violations return -inf, mirroring the definition.
+the result.
+
+For H_2 the solver minimises the sandwiched Renyi-2 quasi-entropy
+f(sigma) = sum_x tr(sigma^-1/2 rho_x sigma^-1/2 rho_x), convex in sigma
+(Frank and Lieb, J. Math. Phys. 54, 122201, 2013), on the same projected
+blocks, with a damped fixed point from rho_B / tr rho_B.  Convexity makes
+the linearisation at every iterate a lower bound on min f (a Frank-Wolfe
+certificate); the value is H_2 relative to the best iterate, and the gap is
+the bound's entropy minus that value.  Restricting sigma to supp rho_B loses
+nothing: the pinching X -> P X P + tr((1 - P) X) tau fixes every rho_x and,
+by data processing, can only improve sigma.
+
+Classical side information is handled by exact closed forms.  Kernel
+violations return -inf, mirroring the definition.
 """
 
 from __future__ import annotations
@@ -324,59 +336,65 @@ def _dominating(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return y + shift * np.eye(d) if shift > 0 else y
 
 
-def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-10,
-            hmin: EntropyResult | None = None) -> EntropyResult:
+def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-10) -> EntropyResult:
     """Conditional collision entropy sup_sigma H_2(rho|sigma).
 
-    Exact for classical side registers; otherwise a stationarity fixed
-    point on sigma with keep-best iterates and deterministic restarts.
-    The min-entropy solver's sigma is included as a candidate so that
-    h2_cond >= h_min_cond holds structurally.  A caller that already has
-    ``h_min_cond(state, iters, tol)`` passes it as ``hmin`` and the
-    min-entropy solver is not run again.
+    Exact for classical side registers.  Otherwise sigma minimises the
+    convex f(sigma) = sum_x tr(sigma^-1/2 rho_x sigma^-1/2 rho_x) over
+    density operators on supp rho_B, with h2 = -log2(f / tr rho).  From
+    sigma = rho_B / tr rho_B the damped fixed point
+    sigma <- sigma / 2 + Phi^(2/3) / (2 tr Phi^(2/3)), with
+    Phi = sum_x rho_x sigma^-1/2 rho_x, runs until the least f found and the
+    best Frank-Wolfe lower bound on min f agree within the relative ``tol``,
+    or for ``iters`` iterates (``result.iterations`` counts them).
+    ``result.value`` is ``h2_rel`` at the best sigma, an achieved value;
+    ``result.gap`` bounds its shortfall to the true supremum in bits and
+    ``result.converged`` is ``gap <= 1e-6``.
     """
     if state.side_dim > SOLVER_SIDE_CAP:
         raise ValueError(f"side_dim {state.side_dim} exceeds solver cap {SOLVER_SIDE_CAP}")
     if _is_classical(state):
         return _classical_h2(state)
-
-    rho_b = marginal_side(state)
-    basis = _support_basis(rho_b)
-    k = basis.shape[1]
+    basis = _support_basis(marginal_side(state))
     blocks = basis.conj().T @ state.stack @ basis
     total = float(_block_sum(_traces(blocks)))
-    proj_rho_b = _block_sum(blocks)
-    if hmin is None:
-        hmin = _h_min_solver(state, iters, tol)
-    starts = [
-        proj_rho_b / np.trace(proj_rho_b).real,
-        np.eye(k, dtype=complex) / k,
-        basis.conj().T @ hmin.sigma @ basis / max(np.trace(basis.conj().T @ hmin.sigma @ basis).real, 1e-300),
-    ]
-
-    best_val = NEG_INF
-    best_sigma = starts[0]
-    iterations = 0
-    for sigma in starts:
-        prev = NEG_INF
-        for it in range(iters):
-            iterations += 1
-            w, v = _trusted_psd_eigh(sigma)
-            val = _h2_rel_blocks(blocks, total, w, v)
-            if val > best_val:
-                best_val, best_sigma = val, sigma
-            if val != NEG_INF and abs(val - prev) <= 1e-13:
-                break
-            prev = val
-            tau = _spectral_power(w, v, -0.5)
-            phi = _herm(_block_sum(blocks @ tau @ blocks))
-            prop = _spectral_power(*_trusted_psd_eigh(phi), 2.0 / 3.0)
-            tr = float(np.trace(prop).real)
-            if tr <= 0:
-                break
-            sigma = _herm(0.5 * sigma + 0.5 * prop / tr)
-
-    sigma_full = basis @ best_sigma @ basis.conj().T
+    sigma, f_lower, steps = _collision_fixed_point(blocks, iters, tol)
+    sigma_full = basis @ sigma @ basis.conj().T
     value = h2_rel(state, sigma_full)
-    converged = value >= hmin.value - 1e-9 and np.isfinite(value)
-    return EntropyResult(value, sigma_full, converged, max(hmin.value - value, 0.0), iterations)
+    upper = -float(np.log2(f_lower / total)) if f_lower > 0 else float("inf")
+    gap = max(upper - value, 0.0)
+    return EntropyResult(value, sigma_full, gap <= CONVERGED_GAP_BITS, gap, steps)
+
+
+def _collision_fixed_point(blocks: np.ndarray, iters: int, tol: float):
+    """The fixed point of ``h2_cond`` on (N, k, k) blocks whose sum is PD.
+
+    At sigma = V diag(lambda) V^dag, with s = sqrt(lambda), f = tr(sigma^-1/2 Phi)
+    and G = 2 V [(V^dag Phi V)_ij / (s_i s_j (s_i + s_j))] V^dag is -grad f
+    (a Daleckii-Krein divided difference).  As tr(G sigma) = f, convexity
+    gives min f >= 2 f - lambda_max(G); lambda_max is read in sigma's
+    eigenbasis.  Returns the sigma of least f, the best lower bound and the
+    number of iterates evaluated, at most ``iters``.
+    """
+    rho_b = _block_sum(blocks)
+    sigma = rho_b / np.trace(rho_b).real
+    f_best, f_lower, best_sigma = float("inf"), NEG_INF, sigma
+    steps = 0
+    while steps < iters:
+        steps += 1
+        w, v = _trusted_psd_eigh(sigma)
+        if w[0] <= 0:
+            break
+        s = np.sqrt(w)
+        phi = _herm(_block_sum(blocks @ ((v / s) @ v.conj().T) @ blocks))
+        phi_v = v.conj().T @ phi @ v
+        f = float((np.diagonal(phi_v).real / s).sum())
+        neg_grad = 2.0 * phi_v / (s[:, None] * s[None, :] * (s[:, None] + s[None, :]))
+        f_lower = max(f_lower, 2.0 * f - float(np.linalg.eigvalsh(neg_grad)[-1]))
+        if f < f_best:
+            f_best, best_sigma = f, sigma
+        if f_best - f_lower <= tol * f_best or steps == iters:
+            break
+        prop = _spectral_power(*_trusted_psd_eigh(phi), 2.0 / 3.0)
+        sigma = _herm(0.5 * sigma + 0.5 * prop / float(np.trace(prop).real))
+    return best_sigma, f_lower, steps

@@ -303,12 +303,6 @@ def build_shift_family(n: int, m: int) -> MatrixFamily:
     return fam
 
 
-def transpose_family(family: MatrixFamily) -> MatrixFamily:
-    """Family of transposed matrices; r is preserved since rank(A) = rank(A^T)."""
-    mats = tuple(np.ascontiguousarray(a.T) for a in family.matrices)
-    return MatrixFamily(n=family.n, m=family.m, matrices=mats, r=family.r, poly=None)
-
-
 # ---------------------------------------------------------------------------
 # Textual family format: header "n m r poly", then one matrix per block
 # (rows as 0/1 strings), blocks separated by blank lines.

@@ -92,20 +92,6 @@ _FORMULAS = {
 
 BOUND_IDS = tuple(sorted(_FORMULAS))
 
-DESCRIPTIONS = {
-    "B1": "deor against quantum product-type side information (exact exponent)",
-    "B2": "deor in the Markov model (classical or quantum side information)",
-    "B3": "generic quantum-product lift applied atop the classical-product bound",
-    "B4": "generic one-shot quantum-product lift",
-    "B5": "generic Markov-model lift",
-    "B6": "deor via masked single bits and the inner product",
-    "B7": "inner product against classical product-type side information",
-    "B8": "weak-extractor quantum-product lift",
-    "B9": "classical product-type from the plain extractor statement",
-    "B10": "classical Markov model from the plain extractor statement",
-    "B11": "prior-generation quantum Markov lift",
-}
-
 
 def bound_value(bound_id: str, params) -> float:
     """Evaluate a catalog bound at params with keys n, m, r, k1, k2."""
@@ -115,9 +101,3 @@ def bound_value(bound_id: str, params) -> float:
     k1, k2 = float(params["k1"]), float(params["k2"])
     _validate(n, m, r, k1, k2)
     return float(_FORMULAS[bound_id](n, m, r, k1, k2))
-
-
-def in_ordering_regime(params) -> bool:
-    """True when the exact bound is nontrivial (epsilon <= 1)."""
-    return base_exponent(params["n"], params["m"], params["r"],
-                         params["k1"], params["k2"]) >= 0.0

@@ -123,12 +123,6 @@ def op_power(h, p: float) -> np.ndarray:
     return _spectral_power(*_psd_eigh(h), p)
 
 
-def support_projector(h) -> np.ndarray:
-    w, v = eigh(h)
-    vs = v[:, ~_kernel_mask(w)]
-    return vs @ vs.conj().T
-
-
 def trace_norm(s) -> float:
     """Sum of singular values of a square matrix."""
     m = as_operator(s)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cq_states import CqState, _block_sum, _traces, apply_classical_function, marginal_side
 from .gf2 import bits_to_index, index_to_bits
-from .operators import _herm, _not_psd, check_hermitian, op_power, partial_trace, tensor
+from .operators import _herm, op_power, partial_trace, tensor
 
 MAX_FOURIER_BITS = 12
 
@@ -78,20 +78,6 @@ class POVM:
 
     def outcomes(self):
         return sorted(self.elements)
-
-
-def validate_povm(povm: POVM, atol: float = 1e-9) -> POVM:
-    dim = povm.dim()
-    total = np.zeros((dim, dim), dtype=complex)
-    for outcome, el in povm.elements.items():
-        e = check_hermitian(el, atol=1e-9)
-        w = np.linalg.eigvalsh(e)
-        if _not_psd(w):
-            raise ValueError(f"POVM element for {outcome} is not PSD (min eig {w[0]:.3e})")
-        total += e
-    if np.max(np.abs(total - np.eye(dim))) > atol:
-        raise ValueError("POVM elements do not sum to the identity")
-    return povm
 
 
 def pgm(state: CqState) -> POVM:

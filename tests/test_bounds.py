@@ -6,7 +6,6 @@ from extraction_lab.harness.bounds import (
     BOUND_IDS,
     base_exponent,
     bound_value,
-    in_ordering_regime,
 )
 
 
@@ -145,7 +144,7 @@ def test_ordering_in_regime(rng):
     while done < 1000:
         n, m, r, k1, k2 = _rand_params(rng)
         p = params(n, m, r, k1, k2)
-        if not in_ordering_regime(p):
+        if base_exponent(n, m, r, k1, k2) < 0:
             continue
         b1 = bound_value("B1", p)
         assert b1 <= bound_value("B6", p) + 1e-12

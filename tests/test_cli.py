@@ -101,6 +101,7 @@ def test_entropy_solves_the_source_once(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert len(runs) == 1
     assert out["h_min_cond"] == out["certified_k"] and out["h_min_converged"]
+    assert out["h2_converged"] and out["h2_cond"] >= out["h_min_cond"]
 
 
 def test_entropy_bad_file(tmp_path):

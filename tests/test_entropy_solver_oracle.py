@@ -7,17 +7,23 @@ must lie in [old value - new gap, -log2(old primal)].
 ``_ref_cold_barrier`` is the barrier as it was before it started at the
 pretty-good measurement: from Y = (1.5 max lambda_max + 1e-3) I, with every
 line search from the full Newton step; the same bracket holds between the
-two starts.  ``_ref_h2_cond`` is
-the per-block loop the batched ``h2_cond`` replaced; given the same
-``hmin=`` result the two must agree bit for bit.  Closed forms check the
-min-entropy solver independently of either implementation: the Helstrom
-bound for two symbols and the pretty-good-measurement value for
-geometrically uniform pure states.
+two starts.  ``_ref_h2_cond`` is the three-start fixed point that the
+gap-certified ``h2_cond`` replaced, kept verbatim; its value, which also
+scores the min-entropy solver's sigma, may pass neither the new upper bound
+(value + gap) nor, by more than 1e-12 bits, the new value.  Closed forms
+check both solvers independently of any implementation: for the
+min-entropy, the Helstrom bound for two symbols and the
+pretty-good-measurement value for geometrically uniform pure states; for
+the collision entropy, ``_classical_h2`` on classical states in a rotated
+basis.  The collision value is also recomputed on the dense operator
+rho_XB, and ``_ref_collision_bound`` recomputes the first Frank-Wolfe
+certificate from a central-difference gradient.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_cq
 from extraction_lab.cq_states import CqState, build_cq, marginal_side
 from extraction_lab.entropies import (
     BARRIER_GROWTH,
@@ -28,6 +34,7 @@ from extraction_lab.entropies import (
     NEAR_CENTRED,
     NEG_INF,
     EntropyResult,
+    _classical_h2,
     _dominating,
     _h_min_solver,
     _is_classical,
@@ -37,6 +44,7 @@ from extraction_lab.entropies import (
     _primal_bound,
     _support_basis,
     h2_cond,
+    h2_rel,
     h_min_cond,
 )
 from extraction_lab.gf2 import index_to_bits
@@ -305,13 +313,6 @@ def oracle_states(count, seed):
     return [oracle_state(KINDS[i % len(KINDS)], rng) for i in range(count)]
 
 
-def assert_same_result(new, ref, label):
-    assert (new.value, new.gap, new.iterations, new.converged) == \
-        (ref.value, ref.gap, ref.iterations, ref.converged), label
-    assert new.sigma.shape == ref.sigma.shape and new.sigma.dtype == ref.sigma.dtype, label
-    assert new.sigma.tobytes() == ref.sigma.tobytes(), label
-
-
 # -- oracles --------------------------------------------------------------------
 
 ROUNDING_BITS = 1e-12     # rounding of the two logs when both solvers are exact
@@ -415,14 +416,122 @@ def test_pgm_start_edge_cases_are_exact():
         assert abs(res.value - -np.log2(p_exact)) <= 1e-9, label
 
 
-def test_batched_h2_cond_matches_per_block_loop():
+def test_h2_cond_brackets_three_start_fixed_point():
+    new_iterations = ref_iterations = 0
     for i, state in enumerate(oracle_states(32, seed=13)):
-        hmin = h_min_cond(state)
-        assert_same_result(h2_cond(state, hmin=hmin), _ref_h2_cond(state, hmin), f"state {i}")
-    for i, state in enumerate(oracle_states(8, seed=14)):
-        hmin = h_min_cond(state, iters=5)
-        assert_same_result(h2_cond(state, iters=5, hmin=hmin), _ref_h2_cond(state, hmin, iters=5),
-                           f"state {i}, iters=5")
+        new = h2_cond(state)
+        ref = _ref_h2_cond(state, h_min_cond(state))
+        assert new.converged and new.gap <= 1e-9, f"state {i}"
+        assert ref.value <= new.value + new.gap + ROUNDING_BITS, f"state {i}"
+        assert new.value >= ref.value - ROUNDING_BITS, f"state {i}"
+        new_iterations += new.iterations
+        ref_iterations += ref.iterations
+    assert new_iterations < ref_iterations
+
+
+def _assert_no_sigma_beats(res, state, rng, label):
+    """No random sigma, nor one mixed into the solver's, has h2_rel above value + gap."""
+    for _ in range(20):
+        sigma = random_density(state.side_dim, rng)
+        for mix in (1.0, 1e-3, 1e-6):
+            trial = h2_rel(state, mix * sigma + (1.0 - mix) * res.sigma)
+            assert trial <= res.value + res.gap + ROUNDING_BITS, label
+
+
+def _dense_h2_rel(state, sigma):
+    """H_2(rho|sigma) on the dense operator rho_XB, with I (x) sigma^-1/4 on both sides."""
+    quarter = np.kron(np.eye(len(state.blocks)), op_power(sigma, -0.25))
+    conj = quarter @ dense_cq(state) @ quarter
+    return -np.log2(np.trace(conj @ conj).real / state.total_trace())
+
+
+def test_h2_cond_gap_is_sound():
+    rng = np.random.default_rng(15)
+    for i, state in enumerate(oracle_states(24, seed=14)):
+        res = h2_cond(state)
+        assert abs(_dense_h2_rel(state, res.sigma) - res.value) <= 1e-9, f"state {i}"
+        _assert_no_sigma_beats(res, state, rng, f"state {i}")
+
+
+def test_h2_cond_unconverged_is_sound():
+    rng = np.random.default_rng(16)
+    capped_states = 0
+    for i, state in enumerate(oracle_states(24, seed=12)):
+        full = h2_cond(state)
+        if full.iterations <= 2:      # a rank-1 rho_B is optimal at the start
+            continue
+        capped = h2_cond(state, iters=2)
+        assert capped.iterations == 2 and not capped.converged, f"state {i}"
+        assert capped.value <= full.value + full.gap + ROUNDING_BITS, f"state {i}"
+        assert full.value <= capped.value + capped.gap + ROUNDING_BITS, f"state {i}"
+        _assert_no_sigma_beats(capped, state, rng, f"state {i}")
+        capped_states += 1
+    assert capped_states >= 20
+
+
+def _ref_collision_bound(state):
+    """Frank-Wolfe bound at sigma = rho_B / tr rho_B from a central-difference gradient.
+
+    f(sigma) = sum_x tr(sigma^-1/2 rho_x sigma^-1/2 rho_x) on the support of
+    rho_B; its gradient M comes from differences along an orthonormal
+    Hermitian basis, and min f >= f - tr(M sigma) + lambda_min(M).
+    """
+    basis = _support_basis(marginal_side(state))
+    blocks = basis.conj().T @ state.stack @ basis
+    k = blocks.shape[1]
+
+    def f(sigma):
+        inv_sqrt = op_power(sigma, -0.5)
+        return sum(float(np.trace(inv_sqrt @ b @ inv_sqrt @ b).real) for b in blocks)
+
+    sigma = blocks.sum(axis=0) / np.trace(blocks.sum(axis=0)).real
+    directions = []
+    for i in range(k):
+        for j in range(i, k):
+            e = np.zeros((k, k), dtype=complex)
+            e[i, j] = e[j, i] = 1.0 if i == j else 2 ** -0.5
+            directions.append(e)
+            if i != j:
+                e = np.zeros((k, k), dtype=complex)
+                e[i, j], e[j, i] = -1j * 2 ** -0.5, 1j * 2 ** -0.5
+                directions.append(e)
+    h = 1e-5 * float(np.linalg.eigvalsh(sigma)[0])
+    grad = sum((f(sigma + h * e) - f(sigma - h * e)) / (2 * h) * e for e in directions)
+    lower = f(sigma) - float(np.trace(grad @ sigma).real) + float(np.linalg.eigvalsh(grad)[0])
+    return -np.log2(lower / state.total_trace()) if lower > 0 else float("inf")
+
+
+def test_h2_cond_first_certificate_matches_finite_differences():
+    checked = 0
+    for i, state in enumerate(oracle_states(24, seed=17)):
+        first = h2_cond(state, iters=1)
+        upper = _ref_collision_bound(state)
+        if np.isinf(upper):
+            assert np.isinf(first.gap), f"state {i}"
+            continue
+        assert abs(first.value + first.gap - upper) <= 1e-6, f"state {i}"
+        checked += 1
+    assert checked >= 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), n_sym=st.integers(1, 8),
+       drop=st.floats(0.0, 0.6))
+def test_h2_cond_rotated_classical_matches_closed_form(seed, dim, n_sym, drop):
+    """U diag(p_x) U^dag for a random unitary U has the classical state's h2."""
+    rng = np.random.default_rng(seed)
+    diags = rng.random((n_sym, dim)) * (rng.random((n_sym, dim)) >= drop)
+    diags[:, 0] += 1e-3                 # no block is zero
+    diags /= diags.sum()
+    syms = [index_to_bits(j, 3) for j in range(n_sym)]
+    classical = CqState(dim, {s: np.diag(d).astype(complex) for s, d in zip(syms, diags)})
+    rot = _rotation(dim, rng)
+    rotated = CqState(dim, {s: rot @ b @ rot.conj().T for s, b in classical.blocks.items()})
+    assert not _is_classical(rotated)
+    exact = _classical_h2(classical).value
+    res = h2_cond(rotated)
+    assert res.converged
+    assert res.value - ROUNDING_BITS <= exact <= res.value + res.gap + ROUNDING_BITS
 
 
 # -- Helstrom closed form --------------------------------------------------------

@@ -18,6 +18,7 @@ from extraction_lab.extractors import (
     two_universality_collision_prob,
 )
 from extraction_lab.gf2 import (
+    MatrixFamily,
     a_s,
     all_bit_vectors,
     build_field_family,
@@ -25,7 +26,6 @@ from extraction_lab.gf2 import (
     gf2_matvec,
     index_to_bits,
     parse_bits,
-    transpose_family,
 )
 
 
@@ -147,7 +147,8 @@ def test_strongness_symmetry_under_transposition():
     # transposed family with the two sources exchanged.
     for fam in (build_field_family(3, 2), build_shift_family(4, 2)):
         ext = deor_extractor(fam)
-        text = deor_extractor(transpose_family(fam))
+        text = deor_extractor(MatrixFamily(n=fam.n, m=fam.m, poly=None, r=fam.r,
+                                           matrices=tuple(a.T for a in fam.matrices)))
         n = fam.n
         uni = classical_state({b: 1.0 / (1 << n) for b in all_bit_vectors(n)})
         lo = classical_state({b: 1.0 / (1 << (n - 1))

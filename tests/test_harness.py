@@ -307,8 +307,9 @@ def test_summary_counts_unconverged_rows():
 # the joint output of b2-markov, and hmin-le-h2 for h2_cond.  The digest was
 # taken with the per-pair output-state builders, before the output tables,
 # re-taken when the barrier-method h_min_cond replaced the fixed point and
-# b8-weak-quantum rows gained convergence flags, and again when the barrier
-# started at the pretty-good measurement.
+# b8-weak-quantum rows gained convergence flags, when the barrier started at
+# the pretty-good measurement, and when h2_cond became gap-certified and
+# hmin-le-h2 rows gained convergence flags.
 OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b1-exhaustive-flat",
      "params": {"ns": [3, 4], "ms": [1, 2], "families": ["field", "shift"],
@@ -321,7 +322,7 @@ OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 8, "n_max": 3}},
     {"id": "hmin-le-h2", "params": {"count": 20}},
 ]}
-OUTPUT_PATHS_DIGEST = "7ca6ccc6bf46a2644a8b2c738c7ef2a7f2b795c5f679ce4f8bb938efa855a05d"
+OUTPUT_PATHS_DIGEST = "240ff412de90600bf95817c36f2b57a109283819ea1133e8f27a73401d6b04a8"
 
 
 def test_output_paths_report_digest(tmp_path):

@@ -12,6 +12,7 @@ from extraction_lab.cq_states import (
 )
 from extraction_lab.gf2 import all_bit_vectors
 from extraction_lab.operators import (
+    op_power,
     partial_trace,
     random_density,
     random_pure_state,
@@ -20,7 +21,6 @@ from extraction_lab.operators import (
 )
 from extraction_lab.xor_analysis import (
     MatrixValuedFunction,
-    POVM,
     apply_measurement,
     character_matrix,
     l2_distance_to_uniform,
@@ -31,11 +31,19 @@ from extraction_lab.xor_analysis import (
     mvf_l2_norm,
     pgm,
     squared_distance_fourier_bound,
-    validate_povm,
 )
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+
+
+def assert_povm(povm):
+    """Every element Hermitian and PSD, and the elements sum to the identity."""
+    elements = np.array(list(povm.elements.values()))
+    assert np.abs(elements - elements.conj().transpose(0, 2, 1)).max() <= 1e-9
+    assert np.linalg.eigvalsh(elements).min() >= -1e-9
+    assert np.abs(elements.sum(axis=0) - np.eye(povm.dim())).max() <= 1e-9
+    return povm
 
 
 def random_mvf(m, d, rng):
@@ -92,7 +100,7 @@ def test_pgm_orthogonal_conditionals_is_projective():
     st = build_cq({(0,): 0.5, (1,): 0.5},
                   {(0,): np.diag([1.0, 0.0]).astype(complex),
                    (1,): np.diag([0.0, 1.0]).astype(complex)})
-    povm = validate_povm(pgm(st))
+    povm = assert_povm(pgm(st))
     assert np.allclose(povm.elements[(0,)], np.diag([1.0, 0.0]))
     assert np.allclose(povm.elements[(1,)], np.diag([0.0, 1.0]))
     joint = apply_measurement(povm, st)
@@ -107,15 +115,14 @@ def test_pgm_identical_conditionals(rng):
     povm = pgm(st)
     # On the support of tau the elements are P(x) * identity; the deficit
     # on ker(tau) goes to the first outcome.
-    from extraction_lab.operators import support_projector
-    proj = support_projector(tau)
+    proj = op_power(tau, 0)
     assert np.allclose(povm.elements[(1,)], 0.75 * proj, atol=1e-9)
-    validate_povm(povm)
+    assert_povm(povm)
 
 
 def test_pgm_bb84_completeness():
     st = build_cq({(0,): 0.5, (1,): 0.5}, {(0,): KET0, (1,): KETPLUS})
-    povm = validate_povm(pgm(st))
+    povm = assert_povm(pgm(st))
     total = sum(povm.elements.values())
     assert np.max(np.abs(total - np.eye(2))) < 1e-9
 
@@ -123,14 +130,9 @@ def test_pgm_bb84_completeness():
 def test_pgm_deficit_assignment_rank_deficient():
     # rho_B has rank 1, so the kernel deficit lands on the first outcome.
     st = build_cq({(0,): 0.5, (1,): 0.5}, {(0,): KET0, (1,): KET0})
-    povm = validate_povm(pgm(st))
+    povm = assert_povm(pgm(st))
     assert np.allclose(povm.elements[(0,)], np.diag([0.5, 1.0]), atol=1e-9)
     assert np.allclose(povm.elements[(1,)], np.diag([0.5, 0.0]), atol=1e-9)
-
-
-def test_validate_povm_rejects_incomplete():
-    with pytest.raises(ValueError):
-        validate_povm(POVM(elements={0: 0.5 * np.eye(2, dtype=complex)}))
 
 
 def test_apply_measurement_marginal(rng):
@@ -172,7 +174,6 @@ def test_fourier_bound_deterministic_case():
 
 
 def test_fourier_bound_matches_double_sum_oracle(rng):
-    from extraction_lab.operators import op_power
     for _ in range(10):
         m = int(rng.integers(1, 3))
         st = random_cq_state(m, 2, rng)
@@ -247,7 +248,6 @@ def test_one_two_norm_inequality(rng):
 
 
 def test_l2_distance_evaluator_matches_manual(rng):
-    from extraction_lab.operators import op_power
     rho = random_density(6, rng)
     sigma = random_density(3, rng)
     rho_b = partial_trace(rho, (2, 3), keep=(1,))
