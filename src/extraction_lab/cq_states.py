@@ -143,12 +143,12 @@ def marginal_side(state: CqState) -> np.ndarray:
 
 def apply_classical_function(state: CqState, f) -> CqState:
     """Push the classical register through f, summing merged blocks in sorted-symbol order."""
-    groups: dict = {}
-    index = np.array([groups.setdefault(f(sym), len(groups)) for sym in state.symbols()],
-                     dtype=np.intp)
-    sums = np.zeros((len(groups),) + state.stack.shape[1:], dtype=complex)
-    np.add.at(sums, index, state.stack)
-    return CqState(side_dim=state.side_dim, blocks=dict(zip(groups, sums)))
+    images = [f(sym) for sym in state.symbols()]
+    out = sorted(set(images))
+    position = {image: i for i, image in enumerate(out)}
+    sums = np.zeros((len(out),) + state.stack.shape[1:], dtype=complex)
+    np.add.at(sums, np.array([position[image] for image in images], dtype=np.intp), state.stack)
+    return CqState._from_stack(state.side_dim, out, sums)
 
 
 def product(s1: CqState, s2: CqState) -> CqState:
@@ -201,12 +201,9 @@ def markov_block_state(scenario: MarkovScenario) -> CqState:
 
 
 def _strong_flag(strong_in) -> str | None:
-    if strong_in in (None, "none", "NONE", "None"):
-        return None
-    flag = str(strong_in).lower()
-    if flag not in ("x1", "x2"):
+    if strong_in not in (None, "x1", "x2"):
         raise ValueError(f"strong_in must be None, 'x1' or 'x2', got {strong_in!r}")
-    return flag
+    return strong_in
 
 
 def _symbol_indices(symbols, n: int, which: str) -> np.ndarray:
@@ -245,7 +242,8 @@ def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqS
     pair (z, x_i) when strong_in names a source; the side register is
     always C1 (x) C2.  Outputs come from ``ext.table``; the blocks of one
     source are summed per (other source's symbol, z) before tensoring, so
-    the full joint operator is never built.
+    the full joint operator is never built.  The weak output is the strong
+    (z, x1) state with x1 dropped by :func:`apply_classical_function`.
     """
     flag = _strong_flag(strong_in)
     sym1, sym2 = s1.symbols(), s2.symbols()
@@ -263,14 +261,9 @@ def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqS
         sums, present = _grouped(s2.stack, outputs, n_out)
         zs, rows = np.nonzero(present.T)
         pieces, copied = _kron_stack(s1.stack[rows], sums[rows, zs]), sym1
-    if flag is None:
-        # Weak output: add the pieces of each z over x1, in sorted order.
-        out, group = np.unique(zs, return_inverse=True)
-        weak = np.zeros((len(out), side_dim, side_dim), dtype=complex)
-        np.add.at(weak, group, pieces)
-        return CqState._from_stack(side_dim, [z_bits[z] for z in out.tolist()], weak)
     keys = [(z_bits[z], copied[r]) for z, r in zip(zs.tolist(), rows.tolist())]
-    return CqState._from_stack(side_dim, keys, pieces)
+    strong = CqState._from_stack(side_dim, keys, pieces)
+    return strong if flag else apply_classical_function(strong, lambda sym: sym[0])
 
 
 def extractor_output_from_joint(ext, joint: CqState, strong_in=None) -> CqState:
@@ -286,18 +279,10 @@ def extractor_output_from_joint(ext, joint: CqState, strong_in=None) -> CqState:
     i1 = _symbol_indices([sym[0] for sym in symbols], ext.n1, "source 1")
     i2 = _symbol_indices([sym[1] for sym in symbols], ext.n2, "source 2")
     z_bits = all_bit_vectors(ext.m)
-    rest, n_rest = (i1, 1 << ext.n1) if flag == "x1" else (i2, 1 << ext.n2) if flag == "x2" \
-        else (0, 1)
-    # Keys sort like the output symbols (z, x_i): z first, then the copied index.
-    keys, first, groups = np.unique(ext.table[i1, i2] * n_rest + rest,
-                                    return_index=True, return_inverse=True)
-    sums = np.zeros((len(keys), joint.side_dim, joint.side_dim), dtype=complex)
-    np.add.at(sums, groups, joint.stack)
-    names = []
-    for key, k in zip(keys.tolist(), first.tolist()):
-        z = z_bits[key // n_rest]
-        names.append(z if flag is None else (z, symbols[k][0 if flag == "x1" else 1]))
-    return CqState._from_stack(joint.side_dim, names, sums)
+    copied = {"x1": 0, "x2": 1}.get(flag)
+    names = {sym: z_bits[z] if flag is None else (z_bits[z], sym[copied])
+             for sym, z in zip(symbols, ext.table[i1, i2].tolist())}
+    return apply_classical_function(joint, names.__getitem__)
 
 
 def distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) -> float:

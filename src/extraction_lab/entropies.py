@@ -61,6 +61,7 @@ KERNEL_LEAK_ATOL = 1e-9
 DIAG_ATOL = 1e-12
 SOLVER_SIDE_CAP = 16
 CONVERGED_GAP_BITS = 1e-6
+SOLVER_TOL = 1e-10         # relative gap at which both solvers stop
 BARRIER_GROWTH = 8.0       # t grows by this factor at each centred iterate
 BARRIER_T_CAP = 1e13       # past this t, S_x^{-1} is dominated by rounding
 CENTRED = 1e-6             # Newton decrement^2 at which an iterate counts as centred
@@ -170,14 +171,14 @@ def _support_basis(rho_b: np.ndarray) -> np.ndarray:
     return v[:, ~_kernel_mask(w)]
 
 
-def h_min_cond(state: CqState, iters: int = 500, tol: float = 1e-10) -> EntropyResult:
+def h_min_cond(state: CqState, iters: int = 500) -> EntropyResult:
     """Conditional min-entropy sup_sigma H_min(rho|sigma).
 
     Exact for classical side registers.  Otherwise the guessing-probability
     SDP is solved by a log-barrier method: ``iters`` caps its Newton steps
-    (``result.iterations`` counts them) and ``tol`` is the target relative
-    gap between the dual and primal guessing probabilities; the solver also
-    stops once t passes ``BARRIER_T_CAP``.  ``result.value`` comes from a
+    (``result.iterations`` counts them) and ``SOLVER_TOL`` is the target
+    relative gap between the dual and primal guessing probabilities; it
+    also stops once t passes ``BARRIER_T_CAP``.  ``result.value`` is from a
     dual Y that dominates every block in exact arithmetic, so it is sound
     whether or not the solver converged; ``result.gap`` bounds the
     shortfall to the true supremum in bits, ``result.converged`` is
@@ -187,12 +188,12 @@ def h_min_cond(state: CqState, iters: int = 500, tol: float = 1e-10) -> EntropyR
         raise ValueError(f"side_dim {state.side_dim} exceeds solver cap {SOLVER_SIDE_CAP}")
     if _is_classical(state):
         return _classical_h_min(state)
-    return _h_min_solver(state, iters, tol)
+    return _h_min_solver(state, iters)
 
 
-def _h_min_solver(state: CqState, iters: int, tol: float) -> EntropyResult:
+def _h_min_solver(state: CqState, iters: int) -> EntropyResult:
     basis = _support_basis(marginal_side(state))
-    y, p_primal, steps = _guessing_barrier(basis.conj().T @ state.stack @ basis, iters, tol)
+    y, p_primal, steps = _guessing_barrier(basis.conj().T @ state.stack @ basis, iters)
     y = _dominating(basis @ y @ basis.conj().T, state.stack)
     p_dual = float(np.trace(y).real)
     value = -float(np.log2(p_dual))
@@ -201,7 +202,7 @@ def _h_min_solver(state: CqState, iters: int, tol: float) -> EntropyResult:
     return EntropyResult(value, y / p_dual, gap <= CONVERGED_GAP_BITS, gap, steps)
 
 
-def _guessing_barrier(blocks: np.ndarray, iters: int, tol: float):
+def _guessing_barrier(blocks: np.ndarray, iters: int):
     """Barrier method for min tr Y s.t. Y > blocks[x]; blocks are (N, k, k), sum PD.
 
     Starts at ``_pgm_start``; after each increase of t the line search
@@ -231,7 +232,7 @@ def _guessing_barrier(blocks: np.ndarray, iters: int, tol: float):
         delta, decrement = _newton_step(a, b, s_inv_sum, t)
         if decrement <= NEAR_CENTRED or steps == iters:
             best_primal = max(best_primal, _primal_bound(y, s, s_inv, s_inv_sum / t, t))
-            if best_dual - best_primal <= tol * best_dual or steps == iters:
+            if best_dual - best_primal <= SOLVER_TOL * best_dual or steps == iters:
                 break
             # Centred, or Newton no longer shrinks the decrement (rounding floor).
             if decrement <= CENTRED or decrement > 0.25 * last_decrement:
@@ -336,7 +337,7 @@ def _dominating(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return y + shift * np.eye(d) if shift > 0 else y
 
 
-def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-10) -> EntropyResult:
+def h2_cond(state: CqState, iters: int = 500) -> EntropyResult:
     """Conditional collision entropy sup_sigma H_2(rho|sigma).
 
     Exact for classical side registers.  Otherwise sigma minimises the
@@ -345,7 +346,7 @@ def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-10) -> EntropyResu
     sigma = rho_B / tr rho_B the damped fixed point
     sigma <- sigma / 2 + Phi^(2/3) / (2 tr Phi^(2/3)), with
     Phi = sum_x rho_x sigma^-1/2 rho_x, runs until the least f found and the
-    best Frank-Wolfe lower bound on min f agree within the relative ``tol``,
+    best Frank-Wolfe lower bound on min f agree within ``SOLVER_TOL``,
     or for ``iters`` iterates (``result.iterations`` counts them).
     ``result.value`` is ``h2_rel`` at the best sigma, an achieved value;
     ``result.gap`` bounds its shortfall to the true supremum in bits and
@@ -358,7 +359,7 @@ def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-10) -> EntropyResu
     basis = _support_basis(marginal_side(state))
     blocks = basis.conj().T @ state.stack @ basis
     total = float(_block_sum(_traces(blocks)))
-    sigma, f_lower, steps = _collision_fixed_point(blocks, iters, tol)
+    sigma, f_lower, steps = _collision_fixed_point(blocks, iters)
     sigma_full = basis @ sigma @ basis.conj().T
     value = h2_rel(state, sigma_full)
     upper = -float(np.log2(f_lower / total)) if f_lower > 0 else float("inf")
@@ -366,7 +367,7 @@ def h2_cond(state: CqState, iters: int = 500, tol: float = 1e-10) -> EntropyResu
     return EntropyResult(value, sigma_full, gap <= CONVERGED_GAP_BITS, gap, steps)
 
 
-def _collision_fixed_point(blocks: np.ndarray, iters: int, tol: float):
+def _collision_fixed_point(blocks: np.ndarray, iters: int):
     """The fixed point of ``h2_cond`` on (N, k, k) blocks whose sum is PD.
 
     At sigma = V diag(lambda) V^dag, with s = sqrt(lambda), f = tr(sigma^-1/2 Phi)
@@ -393,7 +394,7 @@ def _collision_fixed_point(blocks: np.ndarray, iters: int, tol: float):
         f_lower = max(f_lower, 2.0 * f - float(np.linalg.eigvalsh(neg_grad)[-1]))
         if f < f_best:
             f_best, best_sigma = f, sigma
-        if f_best - f_lower <= tol * f_best or steps == iters:
+        if f_best - f_lower <= SOLVER_TOL * f_best or steps == iters:
             break
         prop = _spectral_power(*_trusted_psd_eigh(phi), 2.0 / 3.0)
         sigma = _herm(0.5 * sigma + 0.5 * prop / float(np.trace(prop).real))

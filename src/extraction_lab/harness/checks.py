@@ -18,6 +18,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from ..cq_states import (
+    CqState,
     apply_classical_function,
     classical_state,
     distance_to_uniform,
@@ -53,8 +54,9 @@ from ..xor_analysis import (
     pgm,
     squared_distance_fourier_bound,
 )
-from .bounds import base_exponent, bound_value
+from .bounds import BOUND_IDS, base_exponent, bound_value
 from .scenarios import (
+    SIDE_PARAMS,
     _random_cq,
     _random_source,
     make_flat_source,
@@ -64,6 +66,13 @@ from .scenarios import (
 
 PASS_TOL = 1e-9
 ENTROPY_SLACK = 1e-6
+FAMILY_BUILDERS = {"field": build_field_family, "shift": build_shift_family}
+WEAK_N_MIN = 3      # b8-weak-quantum draws n from WEAK_N_MIN..n_max
+# The values of a param that its type alone does not pin down, and their name.
+CHOICES = {"families": ("family kind", tuple(FAMILY_BUILDERS)),
+           "sides": ("side-information model", tuple(SIDE_PARAMS)),
+           "bounds": ("bound id", BOUND_IDS),
+           "strong_in": ("strong_in", ("x1", "x2"))}
 
 
 @dataclass(frozen=True)
@@ -106,11 +115,9 @@ def _check(check_id: str, **defaults):
 
 
 def _family(kind: str, n: int, m: int, cache={}):
-    if kind not in ("field", "shift"):
-        raise ValueError(f"unknown family kind {kind!r}; known: field, shift")
     key = (kind, n, m)
     if key not in cache:
-        cache[key] = build_field_family(n, m) if kind == "field" else build_shift_family(n, m)
+        cache[key] = FAMILY_BUILDERS[kind](n, m)
     return cache[key]
 
 
@@ -140,10 +147,9 @@ def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
     return kind, fam, s1, s2, delta
 
 
-def _source_flags(s1, s2) -> dict:
-    """The solver convergence flags of two sources; exact sources count as converged."""
-    return {"converged1": s1.flags.get("converged", True),
-            "converged2": s2.flags.get("converged", True)}
+def _source_flags(res1, res2) -> dict:
+    """The convergence flags of the two sources' ``h_min_cond`` results."""
+    return {"converged1": res1.converged, "converged2": res2.converged}
 
 
 def _flat_grid(ext, n: int, side: str, strong_in):
@@ -184,17 +190,17 @@ def _b1_quantum(p, rng):
             rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
         kp = _k_params(fam.n, fam.m, fam.r, s1.k, s2.k)
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} sides=({s1.model},{s2.model})",
-                   _catalog(p["bounds"], kp, delta), _source_flags(s1, s2))
+                   _catalog(p["bounds"], kp, delta), _source_flags(s1.hmin, s2.hmin))
 
 
 @_check("b8-weak-quantum", count=50, n_max=4)
 def _b8_weak(p, rng):
     """Weak-output variant: same pipeline with no copied source register."""
     for _ in range(p["count"]):
-        kind, fam, s1, s2, delta = _random_deor_output(rng, 3, p["n_max"], 2, None)
+        kind, fam, s1, s2, delta = _random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None)
         kp = _k_params(fam.n, fam.m, fam.r, s1.k, s2.k)
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} weak", _catalog(("B8",), kp, delta),
-                   _source_flags(s1, s2))
+                   _source_flags(s1.hmin, s2.hmin))
 
 
 @_check("b2-markov", count=40, n_min=2, n_max=4, bounds=("B2", "B5", "B10", "B11"))
@@ -214,8 +220,7 @@ def _b2_markov(p, rng):
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} {model} blocks={len(scn.weights)}",
-                   _catalog(p["bounds"], kp, delta),
-                   {"converged1": res1.converged, "converged2": res2.converged})
+                   _catalog(p["bounds"], kp, delta), _source_flags(res1, res2))
 
 
 @_check("ip-classical", ns=(2, 3, 4), sides=("trivial", "classical_leak"))
@@ -301,11 +306,9 @@ def _pgm_commutation(p, rng):
         out_bits = int(rng.integers(1, 3))
         table = {sym: index_to_bits(int(rng.integers(1 << out_bits)), out_bits)
                  for sym in state.symbols()}
-        lhs = pgm(apply_classical_function(state, lambda sym: table[sym]))
-        rhs: dict = {}
-        for sym, el in pgm(state).elements.items():
-            rhs[table[sym]] = rhs.get(table[sym], 0) + el
-        dev = max(float(np.max(np.abs(lhs.elements[y] - rhs[y]))) for y in lhs.elements)
+        lhs = pgm(apply_classical_function(state, table.__getitem__))
+        rhs = apply_classical_function(CqState(dim, pgm(state).elements), table.__getitem__)
+        dev = max(float(np.max(np.abs(lhs.elements[y] - rhs.blocks[y]))) for y in lhs.elements)
         yield Case(_k_params(n_bits, out_bits, 0, 0.0, 0.0),
                    f"pgm-commute n={n_bits} dim={dim} out={out_bits}",
                    [("channel-equality", dev, 0.0)], {"criterion_tol": 1e-10})
@@ -400,16 +403,17 @@ def _bound_ordering(p, rng):
 
 CHECK_IDS = tuple(sorted(CHECKS))
 
-
-def _validated(where: str, value, default):
+def _validated(where: str, value, default, choice=None):
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)) or not value:
             raise ValueError(f"{where} must be a non-empty list, got {value!r}")
-        return tuple(_validated(where, item, default[0]) for item in value)
+        return tuple(_validated(where, item, default[0], choice) for item in value)
     if type(value) is not type(default):
         raise ValueError(f"{where} must be of type {type(default).__name__}, got {value!r}")
     if isinstance(value, int) and value < 1:
         raise ValueError(f"{where} must be positive, got {value}")
+    if choice and value not in choice[1]:
+        raise ValueError(f"{where}: unknown {choice[0]} {value!r}; known: {', '.join(choice[1])}")
     return value
 
 
@@ -417,7 +421,8 @@ def resolve_params(check_id: str, params) -> dict:
     """The check's defaults overridden by ``params``.
 
     Raises ValueError for an unknown key, a value whose type differs from
-    the default's, an integer below 1 or an empty list.
+    the default's, an integer below 1, an empty list, a value outside
+    ``CHOICES`` or an ``n_max`` below ``n_min`` (else ``WEAK_N_MIN``).
     """
     defaults = CHECKS[check_id].defaults
     if not isinstance(params, dict):
@@ -427,7 +432,12 @@ def resolve_params(check_id: str, params) -> dict:
         if key not in defaults:
             raise ValueError(f"{check_id}: unknown param {key!r}; "
                              f"accepted: {', '.join(sorted(defaults))}")
-        resolved[key] = _validated(f"{check_id}: param {key!r}", value, defaults[key])
+        resolved[key] = _validated(f"{check_id}: param {key!r}", value, defaults[key],
+                                   CHOICES.get(key))
+    n_min = resolved.get("n_min", WEAK_N_MIN)
+    if resolved.get("n_max", n_min) < n_min:
+        raise ValueError(f"{check_id}: param 'n_max' must be >= {n_min}, "
+                         f"got {resolved['n_max']}")
     return resolved
 
 

@@ -1,13 +1,14 @@
 """Scenario construction: flat sources, side-information models, Markov blocks.
 
-Every builder is deterministic given its seed.  A built source carries a
-certified entropy: exact closed forms for trivial/classical side
-information, and the achieved (hence sound) solver lower bound for
-quantum side information, together with the solver's convergence flags.
+Every builder is deterministic given its seed.  A built source carries its
+``h_min_cond`` result: the exact closed form for trivial/classical side
+information, and the achieved (hence sound) solver lower bound, with the
+solver's convergence flag and gap, for quantum side information.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,9 @@ from ..operators import random_density, random_pure_state
 SIDE_PARAMS = {"trivial": {}, "classical_leak": {"leak": "parity"}, "bb84": {"bits": 1},
                "random_pure": {"dim": 2}}
 
-_KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+# bb84 encodes bit b of a source symbol as _KETS[b]: |0><0| or |+><+|.
+_KETS = (np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
+         np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
 
 
 def make_flat_source(n: int, k: int, support_rule: str = "prefix",
@@ -52,7 +54,6 @@ class SourceWithSide:
 
     state: CqState
     model: str
-    flags: dict
     hmin: EntropyResult
 
     @property
@@ -60,12 +61,15 @@ class SourceWithSide:
         return self.hmin.value
 
 
-def _leak_function(name: str, n: int):
-    if name == "parity":
-        return lambda x: (sum(x) & 1,), 2
-    if name == "first_bit":
-        return lambda x: (x[0],), 2
-    raise ValueError(f"unknown leak function {name!r}")
+# The classical_leak models: the bit of a source symbol that is leaked.
+LEAKS = {"parity": lambda x: sum(x) & 1, "first_bit": lambda x: x[0]}
+
+
+def _one_hot(index: int, dim: int) -> np.ndarray:
+    """The pure state |index><index| of a dim-dimensional register."""
+    c = np.zeros((dim, dim), dtype=complex)
+    c[index, index] = 1.0
+    return c
 
 
 def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> SourceWithSide:
@@ -89,46 +93,27 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
     if model == "trivial":
         # h_min_cond's closed form for a one-dimensional side register, without its checks.
         hmin = EntropyResult(h_min_classical(dist), np.ones((1, 1), dtype=complex), True, 0.0, 0)
-        return SourceWithSide(classical_state(dist), model, {"certified": "exact"}, hmin)
+        return SourceWithSide(classical_state(dist), model, hmin)
 
     if model == "classical_leak":
-        leak, dim = _leak_function(params["leak"], len(next(iter(dist))))
-        conds = {}
-        for sym in dist:
-            c = np.zeros((dim, dim), dtype=complex)
-            idx = leak(sym)[0]
-            c[idx, idx] = 1.0
-            conds[sym] = c
-        state = build_cq(dist, conds, side_dim=dim)
-        res = h_min_cond(state)
-        return SourceWithSide(state, model, {"certified": "exact"}, res)
-
-    if model == "bb84":
+        if params["leak"] not in LEAKS:
+            raise ValueError(f"unknown leak function {params['leak']!r}; known: {list(LEAKS)}")
+        dim = 2
+        conds = {sym: _one_hot(LEAKS[params["leak"]](sym), dim) for sym in dist}
+    elif model == "bb84":
         bits = params["bits"]
         if not 1 <= bits <= 2:
             raise ValueError("bb84 model encodes 1 or 2 leading bits")
-        conds = {}
-        for sym in dist:
-            parts = [_KET0 if sym[i] == 0 else _KETPLUS for i in range(bits)]
-            c = parts[0]
-            for p in parts[1:]:
-                c = np.kron(c, p)
-            conds[sym] = c
-        state = build_cq(dist, conds, side_dim=2 ** bits)
-        res = h_min_cond(state)
-        return SourceWithSide(state, model, {"certified": "solver", "converged": res.converged,
-                                             "gap": res.gap}, res)
-
-    if model == "random_pure":
+        dim = 2 ** bits
+        conds = {sym: functools.reduce(np.kron, [_KETS[b] for b in sym[:bits]]) for sym in dist}
+    else:
         dim = params["dim"]
         if not 2 <= dim <= 4:
             raise ValueError("random_pure side dimension must be 2..4")
         rng = np.random.default_rng(seed)
         conds = {sym: random_pure_state(dim, rng) for sym in sorted(dist)}
-        state = build_cq(dist, conds, side_dim=dim)
-        res = h_min_cond(state)
-        return SourceWithSide(state, model, {"certified": "solver", "converged": res.converged,
-                                             "gap": res.gap}, res)
+    state = build_cq(dist, conds, side_dim=dim)
+    return SourceWithSide(state, model, h_min_cond(state))
 
 
 def _random_distribution(n: int, rng: np.random.Generator, min_support: int = 1) -> dict:
@@ -166,14 +151,9 @@ def _random_factor(n: int, side_dim: int, rng: np.random.Generator,
     if side_dim == 1:
         return classical_state(dist)
     if classical:
-        conds = {}
-        for sym in sorted(dist):
-            idx = int(rng.integers(side_dim))
-            c = np.zeros((side_dim, side_dim), dtype=complex)
-            c[idx, idx] = 1.0
-            conds[sym] = c
-        return build_cq(dist, conds, side_dim=side_dim)
-    conds = {sym: random_pure_state(side_dim, rng) for sym in sorted(dist)}
+        conds = {sym: _one_hot(int(rng.integers(side_dim)), side_dim) for sym in sorted(dist)}
+    else:
+        conds = {sym: random_pure_state(side_dim, rng) for sym in sorted(dist)}
     return build_cq(dist, conds, side_dim=side_dim)
 
 

@@ -3,10 +3,12 @@
 A suite config is JSON of the form
 
     {"checks": [{"id": "...", "params": {...}, "repetitions": 1, "seed": 7}],
-     "caps": {"max_runtime_hint_s": 600}}
+     "name": "..."}
 
-Per-check seeds default to a value derived from the global seed and the
-check's position, so one --seed reproduces the whole run.  The JSON
+where ``name`` is optional (a config file's stem by default) and no other
+top-level key is accepted.  Per-check seeds default to a value derived
+from the global seed and the check's position, so one --seed reproduces
+the whole run.  The JSON
 report contains only deterministic fields (identical config + seed gives
 byte-identical files); wall-clock timings go to the CSV report only.
 """
@@ -87,8 +89,10 @@ def load_config(suite: str) -> dict:
             config = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(config, dict) or not isinstance(config.get("checks"), list):
-            raise ValueError(f"config {path} must be an object with a 'checks' list")
+        if not isinstance(config, dict) or not isinstance(config.get("checks"), list) \
+                or set(config) - {"checks", "name"}:
+            raise ValueError(f"config {path} must be an object with a 'checks' list "
+                             "and no other key than 'name'")
         config.setdefault("name", path.stem)
     for entry in config["checks"]:
         _validate_entry(entry)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cq_states import CqState, _block_sum, _traces, apply_classical_function, marginal_side
+from .entropies import _kernel_leaks
 from .gf2 import bits_to_index, index_to_bits
-from .operators import _herm, op_power, partial_trace, tensor
+from .operators import _herm, _psd_eigh, _spectral_power, op_power, partial_trace, tensor
 
 MAX_FOURIER_BITS = 12
 
@@ -121,11 +122,10 @@ def squared_distance_fourier_bound(state: CqState, sigma) -> float:
     double sum over (z, z') is kept as a test oracle.
     """
     m = _output_bits(state)
-    sig = np.asarray(sigma, dtype=complex)
-    quarter = op_power(sig, -0.25)
-    kernel = np.eye(state.side_dim, dtype=complex) - op_power(sig, 0.0)
-    if np.any(_traces(kernel @ state.stack @ kernel) > 1e-9):
+    w, v = _psd_eigh(np.asarray(sigma, dtype=complex))
+    if _kernel_leaks(state.stack, w, v):
         raise ValueError("sigma kernel is not contained in the state kernel")
+    quarter = _spectral_power(w, v, -0.25)
     fourier = mvf_fourier(mvf_from_blocks(m, state.symbols(), quarter @ state.stack @ quarter))
     nonzero = fourier.values[1:]
     return ((1 << m) / 4.0) * float(_block_sum(_traces(nonzero @ nonzero)))

@@ -5,6 +5,7 @@ import pytest
 from extraction_lab import entropies
 from extraction_lab.cli import main
 from extraction_lab.gf2 import read_family
+from extraction_lab.harness import suite
 
 
 def test_family_build_and_extract(tmp_path, capsys):
@@ -139,19 +140,34 @@ def test_verify_custom_config(tmp_path):
     assert doc["summary"]["n_reports"] == 55
 
 
+def _after_a_valid_check(entry) -> dict:
+    return {"checks": [{"id": "parseval-random"}, entry]}
+
+
 @pytest.mark.parametrize("config", [
     {"checks": [{"id": "measured-xor-random", "params": {"cout": 3}}]},
     {"checks": [{"id": "b1-exhaustive-flat", "params": {"ns": 5}}]},
     {"checks": 5},
     {"checks": [{"id": "parseval-random", "params": {"count": 0}}]},
+    _after_a_valid_check({"id": "b1-exhaustive-flat", "params": {"strong_in": "x3"}}),
+    _after_a_valid_check({"id": "b1-quantum-product", "params": {"strong_in": "none"}}),
+    _after_a_valid_check({"id": "b1-exhaustive-flat", "params": {"families": ["field", "feild"]}}),
+    _after_a_valid_check({"id": "ip-classical", "params": {"sides": ["nosuch"]}}),
+    _after_a_valid_check({"id": "b2-markov", "params": {"bounds": ["B2", "B99"]}}),
+    _after_a_valid_check({"id": "b1-quantum-product", "params": {"n_min": 5, "n_max": 4}}),
+    _after_a_valid_check({"id": "b2-markov", "params": {"n_max": 1}}),
+    _after_a_valid_check({"id": "b8-weak-quantum", "params": {"n_max": 2}}),
+    {"checks": [{"id": "parseval-random"}], "extra": 1},
 ])
-def test_verify_malformed_config_exits_2(tmp_path, capsys, config):
+def test_verify_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config):
+    ran = []
+    monkeypatch.setattr(suite, "run_check", lambda *args: ran.append(args) or [])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["verify", "--suite", str(cfg), "--seed", "0",
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "o").exists()
+    assert ran == [] and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])

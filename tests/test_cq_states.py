@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dense_cq, random_cq_state
 
@@ -19,11 +20,12 @@ from extraction_lab.cq_states import (
     validate_cq,
 )
 from extraction_lab.extractors import deor_extractor, ip_extractor
-from extraction_lab.gf2 import all_bit_vectors, build_field_family
+from extraction_lab.gf2 import all_bit_vectors, build_field_family, build_shift_family
 from extraction_lab.operators import (
     conditional_mutual_information,
     partial_trace,
     trace_distance,
+    trace_norm,
 )
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -226,6 +228,47 @@ def test_blockwise_distance_equals_dense(rng):
         dense_target = dense_cq(CqState(side_dim=out.side_dim, blocks=target), keys)
         oracle = trace_distance(dense_state, dense_target, check_trace=False)
         assert abs(blockwise - oracle) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), d1=st.integers(1, 3),
+       d2=st.integers(1, 3), shift=st.booleans())
+def test_joint_output_of_a_product_matches_product_output(seed, n, d1, d2, shift):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n + 1))
+    ext = deor_extractor((build_shift_family if shift else build_field_family)(n, m))
+    s1, s2 = random_cq_state(n, d1, rng), random_cq_state(n, d2, rng)
+    joint = product(s1, s2)
+    for strong_in in (None, "x1", "x2"):
+        direct = extractor_output_state(ext, s1, s2, strong_in)
+        via_joint = extractor_output_from_joint(ext, joint, strong_in)
+        assert via_joint.symbols() == direct.symbols(), strong_in
+        assert np.abs(via_joint.stack - direct.stack).max() <= 1e-12, strong_in
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 3), rest_bits=st.integers(0, 2),
+       dim=st.integers(1, 3))
+def test_distance_to_uniform_matches_dense_trace_distance(seed, m, rest_bits, dim):
+    # A weak state (rest_bits = 0) has m-bit symbols z; a strong one has
+    # (z, x) symbols.  The oracle is half the trace norm (an SVD) of the
+    # dense rho minus omega (x) rho_rest over every (z, x) that occurs.
+    rng = np.random.default_rng(seed)
+    state = random_cq_state(m + rest_bits, dim, rng)
+    strong = rest_bits > 0
+    if strong:
+        state = apply_classical_function(state, lambda sym: (sym[:m], sym[m:]))
+    zs = all_bit_vectors(m)
+    rests = sorted({sym[1] for sym in state.symbols()}) if strong else [None]
+    target = {}
+    for x in rests:
+        mass = sum(block for sym, block in state.blocks.items() if not strong or sym[1] == x)
+        for z in zs:
+            target[(z, x) if strong else z] = mass / len(zs)
+    keys = sorted(target)
+    dense_target = dense_cq(CqState(side_dim=dim, blocks=target), keys)
+    oracle = 0.5 * trace_norm(dense_cq(state, keys) - dense_target)
+    assert abs(distance_to_uniform(state, 1 << m, strong=strong) - oracle) <= 1e-11
 
 
 def test_strong_distance_equals_expectation_form(rng):

@@ -336,7 +336,7 @@ def _dominated_by(res, state):
 
 def test_barrier_h_min_solver_brackets_fixed_point():
     for i, state in enumerate(oracle_states(100, seed=11)):
-        new = _h_min_solver(state, 500, 1e-10)
+        new = _h_min_solver(state, 500)
         old = _ref_h_min_solver(state, 500, 1e-8)
         assert new.converged and new.iterations < 500, f"state {i}"
         assert old.value - new.gap - ROUNDING_BITS <= new.value, f"state {i}"
@@ -345,13 +345,13 @@ def test_barrier_h_min_solver_brackets_fixed_point():
 
 def test_barrier_dual_dominates_every_block():
     for i, state in enumerate(oracle_states(100, seed=11)):
-        assert _dominated_by(_h_min_solver(state, 500, 1e-10), state) >= 0.0, f"state {i}"
+        assert _dominated_by(_h_min_solver(state, 500), state) >= 0.0, f"state {i}"
 
 
 def test_barrier_h_min_solver_unconverged_is_sound():
     for i, state in enumerate(oracle_states(24, seed=12)):
-        capped = _h_min_solver(state, 5, 1e-10)
-        full = _h_min_solver(state, 500, 1e-10)
+        capped = _h_min_solver(state, 5)
+        full = _h_min_solver(state, 500)
         assert capped.iterations == 5 and not capped.converged, f"state {i}"
         assert capped.value <= full.value + full.gap + ROUNDING_BITS, f"state {i}"
         assert _dominated_by(capped, state) >= 0.0, f"state {i}"
@@ -360,7 +360,7 @@ def test_barrier_h_min_solver_unconverged_is_sound():
 def test_warm_start_brackets_cold_start():
     warm_steps = cold_steps = 0
     for i, state in enumerate(oracle_states(100, seed=11)):
-        warm = _h_min_solver(state, 500, 1e-10)
+        warm = _h_min_solver(state, 500)
         cold = _ref_cold_h_min_solver(state, 500, 1e-10)
         assert warm.converged and cold.converged, f"state {i}"
         assert cold.value - warm.gap - ROUNDING_BITS <= warm.value, f"state {i}"

@@ -333,6 +333,25 @@ def test_output_paths_report_digest(tmp_path):
     assert hashlib.sha256(render_json(result).encode()).hexdigest() == OUTPUT_PATHS_DIGEST
 
 
+# The relabelling paths that the output digests above do not reach:
+# pgm-commutation relabels a state and its PGM, measured-xor-random masks
+# the output bits, and useful-prop-random tests the Fourier bound's kernel.
+# The digest was taken with a hand-written sum over the PGM's elements and
+# a Fourier bound that decomposed sigma twice.
+RELABEL_PATHS_CONFIG = {"checks": [
+    {"id": "pgm-commutation", "params": {"count": 40}},
+    {"id": "useful-prop-random", "params": {"count": 40}},
+    {"id": "measured-xor-random", "params": {"count": 40}},
+]}
+RELABEL_PATHS_DIGEST = "526293086e6d75609e16b6d34cb3829696b62317d627b297328fdbd5379a75e3"
+
+
+def test_relabel_paths_report_digest():
+    result = run_suite(RELABEL_PATHS_CONFIG, seed=3)
+    assert len(result.reports) == 120 and result.all_pass
+    assert hashlib.sha256(render_json(result).encode()).hexdigest() == RELABEL_PATHS_DIGEST
+
+
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
