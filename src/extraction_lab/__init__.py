@@ -28,10 +28,8 @@ from .extractors import (
     ip_eval,
     ip_extractor,
     s_component,
-    two_universality_collision_prob,
 )
 from .xor_analysis import (
-    POVM,
     MatrixValuedFunction,
     measured_xor_bound,
     mvf_fourier,

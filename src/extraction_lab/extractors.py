@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .gf2 import (
     bits_to_index,
     gf2_images,
     gf2_matvec,
-    index_to_bits,
 )
 
 
@@ -165,22 +163,3 @@ class ComponentExtractor:
 def s_component(family: MatrixFamily, s: Bits) -> ComponentExtractor:
     return ComponentExtractor(family=family, s=tuple(s))
 
-
-def two_universality_collision_prob(x: Bits, xp: Bits) -> Fraction:
-    """Exact Pr over uniform y that y . x = y . x', as a rational.
-
-    Equals 1/2 for every pair x != x'.
-    """
-    if len(x) != len(xp):
-        raise ValueError("inputs must have equal length")
-    if tuple(x) == tuple(xp):
-        raise ValueError("collision probability requires x != x'")
-    n = len(x)
-    if n > 20:
-        raise ValueError("exhaustive enumeration capped at n <= 20")
-    hits = 0
-    for idx in range(1 << n):
-        y = index_to_bits(idx, n)
-        if ip_eval(y, x) == ip_eval(y, xp):
-            hits += 1
-    return Fraction(hits, 1 << n)

@@ -18,7 +18,6 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from ..cq_states import (
-    CqState,
     apply_classical_function,
     classical_state,
     distance_to_uniform,
@@ -68,6 +67,7 @@ PASS_TOL = 1e-9
 ENTROPY_SLACK = 1e-6
 FAMILY_BUILDERS = {"field": build_field_family, "shift": build_shift_family}
 WEAK_N_MIN = 3      # b8-weak-quantum draws n from WEAK_N_MIN..n_max
+MARKOV_M_MAX = 2    # b2-markov draws m from 1..min(MARKOV_M_MAX, n)
 # The values of a param that its type alone does not pin down, and their name.
 CHOICES = {"families": ("family kind", tuple(FAMILY_BUILDERS)),
            "sides": ("side-information model", tuple(SIDE_PARAMS)),
@@ -207,7 +207,7 @@ def _b8_weak(p, rng):
 def _b2_markov(p, rng):
     """Markov block scenarios against the Markov-model bound family."""
     for _ in range(p["count"]):
-        kind, fam = _random_family(rng, p["n_min"], p["n_max"], 2)
+        kind, fam = _random_family(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
         classical = bool(rng.random() < 0.5)
         scn = make_markov_scenario(fam.n, int(rng.integers(2, 4)),
                                    seed=int(rng.integers(2 ** 31)),
@@ -307,8 +307,8 @@ def _pgm_commutation(p, rng):
         table = {sym: index_to_bits(int(rng.integers(1 << out_bits)), out_bits)
                  for sym in state.symbols()}
         lhs = pgm(apply_classical_function(state, table.__getitem__))
-        rhs = apply_classical_function(CqState(dim, pgm(state).elements), table.__getitem__)
-        dev = max(float(np.max(np.abs(lhs.elements[y] - rhs.blocks[y]))) for y in lhs.elements)
+        rhs = apply_classical_function(pgm(state), table.__getitem__)
+        dev = float(np.max(np.abs(lhs.stack - rhs.stack)))
         yield Case(_k_params(n_bits, out_bits, 0, 0.0, 0.0),
                    f"pgm-commute n={n_bits} dim={dim} out={out_bits}",
                    [("channel-equality", dev, 0.0)], {"criterion_tol": 1e-10})
@@ -422,7 +422,9 @@ def resolve_params(check_id: str, params) -> dict:
 
     Raises ValueError for an unknown key, a value whose type differs from
     the default's, an integer below 1, an empty list, a value outside
-    ``CHOICES`` or an ``n_max`` below ``n_min`` (else ``WEAK_N_MIN``).
+    ``CHOICES``, an ``n_max`` below ``n_min`` (else ``WEAK_N_MIN``), an
+    ``ms`` entry above the smallest ``ns`` entry, or ``B7`` in ``bounds``
+    where the check can draw m > 1.
     """
     defaults = CHECKS[check_id].defaults
     if not isinstance(params, dict):
@@ -438,7 +440,22 @@ def resolve_params(check_id: str, params) -> dict:
     if resolved.get("n_max", n_min) < n_min:
         raise ValueError(f"{check_id}: param 'n_max' must be >= {n_min}, "
                          f"got {resolved['n_max']}")
+    if "ms" in resolved and max(resolved["ms"]) > min(resolved["ns"]):
+        raise ValueError(f"{check_id}: every 'ms' entry must be <= the smallest 'ns' entry "
+                         f"{min(resolved['ns'])}, got {max(resolved['ms'])}")
+    if "B7" in resolved.get("bounds", ()) and (m_top := _max_output_bits(check_id, resolved)) > 1:
+        raise ValueError(f"{check_id}: bound 'B7' is for single-bit output, but the check "
+                         f"draws m up to {m_top}")
     return resolved
+
+
+def _max_output_bits(check_id: str, p: dict) -> int:
+    """The largest m that a check taking a ``bounds`` param can draw under params p."""
+    if check_id == "b1-exhaustive-flat":
+        return max(p["ms"])
+    if check_id == "b2-markov":
+        return min(MARKOV_M_MAX, p["n_max"])
+    return min(p["m_max"], p["n_max"])
 
 
 def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:

@@ -139,7 +139,7 @@ def _random_source(n: int, rng: np.random.Generator):
     dist = make_flat_source(n, k_target, rule, seed=int(rng.integers(2 ** 31)))
     model = "bb84" if rng.random() < 0.5 else "random_pure"
     if model == "bb84":
-        kw = {"bits": int(rng.integers(1, 3))}
+        kw = {"bits": int(rng.integers(1, min(2, n) + 1))}
     else:
         kw = {"dim": int(rng.integers(2, 5))}
     return make_side_info(model, dist, seed=int(rng.integers(2 ** 31)), **kw)

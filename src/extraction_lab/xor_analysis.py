@@ -70,48 +70,27 @@ def mvf_l2_norm(mvf: MatrixValuedFunction) -> float:
     return float(np.sqrt(np.sum(np.abs(mvf.values) ** 2)))
 
 
-@dataclass(frozen=True)
-class POVM:
-    elements: dict   # outcome -> PSD operator, summing to the identity
-
-    def dim(self) -> int:
-        return next(iter(self.elements.values())).shape[0]
-
-    def outcomes(self):
-        return sorted(self.elements)
-
-
-def pgm(state: CqState) -> POVM:
+def pgm(state: CqState) -> CqState:
     """Pretty good measurement: rho_B^{-1/2} rho_{B and x} rho_B^{-1/2}.
 
-    The completeness deficit on ker(rho_B), never occupied by the state,
-    is assigned to the lexicographically first outcome so the result is a
-    genuine POVM on the full space.
+    A POVM is a cq-state whose symbols are its outcomes and whose blocks
+    are its elements.  The completeness deficit on ker(rho_B), never
+    occupied by the state, is assigned to the first outcome so the result
+    is a genuine POVM on the full space.
     """
     inv_sqrt = op_power(marginal_side(state), -0.5)
     elements = inv_sqrt @ state.stack @ inv_sqrt
     deficit = np.eye(state.side_dim, dtype=complex) - _block_sum(elements)
     if np.max(np.abs(deficit)) > 1e-12:
         elements[0] += deficit
-    return POVM(elements=dict(zip(state.symbols(), _herm(elements))))
+    return CqState._from_stack(state.side_dim, state.symbols(), _herm(elements))
 
 
-def measure_operator(povm: POVM, op) -> dict:
-    """Outcome weights tr(Lambda_x op)."""
-    mat = np.asarray(op, dtype=complex)
-    return {outcome: float(np.trace(povm.elements[outcome] @ mat).real)
-            for outcome in povm.outcomes()}
-
-
-def apply_measurement(povm: POVM, state: CqState) -> CqState:
-    """Measure the side register: classical-classical state on (x, outcome)."""
-    if povm.dim() != state.side_dim:
+def outcome_weights(povm: CqState, ops) -> np.ndarray:
+    """tr(Lambda_o op) for each operator op in ``ops`` (leading axes) and outcome o (last axis)."""
+    if ops.shape[-1] != povm.side_dim:
         raise ValueError("POVM dimension does not match the side register")
-    outcomes = povm.outcomes()
-    effects = np.array([povm.elements[o] for o in outcomes], dtype=complex)
-    probs = _traces(effects @ state.stack[:, None]).astype(complex)
-    keys = [(sym, o) for sym in state.symbols() for o in outcomes]
-    return CqState(side_dim=1, blocks=dict(zip(keys, probs.reshape(-1, 1, 1))))
+    return _traces(povm.stack @ ops[..., None, :, :])
 
 
 def squared_distance_fourier_bound(state: CqState, sigma) -> float:
@@ -147,13 +126,10 @@ def measured_xor_bound(state: CqState) -> float:
         masked = apply_classical_function(
             state, lambda z, s=s: (sum(si & zi for si, zi in zip(s, z)) & 1,))
         povm = pgm(masked)
-        joint = apply_measurement(povm, masked).probabilities()
-        ref = measure_operator(povm, rho_e)
-        total = 0.0
-        for bit in ((0,), (1,)):
-            for outcome, q in ref.items():
-                total += abs(joint.get((bit, outcome), 0.0) - 0.5 * q)
-        acc += 0.5 * total
+        joint = np.zeros((2, len(povm.symbols())))      # a bit that never occurs weighs 0
+        joint[[bit for (bit,) in povm.symbols()]] = outcome_weights(povm, masked.stack)
+        terms = np.abs(joint - 0.5 * outcome_weights(povm, rho_e))
+        acc += 0.5 * float(_block_sum(terms.ravel()))   # bit-major, one term at a time
     return float(np.sqrt(0.5 * acc))
 
 

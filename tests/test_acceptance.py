@@ -6,15 +6,13 @@ Every tolerance is pinned here; nothing is deferred to calibration.
 
 import json
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from extraction_lab.cli import main as cli_main
 from extraction_lab.cq_states import classical_state, distance_to_uniform
-from extraction_lab.extractors import two_universality_collision_prob
-from extraction_lab.gf2 import index_to_bits
+from extraction_lab.extractors import ip_table
 from extraction_lab.harness import run_check
 from extraction_lab.xor_analysis import (
     MatrixValuedFunction,
@@ -142,33 +140,32 @@ def test_criterion_09_markov_blocks():
            f"{len(violations)} violations")
 
 
+def _collisions(table: np.ndarray, x: int, xp: int) -> int:
+    """#{y : y . x = y . x'}, counted over two columns of the inner-product table."""
+    return int(np.count_nonzero(table[:, x] == table[:, xp]))
+
+
 def test_criterion_10_ip_two_universality():
-    half = Fraction(1, 2)
+    # The collision probability is exactly 1/2 iff 2 * hits == 2^n.
     exhaustive_ok = True
     # all ordered pairs for n <= 6
     for n in range(1, 7):
-        for xi in range(1 << n):
-            for yi in range(1 << n):
-                if xi == yi:
-                    continue
-                x, y = index_to_bits(xi, n), index_to_bits(yi, n)
-                if two_universality_collision_prob(x, y) != half:
-                    exhaustive_ok = False
+        table = ip_table(n)
+        hits = np.count_nonzero(table[:, :, None] == table[:, None, :], axis=0)
+        distinct = ~np.eye(1 << n, dtype=bool)
+        if not np.all(2 * hits[distinct] == 1 << n):
+            exhaustive_ok = False
     # the collision event depends only on x xor x'; spot-check that reduction,
     # then sweep every nonzero difference class for n = 7..10
     rng = np.random.default_rng(1100)
     for n in range(7, 11):
-        zero = index_to_bits(0, n)
+        table = ip_table(n)
         for _ in range(10):
-            xi, yi = rng.choice(1 << n, size=2, replace=False)
-            x, y = index_to_bits(int(xi), n), index_to_bits(int(yi), n)
-            w = tuple(a ^ b for a, b in zip(x, y))
-            if two_universality_collision_prob(x, y) != \
-               two_universality_collision_prob(w, zero):
+            xi, yi = (int(i) for i in rng.choice(1 << n, size=2, replace=False))
+            if _collisions(table, xi, yi) != _collisions(table, xi ^ yi, 0):
                 exhaustive_ok = False
-        for wi in range(1, 1 << n):
-            if two_universality_collision_prob(index_to_bits(wi, n), zero) != half:
-                exhaustive_ok = False
+        if not all(2 * _collisions(table, wi, 0) == 1 << n for wi in range(1, 1 << n)):
+            exhaustive_ok = False
     grid = run_check("ip-classical", {"params": {"ns": [2, 3, 4]}, "seed": 111})
     violations = [r for r in grid if not r.passed]
     ok = exhaustive_ok and not violations

@@ -158,6 +158,11 @@ def _after_a_valid_check(entry) -> dict:
     _after_a_valid_check({"id": "b2-markov", "params": {"n_max": 1}}),
     _after_a_valid_check({"id": "b8-weak-quantum", "params": {"n_max": 2}}),
     {"checks": [{"id": "parseval-random"}], "extra": 1},
+    _after_a_valid_check({"id": "b1-exhaustive-flat", "params": {"bounds": ["B7"]}}),
+    _after_a_valid_check({"id": "b1-quantum-product", "params": {"bounds": ["B1", "B7"]}}),
+    _after_a_valid_check({"id": "b2-markov", "params": {"bounds": ["B7"]}}),
+    _after_a_valid_check({"id": "b1-exhaustive-flat", "params": {"ns": [2], "ms": [3]}}),
+    _after_a_valid_check({"id": "b1-exhaustive-flat", "params": {"ns": [3, 4], "ms": [4]}}),
 ])
 def test_verify_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config):
     ran = []

@@ -2,11 +2,12 @@
 
 The reference functions below are the dict-based loops that the stacked
 ``marginal_side``, ``probabilities``, ``total_trace``, ``product``,
-``apply_classical_function``, ``pgm``, ``apply_measurement``,
+``apply_classical_function``, ``pgm``, ``outcome_weights``,
 ``squared_distance_fourier_bound`` and ``measured_xor_bound`` replaced,
 kept verbatim (apart from ``op_power`` no longer taking a kernel-policy
-argument) as the exact oracle: the stacked versions must reproduce them
-bit for bit, because the report bytes rest on them.
+argument, and a POVM being a ``CqState`` whose blocks are its elements)
+as the exact oracle: the stacked versions must reproduce them bit for
+bit, because the report bytes rest on them.
 """
 
 import numpy as np
@@ -31,12 +32,10 @@ from extraction_lab.operators import (
 )
 from extraction_lab.xor_analysis import (
     MAX_FOURIER_BITS,
-    POVM,
     MatrixValuedFunction,
-    apply_measurement,
-    measure_operator,
     measured_xor_bound,
     mvf_fourier,
+    outcome_weights,
     pgm,
     squared_distance_fourier_bound,
 )
@@ -85,7 +84,7 @@ def _ref_mvf_from_blocks(m: int, d: int, blocks: dict) -> MatrixValuedFunction:
     return MatrixValuedFunction(m=m, d=d, values=vals)
 
 
-def _ref_pgm(state: CqState) -> POVM:
+def _ref_pgm(state: CqState) -> CqState:
     rho_b = _ref_marginal_side(state)
     inv_sqrt = op_power(rho_b, -0.5)
     symbols = state.symbols()
@@ -94,15 +93,22 @@ def _ref_pgm(state: CqState) -> POVM:
     if np.max(np.abs(deficit)) > 1e-12:
         first = symbols[0]
         elements[first] = elements[first] + deficit
-    return POVM(elements={sym: _herm(e) for sym, e in elements.items()})
+    return CqState(side_dim=state.side_dim,
+                   blocks={sym: _herm(e) for sym, e in elements.items()})
 
 
-def _ref_apply_measurement(povm: POVM, state: CqState) -> CqState:
-    if povm.dim() != state.side_dim:
+def _ref_measure_operator(povm: CqState, op) -> dict:
+    mat = np.asarray(op, dtype=complex)
+    return {outcome: float(np.trace(povm.blocks[outcome] @ mat).real)
+            for outcome in povm.symbols()}
+
+
+def _ref_apply_measurement(povm: CqState, state: CqState) -> CqState:
+    if povm.side_dim != state.side_dim:
         raise ValueError("POVM dimension does not match the side register")
     blocks = {}
     for sym in state.symbols():
-        for outcome, p in measure_operator(povm, state.blocks[sym]).items():
+        for outcome, p in _ref_measure_operator(povm, state.blocks[sym]).items():
             blocks[(sym, outcome)] = np.array([[p]], dtype=complex)
     return CqState(side_dim=1, blocks=blocks)
 
@@ -157,7 +163,7 @@ def _ref_measured_xor_bound(state: CqState) -> float:
             state, lambda z, s=s: (sum(si & zi for si, zi in zip(s, z)) & 1,))
         povm = _ref_pgm(masked)
         joint = _ref_apply_measurement(povm, masked)
-        ref = measure_operator(povm, rho_e)
+        ref = _ref_measure_operator(povm, rho_e)
         target_blocks = {}
         for i in ((0,), (1,)):
             for outcome, q in ref.items():
@@ -200,13 +206,6 @@ def assert_same_state(new: CqState, ref: CqState, label):
         assert new.blocks[sym].tobytes() == ref.blocks[sym].tobytes(), (label, sym)
 
 
-def assert_same_povm(new: POVM, ref: POVM, label):
-    assert new.outcomes() == ref.outcomes(), label
-    for outcome in ref.outcomes():
-        assert new.elements[outcome].tobytes() == ref.elements[outcome].tobytes(), \
-            (label, outcome)
-
-
 def check_against_reference(state: CqState, rng, label):
     """Every stacked consumer agrees bit for bit with its dict-based copy."""
     assert marginal_side(state).tobytes() == _ref_marginal_side(state).tobytes(), label
@@ -219,9 +218,15 @@ def check_against_reference(state: CqState, rng, label):
     assert_same_state(product(state, other), _ref_product(state, other), label)
 
     povm = _ref_pgm(state)
-    assert_same_povm(pgm(state), povm, label)
-    assert_same_state(apply_measurement(povm, state), _ref_apply_measurement(povm, state), label)
+    assert_same_state(pgm(state), povm, label)
+    outcomes = povm.symbols()
+    joint = _ref_apply_measurement(povm, state).blocks
+    per_block = [[joint[(sym, o)][0, 0].real for o in outcomes] for sym in state.symbols()]
+    assert outcome_weights(povm, state.stack).tobytes() == np.array(per_block).tobytes(), label
     rho_e = marginal_side(state)
+    ref = _ref_measure_operator(povm, rho_e)
+    weights = outcome_weights(povm, rho_e)
+    assert weights.tobytes() == np.array([ref[o] for o in outcomes]).tobytes(), label
     d = state.side_dim
     for sigma in (rho_e / np.trace(rho_e).real, random_density(d, rng) if d > 1 else rho_e):
         assert squared_distance_fourier_bound(state, sigma) == \

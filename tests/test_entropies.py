@@ -4,6 +4,7 @@ import pytest
 from conftest import random_cq_state, random_distribution
 
 from extraction_lab.cq_states import (
+    CqState,
     apply_classical_function,
     build_cq,
     classical_state,
@@ -20,7 +21,7 @@ from extraction_lab.entropies import (
 )
 from extraction_lab.gf2 import all_bit_vectors, gf2_matvec
 from extraction_lab.operators import random_density, tensor
-from extraction_lab.xor_analysis import apply_measurement, pgm
+from extraction_lab.xor_analysis import outcome_weights, pgm
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -197,8 +198,12 @@ def test_data_processing_pgm_measurement(rng):
     for _ in range(10):
         st = random_cq_state(2, 2, rng, min_support=2)
         res = h_min_cond(st)
-        measured = apply_measurement(pgm(st), st)
-        cc = h_min_cond(apply_classical_function(measured, lambda s: s))
+        povm = pgm(st)
+        # X with the measured outcome as a classical side register.
+        weights = outcome_weights(povm, st.stack)
+        measured = CqState(side_dim=len(povm.symbols()),
+                           blocks={x: np.diag(w) for x, w in zip(st.symbols(), weights)})
+        cc = h_min_cond(measured)
         assert cc.value >= res.value - 1e-6
 
 

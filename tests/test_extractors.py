@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from extraction_lab.extractors import (
     ip_eval,
     ip_extractor,
     s_component,
-    two_universality_collision_prob,
 )
 from extraction_lab.gf2 import (
     MatrixFamily,
@@ -126,20 +123,6 @@ def test_extractor_spec_validation():
         ExtractorSpec(kind="other", n1=3, n2=3, m=1)
     assert deor_extractor(fam).r == 0
     assert ip_extractor(3)((1, 0, 1), (1, 1, 0)) == (1,)
-
-
-def test_two_universality_exact_half():
-    assert two_universality_collision_prob((0, 0, 1), (0, 1, 0)) == Fraction(1, 2)
-    assert two_universality_collision_prob((0,), (1,)) == Fraction(1, 2)
-    for n in (2, 3, 4):
-        for xi in range(1 << n):
-            for yi in range(1 << n):
-                if xi == yi:
-                    continue
-                x, y = index_to_bits(xi, n), index_to_bits(yi, n)
-                assert two_universality_collision_prob(x, y) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        two_universality_collision_prob((1, 0), (1, 0))
 
 
 def test_strongness_symmetry_under_transposition():

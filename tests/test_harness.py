@@ -136,6 +136,10 @@ DRAW_DIGESTS = {
     ("b1-quantum-product", {"strong_in": None}, "of type str"),
     ("hmin-linear-drop", {"random_ns": [4, -1]}, "positive"),
     ("parseval-random", [("count", 3)], "must be an object"),
+    ("b1-exhaustive-flat", {"bounds": ["B7"], "ms": [1, 2]}, "draws m up to 2"),
+    ("b1-quantum-product", {"bounds": ["B7"], "m_max": 2, "n_max": 4}, "draws m up to 2"),
+    ("b2-markov", {"bounds": ["B7"], "n_max": 3}, "draws m up to 2"),
+    ("b1-exhaustive-flat", {"ns": [3, 4], "ms": [4]}, "smallest 'ns' entry 3, got 4"),
 ])
 def test_resolve_params_rejects(check_id, params, match):
     with pytest.raises(ValueError, match=match):
@@ -149,6 +153,26 @@ def test_resolve_params_defaults_and_overrides():
     got = resolve_params("b1-exhaustive-flat", {"ns": [3], "sides": ["trivial"]})
     assert got["ns"] == (3,) and got["sides"] == ("trivial",)
     assert got["ms"] == CHECKS["b1-exhaustive-flat"].defaults["ms"]
+
+
+@pytest.mark.parametrize("check_id,params", [
+    ("b1-exhaustive-flat", {"bounds": ["B7"], "ms": [1], "ns": [2]}),
+    ("b1-quantum-product", {"bounds": ["B7"], "m_max": 1, "n_max": 3, "count": 2}),
+    ("b1-quantum-product", {"bounds": ["B7"], "n_min": 1, "n_max": 1, "count": 2}),
+    ("b2-markov", {"bounds": ["B7"], "n_min": 1, "n_max": 1, "count": 2}),
+])
+def test_single_bit_bound_accepted_where_m_is_one(check_id, params):
+    reports = run_check(check_id, {"params": params})
+    assert reports and all(r.params["m"] == 1 and r.passed for r in reports)
+
+
+def test_quantum_product_runs_with_one_bit_sources():
+    # bb84 side information encodes min(2, n) leading bits, so n = 1 draws it too.
+    reports = run_check("b1-quantum-product",
+                        {"params": {"count": 40, "n_min": 1, "n_max": 1}, "seed": 3})
+    assert len(reports) == 160 and all(r.passed for r in reports)
+    assert {(r.params["n"], r.params["m"]) for r in reports} == {(1, 1)}
+    assert any("bb84" in r.scenario for r in reports)
 
 
 def test_unknown_family_kind_is_rejected():

@@ -175,7 +175,7 @@ def test_trace_norm_data_processing_channels(rng):
     povm = pgm(state)
     for _ in range(25):
         s = random_hermitian(3, rng)
-        weights = [np.trace(povm.elements[out] @ s).real for out in povm.outcomes()]
+        weights = [np.trace(povm.blocks[out] @ s).real for out in povm.symbols()]
         assert hermitian_trace_norm(np.diag(weights)) <= trace_norm(s) + 1e-9
 
         big = random_hermitian(4 * 3, rng)   # X of size 4, side of size 3

@@ -21,14 +21,13 @@ from extraction_lab.operators import (
 )
 from extraction_lab.xor_analysis import (
     MatrixValuedFunction,
-    apply_measurement,
     character_matrix,
     l2_distance_to_uniform,
-    measure_operator,
     measured_xor_bound,
     mvf_fourier,
     mvf_from_blocks,
     mvf_l2_norm,
+    outcome_weights,
     pgm,
     squared_distance_fourier_bound,
 )
@@ -39,10 +38,10 @@ KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 def assert_povm(povm):
     """Every element Hermitian and PSD, and the elements sum to the identity."""
-    elements = np.array(list(povm.elements.values()))
+    elements = np.array(list(povm.blocks.values()))
     assert np.abs(elements - elements.conj().transpose(0, 2, 1)).max() <= 1e-9
     assert np.linalg.eigvalsh(elements).min() >= -1e-9
-    assert np.abs(elements.sum(axis=0) - np.eye(povm.dim())).max() <= 1e-9
+    assert np.abs(elements.sum(axis=0) - np.eye(povm.side_dim)).max() <= 1e-9
     return povm
 
 
@@ -101,11 +100,11 @@ def test_pgm_orthogonal_conditionals_is_projective():
                   {(0,): np.diag([1.0, 0.0]).astype(complex),
                    (1,): np.diag([0.0, 1.0]).astype(complex)})
     povm = assert_povm(pgm(st))
-    assert np.allclose(povm.elements[(0,)], np.diag([1.0, 0.0]))
-    assert np.allclose(povm.elements[(1,)], np.diag([0.0, 1.0]))
-    joint = apply_measurement(povm, st)
-    assert abs(joint.blocks[((0,), (0,))][0, 0] - 0.5) < 1e-12
-    assert ((0,), (1,)) not in joint.blocks or abs(joint.blocks[((0,), (1,))][0, 0]) < 1e-12
+    assert np.allclose(povm.blocks[(0,)], np.diag([1.0, 0.0]))
+    assert np.allclose(povm.blocks[(1,)], np.diag([0.0, 1.0]))
+    joint = outcome_weights(povm, st.stack)     # joint[x, outcome]
+    assert abs(joint[0, 0] - 0.5) < 1e-12
+    assert abs(joint[0, 1]) < 1e-12
 
 
 def test_pgm_identical_conditionals(rng):
@@ -116,14 +115,14 @@ def test_pgm_identical_conditionals(rng):
     # On the support of tau the elements are P(x) * identity; the deficit
     # on ker(tau) goes to the first outcome.
     proj = op_power(tau, 0)
-    assert np.allclose(povm.elements[(1,)], 0.75 * proj, atol=1e-9)
+    assert np.allclose(povm.blocks[(1,)], 0.75 * proj, atol=1e-9)
     assert_povm(povm)
 
 
 def test_pgm_bb84_completeness():
     st = build_cq({(0,): 0.5, (1,): 0.5}, {(0,): KET0, (1,): KETPLUS})
     povm = assert_povm(pgm(st))
-    total = sum(povm.elements.values())
+    total = sum(povm.blocks.values())
     assert np.max(np.abs(total - np.eye(2))) < 1e-9
 
 
@@ -131,19 +130,21 @@ def test_pgm_deficit_assignment_rank_deficient():
     # rho_B has rank 1, so the kernel deficit lands on the first outcome.
     st = build_cq({(0,): 0.5, (1,): 0.5}, {(0,): KET0, (1,): KET0})
     povm = assert_povm(pgm(st))
-    assert np.allclose(povm.elements[(0,)], np.diag([0.5, 1.0]), atol=1e-9)
-    assert np.allclose(povm.elements[(1,)], np.diag([0.5, 0.0]), atol=1e-9)
+    assert np.allclose(povm.blocks[(0,)], np.diag([0.5, 1.0]), atol=1e-9)
+    assert np.allclose(povm.blocks[(1,)], np.diag([0.5, 0.0]), atol=1e-9)
 
 
-def test_apply_measurement_marginal(rng):
+def test_outcome_weights_marginal(rng):
     st = random_cq_state(1, 2, rng, min_support=2)
     povm = pgm(st)
-    dist = measure_operator(povm, marginal_side(st))
-    assert abs(sum(dist.values()) - 1.0) < 1e-9
-    joint = apply_measurement(povm, st)
-    assert abs(joint.total_trace() - 1.0) < 1e-9
+    dist = outcome_weights(povm, marginal_side(st))
+    assert dist.shape == (len(povm.symbols()),)
+    assert abs(dist.sum() - 1.0) < 1e-9
+    joint = outcome_weights(povm, st.stack)
+    assert joint.shape == (len(st.symbols()), len(povm.symbols()))
+    assert abs(joint.sum() - 1.0) < 1e-9
     with pytest.raises(ValueError):
-        apply_measurement(povm, random_cq_state(1, 3, rng))
+        outcome_weights(povm, random_cq_state(1, 3, rng).stack)
 
 
 def test_pgm_function_commutation(rng):
@@ -154,10 +155,10 @@ def test_pgm_function_commutation(rng):
         fn = lambda s, t=table: t[s]
         lhs = pgm(apply_classical_function(st, fn))
         grouped = {}
-        for sym, el in pgm(st).elements.items():
+        for sym, el in pgm(st).blocks.items():
             grouped[fn(sym)] = grouped.get(fn(sym), 0) + el
-        for y in lhs.elements:
-            assert np.max(np.abs(lhs.elements[y] - grouped[y])) < 1e-10
+        for y in lhs.symbols():
+            assert np.max(np.abs(lhs.blocks[y] - grouped[y])) < 1e-10
 
 
 def test_fourier_bound_uniform_independent():
