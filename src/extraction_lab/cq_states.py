@@ -323,6 +323,53 @@ def distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) 
     return 0.5 * total
 
 
+def flat_grid_distances(table: np.ndarray, m: int, side_labels: np.ndarray,
+                        strong_in: str) -> np.ndarray:
+    """Strong distance to uniform of every pair of prefix-flat sources, by counting.
+
+    Source i is uniform on the inputs below 2^k_i, and input x carries the
+    classical side symbol ``side_labels[x]`` (all 0 for a trivial side
+    register).  Entry [k1, k2] of the returned (n+1, n+1) array is what
+    :func:`distance_to_uniform` gives for the strong output state of that
+    pair, as the exact dyadic rational g / 2^(k1+k2+m+1) with
+    g = Σ_{x1 < 2^k1} Σ_{z,c} |2^m·N(x1, z, c) − N(c)|, where N(x1, z, c)
+    counts the x2 < 2^k2 with table[x1, x2] = z and side symbol c, and N(c)
+    counts the x2 < 2^k2 with side symbol c.  For ``strong_in="x2"`` the
+    roles of the sources swap.  For each k2 the counts grow by bincounts
+    over the new inputs [2^(k2−1), 2^k2), at most 2^m·d columns of the table
+    at a time, so besides the table the working memory is O(2^n·2^m·d).
+    """
+    if _strong_flag(strong_in) is None:
+        raise ValueError("flat_grid_distances needs strong_in 'x1' or 'x2', not None")
+    if strong_in == "x2":
+        return flat_grid_distances(table.T, m, side_labels, "x1").T
+    size = len(side_labels)
+    n = size.bit_length() - 1
+    if table.shape != (size, size) or size != 1 << n:
+        raise ValueError(f"table of shape {table.shape} does not match "
+                         f"{size} side labels, a power of two")
+    if table.min() < 0 or table.max() >= 1 << m:
+        raise ValueError(f"table entries must be {m}-bit output indices")
+    d = int(side_labels.max()) + 1
+    # 2^m·d counts per x1, and as many table columns per bincount, so no
+    # temporary outgrows the counts.
+    step = d << m
+    rows = np.arange(size)[:, None] * step      # count index of (x1, z=0, c=0)
+    counts = np.zeros(size * step, dtype=np.int64)
+    side_counts = np.zeros(d, dtype=np.int64)
+    f = np.empty((n + 1, size), dtype=np.int64)     # f[k2, x1]
+    for k2 in range(n + 1):
+        for lo in range((1 << k2) >> 1, 1 << k2, step):
+            cols = slice(lo, min(lo + step, 1 << k2))
+            block = rows + table[:, cols] * d + side_labels[cols]
+            counts += np.bincount(block.ravel(), minlength=counts.size)
+            side_counts += np.bincount(side_labels[cols], minlength=d)
+        f[k2] = np.abs((counts.reshape(size, 1 << m, d) << m) - side_counts).sum(axis=(1, 2))
+    ks = np.arange(n + 1)
+    g = np.cumsum(f, axis=1)[:, (1 << ks) - 1].T    # g[k1, k2]
+    return g / np.exp2(ks[:, None] + ks + m + 1)
+
+
 def to_dense(state: CqState, symbols=None) -> np.ndarray:
     """Materialize sum_x |x><x| (x) rho_{B and x} over an explicit symbol order."""
     if symbols is None:

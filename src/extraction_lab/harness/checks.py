@@ -23,12 +23,14 @@ from ..cq_states import (
     distance_to_uniform,
     extractor_output_from_joint,
     extractor_output_state,
+    flat_grid_distances,
     markov_block_state,
     to_dense,
 )
 from ..entropies import h2_cond, h2_rel, h_min_cond, h_min_rel
 from ..extractors import deor_extractor, ip_extractor
 from ..gf2 import (
+    MAX_TABLE_BITS,
     all_bit_vectors,
     build_field_family,
     build_shift_family,
@@ -68,6 +70,8 @@ ENTROPY_SLACK = 1e-6
 FAMILY_BUILDERS = {"field": build_field_family, "shift": build_shift_family}
 WEAK_N_MIN = 3      # b8-weak-quantum draws n from WEAK_N_MIN..n_max
 MARKOV_M_MAX = 2    # b2-markov draws m from 1..min(MARKOV_M_MAX, n)
+EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at n = 4
+CLASSICAL_SIDES = ("trivial", "classical_leak")     # flat grids count these exactly
 # The values of a param that its type alone does not pin down, and their name.
 CHOICES = {"families": ("family kind", tuple(FAMILY_BUILDERS)),
            "sides": ("side-information model", tuple(SIDE_PARAMS)),
@@ -152,13 +156,35 @@ def _source_flags(res1, res2) -> dict:
     return {"converged1": res1.converged, "converged2": res2.converged}
 
 
-def _flat_grid(ext, n: int, side: str, strong_in):
-    """Every prefix-flat (k1, k2) pair under one side model, with its strong distance."""
-    sources = [make_side_info(side, make_flat_source(n, k)) for k in range(n + 1)]
+def _flat_sources(n: int, side: str) -> list:
+    """The prefix-flat n-bit sources, k = 0..n, under one side model."""
+    return [make_side_info(side, make_flat_source(n, k)) for k in range(n + 1)]
+
+
+def _flat_grid(ext, sources: list, strong_in):
+    """Every (k1, k2) pair of the prefix-flat ``sources``, with its strong distance.
+
+    Under a classical side model (``CLASSICAL_SIDES``) one integer pass over
+    ``ext.table``, :func:`flat_grid_distances`, gives every distance; besides
+    the table it holds O(2^n·2^m·d) counts.  The side symbol of each input is
+    read off the full-support source's diagonal blocks.  Quantum side models
+    take the cq-state route, :func:`extractor_output_state` and
+    :func:`distance_to_uniform` per pair, which every quantum check uses and
+    which is the counting route's oracle in the tests.  Either way the whole
+    grid is computed before its first pair is yielded, so the first case's
+    ``runtime_ms`` carries the grid's time.
+    """
+    if sources[0].model in CLASSICAL_SIDES:
+        full = sources[-1].state.stack
+        labels = np.argmax(full.diagonal(axis1=1, axis2=2).real, axis=1)
+        deltas = flat_grid_distances(ext.table, ext.m, labels, strong_in).tolist()
+    else:
+        deltas = [[distance_to_uniform(extractor_output_state(ext, s1.state, s2.state, strong_in),
+                                       1 << ext.m, strong=True) for s2 in sources]
+                  for s1 in sources]
     for k1, s1 in enumerate(sources):
         for k2, s2 in enumerate(sources):
-            out = extractor_output_state(ext, s1.state, s2.state, strong_in)
-            yield k1, k2, s1, s2, distance_to_uniform(out, 1 << ext.m, strong=True)
+            yield k1, k2, s1, s2, deltas[k1][k2]
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +195,14 @@ def _flat_grid(ext, n: int, side: str, strong_in):
         sides=("trivial", "classical_leak"), bounds=("B1",), strong_in="x1")
 def _b1_exhaustive(p, rng):
     """Exhaustive prefix-flat grid for the exact product-type bound."""
+    sources = {(n, side): _flat_sources(n, side) for n in p["ns"] for side in p["sides"]}
     for kind in p["families"]:
         for n in p["ns"]:
             for m in p["ms"]:
                 fam = _family(kind, n, m)
                 ext = deor_extractor(fam)
                 for side in p["sides"]:
-                    for k1, k2, s1, s2, delta in _flat_grid(ext, n, side, p["strong_in"]):
+                    for k1, k2, s1, s2, delta in _flat_grid(ext, sources[n, side], p["strong_in"]):
                         kp = _k_params(n, m, fam.r, s1.k, s2.k)
                         yield Case(kp, f"{kind} n={n} m={m} side={side} flat=({k1},{k2})",
                                    _catalog(p["bounds"], kp, delta))
@@ -229,7 +256,7 @@ def _ip_classical(p, rng):
     for n in p["ns"]:
         ext = ip_extractor(n)
         for side in p["sides"]:
-            for k1, k2, s1, s2, delta in _flat_grid(ext, n, side, "x1"):
+            for k1, k2, s1, s2, delta in _flat_grid(ext, _flat_sources(n, side), "x1"):
                 kp = _k_params(n, 1, 0, s1.k, s2.k)
                 yield Case(kp, f"ip n={n} side={side} flat=({k1},{k2})",
                            _catalog(("B7",), kp, delta))
@@ -423,8 +450,9 @@ def resolve_params(check_id: str, params) -> dict:
     Raises ValueError for an unknown key, a value whose type differs from
     the default's, an integer below 1, an empty list, a value outside
     ``CHOICES``, an ``n_max`` below ``n_min`` (else ``WEAK_N_MIN``), an
-    ``ms`` entry above the smallest ``ns`` entry, or ``B7`` in ``bounds``
-    where the check can draw m > 1.
+    ``ns`` entry above ``MAX_TABLE_BITS // 2``, an ``exhaustive_n`` above
+    ``EXHAUSTIVE_N_MAX``, an ``ms`` entry above the smallest ``ns`` entry,
+    or ``B7`` in ``bounds`` where the check can draw m > 1.
     """
     defaults = CHECKS[check_id].defaults
     if not isinstance(params, dict):
@@ -440,6 +468,14 @@ def resolve_params(check_id: str, params) -> dict:
     if resolved.get("n_max", n_min) < n_min:
         raise ValueError(f"{check_id}: param 'n_max' must be >= {n_min}, "
                          f"got {resolved['n_max']}")
+    if "ns" in resolved and 2 * max(resolved["ns"]) > MAX_TABLE_BITS:
+        raise ValueError(f"{check_id}: every 'ns' entry must be <= {MAX_TABLE_BITS // 2}, "
+                         f"as output tables cover at most 2^{MAX_TABLE_BITS} input pairs, "
+                         f"got {max(resolved['ns'])}")
+    if resolved.get("exhaustive_n", 1) > EXHAUSTIVE_N_MAX:
+        raise ValueError(f"{check_id}: param 'exhaustive_n' must be <= {EXHAUSTIVE_N_MAX}, "
+                         f"as the check enumerates all 2^(n²) maps, "
+                         f"got {resolved['exhaustive_n']}")
     if "ms" in resolved and max(resolved["ms"]) > min(resolved["ns"]):
         raise ValueError(f"{check_id}: every 'ms' entry must be <= the smallest 'ns' entry "
                          f"{min(resolved['ns'])}, got {max(resolved['ms'])}")

@@ -163,6 +163,9 @@ def _after_a_valid_check(entry) -> dict:
     _after_a_valid_check({"id": "b2-markov", "params": {"bounds": ["B7"]}}),
     _after_a_valid_check({"id": "b1-exhaustive-flat", "params": {"ns": [2], "ms": [3]}}),
     _after_a_valid_check({"id": "b1-exhaustive-flat", "params": {"ns": [3, 4], "ms": [4]}}),
+    _after_a_valid_check({"id": "ip-classical", "params": {"ns": [12]}}),
+    _after_a_valid_check({"id": "b1-exhaustive-flat", "params": {"ns": [12], "ms": [1]}}),
+    _after_a_valid_check({"id": "hmin-linear-drop", "params": {"exhaustive_n": 5}}),
 ])
 def test_verify_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config):
     ran = []

@@ -140,6 +140,9 @@ DRAW_DIGESTS = {
     ("b1-quantum-product", {"bounds": ["B7"], "m_max": 2, "n_max": 4}, "draws m up to 2"),
     ("b2-markov", {"bounds": ["B7"], "n_max": 3}, "draws m up to 2"),
     ("b1-exhaustive-flat", {"ns": [3, 4], "ms": [4]}, "smallest 'ns' entry 3, got 4"),
+    ("ip-classical", {"ns": [2, 12]}, "'ns' entry must be <= 11.*got 12"),
+    ("b1-exhaustive-flat", {"ns": [12], "ms": [1]}, "'ns' entry must be <= 11.*got 12"),
+    ("hmin-linear-drop", {"exhaustive_n": 5}, "'exhaustive_n' must be <= 4.*got 5"),
 ])
 def test_resolve_params_rejects(check_id, params, match):
     with pytest.raises(ValueError, match=match):
@@ -153,6 +156,19 @@ def test_resolve_params_defaults_and_overrides():
     got = resolve_params("b1-exhaustive-flat", {"ns": [3], "sides": ["trivial"]})
     assert got["ns"] == (3,) and got["sides"] == ("trivial",)
     assert got["ms"] == CHECKS["b1-exhaustive-flat"].defaults["ms"]
+    assert resolve_params("ip-classical", {"ns": [11]})["ns"] == (11,)
+    assert resolve_params("hmin-linear-drop", {"exhaustive_n": 4})["exhaustive_n"] == 4
+
+
+def test_classical_flat_grids_pass_at_n_6_to_8():
+    # The counted grids reach n = 6..8; the worst B1 ratio there is 0.8065.
+    rows = []
+    for n in (6, 7, 8):
+        rows += run_check("b1-exhaustive-flat", {"params": {"ns": [n], "ms": [1, 3, n]}})
+    ip = run_check("ip-classical", {"params": {"ns": [6, 7, 8]}})
+    assert len(rows) == 2 * 2 * 3 * (49 + 64 + 81) and len(ip) == 2 * (49 + 64 + 81)
+    assert all(r.passed for r in rows + ip)
+    assert max(r.measured_delta / r.bound_epsilon for r in rows) == pytest.approx(0.8065, abs=1e-4)
 
 
 @pytest.mark.parametrize("check_id,params", [

@@ -1,14 +1,20 @@
 """Oracles for the extractor output tables and the stacked output states.
 
-Two independent routes:
+Independent routes:
 
 * every output table equals per-pair evaluation (``deor_eval``,
   ``ip_eval``, the s-component evaluator) on every input pair;
 * the per-pair ``extractor_output_state``, ``extractor_output_from_joint``
   and ``distance_to_uniform`` that the table-driven, stacked versions
   replaced, kept verbatim below, give bitwise-equal blocks and distances.
-  Report bytes rest on that equality.
+  Report bytes rest on that equality;
+* the counted flat-grid distances (``flat_grid_distances``) equal the
+  cq-state route bit for bit, and equal an exact ``Fraction`` enumeration
+  over input pairs.
 """
+
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from extraction_lab.cq_states import (
     distance_to_uniform,
     extractor_output_from_joint,
     extractor_output_state,
+    flat_grid_distances,
     markov_block_state,
     product,
 )
@@ -39,7 +46,9 @@ from extraction_lab.gf2 import (
     build_shift_family,
     index_to_bits,
 )
-from extraction_lab.harness.scenarios import make_markov_scenario
+from extraction_lab.harness import checks
+from extraction_lab.harness.checks import CLASSICAL_SIDES, _flat_grid, _flat_sources, run_check
+from extraction_lab.harness.scenarios import LEAKS, make_markov_scenario
 from extraction_lab.operators import check_hermitian, random_density, random_pure_state, tensor
 
 FAMILIES = {"field": build_field_family, "shift": build_shift_family}
@@ -282,3 +291,83 @@ def test_output_state_property_matches_reference(seed, n, d1, d2, pure):
     ext = random_extractor(n, rng)
     check_against_reference(ext, random_source(n, d1, rng, pure),
                             random_source(n, d2, rng, pure), seed)
+
+
+# -- counted flat grids -----------------------------------------------------------
+
+def flat_grid_extractors(n_max: int):
+    """deor over both families at every m, and ip, for n = 1..n_max."""
+    for n in range(1, n_max + 1):
+        for kind in sorted(FAMILIES):
+            for m in range(1, n + 1):
+                yield deor_extractor(FAMILIES[kind](n, m))
+        yield ip_extractor(n)
+
+
+def test_counted_flat_grids_match_cq_route():
+    # _flat_grid counts classical grids; the cq-state route is the oracle.
+    pairs = 0
+    for ext in flat_grid_extractors(5):
+        for side in CLASSICAL_SIDES:
+            sources = _flat_sources(ext.n1, side)
+            for strong_in in ("x1", "x2"):
+                for k1, k2, s1, s2, delta in _flat_grid(ext, sources, strong_in):
+                    out = extractor_output_state(ext, s1.state, s2.state, strong_in)
+                    ref = distance_to_uniform(out, 1 << ext.m, strong=True)
+                    assert type(delta) is float and delta == ref, \
+                        (ext.kind, ext.n1, ext.m, side, strong_in, k1, k2)
+                    pairs += 1
+    assert pairs == 3160
+
+
+def _enumerated_flat_distance(ext, k1: int, k2: int, leak, strong_in) -> Fraction:
+    """Strong distance to uniform of two prefix-flat sources, summed over input pairs."""
+    n, m = ext.n1, ext.m
+    joint = Counter()       # (z, copied x, c1, c2) -> probability
+    for i1 in range(1 << k1):
+        for i2 in range(1 << k2):
+            x1, x2 = index_to_bits(i1, n), index_to_bits(i2, n)
+            copied = x1 if strong_in == "x1" else x2
+            joint[ext(x1, x2), copied, leak(x1), leak(x2)] += Fraction(1, 1 << (k1 + k2))
+    rest = Counter()
+    for (_, *key), p in joint.items():
+        rest[tuple(key)] += p
+    return sum(abs(joint[(z, *key)] - p / (1 << m))
+               for key, p in rest.items() for z in all_bit_vectors(m)) / 2
+
+
+def test_counted_flat_grids_match_fraction_enumeration():
+    leaks = {"trivial": lambda x: 0, "classical_leak": LEAKS["parity"]}
+    for ext in flat_grid_extractors(3):
+        n, m = ext.n1, ext.m
+        for side, leak in leaks.items():
+            labels = np.array([leak(x) for x in all_bit_vectors(n)])
+            for strong_in in ("x1", "x2"):
+                grid = flat_grid_distances(ext.table, m, labels, strong_in)
+                for k1 in range(n + 1):
+                    for k2 in range(n + 1):
+                        scale = 1 << (k1 + k2 + m + 1)
+                        counted = Fraction(float(grid[k1, k2])) * scale
+                        exact = _enumerated_flat_distance(ext, k1, k2, leak, strong_in) * scale
+                        assert counted.denominator == 1 and counted == exact, \
+                            (ext.kind, n, m, side, strong_in, k1, k2)
+
+
+def test_flat_grid_distances_refuses_bad_input():
+    table = ip_extractor(2).table
+    labels = np.zeros(4, dtype=np.int64)
+    with pytest.raises(ValueError, match="strong_in"):
+        flat_grid_distances(table, 1, labels, None)
+    with pytest.raises(ValueError, match="side labels"):
+        flat_grid_distances(table, 1, labels[:2], "x1")
+    with pytest.raises(ValueError, match="1-bit output"):
+        flat_grid_distances(table + 1, 1, labels, "x2")
+
+
+def test_quantum_side_flat_grids_take_the_cq_route(monkeypatch):
+    monkeypatch.setattr(checks, "flat_grid_distances", None)    # classical grids only
+    params = {"ns": [3], "sides": ["bb84", "random_pure"]}
+    flat = run_check("b1-exhaustive-flat", {"params": params})
+    ip = run_check("ip-classical", {"params": {"ns": [3], "sides": params["sides"]}})
+    assert len(flat) == 2 * 2 * 2 * 16 and len(ip) == 2 * 16
+    assert all(r.passed for r in flat + ip)
