@@ -247,8 +247,8 @@ def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqS
     """
     flag = _strong_flag(strong_in)
     sym1, sym2 = s1.symbols(), s2.symbols()
-    outputs = ext.table[np.ix_(_symbol_indices(sym1, ext.n1, "source 1"),
-                               _symbol_indices(sym2, ext.n2, "source 2"))]
+    outputs = ext.table[np.ix_(_symbol_indices(sym1, ext.n, "source 1"),
+                               _symbol_indices(sym2, ext.n, "source 2"))]
     z_bits = all_bit_vectors(ext.m)
     n_out = len(z_bits)
     side_dim = s1.side_dim * s2.side_dim
@@ -276,8 +276,8 @@ def extractor_output_from_joint(ext, joint: CqState, strong_in=None) -> CqState:
     for sym in symbols:
         if not (isinstance(sym, tuple) and len(sym) == 2):
             raise ValueError(f"joint alphabet symbol {sym!r} is not an (x1, x2) pair")
-    i1 = _symbol_indices([sym[0] for sym in symbols], ext.n1, "source 1")
-    i2 = _symbol_indices([sym[1] for sym in symbols], ext.n2, "source 2")
+    i1 = _symbol_indices([sym[0] for sym in symbols], ext.n, "source 1")
+    i2 = _symbol_indices([sym[1] for sym in symbols], ext.n, "source 2")
     z_bits = all_bit_vectors(ext.m)
     copied = {"x1": 0, "x2": 1}.get(flag)
     names = {sym: z_bits[z] if flag is None else (z_bits[z], sym[copied])
@@ -361,7 +361,8 @@ def flat_grid_distances(table: np.ndarray, m: int, side_labels: np.ndarray,
     for k2 in range(n + 1):
         for lo in range((1 << k2) >> 1, 1 << k2, step):
             cols = slice(lo, min(lo + step, 1 << k2))
-            block = rows + table[:, cols] * d + side_labels[cols]
+            # Widened first: a uint8 table wraps at table·d for m = 8.
+            block = rows + table[:, cols].astype(np.intp) * d + side_labels[cols]
             counts += np.bincount(block.ravel(), minlength=counts.size)
             side_counts += np.bincount(side_labels[cols], minlength=d)
         f[k2] = np.abs((counts.reshape(size, 1 << m, d) << m) - side_counts).sum(axis=(1, 2))

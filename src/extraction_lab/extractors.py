@@ -1,5 +1,8 @@
 """Two-source extractor evaluation: the deor family and the inner product.
 
+The inner product is the deor extractor of the identity family (m = 1,
+r = 0), so one type, :class:`ExtractorSpec`, covers both.
+
 Evaluators are pure functions on bit tuples, for exhaustive combinatorial
 loops.  Each extractor also has its output table, the index of its output
 for every input pair at once; the output-state builders in cq_states read
@@ -18,6 +21,7 @@ from .gf2 import (
     Bits,
     MatrixFamily,
     bits_to_index,
+    build_shift_family,
     gf2_images,
     gf2_matvec,
 )
@@ -38,7 +42,9 @@ def deor_eval(family: MatrixFamily, x: Bits, y: Bits) -> Bits:
 
 
 def _parity(a: np.ndarray) -> np.ndarray:
-    return (np.bitwise_count(a) & 1).astype(np.int64)
+    bits = np.bitwise_count(a)
+    bits &= 1
+    return bits
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -46,80 +52,56 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _inputs(n: int) -> np.ndarray:
-    """Every n-bit input index, refusing tables of more than 2^MAX_TABLE_BITS pairs."""
-    if 2 * n > MAX_TABLE_BITS:
-        raise ValueError(f"output table over 2^{2 * n} input pairs not supported "
-                         f"(at most 2^{MAX_TABLE_BITS})")
-    return np.arange(1 << n)
-
-
-def ip_table(n: int) -> np.ndarray:
-    """table[i, j] = ip_eval(x, y) for x, y the n-bit vectors of index i, j."""
-    xs = _inputs(n)
-    return _parity(xs[:, None] & xs)
-
-
 def deor_table(family: MatrixFamily) -> np.ndarray:
     """table[i, j] = bits_to_index(deor_eval(family, x, y)) for every input pair.
 
     Each A_k x comes from one vectorised product over all x; output bit k
-    is the parity of (A_k x) & y, and bit 1 is the most significant.
+    is the parity of (A_k x) & y, and bit 1 is the most significant.  The
+    table is uint8 for m <= 8 and uint16 otherwise, built from uint16
+    input indices, so no temporary is wider than two bytes per pair.
     """
-    ys = _inputs(family.n)
-    table = np.zeros((ys.size, ys.size), dtype=np.int64)
+    n = family.n
+    if 2 * n > MAX_TABLE_BITS:
+        raise ValueError(f"output table over 2^{2 * n} input pairs not supported "
+                         f"(at most 2^{MAX_TABLE_BITS})")
+    ys = np.arange(1 << n, dtype=np.uint16)
+    table = np.zeros((ys.size, ys.size), dtype=np.uint8 if family.m <= 8 else np.uint16)
     for mat in family.matrices:
-        table = (table << 1) | _parity(gf2_images(mat)[:, None] & ys)
+        table <<= 1
+        table |= _parity(gf2_images(mat).astype(np.uint16)[:, None] & ys)
     return table
 
 
 @dataclass(frozen=True)
 class ExtractorSpec:
-    """An evaluator with declared input/output lengths.
+    """The deor extractor of a matrix family: n-bit sources, m output bits."""
 
-    kind "deor" requires a matrix family with n1 = n2 = family.n and
-    m = family.m; kind "ip" is the single-bit inner product.
-    """
+    family: MatrixFamily
 
-    kind: str
-    n1: int
-    n2: int
-    m: int
-    family: MatrixFamily | None = None
+    @property
+    def n(self) -> int:
+        return self.family.n
 
-    def __post_init__(self):
-        if self.kind == "deor":
-            if self.family is None:
-                raise ValueError("deor extractor requires a matrix family")
-            if self.n1 != self.family.n or self.n2 != self.family.n or self.m != self.family.m:
-                raise ValueError("deor extractor lengths must match its family")
-        elif self.kind == "ip":
-            if self.n1 != self.n2 or self.m != 1:
-                raise ValueError("ip extractor needs n1 = n2 and m = 1")
-        else:
-            raise ValueError(f"unknown extractor kind {self.kind!r}")
+    @property
+    def m(self) -> int:
+        return self.family.m
 
     def __call__(self, x: Bits, y: Bits) -> Bits:
-        if self.kind == "deor":
-            return deor_eval(self.family, x, y)
-        return (ip_eval(x, y),)
+        return deor_eval(self.family, x, y)
 
     @functools.cached_property
     def table(self) -> np.ndarray:
-        """Read-only (2^n1, 2^n2) array of output indices, one per input pair."""
-        return _read_only(deor_table(self.family) if self.kind == "deor" else ip_table(self.n1))
-
-    @property
-    def r(self) -> int:
-        return self.family.r if self.family is not None else 0
+        """Read-only (2^n, 2^n) array of output indices, one per input pair."""
+        return _read_only(deor_table(self.family))
 
 
 def deor_extractor(family: MatrixFamily) -> ExtractorSpec:
-    return ExtractorSpec(kind="deor", n1=family.n, n2=family.n, m=family.m, family=family)
+    return ExtractorSpec(family)
 
 
 def ip_extractor(n: int) -> ExtractorSpec:
-    return ExtractorSpec(kind="ip", n1=n, n2=n, m=1)
+    """The inner product: the deor extractor of the identity family (m = 1, r = 0)."""
+    return ExtractorSpec(build_shift_family(n, 1))
 
 
 @dataclass(frozen=True)
@@ -139,11 +121,7 @@ class ComponentExtractor:
             raise ValueError("selector s = 0 does not define an extractor bit")
 
     @property
-    def n1(self) -> int:
-        return self.family.n
-
-    @property
-    def n2(self) -> int:
+    def n(self) -> int:
         return self.family.n
 
     @property
@@ -156,7 +134,7 @@ class ComponentExtractor:
 
     @functools.cached_property
     def table(self) -> np.ndarray:
-        """Read-only (2^n, 2^n) array of output bits, one per input pair."""
+        """Read-only (2^n, 2^n) uint8 array of output bits, one per input pair."""
         return _read_only(_parity(deor_table(self.family) & bits_to_index(self.s)))
 
 

@@ -21,6 +21,9 @@ With E = k1 + k2 + 2 - n - r - m:
   B9   2 * 2^(-E/3)             classical product-type from no side info
   B10  3 * 2^(-E/4)             classical Markov from no side info (equals B2)
   B11  sqrt(3) * 2^(-(E+8-4m)/8)  prior-generation quantum Markov lift
+
+The inner product is the deor extractor of the identity family, so B7 is
+B1 at m = 1, r = 0.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A check is data: the params it accepts, each with its default, and a
 generator that turns (params, rng) into a stream of cases.  A case holds
 the report params, a scenario label and one (bound_id, measured, epsilon)
 row per comparison.  :func:`run_check` does the rest in the same way for
-every check: it validates params, seeds the rng, applies repetitions,
-times each case, numbers the scenarios and emits one BoundReport per row.
+every check: it validates params, seeds the rng, times each case,
+numbers the scenarios and emits one BoundReport per row.
 A row passes iff measured <= epsilon + 1e-9.
 """
 
@@ -499,30 +499,27 @@ def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
     if check_id not in CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
     config = config or {}
+    unknown = sorted(set(config) - {"params", "seed"})
+    if unknown:
+        raise ValueError(f"{check_id}: unknown config keys {unknown}; accepted: params, seed")
     params = resolve_params(check_id, config.get("params", {}))
-    seed = int(config.get("seed", 0))
-    repetitions = int(config.get("repetitions", 1))
-    if repetitions < 1:
-        raise ValueError(f"{check_id}: repetitions must be positive, got {repetitions}")
+    cases = CHECKS[check_id].cases(params, np.random.default_rng(int(config.get("seed", 0))))
     reports: list[BoundReport] = []
-    for rep in range(repetitions):
-        rep_seed = seed if repetitions == 1 else seed + 10007 * rep
-        cases = CHECKS[check_id].cases(params, np.random.default_rng(rep_seed))
-        t0 = time.perf_counter()
-        for idx, case in enumerate(cases):
-            runtime_ms = (time.perf_counter() - t0) * 1e3
-            scenario = f"s{idx:05d} {case.label}"
-            for bound_id, measured, epsilon in case.rows:
-                reports.append(BoundReport(
-                    check_id=check_id,
-                    bound_id=bound_id,
-                    params=dict(case.params),
-                    measured_delta=float(measured),
-                    bound_epsilon=float(epsilon),
-                    passed=bool(measured <= epsilon + PASS_TOL),
-                    runtime_ms=runtime_ms,
-                    scenario=scenario,
-                    flags=dict(case.flags),
-                ))
-            t0 = time.perf_counter()    # the next case's time is spent inside the generator
+    t0 = time.perf_counter()
+    for idx, case in enumerate(cases):
+        runtime_ms = (time.perf_counter() - t0) * 1e3
+        scenario = f"s{idx:05d} {case.label}"
+        for bound_id, measured, epsilon in case.rows:
+            reports.append(BoundReport(
+                check_id=check_id,
+                bound_id=bound_id,
+                params=dict(case.params),
+                measured_delta=float(measured),
+                bound_epsilon=float(epsilon),
+                passed=bool(measured <= epsilon + PASS_TOL),
+                runtime_ms=runtime_ms,
+                scenario=scenario,
+                flags=dict(case.flags),
+            ))
+        t0 = time.perf_counter()    # the next case's time is spent inside the generator
     return reports

@@ -2,7 +2,7 @@
 
 A suite config is JSON of the form
 
-    {"checks": [{"id": "...", "params": {...}, "repetitions": 1, "seed": 7}],
+    {"checks": [{"id": "...", "params": {...}, "seed": 7}],
      "name": "..."}
 
 where ``name`` is optional (a config file's stem by default) and no other
@@ -73,7 +73,7 @@ SUITES: dict[str, dict] = {
 }
 
 SUITE_NAMES = tuple(sorted(SUITES))
-ENTRY_KEYS = ("id", "params", "seed", "repetitions")
+ENTRY_KEYS = ("id", "params", "seed")
 
 
 def load_config(suite: str) -> dict:
@@ -108,11 +108,10 @@ def _validate_entry(entry) -> None:
     if unknown:
         raise ValueError(f"check entry {entry['id']!r} has unknown keys {unknown}; "
                          f"accepted: {', '.join(ENTRY_KEYS)}")
-    for key, low in (("seed", 0), ("repetitions", 1)):
-        value = entry.get(key, low)
-        if type(value) is not int or value < low:
-            raise ValueError(f"check entry {entry['id']!r}: {key} must be an integer "
-                             f">= {low}, got {value!r}")
+    seed = entry.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"check entry {entry['id']!r}: seed must be an integer >= 0, "
+                         f"got {seed!r}")
     resolve_params(entry["id"], entry.get("params", {}))
 
 
@@ -135,10 +134,7 @@ def run_suite(config: dict, seed: int = 0, jobs: int = 1) -> SuiteResult:
         entry_seed = entry.get("seed")
         if entry_seed is None:
             entry_seed = (seed * 1000003 + pos) & 0x7FFFFFFF
-        cfg = {"params": entry.get("params", {}),
-               "seed": entry_seed,
-               "repetitions": entry.get("repetitions", 1)}
-        return run_check(entry["id"], cfg)
+        return run_check(entry["id"], {"params": entry.get("params", {}), "seed": entry_seed})
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -12,7 +12,7 @@ import pytest
 
 from extraction_lab.cli import main as cli_main
 from extraction_lab.cq_states import classical_state, distance_to_uniform
-from extraction_lab.extractors import ip_table
+from extraction_lab.extractors import ip_extractor
 from extraction_lab.harness import run_check
 from extraction_lab.xor_analysis import (
     MatrixValuedFunction,
@@ -150,7 +150,7 @@ def test_criterion_10_ip_two_universality():
     exhaustive_ok = True
     # all ordered pairs for n <= 6
     for n in range(1, 7):
-        table = ip_table(n)
+        table = ip_extractor(n).table
         hits = np.count_nonzero(table[:, :, None] == table[:, None, :], axis=0)
         distinct = ~np.eye(1 << n, dtype=bool)
         if not np.all(2 * hits[distinct] == 1 << n):
@@ -159,7 +159,7 @@ def test_criterion_10_ip_two_universality():
     # then sweep every nonzero difference class for n = 7..10
     rng = np.random.default_rng(1100)
     for n in range(7, 11):
-        table = ip_table(n)
+        table = ip_extractor(n).table
         for _ in range(10):
             xi, yi = (int(i) for i in rng.choice(1 << n, size=2, replace=False))
             if _collisions(table, xi, yi) != _collisions(table, xi ^ yi, 0):

@@ -152,6 +152,17 @@ def test_ordering_in_regime(rng):
         done += 1
 
 
+def test_b7_is_b1_of_the_identity_family(rng):
+    # The inner product is the deor extractor with m = 1, r = 0, so its
+    # bound 2^(-(1+k1+k2-n)/2) is B1's 2^(-E/2) there.
+    for _ in range(200):
+        n = int(rng.integers(1, 16))
+        k1, k2 = rng.uniform(0, n, size=2)
+        p = params(n, 1, 0, k1, k2)
+        b1 = bound_value("B1", p)
+        assert abs(bound_value("B7", p) - b1) <= 1e-12 * b1
+
+
 def test_validation_errors():
     with pytest.raises(KeyError):
         bound_value("B99", params(4, 1, 0, 2, 2))

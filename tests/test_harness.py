@@ -218,12 +218,10 @@ def test_run_check_unknown_id():
         run_check("no-such-check", {})
 
 
-def test_run_check_repetitions():
-    reports = run_check("parseval-random",
-                        {"params": {"count": 3}, "seed": 1, "repetitions": 2})
-    assert len(reports) == 6
-    with pytest.raises(ValueError, match="repetitions"):
-        run_check("parseval-random", {"repetitions": 0})
+def test_run_check_refuses_unknown_config_keys():
+    for config in ({"repetitions": 2}, {"params": {"count": 3}, "sed": 1}):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            run_check("parseval-random", config)
 
 
 def test_load_config_builtin_and_file(tmp_path):

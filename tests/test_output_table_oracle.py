@@ -3,7 +3,8 @@
 Independent routes:
 
 * every output table equals per-pair evaluation (``deor_eval``,
-  ``ip_eval``, the s-component evaluator) on every input pair;
+  ``ip_eval``, the s-component evaluator) on every input pair, and the
+  inner product's table equals the deor table of the field family at m = 1;
 * the per-pair ``extractor_output_state``, ``extractor_output_from_joint``
   and ``distance_to_uniform`` that the table-driven, stacked versions
   replaced, kept verbatim below, give bitwise-equal blocks and distances.
@@ -13,6 +14,7 @@ Independent routes:
   over input pairs.
 """
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -99,6 +101,36 @@ def test_table_refuses_oversized_alphabets():
         ip_extractor(12).table
 
 
+def test_ip_table_is_the_field_family_at_m1():
+    # build_field_family(n, 1) is multiplication by 1: the identity, built
+    # a second way.
+    for n in range(1, 9):
+        ip = ip_extractor(n).table
+        assert ip.dtype == np.uint8
+        assert np.array_equal(ip, deor_extractor(build_field_family(n, 1)).table), n
+
+
+def test_uint16_table_matches_per_pair():
+    fam = build_field_family(9, 9)
+    table = deor_extractor(fam).table
+    assert table.dtype == np.uint16
+    assert s_component(fam, index_to_bits(257, 9)).table.dtype == np.uint8
+    rng = np.random.default_rng(909)
+    for i, j in rng.integers(1 << 9, size=(2000, 2)).tolist():
+        out = deor_eval(fam, index_to_bits(i, 9), index_to_bits(j, 9))
+        assert index_to_bits(int(table[i, j]), 9) == out, (i, j)
+
+
+def test_ip_table_build_stays_below_one_int64_table():
+    tracemalloc.start()
+    try:
+        ip_extractor(11).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20      # an int64 (2^11, 2^11) table alone is 32 MiB
+
+
 # -- per-pair reference copies (the replaced implementations, verbatim) --------
 
 def _ref_hermitian_trace_norm(s) -> float:
@@ -114,8 +146,8 @@ def _ref_check_alphabet(state: CqState, n: int, which: str) -> None:
 
 def _ref_extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqState:
     flag = _strong_flag(strong_in)
-    _ref_check_alphabet(s1, ext.n1, "source 1")
-    _ref_check_alphabet(s2, ext.n2, "source 2")
+    _ref_check_alphabet(s1, ext.n, "source 1")
+    _ref_check_alphabet(s2, ext.n, "source 2")
     blocks: dict = {}
     if flag == "x2":
         for x2 in s2.symbols():
@@ -309,20 +341,20 @@ def test_counted_flat_grids_match_cq_route():
     pairs = 0
     for ext in flat_grid_extractors(5):
         for side in CLASSICAL_SIDES:
-            sources = _flat_sources(ext.n1, side)
+            sources = _flat_sources(ext.n, side)
             for strong_in in ("x1", "x2"):
                 for k1, k2, s1, s2, delta in _flat_grid(ext, sources, strong_in):
                     out = extractor_output_state(ext, s1.state, s2.state, strong_in)
                     ref = distance_to_uniform(out, 1 << ext.m, strong=True)
                     assert type(delta) is float and delta == ref, \
-                        (ext.kind, ext.n1, ext.m, side, strong_in, k1, k2)
+                        (ext.family, side, strong_in, k1, k2)
                     pairs += 1
     assert pairs == 3160
 
 
 def _enumerated_flat_distance(ext, k1: int, k2: int, leak, strong_in) -> Fraction:
     """Strong distance to uniform of two prefix-flat sources, summed over input pairs."""
-    n, m = ext.n1, ext.m
+    n, m = ext.n, ext.m
     joint = Counter()       # (z, copied x, c1, c2) -> probability
     for i1 in range(1 << k1):
         for i2 in range(1 << k2):
@@ -339,7 +371,7 @@ def _enumerated_flat_distance(ext, k1: int, k2: int, leak, strong_in) -> Fractio
 def test_counted_flat_grids_match_fraction_enumeration():
     leaks = {"trivial": lambda x: 0, "classical_leak": LEAKS["parity"]}
     for ext in flat_grid_extractors(3):
-        n, m = ext.n1, ext.m
+        n, m = ext.n, ext.m
         for side, leak in leaks.items():
             labels = np.array([leak(x) for x in all_bit_vectors(n)])
             for strong_in in ("x1", "x2"):
@@ -350,7 +382,18 @@ def test_counted_flat_grids_match_fraction_enumeration():
                         counted = Fraction(float(grid[k1, k2])) * scale
                         exact = _enumerated_flat_distance(ext, k1, k2, leak, strong_in) * scale
                         assert counted.denominator == 1 and counted == exact, \
-                            (ext.kind, n, m, side, strong_in, k1, k2)
+                            (ext.family, side, strong_in, k1, k2)
+
+
+def test_counted_flat_grids_widen_compact_tables():
+    # m = 8 fills a uint8 table, so table·d + label would wrap at d = 2
+    # unless each slice is widened first.
+    table = deor_extractor(build_field_family(8, 8)).table
+    assert table.dtype == np.uint8
+    labels = np.array([LEAKS["parity"](x) for x in all_bit_vectors(8)])
+    for strong_in in ("x1", "x2"):
+        assert np.array_equal(flat_grid_distances(table, 8, labels, strong_in),
+                              flat_grid_distances(table.astype(np.int64), 8, labels, strong_in))
 
 
 def test_flat_grid_distances_refuses_bad_input():
