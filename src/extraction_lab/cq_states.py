@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gf2 import all_bit_vectors, bits_to_index
+from .gf2 import _symbol_indices, all_bit_vectors
 from .operators import _hermitian_deviation, _not_psd, hermitian_trace_norms
 
 TRACE_ATOL = 1e-9
@@ -204,14 +204,6 @@ def _strong_flag(strong_in) -> str | None:
     if strong_in not in (None, "x1", "x2"):
         raise ValueError(f"strong_in must be None, 'x1' or 'x2', got {strong_in!r}")
     return strong_in
-
-
-def _symbol_indices(symbols, n: int, which: str) -> np.ndarray:
-    """Table index of each n-bit symbol; ValueError for any other symbol."""
-    for sym in symbols:
-        if not isinstance(sym, tuple) or len(sym) != n or any(b not in (0, 1) for b in sym):
-            raise ValueError(f"{which} alphabet symbol {sym!r} is not an {n}-bit string")
-    return np.array([bits_to_index(sym) for sym in symbols], dtype=np.int64)
 
 
 def _grouped(stack: np.ndarray, outputs: np.ndarray, n_out: int):

@@ -117,7 +117,7 @@ class ComponentExtractor:
     def __post_init__(self):
         if len(self.s) != self.family.m:
             raise ValueError(f"selector must have length m={self.family.m}")
-        if not any(self.s):
+        if bits_to_index(self.s) == 0:
             raise ValueError("selector s = 0 does not define an extractor bit")
 
     @property
@@ -129,8 +129,7 @@ class ComponentExtractor:
         return 1
 
     def __call__(self, x: Bits, y: Bits) -> Bits:
-        out = deor_eval(self.family, x, y)
-        return (sum(si & oi for si, oi in zip(self.s, out)) & 1,)
+        return (ip_eval(self.s, deor_eval(self.family, x, y)),)
 
     @functools.cached_property
     def table(self) -> np.ndarray:

@@ -5,16 +5,21 @@ parses to (1, 0, 1) and component i of a vector is ``bits[i]``.  Matrices
 are dense numpy uint8 arrays with entries in {0, 1}; all arithmetic is
 carried out exactly (XOR / mod-2), never in floating point.
 
+:func:`bits_to_index` is the one bit codec (``_symbol_indices`` applies it
+to an alphabet); it raises ValueError for any entry other than 0 or 1.
+
 A matrix family is a set A_1..A_m of n x n GF(2) matrices whose nonzero
-XOR-combinations A_s = sum_i s_i A_i all have rank >= n - r.  The
-rank-deficiency parameter r stored on a family is always the exact
+XOR-combinations A_s = sum_i s_i A_i all have rank >= n - r.  Both
+built-in families are the powers A_i = G^(i-1) of one generator G: the
+shift for the shift family, multiplication by x for the field family.
+The rank-deficiency parameter r stored on a family is always the exact
 maximum deficiency, verified by exhaustive enumeration over s.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,10 +49,26 @@ def index_to_bits(index: int, n: int) -> Bits:
 
 
 def bits_to_index(bits: Bits) -> int:
+    """Big-endian index of a bit vector; ValueError for any entry other than 0 or 1."""
     out = 0
     for b in bits:
-        out = (out << 1) | (b & 1)
+        if b not in (0, 1):
+            raise ValueError(f"{bits!r} is not a bit vector: entry {b!r} is not 0 or 1")
+        out = (out << 1) | int(b)
     return out
+
+
+def _symbol_indices(symbols, n: int, which: str) -> np.ndarray:
+    """Index of each n-bit symbol of an alphabet; ValueError naming any other symbol."""
+    indices = []
+    for sym in symbols:
+        try:
+            if not (isinstance(sym, tuple) and len(sym) == n):
+                raise ValueError
+            indices.append(bits_to_index(sym))
+        except ValueError:
+            raise ValueError(f"{which} alphabet symbol {sym!r} is not an {n}-bit string") from None
+    return np.array(indices, dtype=np.int64)
 
 
 def all_bit_vectors(n: int):
@@ -67,18 +88,13 @@ def as_gf2_matrix(entries) -> np.ndarray:
     return m
 
 
-def _pack_rows(m: np.ndarray) -> list[int]:
-    # Row j packed into an int with bit k = entry (j, k).
-    return [int(sum(int(b) << k for k, b in enumerate(row))) for row in m]
-
-
 def gf2_rank(m) -> int:
     """GF(2) rank by Gaussian elimination on bit-packed rows."""
     mat = as_gf2_matrix(m)
     pivots: dict[int, int] = {}
     rank = 0
-    for packed in _pack_rows(mat):
-        cur = packed
+    for row in mat.tolist():
+        cur = bits_to_index(row)
         while cur:
             lead = cur.bit_length() - 1
             if lead in pivots:
@@ -159,6 +175,7 @@ def a_s(family: MatrixFamily, s: Bits) -> np.ndarray:
     """XOR-combination A_s = sum_i s_i A_i of the family matrices."""
     if len(s) != family.m:
         raise ValueError(f"selector length {len(s)} != m={family.m}")
+    bits_to_index(s)                  # ValueError for an entry other than 0 or 1
     out = np.zeros((family.n, family.n), dtype=np.uint8)
     for bit, mat in zip(s, family.matrices):
         if bit:
@@ -178,13 +195,6 @@ def family_rank_parameter(family: MatrixFamily) -> int:
             raise ValueError(f"degenerate family: A_s is the zero matrix for s={format_bits(s)}")
         worst = max(worst, family.n - gf2_rank(mat))
     return worst
-
-
-def _verified_family(n: int, m: int, matrices: list[np.ndarray], poly: int | None) -> MatrixFamily:
-    candidate = MatrixFamily(n=n, m=m, matrices=tuple(matrices), r=0 if n == 1 else n - 1, poly=poly)
-    # r on the candidate is a placeholder; compute the exact value now.
-    r = family_rank_parameter(candidate)
-    return MatrixFamily(n=n, m=m, matrices=tuple(matrices), r=r, poly=poly)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +265,18 @@ def parse_poly(s: str) -> int:
 # Family builders
 # ---------------------------------------------------------------------------
 
-def _mult_matrix(elem: int, poly: int, n: int) -> np.ndarray:
-    # Column j = coordinates of elem * x^j in the basis (1, x, .., x^{n-1}).
-    cols = []
-    for j in range(n):
-        img = poly_mulmod(elem, 1 << j, poly)
-        cols.append([(img >> row) & 1 for row in range(n)])
-    return np.array(cols, dtype=np.uint8).T
+def _power_family(gen: np.ndarray, m: int, poly: int | None) -> MatrixFamily:
+    """The family A_i = gen^(i-1), i = 1..m, with its exact deficiency r."""
+    matrices = [np.eye(gen.shape[0], dtype=np.uint8)]
+    while len(matrices) < m:
+        matrices.append(gf2_matmul(gen, matrices[-1]))
+    # r = 0 is a placeholder until the exhaustive check has run.
+    family = MatrixFamily(n=gen.shape[0], m=m, matrices=tuple(matrices), r=0, poly=poly)
+    return replace(family, r=family_rank_parameter(family))
 
 
 def build_field_family(n: int, m: int, poly: int | None = None) -> MatrixFamily:
-    """Family A_i = multiplication by x^{i-1} in GF(2^n).
+    """Family A_i = multiplication by x^{i-1} in GF(2^n): the powers of multiplication by x.
 
     Every nonzero combination A_s is multiplication by a nonzero field
     element, hence invertible, so r = 0; this is re-verified exhaustively.
@@ -278,8 +289,10 @@ def build_field_family(n: int, m: int, poly: int | None = None) -> MatrixFamily:
         raise ValueError(f"polynomial degree {poly_degree(poly)} != n={n}")
     if not poly_is_irreducible(poly):
         raise ValueError(f"polynomial {format_poly(poly)} is reducible")
-    matrices = [_mult_matrix(1 << (i - 1), poly, n) for i in range(1, m + 1)]
-    fam = _verified_family(n, m, matrices, poly)
+    # Row i holds the coefficient of x^i: x * x^j = x^(j+1), and x * x^(n-1) = poly - x^n.
+    times_x = np.eye(n, k=-1, dtype=np.uint8)
+    times_x[::-1, -1] = index_to_bits(poly ^ (1 << n), n)
+    fam = _power_family(times_x, m, poly)
     if fam.r != 0:
         raise RuntimeError("field family failed invertibility verification")  # pragma: no cover
     return fam
@@ -289,15 +302,7 @@ def build_shift_family(n: int, m: int) -> MatrixFamily:
     """Family A_i = (i-1)-th power of the shift matrix; exercises r = m - 1."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
-    shift = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n - 1):
-        shift[i + 1, i] = 1
-    matrices = []
-    cur = np.eye(n, dtype=np.uint8)
-    for _ in range(m):
-        matrices.append(cur)
-        cur = gf2_matmul(shift, cur)
-    fam = _verified_family(n, m, matrices, None)
+    fam = _power_family(np.eye(n, k=-1, dtype=np.uint8), m, None)
     if fam.r > m - 1:
         raise RuntimeError("shift family deficiency exceeded m - 1")  # pragma: no cover
     return fam
@@ -313,7 +318,7 @@ def dump_family(family: MatrixFamily) -> str:
     lines = [f"{family.n} {family.m} {family.r} {poly}"]
     for mat in family.matrices:
         lines.append("")
-        lines.extend("".join(str(int(v)) for v in row) for row in mat)
+        lines.extend(format_bits(row) for row in mat.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..cq_states import CqState, MarkovScenario, build_cq, classical_state
 from ..entropies import EntropyResult, h_min_classical, h_min_cond
+from ..extractors import ip_eval
 from ..gf2 import index_to_bits
 from ..operators import random_density, random_pure_state
 
@@ -62,7 +63,7 @@ class SourceWithSide:
 
 
 # The classical_leak models: the bit of a source symbol that is leaked.
-LEAKS = {"parity": lambda x: sum(x) & 1, "first_bit": lambda x: x[0]}
+LEAKS = {"parity": lambda x: ip_eval(x, (1,) * len(x)), "first_bit": lambda x: x[0]}
 
 
 def _one_hot(index: int, dim: int) -> np.ndarray:
@@ -125,11 +126,13 @@ def _random_distribution(n: int, rng: np.random.Generator, min_support: int = 1)
     return {index_to_bits(i, n): float(w) for i, w in zip(chosen, weights)}
 
 
-def _random_cq(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1) -> CqState:
+def _random_cq(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1,
+               draw=random_density) -> CqState:
+    """Random distribution with conditional states draw(dim, rng), in sorted-symbol order."""
     dist = _random_distribution(n_bits, rng, min_support=min_support)
     if dim == 1:
         return classical_state(dist)
-    conds = {sym: random_density(dim, rng) for sym in sorted(dist)}
+    conds = {sym: draw(dim, rng) for sym in sorted(dist)}
     return build_cq(dist, conds, side_dim=dim)
 
 
@@ -145,29 +148,16 @@ def _random_source(n: int, rng: np.random.Generator):
     return make_side_info(model, dist, seed=int(rng.integers(2 ** 31)), **kw)
 
 
-def _random_factor(n: int, side_dim: int, rng: np.random.Generator,
-                   classical: bool) -> CqState:
-    dist = _random_distribution(n, rng)
-    if side_dim == 1:
-        return classical_state(dist)
-    if classical:
-        conds = {sym: _one_hot(int(rng.integers(side_dim)), side_dim) for sym in sorted(dist)}
-    else:
-        conds = {sym: random_pure_state(side_dim, rng) for sym in sorted(dist)}
-    return build_cq(dist, conds, side_dim=side_dim)
-
-
 def make_markov_scenario(n: int, n_blocks: int, seed: int,
-                         classical: bool = False,
-                         max_side_dim: int = 2) -> MarkovScenario:
-    """Random block mixture of product sources, one side register per block."""
+                         classical: bool = False) -> MarkovScenario:
+    """Random block mixture of product sources, one side register of dimension 1 or 2 each."""
     rng = np.random.default_rng(seed)
     weights = rng.random(n_blocks) + 0.2
     weights = tuple(float(w) for w in weights / weights.sum())
+    draw = (lambda d, r: _one_hot(int(r.integers(d)), d)) if classical else random_pure_state
     factors = []
     for _ in range(n_blocks):
-        d1 = int(rng.integers(1, max_side_dim + 1))
-        d2 = int(rng.integers(1, max_side_dim + 1))
-        factors.append((_random_factor(n, d1, rng, classical),
-                        _random_factor(n, d2, rng, classical)))
+        d1 = int(rng.integers(1, 3))
+        d2 = int(rng.integers(1, 3))
+        factors.append((_random_cq(n, d1, rng, draw=draw), _random_cq(n, d2, rng, draw=draw)))
     return MarkovScenario(weights=weights, factors=tuple(factors))

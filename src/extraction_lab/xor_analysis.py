@@ -16,7 +16,8 @@ import numpy as np
 
 from .cq_states import CqState, _block_sum, _traces, apply_classical_function, marginal_side
 from .entropies import _kernel_leaks
-from .gf2 import bits_to_index, index_to_bits
+from .extractors import ip_eval
+from .gf2 import _symbol_indices, index_to_bits
 from .operators import _herm, _psd_eigh, _spectral_power, op_power, partial_trace, tensor
 
 MAX_FOURIER_BITS = 12
@@ -37,10 +38,13 @@ class MatrixValuedFunction:
 
 
 def mvf_from_blocks(m: int, symbols, stack: np.ndarray) -> MatrixValuedFunction:
-    """Matrix-valued function with value stack[i] at m-bit symbols[i] (zeros elsewhere)."""
+    """Matrix-valued function with value stack[i] at m-bit symbols[i] (zeros elsewhere).
+
+    A symbol that is not an m-bit string raises ValueError naming it.
+    """
     d = stack.shape[-1]
     vals = np.zeros((1 << m, d, d), dtype=complex)
-    vals[np.array([bits_to_index(sym) for sym in symbols], dtype=np.intp)] = stack
+    vals[_symbol_indices(symbols, m, "output")] = stack
     return MatrixValuedFunction(m=m, d=d, values=vals)
 
 
@@ -98,7 +102,8 @@ def squared_distance_fourier_bound(state: CqState, sigma) -> float:
 
     Equals (2^m / 4) * sum_{s != 0} tr F[M](s)^2 for the matrix-valued
     function M(z) = sigma^{-1/4} rho_{E and z} sigma^{-1/4}; the raw
-    double sum over (z, z') is kept as a test oracle.
+    double sum over (z, z') is kept as a test oracle.  A non-bit output
+    symbol such as (2,) raises ValueError naming it.
     """
     m = _output_bits(state)
     w, v = _psd_eigh(np.asarray(sigma, dtype=complex))
@@ -117,6 +122,7 @@ def measured_xor_bound(state: CqState) -> float:
     s . z, the pretty good measurement of the compressed state is applied
     to its own side register, and the resulting classical-classical
     distance from (uniform bit) (x) (measured marginal) is accumulated.
+    A non-bit output symbol such as (2,) raises ValueError naming it.
     """
     m = _output_bits(state)
     rho_e = marginal_side(state)
@@ -124,7 +130,7 @@ def measured_xor_bound(state: CqState) -> float:
     for idx in range(1, 1 << m):
         s = index_to_bits(idx, m)
         masked = apply_classical_function(
-            state, lambda z, s=s: (sum(si & zi for si, zi in zip(s, z)) & 1,))
+            state, lambda z, s=s: (ip_eval(s, z),))
         povm = pgm(masked)
         joint = np.zeros((2, len(povm.symbols())))      # a bit that never occurs weighs 0
         joint[[bit for (bit,) in povm.symbols()]] = outcome_weights(povm, masked.stack)
@@ -140,6 +146,7 @@ def _output_bits(state: CqState) -> int:
     (m,) = lengths
     if m > MAX_FOURIER_BITS:
         raise ValueError(f"output length {m} exceeds cap {MAX_FOURIER_BITS}")
+    _symbol_indices(state.symbols(), m, "output")
     return m
 
 

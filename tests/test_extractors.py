@@ -112,6 +112,13 @@ def test_s_component_m1_is_deor():
         s_component(fam, (0,))
 
 
+def test_s_component_refuses_non_bit_selector():
+    # s = (2, 1) used to be accepted; its table and its __call__ disagreed
+    # with IP(A_s x, y) on 28 of the 64 input pairs.
+    with pytest.raises(ValueError, match="not a bit vector"):
+        s_component(build_field_family(3, 2), (2, 1))
+
+
 def test_extractor_spec_validation():
     fam = build_field_family(3, 2)
     assert deor_extractor(fam).family.r == 0

@@ -37,6 +37,15 @@ def test_bits_roundtrip():
         parse_bits("")
 
 
+def test_bit_codec_refuses_non_bits():
+    # An entry 2 used to be masked to 0: (0, 2, 1) encoded as 1.
+    with pytest.raises(ValueError, match=r"\(0, 2, 1\) is not a bit vector"):
+        bits_to_index((0, 2, 1))
+    # a_s read the selector (2, 1) as (1, 1), while bits_to_index read it as (0, 1).
+    with pytest.raises(ValueError, match="not a bit vector"):
+        a_s(build_field_family(3, 2), (2, 1))
+
+
 def test_rank_examples():
     assert gf2_rank(np.eye(3, dtype=np.uint8)) == 3
     assert gf2_rank(np.zeros((3, 3), dtype=np.uint8)) == 0
@@ -101,6 +110,27 @@ def test_a_s_field_oracle():
     assert np.array_equal(a2 @ np.array([1, 0, 0]) % 2, [0, 1, 0])
     assert np.array_equal(a2 @ np.array([0, 1, 0]) % 2, [0, 0, 1])
     assert np.array_equal(a2 @ np.array([0, 0, 1]) % 2, [1, 1, 0])
+
+
+def test_field_family_is_powers_of_multiplication_by_x():
+    cases = [(n, default_polynomial(n)) for n in range(1, 13)] + [(3, parse_poly("1101"))]
+    for n, poly in cases:
+        fam = build_field_family(n, n, poly)
+        assert fam.r == 0 and fam.poly == poly
+        for i, mat in enumerate(fam.matrices, start=1):
+            assert mat.dtype == np.uint8
+            assert np.array_equal(mat, field_element_mult_matrix(1 << (i - 1), poly, n))
+
+
+def test_shift_family_is_powers_of_the_shift():
+    # A_s = S^j (I + nilpotent) for the first selected index j, so r = m - 1 exactly.
+    for n in range(1, 8):
+        for m in range(1, n + 1):
+            fam = build_shift_family(n, m)
+            assert fam.r == m - 1 and fam.poly is None
+            for i, mat in enumerate(fam.matrices, start=1):
+                assert mat.dtype == np.uint8
+                assert np.array_equal(mat, np.eye(n, k=-(i - 1)))
 
 
 def test_a_s_linearity(rng):

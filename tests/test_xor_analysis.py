@@ -210,6 +210,19 @@ def test_fourier_bound_kernel_violation():
         squared_distance_fourier_bound(st, np.diag([1.0, 0.0]).astype(complex))
 
 
+def test_fourier_side_bounds_refuse_non_bit_symbols():
+    # (2,) used to be read as bit 0: measured_xor_bound gave 0.5 here, and
+    # 0.4204 with the same blocks under (0,) and (1,).
+    bad = build_cq({(0,): 0.5, (2,): 0.5}, {(0,): KET0, (2,): KETPLUS})
+    named = r"symbol \(2,\) is not an 1-bit string"
+    with pytest.raises(ValueError, match=named):
+        measured_xor_bound(bad)
+    with pytest.raises(ValueError, match=named):
+        squared_distance_fourier_bound(bad, marginal_side(bad))
+    with pytest.raises(ValueError, match=named):
+        mvf_from_blocks(1, bad.symbols(), bad.stack)
+
+
 def test_measured_xor_uniform_independent():
     sigma = np.eye(2, dtype=complex) / 2
     st = build_cq({b: 0.25 for b in all_bit_vectors(2)},
