@@ -27,6 +27,7 @@ from .gf2 import (
     save_family,
 )
 from .harness import load_config, run_suite, write_reports
+from .harness.params import NATURALS, resolved
 from .harness.scenarios import make_flat_source, make_markov_scenario, make_side_info
 
 
@@ -78,25 +79,16 @@ def _cmd_verify(args) -> int:
     return 0 if result.all_pass else 1
 
 
-# The keys each scenario form accepts; any other key is refused, never ignored.
-_SCENARIO_KEYS = {"markov": "markov", "dist": "dist seed side_info",
-                  "flat": "n k support seed side_info"}
-_MARKOV_KEYS = "n blocks seed classical"
-
-
-def _only_keys(where: str, value, accepted: str) -> dict:
-    """``value`` if it is a JSON object with no key outside the space-separated ``accepted``."""
-    if not isinstance(value, dict) or not set(value) <= set(accepted.split()):
-        raise ValueError(f"{where} must be a JSON object with keys among: {accepted}; "
-                         f"got {value!r}")
-    return value
-
-
-def _integer(where: str, value) -> int:
-    """``value`` if it is a JSON integer; a float, string or bool is refused, never coerced."""
-    if type(value) is not int:
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return value
+# The forms of an `entropy` scenario, told apart by a "markov" or "dist" key:
+# each form's keys with their defaults, and its required keys.  A markov
+# scenario is {"markov": {...}}, that object holding the form's keys.
+_SIDE_INFO = {"model": "trivial"}
+SCENARIO_FORMS = {
+    "flat": ({"n": 1, "k": 0, "support": "prefix", "seed": 0, "side_info": _SIDE_INFO}, ("n", "k")),
+    "dist": ({"dist": {}, "seed": 0, "side_info": _SIDE_INFO}, ("dist",)),
+    "markov": ({"n": 1, "blocks": 2, "seed": 0, "classical": False}, ("n",)),
+}
+_SCENARIO_CHOICES = {"k": ("k", NATURALS), "seed": ("seed", NATURALS)}
 
 
 def _probability(symbol: str, value) -> float:
@@ -106,27 +98,25 @@ def _probability(symbol: str, value) -> float:
     return float(value)
 
 
-def _load_scenario(path: str) -> dict:
+def _load_scenario(path: str) -> tuple[str, dict]:
+    """The scenario's form and its keys, resolved against the form's defaults."""
     try:
         scenario = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"scenario file is not valid JSON: {exc}") from exc
     form = next((f for f in ("markov", "dist") if isinstance(scenario, dict) and f in scenario),
                 "flat")
-    return _only_keys("scenario", scenario, _SCENARIO_KEYS[form])
+    if form == "markov":
+        scenario = resolved("markov scenario", scenario, {"markov": {}})["markov"]
+    defaults, required = SCENARIO_FORMS[form]
+    return form, resolved(f"{form} scenario", scenario, defaults, _SCENARIO_CHOICES, required)
 
 
 def _cmd_entropy(args) -> int:
-    scenario = _load_scenario(args.state)
-    if "markov" in scenario:
-        mk = _only_keys("markov", scenario["markov"], _MARKOV_KEYS)
-        classical = mk.get("classical", False)
-        if not isinstance(classical, bool):
-            raise ValueError(f"markov: classical must be true or false, got {classical!r}")
-        scn = make_markov_scenario(_integer("markov: n", mk["n"]),
-                                   _integer("markov: blocks", mk.get("blocks", 2)),
-                                   seed=_integer("markov: seed", mk.get("seed", 0)),
-                                   classical=classical)
+    form, scenario = _load_scenario(args.state)
+    if form == "markov":
+        scn = make_markov_scenario(scenario["n"], scenario["blocks"], seed=scenario["seed"],
+                                   classical=scenario["classical"])
         joint = markov_block_state(scn)
         res1 = h_min_cond(apply_classical_function(joint, lambda sym: sym[0]))
         res2 = h_min_cond(apply_classical_function(joint, lambda sym: sym[1]))
@@ -140,18 +130,14 @@ def _cmd_entropy(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
 
-    seed = _integer("seed", scenario.get("seed", 0))
-    if "dist" in scenario:
+    seed = scenario["seed"]
+    if form == "dist":
         dist = {parse_bits(k): _probability(k, v) for k, v in scenario["dist"].items()}
         if len({len(sym) for sym in dist}) > 1:
             raise ValueError(f"dist symbols must all have one length, got {sorted(scenario['dist'])}")
     else:
-        dist = make_flat_source(_integer("n", scenario["n"]), _integer("k", scenario["k"]),
-                                scenario.get("support", "prefix"), seed=seed)
-    side = scenario.get("side_info", {"model": "trivial"})
-    if not isinstance(side, dict):
-        raise ValueError(f"side_info must be a JSON object, got {side!r}")
-    side = dict(side)
+        dist = make_flat_source(scenario["n"], scenario["k"], scenario["support"], seed=seed)
+    side = dict(scenario["side_info"])
     model = side.pop("model", "trivial")
     source = make_side_info(model, dist, seed=seed, **side)
     hmin = source.hmin

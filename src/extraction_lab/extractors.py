@@ -28,10 +28,10 @@ from .gf2 import (
 
 
 def ip_eval(x: Bits, y: Bits) -> int:
-    """Inner product modulo 2."""
+    """Inner product modulo 2; ValueError naming any entry other than 0 or 1."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return sum(a & b for a, b in zip(x, y)) & 1
+    return (bits_to_index(x) & bits_to_index(y)).bit_count() & 1
 
 
 def deor_eval(family: MatrixFamily, x: Bits, y: Bits) -> Bits:

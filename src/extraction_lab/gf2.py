@@ -107,10 +107,11 @@ def gf2_rank(m) -> int:
 
 
 def gf2_matvec(m, x: Bits) -> Bits:
-    """Matrix-vector product over GF(2): (M x) mod 2."""
+    """Matrix-vector product over GF(2): (M x) mod 2; ValueError naming a non-bit entry of x."""
     mat = as_gf2_matrix(m)
     if mat.shape[1] != len(x):
         raise ValueError(f"dimension mismatch: {mat.shape[1]} columns, {len(x)}-bit vector")
+    bits_to_index(x)    # refuses a non-bit entry
     xs = np.asarray(x, dtype=np.uint8)
     return tuple(int(v) for v in (mat.astype(np.int64) @ xs) & 1)
 

@@ -4,7 +4,7 @@ A check is data: the params it accepts, each with its default, and a
 generator that turns (params, rng) into a stream of cases.  A case holds
 the report params, a scenario label and one (bound_id, measured, epsilon)
 row per comparison.  :func:`run_check` does the rest in the same way for
-every check: it validates params, seeds the rng, times each case,
+every check: it resolves the entry, seeds the rng, times each case,
 numbers the scenarios and emits one BoundReport per row.
 A row passes iff measured <= epsilon + 1e-9.
 """
@@ -56,6 +56,7 @@ from ..xor_analysis import (
     squared_distance_fourier_bound,
 )
 from .bounds import BOUND_IDS, base_exponent, bound_value
+from .params import NATURALS, resolved
 from .scenarios import (
     SIDE_PARAMS,
     _random_cq,
@@ -429,60 +430,37 @@ def _bound_ordering(p, rng):
 
 
 CHECK_IDS = tuple(sorted(CHECKS))
-
-def _validated(where: str, value, default, choice=None):
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ValueError(f"{where} must be a non-empty list, got {value!r}")
-        return tuple(_validated(where, item, default[0], choice) for item in value)
-    if type(value) is not type(default):
-        raise ValueError(f"{where} must be of type {type(default).__name__}, got {value!r}")
-    if isinstance(value, int) and value < 1:
-        raise ValueError(f"{where} must be positive, got {value}")
-    if choice and value not in choice[1]:
-        raise ValueError(f"{where}: unknown {choice[0]} {value!r}; known: {', '.join(choice[1])}")
-    return value
+# A check entry's keys with their defaults, and the values its id and seed may take.
+ENTRY = {"id": "", "params": {}, "seed": 0}
+ENTRY_CHOICES = {"id": ("check id", CHECK_IDS), "seed": ("seed", NATURALS)}
 
 
 def resolve_params(check_id: str, params) -> dict:
-    """The check's defaults overridden by ``params``.
+    """The check's defaults overridden by ``params``, resolved with ``CHOICES``.
 
-    Raises ValueError for an unknown key, a value whose type differs from
-    the default's, an integer below 1, an empty list, a value outside
-    ``CHOICES``, an ``n_max`` below ``n_min`` (else ``WEAK_N_MIN``), an
-    ``ns`` entry above ``MAX_TABLE_BITS // 2``, an ``exhaustive_n`` above
-    ``EXHAUSTIVE_N_MAX``, an ``ms`` entry above the smallest ``ns`` entry,
-    or ``B7`` in ``bounds`` where the check can draw m > 1.
+    Also refuses an ``n_max`` below ``n_min`` (else ``WEAK_N_MIN``), an ``ns``
+    entry above ``MAX_TABLE_BITS // 2``, an ``exhaustive_n`` above
+    ``EXHAUSTIVE_N_MAX``, an ``ms`` entry above the smallest ``ns`` entry, or
+    ``B7`` in ``bounds`` where the check can draw m > 1.
     """
-    defaults = CHECKS[check_id].defaults
-    if not isinstance(params, dict):
-        raise ValueError(f"{check_id}: params must be an object, got {params!r}")
-    resolved = dict(defaults)
-    for key, value in params.items():
-        if key not in defaults:
-            raise ValueError(f"{check_id}: unknown param {key!r}; "
-                             f"accepted: {', '.join(sorted(defaults))}")
-        resolved[key] = _validated(f"{check_id}: param {key!r}", value, defaults[key],
-                                   CHOICES.get(key))
-    n_min = resolved.get("n_min", WEAK_N_MIN)
-    if resolved.get("n_max", n_min) < n_min:
-        raise ValueError(f"{check_id}: param 'n_max' must be >= {n_min}, "
-                         f"got {resolved['n_max']}")
-    if "ns" in resolved and 2 * max(resolved["ns"]) > MAX_TABLE_BITS:
+    p = resolved(f"{check_id} params", params, CHECKS[check_id].defaults, CHOICES)
+    n_min = p.get("n_min", WEAK_N_MIN)
+    if p.get("n_max", n_min) < n_min:
+        raise ValueError(f"{check_id}: param 'n_max' must be >= {n_min}, got {p['n_max']}")
+    if "ns" in p and 2 * max(p["ns"]) > MAX_TABLE_BITS:
         raise ValueError(f"{check_id}: every 'ns' entry must be <= {MAX_TABLE_BITS // 2}, "
                          f"as output tables cover at most 2^{MAX_TABLE_BITS} input pairs, "
-                         f"got {max(resolved['ns'])}")
-    if resolved.get("exhaustive_n", 1) > EXHAUSTIVE_N_MAX:
+                         f"got {max(p['ns'])}")
+    if p.get("exhaustive_n", 1) > EXHAUSTIVE_N_MAX:
         raise ValueError(f"{check_id}: param 'exhaustive_n' must be <= {EXHAUSTIVE_N_MAX}, "
-                         f"as the check enumerates all 2^(n²) maps, "
-                         f"got {resolved['exhaustive_n']}")
-    if "ms" in resolved and max(resolved["ms"]) > min(resolved["ns"]):
+                         f"as the check enumerates all 2^(n²) maps, got {p['exhaustive_n']}")
+    if "ms" in p and max(p["ms"]) > min(p["ns"]):
         raise ValueError(f"{check_id}: every 'ms' entry must be <= the smallest 'ns' entry "
-                         f"{min(resolved['ns'])}, got {max(resolved['ms'])}")
-    if "B7" in resolved.get("bounds", ()) and (m_top := _max_output_bits(check_id, resolved)) > 1:
+                         f"{min(p['ns'])}, got {max(p['ms'])}")
+    if "B7" in p.get("bounds", ()) and (m_top := _max_output_bits(check_id, p)) > 1:
         raise ValueError(f"{check_id}: bound 'B7' is for single-bit output, but the check "
                          f"draws m up to {m_top}")
-    return resolved
+    return p
 
 
 def _max_output_bits(check_id: str, p: dict) -> int:
@@ -494,16 +472,19 @@ def _max_output_bits(check_id: str, p: dict) -> int:
     return min(p["m_max"], p["n_max"])
 
 
+def resolve_entry(entry) -> dict:
+    """A check entry, ``{"id": ..., "params": {...}, "seed": ...}``, with its params resolved."""
+    named = isinstance(entry, dict) and "id" in entry
+    entry = resolved(f"check entry {entry['id']!r}" if named else "check entry", entry,
+                     ENTRY, ENTRY_CHOICES, required=("id",))
+    entry["params"] = resolve_params(entry["id"], entry["params"])
+    return entry
+
+
 def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
-    """Run one registered check; deterministic given (params, seed)."""
-    if check_id not in CHECKS:
-        raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
-    config = config or {}
-    unknown = sorted(set(config) - {"params", "seed"})
-    if unknown:
-        raise ValueError(f"{check_id}: unknown config keys {unknown}; accepted: params, seed")
-    params = resolve_params(check_id, config.get("params", {}))
-    cases = CHECKS[check_id].cases(params, np.random.default_rng(int(config.get("seed", 0))))
+    """Run one registered check, deterministic given ``config``'s params and seed."""
+    entry = resolve_entry({**(config or {}), "id": check_id})
+    cases = CHECKS[check_id].cases(entry["params"], np.random.default_rng(entry["seed"]))
     reports: list[BoundReport] = []
     t0 = time.perf_counter()
     for idx, case in enumerate(cases):

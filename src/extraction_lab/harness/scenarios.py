@@ -18,6 +18,7 @@ from ..entropies import EntropyResult, h_min_classical, h_min_cond
 from ..extractors import ip_eval
 from ..gf2 import index_to_bits
 from ..operators import random_density, random_pure_state
+from .params import resolved
 
 # Every side-information model with the params it accepts and their defaults.
 SIDE_PARAMS = {"trivial": {}, "classical_leak": {"leak": "parity"}, "bb84": {"bits": 1},
@@ -64,6 +65,11 @@ class SourceWithSide:
 
 # The classical_leak models: the bit of a source symbol that is leaked.
 LEAKS = {"parity": lambda x: ip_eval(x, (1,) * len(x)), "first_bit": lambda x: x[0]}
+# The values the model and each side-information param may take.
+SIDE_CHOICES = {"model": ("side-information model", tuple(SIDE_PARAMS)),
+                "leak": ("leak function", tuple(LEAKS)),
+                "bits": ("bits", range(1, 3)),
+                "dim": ("side dimension", range(2, 5))}
 
 
 def _one_hot(index: int, dim: int) -> np.ndarray:
@@ -75,21 +81,9 @@ def _one_hot(index: int, dim: int) -> np.ndarray:
 
 def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> SourceWithSide:
     """Attach side information of the named model, with its SIDE_PARAMS, to a source."""
-    if model == "markov_blocks":
-        raise ValueError("markov_blocks scenarios pair two sources; "
-                         "build them with make_markov_scenario")
-    if model not in SIDE_PARAMS:
-        raise ValueError(f"unknown side-information model {model!r}; known: {list(SIDE_PARAMS)}")
-    unknown = sorted(set(params) - set(SIDE_PARAMS[model]))
-    if unknown:
-        raise ValueError(f"{model} side information takes no param(s) {unknown}; "
-                         f"accepted: {list(SIDE_PARAMS[model])}")
-    for key, value in params.items():
-        default = SIDE_PARAMS[model][key]
-        if type(value) is not type(default):
-            raise ValueError(f"{model} side information: {key} must be of type "
-                             f"{type(default).__name__}, got {value!r}")
-    params = {**SIDE_PARAMS[model], **params}
+    model = resolved("side information", {"model": model}, {"model": "trivial"},
+                     SIDE_CHOICES)["model"]
+    params = resolved(f"{model} side information", params, SIDE_PARAMS[model], SIDE_CHOICES)
 
     if model == "trivial":
         # h_min_cond's closed form for a one-dimensional side register, without its checks.
@@ -97,20 +91,16 @@ def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> Source
         return SourceWithSide(classical_state(dist), model, hmin)
 
     if model == "classical_leak":
-        if params["leak"] not in LEAKS:
-            raise ValueError(f"unknown leak function {params['leak']!r}; known: {list(LEAKS)}")
         dim = 2
         conds = {sym: _one_hot(LEAKS[params["leak"]](sym), dim) for sym in dist}
     elif model == "bb84":
         bits = params["bits"]
-        if not 1 <= bits <= 2:
-            raise ValueError("bb84 model encodes 1 or 2 leading bits")
+        if bits > (n := min(map(len, dist))):
+            raise ValueError(f"bb84 side information: bits {bits} is above the symbol length {n}")
         dim = 2 ** bits
         conds = {sym: functools.reduce(np.kron, [_KETS[b] for b in sym[:bits]]) for sym in dist}
     else:
         dim = params["dim"]
-        if not 2 <= dim <= 4:
-            raise ValueError("random_pure side dimension must be 2..4")
         rng = np.random.default_rng(seed)
         conds = {sym: random_pure_state(dim, rng) for sym in sorted(dist)}
     state = build_cq(dist, conds, side_dim=dim)

@@ -22,7 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .checks import CHECK_IDS, resolve_params, run_check
+from .checks import resolve_entry, run_check
+from .params import resolved
 
 SCHEMA_VERSION = 1
 
@@ -73,46 +74,30 @@ SUITES: dict[str, dict] = {
 }
 
 SUITE_NAMES = tuple(sorted(SUITES))
-ENTRY_KEYS = ("id", "params", "seed")
 
 
 def load_config(suite: str) -> dict:
-    """Resolve a suite name or JSON config path to a validated config dict."""
+    """Resolve a suite name or JSON config path to a validated config dict.
+
+    Entries are checked with :func:`resolve_entry` but kept as given: an
+    entry without a seed takes one derived from the suite seed.
+    """
     if suite in SUITES:
-        config = {"name": suite, **SUITES[suite]}
+        where, given, name = f"suite {suite!r}", SUITES[suite], suite
     else:
         path = Path(suite)
         if not path.exists():
             raise ValueError(f"unknown suite {suite!r} and no such config file; "
                              f"built-in suites: {', '.join(SUITE_NAMES)}")
         try:
-            config = json.loads(path.read_text())
+            given = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(config, dict) or not isinstance(config.get("checks"), list) \
-                or set(config) - {"checks", "name"}:
-            raise ValueError(f"config {path} must be an object with a 'checks' list "
-                             "and no other key than 'name'")
-        config.setdefault("name", path.stem)
+        where, name = f"config {path}", path.stem
+    config = resolved(where, given, {"checks": ({},), "name": name}, required=("checks",))
     for entry in config["checks"]:
-        _validate_entry(entry)
+        resolve_entry(entry)
     return config
-
-
-def _validate_entry(entry) -> None:
-    if not isinstance(entry, dict) or "id" not in entry:
-        raise ValueError("every check entry needs an 'id'")
-    if entry["id"] not in CHECK_IDS:
-        raise ValueError(f"unknown check id {entry['id']!r}")
-    unknown = sorted(set(entry) - set(ENTRY_KEYS))
-    if unknown:
-        raise ValueError(f"check entry {entry['id']!r} has unknown keys {unknown}; "
-                         f"accepted: {', '.join(ENTRY_KEYS)}")
-    seed = entry.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"check entry {entry['id']!r}: seed must be an integer >= 0, "
-                         f"got {seed!r}")
-    resolve_params(entry["id"], entry.get("params", {}))
 
 
 @dataclass(frozen=True)
@@ -131,9 +116,7 @@ def run_suite(config: dict, seed: int = 0, jobs: int = 1) -> SuiteResult:
 
     def run_entry(pos_entry):
         pos, entry = pos_entry
-        entry_seed = entry.get("seed")
-        if entry_seed is None:
-            entry_seed = (seed * 1000003 + pos) & 0x7FFFFFFF
+        entry_seed = entry.get("seed", (seed * 1000003 + pos) & 0x7FFFFFFF)
         return run_check(entry["id"], {"params": entry.get("params", {}), "seed": entry_seed})
 
     if jobs > 1:

@@ -35,6 +35,14 @@ def test_extract_missing_family(tmp_path, capsys):
                  "--x", "1", "--y", "1"]) == 2
 
 
+def test_extract_refuses_non_bits(tmp_path, capsys):
+    fam_path = tmp_path / "fam.txt"
+    assert main(["family", "--build", "shift", "--n", "2", "--m", "1",
+                 "--out", str(fam_path)]) == 0
+    assert main(["extract", "--family", str(fam_path), "--x", "21", "--y", "11"]) == 2
+    assert "not a 0/1 string: '21'" in capsys.readouterr().err
+
+
 def test_entropy_flat_scenario(tmp_path, capsys):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(
@@ -82,6 +90,14 @@ def test_entropy_markov_scenario(tmp_path, capsys):
     {"dist": {"00": "0.5", "11": 0.5}},
     {"n": 2, "k": 2, "side_info": {"model": "bb84", "bits": 1.7}},
     {"n": 2, "k": 2, "side_info": {"model": "random_pure", "dim": "3"}},
+    {"n": 0, "k": 0, "side_info": {"model": "classical_leak", "leak": "first_bit"}},
+    {"markov": {"n": 0}},
+    {"n": 3},
+    {"n": 3, "k": -1},
+    {"n": 1, "k": 1, "side_info": {"model": "bb84", "bits": 2}},
+    {"n": 2, "k": 2, "support": "sorted"},
+    {"markov": {"blocks": 2}},
+    {"markov": [2, 2]},
 ])
 def test_entropy_malformed_scenario_exits_2(tmp_path, capsys, scenario):
     scen = tmp_path / "scen.json"
@@ -89,6 +105,21 @@ def test_entropy_malformed_scenario_exits_2(tmp_path, capsys, scenario):
     assert main(["entropy", "--state", str(scen)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_entropy_names_the_missing_key(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"n": 3, "side_info": {"model": "bb84"}}))
+    assert main(["entropy", "--state", str(scen)]) == 2
+    assert capsys.readouterr().err == "error: flat scenario: missing keys ['k']\n"
+
+
+def test_entropy_accepts_k_zero(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"n": 2, "k": 0, "side_info": {"model": "classical_leak"}}))
+    assert main(["entropy", "--state", str(scen)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["h_min_classical"] == 0.0 and out["certified_k"] == 0.0
 
 
 def test_entropy_solves_the_source_once(tmp_path, capsys, monkeypatch):
@@ -166,6 +197,10 @@ def _after_a_valid_check(entry) -> dict:
     _after_a_valid_check({"id": "ip-classical", "params": {"ns": [12]}}),
     _after_a_valid_check({"id": "b1-exhaustive-flat", "params": {"ns": [12], "ms": [1]}}),
     _after_a_valid_check({"id": "hmin-linear-drop", "params": {"exhaustive_n": 5}}),
+    {"checks": []},
+    {"checks": [{"id": "parseval-random"}], "name": 5},
+    _after_a_valid_check({"id": "parseval-random", "seed": 2.9}),
+    _after_a_valid_check({"id": "parseval-random", "seed": "5"}),
 ])
 def test_verify_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config):
     ran = []

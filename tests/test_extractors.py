@@ -119,6 +119,20 @@ def test_s_component_refuses_non_bit_selector():
         s_component(build_field_family(3, 2), (2, 1))
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda: ip_eval((2, 1), (1, 1)),
+    lambda: ip_eval((1, 1), (1, -1)),
+    lambda: gf2_matvec(np.eye(2, dtype=np.uint8), (2, 1)),
+    lambda: deor_eval(build_field_family(2, 1), (2, 1), (1, 1)),
+    lambda: ip_extractor(2)((2, 1), (1, 1)),
+    lambda: s_component(build_field_family(2, 2), (1, 1))((1, 1), (0, 3)),
+])
+def test_pair_evaluators_refuse_non_bits(evaluate):
+    # These used to mask (2, 1) to (0, 1): ip_eval((2, 1), (1, 1)) was 1.
+    with pytest.raises(ValueError, match="not a bit vector: entry (2|3|-1) is not 0 or 1"):
+        evaluate()
+
+
 def test_extractor_spec_validation():
     fam = build_field_family(3, 2)
     assert deor_extractor(fam).family.r == 0

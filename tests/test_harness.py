@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extraction_lab.cli import SCENARIO_FORMS
 from extraction_lab.entropies import h_min_cond
 from extraction_lab.harness import load_config, run_check, run_suite, write_reports
 from extraction_lab.gf2 import gf2_images, gf2_matvec, index_to_bits
 from extraction_lab.harness import checks
 from extraction_lab.harness.checks import CHECK_IDS, CHECKS, resolve_params
 from extraction_lab.harness.scenarios import (
+    SIDE_PARAMS,
     _random_cq,
     make_flat_source,
     make_markov_scenario,
@@ -58,6 +60,30 @@ def test_make_side_info_models():
 
     with pytest.raises(ValueError):
         make_side_info("nope", dist)
+
+
+@pytest.mark.parametrize("model,params,match", [
+    ("nope", {}, "unknown side-information model 'nope'"),
+    ("markov_blocks", {}, "unknown side-information model"),
+    ("trivial", {"dim": 2}, "unknown keys \\['dim'\\]; accepted: none$"),
+    ("bb84", {"bitz": 2}, "unknown keys \\['bitz'\\]; accepted: bits"),
+    ("bb84", {"bits": 1.0}, "'bits' must be of type int"),
+    ("bb84", {"bits": 3}, "bits must be in 1..2, got 3"),
+    ("bb84", {"bits": 0}, "bits must be in 1..2, got 0"),
+    ("random_pure", {"dim": 5}, "side dimension must be in 2..4, got 5"),
+    ("random_pure", {"dim": True}, "'dim' must be of type int"),
+    ("classical_leak", {"leak": "last_bit"}, "unknown leak function 'last_bit'"),
+])
+def test_make_side_info_refuses(model, params, match):
+    with pytest.raises(ValueError, match=match):
+        make_side_info(model, make_flat_source(2, 2), **params)
+
+
+def test_bb84_refuses_more_bits_than_the_symbols_have():
+    # This used to fail with "block for (0,) has shape (2, 2), expected side_dim 4".
+    with pytest.raises(ValueError, match="bits 2 is above the symbol length 1"):
+        make_side_info("bb84", make_flat_source(1, 1), bits=2)
+    assert make_side_info("bb84", make_flat_source(2, 1), bits=2).state.side_dim == 4
 
 
 def test_certified_entropy_is_achievable_lower_bound():
@@ -126,7 +152,7 @@ DRAW_DIGESTS = {
 
 
 @pytest.mark.parametrize("check_id,params,match", [
-    ("bound-ordering", {"cout": 3}, "unknown param 'cout'"),
+    ("bound-ordering", {"cout": 3}, "unknown keys \\['cout'\\]"),
     ("b1-exhaustive-flat", {"ns": 5}, "non-empty list"),
     ("b1-exhaustive-flat", {"ns": []}, "non-empty list"),
     ("b1-exhaustive-flat", {"ns": [3, "4"]}, "of type int"),
@@ -214,14 +240,32 @@ def test_run_check_deterministic_replay():
 
 
 def test_run_check_unknown_id():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown check id 'no-such-check'"):
         run_check("no-such-check", {})
 
 
 def test_run_check_refuses_unknown_config_keys():
     for config in ({"repetitions": 2}, {"params": {"count": 3}, "sed": 1}):
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(ValueError, match="unknown keys"):
             run_check("parseval-random", config)
+
+
+@pytest.mark.parametrize("seed", [2.9, "5", True, -1])
+def test_run_check_refuses_malformed_seeds(seed):
+    # run_check used to run these as int(seed): seeds 2, 5, 1 and -1.
+    with pytest.raises(ValueError, match="seed"):
+        run_check("parseval-random", {"params": {"count": 3}, "seed": seed})
+
+
+def test_readme_lists_every_scenario_key_and_side_param():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for form, (defaults, required) in SCENARIO_FORMS.items():
+        for key, default in defaults.items():
+            shown = "required" if key in required else f"`{json.dumps(default)}`"
+            assert f"| `{form}` | `{key}` | {shown} |" in readme, (form, key)
+    for model, params in SIDE_PARAMS.items():
+        for key, default in params.items():
+            assert f"| `{model}` | `{key}` | `{json.dumps(default)}` |" in readme, (model, key)
 
 
 def test_load_config_builtin_and_file(tmp_path):
@@ -255,6 +299,10 @@ def test_load_config_builtin_and_file(tmp_path):
     ({"checks": [{"id": "parseval-random", "repetitions": "2"}]}, "repetitions"),
     ({"checks": [{"id": "parseval-random", "seed": -1}]}, "seed"),
     ({"checks": [{"id": "parseval-random", "params": {"count": 0}}]}, "positive"),
+    ({"checks": []}, "'checks' list: expected a non-empty list"),
+    ({"checks": [{"id": "parseval-random"}], "name": 5}, "'name' must be of type str"),
+    ({"checks": [{"params": {"count": 3}}]}, "missing keys \\['id'\\]"),
+    ({"checks": [{"id": "parseval-random", "seed": 2.0}]}, "'seed' must be of type int"),
 ])
 def test_load_config_rejects_malformed_entries(tmp_path, config, match):
     path = tmp_path / "cfg.json"
