@@ -14,9 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .entropies import h2_cond, h_min_classical, h_min_cond
+from .entropies import h2_cond, h_min_classical
 from .extractors import deor_eval
-from .cq_states import apply_classical_function, markov_block_state
 from .gf2 import (
     build_field_family,
     build_shift_family,
@@ -28,7 +27,7 @@ from .gf2 import (
 )
 from .harness import load_config, run_suite, write_reports
 from .harness.params import NATURALS, resolved
-from .harness.scenarios import make_flat_source, make_markov_scenario, make_side_info
+from .harness.scenarios import make_flat_source, make_side_info, markov_marginals
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,11 +114,8 @@ def _load_scenario(path: str) -> tuple[str, dict]:
 def _cmd_entropy(args) -> int:
     form, scenario = _load_scenario(args.state)
     if form == "markov":
-        scn = make_markov_scenario(scenario["n"], scenario["blocks"], seed=scenario["seed"],
-                                   classical=scenario["classical"])
-        joint = markov_block_state(scn)
-        res1 = h_min_cond(apply_classical_function(joint, lambda sym: sym[0]))
-        res2 = h_min_cond(apply_classical_function(joint, lambda sym: sym[1]))
+        joint, res1, res2 = markov_marginals(scenario["n"], scenario["blocks"], scenario["seed"],
+                                             scenario["classical"])
         out = {
             "model": "markov_blocks",
             "side_dim": joint.side_dim,
@@ -138,14 +134,13 @@ def _cmd_entropy(args) -> int:
     else:
         dist = make_flat_source(scenario["n"], scenario["k"], scenario["support"], seed=seed)
     side = dict(scenario["side_info"])
-    model = side.pop("model", "trivial")
-    source = make_side_info(model, dist, seed=seed, **side)
+    source = make_side_info(side.pop("model", "trivial"), dist, side, seed=seed)
     hmin = source.hmin
     h2 = h2_cond(source.state)
     out = {
-        "model": model,
+        "model": source.model,
         "side_dim": source.state.side_dim,
-        "h_min_classical": h_min_classical({k: v for k, v in dist.items()}),
+        "h_min_classical": h_min_classical(dist),
         "h_min_cond": hmin.value,
         "h_min_converged": bool(hmin.converged),
         "h2_cond": h2.value,

@@ -23,9 +23,13 @@ from types import MappingProxyType
 import numpy as np
 
 from .gf2 import _symbol_indices, all_bit_vectors
-from .operators import _hermitian_deviation, _not_psd, hermitian_trace_norms
-
-TRACE_ATOL = 1e-9
+from .operators import (
+    _not_psd,
+    _unit_trace,
+    hermitian_stack,
+    hermitian_trace_norms,
+    probability_vector,
+)
 
 
 class CqState:
@@ -89,44 +93,26 @@ def _block_sum(stack: np.ndarray) -> np.ndarray:
     return np.add.accumulate(stack, axis=0)[-1] + 0.0
 
 
-def validate_cq(state: CqState, atol: float = TRACE_ATOL) -> CqState:
+def validate_cq(state: CqState) -> CqState:
     """Check every block (finite, Hermitian, PSD) and the unit trace."""
-    symbols, stack = state.symbols(), state.stack
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    for sym, ok, dev in zip(symbols, finite, _hermitian_deviation(stack)):
-        if not ok:
-            raise ValueError(f"block for {sym} has non-finite entries")
-        if dev > 1e-9:
-            raise ValueError(f"block for {sym} is not Hermitian (max deviation {dev:.3e})")
-    for sym, w in zip(symbols, np.linalg.eigvalsh(stack)):
+    symbols = state.symbols()
+    for sym, w in zip(symbols, np.linalg.eigvalsh(hermitian_stack(state.stack, symbols))):
         if _not_psd(w):
             raise ValueError(f"conditional operator for {sym} is not PSD (min eig {w[0]:.3e})")
-    total = state.total_trace()
-    if abs(total - 1.0) > atol:
-        raise ValueError(f"cq-state trace {total} != 1")
+    _unit_trace(state.total_trace(), "cq-state")
     return state
 
 
 def build_cq(dist: dict, cond_states: dict, side_dim: int | None = None) -> CqState:
     """Assemble a cq-state from a distribution and normalized conditionals."""
-    total = float(sum(dist.values()))
-    if abs(total - 1.0) > TRACE_ATOL:
-        raise ValueError(f"distribution sums to {total}, not 1")
-    if any(p < -1e-12 for p in dist.values()):
-        raise ValueError("negative probability in distribution")
+    probability_vector(dist.values())
     blocks = {}
-    dim = side_dim
     for sym, p in dist.items():
-        if p <= 0:
-            continue
-        cond = np.asarray(cond_states[sym], dtype=complex)
-        if dim is None:
-            dim = cond.shape[0]
-        if abs(np.trace(cond).real - 1.0) > TRACE_ATOL:
-            raise ValueError(f"conditional state for {sym} is not normalized")
-        blocks[sym] = p * cond
-    if dim is None:
-        raise ValueError("empty distribution")
+        if p > 0:
+            cond = np.asarray(cond_states[sym], dtype=complex)
+            _unit_trace(np.trace(cond).real, "conditional state for", sym)
+            blocks[sym] = p * cond
+    dim = next(iter(blocks.values())).shape[0] if side_dim is None else side_dim
     return validate_cq(CqState(side_dim=dim, blocks=blocks))
 
 
@@ -167,12 +153,9 @@ class MarkovScenario:
     factors: tuple   # tuple of (CqState, CqState) pairs
 
     def __post_init__(self):
-        if len(self.weights) != len(self.factors) or not self.weights:
-            raise ValueError("weights and factor pairs must align and be nonempty")
-        if any(w < -1e-12 for w in self.weights):
-            raise ValueError("negative block weight")
-        if abs(sum(self.weights) - 1.0) > TRACE_ATOL:
-            raise ValueError("block weights must sum to 1")
+        if len(self.weights) != len(self.factors):
+            raise ValueError("weights and factor pairs must align")
+        probability_vector(self.weights, "block weight vector")
 
 
 def markov_block_state(scenario: MarkovScenario) -> CqState:

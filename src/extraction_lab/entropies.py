@@ -51,8 +51,8 @@ from .operators import (
     _psd_eigh,
     _spectral_power,
     _trusted_psd_eigh,
-    eigh,
-    op_power,
+    check_hermitian,
+    probability_vector,
     tensor,
 )
 
@@ -75,10 +75,7 @@ ROUNDING_FACTOR = 8.0
 
 def h_min_classical(dist: dict) -> float:
     """Min-entropy -log2 max_x P(x) of a classical distribution."""
-    probs = list(dist.values())
-    if not probs or any(p < -1e-12 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
-        raise ValueError("not a probability distribution")
-    return -float(np.log2(max(probs)))
+    return -float(np.log2(max(probability_vector(dist.values()))))
 
 
 def _kernel_projector(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -92,25 +89,6 @@ def _kernel_leaks(blocks: np.ndarray, w: np.ndarray, v: np.ndarray) -> bool:
     return bool(np.any(_traces(proj @ blocks @ proj) > KERNEL_LEAK_ATOL))
 
 
-def _h_min_rel_blocks(blocks: np.ndarray, sigma: np.ndarray) -> float:
-    """H_min of the stacked blocks relative to sigma."""
-    w, v = _psd_eigh(sigma)
-    if _kernel_leaks(blocks, w, v):
-        return NEG_INF
-    inv_sqrt = _spectral_power(w, v, -0.5)
-    tops = np.linalg.eigvalsh(_herm(inv_sqrt @ blocks @ inv_sqrt))[:, -1]
-    return -float(np.log2(max(0.0, float(tops.max()))))
-
-
-def _h2_rel_blocks(blocks: np.ndarray, total: float, w: np.ndarray, v: np.ndarray) -> float:
-    """H_2 of the blocks relative to the PSD operator with eigenpairs (w, v)."""
-    if _kernel_leaks(blocks, w, v):
-        return NEG_INF
-    quarter = _spectral_power(w, v, -0.25)
-    conj = quarter @ blocks @ quarter
-    return -float(np.log2(_block_sum(_traces(conj @ conj)) / total))
-
-
 def h_min_rel(rho, sigma, dim_a: int | None = None) -> float:
     """H_min of rho relative to sigma; -inf when ker(sigma) leaks into rho.
 
@@ -118,23 +96,31 @@ def h_min_rel(rho, sigma, dim_a: int | None = None) -> float:
     bipartite operator, in which case ``dim_a`` gives the classical/first
     dimension.
     """
-    sig = np.asarray(sigma, dtype=complex)
+    w, v = _psd_eigh(np.asarray(sigma, dtype=complex))
     if isinstance(rho, CqState):
-        return _h_min_rel_blocks(rho.stack, sig)
+        if _kernel_leaks(rho.stack, w, v):
+            return NEG_INF
+        inv_sqrt = _spectral_power(w, v, -0.5)
+        tops = np.linalg.eigvalsh(_herm(inv_sqrt @ rho.stack @ inv_sqrt))[:, -1]
+        return -float(np.log2(max(0.0, float(tops.max()))))
     if dim_a is None:
         raise ValueError("dense input requires dim_a")
-    mat = np.asarray(rho, dtype=complex)
-    big_proj = tensor(np.eye(dim_a), _kernel_projector(*eigh(sig)))
+    mat = check_hermitian(rho)
+    big_proj = tensor(np.eye(dim_a), _kernel_projector(w, v))
     if float(np.trace(big_proj @ mat @ big_proj).real) > KERNEL_LEAK_ATOL:
         return NEG_INF
-    big_inv = tensor(np.eye(dim_a), op_power(sig, -0.5))
+    big_inv = tensor(np.eye(dim_a), _spectral_power(w, v, -0.5))
     return -float(np.log2(_max_eig(big_inv @ mat @ big_inv)))
 
 
 def h2_rel(rho: CqState, sigma) -> float:
     """Collision entropy of a cq-state relative to sigma (blockwise form)."""
     w, v = _psd_eigh(np.asarray(sigma, dtype=complex))
-    return _h2_rel_blocks(rho.stack, rho.total_trace(), w, v)
+    if _kernel_leaks(rho.stack, w, v):
+        return NEG_INF
+    quarter = _spectral_power(w, v, -0.25)
+    conj = quarter @ rho.stack @ quarter
+    return -float(np.log2(_block_sum(_traces(conj @ conj)) / rho.total_trace()))
 
 
 @dataclass(frozen=True)
@@ -147,8 +133,8 @@ class EntropyResult:
 
 
 def _is_classical(state: CqState) -> bool:
-    off_diagonal = state.stack[:, ~np.eye(state.side_dim, dtype=bool)]
-    return not np.any(np.abs(off_diagonal) > DIAG_ATOL)
+    return state.side_dim == 1 or not np.any(
+        np.abs(state.stack[:, ~np.eye(state.side_dim, dtype=bool)]) > DIAG_ATOL)
 
 
 def _classical_h_min(state: CqState) -> EntropyResult:

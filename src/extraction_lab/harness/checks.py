@@ -11,6 +11,7 @@ A row passes iff measured <= epsilon + 1e-9.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -64,6 +65,7 @@ from .scenarios import (
     make_flat_source,
     make_markov_scenario,
     make_side_info,
+    markov_marginals,
 )
 
 PASS_TOL = 1e-9
@@ -119,11 +121,9 @@ def _check(check_id: str, **defaults):
     return register
 
 
-def _family(kind: str, n: int, m: int, cache={}):
-    key = (kind, n, m)
-    if key not in cache:
-        cache[key] = FAMILY_BUILDERS[kind](n, m)
-    return cache[key]
+@functools.lru_cache(maxsize=None)
+def _family(kind: str, n: int, m: int):
+    return FAMILY_BUILDERS[kind](n, m)
 
 
 def _k_params(n, m, r, k1, k2):
@@ -237,17 +237,14 @@ def _b2_markov(p, rng):
     for _ in range(p["count"]):
         kind, fam = _random_family(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
         classical = bool(rng.random() < 0.5)
-        scn = make_markov_scenario(fam.n, int(rng.integers(2, 4)),
-                                   seed=int(rng.integers(2 ** 31)),
-                                   classical=classical)
-        joint = markov_block_state(scn)
-        res1 = h_min_cond(apply_classical_function(joint, lambda sym: sym[0]))
-        res2 = h_min_cond(apply_classical_function(joint, lambda sym: sym[1]))
+        blocks = int(rng.integers(2, 4))
+        joint, res1, res2 = markov_marginals(fam.n, blocks, seed=int(rng.integers(2 ** 31)),
+                                             classical=classical)
         out = extractor_output_from_joint(deor_extractor(fam), joint, "x1")
         delta = distance_to_uniform(out, 1 << fam.m, strong=True)
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
-        yield Case(kp, f"{kind} n={fam.n} m={fam.m} {model} blocks={len(scn.weights)}",
+        yield Case(kp, f"{kind} n={fam.n} m={fam.m} {model} blocks={blocks}",
                    _catalog(p["bounds"], kp, delta), _source_flags(res1, res2))
 
 

@@ -13,8 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cq_states import CqState, MarkovScenario, build_cq, classical_state
-from ..entropies import EntropyResult, h_min_classical, h_min_cond
+from ..cq_states import (
+    CqState,
+    MarkovScenario,
+    apply_classical_function,
+    build_cq,
+    classical_state,
+    markov_block_state,
+)
+from ..entropies import EntropyResult, h_min_cond
 from ..extractors import ip_eval
 from ..gf2 import index_to_bits
 from ..operators import random_density, random_pure_state
@@ -79,31 +86,28 @@ def _one_hot(index: int, dim: int) -> np.ndarray:
     return c
 
 
-def make_side_info(model: str, dist: dict, *, seed: int = 0, **params) -> SourceWithSide:
-    """Attach side information of the named model, with its SIDE_PARAMS, to a source."""
+def make_side_info(model: str, dist: dict, params: dict | None = None, *,
+                   seed: int = 0) -> SourceWithSide:
+    """Attach side information of the named model to a source; ``params`` maps its SIDE_PARAMS."""
     model = resolved("side information", {"model": model}, {"model": "trivial"},
                      SIDE_CHOICES)["model"]
-    params = resolved(f"{model} side information", params, SIDE_PARAMS[model], SIDE_CHOICES)
+    params = resolved(f"{model} side information", {} if params is None else params,
+                      SIDE_PARAMS[model], SIDE_CHOICES)
 
     if model == "trivial":
-        # h_min_cond's closed form for a one-dimensional side register, without its checks.
-        hmin = EntropyResult(h_min_classical(dist), np.ones((1, 1), dtype=complex), True, 0.0, 0)
-        return SourceWithSide(classical_state(dist), model, hmin)
-
-    if model == "classical_leak":
-        dim = 2
-        conds = {sym: _one_hot(LEAKS[params["leak"]](sym), dim) for sym in dist}
+        state = classical_state(dist)
+    elif model == "classical_leak":
+        state = build_cq(dist, {sym: _one_hot(LEAKS[params["leak"]](sym), 2) for sym in dist})
     elif model == "bb84":
         bits = params["bits"]
         if bits > (n := min(map(len, dist))):
             raise ValueError(f"bb84 side information: bits {bits} is above the symbol length {n}")
-        dim = 2 ** bits
-        conds = {sym: functools.reduce(np.kron, [_KETS[b] for b in sym[:bits]]) for sym in dist}
+        state = build_cq(dist, {sym: functools.reduce(np.kron, [_KETS[b] for b in sym[:bits]])
+                                for sym in dist})
     else:
-        dim = params["dim"]
         rng = np.random.default_rng(seed)
-        conds = {sym: random_pure_state(dim, rng) for sym in sorted(dist)}
-    state = build_cq(dist, conds, side_dim=dim)
+        state = build_cq(dist, {sym: random_pure_state(params["dim"], rng)
+                                for sym in sorted(dist)})
     return SourceWithSide(state, model, h_min_cond(state))
 
 
@@ -132,10 +136,10 @@ def _random_source(n: int, rng: np.random.Generator):
     dist = make_flat_source(n, k_target, rule, seed=int(rng.integers(2 ** 31)))
     model = "bb84" if rng.random() < 0.5 else "random_pure"
     if model == "bb84":
-        kw = {"bits": int(rng.integers(1, min(2, n) + 1))}
+        params = {"bits": int(rng.integers(1, min(2, n) + 1))}
     else:
-        kw = {"dim": int(rng.integers(2, 5))}
-    return make_side_info(model, dist, seed=int(rng.integers(2 ** 31)), **kw)
+        params = {"dim": int(rng.integers(2, 5))}
+    return make_side_info(model, dist, params, seed=int(rng.integers(2 ** 31)))
 
 
 def make_markov_scenario(n: int, n_blocks: int, seed: int,
@@ -151,3 +155,11 @@ def make_markov_scenario(n: int, n_blocks: int, seed: int,
         d2 = int(rng.integers(1, 3))
         factors.append((_random_cq(n, d1, rng, draw=draw), _random_cq(n, d2, rng, draw=draw)))
     return MarkovScenario(weights=weights, factors=tuple(factors))
+
+
+def markov_marginals(n: int, n_blocks: int, seed: int, classical: bool = False):
+    """The joint state of ``make_markov_scenario``'s mixture and each source's ``h_min_cond``."""
+    joint = markov_block_state(make_markov_scenario(n, n_blocks, seed, classical))
+    res1 = h_min_cond(apply_classical_function(joint, lambda sym: sym[0]))
+    res2 = h_min_cond(apply_classical_function(joint, lambda sym: sym[1]))
+    return joint, res1, res2

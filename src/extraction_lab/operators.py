@@ -1,9 +1,10 @@
 """Dense complex Hermitian operator algebra for small dimensions.
 
-Operators are plain numpy complex arrays.  Functions here assume (and
-where cheap, verify) Hermiticity; eigendecompositions are delegated to
-LAPACK via numpy, which returns eigenvalues in ascending order.  Operator
-powers map the kernel to zero (the pseudo-inverse convention) so that
+Operators are plain numpy complex arrays.  Every module checks numeric
+input through the validators and tolerances here: one for operators, one
+for probability vectors, one for unit traces.  Eigendecompositions are
+delegated to LAPACK via numpy (eigenvalues ascending).  Operator powers
+map the kernel to zero (the pseudo-inverse convention) so that
 expressions like sigma^{-1/4} rho sigma^{-1/4} are well defined for
 singular sigma.
 """
@@ -12,7 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-HERMITICITY_ATOL = 1e-12
+# The package's one numeric-input policy; no module restates a threshold.
+HERMITICITY_ATOL = 1e-12  # max |A - A^dagger| entry of a Hermitian operator
+TRACE_ATOL = 1e-9         # |tr - 1| of a normalized state, |sum - 1| of a distribution
+PROBABILITY_ATOL = 1e-12  # most negative entry a probability vector may hold
 KERNEL_RTOL = 1e-10       # eigenvalues <= KERNEL_RTOL * lambda_max count as kernel
 PSD_RTOL = 1e-10          # lambda_min >= -PSD_RTOL * max(1, |lambda_max|) counts as PSD
 MAX_EIG_DIM = 4096
@@ -27,12 +31,47 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
-def check_hermitian(a, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    m = as_operator(a)
-    dev = float(_hermitian_deviation(m))
-    if dev > atol:
-        raise ValueError(f"operator is not Hermitian (max deviation {dev:.3e})")
+def check_hermitian(a) -> np.ndarray:
+    """``a`` as a complex operator; ValueError unless finite, square and Hermitian."""
+    return hermitian_stack(np.asarray(a, dtype=complex)[None])[0]
+
+
+def hermitian_stack(stack, names=None) -> np.ndarray:
+    """``stack`` as a complex (N, d, d) array of finite Hermitian operators, tested at once.
+
+    ValueError names the first bad one, as ``block for names[i]`` if ``names`` are given.
+    """
+    m = np.asarray(stack, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected an (N, d, d) stack of square operators, got shape {m.shape}")
+    dev = np.abs(m - np.swapaxes(m.conj(), -1, -2))
+    if not dev.max(initial=0.0) <= HERMITICITY_ATOL:    # NaN whenever an entry is not finite
+        dev = dev.max(axis=(-2, -1))
+        i = int(np.argmax(~(dev <= HERMITICITY_ATOL)))
+        what = "operator" if names is None else f"block for {names[i]}"
+        if not np.isfinite(m[i]).all():
+            raise ValueError(f"{what} has non-finite entries")
+        raise ValueError(f"{what} is not Hermitian (max deviation {dev[i]:.3e})")
     return m
+
+
+def probability_vector(values, what: str = "distribution") -> list:
+    """``values`` as a list; ValueError unless its sum is within TRACE_ATOL of 1 and no
+    entry is below -PROBABILITY_ATOL (so an empty or non-finite vector is refused).
+    """
+    p = list(values)
+    total = float(sum(p))
+    if not abs(total - 1.0) <= TRACE_ATOL:      # NaN for a non-finite entry
+        raise ValueError(f"{what} sums to {total}, not 1")
+    if min(p) < -PROBABILITY_ATOL:
+        raise ValueError(f"negative probability in {what}")
+    return p
+
+
+def _unit_trace(trace, *name) -> None:
+    """ValueError unless ``trace`` is 1 within TRACE_ATOL; ``name``'s parts name the operator."""
+    if abs(trace - 1.0) > TRACE_ATOL:
+        raise ValueError(f"{' '.join(map(str, name))} is not normalized (trace {trace:.6g})")
 
 
 # The package's one PSD test, kernel cut and Hermitian part.  Every module
@@ -47,11 +86,6 @@ def _kernel_mask(w: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues ``w`` at or below the relative kernel threshold."""
     top = float(w[-1]) if w.size else 0.0
     return w <= KERNEL_RTOL * max(top, 0.0)
-
-
-def _hermitian_deviation(a: np.ndarray) -> np.ndarray:
-    """Largest entry of |A - A^dagger|, for an operator or each operator in a stack."""
-    return np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -72,8 +106,7 @@ def eigh(h):
     m = check_hermitian(h)
     if m.shape[0] > MAX_EIG_DIM:
         raise ValueError(f"dimension {m.shape[0]} exceeds cap {MAX_EIG_DIM}")
-    w, v = np.linalg.eigh(m)
-    return w, v
+    return np.linalg.eigh(m)
 
 
 def _psd_eigh(h):
@@ -135,20 +168,8 @@ def hermitian_trace_norm(s) -> float:
 
 
 def hermitian_trace_norms(stack) -> np.ndarray:
-    """Trace norm of each Hermitian matrix in an (N, d, d) stack.
-
-    One finiteness and Hermiticity check (within 1e-9) covers the whole
-    stack, and one stacked eigvalsh gives every spectrum.
-    """
-    m = np.asarray(stack, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValueError(f"expected an (N, d, d) stack, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("operator has non-finite entries")
-    dev = float(_hermitian_deviation(m).max(initial=0.0))
-    if dev > 1e-9:
-        raise ValueError(f"operator is not Hermitian (max deviation {dev:.3e})")
-    return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+    """Trace norm of each Hermitian matrix in an (N, d, d) stack, from one stacked eigvalsh."""
+    return np.sum(np.abs(np.linalg.eigvalsh(hermitian_stack(stack))), axis=-1)
 
 
 def trace_distance(rho, sigma, check_trace: bool = True) -> float:
@@ -158,11 +179,8 @@ def trace_distance(rho, sigma, check_trace: bool = True) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if check_trace:
-        for name, op in (("rho", a), ("sigma", b)):
-            t = complex(np.trace(op))
-            if abs(t - 1.0) > 1e-9:
-                raise ValueError(f"{name} is not trace-normalized (trace {t:.6g}); "
-                                 "pass check_trace=False for subnormalized inputs")
+        _unit_trace(np.trace(a), "rho")
+        _unit_trace(np.trace(b), "sigma")
     return 0.5 * hermitian_trace_norm(a - b)
 
 
@@ -196,12 +214,11 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
 
 
 def von_neumann_entropy(rho, check_trace: bool = True) -> float:
-    """Entropy -sum(lambda log2 lambda), with 0 log 0 = 0."""
-    m = check_hermitian(rho, atol=1e-9)
-    if check_trace and abs(complex(np.trace(m)) - 1.0) > 1e-9:
-        raise ValueError("density operator must have unit trace")
-    w = np.linalg.eigvalsh(m)
-    w = np.clip(w, 0.0, None)
+    """Entropy -sum(lambda log2 lambda) of a PSD operator, with 0 log 0 = 0."""
+    m = check_hermitian(rho)
+    if check_trace:
+        _unit_trace(np.trace(m), "density operator")
+    w, _ = _checked_psd(np.linalg.eigvalsh(m), None)
     live = w > 0
     return float(-np.sum(w[live] * np.log2(w[live])))
 

@@ -18,7 +18,15 @@ from .cq_states import CqState, _block_sum, _traces, apply_classical_function, m
 from .entropies import _kernel_leaks
 from .extractors import ip_eval
 from .gf2 import _symbol_indices, index_to_bits
-from .operators import _herm, _psd_eigh, _spectral_power, op_power, partial_trace, tensor
+from .operators import (
+    _herm,
+    _psd_eigh,
+    _spectral_power,
+    check_hermitian,
+    op_power,
+    partial_trace,
+    tensor,
+)
 
 MAX_FOURIER_BITS = 12
 
@@ -156,7 +164,7 @@ def l2_distance_to_uniform(rho_ab, dim_a: int, sigma_b) -> float:
     Internal evaluator for the one-norm/two-norm inequality checks; not
     part of the supported API surface.
     """
-    rho = np.asarray(rho_ab, dtype=complex)
+    rho = check_hermitian(rho_ab)
     sig = np.asarray(sigma_b, dtype=complex)
     dim_b = sig.shape[0]
     if rho.shape[0] != dim_a * dim_b:

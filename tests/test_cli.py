@@ -98,6 +98,7 @@ def test_entropy_markov_scenario(tmp_path, capsys):
     {"n": 2, "k": 2, "support": "sorted"},
     {"markov": {"blocks": 2}},
     {"markov": [2, 2]},
+    {"n": 2, "k": 2, "side_info": {"model": "random_pure", "seed": 1}},
 ])
 def test_entropy_malformed_scenario_exits_2(tmp_path, capsys, scenario):
     scen = tmp_path / "scen.json"

@@ -53,9 +53,9 @@ def test_make_side_info_models():
     bb = make_side_info("bb84", make_flat_source(1, 1))
     assert abs(bb.k - (-np.log2(0.5 + 0.5 / np.sqrt(2)))) < 1e-9
 
-    rp = make_side_info("random_pure", dist, seed=3, dim=2)
+    rp = make_side_info("random_pure", dist, {"dim": 2}, seed=3)
     assert 0.0 <= rp.k <= 2.0
-    again = make_side_info("random_pure", dist, seed=3, dim=2)
+    again = make_side_info("random_pure", dist, {"dim": 2}, seed=3)
     assert abs(rp.k - again.k) < 1e-15
 
     with pytest.raises(ValueError):
@@ -76,21 +76,21 @@ def test_make_side_info_models():
 ])
 def test_make_side_info_refuses(model, params, match):
     with pytest.raises(ValueError, match=match):
-        make_side_info(model, make_flat_source(2, 2), **params)
+        make_side_info(model, make_flat_source(2, 2), params)
 
 
 def test_bb84_refuses_more_bits_than_the_symbols_have():
     # This used to fail with "block for (0,) has shape (2, 2), expected side_dim 4".
     with pytest.raises(ValueError, match="bits 2 is above the symbol length 1"):
-        make_side_info("bb84", make_flat_source(1, 1), bits=2)
-    assert make_side_info("bb84", make_flat_source(2, 1), bits=2).state.side_dim == 4
+        make_side_info("bb84", make_flat_source(1, 1), {"bits": 2})
+    assert make_side_info("bb84", make_flat_source(2, 1), {"bits": 2}).state.side_dim == 4
 
 
 def test_certified_entropy_is_achievable_lower_bound():
     # Re-evaluating the conditional min-entropy of the built state can only
     # confirm (not undercut) the certified value.
     dist = make_flat_source(3, 2)
-    src = make_side_info("random_pure", dist, seed=11, dim=3)
+    src = make_side_info("random_pure", dist, {"dim": 3}, seed=11)
     res = h_min_cond(src.state)
     assert res.value >= src.k - 1e-9
 

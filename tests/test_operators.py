@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from extraction_lab.cq_states import MarkovScenario, classical_state
+from extraction_lab.entropies import h_min_classical, h_min_rel
 from extraction_lab.operators import (
     check_hermitian,
     conditional_mutual_information,
@@ -188,3 +190,25 @@ def test_trace_norm_data_processing_channels(rng):
         for y, blk in grouped.items():
             out[y * 3:(y + 1) * 3, y * 3:(y + 1) * 3] = blk
         assert hermitian_trace_norm(out) <= trace_norm(big) + 1e-9
+
+
+_SKEW = np.array([[0.5, 1e-10], [0.0, 0.5]], dtype=complex)
+_CLASSICAL = classical_state({(0,): 1.0})
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: h_min_classical({(0,): np.nan, (1,): 1.0}), "sums to nan"),
+    (lambda: MarkovScenario(weights=(np.nan, 1.0), factors=((_CLASSICAL, _CLASSICAL),) * 2),
+     "sums to nan"),
+    (lambda: von_neumann_entropy(np.diag([1.5, -0.5])), "not PSD"),
+    (lambda: trace_distance(_SKEW, np.eye(2) / 2), "not Hermitian"),
+    (lambda: hermitian_trace_norm(_SKEW), "not Hermitian"),
+    (lambda: h_min_rel(np.kron(np.eye(2) / 2, _SKEW + np.diag([0.0, 0.1])), np.eye(2) / 2,
+                       dim_a=2), "not Hermitian"),
+], ids=["h_min_classical-nan", "markov-weight-nan", "von_neumann-not-psd",
+        "trace_distance-skew", "hermitian_trace_norm-skew", "h_min_rel-dense-skew"])
+def test_numeric_policy_refuses(call, match):
+    # Probability vectors and operators are refused by the one validator of
+    # each kind in ``operators``, at the tolerance ``eigh`` applies to _SKEW.
+    with pytest.raises(ValueError, match=match):
+        call()

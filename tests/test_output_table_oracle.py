@@ -134,7 +134,7 @@ def test_ip_table_build_stays_below_one_int64_table():
 # -- per-pair reference copies (the replaced implementations, verbatim) --------
 
 def _ref_hermitian_trace_norm(s) -> float:
-    m = check_hermitian(s, atol=1e-9)
+    m = check_hermitian(s)
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
