@@ -36,8 +36,9 @@ class CqState:
     """Sorted symbols and the read-only (N, d, d) ``stack`` of their blocks.
 
     ``CqState(side_dim, blocks)`` copies the blocks into the stack and raises
-    ValueError, naming the symbol, for one not of shape (side_dim, side_dim);
-    ``blocks`` then maps each symbol to its row, a view of the stack.
+    ValueError, naming the symbol, for one not of shape (side_dim, side_dim),
+    not finite, not Hermitian or not PSD; ``blocks`` then maps each symbol to
+    its row, a view of the stack.
     """
 
     __slots__ = ("side_dim", "stack", "blocks", "_symbols")
@@ -49,11 +50,15 @@ class CqState:
                 raise ValueError(f"block for {sym} has shape {np.shape(blocks[sym])}, "
                                  f"expected side_dim {side_dim}")
         stack = np.array([blocks[s] for s in symbols], dtype=complex)
-        self._adopt(side_dim, symbols, stack.reshape(-1, side_dim, side_dim))
+        stack = hermitian_stack(stack.reshape(-1, side_dim, side_dim), symbols)
+        for sym, w in zip(symbols, np.linalg.eigvalsh(stack)):
+            if _not_psd(w):
+                raise ValueError(f"conditional operator for {sym} is not PSD (min eig {w[0]:.3e})")
+        self._adopt(side_dim, symbols, stack)
 
     @classmethod
     def _from_stack(cls, side_dim: int, symbols, stack: np.ndarray) -> CqState:
-        """Wrap a complex (N, d, d) stack, not copied, whose rows follow sorted ``symbols``."""
+        """Wrap an unchecked complex (N, d, d) stack, not copied, rows in sorted ``symbols``."""
         state = cls.__new__(cls)
         state._adopt(side_dim, symbols, stack)
         return state
@@ -93,16 +98,6 @@ def _block_sum(stack: np.ndarray) -> np.ndarray:
     return np.add.accumulate(stack, axis=0)[-1] + 0.0
 
 
-def validate_cq(state: CqState) -> CqState:
-    """Check every block (finite, Hermitian, PSD) and the unit trace."""
-    symbols = state.symbols()
-    for sym, w in zip(symbols, np.linalg.eigvalsh(hermitian_stack(state.stack, symbols))):
-        if _not_psd(w):
-            raise ValueError(f"conditional operator for {sym} is not PSD (min eig {w[0]:.3e})")
-    _unit_trace(state.total_trace(), "cq-state")
-    return state
-
-
 def build_cq(dist: dict, cond_states: dict, side_dim: int | None = None) -> CqState:
     """Assemble a cq-state from a distribution and normalized conditionals."""
     probability_vector(dist.values())
@@ -113,7 +108,9 @@ def build_cq(dist: dict, cond_states: dict, side_dim: int | None = None) -> CqSt
             _unit_trace(np.trace(cond).real, "conditional state for", sym)
             blocks[sym] = p * cond
     dim = next(iter(blocks.values())).shape[0] if side_dim is None else side_dim
-    return validate_cq(CqState(side_dim=dim, blocks=blocks))
+    state = CqState(side_dim=dim, blocks=blocks)
+    _unit_trace(state.total_trace(), "cq-state")
+    return state
 
 
 def classical_state(dist: dict) -> CqState:

@@ -45,20 +45,20 @@ import numpy as np
 
 from .cq_states import CqState, _block_sum, _traces, marginal_side
 from .operators import (
+    _diagonal,
     _herm,
     _kernel_mask,
     _max_eig,
-    _psd_eigh,
+    _sigma_power,
     _spectral_power,
     _trusted_psd_eigh,
     check_hermitian,
+    partial_trace,
     probability_vector,
     tensor,
 )
 
 NEG_INF = float("-inf")
-KERNEL_LEAK_ATOL = 1e-9
-DIAG_ATOL = 1e-12
 SOLVER_SIDE_CAP = 16
 CONVERGED_GAP_BITS = 1e-6
 SOLVER_TOL = 1e-10         # relative gap target; ~1e-8 bits is reached at BARRIER_T_CAP
@@ -78,47 +78,35 @@ def h_min_classical(dist: dict) -> float:
     return -float(np.log2(max(probability_vector(dist.values()))))
 
 
-def _kernel_projector(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    dead = v[:, _kernel_mask(w)]
-    return dead @ dead.conj().T
-
-
-def _kernel_leaks(blocks: np.ndarray, w: np.ndarray, v: np.ndarray) -> bool:
-    """True when the kernel of the operator with eigenpairs (w, v) meets a block."""
-    proj = _kernel_projector(w, v)
-    return bool(np.any(_traces(proj @ blocks @ proj) > KERNEL_LEAK_ATOL))
-
-
 def h_min_rel(rho, sigma, dim_a: int | None = None) -> float:
     """H_min of rho relative to sigma; -inf when ker(sigma) leaks into rho.
 
     ``rho`` is a CqState (evaluated on its stacked blocks) or a dense
     bipartite operator, in which case ``dim_a`` gives the classical/first
-    dimension.
+    dimension; the leak is tested on rho_B, as tr((I (x) P) rho (I (x) P)) = tr(P rho_B P).
     """
-    w, v = _psd_eigh(np.asarray(sigma, dtype=complex))
     if isinstance(rho, CqState):
-        if _kernel_leaks(rho.stack, w, v):
+        inv_sqrt = _sigma_power(sigma, -0.5, rho.stack)
+        if inv_sqrt is None:
             return NEG_INF
-        inv_sqrt = _spectral_power(w, v, -0.5)
         tops = np.linalg.eigvalsh(_herm(inv_sqrt @ rho.stack @ inv_sqrt))[:, -1]
         return -float(np.log2(max(0.0, float(tops.max()))))
     if dim_a is None:
         raise ValueError("dense input requires dim_a")
     mat = check_hermitian(rho)
-    big_proj = tensor(np.eye(dim_a), _kernel_projector(w, v))
-    if float(np.trace(big_proj @ mat @ big_proj).real) > KERNEL_LEAK_ATOL:
+    rho_b = partial_trace(mat, (dim_a, np.shape(sigma)[0]), keep=(1,))
+    inv_sqrt = _sigma_power(sigma, -0.5, rho_b[None])
+    if inv_sqrt is None:
         return NEG_INF
-    big_inv = tensor(np.eye(dim_a), _spectral_power(w, v, -0.5))
+    big_inv = tensor(np.eye(dim_a), inv_sqrt)
     return -float(np.log2(_max_eig(big_inv @ mat @ big_inv)))
 
 
 def h2_rel(rho: CqState, sigma) -> float:
     """Collision entropy of a cq-state relative to sigma (blockwise form)."""
-    w, v = _psd_eigh(np.asarray(sigma, dtype=complex))
-    if _kernel_leaks(rho.stack, w, v):
+    quarter = _sigma_power(sigma, -0.25, rho.stack)
+    if quarter is None:
         return NEG_INF
-    quarter = _spectral_power(w, v, -0.25)
     conj = quarter @ rho.stack @ quarter
     return -float(np.log2(_block_sum(_traces(conj @ conj)) / rho.total_trace()))
 
@@ -133,8 +121,7 @@ class EntropyResult:
 
 
 def _is_classical(state: CqState) -> bool:
-    return state.side_dim == 1 or not np.any(
-        np.abs(state.stack[:, ~np.eye(state.side_dim, dtype=bool)]) > DIAG_ATOL)
+    return state.side_dim == 1 or _diagonal(state.stack)
 
 
 def _classical_h_min(state: CqState) -> EntropyResult:

@@ -6,7 +6,8 @@ for probability vectors, one for unit traces.  Eigendecompositions are
 delegated to LAPACK via numpy (eigenvalues ascending).  Operator powers
 map the kernel to zero (the pseudo-inverse convention) so that
 expressions like sigma^{-1/4} rho sigma^{-1/4} are well defined for
-singular sigma.
+singular sigma; :func:`_sigma_power` alone decides what sigma^p is and
+whether ker sigma meets the state, where such an expression means nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ HERMITICITY_ATOL = 1e-12  # max |A - A^dagger| entry of a Hermitian operator
 TRACE_ATOL = 1e-9         # |tr - 1| of a normalized state, |sum - 1| of a distribution
 PROBABILITY_ATOL = 1e-12  # most negative entry a probability vector may hold
 KERNEL_RTOL = 1e-10       # eigenvalues <= KERNEL_RTOL * lambda_max count as kernel
+KERNEL_LEAK_ATOL = 1e-9   # tr(P rho P) above this, P the kernel projector of sigma, meets rho
+DIAG_ATOL = 1e-12         # largest off-diagonal |entry| of a block that counts as classical
+COMPLETENESS_ATOL = 1e-12 # largest |I - sum_x E_x| entry a measurement is left with
 PSD_RTOL = 1e-10          # lambda_min >= -PSD_RTOL * max(1, |lambda_max|) counts as PSD
 MAX_EIG_DIM = 4096
 
@@ -74,8 +78,9 @@ def _unit_trace(trace, *name) -> None:
         raise ValueError(f"{' '.join(map(str, name))} is not normalized (trace {trace:.6g})")
 
 
-# The package's one PSD test, kernel cut and Hermitian part.  Every module
-# imports these rather than restating a threshold; they are not public API.
+# The package's one PSD test, kernel cut, diagonal test and Hermitian part.
+# Every module imports these rather than restating a threshold; they are not
+# public API.
 
 def _not_psd(w: np.ndarray) -> bool:
     """True when ascending eigenvalues ``w`` fall below the PSD tolerance."""
@@ -86,6 +91,11 @@ def _kernel_mask(w: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues ``w`` at or below the relative kernel threshold."""
     top = float(w[-1]) if w.size else 0.0
     return w <= KERNEL_RTOL * max(top, 0.0)
+
+
+def _diagonal(stack: np.ndarray) -> bool:
+    """True when no operator of an (N, d, d) stack has an off-diagonal |entry| above DIAG_ATOL."""
+    return not np.any(np.abs(stack[:, ~np.eye(stack.shape[-1], dtype=bool)]) > DIAG_ATOL)
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -144,6 +154,17 @@ def _spectral_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     else:
         fw[live] = w[live] ** p
     return (v * fw) @ v.conj().T
+
+
+def _sigma_power(sigma, p: float, states: np.ndarray) -> np.ndarray | None:
+    """sigma^p as :func:`op_power` gives it, or None when ker sigma meets the (N, d, d)
+    stack ``states``: some tr(P rho P) > KERNEL_LEAK_ATOL, P the kernel projector."""
+    w, v = _psd_eigh(sigma)
+    dead = v[:, _kernel_mask(w)]
+    proj = dead @ dead.conj().T
+    if np.any(np.trace(proj @ states @ proj, axis1=-2, axis2=-1).real > KERNEL_LEAK_ATOL):
+        return None
+    return _spectral_power(w, v, p)
 
 
 def op_power(h, p: float) -> np.ndarray:

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cq_states import CqState, _block_sum, _traces, apply_classical_function, marginal_side
-from .entropies import _kernel_leaks
 from .extractors import ip_eval
 from .gf2 import _symbol_indices, index_to_bits
 from .operators import (
+    COMPLETENESS_ATOL,
     _herm,
-    _psd_eigh,
-    _spectral_power,
+    _sigma_power,
     check_hermitian,
     op_power,
     partial_trace,
@@ -86,14 +85,14 @@ def pgm(state: CqState) -> CqState:
     """Pretty good measurement: rho_B^{-1/2} rho_{B and x} rho_B^{-1/2}.
 
     A POVM is a cq-state whose symbols are its outcomes and whose blocks
-    are its elements.  The completeness deficit on ker(rho_B), never
-    occupied by the state, is assigned to the first outcome so the result
-    is a genuine POVM on the full space.
+    are its elements.  The completeness deficit, on ker(rho_B) (never
+    occupied by the state) plus rounding, goes to the first outcome when an
+    entry exceeds COMPLETENESS_ATOL: the result is a POVM on the full space.
     """
     inv_sqrt = op_power(marginal_side(state), -0.5)
     elements = inv_sqrt @ state.stack @ inv_sqrt
     deficit = np.eye(state.side_dim, dtype=complex) - _block_sum(elements)
-    if np.max(np.abs(deficit)) > 1e-12:
+    if np.max(np.abs(deficit)) > COMPLETENESS_ATOL:
         elements[0] += deficit
     return CqState._from_stack(state.side_dim, state.symbols(), _herm(elements))
 
@@ -111,13 +110,13 @@ def squared_distance_fourier_bound(state: CqState, sigma) -> float:
     Equals (2^m / 4) * sum_{s != 0} tr F[M](s)^2 for the matrix-valued
     function M(z) = sigma^{-1/4} rho_{E and z} sigma^{-1/4}; the raw
     double sum over (z, z') is kept as a test oracle.  A non-bit output
-    symbol such as (2,) raises ValueError naming it.
+    symbol such as (2,) raises ValueError naming it, and so does a sigma
+    whose kernel meets the state.
     """
     m = _output_bits(state)
-    w, v = _psd_eigh(np.asarray(sigma, dtype=complex))
-    if _kernel_leaks(state.stack, w, v):
+    quarter = _sigma_power(sigma, -0.25, state.stack)
+    if quarter is None:
         raise ValueError("sigma kernel is not contained in the state kernel")
-    quarter = _spectral_power(w, v, -0.25)
     fourier = mvf_fourier(mvf_from_blocks(m, state.symbols(), quarter @ state.stack @ quarter))
     nonzero = fourier.values[1:]
     return ((1 << m) / 4.0) * float(_block_sum(_traces(nonzero @ nonzero)))
@@ -162,15 +161,14 @@ def l2_distance_to_uniform(rho_ab, dim_a: int, sigma_b) -> float:
     """Conjugated squared 2-distance of rho_AB from omega_A (x) rho_B.
 
     Internal evaluator for the one-norm/two-norm inequality checks; not
-    part of the supported API surface.
+    part of the supported API surface.  ValueError when ker sigma_B meets rho_B.
     """
     rho = check_hermitian(rho_ab)
-    sig = np.asarray(sigma_b, dtype=complex)
-    dim_b = sig.shape[0]
-    if rho.shape[0] != dim_a * dim_b:
-        raise ValueError("dimension mismatch between rho_AB and (dim_a, sigma_b)")
-    rho_b = partial_trace(rho, (dim_a, dim_b), keep=(1,))
+    rho_b = partial_trace(rho, (dim_a, np.shape(sigma_b)[0]), keep=(1,))
+    quarter = _sigma_power(sigma_b, -0.25, rho_b[None])
+    if quarter is None:
+        raise ValueError("sigma_B kernel is not contained in the kernel of rho_B")
     centered = rho - tensor(np.eye(dim_a) / dim_a, rho_b)
-    weight = tensor(np.eye(dim_a), op_power(sig, -0.25))
+    weight = tensor(np.eye(dim_a), quarter)
     conj = weight @ centered @ weight
     return float(np.trace(conj @ conj).real)

@@ -24,6 +24,7 @@ from extraction_lab.cq_states import (
 )
 from extraction_lab.gf2 import bits_to_index, index_to_bits
 from extraction_lab.operators import (
+    COMPLETENESS_ATOL,
     _herm,
     op_power,
     random_density,
@@ -256,6 +257,27 @@ def test_stacked_consumers_property_matches_dict_reference(seed, m, dim):
 
 
 # -- the representation ----------------------------------------------------------------
+
+@pytest.mark.parametrize("low", [0.0, 1e-9], ids=["singular", "ill-conditioned"])
+def test_pgm_completion_matches_deficit_oracle(low):
+    # rho_B has eigenvalue ``low`` relative to the others: a kernel the state
+    # never occupies, or a full rank where sigma^(-1/2) alone leaves the
+    # elements summing to I only within about 1e-7.  Either way the
+    # elements sum to I within COMPLETENESS_ATOL, as in the oracle.
+    rng = np.random.default_rng(11)
+    basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    conds = {}
+    for sym in index_to_bits(0, 2), index_to_bits(1, 2), index_to_bits(3, 2):
+        cond = basis @ np.diag(rng.uniform(0.1, 1.0, 3) * [1.0, 1.0, low]) @ basis.conj().T
+        conds[sym] = cond / np.trace(cond).real
+    state = build_cq({sym: 1 / 3 for sym in conds}, conds)
+    povm = pgm(state)
+    assert_same_state(povm, _ref_pgm(state), low)
+    assert np.max(np.abs(povm.stack.sum(axis=0) - np.eye(3))) <= COMPLETENESS_ATOL
+    inv_sqrt = op_power(marginal_side(state), -0.5)
+    bare = sum(inv_sqrt @ block @ inv_sqrt for block in state.stack)
+    assert np.max(np.abs(bare - np.eye(3))) > COMPLETENESS_ATOL
+
 
 def test_blocks_are_read_only_views_of_the_stack():
     blocks = {(1, 0): np.diag([0.5, 0.25]), (0, 0): np.eye(2) / 8}

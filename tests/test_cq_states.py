@@ -17,7 +17,6 @@ from extraction_lab.cq_states import (
     marginal_side,
     product,
     to_dense,
-    validate_cq,
 )
 from extraction_lab.extractors import deor_extractor, ip_extractor
 from extraction_lab.gf2 import all_bit_vectors, build_field_family, build_shift_family
@@ -43,7 +42,7 @@ def test_build_cq_validation():
         build_cq({(0,): 1.0}, {(0,): 2 * KET0})
     bad = np.array([[1.0, 2.0], [2.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="not PSD"):
-        validate_cq(CqState(side_dim=2, blocks={(0,): bad}))
+        CqState(side_dim=2, blocks={(0,): bad})
 
 
 def test_point_mass_and_uniform():
@@ -323,14 +322,15 @@ def test_validate_cq_names_the_offending_block():
     skew = np.array([[0.25, 0.1], [0.0, 0.25]], dtype=complex)
     neg = np.diag([0.75, -0.25]).astype(complex)
     nan = np.full((2, 2), np.nan, dtype=complex)
-    for bad, match in ((skew, "not Hermitian"), (neg, "not PSD"), (nan, "non-finite")):
-        state = CqState(side_dim=2, blocks={(0,): good, (1,): bad, (2,): good})
+    # Every block check runs when the state is built.
+    for bad, match in ((skew, "not Hermitian"), (neg, "not PSD"), (nan, "non-finite"),
+                       (np.eye(3) / 6, "shape")):
         with pytest.raises(ValueError, match=rf"\(1,\).*{match}|{match}.*\(1,\)"):
-            validate_cq(state)
-    # A wrong shape is refused when the state is built.
-    with pytest.raises(ValueError, match=r"\(1,\).*shape"):
-        CqState(side_dim=2, blocks={(0,): good, (1,): np.eye(3) / 6, (2,): good})
-    with pytest.raises(ValueError, match="trace"):
-        validate_cq(CqState(side_dim=2, blocks={(0,): good}))
-    with pytest.raises(ValueError, match="trace"):
-        validate_cq(CqState(side_dim=2, blocks={}))
+            CqState(side_dim=2, blocks={(0,): good, (1,): bad, (2,): good})
+    # A subnormalized state is a CqState; build_cq is what requires unit trace.
+    assert CqState(side_dim=2, blocks={(0,): good}).total_trace() == 0.5
+    assert CqState(side_dim=2, blocks={}).total_trace() == 0.0
+    # Weights and conditionals each within TRACE_ATOL of 1, the total not.
+    loose = (1 + 9e-10) * KET0
+    with pytest.raises(ValueError, match="cq-state is not normalized"):
+        build_cq({(0,): 0.5 + 6e-10, (1,): 0.5}, {(0,): loose, (1,): loose})

@@ -21,6 +21,7 @@ certificate from a central-difference gradient.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dense_cq
@@ -30,7 +31,6 @@ from extraction_lab.entropies import (
     BARRIER_T_CAP,
     CENTRED,
     CONVERGED_GAP_BITS,
-    KERNEL_LEAK_ATOL,
     NEAR_CENTRED,
     NEG_INF,
     EntropyResult,
@@ -46,9 +46,11 @@ from extraction_lab.entropies import (
     h2_cond,
     h2_rel,
     h_min_cond,
+    h_min_rel,
 )
 from extraction_lab.gf2 import index_to_bits
 from extraction_lab.operators import (
+    KERNEL_LEAK_ATOL,
     _herm,
     _kernel_mask,
     _max_eig,
@@ -573,3 +575,26 @@ def test_h_min_cond_geometrically_uniform_states(seed, dim, n_states):
     assert res.value - 1e-9 <= exact <= res.value + res.gap + 1e-9
     # The PGM is optimal here, so the start's slack sits at its 1e-12 floor.
     assert _assert_start_dominates(state, "geometrically uniform") <= 1.01e-12 * 2.0 ** -exact
+
+
+# -- relative entropies at a singular sigma ---------------------------------------
+
+@pytest.mark.parametrize("support", [2, 3], ids=["kernel-misses-state", "kernel-meets-state"])
+def test_relative_entropies_follow_the_per_block_kernel_test(support, rng):
+    """Both h_min_rel branches and h2_rel give the per-block references' values.
+
+    ker sigma = |2>; the blocks live on the first ``support`` basis vectors,
+    so they meet the kernel, and every value is -inf, only when support = 3.
+    The dense branch tests the kernel on rho_B alone.
+    """
+    sigma = np.diag([0.6, 0.4, 0.0]).astype(complex)
+    conds = {}
+    for sym in ((0,), (1,)):
+        conds[sym] = np.zeros((3, 3), dtype=complex)
+        conds[sym][:support, :support] = random_density(support, rng)
+    state = build_cq({(0,): 0.3, (1,): 0.7}, conds)
+    expected = _ref_h_min_rel(state, sigma)
+    assert (expected == NEG_INF) == (support == 3)
+    assert h_min_rel(state, sigma) == pytest.approx(expected, rel=0, abs=1e-9)
+    assert h_min_rel(dense_cq(state), sigma, dim_a=2) == pytest.approx(expected, rel=0, abs=1e-9)
+    assert h2_rel(state, sigma) == pytest.approx(_ref_h2_rel(state, sigma), rel=0, abs=1e-9)

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from extraction_lab.cq_states import MarkovScenario, classical_state
+import extraction_lab
+from extraction_lab.cq_states import CqState, MarkovScenario, classical_state
 from extraction_lab.entropies import h_min_classical, h_min_rel
 from extraction_lab.operators import (
     check_hermitian,
@@ -17,6 +21,7 @@ from extraction_lab.operators import (
     trace_norm,
     von_neumann_entropy,
 )
+from extraction_lab.xor_analysis import l2_distance_to_uniform
 
 
 def random_hermitian(dim, rng):
@@ -205,10 +210,36 @@ _CLASSICAL = classical_state({(0,): 1.0})
     (lambda: hermitian_trace_norm(_SKEW), "not Hermitian"),
     (lambda: h_min_rel(np.kron(np.eye(2) / 2, _SKEW + np.diag([0.0, 0.1])), np.eye(2) / 2,
                        dim_a=2), "not Hermitian"),
+    # Both used to reach the solvers: h_min_cond gave nan, and -0.585 bits.
+    (lambda: CqState(1, {(0,): [[np.nan]], (1,): [[0.5]]}), r"\(0,\) has non-finite"),
+    (lambda: CqState(1, {(0,): [[1.5]], (1,): [[-0.5]]}), r"\(1,\) is not PSD"),
+    # ker sigma_B = |1> meets the full-rank rho_B.  The pseudo-inverse used to
+    # give a delta up to 27 times above the one-norm/two-norm right-hand side.
+    (lambda: l2_distance_to_uniform(random_density(4, np.random.default_rng(0)), 2,
+                                    np.diag([1.0, 0.0])), "kernel"),
 ], ids=["h_min_classical-nan", "markov-weight-nan", "von_neumann-not-psd",
-        "trace_distance-skew", "hermitian_trace_norm-skew", "h_min_rel-dense-skew"])
+        "trace_distance-skew", "hermitian_trace_norm-skew", "h_min_rel-dense-skew",
+        "cq_state-nan", "cq_state-not-psd", "l2-kernel-leak"])
 def test_numeric_policy_refuses(call, match):
-    # Probability vectors and operators are refused by the one validator of
-    # each kind in ``operators``, at the tolerance ``eigh`` applies to _SKEW.
+    # Probability vectors, operators and sigma powers are refused by the one
+    # validator of each kind in ``operators``, at the tolerance ``eigh``
+    # applies to _SKEW and the kernel policy of ``_sigma_power``.
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_only_operators_defines_tolerances():
+    # Every *_ATOL / *_RTOL threshold lives in ``operators``, so no module
+    # keeps a private copy of the numeric or kernel policy.
+    root = Path(extraction_lab.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "operators.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"{path.relative_to(root)}:{name.id}"
+                          for target in targets for name in ast.walk(target)
+                          if isinstance(name, ast.Name) and name.id.endswith(("_ATOL", "_RTOL"))]
+    assert found == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_cq_state
+from conftest import dense_cq, random_cq_state
 
 from extraction_lab.cq_states import (
     apply_classical_function,
@@ -259,6 +259,22 @@ def test_one_two_norm_inequality(rng):
         rhs = 0.5 * np.sqrt(da * np.trace(sigma).real
                             * l2_distance_to_uniform(rho, da, sigma))
         assert delta <= rhs + 1e-9
+
+
+def test_bounds_hold_for_a_singular_sigma_that_misses_the_state(rng):
+    # ker sigma = |2>, outside the support of every block: both sigma^(-1/4)
+    # bounds are defined there and still bound the distance.
+    sigma = np.diag([0.6, 0.4, 0.0]).astype(complex)
+    for _ in range(20):
+        conds = {}
+        for z in all_bit_vectors(2):
+            conds[z] = np.zeros((3, 3), dtype=complex)
+            conds[z][:2, :2] = random_density(2, rng)
+        st = build_cq({z: 0.25 for z in conds}, conds)
+        delta = distance_to_uniform(st, 4)
+        assert delta ** 2 <= squared_distance_fourier_bound(st, sigma) + 1e-9
+        # tr sigma = 1 and d_A = 4 in the one-norm/two-norm bound.
+        assert delta <= 0.5 * np.sqrt(4 * l2_distance_to_uniform(dense_cq(st), 4, sigma)) + 1e-9
 
 
 def test_l2_distance_evaluator_matches_manual(rng):
