@@ -84,6 +84,8 @@ CHOICES = {"families": ("family kind", tuple(FAMILY_BUILDERS)),
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One report row.  The rows of one case share their params and flags dicts."""
+
     check_id: str
     bound_id: str
     params: dict
@@ -101,7 +103,7 @@ class Case(NamedTuple):
     params: dict     # n, m, r, k1, k2 as built by _k_params
     label: str       # scenario text; run_check prefixes "sNNNNN "
     rows: list       # (bound_id, measured, epsilon) tuples
-    flags: dict = {}     # read only; run_check copies it into each report
+    flags: dict = {}     # read only; run_check copies it once per case
 
 
 class Check(NamedTuple):
@@ -487,17 +489,18 @@ def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
     for idx, case in enumerate(cases):
         runtime_ms = (time.perf_counter() - t0) * 1e3
         scenario = f"s{idx:05d} {case.label}"
+        params, flags = dict(case.params), dict(case.flags)
         for bound_id, measured, epsilon in case.rows:
             reports.append(BoundReport(
                 check_id=check_id,
                 bound_id=bound_id,
-                params=dict(case.params),
+                params=params,
                 measured_delta=float(measured),
                 bound_epsilon=float(epsilon),
                 passed=bool(measured <= epsilon + PASS_TOL),
                 runtime_ms=runtime_ms,
                 scenario=scenario,
-                flags=dict(case.flags),
+                flags=flags,
             ))
         t0 = time.perf_counter()    # the next case's time is spent inside the generator
     return reports

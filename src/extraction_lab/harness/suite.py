@@ -20,6 +20,7 @@ import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .checks import resolve_entry, run_check
@@ -160,28 +161,93 @@ def _summarize(reports) -> dict:
     }
 
 
+# The stdlib lays out the envelope; the rows, nearly all of the text, are
+# formatted here, because json.dumps drops its C encoder once ``indent`` is
+# set.  A row has one fixed shape: eight sorted keys, two of them flat dicts.
+_ROW = ('    {\n      "bound_epsilon": %s,\n      "bound_id": %s,\n      "check_id": %s,\n'
+        '      "flags": %s,\n      "measured_delta": %s,\n      "params": %s,\n'
+        '      "pass": %s,\n      "scenario": %s\n    }')
+_NO_ROWS = '\n  "reports": [],'
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_SPELLINGS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+              bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _scalar(value) -> str:
+    """``value`` spelled as json.dumps spells it; TypeError for a non-scalar."""
+    spell = _SPELLINGS.get(type(value))
+    if spell is None:
+        # subclasses, tested in the stdlib's order (bool and None have none)
+        base = next((b for b in (str, int, float) if isinstance(value, b)), None)
+        if base is None:
+            raise TypeError(f"report values must be JSON scalars, got {type(value).__name__}")
+        spell = _SPELLINGS[base]
+    return spell(value)
+
+
+def _flat_object(obj: dict, indent: int | None = None) -> str:
+    """A dict of str keys and scalar values as ``json.dumps(obj, sort_keys=True)``
+    lays it out: on one line, or, given ``indent``, in the ``indent=2``
+    layout with its closing brace ``indent`` spaces in."""
+    if not obj:
+        return "{}"
+    items = [encode_basestring_ascii(k) + ": " + _scalar(v) for k, v in sorted(obj.items())]
+    if indent is None:
+        return "{" + ", ".join(items) + "}"
+    pad = "\n" + " " * (indent + 2)
+    return "{" + pad + ("," + pad).join(items) + "\n" + " " * indent + "}"
+
+
+def _row_texts(reports) -> list[str]:
+    """Each row as json.dumps lays it out in the report.
+
+    The rows of one case share their params and flags dicts and sit next
+    to each other after the sort, so a case's dicts are spelled once.
+    """
+    texts = []
+    params = flags = object()
+    for r in reports:
+        if r.params is not params:
+            params, params_text = r.params, _flat_object(r.params, 6)
+        if r.flags is not flags:
+            flags, flags_text = r.flags, _flat_object(r.flags, 6)
+        texts.append(_ROW % (_scalar(r.bound_epsilon), _scalar(r.bound_id),
+                             _scalar(r.check_id), flags_text, _scalar(r.measured_delta),
+                             params_text, _scalar(r.passed), _scalar(r.scenario)))
+    return texts
+
+
 def render_json(result: SuiteResult) -> str:
-    doc = {
+    """The report, byte for byte ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+
+    Row params and flags must be dicts of str keys and JSON scalars: any
+    other row value raises TypeError.
+    """
+    head = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "suite": result.name,
         "seed": result.seed,
         "all_pass": result.all_pass,
         "summary": result.summary,
-        "reports": [
-            {
-                "check_id": r.check_id,
-                "bound_id": r.bound_id,
-                "params": r.params,
-                "measured_delta": r.measured_delta,
-                "bound_epsilon": r.bound_epsilon,
-                "pass": r.passed,
-                "scenario": r.scenario,
-                "flags": r.flags,
-            }
-            for r in result.reports
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        "reports": [],
+    }, indent=2, sort_keys=True)
+    if not result.reports:
+        return head + "\n"
+    before, _, after = head.partition(_NO_ROWS)
+    rows = ",\n".join(_row_texts(result.reports))
+    return before + '\n  "reports": [\n' + rows + "\n  ]," + after + "\n"
 
 
 CSV_COLUMNS = ["check_id", "bound_id", "n", "m", "r", "k1", "k2",
@@ -189,19 +255,24 @@ CSV_COLUMNS = ["check_id", "bound_id", "n", "m", "r", "k1", "k2",
                "scenario", "flags"]
 
 
+def _csv_rows(reports):
+    params = flags = object()
+    for r in reports:
+        if r.params is not params:
+            params = r.params
+            case_columns = [params.get("n"), params.get("m"), params.get("r"),
+                            repr(params.get("k1")), repr(params.get("k2"))]
+        if r.flags is not flags:
+            flags, flags_text = r.flags, _flat_object(r.flags)
+        yield [r.check_id, r.bound_id, *case_columns, repr(r.measured_delta), repr(r.bound_epsilon),
+               r.passed, f"{r.runtime_ms:.3f}", r.scenario, flags_text]
+
+
 def render_csv(result: SuiteResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in result.reports:
-        writer.writerow([
-            r.check_id, r.bound_id,
-            r.params.get("n"), r.params.get("m"), r.params.get("r"),
-            repr(r.params.get("k1")), repr(r.params.get("k2")),
-            repr(r.measured_delta), repr(r.bound_epsilon),
-            r.passed, f"{r.runtime_ms:.3f}",
-            r.scenario, json.dumps(r.flags, sort_keys=True),
-        ])
+    writer.writerows(_csv_rows(result.reports))
     return buf.getvalue()
 
 

@@ -1,9 +1,12 @@
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extraction_lab.cli import SCENARIO_FORMS
 from extraction_lab.entropies import h_min_cond
@@ -18,7 +21,8 @@ from extraction_lab.harness.scenarios import (
     make_markov_scenario,
     make_side_info,
 )
-from extraction_lab.harness.suite import _summarize, render_csv, render_json
+from extraction_lab.harness.checks import BoundReport
+from extraction_lab.harness.suite import CSV_COLUMNS, SuiteResult, _summarize, render_csv, render_json
 from extraction_lab.cq_states import markov_block_state, apply_classical_function
 
 
@@ -447,3 +451,154 @@ PAPER_TABLE_1_DIGEST = "ecc66dafee9d935a68f99570355d9e7e48c36af9232ed2774b056f49
 def test_paper_table_1_report_digest():
     result = run_suite(load_config("paper-table-1"), seed=42)
     assert hashlib.sha256(render_json(result).encode()).hexdigest() == PAPER_TABLE_1_DIGEST
+
+
+# Report emission.  render_json and render_csv spell the rows' scalars and
+# flat dicts themselves; the oracles are the layouts they
+# replace: json.dumps(doc, indent=2, sort_keys=True) of the whole report and
+# one csv.writer row, with its own json.dumps of the flags, per report row.
+def _stdlib_json(result) -> str:
+    doc = {
+        "schema_version": 1,
+        "suite": result.name,
+        "seed": result.seed,
+        "all_pass": result.all_pass,
+        "summary": result.summary,
+        "reports": [{"check_id": r.check_id, "bound_id": r.bound_id, "params": r.params,
+                     "measured_delta": r.measured_delta, "bound_epsilon": r.bound_epsilon,
+                     "pass": r.passed, "scenario": r.scenario, "flags": r.flags}
+                    for r in result.reports],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _stdlib_csv(result) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in result.reports:
+        writer.writerow([
+            r.check_id, r.bound_id,
+            r.params.get("n"), r.params.get("m"), r.params.get("r"),
+            repr(r.params.get("k1")), repr(r.params.get("k2")),
+            repr(r.measured_delta), repr(r.bound_epsilon),
+            r.passed, f"{r.runtime_ms:.3f}",
+            r.scenario, json.dumps(r.flags, sort_keys=True),
+        ])
+    return buf.getvalue()
+
+
+def _result(reports, name="edge") -> SuiteResult:
+    return SuiteResult(name=name, seed=3, reports=reports,
+                       all_pass=all(r.passed for r in reports), summary=_summarize(reports))
+
+
+NAN, INF = float("nan"), float("inf")
+EDGE_LABELS = ['quote " and backslash \\', "new\nline, comma", "non-ASCII é ∞ 𝔽", ""]
+EDGE_VALUES = [NAN, INF, -INF, -0.0, 0.0, 5e-324, 0.1, 1e300]
+# 0.0 and -0.0, True, 1 and 1.0 are equal dict values spelled apart.
+EDGE_FLAGS = [{}, {"converged": True}, {"converged": 1}, {"converged": 1.0},
+              {"criterion_tol": 0.0}, {"criterion_tol": -0.0},
+              {"converged1": True, "converged2": False, "criterion_tol": 1e-10,
+               "why": None, "label": 'a "b" é'}]
+EDGE_PARAMS = [{"n": 3, "m": 1, "r": 0, "k1": -0.0, "k2": np.float64(2.5)},
+               {"n": 2, "m": 2, "r": 1, "k1": INF, "k2": NAN}, {}]
+
+
+def _edge_reports() -> list:
+    rows = []
+    for i, measured in enumerate(EDGE_VALUES):
+        for j, epsilon in enumerate(EDGE_VALUES):
+            k = i * len(EDGE_VALUES) + j
+            rows.append(BoundReport("edge-check", f"B{j}", EDGE_PARAMS[i % 3], measured, epsilon,
+                                    measured <= epsilon, 0.25 * k,
+                                    EDGE_LABELS[k % 4], EDGE_FLAGS[k % len(EDGE_FLAGS)]))
+    return rows
+
+
+def test_renderers_match_the_stdlib_on_a_suite():
+    result = run_suite(load_config("quick"), seed=1)
+    assert render_json(result) == _stdlib_json(result)
+    assert render_csv(result) == _stdlib_csv(result)
+
+
+def test_renderers_match_the_stdlib_on_edge_rows():
+    for result in (_result(_edge_reports(), name='edge "suite" \\ é'), _result([])):
+        assert render_json(result) == _stdlib_json(result)
+        assert render_csv(result) == _stdlib_csv(result)
+
+
+@pytest.mark.parametrize("params, flags", [
+    ({"n": np.int64(3)}, {}),
+    ({}, {"converged": np.bool_(True)}),
+    ({"k1": 1j}, {}),
+])
+def test_render_json_refuses_what_json_dumps_refuses(params, flags):
+    result = _result([BoundReport("c", "B1", params, 0.5, 1.0, True, 0.0, "s", flags)])
+    with pytest.raises(TypeError):
+        _stdlib_json(result)
+    with pytest.raises(TypeError):
+        render_json(result)
+
+
+@pytest.mark.parametrize("params, flags", [({"ks": [1, 2]}, {}), ({}, {7: True})])
+def test_render_json_refuses_rows_off_the_flat_shape(params, flags):
+    # json.dumps would lay these out; no check builds them.
+    result = SuiteResult("odd", 0, [BoundReport("c", "B1", params, 0.5, 1.0, True, 0.0, "s", flags)],
+                         True, {})
+    with pytest.raises(TypeError):
+        render_json(result)
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+                     st.floats(allow_nan=True, allow_infinity=True),
+                     st.floats().map(np.float64))
+_FLAT_DICTS = st.dictionaries(st.text(max_size=4), _SCALARS, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pools=st.tuples(st.lists(_FLAT_DICTS, min_size=1, max_size=3),
+                       st.lists(_FLAT_DICTS, min_size=1, max_size=3)),
+       rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), _SCALARS, _SCALARS,
+                               st.booleans(), st.text(max_size=8)), max_size=8))
+def test_render_json_matches_the_stdlib_on_random_rows(pools, rows):
+    params, flags = pools
+    reports = [BoundReport("c", "B1", params[p % len(params)], measured, epsilon, passed, 0.0,
+                           label, flags[f % len(flags)])
+               for p, f, measured, epsilon, passed, label in rows]
+    result = SuiteResult(name="random", seed=0, reports=reports, all_pass=True, summary={})
+    assert render_json(result) == _stdlib_json(result)
+    assert render_csv(result) == _stdlib_csv(result)
+
+
+def test_rows_are_spelled_without_json_dumps(monkeypatch):
+    result = run_suite(load_config("quick"), seed=1)
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    render_json(result)
+    assert len(calls) == 1      # the envelope: suite, seed, summary
+    calls.clear()
+    render_csv(result)
+    assert calls == []
+
+
+def _blank_runtimes(report_csv: str) -> str:
+    rows = list(csv.reader(io.StringIO(report_csv)))
+    column = rows[0].index("runtime_ms")
+    for row in rows[1:]:
+        row[column] = ""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+# sha256 of report.csv for `verify --suite paper-table-1 --seed 42` with the
+# runtime_ms column blanked: the CSV's counterpart of PAPER_TABLE_1_DIGEST.
+PAPER_TABLE_1_CSV_DIGEST = "5265b1d0b4757bf8a3dd8d5a71ce197dc2e13ec21a60a34bfb5e5ab3ada66e12"
+
+
+def test_paper_table_1_csv_digest():
+    result = run_suite(load_config("paper-table-1"), seed=42)
+    blanked = _blank_runtimes(render_csv(result))
+    assert hashlib.sha256(blanked.encode()).hexdigest() == PAPER_TABLE_1_CSV_DIGEST
