@@ -51,9 +51,12 @@ class CqState:
                                  f"expected side_dim {side_dim}")
         stack = np.array([blocks[s] for s in symbols], dtype=complex)
         stack = hermitian_stack(stack.reshape(-1, side_dim, side_dim), symbols)
-        for sym, w in zip(symbols, np.linalg.eigvalsh(stack)):
-            if _not_psd(w):
-                raise ValueError(f"conditional operator for {sym} is not PSD (min eig {w[0]:.3e})")
+        w = np.linalg.eigvalsh(stack)
+        low = _not_psd(w)
+        if low.any():
+            i = int(np.argmax(low))
+            raise ValueError(f"conditional operator for {symbols[i]} is not PSD "
+                             f"(min eig {w[i, 0]:.3e})")
         self._adopt(side_dim, symbols, stack)
 
     @classmethod
@@ -83,19 +86,38 @@ def _traces(stack: np.ndarray) -> np.ndarray:
     return np.trace(stack, axis1=-2, axis2=-1).real
 
 
-def _block_sum(stack: np.ndarray) -> np.ndarray:
-    """Sum over the leading (symbol) axis, adding one block at a time.
+def _block_sum(stack: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum over the (symbol) axis ``axis``, adding one block at a time.
 
     The certified values, and so the report bytes, are those of a Python
     ``sum`` over the blocks in sorted-symbol order.  ``stack.sum(axis=0)``
     may add pairwise and then differs in the last bit, which the solver
     iteration amplifies; ``np.add.accumulate`` adds strictly in order.
     The trailing ``+ 0.0`` turns the -0.0 of an all-(-0.0) entry into the
-    +0.0 that ``0 + x`` gives, so every bit matches.
+    +0.0 that ``0 + x`` gives, so every bit matches.  For the same reason
+    zero blocks padded in between (as in :func:`padded_stacks`) change no bit.
     """
-    if not len(stack):
-        return np.zeros(stack.shape[1:], dtype=stack.dtype)
-    return np.add.accumulate(stack, axis=0)[-1] + 0.0
+    if not stack.shape[axis]:
+        return np.zeros(stack.shape[:axis] + stack.shape[axis + 1:], dtype=stack.dtype)
+    return np.add.accumulate(stack, axis=axis)[(slice(None),) * axis + (-1,)] + 0.0
+
+
+def padded_stacks(drawn, slots: int):
+    """P block stacks as one zero-padded (P, slots, d, d) array and its (P, slots) mask.
+
+    ``drawn`` holds (stack, indices) pairs: row j of stack i goes to slot
+    indices[j] of entry i, and the mask marks the slots that hold a block.
+    With slot order the sorted-symbol order, sums over the slot axis by
+    :func:`_block_sum` equal those over the unpadded stacks bit for bit.
+    """
+    stacks = [stack for stack, _ in drawn]
+    rows = np.repeat(np.arange(len(drawn)), [len(stack) for stack in stacks])
+    cols = np.concatenate([indices for _, indices in drawn])
+    out = np.zeros((len(drawn), slots) + stacks[0].shape[1:], dtype=complex)
+    out[rows, cols] = np.concatenate(stacks)
+    present = np.zeros((len(drawn), slots), dtype=bool)
+    present[rows, cols] = True
+    return out, present
 
 
 def build_cq(dist: dict, cond_states: dict, side_dim: int | None = None) -> CqState:
@@ -257,37 +279,74 @@ def extractor_output_from_joint(ext, joint: CqState, strong_in=None) -> CqState:
     return apply_classical_function(joint, names.__getitem__)
 
 
+def _distance_norms(blocks: np.ndarray, group_of: np.ndarray, groups: int, uniform_dim: int):
+    """The trace norms behind the distance to uniform of blocks in ``groups`` groups.
+
+    Block i, (d, d), is in group group_of[i]; a group's blocks come in z
+    order.  Returns, from one stacked eigvalsh, ‖target‖₁ of each group's
+    target, its blocks' sum (one block at a time) over uniform_dim, and
+    ‖block − target‖₁ of each block, with each group's block count.
+    ValueError when a group has more than uniform_dim blocks.
+    """
+    sizes = np.bincount(group_of, minlength=groups)
+    if sizes.max(initial=0) > uniform_dim:
+        raise ValueError(f"{sizes.max()} output symbols exceed uniform_dim={uniform_dim}")
+    targets = np.zeros((groups,) + blocks.shape[1:], dtype=complex)
+    np.add.at(targets, group_of, blocks)
+    targets = targets / uniform_dim
+    norms = hermitian_trace_norms(np.concatenate([targets, blocks - targets[group_of]]))
+    return norms[:groups], norms[groups:], sizes
+
+
+def weak_distances(stacks: np.ndarray, present: np.ndarray, uniform_dim: int) -> np.ndarray:
+    """:func:`distance_to_uniform` of P weak output states, as a (P,) array.
+
+    State i is the zero-padded stack stacks[i], (S, d, d), with its blocks in
+    sorted-symbol order where present[i] holds (:func:`padded_stacks`).  Per
+    state the present blocks' norms are added one at a time, then
+    (uniform_dim − present) · ‖target‖₁ once, as for a single state.
+    """
+    rows, cols = np.nonzero(present)
+    target_norms, norms, sizes = _distance_norms(stacks[rows, cols], rows, len(stacks),
+                                                 uniform_dim)
+    block_norms = np.zeros(present.shape)
+    block_norms[rows, cols] = norms
+    total = np.zeros(len(stacks))
+    for slot in block_norms.T:          # an empty slot adds +0.0, which changes no bit
+        total += slot
+    total += (uniform_dim - sizes) * target_norms
+    return 0.5 * total
+
+
 def distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) -> float:
     """Exact trace distance to (uniform output) (x) (rest of the state).
 
     For a weak output state (symbols are z themselves) this is
-    delta(rho_{ZC}, omega (x) rho_C).  For a strong state (symbols are
-    (z, x_i) pairs) the distance decomposes as the expectation over x_i
-    of the per-x_i distances; both cases reduce to one blockwise sum,
-    including output symbols of weight zero that the alphabet omits.
-    Every trace norm comes from one stacked eigvalsh.
+    delta(rho_{ZC}, omega (x) rho_C), :func:`weak_distances` of a batch of
+    one.  For a strong state (symbols are (z, x_i) pairs) the distance
+    decomposes as the expectation over x_i of the per-x_i distances; both
+    cases reduce to one blockwise sum, including output symbols of weight
+    zero that the alphabet omits.  Every trace norm comes from one stacked
+    eigvalsh.
     """
+    if not strong:
+        return float(weak_distances(state.stack[None], np.ones((1, len(state.stack)), dtype=bool),
+                                    uniform_dim)[0])
     symbols = state.symbols()
-    if strong:
-        for sym in symbols:
-            if not (isinstance(sym, tuple) and len(sym) == 2):
-                raise ValueError(f"strong output symbols must be (z, x) pairs, got {sym!r}")
-    rests = [sym[1] for sym in symbols] if strong else [None] * len(symbols)
-    # One group per rest (x_i, or None for a weak state), in sorted order.  In
-    # sorted-symbol order the blocks of each group already come in z order.
+    for sym in symbols:
+        if not (isinstance(sym, tuple) and len(sym) == 2):
+            raise ValueError(f"strong output symbols must be (z, x) pairs, got {sym!r}")
+    # One group per x_i, in sorted order.  In sorted-symbol order the blocks
+    # of each group already come in z order.
+    rests = [sym[1] for sym in symbols]
     group_ids = {rest: g for g, rest in enumerate(sorted(set(rests)))}
     group_of = np.array([group_ids[rest] for rest in rests], dtype=np.intp)
-    sizes = np.bincount(group_of, minlength=len(group_ids)).tolist()
-    if max(sizes, default=0) > uniform_dim:
-        raise ValueError(f"{max(sizes)} output symbols exceed uniform_dim={uniform_dim}")
-    targets = np.zeros((len(sizes),) + state.stack.shape[1:], dtype=complex)
-    np.add.at(targets, group_of, state.stack)
-    targets = targets / uniform_dim
-    norms = hermitian_trace_norms(np.concatenate([targets, state.stack - targets[group_of]]))
-    block_norms = norms[len(sizes):][np.argsort(group_of, kind="stable")].tolist()
+    target_norms, norms, sizes = _distance_norms(state.stack, group_of, len(group_ids),
+                                                 uniform_dim)
+    block_norms = norms[np.argsort(group_of, kind="stable")].tolist()
     total = 0.0
     start = 0
-    for target_norm, present in zip(norms[:len(sizes)].tolist(), sizes):
+    for target_norm, present in zip(target_norms.tolist(), sizes.tolist()):
         for norm in block_norms[start:start + present]:
             total += norm
         start += present

@@ -5,7 +5,9 @@ generator that turns (params, rng) into a stream of cases.  A case holds
 the report params, a scenario label and one (bound_id, measured, epsilon)
 row per comparison.  :func:`run_check` does the rest in the same way for
 every check: it resolves the entry, seeds the rng, times each case,
-numbers the scenarios and emits one BoundReport per row.
+numbers the scenarios and emits one BoundReport per row.  A check may
+evaluate its scenarios in batches; its cases keep their draw order, and the
+first case after a batch carries the batch's time.
 A row passes iff measured <= epsilon + 1e-9.
 """
 
@@ -26,7 +28,9 @@ from ..cq_states import (
     extractor_output_state,
     flat_grid_distances,
     markov_block_state,
+    padded_stacks,
     to_dense,
+    weak_distances,
 )
 from ..entropies import h2_cond, h2_rel, h_min_cond, h_min_rel
 from ..extractors import deor_extractor, ip_extractor
@@ -49,12 +53,13 @@ from ..operators import (
 )
 from ..xor_analysis import (
     MatrixValuedFunction,
+    fourier_bounds,
     l2_distance_to_uniform,
-    measured_xor_bound,
+    measured_xor_bounds,
     mvf_fourier,
     mvf_l2_norm,
+    output_slots,
     pgm,
-    squared_distance_fourier_bound,
 )
 from .bounds import BOUND_IDS, base_exponent, bound_value
 from .params import NATURALS, resolved
@@ -74,6 +79,11 @@ FAMILY_BUILDERS = {"field": build_field_family, "shift": build_shift_family}
 WEAK_N_MIN = 3      # b8-weak-quantum draws n from WEAK_N_MIN..n_max
 MARKOV_M_MAX = 2    # b2-markov draws m from 1..min(MARKOV_M_MAX, n)
 EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at n = 4
+# A random-state scenario with m-bit outputs on a dim-dimensional side weighs
+# 4^m·dim², about the complex entries of its 2^m − 1 masked block pairs in
+# measured_xor_bounds; a group of them is evaluated as soon as it weighs this
+# much, which bounds a pass's memory for any count.  No built-in suite reaches it.
+BLOCK_BUDGET = 1 << 16
 CLASSICAL_SIDES = ("trivial", "classical_leak")     # flat grids count these exactly
 # The values of a param that its type alone does not pin down, and their name.
 CHOICES = {"families": ("family kind", tuple(FAMILY_BUILDERS)),
@@ -285,29 +295,72 @@ def _markov_cmi(p, rng):
                    [("cmi-zero", cmi, 0.0)])
 
 
+def _random_output_groups(p, rng, m_max: int, dim_max: int, bound, with_sigma=False) -> list:
+    """(m, dim, delta, bound value) per scenario of a random-state check, in draw order.
+
+    Each of the ``p["count"]`` scenarios draws m and dim, a random cq-state
+    with m-bit outputs on a dim-dimensional side register, kept only as its
+    block stack and :func:`output_slots`, and, ``with_sigma``, a random
+    density sigma.  Each (m, dim) group is then evaluated in one stacked
+    pass: :func:`weak_distances` and ``bound(stacks, present, sigmas)``, with
+    ``sigmas`` None unless ``with_sigma``.
+    A group is evaluated early once its draws weigh BLOCK_BUDGET.  The
+    kernels draw no random numbers, so every draw is where the per-scenario
+    loop made it.
+    """
+    results, members, weights = [], {}, {}
+
+    def flush(key):
+        del weights[key]
+        at, stacks, slots, sigmas = zip(*members.pop(key))
+        padded, present = padded_stacks(list(zip(stacks, slots)), 1 << key[0])
+        values = bound(padded, present, np.array(sigmas) if with_sigma else None)
+        for i, delta, value in zip(at, weak_distances(padded, present, 1 << key[0]).tolist(),
+                                   values.tolist()):
+            results[i] = key + (delta, value)
+
+    for _ in range(p["count"]):
+        m = int(rng.integers(1, m_max + 1))
+        dim = int(rng.integers(1, dim_max + 1))
+        state = _random_cq(m, dim, rng)
+        sigma = random_density(dim, rng) if with_sigma else None
+        members.setdefault((m, dim), []).append((len(results), state.stack,
+                                                 output_slots(state), sigma))
+        results.append(None)
+        weights[m, dim] = weights.get((m, dim), 0) + (1 << 2 * m) * dim * dim
+        if weights[m, dim] >= BLOCK_BUDGET:
+            flush((m, dim))
+    for key in list(members):
+        flush(key)
+    return results
+
+
 @_check("measured-xor-random", count=1000, m_max=2, dim_max=3)
 def _measured_xor(p, rng):
-    """Distance to uniform against the masked-bit measured bound."""
-    for _ in range(p["count"]):
-        m = int(rng.integers(1, p["m_max"] + 1))
-        dim = int(rng.integers(1, p["dim_max"] + 1))
-        state = _random_cq(m, dim, rng)
-        lhs = distance_to_uniform(state, 1 << m, strong=False)
+    """Distance to uniform against the masked-bit measured bound.
+
+    All scenarios are drawn and evaluated, each (m, dim) group in one stacked
+    pass, before the first case, so its ``runtime_ms`` carries the batch's time.
+    """
+    for m, dim, delta, bound in _random_output_groups(
+            p, rng, p["m_max"], p["dim_max"],
+            lambda stacks, present, _: measured_xor_bounds(stacks, present)):
         yield Case(_k_params(m, m, 0, 0.0, 0.0), f"xor m={m} dim={dim}",
-                   [("measured-xor", lhs, measured_xor_bound(state))])
+                   [("measured-xor", delta, bound)])
 
 
 @_check("useful-prop-random", count=1000)
 def _useful_prop(p, rng):
-    """Squared distance against the Fourier-side bound for arbitrary sigma."""
-    for _ in range(p["count"]):
-        m = int(rng.integers(1, 3))
-        dim = int(rng.integers(1, 4))
-        state = _random_cq(m, dim, rng)
-        sigma = random_density(dim, rng)
-        lhs = distance_to_uniform(state, 1 << m, strong=False) ** 2
+    """Squared distance against the Fourier-side bound for arbitrary sigma.
+
+    Drawn and evaluated in (m, dim) groups as ``measured-xor-random`` is, so
+    the first case's ``runtime_ms`` carries the batch's time.
+    """
+    for m, dim, delta, bound in _random_output_groups(
+            p, rng, 2, 3, lambda stacks, _, sigmas: fourier_bounds(stacks, sigmas),
+            with_sigma=True):
         yield Case(_k_params(m, m, 0, 0.0, 0.0), f"fourier m={m} dim={dim}",
-                   [("fourier-rhs", lhs, squared_distance_fourier_bound(state, sigma))])
+                   [("fourier-rhs", delta ** 2, bound)])
 
 
 @_check("parseval-random", count=100)
@@ -481,7 +534,13 @@ def resolve_entry(entry) -> dict:
 
 
 def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
-    """Run one registered check, deterministic given ``config``'s params and seed."""
+    """Run one registered check, deterministic given ``config``'s params and seed.
+
+    A row's ``runtime_ms`` is the time the generator took to yield its case.
+    A check that evaluates a batch before yielding (a flat grid, a group of
+    ``measured-xor-random`` or ``useful-prop-random``) charges the whole batch
+    to the first case it yields, and the later cases of the batch take almost none.
+    """
     entry = resolve_entry({**(config or {}), "id": check_id})
     cases = CHECKS[check_id].cases(entry["params"], np.random.default_rng(entry["seed"]))
     reports: list[BoundReport] = []

@@ -255,13 +255,22 @@ CSV_COLUMNS = ["check_id", "bound_id", "n", "m", "r", "k1", "k2",
                "scenario", "flags"]
 
 
+def _csv_k(value) -> str:
+    """A ``k1``/``k2`` cell: a float, ``numpy.float64`` included, by ``float.__repr__`` as
+    report.json spells a finite one; anything else (``None`` for a missing key) by ``repr``."""
+    return float.__repr__(value) if isinstance(value, float) else repr(value)
+
+
 def _csv_rows(reports):
     params = flags = object()
     for r in reports:
         if r.params is not params:
             params = r.params
+            k1, k2 = params.get("k1"), params.get("k2")
+            # A plain float, what every check builds, is spelled by repr without a call.
             case_columns = [params.get("n"), params.get("m"), params.get("r"),
-                            repr(params.get("k1")), repr(params.get("k2"))]
+                            repr(k1) if type(k1) is float else _csv_k(k1),
+                            repr(k2) if type(k2) is float else _csv_k(k2)]
         if r.flags is not flags:
             flags, flags_text = r.flags, _flat_object(r.flags)
         yield [r.check_id, r.bound_id, *case_columns, repr(r.measured_delta), repr(r.bound_epsilon),

@@ -6,8 +6,10 @@ for probability vectors, one for unit traces.  Eigendecompositions are
 delegated to LAPACK via numpy (eigenvalues ascending).  Operator powers
 map the kernel to zero (the pseudo-inverse convention) so that
 expressions like sigma^{-1/4} rho sigma^{-1/4} are well defined for
-singular sigma; :func:`_sigma_power` alone decides what sigma^p is and
-whether ker sigma meets the state, where such an expression means nothing.
+singular sigma; :func:`_spectral_power` alone decides what sigma^p is and
+:func:`_kernel_leaks` whether ker sigma meets the state, where such an
+expression means nothing.  Both, like the PSD test, take one operator or a
+stack of them.
 """
 
 from __future__ import annotations
@@ -82,15 +84,19 @@ def _unit_trace(trace, *name) -> None:
 # Every module imports these rather than restating a threshold; they are not
 # public API.
 
-def _not_psd(w: np.ndarray) -> bool:
-    """True when ascending eigenvalues ``w`` fall below the PSD tolerance."""
-    return bool(w.size and w[0] < -PSD_RTOL * max(1.0, float(abs(w[-1]))))
+def _not_psd(w: np.ndarray):
+    """Whether ascending eigenvalues ``w`` fall below the PSD tolerance: a bool for
+    one operator's, a bool array for the rows of a stack's."""
+    if w.ndim == 1:
+        return bool(w.size and w[0] < -PSD_RTOL * max(1.0, float(abs(w[-1]))))
+    return w[..., 0] < -PSD_RTOL * np.maximum(1.0, np.abs(w[..., -1]))
 
 
 def _kernel_mask(w: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues ``w`` at or below the relative kernel threshold."""
-    top = float(w[-1]) if w.size else 0.0
-    return w <= KERNEL_RTOL * max(top, 0.0)
+    """Ascending eigenvalues ``w`` (per row) at or below the relative kernel threshold."""
+    if w.ndim == 1:
+        return w <= KERNEL_RTOL * max(float(w[-1]) if w.size else 0.0, 0.0)
+    return w <= KERNEL_RTOL * np.maximum(w[..., -1:], 0.0)
 
 
 def _diagonal(stack: np.ndarray) -> bool:
@@ -108,19 +114,20 @@ def _max_eig(h: np.ndarray) -> float:
 
 
 def eigh(h):
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator, or of each operator of an (N, d, d) stack.
 
     Returns (eigenvalues ascending, eigenvector matrix V) with
-    H = V diag(w) V^dagger.
+    H = V diag(w) V^dagger, with a leading axis for a stack.
     """
-    m = check_hermitian(h)
-    if m.shape[0] > MAX_EIG_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds cap {MAX_EIG_DIM}")
+    m = np.asarray(h, dtype=complex)
+    hermitian_stack(m if m.ndim == 3 else m[None])
+    if m.shape[-1] > MAX_EIG_DIM:
+        raise ValueError(f"dimension {m.shape[-1]} exceeds cap {MAX_EIG_DIM}")
     return np.linalg.eigh(m)
 
 
 def _psd_eigh(h):
-    """Eigendecomposition of an operator that must be positive semidefinite."""
+    """Eigendecomposition of an operator, or of each of a stack, that must be PSD."""
     return _checked_psd(*eigh(h))
 
 
@@ -134,13 +141,17 @@ def _trusted_psd_eigh(h: np.ndarray):
 
 
 def _checked_psd(w: np.ndarray, v: np.ndarray):
-    if _not_psd(w):
+    """(w, v) as given; ValueError for the first operator (row of ``w``) that is not PSD."""
+    low = _not_psd(w)
+    if w.ndim > 1 and low.any():
+        w, low = w[low][0], True
+    if low is True:
         raise ValueError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
     return w, v
 
 
 def _spectral_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """H^p from the eigenpairs (w ascending, V) of a PSD operator H.
+    """H^p from the eigenpairs (w ascending, V) of a PSD operator H, or of each of a stack.
 
     Eigenvalues at or below the relative kernel threshold map to 0
     (Moore-Penrose convention for p < 0).
@@ -153,16 +164,28 @@ def _spectral_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
         fw[live] = np.clip(w[live], 0.0, None) ** p
     else:
         fw[live] = w[live] ** p
-    return (v * fw) @ v.conj().T
+    return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _kernel_leaks(w: np.ndarray, v: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Per operator sigma_i of a stack, from its PSD eigenpairs (w[i], v[i]): whether
+    ker sigma_i meets the (N, d, d) stack states[i], i.e. some tr(P rho P) >
+    KERNEL_LEAK_ATOL, P the kernel projector.  Only a sigma with a kernel is tested."""
+    dead = _kernel_mask(w)
+    leaks = np.zeros(len(w), dtype=bool)
+    for i in np.flatnonzero(dead.any(axis=-1)):
+        kernel = v[i][:, dead[i]]
+        proj = kernel @ kernel.conj().T
+        leaks[i] = np.any(np.trace(proj @ states[i] @ proj, axis1=-2, axis2=-1).real
+                          > KERNEL_LEAK_ATOL)
+    return leaks
 
 
 def _sigma_power(sigma, p: float, states: np.ndarray) -> np.ndarray | None:
     """sigma^p as :func:`op_power` gives it, or None when ker sigma meets the (N, d, d)
-    stack ``states``: some tr(P rho P) > KERNEL_LEAK_ATOL, P the kernel projector."""
+    stack ``states`` (:func:`_kernel_leaks`)."""
     w, v = _psd_eigh(sigma)
-    dead = v[:, _kernel_mask(w)]
-    proj = dead @ dead.conj().T
-    if np.any(np.trace(proj @ states @ proj, axis1=-2, axis2=-1).real > KERNEL_LEAK_ATOL):
+    if _kernel_leaks(w[None], v[None], states[None])[0]:
         return None
     return _spectral_power(w, v, p)
 

@@ -5,6 +5,16 @@ output security: the character-sum Fourier transform with its Parseval
 identity, the pretty good measurement and its channel, the Fourier-side
 upper bound on the squared distance to uniform, and the measured-XOR
 bound that compresses a multi-bit output state to its s-masked bits.
+
+The pretty good measurement and both bounds are stacked kernels
+(:func:`pgm_stacks`, :func:`fourier_bounds`, :func:`measured_xor_bounds`)
+over states given as zero-padded (P, 2^m, d, d) stacks with a presence
+mask; :func:`pgm`, :func:`squared_distance_fourier_bound` and
+:func:`measured_xor_bound` are the same kernels on a batch of one, and a
+state's values do not depend on the batch it is in.  The random-state
+checks evaluate each (m, d) group of their scenarios in one pass before
+their first case, so that case carries the batch's time in its
+``runtime_ms``.
 """
 
 from __future__ import annotations
@@ -14,15 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq_states import CqState, _block_sum, _traces, apply_classical_function, marginal_side
-from .extractors import ip_eval
-from .gf2 import _symbol_indices, index_to_bits
+from .cq_states import CqState, _block_sum, _traces, padded_stacks
+from .gf2 import _symbol_indices
 from .operators import (
     COMPLETENESS_ATOL,
     _herm,
+    _kernel_leaks,
+    _psd_eigh,
     _sigma_power,
+    _spectral_power,
     check_hermitian,
-    op_power,
     partial_trace,
     tensor,
 )
@@ -67,18 +78,42 @@ def character_matrix(m: int) -> np.ndarray:
     return h
 
 
+def _character_transform(values: np.ndarray) -> np.ndarray:
+    """alpha -> 2^(-m/2) sum_z (-1)^(alpha . z) values[..., z, :, :] over the 2^m values."""
+    n, d = values.shape[-3], values.shape[-1]
+    flat = values.reshape(values.shape[:-3] + (n, d * d))
+    return ((character_matrix(n.bit_length() - 1) @ flat) / np.sqrt(n)).reshape(values.shape)
+
+
 def mvf_fourier(mvf: MatrixValuedFunction) -> MatrixValuedFunction:
     """Transform alpha -> 2^(-m/2) sum_z (-1)^(alpha . z) M(z); self-inverse."""
-    h = character_matrix(mvf.m)
-    n = 1 << mvf.m
-    flat = mvf.values.reshape(n, mvf.d * mvf.d)
-    out = (h @ flat) / np.sqrt(n)
-    return MatrixValuedFunction(m=mvf.m, d=mvf.d, values=out.reshape(n, mvf.d, mvf.d))
+    return MatrixValuedFunction(m=mvf.m, d=mvf.d, values=_character_transform(mvf.values))
 
 
 def mvf_l2_norm(mvf: MatrixValuedFunction) -> float:
     """sqrt(tr sum_z M(z)^dagger M(z)), the Frobenius mass of all values."""
     return float(np.sqrt(np.sum(np.abs(mvf.values) ** 2)))
+
+
+def pgm_stacks(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """The elements of the pretty good measurement of each of K cq-states, (K, S, d, d).
+
+    State k is the zero-padded stack stacks[k] with a block at each slot
+    where present[k] holds (:func:`padded_stacks`); its elements are
+    rho_B^{-1/2} rho_{B and x} rho_B^{-1/2}, one per present slot and zero
+    at an empty one (whose zero block adds nothing to any sum), from one
+    stacked eigh of the K marginals.  A state's
+    completeness deficit, on ker(rho_B) (never occupied by the state) plus
+    rounding, goes to its first present outcome when an entry exceeds
+    COMPLETENESS_ATOL.
+    """
+    w, v = _psd_eigh(_block_sum(stacks, axis=1))
+    inv_sqrt = _spectral_power(w, v, -0.5)[:, None]
+    elements = inv_sqrt @ stacks @ inv_sqrt
+    deficit = np.eye(stacks.shape[-1], dtype=complex) - _block_sum(elements, axis=1)
+    short = np.flatnonzero(np.max(np.abs(deficit), axis=(-2, -1)) > COMPLETENESS_ATOL)
+    elements[short, np.argmax(present[short], axis=1)] += deficit[short]
+    return _herm(elements)
 
 
 def pgm(state: CqState) -> CqState:
@@ -88,13 +123,10 @@ def pgm(state: CqState) -> CqState:
     are its elements.  The completeness deficit, on ker(rho_B) (never
     occupied by the state) plus rounding, goes to the first outcome when an
     entry exceeds COMPLETENESS_ATOL: the result is a POVM on the full space.
+    This is :func:`pgm_stacks` of a batch of one.
     """
-    inv_sqrt = op_power(marginal_side(state), -0.5)
-    elements = inv_sqrt @ state.stack @ inv_sqrt
-    deficit = np.eye(state.side_dim, dtype=complex) - _block_sum(elements)
-    if np.max(np.abs(deficit)) > COMPLETENESS_ATOL:
-        elements[0] += deficit
-    return CqState._from_stack(state.side_dim, state.symbols(), _herm(elements))
+    elements = pgm_stacks(state.stack[None], np.ones((1, len(state.stack)), dtype=bool))[0]
+    return CqState._from_stack(state.side_dim, state.symbols(), elements)
 
 
 def outcome_weights(povm: CqState, ops) -> np.ndarray:
@@ -104,6 +136,26 @@ def outcome_weights(povm: CqState, ops) -> np.ndarray:
     return _traces(povm.stack @ ops[..., None, :, :])
 
 
+def fourier_bounds(stacks: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """:func:`squared_distance_fourier_bound` of P states with m-bit outputs, as a (P,) array.
+
+    State i is the zero-padded (2^m, d, d) stack stacks[i], its block for
+    output z at slot z (:func:`output_slots`) and a zero block at an output
+    it omits, and sigmas[i] its sigma.  The sigmas' powers come from one
+    stacked eigh.
+    ValueError, as for one state, for a sigma that is not Hermitian or not
+    PSD, and for one whose kernel meets its state.
+    """
+    slots = stacks.shape[1]
+    w, v = _psd_eigh(sigmas)
+    if np.any(_kernel_leaks(w, v, stacks)):
+        raise ValueError("sigma kernel is not contained in the state kernel")
+    quarter = _spectral_power(w, v, -0.25)[:, None]
+    values = quarter @ stacks @ quarter
+    nonzero = _character_transform(values)[:, 1:]
+    return (slots / 4.0) * _block_sum(_traces(nonzero @ nonzero), axis=1)
+
+
 def squared_distance_fourier_bound(state: CqState, sigma) -> float:
     """Fourier-side upper bound on delta(rho_ZE, omega (x) rho_E)^2.
 
@@ -111,15 +163,43 @@ def squared_distance_fourier_bound(state: CqState, sigma) -> float:
     function M(z) = sigma^{-1/4} rho_{E and z} sigma^{-1/4}; the raw
     double sum over (z, z') is kept as a test oracle.  A non-bit output
     symbol such as (2,) raises ValueError naming it, and so does a sigma
-    whose kernel meets the state.
+    whose kernel meets the state.  This is :func:`fourier_bounds` of a
+    batch of one.
     """
-    m = _output_bits(state)
-    quarter = _sigma_power(sigma, -0.25, state.stack)
-    if quarter is None:
-        raise ValueError("sigma kernel is not contained in the state kernel")
-    fourier = mvf_fourier(mvf_from_blocks(m, state.symbols(), quarter @ state.stack @ quarter))
-    nonzero = fourier.values[1:]
-    return ((1 << m) / 4.0) * float(_block_sum(_traces(nonzero @ nonzero)))
+    stacks, _ = _batch_of_one(state)
+    return float(fourier_bounds(stacks, np.asarray(sigma, dtype=complex)[None])[0])
+
+
+def measured_xor_bounds(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """:func:`measured_xor_bound` of P states with m-bit outputs, as a (P,) array.
+
+    State i is the zero-padded (2^m, d, d) stack stacks[i], its block for
+    output z at slot z (:func:`output_slots`) where present[i] holds.  For
+    every state and nonzero mask s the blocks are summed, in slot order,
+    into the two blocks of the bit s . z, and one :func:`pgm_stacks` call
+    measures all P (2^m - 1) masked states.  Each masked bit's distance
+    from (uniform bit) (x) (measured marginal) adds its terms bit-major,
+    one at a time; a bit that never occurs weighs 0, and an outcome that
+    never occurs adds +0.0 terms, which change no bit.
+    """
+    count, slots, _, d = stacks.shape
+    rho_e = _block_sum(stacks, axis=1)
+    masks = np.arange(1, slots)
+    masked = np.zeros((count, len(masks), 2, d, d), dtype=complex)
+    occurs = np.zeros((count, len(masks), 2), dtype=bool)
+    for z in range(slots):
+        at = (slice(None), masks - 1, np.bitwise_count(masks & z) & 1)    # (mask s, bit s . z)
+        masked[at] += stacks[:, z, None]
+        occurs[at] |= present[:, z, None]
+    shape = (count * len(masks), 2, d, d)
+    elements = pgm_stacks(masked.reshape(shape), occurs.reshape(shape[:2])).reshape(masked.shape)
+    joint = _traces(elements[:, :, None] @ masked[:, :, :, None])      # [.., bit, outcome]
+    marginal = _traces(elements @ rho_e[:, None, None])                 # [.., outcome]
+    terms = np.abs(joint - 0.5 * marginal[:, :, None]).reshape(count, len(masks), 4)
+    acc = np.zeros(count)
+    for per_mask in _block_sum(terms, axis=2).T:
+        acc += 0.5 * per_mask
+    return np.sqrt(0.5 * acc)
 
 
 def measured_xor_bound(state: CqState) -> float:
@@ -130,31 +210,30 @@ def measured_xor_bound(state: CqState) -> float:
     to its own side register, and the resulting classical-classical
     distance from (uniform bit) (x) (measured marginal) is accumulated.
     A non-bit output symbol such as (2,) raises ValueError naming it.
+    This is :func:`measured_xor_bounds` of a batch of one.
     """
-    m = _output_bits(state)
-    rho_e = marginal_side(state)
-    acc = 0.0
-    for idx in range(1, 1 << m):
-        s = index_to_bits(idx, m)
-        masked = apply_classical_function(
-            state, lambda z, s=s: (ip_eval(s, z),))
-        povm = pgm(masked)
-        joint = np.zeros((2, len(povm.symbols())))      # a bit that never occurs weighs 0
-        joint[[bit for (bit,) in povm.symbols()]] = outcome_weights(povm, masked.stack)
-        terms = np.abs(joint - 0.5 * outcome_weights(povm, rho_e))
-        acc += 0.5 * float(_block_sum(terms.ravel()))   # bit-major, one term at a time
-    return float(np.sqrt(0.5 * acc))
+    return float(measured_xor_bounds(*_batch_of_one(state))[0])
 
 
-def _output_bits(state: CqState) -> int:
+def output_slots(state: CqState) -> np.ndarray:
+    """The slot of each block of a state with m-bit outputs: the index of its symbol.
+
+    ValueError unless the symbols are bit tuples of one length m <= MAX_FOURIER_BITS,
+    naming a symbol that is not an m-bit string.
+    """
     lengths = {len(sym) for sym in state.symbols()}
     if len(lengths) != 1:
         raise ValueError("state symbols must all be bit tuples of one length")
     (m,) = lengths
     if m > MAX_FOURIER_BITS:
         raise ValueError(f"output length {m} exceeds cap {MAX_FOURIER_BITS}")
-    _symbol_indices(state.symbols(), m, "output")
-    return m
+    return _symbol_indices(state.symbols(), m, "output")
+
+
+def _batch_of_one(state: CqState):
+    """The padded (1, 2^m, d, d) stack and mask of one state with m-bit outputs."""
+    slots = output_slots(state)
+    return padded_stacks([(state.stack, slots)], 1 << len(state.symbols()[0]))
 
 
 def l2_distance_to_uniform(rho_ab, dim_a: int, sigma_b) -> float:

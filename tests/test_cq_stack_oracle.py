@@ -7,7 +7,9 @@ The reference functions below are the dict-based loops that the stacked
 kept verbatim (apart from ``op_power`` no longer taking a kernel-policy
 argument, and a POVM being a ``CqState`` whose blocks are its elements)
 as the exact oracle: the stacked versions must reproduce them bit for
-bit, because the report bytes rest on them.
+bit, because the report bytes rest on them.  ``_ref_distance_to_uniform``
+is the per-state ``distance_to_uniform`` that the padded-stack kernels
+(``weak_distances`` and the strong path) replaced, kept verbatim.
 """
 
 import numpy as np
@@ -16,16 +18,23 @@ from hypothesis import given, settings, strategies as st
 
 from extraction_lab.cq_states import (
     CqState,
+    _block_sum,
     apply_classical_function,
     build_cq,
     classical_state,
+    distance_to_uniform,
     marginal_side,
+    padded_stacks,
     product,
+    weak_distances,
 )
 from extraction_lab.gf2 import bits_to_index, index_to_bits
+from extraction_lab.harness import checks
+from extraction_lab.harness.checks import run_check
 from extraction_lab.operators import (
     COMPLETENESS_ATOL,
     _herm,
+    hermitian_trace_norms,
     op_power,
     random_density,
     random_pure_state,
@@ -34,10 +43,14 @@ from extraction_lab.operators import (
 from extraction_lab.xor_analysis import (
     MAX_FOURIER_BITS,
     MatrixValuedFunction,
+    fourier_bounds,
     measured_xor_bound,
+    measured_xor_bounds,
     mvf_fourier,
     outcome_weights,
+    output_slots,
     pgm,
+    pgm_stacks,
     squared_distance_fourier_bound,
 )
 
@@ -173,6 +186,35 @@ def _ref_measured_xor_bound(state: CqState) -> float:
     return float(np.sqrt(0.5 * acc))
 
 
+def _ref_distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) -> float:
+    symbols = state.symbols()
+    if strong:
+        for sym in symbols:
+            if not (isinstance(sym, tuple) and len(sym) == 2):
+                raise ValueError(f"strong output symbols must be (z, x) pairs, got {sym!r}")
+    rests = [sym[1] for sym in symbols] if strong else [None] * len(symbols)
+    # One group per rest (x_i, or None for a weak state), in sorted order.  In
+    # sorted-symbol order the blocks of each group already come in z order.
+    group_ids = {rest: g for g, rest in enumerate(sorted(set(rests)))}
+    group_of = np.array([group_ids[rest] for rest in rests], dtype=np.intp)
+    sizes = np.bincount(group_of, minlength=len(group_ids)).tolist()
+    if max(sizes, default=0) > uniform_dim:
+        raise ValueError(f"{max(sizes)} output symbols exceed uniform_dim={uniform_dim}")
+    targets = np.zeros((len(sizes),) + state.stack.shape[1:], dtype=complex)
+    np.add.at(targets, group_of, state.stack)
+    targets = targets / uniform_dim
+    norms = hermitian_trace_norms(np.concatenate([targets, state.stack - targets[group_of]]))
+    block_norms = norms[len(sizes):][np.argsort(group_of, kind="stable")].tolist()
+    total = 0.0
+    start = 0
+    for target_norm, present in zip(norms[:len(sizes)].tolist(), sizes):
+        for norm in block_norms[start:start + present]:
+            total += norm
+        start += present
+        total += (uniform_dim - present) * target_norm
+    return 0.5 * total
+
+
 # -- random inputs -----------------------------------------------------------------
 
 def random_state(m: int, dim: int, rng) -> CqState:
@@ -298,3 +340,152 @@ def test_blocks_are_read_only_views_of_the_stack():
     empty = CqState(side_dim=3, blocks={})
     assert empty.stack.shape == (0, 3, 3) and empty.total_trace() == 0.0
     assert marginal_side(empty).tobytes() == np.zeros((3, 3), dtype=complex).tobytes()
+
+
+# -- the stacked kernels of the random-state checks --------------------------------------
+
+KET0 = np.diag([1.0, 0.0]).astype(complex)
+KETPLUS = np.full((2, 2), 0.5, dtype=complex)
+
+
+def _groups(states):
+    """Indices of ``states`` per (m, side dim), and each group's padded stacks and mask."""
+    groups = {}
+    for i, state in enumerate(states):
+        groups.setdefault((len(state.symbols()[0]), state.side_dim), []).append(i)
+    return {key: (idx, padded_stacks([(states[i].stack, output_slots(states[i])) for i in idx],
+                                     1 << key[0]))
+            for key, idx in groups.items()}
+
+
+def _masked_bit_never_occurs(state) -> bool:
+    """Some nonzero mask s gives s . z the same value on every symbol z of the state."""
+    m = len(state.symbols()[0])
+    parities = [[sum(a & b for a, b in zip(index_to_bits(s, m), z)) & 1 for z in state.symbols()]
+                for s in range(1, 1 << m)]
+    return any(len(set(p)) == 1 for p in parities)
+
+
+def mixed_batch(rng):
+    """Every (m <= 3, dim <= 4) group, with one-symbol states, states whose symbols
+    all start with 0 (so the mask 10..0 never gives bit 1), and pure or
+    half-rank blocks, whose side marginals are rank-deficient.  Each state
+    gets a sigma: a random density, or its own normalized marginal, whose
+    kernel is the marginal's."""
+    states = []
+    for m in (1, 2, 3):
+        for dim in (1, 2, 3, 4):
+            states += [random_state(m, dim, rng) for _ in range(8)]
+            cond = random_pure_state(dim, rng) if dim > 1 else np.ones((1, 1))
+            states.append(build_cq({index_to_bits(int(rng.integers(1 << m)), m): 1.0},
+                                   {index_to_bits(z, m): cond for z in range(1 << m)}, dim))
+            low = [index_to_bits(z, m) for z in range(1 << (m - 1))]
+            weights = rng.random(len(low)) + 0.1
+            states.append(build_cq(dict(zip(low, weights / weights.sum())),
+                                   {z: random_density(dim, rng) for z in low}, dim))
+    sigmas = []
+    for state in states:
+        rho = marginal_side(state)
+        sigmas.append(rho / np.trace(rho).real if rng.random() < 0.5 or state.side_dim == 1
+                      else random_density(state.side_dim, rng))
+    return states, sigmas
+
+
+def test_kernels_match_the_per_state_references_on_a_mixed_batch():
+    rng = np.random.default_rng(1919)
+    states, sigmas = mixed_batch(rng)
+    groups = _groups(states)
+    assert set(groups) == {(m, d) for m in (1, 2, 3) for d in (1, 2, 3, 4)}
+    assert any(len(s.symbols()) == 1 for s in states)
+    assert sum(_masked_bit_never_occurs(s) for s in states) > len(states) // 3
+    deficient = [s for s in states if np.linalg.matrix_rank(marginal_side(s)) < s.side_dim]
+    assert len({s.side_dim for s in deficient}) == 3      # sides 2, 3 and 4
+    for s in deficient:
+        # the masked states share this marginal, so their PGMs take the completion branch
+        inv_sqrt = op_power(marginal_side(s), -0.5)
+        bare = _block_sum(inv_sqrt @ s.stack @ inv_sqrt)
+        assert np.max(np.abs(np.eye(s.side_dim) - bare)) > COMPLETENESS_ATOL
+    for (m, _), (idx, (stacks, present)) in groups.items():
+        weak = weak_distances(stacks, present, 1 << m).tolist()
+        xor = measured_xor_bounds(stacks, present).tolist()
+        fourier = fourier_bounds(stacks, np.array([sigmas[i] for i in idx])).tolist()
+        elements = pgm_stacks(stacks, present)
+        for j, i in enumerate(idx):
+            assert weak[j] == _ref_distance_to_uniform(states[i], 1 << m), i
+            assert xor[j] == _ref_measured_xor_bound(states[i]), i
+            assert fourier[j] == _ref_squared_distance_fourier_bound(states[i], sigmas[i]), i
+            assert elements[j][present[j]].tobytes() == _ref_pgm(states[i]).stack.tobytes(), i
+            assert not elements[j][~present[j]].any(), i
+
+
+@pytest.mark.parametrize("m, dim", [(1, 1), (2, 3), (3, 4)])
+def test_a_states_values_do_not_depend_on_its_batch(m, dim):
+    rng = np.random.default_rng(100 * m + dim)
+    states = [random_state(m, dim, rng) for _ in range(200)]
+    sigmas = [random_density(dim, rng) if dim > 1 else np.ones((1, 1)) for _ in states]
+    alone = [(distance_to_uniform(s, 1 << m), measured_xor_bound(s),
+              squared_distance_fourier_bound(s, sigma)) for s, sigma in zip(states, sigmas)]
+    for shift in (0, 1, 77):      # every state at three positions of a 200-state batch
+        order = np.roll(np.arange(200), shift)
+        (idx, (stacks, present)), = _groups([states[i] for i in order]).values()
+        batch = zip(weak_distances(stacks, present, 1 << m).tolist(),
+                    measured_xor_bounds(stacks, present).tolist(),
+                    fourier_bounds(stacks, np.array([sigmas[i] for i in order])).tolist())
+        assert [alone[i] for i in order] == list(batch)
+
+
+@pytest.mark.parametrize("check_id", ["measured-xor-random", "useful-prop-random"])
+def test_block_budget_flushes_change_no_row(check_id, monkeypatch):
+    config = {"params": {"count": 120}, "seed": 8}
+    sizes = []
+    kernel = checks.weak_distances
+    monkeypatch.setattr(checks, "weak_distances",
+                        lambda stacks, *rest: sizes.append(len(stacks)) or kernel(stacks, *rest))
+    whole = run_check(check_id, config)
+    assert len(sizes) == 6 and sum(sizes) == 120     # one pass per (m, dim) group
+    sizes.clear()
+    monkeypatch.setattr(checks, "BLOCK_BUDGET", 200)
+    flushed = run_check(check_id, config)
+    assert len(sizes) > 12 and sum(sizes) == 120
+    rows = [(r.scenario, r.bound_id, r.params, r.measured_delta, r.bound_epsilon) for r in whole]
+    assert rows == [(r.scenario, r.bound_id, r.params, r.measured_delta, r.bound_epsilon)
+                    for r in flushed]
+
+
+def test_strong_distance_matches_the_per_state_reference():
+    rng = np.random.default_rng(77)
+    for i in range(60):
+        m, rest = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        state = random_state(m + rest, int(rng.integers(1, 5)), rng)
+        strong = apply_classical_function(state, lambda z: (z[:m], z[m:]))
+        assert distance_to_uniform(strong, 1 << m, strong=True) == \
+            _ref_distance_to_uniform(strong, 1 << m, strong=True), i
+
+
+def _same_error(alone, batch):
+    with pytest.raises(ValueError) as one:
+        alone()
+    with pytest.raises(ValueError) as many:
+        batch()
+    assert str(many.value) == str(one.value)
+    return str(one.value)
+
+
+def test_a_batch_refuses_what_the_per_state_call_refuses():
+    rng = np.random.default_rng(5)
+    good = [random_state(1, 2, rng) for _ in range(4)]
+    seen = build_cq({(0,): 0.5, (1,): 0.5}, {(0,): KET0, (1,): KETPLUS})
+    states = good[:2] + [seen] + good[2:]
+    (idx, (stacks, present)), = _groups(states).values()
+    for bad in (KET0,                                   # its kernel |1> meets |+>
+                np.diag([1.5, -0.5]).astype(complex),   # not PSD
+                np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex)):  # not Hermitian
+        sigmas = np.array([random_density(2, rng) for _ in states])
+        sigmas[2] = bad
+        message = _same_error(lambda: squared_distance_fourier_bound(seen, bad),
+                              lambda: fourier_bounds(stacks, sigmas))
+        assert any(word in message for word in ("kernel", "PSD", "Hermitian"))
+    two = build_cq({(0,): 0.5, (2,): 0.5}, {(0,): KET0, (2,): KETPLUS})
+    message = _same_error(lambda: measured_xor_bound(two),
+                          lambda: _groups(good[:2] + [two] + good[2:]))
+    assert "(2,) is not an 1-bit string" in message

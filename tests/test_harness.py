@@ -473,6 +473,10 @@ def _stdlib_json(result) -> str:
 
 
 def _stdlib_csv(result) -> str:
+    # k1 and k2: a float (numpy.float64 included) by float.__repr__, None by repr.
+    def k(value):
+        return float.__repr__(value) if isinstance(value, float) else repr(value)
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -480,7 +484,7 @@ def _stdlib_csv(result) -> str:
         writer.writerow([
             r.check_id, r.bound_id,
             r.params.get("n"), r.params.get("m"), r.params.get("r"),
-            repr(r.params.get("k1")), repr(r.params.get("k2")),
+            k(r.params.get("k1")), k(r.params.get("k2")),
             repr(r.measured_delta), repr(r.bound_epsilon),
             r.passed, f"{r.runtime_ms:.3f}",
             r.scenario, json.dumps(r.flags, sort_keys=True),
@@ -526,6 +530,13 @@ def test_renderers_match_the_stdlib_on_edge_rows():
     for result in (_result(_edge_reports(), name='edge "suite" \\ é'), _result([])):
         assert render_json(result) == _stdlib_json(result)
         assert render_csv(result) == _stdlib_csv(result)
+
+
+def test_csv_spells_a_numpy_float_param_as_a_number():
+    # k2 = np.float64(2.5) used to come out as np.float64(2.5) under numpy 2.
+    rows = list(csv.DictReader(io.StringIO(render_csv(_result(_edge_reports())))))
+    assert {(row["k1"], row["k2"]) for row in rows} == {("-0.0", "2.5"), ("inf", "nan"),
+                                                       ("None", "None")}
 
 
 @pytest.mark.parametrize("params, flags", [
