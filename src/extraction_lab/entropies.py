@@ -48,14 +48,10 @@ from .operators import (
     _diagonal,
     _herm,
     _kernel_mask,
-    _max_eig,
     _sigma_power,
     _spectral_power,
     _trusted_psd_eigh,
-    check_hermitian,
-    partial_trace,
     probability_vector,
-    tensor,
 )
 
 NEG_INF = float("-inf")
@@ -78,28 +74,13 @@ def h_min_classical(dist: dict) -> float:
     return -float(np.log2(max(probability_vector(dist.values()))))
 
 
-def h_min_rel(rho, sigma, dim_a: int | None = None) -> float:
-    """H_min of rho relative to sigma; -inf when ker(sigma) leaks into rho.
-
-    ``rho`` is a CqState (evaluated on its stacked blocks) or a dense
-    bipartite operator, in which case ``dim_a`` gives the classical/first
-    dimension; the leak is tested on rho_B, as tr((I (x) P) rho (I (x) P)) = tr(P rho_B P).
-    """
-    if isinstance(rho, CqState):
-        inv_sqrt = _sigma_power(sigma, -0.5, rho.stack)
-        if inv_sqrt is None:
-            return NEG_INF
-        tops = np.linalg.eigvalsh(_herm(inv_sqrt @ rho.stack @ inv_sqrt))[:, -1]
-        return -float(np.log2(max(0.0, float(tops.max()))))
-    if dim_a is None:
-        raise ValueError("dense input requires dim_a")
-    mat = check_hermitian(rho)
-    rho_b = partial_trace(mat, (dim_a, np.shape(sigma)[0]), keep=(1,))
-    inv_sqrt = _sigma_power(sigma, -0.5, rho_b[None])
+def h_min_rel(rho: CqState, sigma) -> float:
+    """H_min of a cq-state relative to sigma, blockwise; -inf when ker(sigma) leaks into rho."""
+    inv_sqrt = _sigma_power(sigma, -0.5, rho.stack)
     if inv_sqrt is None:
         return NEG_INF
-    big_inv = tensor(np.eye(dim_a), inv_sqrt)
-    return -float(np.log2(_max_eig(big_inv @ mat @ big_inv)))
+    tops = np.linalg.eigvalsh(_herm(inv_sqrt @ rho.stack @ inv_sqrt))[:, -1]
+    return -float(np.log2(max(0.0, float(tops.max()))))
 
 
 def h2_rel(rho: CqState, sigma) -> float:

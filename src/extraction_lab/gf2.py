@@ -12,14 +12,15 @@ A matrix family is a set A_1..A_m of n x n GF(2) matrices whose nonzero
 XOR-combinations A_s = sum_i s_i A_i all have rank >= n - r.  Both
 built-in families are the powers A_i = G^(i-1) of one generator G: the
 shift for the shift family, multiplication by x for the field family.
-The rank-deficiency parameter r stored on a family is always the exact
-maximum deficiency, verified by exhaustive enumeration over s.
+A family's n, m and r are read off its matrices: r is the exact maximum
+deficiency, found by exhaustive enumeration over s when it is built.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,29 +148,35 @@ def gf2_matmul(a, b) -> np.ndarray:
 class MatrixFamily:
     """A family A_1..A_m of n x n GF(2) matrices with exact deficiency r.
 
-    ``poly`` is the defining polynomial (coefficient bitmask, bit i =
-    coefficient of x^i) for families built from field multiplication,
-    None otherwise.
+    Built as ``MatrixFamily(matrices, poly=None)``: each matrix goes
+    through :func:`as_gf2_matrix` and is stored as a read-only copy, n and
+    m are read off the matrices and r is :func:`family_rank_parameter` of
+    them, so no deficiency can be declared.  ``poly`` is the defining polynomial (coefficient bitmask,
+    bit i = coefficient of x^i) for families built from field
+    multiplication, None otherwise.  ValueError for an empty, non-square
+    or mixed-size tuple, for m > 2^n - 1 and for a zero combination A_s.
     """
 
-    n: int
-    m: int
+    n: int = field(init=False)
+    m: int = field(init=False)
+    r: int = field(init=False)
     matrices: tuple[np.ndarray, ...] = field(repr=False)
-    r: int
     poly: int | None = None
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("need n >= 1 and m >= 1")
-        if self.n <= 30 and self.m > (1 << self.n) - 1:
-            raise ValueError(f"m={self.m} too large: at most 2^n - 1 distinct nonzero combinations")
-        if len(self.matrices) != self.m:
-            raise ValueError("family must contain exactly m matrices")
-        for a in self.matrices:
-            if a.shape != (self.n, self.n):
-                raise ValueError(f"every family matrix must be {self.n}x{self.n}")
-        if not 0 <= self.r < self.n:
-            raise ValueError("rank deficiency r must satisfy 0 <= r < n")
+        matrices = tuple(as_gf2_matrix(a).copy() for a in self.matrices)
+        if not matrices:
+            raise ValueError("a family needs at least one matrix")
+        n, m = matrices[0].shape[0], len(matrices)
+        if any(a.shape != (n, n) for a in matrices):
+            raise ValueError(f"every family matrix must be {n}x{n}")
+        for a in matrices:
+            a.setflags(write=False)       # r stays the deficiency of what is stored
+        if m > (1 << n) - 1:
+            raise ValueError(f"m={m} too large: at most 2^n - 1 distinct nonzero combinations")
+        for name, value in (("matrices", matrices), ("n", n), ("m", m)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "r", family_rank_parameter(self))
 
 
 def a_s(family: MatrixFamily, s: Bits) -> np.ndarray:
@@ -271,9 +278,7 @@ def _power_family(gen: np.ndarray, m: int, poly: int | None) -> MatrixFamily:
     matrices = [np.eye(gen.shape[0], dtype=np.uint8)]
     while len(matrices) < m:
         matrices.append(gf2_matmul(gen, matrices[-1]))
-    # r = 0 is a placeholder until the exhaustive check has run.
-    family = MatrixFamily(n=gen.shape[0], m=m, matrices=tuple(matrices), r=0, poly=poly)
-    return replace(family, r=family_rank_parameter(family))
+    return MatrixFamily(tuple(matrices), poly)
 
 
 def build_field_family(n: int, m: int, poly: int | None = None) -> MatrixFamily:
@@ -324,26 +329,24 @@ def dump_family(family: MatrixFamily) -> str:
 
 
 def load_family(text: str) -> MatrixFamily:
-    lines = [ln.strip() for ln in text.splitlines()]
-    body = [ln for ln in lines if ln]
-    if not body:
+    """The family of a :func:`dump_family` text, built from its matrix blocks.
+
+    ValueError when the header's n, m or r disagrees with the matrices.
+    """
+    lines = [ln.strip() for ln in text.strip().splitlines()]
+    if not lines:
         raise ValueError("empty family file")
-    header = body[0].split()
+    header = lines[0].split()
     if len(header) != 4:
-        raise ValueError(f"bad family header: {body[0]!r}")
-    n, m, r = (int(v) for v in header[:3])
+        raise ValueError(f"bad family header: {lines[0]!r}")
+    declared = tuple(int(v) for v in header[:3])
     poly = None if header[3] == "-" else parse_poly(header[3])
-    rows = body[1:]
-    if len(rows) != m * n:
-        raise ValueError(f"expected {m * n} matrix rows, found {len(rows)}")
-    matrices = []
-    for i in range(m):
-        block = rows[i * n : (i + 1) * n]
-        matrices.append(as_gf2_matrix([parse_bits(row) for row in block]))
-    fam = MatrixFamily(n=n, m=m, matrices=tuple(matrices), r=r, poly=poly)
-    actual = family_rank_parameter(fam)
-    if actual != r:
-        raise ValueError(f"declared r={r} but exhaustive check gives r={actual}")
+    blocks = [[parse_bits(row) for row in block]
+              for nonblank, block in itertools.groupby(lines[1:], key=bool) if nonblank]
+    fam = MatrixFamily(tuple(blocks), poly)
+    if declared != (fam.n, fam.m, fam.r):
+        raise ValueError(f"header declares n, m, r = {declared} but the matrices give "
+                         f"{(fam.n, fam.m, fam.r)}")
     return fam
 
 

@@ -370,7 +370,7 @@ def _parseval(p, rng):
         m = int(rng.integers(1, 4))
         d = int(rng.integers(1, 5))
         values = rng.standard_normal((1 << m, d, d)) + 1j * rng.standard_normal((1 << m, d, d))
-        mvf = MatrixValuedFunction(m=m, d=d, values=values)
+        mvf = MatrixValuedFunction(values)
         dev = abs(mvf_l2_norm(mvf_fourier(mvf)) - mvf_l2_norm(mvf))
         yield Case(_k_params(m, m, 0, 0.0, 0.0), f"parseval m={m} d={d}",
                    [("parseval", dev, 0.0)])

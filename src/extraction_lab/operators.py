@@ -109,10 +109,6 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
-def _max_eig(h: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_herm(h))[-1])
-
-
 def eigh(h):
     """Eigendecomposition of a Hermitian operator, or of each operator of an (N, d, d) stack.
 
@@ -198,12 +194,6 @@ def op_power(h, p: float) -> np.ndarray:
     projector).
     """
     return _spectral_power(*_psd_eigh(h), p)
-
-
-def trace_norm(s) -> float:
-    """Sum of singular values of a square matrix."""
-    m = as_operator(s)
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 def hermitian_trace_norm(s) -> float:

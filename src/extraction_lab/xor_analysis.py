@@ -20,7 +20,7 @@ their first case, so that case carries the batch's time in its
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,27 +43,23 @@ MAX_FOURIER_BITS = 12
 
 @dataclass(frozen=True)
 class MatrixValuedFunction:
-    """All 2^m values of a map from m-bit strings to d x d matrices."""
+    """All 2^m values of a map from m-bit strings to d x d matrices.
 
-    m: int
-    d: int
-    values: np.ndarray   # shape (2^m, d, d), indexed by big-endian bit index
+    Built as ``MatrixValuedFunction(values)``, values[i] the value at the
+    m-bit string of big-endian index i; m and d are read off the shape,
+    which must be (2^m, d, d) (ValueError otherwise).
+    """
+
+    m: int = field(init=False)
+    d: int = field(init=False)
+    values: np.ndarray
 
     def __post_init__(self):
-        expected = (1 << self.m, self.d, self.d)
-        if self.values.shape != expected:
-            raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
-
-
-def mvf_from_blocks(m: int, symbols, stack: np.ndarray) -> MatrixValuedFunction:
-    """Matrix-valued function with value stack[i] at m-bit symbols[i] (zeros elsewhere).
-
-    A symbol that is not an m-bit string raises ValueError naming it.
-    """
-    d = stack.shape[-1]
-    vals = np.zeros((1 << m, d, d), dtype=complex)
-    vals[_symbol_indices(symbols, m, "output")] = stack
-    return MatrixValuedFunction(m=m, d=d, values=vals)
+        shape = np.shape(self.values)
+        if len(shape) != 3 or shape[0] & (shape[0] - 1) or 0 in shape or shape[1] != shape[2]:
+            raise ValueError(f"values must have shape (2^m, d, d), got {shape}")
+        object.__setattr__(self, "m", shape[0].bit_length() - 1)
+        object.__setattr__(self, "d", shape[1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,7 +83,7 @@ def _character_transform(values: np.ndarray) -> np.ndarray:
 
 def mvf_fourier(mvf: MatrixValuedFunction) -> MatrixValuedFunction:
     """Transform alpha -> 2^(-m/2) sum_z (-1)^(alpha . z) M(z); self-inverse."""
-    return MatrixValuedFunction(m=mvf.m, d=mvf.d, values=_character_transform(mvf.values))
+    return MatrixValuedFunction(_character_transform(mvf.values))
 
 
 def mvf_l2_norm(mvf: MatrixValuedFunction) -> float:
@@ -127,13 +123,6 @@ def pgm(state: CqState) -> CqState:
     """
     elements = pgm_stacks(state.stack[None], np.ones((1, len(state.stack)), dtype=bool))[0]
     return CqState._from_stack(state.side_dim, state.symbols(), elements)
-
-
-def outcome_weights(povm: CqState, ops) -> np.ndarray:
-    """tr(Lambda_o op) for each operator op in ``ops`` (leading axes) and outcome o (last axis)."""
-    if ops.shape[-1] != povm.side_dim:
-        raise ValueError("POVM dimension does not match the side register")
-    return _traces(povm.stack @ ops[..., None, :, :])
 
 
 def fourier_bounds(stacks: np.ndarray, sigmas: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ def test_criterion_01_parseval():
         m = int(rng.integers(1, 4))
         d = int(rng.integers(1, 5))
         vals = rng.standard_normal((1 << m, d, d)) + 1j * rng.standard_normal((1 << m, d, d))
-        mvf = MatrixValuedFunction(m=m, d=d, values=vals)
+        mvf = MatrixValuedFunction(vals)
         worst = max(worst, abs(mvf_l2_norm(mvf_fourier(mvf)) - mvf_l2_norm(mvf)))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-9 and elapsed < 1.0

@@ -20,8 +20,8 @@ from extraction_lab.entropies import (
     h_min_rel,
 )
 from extraction_lab.gf2 import all_bit_vectors, gf2_matvec
-from extraction_lab.operators import random_density, tensor
-from extraction_lab.xor_analysis import outcome_weights, pgm
+from extraction_lab.operators import op_power, random_density, tensor
+from extraction_lab.xor_analysis import pgm
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -66,7 +66,10 @@ def test_h_min_rel_dense_agrees_with_blockwise(rng):
     dense = np.zeros((8, 8), dtype=complex)
     for i, sym in enumerate(st.symbols()):
         dense[i * 2:(i + 1) * 2, i * 2:(i + 1) * 2] = st.blocks[sym]
-    assert abs(h_min_rel(st, sigma) - h_min_rel(dense, sigma, dim_a=4)) < 1e-9
+    # Dense oracle: -log2 lambda_max((I (x) sigma^-1/2) rho (I (x) sigma^-1/2)).
+    big_inv = np.kron(np.eye(4), op_power(sigma, -0.5))
+    dense_value = -np.log2(np.linalg.eigvalsh(big_inv @ dense @ big_inv)[-1])
+    assert abs(h_min_rel(st, sigma) - dense_value) < 1e-9
 
 
 def test_h_min_cond_product_state(rng):
@@ -200,7 +203,7 @@ def test_data_processing_pgm_measurement(rng):
         res = h_min_cond(st)
         povm = pgm(st)
         # X with the measured outcome as a classical side register.
-        weights = outcome_weights(povm, st.stack)
+        weights = np.einsum("oij,xji->xo", povm.stack, st.stack).real   # tr(E_o rho_x)
         measured = CqState(side_dim=len(povm.symbols()),
                            blocks={x: np.diag(w) for x, w in zip(st.symbols(), weights)})
         cc = h_min_cond(measured)

@@ -144,8 +144,7 @@ def test_strongness_symmetry_under_transposition():
     # transposed family with the two sources exchanged.
     for fam in (build_field_family(3, 2), build_shift_family(4, 2)):
         ext = deor_extractor(fam)
-        text = deor_extractor(MatrixFamily(n=fam.n, m=fam.m, poly=None, r=fam.r,
-                                           matrices=tuple(a.T for a in fam.matrices)))
+        text = deor_extractor(MatrixFamily(tuple(a.T for a in fam.matrices)))
         n = fam.n
         uni = classical_state({b: 1.0 / (1 << n) for b in all_bit_vectors(n)})
         lo = classical_state({b: 1.0 / (1 << (n - 1))

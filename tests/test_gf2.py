@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -184,9 +186,63 @@ def test_family_invariant_deficiency_bounded():
 
 def test_degenerate_family_rejected():
     eye = np.eye(2, dtype=np.uint8)
-    fam = MatrixFamily(n=2, m=2, matrices=(eye, eye), r=0)  # A_11 = 0
-    with pytest.raises(ValueError, match="zero matrix"):
-        family_rank_parameter(fam)
+    with pytest.raises(ValueError, match="zero matrix for s=11"):
+        MatrixFamily((eye, eye))  # A_11 = 0
+
+
+def test_family_refuses_bad_matrices_when_built():
+    eye = np.eye(2, dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"entries must be in \{0, 1\}"):
+        MatrixFamily((eye, np.array([[0, 2], [1, 0]])))
+    with pytest.raises(ValueError, match="must be 2x2"):
+        MatrixFamily((eye, np.eye(3, dtype=np.uint8)))
+    with pytest.raises(ValueError, match="must be 2x2"):
+        MatrixFamily((np.ones((2, 3), dtype=np.uint8),))
+    with pytest.raises(ValueError, match="at least one matrix"):
+        MatrixFamily(())
+    with pytest.raises(ValueError, match="too large"):
+        MatrixFamily((np.ones((1, 1), dtype=np.uint8),) * 2)
+
+
+def test_family_reads_n_m_and_r_off_its_matrices():
+    # build_shift_family(3, 2) used to be accepted with a declared r = 0.
+    fam = MatrixFamily(build_shift_family(3, 2).matrices)
+    assert (fam.n, fam.m, fam.r, fam.poly) == (3, 2, 1, None)
+    field = build_field_family(4, 3)
+    again = MatrixFamily([a.tolist() for a in field.matrices], field.poly)
+    assert (again.n, again.m, again.r, again.poly) == (4, 3, 0, field.poly)
+    assert all(np.array_equal(a, b) for a, b in zip(again.matrices, field.matrices))
+    with pytest.raises(ValueError, match="read-only"):
+        field.matrices[1][:] = 0      # would leave r = 0 on a family with A_2 = 0
+
+
+def test_family_r_is_brute_force_max_deficiency():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 60:
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, min(3, (1 << n) - 1) + 1))
+        matrices = tuple(rng.integers(0, 2, size=(n, n)).astype(np.uint8) for _ in range(m))
+        combos = []
+        for idx in range(1, 1 << m):
+            acc = np.zeros((n, n), dtype=np.int64)
+            for i in range(m):
+                if idx >> (m - 1 - i) & 1:
+                    acc = acc + matrices[i]
+            combos.append(acc % 2)
+        if any(not c.any() for c in combos):
+            with pytest.raises(ValueError, match="zero matrix"):
+                MatrixFamily(matrices)
+            continue
+        assert MatrixFamily(matrices).r == max(n - _brute_rank(c) for c in combos)
+        checked += 1
+
+
+def _brute_rank(mat):
+    """GF(2) rank as the log2 of the number of distinct images M x over all x."""
+    n = mat.shape[1]
+    images = {tuple(mat @ np.array(x) % 2) for x in itertools.product((0, 1), repeat=n)}
+    return len(images).bit_length() - 1
 
 
 def test_default_polynomials():
@@ -198,8 +254,7 @@ def test_default_polynomials():
 
 def test_transpose_family_preserves_r():
     fam = build_shift_family(4, 3)
-    tfam = MatrixFamily(n=fam.n, m=fam.m, matrices=tuple(a.T for a in fam.matrices),
-                        r=fam.r, poly=None)
+    tfam = MatrixFamily(tuple(a.T for a in fam.matrices))
     assert tfam.r == fam.r == family_rank_parameter(tfam)
     assert np.array_equal(tfam.matrices[1], fam.matrices[1].T)
 
@@ -222,7 +277,11 @@ def test_family_text_rejects_corruption():
     text = dump_family(fam)
     with pytest.raises(ValueError):
         load_family("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"declares n, m, r = \(3, 2, 0\)"):
         load_family(text.replace("3 2 1 -", "3 2 0 -"))  # wrong r
+    with pytest.raises(ValueError, match=r"declares n, m, r = \(4, 2, 1\)"):
+        load_family(text.replace("3 2 1 -", "4 2 1 -"))  # wrong n
+    with pytest.raises(ValueError, match=r"declares n, m, r = \(3, 1, 1\)"):
+        load_family(text.replace("3 2 1 -", "3 1 1 -"))  # wrong m
     with pytest.raises(ValueError):
         load_family(text.rsplit("\n", 2)[0])  # truncated rows

@@ -6,7 +6,7 @@ import pytest
 
 import extraction_lab
 from extraction_lab.cq_states import CqState, MarkovScenario, classical_state
-from extraction_lab.entropies import h_min_classical, h_min_rel
+from extraction_lab.entropies import h_min_classical
 from extraction_lab.operators import (
     check_hermitian,
     conditional_mutual_information,
@@ -18,7 +18,6 @@ from extraction_lab.operators import (
     random_pure_state,
     tensor,
     trace_distance,
-    trace_norm,
     von_neumann_entropy,
 )
 from extraction_lab.xor_analysis import l2_distance_to_uniform
@@ -61,13 +60,6 @@ def test_op_power_sqrt_roundtrip(rng):
         rho = random_density(5, rng)
         again = op_power(op_power(rho, 0.5), 2.0)
         assert np.max(np.abs(again - rho)) < 1e-8
-
-
-def test_trace_norm_examples():
-    assert trace_norm(np.zeros((3, 3))) == 0.0
-    rho = random_density(4, np.random.default_rng(0))
-    assert abs(trace_norm(rho) - 1.0) < 1e-12
-    assert abs(trace_norm(np.array([[0, 1], [0, 0]])) - 1.0) < 1e-12
 
 
 def test_trace_distance_examples():
@@ -172,6 +164,10 @@ def test_cmi_nonnegative(rng):
         assert conditional_mutual_information(rho, (2, 2, 2)) >= -1e-9
 
 
+def _svd_trace_norm(x):
+    return np.linalg.svd(x, compute_uv=False).sum()
+
+
 def test_trace_norm_data_processing_channels(rng):
     # Classical-function channel on the classical register of an X (x) B space
     # and a measurement channel on B are both trace-norm contractions.
@@ -183,7 +179,7 @@ def test_trace_norm_data_processing_channels(rng):
     for _ in range(25):
         s = random_hermitian(3, rng)
         weights = [np.trace(povm.blocks[out] @ s).real for out in povm.symbols()]
-        assert hermitian_trace_norm(np.diag(weights)) <= trace_norm(s) + 1e-9
+        assert hermitian_trace_norm(np.diag(weights)) <= _svd_trace_norm(s) + 1e-9
 
         big = random_hermitian(4 * 3, rng)   # X of size 4, side of size 3
         grouped = {}
@@ -194,7 +190,7 @@ def test_trace_norm_data_processing_channels(rng):
         out = np.zeros((2 * 3, 2 * 3), dtype=complex)
         for y, blk in grouped.items():
             out[y * 3:(y + 1) * 3, y * 3:(y + 1) * 3] = blk
-        assert hermitian_trace_norm(out) <= trace_norm(big) + 1e-9
+        assert hermitian_trace_norm(out) <= _svd_trace_norm(big) + 1e-9
 
 
 _SKEW = np.array([[0.5, 1e-10], [0.0, 0.5]], dtype=complex)
@@ -208,8 +204,6 @@ _CLASSICAL = classical_state({(0,): 1.0})
     (lambda: von_neumann_entropy(np.diag([1.5, -0.5])), "not PSD"),
     (lambda: trace_distance(_SKEW, np.eye(2) / 2), "not Hermitian"),
     (lambda: hermitian_trace_norm(_SKEW), "not Hermitian"),
-    (lambda: h_min_rel(np.kron(np.eye(2) / 2, _SKEW + np.diag([0.0, 0.1])), np.eye(2) / 2,
-                       dim_a=2), "not Hermitian"),
     # Both used to reach the solvers: h_min_cond gave nan, and -0.585 bits.
     (lambda: CqState(1, {(0,): [[np.nan]], (1,): [[0.5]]}), r"\(0,\) has non-finite"),
     (lambda: CqState(1, {(0,): [[1.5]], (1,): [[-0.5]]}), r"\(1,\) is not PSD"),
@@ -218,7 +212,7 @@ _CLASSICAL = classical_state({(0,): 1.0})
     (lambda: l2_distance_to_uniform(random_density(4, np.random.default_rng(0)), 2,
                                     np.diag([1.0, 0.0])), "kernel"),
 ], ids=["h_min_classical-nan", "markov-weight-nan", "von_neumann-not-psd",
-        "trace_distance-skew", "hermitian_trace_norm-skew", "h_min_rel-dense-skew",
+        "trace_distance-skew", "hermitian_trace_norm-skew",
         "cq_state-nan", "cq_state-not-psd", "l2-kernel-leak"])
 def test_numeric_policy_refuses(call, match):
     # Probability vectors, operators and sigma powers are refused by the one

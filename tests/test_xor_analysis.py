@@ -25,9 +25,8 @@ from extraction_lab.xor_analysis import (
     l2_distance_to_uniform,
     measured_xor_bound,
     mvf_fourier,
-    mvf_from_blocks,
     mvf_l2_norm,
-    outcome_weights,
+    output_slots,
     pgm,
     squared_distance_fourier_bound,
 )
@@ -47,7 +46,7 @@ def assert_povm(povm):
 
 def random_mvf(m, d, rng):
     vals = rng.standard_normal((1 << m, d, d)) + 1j * rng.standard_normal((1 << m, d, d))
-    return MatrixValuedFunction(m=m, d=d, values=vals)
+    return MatrixValuedFunction(vals)
 
 
 def test_character_matrix_is_parity_table():
@@ -59,7 +58,7 @@ def test_character_matrix_is_parity_table():
 
 def test_fourier_constant_function():
     m0 = np.array([[1.0, 2.0], [2.0, 0.5]], dtype=complex)
-    mvf = MatrixValuedFunction(m=2, d=2, values=np.stack([m0] * 4))
+    mvf = MatrixValuedFunction(np.stack([m0] * 4))
     four = mvf_fourier(mvf)
     assert np.allclose(four.values[0], 2.0 * m0)      # sqrt(2^m) * M0
     assert np.allclose(four.values[1:], 0.0)
@@ -78,14 +77,22 @@ def test_fourier_self_inverse(rng):
         assert np.max(np.abs(double.values - mvf.values)) < 1e-10
 
 
+def test_mvf_reads_m_and_d_off_its_values():
+    mvf = MatrixValuedFunction(np.zeros((8, 3, 3), dtype=complex))
+    assert (mvf.m, mvf.d) == (3, 3)
+    for shape in [(3, 2, 2), (4, 2, 3), (0, 2, 2), (4, 0, 0), (4, 2)]:
+        with pytest.raises(ValueError, match=r"shape \(2\^m, d, d\)"):
+            MatrixValuedFunction(np.zeros(shape, dtype=complex))
+
+
 def test_l2_norm_examples(rng):
-    zero = MatrixValuedFunction(m=2, d=3, values=np.zeros((4, 3, 3), dtype=complex))
+    zero = MatrixValuedFunction(np.zeros((4, 3, 3), dtype=complex))
     assert mvf_l2_norm(zero) == 0.0
     vals = np.zeros((4, 3, 3), dtype=complex)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(g)
     vals[2] = q
-    single = MatrixValuedFunction(m=2, d=3, values=vals)
+    single = MatrixValuedFunction(vals)
     assert abs(mvf_l2_norm(single) - np.sqrt(3)) < 1e-12
 
 
@@ -102,7 +109,7 @@ def test_pgm_orthogonal_conditionals_is_projective():
     povm = assert_povm(pgm(st))
     assert np.allclose(povm.blocks[(0,)], np.diag([1.0, 0.0]))
     assert np.allclose(povm.blocks[(1,)], np.diag([0.0, 1.0]))
-    joint = outcome_weights(povm, st.stack)     # joint[x, outcome]
+    joint = np.einsum("oij,xji->xo", povm.stack, st.stack).real   # tr(E_o rho_x)
     assert abs(joint[0, 0] - 0.5) < 1e-12
     assert abs(joint[0, 1]) < 1e-12
 
@@ -132,19 +139,6 @@ def test_pgm_deficit_assignment_rank_deficient():
     povm = assert_povm(pgm(st))
     assert np.allclose(povm.blocks[(0,)], np.diag([0.5, 1.0]), atol=1e-9)
     assert np.allclose(povm.blocks[(1,)], np.diag([0.5, 0.0]), atol=1e-9)
-
-
-def test_outcome_weights_marginal(rng):
-    st = random_cq_state(1, 2, rng, min_support=2)
-    povm = pgm(st)
-    dist = outcome_weights(povm, marginal_side(st))
-    assert dist.shape == (len(povm.symbols()),)
-    assert abs(dist.sum() - 1.0) < 1e-9
-    joint = outcome_weights(povm, st.stack)
-    assert joint.shape == (len(st.symbols()), len(povm.symbols()))
-    assert abs(joint.sum() - 1.0) < 1e-9
-    with pytest.raises(ValueError):
-        outcome_weights(povm, random_cq_state(1, 3, rng).stack)
 
 
 def test_pgm_function_commutation(rng):
@@ -220,7 +214,7 @@ def test_fourier_side_bounds_refuse_non_bit_symbols():
     with pytest.raises(ValueError, match=named):
         squared_distance_fourier_bound(bad, marginal_side(bad))
     with pytest.raises(ValueError, match=named):
-        mvf_from_blocks(1, bad.symbols(), bad.stack)
+        output_slots(bad)
 
 
 def test_measured_xor_uniform_independent():
