@@ -11,12 +11,13 @@ Markov block states.
 
 Symbols are hashable tuples: bit tuples for plain registers, nested
 tuples such as ``(z_bits, x_bits)`` for composite classical registers.
-Sums over blocks add one block at a time in sorted-symbol order, so
-results are bit-reproducible.
+Sums over blocks, and over the distance terms of ``_distance_terms``, add
+one at a time in sorted-symbol order, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -279,79 +280,71 @@ def extractor_output_from_joint(ext, joint: CqState, strong_in=None) -> CqState:
     return apply_classical_function(joint, names.__getitem__)
 
 
-def _distance_norms(blocks: np.ndarray, group_of: np.ndarray, groups: int, uniform_dim: int):
-    """The trace norms behind the distance to uniform of blocks in ``groups`` groups.
+def _distance_terms(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape,
+                    uniform_dim: int) -> np.ndarray:
+    """Distance-to-uniform terms of ``shape[0]`` states, as a (states, slots + 1) array.
 
-    Block i, (d, d), is in group group_of[i]; a group's blocks come in z
-    order.  Returns, from one stacked eigvalsh, ‖target‖₁ of each group's
-    target, its blocks' sum (one block at a time) over uniform_dim, and
-    ‖block − target‖₁ of each block, with each group's block count.
-    ValueError when a group has more than uniform_dim blocks.
+    Block i, (d, d), sits at slot cols[i] of state rows[i], with each
+    state's blocks in slot order.  A state's target is its blocks' sum,
+    added one block at a time by ``np.add.at``, over uniform_dim.  The terms
+    are ‖block − target‖₁ at each block's (state, slot), +0.0 at an empty
+    slot, and (uniform_dim − blocks) · ‖target‖₁, the output symbols the
+    state lacks, in the last column; every norm comes from one stacked
+    eigvalsh.  ValueError when a state has more than uniform_dim blocks.
     """
-    sizes = np.bincount(group_of, minlength=groups)
+    states, slots = shape
+    sizes = np.bincount(rows, minlength=states)
     if sizes.max(initial=0) > uniform_dim:
         raise ValueError(f"{sizes.max()} output symbols exceed uniform_dim={uniform_dim}")
-    targets = np.zeros((groups,) + blocks.shape[1:], dtype=complex)
-    np.add.at(targets, group_of, blocks)
+    targets = np.zeros((states,) + blocks.shape[1:], dtype=complex)
+    np.add.at(targets, rows, blocks)
     targets = targets / uniform_dim
-    norms = hermitian_trace_norms(np.concatenate([targets, blocks - targets[group_of]]))
-    return norms[:groups], norms[groups:], sizes
+    norms = hermitian_trace_norms(np.concatenate([targets, blocks - targets[rows]]))
+    terms = np.zeros((states, slots + 1))
+    terms[rows, cols] = norms[states:]
+    terms[:, -1] = (uniform_dim - sizes) * norms[:states]
+    return terms
 
 
 def weak_distances(stacks: np.ndarray, present: np.ndarray, uniform_dim: int) -> np.ndarray:
     """:func:`distance_to_uniform` of P weak output states, as a (P,) array.
 
     State i is the zero-padded stack stacks[i], (S, d, d), with its blocks in
-    sorted-symbol order where present[i] holds (:func:`padded_stacks`).  Per
-    state the present blocks' norms are added one at a time, then
-    (uniform_dim − present) · ‖target‖₁ once, as for a single state.
+    sorted-symbol order where present[i] holds (:func:`padded_stacks`).  Each
+    state's distance is half the sum of its row of :func:`_distance_terms`,
+    added one term at a time, as for a single state.
     """
     rows, cols = np.nonzero(present)
-    target_norms, norms, sizes = _distance_norms(stacks[rows, cols], rows, len(stacks),
-                                                 uniform_dim)
-    block_norms = np.zeros(present.shape)
-    block_norms[rows, cols] = norms
-    total = np.zeros(len(stacks))
-    for slot in block_norms.T:          # an empty slot adds +0.0, which changes no bit
-        total += slot
-    total += (uniform_dim - sizes) * target_norms
-    return 0.5 * total
+    terms = _distance_terms(stacks[rows, cols], rows, cols, present.shape, uniform_dim)
+    return 0.5 * _block_sum(terms, axis=1)
 
 
 def distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) -> float:
     """Exact trace distance to (uniform output) (x) (rest of the state).
 
     For a weak output state (symbols are z themselves) this is
-    delta(rho_{ZC}, omega (x) rho_C), :func:`weak_distances` of a batch of
-    one.  For a strong state (symbols are (z, x_i) pairs) the distance
-    decomposes as the expectation over x_i of the per-x_i distances; both
-    cases reduce to one blockwise sum, including output symbols of weight
-    zero that the alphabet omits.  Every trace norm comes from one stacked
-    eigvalsh.
+    delta(rho_{ZC}, omega (x) rho_C); for a strong one (symbols are (z, x_i)
+    pairs) it is the expectation over x_i of the per-x_i distances.  Either
+    is half the running total of :func:`_distance_terms` (one state per x_i,
+    in sorted order, when strong), which counts the output symbols of weight
+    zero that the alphabet omits; :func:`weak_distances` batches the weak case.
     """
-    if not strong:
-        return float(weak_distances(state.stack[None], np.ones((1, len(state.stack)), dtype=bool),
-                                    uniform_dim)[0])
     symbols = state.symbols()
-    for sym in symbols:
-        if not (isinstance(sym, tuple) and len(sym) == 2):
-            raise ValueError(f"strong output symbols must be (z, x) pairs, got {sym!r}")
-    # One group per x_i, in sorted order.  In sorted-symbol order the blocks
-    # of each group already come in z order.
-    rests = [sym[1] for sym in symbols]
-    group_ids = {rest: g for g, rest in enumerate(sorted(set(rests)))}
-    group_of = np.array([group_ids[rest] for rest in rests], dtype=np.intp)
-    target_norms, norms, sizes = _distance_norms(state.stack, group_of, len(group_ids),
-                                                 uniform_dim)
-    block_norms = norms[np.argsort(group_of, kind="stable")].tolist()
-    total = 0.0
-    start = 0
-    for target_norm, present in zip(target_norms.tolist(), sizes.tolist()):
-        for norm in block_norms[start:start + present]:
-            total += norm
-        start += present
-        total += (uniform_dim - present) * target_norm
-    return 0.5 * total
+    if strong:
+        for sym in symbols:
+            if not (isinstance(sym, tuple) and len(sym) == 2):
+                raise ValueError(f"strong output symbols must be (z, x) pairs, got {sym!r}")
+        # State g is the g-th x_i in sorted order.  In sorted-symbol order each
+        # x_i's blocks come in z order, so their slots count up from 0.
+        slots = {rest: itertools.count() for rest in sorted({rest for _, rest in symbols})}
+        group_of = {rest: g for g, rest in enumerate(slots)}
+        rows, cols = np.array([(group_of[rest], next(slots[rest])) for _, rest in symbols],
+                              dtype=np.intp).reshape(-1, 2).T
+    else:
+        rows, cols = np.zeros(len(symbols), dtype=np.intp), np.arange(len(symbols))
+    terms = _distance_terms(state.stack, rows, cols,
+                            (rows.max(initial=-1) + 1, cols.max(initial=-1) + 1), uniform_dim)
+    return float(0.5 * _block_sum(terms.ravel()))
 
 
 def flat_grid_distances(table: np.ndarray, m: int, side_labels: np.ndarray,

@@ -78,13 +78,15 @@ def all_bit_vectors(n: int):
 
 
 def as_gf2_matrix(entries) -> np.ndarray:
-    """Coerce to a validated GF(2) matrix (2-D uint8 array of 0/1)."""
-    m = np.asarray(entries, dtype=np.uint8)
+    """A validated GF(2) matrix (2-D uint8 of 0/1); entries are checked before the cast."""
+    m = np.asarray(entries)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if m.shape[0] > MAX_DIM or m.shape[1] > MAX_DIM:
         raise ValueError(f"matrix larger than {MAX_DIM}x{MAX_DIM} not supported")
-    if np.any(m > 1):
+    if m.dtype != np.uint8 and m.dtype.kind in "biuf" and np.all((m == 0) | (m == 1)):
+        m = m.astype(np.uint8)
+    if m.dtype != np.uint8 or np.any(m > 1):
         raise ValueError("matrix entries must be in {0, 1}")
     return m
 

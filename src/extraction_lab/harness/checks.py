@@ -37,10 +37,10 @@ from ..extractors import deor_extractor, ip_extractor
 from ..gf2 import (
     MAX_TABLE_BITS,
     all_bit_vectors,
+    bits_to_index,
     build_field_family,
     build_shift_family,
     gf2_images,
-    gf2_matvec,
     gf2_rank,
     index_to_bits,
 )
@@ -402,9 +402,12 @@ def _hmin_linear_drop(p, rng):
         # Maps with one kernel merge the inputs into the same cosets, so their
         # lifted stacks hold bitwise-equal blocks in another order and one
         # certificate serves them all: ``memo`` holds one solve per kernel.
-        kernel = np.flatnonzero(gf2_images(mat) == 0).tobytes()
+        # x maps to the index of M x, which sorts as the bit tuple M x does.
+        images = gf2_images(mat)
+        kernel = np.flatnonzero(images == 0).tobytes()
         if kernel not in memo:
-            memo[kernel] = h_min_cond(apply_classical_function(state, lambda x: gf2_matvec(mat, x)))
+            memo[kernel] = h_min_cond(apply_classical_function(
+                state, lambda x: int(images[bits_to_index(x)])))
         lifted = memo[kernel]
         r = n - gf2_rank(mat)
         return Case(_k_params(n, 1, min(r, n - 1), base.value, lifted.value),

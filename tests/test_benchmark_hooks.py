@@ -4,11 +4,14 @@
 methods listed in ``tracer.METHODS`` and reads the solvers' ``iters``
 defaults, and the worker calls ``run_suite`` with a ``jobs`` keyword; a
 cleanup that removes or renames one of them breaks the benchmark, not any
-suite.  The perfbench files are read as source (never imported), so this
-test leaves them as they are.
+suite.  Each workload's suite must also give the report rows that
+``perfbench/workloads.py`` pins, or every benchmark pass counts as lost.
+The perfbench files are read as source (never imported), so this test
+leaves them as they are.
 """
 
 import ast
+import hashlib
 import importlib
 import inspect
 from pathlib import Path
@@ -69,3 +72,43 @@ def test_suite_calls_match_the_suite_signatures():
         sig = inspect.signature(getattr(suite, call.func.attr))
         sig.bind(*call.args, **{kw.arg: None for kw in call.keywords})
     assert "jobs" in inspect.signature(suite.run_suite).parameters
+
+
+def _workloads() -> list:
+    """The fields of each ``Workload(...)`` in perfbench/workloads.py, by name."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    cls, = [node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "Workload"]
+    fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+    return [dict(zip(fields, map(ast.literal_eval, node.args))) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Workload"]
+
+
+WORKLOADS = _workloads()
+SUITE_RUNS = sorted({(w["suite"], w["seed"]) for w in WORKLOADS})
+
+# sha256 of report.json for the config-file workloads, at their seeds.
+CONFIG_DIGESTS = {
+    ("classical-exhaustive.json", 0):
+        "d367d82b19b5e3c32f2ae212048ad2dfa10736959899eca052767753b4a1f0b0",
+    ("small-state-mix.json", 3):
+        "cf9601bd6f0e3783da4388880ea2ee30a5c992489ccbc4d08a21fec96a009587",
+}
+
+
+def test_every_pinned_config_is_a_workload():
+    assert len(WORKLOADS) >= 4 and set(CONFIG_DIGESTS) <= set(SUITE_RUNS)
+
+
+@pytest.mark.parametrize("name,seed", SUITE_RUNS)
+def test_workload_suites_give_the_pinned_rows(name, seed):
+    config = str(PERFBENCH / "configs" / name) if name.endswith(".json") else name
+    result = suite.run_suite(suite.load_config(config), seed=seed)
+    assert result.all_pass
+    for w in WORKLOADS:
+        if (w["suite"], w["seed"]) == (name, seed):
+            assert len(result.reports) == w["rows"], w["name"]
+    if (name, seed) in CONFIG_DIGESTS:
+        digest = hashlib.sha256(suite.render_json(result).encode()).hexdigest()
+        assert digest == CONFIG_DIGESTS[name, seed]

@@ -454,6 +454,43 @@ def test_strong_distance_matches_the_per_state_reference():
             _ref_distance_to_uniform(strong, 1 << m, strong=True), i
 
 
+def test_strong_distance_of_non_bit_outputs_matches_the_reference():
+    # z parts are ints or strings, not bit tuples, over x groups of uneven sizes.
+    rng = np.random.default_rng(21)
+    pairs = [(z, x) for z in range(4) for x in "abc"]
+    for i in range(30):
+        dim = int(rng.integers(1, 4))
+        kept = [pair for pair in pairs if rng.random() < 0.7] or pairs[:1]
+        for name in (lambda z: z, lambda z: "z" * (z + 1)):
+            state = CqState(side_dim=dim, blocks={
+                (name(z), x): float(rng.random() + 0.1) * random_density(dim, rng)
+                if dim > 1 else np.array([[rng.random()]], dtype=complex) for z, x in kept})
+            for uniform_dim in (4, 5):
+                assert distance_to_uniform(state, uniform_dim, strong=True) == \
+                    _ref_distance_to_uniform(state, uniform_dim, strong=True), i
+
+
+def test_distance_of_the_empty_state_is_zero():
+    empty = CqState(side_dim=2, blocks={})
+    for strong in (False, True):
+        value = distance_to_uniform(empty, 4, strong=strong)
+        assert value == _ref_distance_to_uniform(empty, 4, strong=strong) == 0.0
+        assert type(value) is float
+
+
+def test_a_group_above_uniform_dim_gives_the_reference_message():
+    rng = np.random.default_rng(22)
+    blocks = {(z, x): 0.1 * random_density(2, rng) for z, x in
+              [((0, 0), (0,)), ((0, 1), (0,)), ((1, 0), (0,)), ((1, 1), (1,))]}
+    state = CqState(side_dim=2, blocks=blocks)
+    message = _same_error(lambda: _ref_distance_to_uniform(state, 2, strong=True),
+                          lambda: distance_to_uniform(state, 2, strong=True))
+    assert message == "3 output symbols exceed uniform_dim=2"
+    assert _same_error(lambda: _ref_distance_to_uniform(state, 3),
+                       lambda: distance_to_uniform(state, 3)) == \
+        "4 output symbols exceed uniform_dim=3"
+
+
 def _same_error(alone, batch):
     with pytest.raises(ValueError) as one:
         alone()

@@ -15,6 +15,7 @@ from extraction_lab.gf2 import (
     family_rank_parameter,
     format_bits,
     format_poly,
+    gf2_images,
     gf2_matmul,
     gf2_matvec,
     gf2_rank,
@@ -202,6 +203,38 @@ def test_family_refuses_bad_matrices_when_built():
         MatrixFamily(())
     with pytest.raises(ValueError, match="too large"):
         MatrixFamily((np.ones((1, 1), dtype=np.uint8),) * 2)
+
+
+# Entries that a cast to uint8 would truncate (0.5, 0.9), wrap (-1 to 255,
+# 257 to 1 in the int64 array) or parse ("1"), each refused before the cast.
+NOT_BITS = {
+    "fraction": [[0.5, 1], [1, 0.9]],
+    "negative": [[-1, 1], [1, 0]],
+    "wraps-to-bit": np.array([[257, 0], [0, 1]]),
+    "nan": [[float("nan"), 1], [1, 0]],
+    "string": [["0", "1"], ["1", "0"]],
+}
+
+
+@pytest.mark.parametrize("entries", NOT_BITS.values(), ids=NOT_BITS)
+@pytest.mark.parametrize("entry_point", [
+    lambda a: MatrixFamily((a,)),
+    gf2_rank,
+    gf2_images,
+], ids=["MatrixFamily", "gf2_rank", "gf2_images"])
+def test_non_bit_entries_are_refused_before_the_cast(entries, entry_point):
+    with pytest.raises(ValueError, match=r"entries must be in \{0, 1\}"):
+        entry_point(entries)
+
+
+def test_bit_valued_entries_of_any_numeric_dtype_are_accepted():
+    swap = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    for entries in ([[0, 1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], swap.astype(bool),
+                    swap.astype(np.int64)):
+        fam = MatrixFamily((entries,))
+        assert fam.matrices[0].dtype == np.uint8 and (fam.matrices[0] == swap).all()
+        assert gf2_rank(entries) == 2
+        assert gf2_images(entries).tolist() == [0, 2, 1, 3]
 
 
 def test_family_reads_n_m_and_r_off_its_matrices():
