@@ -87,7 +87,13 @@ SCENARIO_FORMS = {
     "dist": ({"dist": {}, "seed": 0, "side_info": _SIDE_INFO}, ("dist",)),
     "markov": ({"n": 1, "blocks": 2, "seed": 0, "classical": False}, ("n",)),
 }
-_SCENARIO_CHOICES = {"k": ("k", NATURALS), "seed": ("seed", NATURALS)}
+# Each form's choices.  A flat source with bb84 side information takes 20–26 s
+# at n = 16, and a markov scenario's joint state holds
+# (2^n, 2^n, side, side) entries: gigabytes at n = 12.
+_NATURAL_KEYS = {"k": ("k", NATURALS), "seed": ("seed", NATURALS)}
+_SCENARIO_CHOICES = {"flat": {**_NATURAL_KEYS, "n": ("n", range(1, 17))},
+                     "dist": _NATURAL_KEYS,
+                     "markov": {**_NATURAL_KEYS, "n": ("n", range(1, 9))}}
 
 
 def _probability(symbol: str, value) -> float:
@@ -108,7 +114,8 @@ def _load_scenario(path: str) -> tuple[str, dict]:
     if form == "markov":
         scenario = resolved("markov scenario", scenario, {"markov": {}})["markov"]
     defaults, required = SCENARIO_FORMS[form]
-    return form, resolved(f"{form} scenario", scenario, defaults, _SCENARIO_CHOICES, required)
+    return form, resolved(f"{form} scenario", scenario, defaults, _SCENARIO_CHOICES[form],
+                          required)
 
 
 def _cmd_entropy(args) -> int:

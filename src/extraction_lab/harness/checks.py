@@ -52,6 +52,7 @@ from ..operators import (
     trace_distance,
 )
 from ..xor_analysis import (
+    MAX_FOURIER_BITS,
     MatrixValuedFunction,
     fourier_bounds,
     l2_distance_to_uniform,
@@ -61,7 +62,7 @@ from ..xor_analysis import (
     output_slots,
     pgm,
 )
-from .bounds import BOUND_IDS, base_exponent, bound_value
+from .bounds import BOUND_IDS, CATALOG, base_exponent, bound_value
 from .params import NATURALS, resolved
 from .scenarios import (
     SIDE_PARAMS,
@@ -78,6 +79,10 @@ ENTROPY_SLACK = 1e-6
 FAMILY_BUILDERS = {"field": build_field_family, "shift": build_shift_family}
 WEAK_N_MIN = 3      # b8-weak-quantum draws n from WEAK_N_MIN..n_max
 MARKOV_M_MAX = 2    # b2-markov draws m from 1..min(MARKOV_M_MAX, n)
+# The widest source a check draws: output tables cover 2^(2n) input pairs.
+SOURCE_N_MAX = MAX_TABLE_BITS // 2
+# b2-markov's joint state holds (2^n, 2^n, side, side) entries, side <= 12: 151 MB at n = 8.
+MARKOV_N_MAX = 8
 EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at n = 4
 # A random-state scenario with m-bit outputs on a dim-dimensional side weighs
 # 4^m·dim², about the complex entries of its 2^m − 1 masked block pairs in
@@ -89,7 +94,9 @@ CLASSICAL_SIDES = ("trivial", "classical_leak")     # flat grids count these exa
 CHOICES = {"families": ("family kind", tuple(FAMILY_BUILDERS)),
            "sides": ("side-information model", tuple(SIDE_PARAMS)),
            "bounds": ("bound id", BOUND_IDS),
-           "strong_in": ("strong_in", ("x1", "x2"))}
+           "strong_in": ("strong_in", ("x1", "x2")),
+           "n_max": ("n_max", range(1, SOURCE_N_MAX + 1)),
+           "dim_max": ("dim_max", range(1, 17))}
 
 
 @dataclass(frozen=True)
@@ -493,28 +500,39 @@ ENTRY_CHOICES = {"id": ("check id", CHECK_IDS), "seed": ("seed", NATURALS)}
 def resolve_params(check_id: str, params) -> dict:
     """The check's defaults overridden by ``params``, resolved with ``CHOICES``.
 
-    Also refuses an ``n_max`` below ``n_min`` (else ``WEAK_N_MIN``), an ``ns``
-    entry above ``MAX_TABLE_BITS // 2``, an ``exhaustive_n`` above
-    ``EXHAUSTIVE_N_MAX``, an ``ms`` entry above the smallest ``ns`` entry, or
-    ``B7`` in ``bounds`` where the check can draw m > 1.
+    Also refuses an ``n_max`` below ``n_min`` (else ``WEAK_N_MIN``), a
+    ``b2-markov`` ``n_max`` above ``MARKOV_N_MAX``, a ``measured-xor-random``
+    ``m_max`` above ``MAX_FOURIER_BITS``, an ``ns`` or ``random_ns`` entry
+    above ``SOURCE_N_MAX``, an ``exhaustive_n`` above ``EXHAUSTIVE_N_MAX``, an
+    ``ms`` entry above the smallest ``ns`` entry, or a single-bit bound (one
+    whose ``CATALOG`` row has ``only_m`` 1) in ``bounds`` where the check can
+    draw m > 1.
     """
     p = resolved(f"{check_id} params", params, CHECKS[check_id].defaults, CHOICES)
     n_min = p.get("n_min", WEAK_N_MIN)
     if p.get("n_max", n_min) < n_min:
         raise ValueError(f"{check_id}: param 'n_max' must be >= {n_min}, got {p['n_max']}")
-    if "ns" in p and 2 * max(p["ns"]) > MAX_TABLE_BITS:
-        raise ValueError(f"{check_id}: every 'ns' entry must be <= {MAX_TABLE_BITS // 2}, "
-                         f"as output tables cover at most 2^{MAX_TABLE_BITS} input pairs, "
-                         f"got {max(p['ns'])}")
+    if check_id == "b2-markov" and p["n_max"] > MARKOV_N_MAX:
+        raise ValueError(f"{check_id}: param 'n_max' must be <= {MARKOV_N_MAX}, as its joint "
+                         f"state holds 4^n·side² entries, got {p['n_max']}")
+    if check_id == "measured-xor-random" and p["m_max"] > MAX_FOURIER_BITS:
+        raise ValueError(f"{check_id}: param 'm_max' must be <= {MAX_FOURIER_BITS}, the "
+                         f"Fourier transform's cap, got {p['m_max']}")
+    for key in ("ns", "random_ns"):
+        if key in p and max(p[key]) > SOURCE_N_MAX:
+            raise ValueError(f"{check_id}: every {key!r} entry must be <= {SOURCE_N_MAX}, the "
+                             f"widest source a check draws, as output tables cover at most "
+                             f"2^{MAX_TABLE_BITS} input pairs, got {max(p[key])}")
     if p.get("exhaustive_n", 1) > EXHAUSTIVE_N_MAX:
         raise ValueError(f"{check_id}: param 'exhaustive_n' must be <= {EXHAUSTIVE_N_MAX}, "
                          f"as the check enumerates all 2^(n²) maps, got {p['exhaustive_n']}")
     if "ms" in p and max(p["ms"]) > min(p["ns"]):
         raise ValueError(f"{check_id}: every 'ms' entry must be <= the smallest 'ns' entry "
                          f"{min(p['ns'])}, got {max(p['ms'])}")
-    if "B7" in p.get("bounds", ()) and (m_top := _max_output_bits(check_id, p)) > 1:
-        raise ValueError(f"{check_id}: bound 'B7' is for single-bit output, but the check "
-                         f"draws m up to {m_top}")
+    single_bit = [b for b in p.get("bounds", ()) if CATALOG[b].only_m == 1]
+    if single_bit and (m_top := _max_output_bits(check_id, p)) > 1:
+        raise ValueError(f"{check_id}: bound {single_bit[0]!r} is for single-bit output, but "
+                         f"the check draws m up to {m_top}")
     return p
 
 

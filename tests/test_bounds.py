@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from extraction_lab.harness import bounds, checks
 from extraction_lab.harness.bounds import (
     BOUND_IDS,
     base_exponent,
@@ -154,13 +155,13 @@ def test_ordering_in_regime(rng):
 
 def test_b7_is_b1_of_the_identity_family(rng):
     # The inner product is the deor extractor with m = 1, r = 0, so its
-    # bound 2^(-(1+k1+k2-n)/2) is B1's 2^(-E/2) there.
+    # bound 2^(-(1+k1+k2-n)/2) is B1's 2^(-E/2) there.  B7 is B1's catalog
+    # row held to m = 1, so the two agree bit for bit, at every r.
     for _ in range(200):
         n = int(rng.integers(1, 16))
         k1, k2 = rng.uniform(0, n, size=2)
-        p = params(n, 1, 0, k1, k2)
-        b1 = bound_value("B1", p)
-        assert abs(bound_value("B7", p) - b1) <= 1e-12 * b1
+        p = params(n, 1, int(rng.integers(0, n)), k1, k2)
+        assert bound_value("B7", p) == bound_value("B1", p)
 
 
 def test_validation_errors():
@@ -172,3 +173,70 @@ def test_validation_errors():
         bound_value("B1", params(4, 1, 4, 2, 2))      # r >= n
     with pytest.raises(ValueError):
         bound_value("B1", params(0, 1, 0, 0, 0))
+
+
+# The catalog written out as one closed form per bound, apart from the table:
+# the oracle of CATALOG and bound_value.  B7's form ignores r, so it is
+# compared at r = 0, the identity family's deficiency.
+_e = base_exponent
+
+CLOSED_FORMS = {
+    "B1": lambda n, m, r, k1, k2: 2.0 ** (-_e(n, m, r, k1, k2) / 2.0),
+    "B2": lambda n, m, r, k1, k2: 3.0 * 2.0 ** (-_e(n, m, r, k1, k2) / 4.0),
+    "B3": lambda n, m, r, k1, k2: 2.0 ** (-(_e(n, m, r, k1, k2) - 3.0 * m) / 6.0),
+    "B5": lambda n, m, r, k1, k2: 3.0 * 2.0 ** (-(_e(n, m, r, k1, k2) - 3.0 * m) / 8.0),
+    "B6": lambda n, m, r, k1, k2: 2.0 ** (-(_e(n, m, r, k1, k2) + 1.0 - m) / 4.0),
+    "B7": lambda n, m, r, k1, k2: 2.0 ** (-(1.0 + k1 + k2 - n) / 2.0),
+    "B9": lambda n, m, r, k1, k2: 2.0 ** (1.0 - _e(n, m, r, k1, k2) / 3.0),
+    "B11": lambda n, m, r, k1, k2: math.sqrt(3.0) * 2.0 ** (
+        -(_e(n, m, r, k1, k2) + 8.0 - 4.0 * m) / 8.0),
+}
+CLOSED_FORMS.update(B4=CLOSED_FORMS["B3"], B8=CLOSED_FORMS["B3"], B10=CLOSED_FORMS["B2"])
+
+# Integer and non-integer entropies; k above n is skipped.
+GRID_KS = (0.0, 0.3, 1.0, 1.5, 2.0, 2.71828, 3.0, 3.999, 4.0, 5.25, 6.0)
+
+
+def _grid(single_bit=False):
+    for n in range(1, 7):
+        for m in (1,) if single_bit else range(1, min(n, 4) + 1):
+            for r in (0,) if single_bit else range(n):
+                for k1 in (k for k in GRID_KS if k <= n):
+                    for k2 in (k for k in GRID_KS if k <= n):
+                        yield n, m, r, k1, k2
+
+
+def test_catalog_is_the_closed_forms_exactly():
+    # Each row does the old closed form's float operations (E + 0.0 is E,
+    # 1.0·x is x), so the values are equal, not merely close.
+    assert set(CLOSED_FORMS) == set(BOUND_IDS)
+    for bid in sorted(set(BOUND_IDS) - {"B7", "B9"}):
+        for args in _grid():
+            assert bound_value(bid, params(*args)) == CLOSED_FORMS[bid](*args), (bid, args)
+
+
+def test_b7_and_b9_rows_match_their_closed_forms():
+    # Their float routes differ: B7 is B1's row, which forms k1 + k2 + 2 - n - r - m
+    # where the closed form forms 1 + k1 + k2 - n, and B9 multiplies 2^(-E/3)
+    # by 2 where the closed form raises 2 to 1 - E/3.  At integer k both routes
+    # are exact for B7; elsewhere they may round apart in the last bits.
+    for args in _grid(single_bit=True):
+        got, want = bound_value("B7", params(*args)), CLOSED_FORMS["B7"](*args)
+        if float(args[3]).is_integer() and float(args[4]).is_integer():
+            assert got == want, args
+        assert abs(got - want) <= 1e-12 * want, args
+    for args in _grid():
+        got, want = bound_value("B9", params(*args)), CLOSED_FORMS["B9"](*args)
+        assert abs(got - want) <= 1e-12 * want, args
+
+
+def test_single_bit_rule_reads_the_catalog(monkeypatch):
+    # No bound id is named in resolve_params: a row with only_m = 1 is refused
+    # wherever the check can draw m > 1, and accepted where it cannot.
+    monkeypatch.setitem(bounds.CATALOG, "B6", bounds.CATALOG["B6"]._replace(only_m=1))
+    with pytest.raises(ValueError, match="bound 'B6' is for single-bit output, but the check "
+                                         "draws m up to 3"):
+        checks.resolve_params("b1-quantum-product", {})
+    assert checks.resolve_params("b1-quantum-product", {"m_max": 1})["bounds"][1] == "B6"
+    monkeypatch.setitem(bounds.CATALOG, "B7", bounds.CATALOG["B7"]._replace(only_m=None))
+    assert checks.resolve_params("b2-markov", {"bounds": ["B7"]})["bounds"] == ("B7",)

@@ -99,6 +99,10 @@ def test_entropy_markov_scenario(tmp_path, capsys):
     {"markov": {"blocks": 2}},
     {"markov": [2, 2]},
     {"n": 2, "k": 2, "side_info": {"model": "random_pure", "seed": 1}},
+    {"n": 30, "k": 30},
+    {"n": 17, "k": 17, "side_info": {"model": "bb84"}},
+    {"markov": {"n": 12}},
+    {"markov": {"n": 9}},
 ])
 def test_entropy_malformed_scenario_exits_2(tmp_path, capsys, scenario):
     scen = tmp_path / "scen.json"
@@ -202,6 +206,12 @@ def _after_a_valid_check(entry) -> dict:
     {"checks": [{"id": "parseval-random"}], "name": 5},
     _after_a_valid_check({"id": "parseval-random", "seed": 2.9}),
     _after_a_valid_check({"id": "parseval-random", "seed": "5"}),
+    _after_a_valid_check({"id": "b1-quantum-product", "params": {"n_max": 12}}),
+    _after_a_valid_check({"id": "b8-weak-quantum", "params": {"n_max": 12}}),
+    _after_a_valid_check({"id": "b2-markov", "params": {"n_max": 9}}),
+    _after_a_valid_check({"id": "hmin-linear-drop", "params": {"random_ns": [30]}}),
+    _after_a_valid_check({"id": "measured-xor-random", "params": {"m_max": 13}}),
+    _after_a_valid_check({"id": "measured-xor-random", "params": {"dim_max": 100000}}),
 ])
 def test_verify_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config):
     ran = []

@@ -173,6 +173,12 @@ DRAW_DIGESTS = {
     ("ip-classical", {"ns": [2, 12]}, "'ns' entry must be <= 11.*got 12"),
     ("b1-exhaustive-flat", {"ns": [12], "ms": [1]}, "'ns' entry must be <= 11.*got 12"),
     ("hmin-linear-drop", {"exhaustive_n": 5}, "'exhaustive_n' must be <= 4.*got 5"),
+    ("b1-quantum-product", {"n_max": 12}, "n_max must be in 1..11, got 12"),
+    ("b8-weak-quantum", {"n_max": 30}, "n_max must be in 1..11, got 30"),
+    ("b2-markov", {"n_max": 9}, "'n_max' must be <= 8.*got 9"),
+    ("hmin-linear-drop", {"random_ns": [4, 30]}, "'random_ns' entry must be <= 11.*got 30"),
+    ("measured-xor-random", {"m_max": 13}, "'m_max' must be <= 12.*got 13"),
+    ("measured-xor-random", {"dim_max": 100000}, "dim_max must be in 1..16, got 100000"),
 ])
 def test_resolve_params_rejects(check_id, params, match):
     with pytest.raises(ValueError, match=match):
@@ -188,6 +194,13 @@ def test_resolve_params_defaults_and_overrides():
     assert got["ms"] == CHECKS["b1-exhaustive-flat"].defaults["ms"]
     assert resolve_params("ip-classical", {"ns": [11]})["ns"] == (11,)
     assert resolve_params("hmin-linear-drop", {"exhaustive_n": 4})["exhaustive_n"] == 4
+    # Each size cap admits its own value; the checks are not run at these sizes.
+    assert resolve_params("b1-quantum-product", {"n_max": 11})["n_max"] == 11
+    assert resolve_params("b8-weak-quantum", {"n_max": 11})["n_max"] == 11
+    assert resolve_params("b2-markov", {"n_max": 8})["n_max"] == 8
+    assert resolve_params("hmin-linear-drop", {"random_ns": [11]})["random_ns"] == (11,)
+    got = resolve_params("measured-xor-random", {"m_max": 12, "dim_max": 16})
+    assert (got["m_max"], got["dim_max"]) == (12, 16)
 
 
 def test_classical_flat_grids_pass_at_n_6_to_8():
@@ -421,6 +434,28 @@ def test_output_paths_report_digest(tmp_path):
     result = run_suite(load_config(str(path)), seed=5)
     assert len(result.reports) == 472 and result.all_pass
     assert hashlib.sha256(render_json(result).encode()).hexdigest() == OUTPUT_PATHS_DIGEST
+
+
+# The rows of `verify --suite full --seed 7` that no other pinned digest
+# reaches: b2-markov at n_max 4 (B2, B5, B10 and B11 at n = 4) and
+# hmin-linear-drop, with full's params and the seeds that run_suite derives
+# for them at positions 4 and 10.  Taken before the bound catalog became a table.
+FULL_ONLY_CONFIG = {"checks": [
+    {"id": "b2-markov", "params": {"count": 40, "n_max": 4}, "seed": 7 * 1000003 + 4},
+    {"id": "hmin-linear-drop", "params": {}, "seed": 7 * 1000003 + 10},
+]}
+FULL_ONLY_DIGEST = "9e7ab50badc5fcfcba7dd0b542a7f478f30f4e828a15e4ad92c541c6f66b6da1"
+
+
+def test_full_only_rows_report_digest():
+    full = load_config("full")["checks"]
+    for entry in FULL_ONLY_CONFIG["checks"]:
+        pos = next(i for i, e in enumerate(full) if e["id"] == entry["id"])
+        assert (full[pos]["params"], (7 * 1000003 + pos) & 0x7FFFFFFF) == \
+            (entry["params"], entry["seed"])
+    result = run_suite(FULL_ONLY_CONFIG, seed=0)
+    assert len(result.reports) == 747 and result.all_pass
+    assert hashlib.sha256(render_json(result).encode()).hexdigest() == FULL_ONLY_DIGEST
 
 
 # The relabelling paths that the output digests above do not reach:
