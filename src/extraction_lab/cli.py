@@ -27,7 +27,13 @@ from .gf2 import (
 )
 from .harness import load_config, run_suite, write_reports
 from .harness.params import NATURALS, resolved
-from .harness.scenarios import make_flat_source, make_side_info, markov_marginals
+from .harness.scenarios import (
+    MARKOV_BLOCKS_MAX,
+    MARKOV_N_MAX,
+    make_flat_source,
+    make_side_info,
+    markov_marginals,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,12 +94,12 @@ SCENARIO_FORMS = {
     "markov": ({"n": 1, "blocks": 2, "seed": 0, "classical": False}, ("n",)),
 }
 # Each form's choices.  A flat source with bb84 side information takes 20–26 s
-# at n = 16, and a markov scenario's joint state holds
-# (2^n, 2^n, side, side) entries: gigabytes at n = 12.
+# at n = 16; the markov limits bound the joint state's size.
 _NATURAL_KEYS = {"k": ("k", NATURALS), "seed": ("seed", NATURALS)}
 _SCENARIO_CHOICES = {"flat": {**_NATURAL_KEYS, "n": ("n", range(1, 17))},
                      "dist": _NATURAL_KEYS,
-                     "markov": {**_NATURAL_KEYS, "n": ("n", range(1, 9))}}
+                     "markov": {**_NATURAL_KEYS, "n": ("n", range(1, MARKOV_N_MAX + 1)),
+                                "blocks": ("blocks", range(1, MARKOV_BLOCKS_MAX + 1))}}
 
 
 def _probability(symbol: str, value) -> float:

@@ -222,17 +222,6 @@ def poly_mod(a: int, mod: int) -> int:
     return a
 
 
-def poly_mulmod(a: int, b: int, mod: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        b >>= 1
-        a <<= 1
-        a = poly_mod(a, mod)
-    return poly_mod(out, mod)
-
-
 def poly_is_irreducible(p: int) -> bool:
     """Brute-force irreducibility over GF(2): trial division up to degree n/2."""
     n = poly_degree(p)

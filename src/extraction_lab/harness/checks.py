@@ -1,7 +1,8 @@
 """Check registry: one entry per verified inequality family.
 
-A check is data: the params it accepts, each with its default, and a
-generator that turns (params, rng) into a stream of cases.  A case holds
+A check is data: the params it accepts, each with its default and any
+limit of its own, and a generator that turns (params, rng) into a stream
+of cases.  A case holds
 the report params, a scenario label and one (bound_id, measured, epsilon)
 row per comparison.  :func:`run_check` does the rest in the same way for
 every check: it resolves the entry, seeds the rng, times each case,
@@ -65,6 +66,8 @@ from ..xor_analysis import (
 from .bounds import BOUND_IDS, CATALOG, base_exponent, bound_value
 from .params import NATURALS, resolved
 from .scenarios import (
+    MARKOV_BLOCKS_MAX,
+    MARKOV_N_MAX,
     SIDE_PARAMS,
     _random_cq,
     _random_source,
@@ -81,8 +84,6 @@ WEAK_N_MIN = 3      # b8-weak-quantum draws n from WEAK_N_MIN..n_max
 MARKOV_M_MAX = 2    # b2-markov draws m from 1..min(MARKOV_M_MAX, n)
 # The widest source a check draws: output tables cover 2^(2n) input pairs.
 SOURCE_N_MAX = MAX_TABLE_BITS // 2
-# b2-markov's joint state holds (2^n, 2^n, side, side) entries, side <= 12: 151 MB at n = 8.
-MARKOV_N_MAX = 8
 EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at n = 4
 # A random-state scenario with m-bit outputs on a dim-dimensional side weighs
 # 4^m·dim², about the complex entries of its 2^m − 1 masked block pairs in
@@ -90,13 +91,14 @@ EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at
 # much, which bounds a pass's memory for any count.  No built-in suite reaches it.
 BLOCK_BUDGET = 1 << 16
 CLASSICAL_SIDES = ("trivial", "classical_leak")     # flat grids count these exactly
-# The values of a param that its type alone does not pin down, and their name.
+# The values of a param that its type alone does not pin down, and their name;
+# a check's own choices (``Check.choices``) take precedence.
 CHOICES = {"families": ("family kind", tuple(FAMILY_BUILDERS)),
            "sides": ("side-information model", tuple(SIDE_PARAMS)),
            "bounds": ("bound id", BOUND_IDS),
            "strong_in": ("strong_in", ("x1", "x2")),
            "n_max": ("n_max", range(1, SOURCE_N_MAX + 1)),
-           "dim_max": ("dim_max", range(1, 17))}
+           "ns": ("ns", range(1, SOURCE_N_MAX + 1))}
 
 
 @dataclass(frozen=True)
@@ -124,18 +126,20 @@ class Case(NamedTuple):
 
 
 class Check(NamedTuple):
-    """Every accepted param with its default, and the case generator."""
+    """Every accepted param with its default, the case generator and the check's own limits."""
 
     defaults: dict
     cases: Callable[[dict, np.random.Generator], Iterator[Case]]
+    choices: dict       # (noun, values) per param, over CHOICES
+    max_m: Callable[[dict], int] | None     # the widest output drawn, for a check with bounds
 
 
 CHECKS: dict[str, Check] = {}
 
 
-def _check(check_id: str, **defaults):
+def _check(check_id: str, choices=None, max_m=None, **defaults):
     def register(cases):
-        CHECKS[check_id] = Check(defaults, cases)
+        CHECKS[check_id] = Check(defaults, cases, choices or {}, max_m)
         return cases
     return register
 
@@ -212,7 +216,8 @@ def _flat_grid(ext, sources: list, strong_in):
 # ---------------------------------------------------------------------------
 
 @_check("b1-exhaustive-flat", ns=(3, 4), ms=(1, 2), families=("field", "shift"),
-        sides=("trivial", "classical_leak"), bounds=("B1",), strong_in="x1")
+        sides=("trivial", "classical_leak"), bounds=("B1",), strong_in="x1",
+        max_m=lambda p: max(p["ms"]))
 def _b1_exhaustive(p, rng):
     """Exhaustive prefix-flat grid for the exact product-type bound."""
     sources = {(n, side): _flat_sources(n, side) for n in p["ns"] for side in p["sides"]}
@@ -229,7 +234,8 @@ def _b1_exhaustive(p, rng):
 
 
 @_check("b1-quantum-product", count=200, n_min=3, n_max=5, m_max=3,
-        bounds=("B1", "B6", "B3", "B4"), strong_in="x1")
+        bounds=("B1", "B6", "B3", "B4"), strong_in="x1",
+        max_m=lambda p: min(p["m_max"], p["n_max"]))
 def _b1_quantum(p, rng):
     """Randomized quantum product-type scenarios with solver-certified entropies."""
     for _ in range(p["count"]):
@@ -240,7 +246,8 @@ def _b1_quantum(p, rng):
                    _catalog(p["bounds"], kp, delta), _source_flags(s1.hmin, s2.hmin))
 
 
-@_check("b8-weak-quantum", count=50, n_max=4)
+@_check("b8-weak-quantum", count=50, n_max=4,
+        choices={"n_max": ("n_max", range(WEAK_N_MIN, SOURCE_N_MAX + 1))})
 def _b8_weak(p, rng):
     """Weak-output variant: same pipeline with no copied source register."""
     for _ in range(p["count"]):
@@ -250,13 +257,15 @@ def _b8_weak(p, rng):
                    _source_flags(s1.hmin, s2.hmin))
 
 
-@_check("b2-markov", count=40, n_min=2, n_max=4, bounds=("B2", "B5", "B10", "B11"))
+@_check("b2-markov", count=40, n_min=2, n_max=4, bounds=("B2", "B5", "B10", "B11"),
+        max_m=lambda p: min(MARKOV_M_MAX, p["n_max"]),
+        choices={"n_max": ("n_max", range(1, MARKOV_N_MAX + 1))})  # its joint state's size
 def _b2_markov(p, rng):
     """Markov block scenarios against the Markov-model bound family."""
     for _ in range(p["count"]):
         kind, fam = _random_family(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
         classical = bool(rng.random() < 0.5)
-        blocks = int(rng.integers(2, 4))
+        blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
         joint, res1, res2 = markov_marginals(fam.n, blocks, seed=int(rng.integers(2 ** 31)),
                                              classical=classical)
         out = extractor_output_from_joint(deor_extractor(fam), joint, "x1")
@@ -289,7 +298,7 @@ def _markov_cmi(p, rng):
     for _ in range(p["count"]):
         n = int(rng.integers(1, 3))
         classical = bool(rng.random() < 0.3)
-        scn = make_markov_scenario(n, int(rng.integers(2, 4)),
+        scn = make_markov_scenario(n, int(rng.integers(2, MARKOV_BLOCKS_MAX + 1)),
                                    seed=int(rng.integers(2 ** 31)),
                                    classical=classical)
         joint = markov_block_state(scn)
@@ -342,7 +351,9 @@ def _random_output_groups(p, rng, m_max: int, dim_max: int, bound, with_sigma=Fa
     return results
 
 
-@_check("measured-xor-random", count=1000, m_max=2, dim_max=3)
+@_check("measured-xor-random", count=1000, m_max=2, dim_max=3,
+        choices={"m_max": ("m_max", range(1, MAX_FOURIER_BITS + 1)),    # the transform's cap
+                 "dim_max": ("dim_max", range(1, 17))})     # m = 12, dim = 16: 3 s a scenario
 def _measured_xor(p, rng):
     """Distance to uniform against the masked-bit measured bound.
 
@@ -401,7 +412,9 @@ def _pgm_commutation(p, rng):
                    [("channel-equality", dev, 0.0)], {"criterion_tol": 1e-10})
 
 
-@_check("hmin-linear-drop", exhaustive_n=3, random_ns=(4, 5, 6), per_n=25)
+@_check("hmin-linear-drop", exhaustive_n=3, random_ns=(4, 5, 6), per_n=25,
+        choices={"exhaustive_n": ("exhaustive_n", range(1, EXHAUSTIVE_N_MAX + 1)),
+                 "random_ns": ("random_ns", range(1, SOURCE_N_MAX + 1))})
 def _hmin_linear_drop(p, rng):
     """Entropy decrease under GF(2) maps bounded by the rank deficiency."""
     def case(state, memo, base, mat, label):
@@ -498,51 +511,25 @@ ENTRY_CHOICES = {"id": ("check id", CHECK_IDS), "seed": ("seed", NATURALS)}
 
 
 def resolve_params(check_id: str, params) -> dict:
-    """The check's defaults overridden by ``params``, resolved with ``CHOICES``.
+    """The check's defaults overridden by ``params``, resolved with its choices over ``CHOICES``.
 
-    Also refuses an ``n_max`` below ``n_min`` (else ``WEAK_N_MIN``), a
-    ``b2-markov`` ``n_max`` above ``MARKOV_N_MAX``, a ``measured-xor-random``
-    ``m_max`` above ``MAX_FOURIER_BITS``, an ``ns`` or ``random_ns`` entry
-    above ``SOURCE_N_MAX``, an ``exhaustive_n`` above ``EXHAUSTIVE_N_MAX``, an
-    ``ms`` entry above the smallest ``ns`` entry, or a single-bit bound (one
-    whose ``CATALOG`` row has ``only_m`` 1) in ``bounds`` where the check can
-    draw m > 1.
+    Also refuses what ties two params together: an ``n_max`` below ``n_min``,
+    an ``ms`` entry above the smallest ``ns`` entry, and a single-bit bound
+    (one whose ``CATALOG`` row has ``only_m`` 1) in ``bounds`` where the
+    check's ``max_m`` exceeds 1.
     """
-    p = resolved(f"{check_id} params", params, CHECKS[check_id].defaults, CHOICES)
-    n_min = p.get("n_min", WEAK_N_MIN)
-    if p.get("n_max", n_min) < n_min:
-        raise ValueError(f"{check_id}: param 'n_max' must be >= {n_min}, got {p['n_max']}")
-    if check_id == "b2-markov" and p["n_max"] > MARKOV_N_MAX:
-        raise ValueError(f"{check_id}: param 'n_max' must be <= {MARKOV_N_MAX}, as its joint "
-                         f"state holds 4^n·side² entries, got {p['n_max']}")
-    if check_id == "measured-xor-random" and p["m_max"] > MAX_FOURIER_BITS:
-        raise ValueError(f"{check_id}: param 'm_max' must be <= {MAX_FOURIER_BITS}, the "
-                         f"Fourier transform's cap, got {p['m_max']}")
-    for key in ("ns", "random_ns"):
-        if key in p and max(p[key]) > SOURCE_N_MAX:
-            raise ValueError(f"{check_id}: every {key!r} entry must be <= {SOURCE_N_MAX}, the "
-                             f"widest source a check draws, as output tables cover at most "
-                             f"2^{MAX_TABLE_BITS} input pairs, got {max(p[key])}")
-    if p.get("exhaustive_n", 1) > EXHAUSTIVE_N_MAX:
-        raise ValueError(f"{check_id}: param 'exhaustive_n' must be <= {EXHAUSTIVE_N_MAX}, "
-                         f"as the check enumerates all 2^(n²) maps, got {p['exhaustive_n']}")
+    check = CHECKS[check_id]
+    p = resolved(f"{check_id} params", params, check.defaults, {**CHOICES, **check.choices})
+    if "n_min" in p and p["n_max"] < p["n_min"]:
+        raise ValueError(f"{check_id}: param 'n_max' must be >= {p['n_min']}, got {p['n_max']}")
     if "ms" in p and max(p["ms"]) > min(p["ns"]):
         raise ValueError(f"{check_id}: every 'ms' entry must be <= the smallest 'ns' entry "
                          f"{min(p['ns'])}, got {max(p['ms'])}")
     single_bit = [b for b in p.get("bounds", ()) if CATALOG[b].only_m == 1]
-    if single_bit and (m_top := _max_output_bits(check_id, p)) > 1:
+    if single_bit and (m_top := check.max_m(p)) > 1:
         raise ValueError(f"{check_id}: bound {single_bit[0]!r} is for single-bit output, but "
                          f"the check draws m up to {m_top}")
     return p
-
-
-def _max_output_bits(check_id: str, p: dict) -> int:
-    """The largest m that a check taking a ``bounds`` param can draw under params p."""
-    if check_id == "b1-exhaustive-flat":
-        return max(p["ms"])
-    if check_id == "b2-markov":
-        return min(MARKOV_M_MAX, p["n_max"])
-    return min(p["m_max"], p["n_max"])
 
 
 def resolve_entry(entry) -> dict:

@@ -142,6 +142,12 @@ def _random_source(n: int, rng: np.random.Generator):
     return make_side_info(model, dist, params, seed=int(rng.integers(2 ** 31)))
 
 
+# A Markov scenario's joint state holds (2^n, 2^n, side, side) entries; side <= 4·blocks
+# is at most 12 at MARKOV_BLOCKS_MAX blocks, so 151 MB at n = MARKOV_N_MAX.
+MARKOV_N_MAX = 8
+MARKOV_BLOCKS_MAX = 3
+
+
 def make_markov_scenario(n: int, n_blocks: int, seed: int,
                          classical: bool = False) -> MarkovScenario:
     """Random block mixture of product sources, one side register of dimension 1 or 2 each."""

@@ -103,6 +103,8 @@ def test_entropy_markov_scenario(tmp_path, capsys):
     {"n": 17, "k": 17, "side_info": {"model": "bb84"}},
     {"markov": {"n": 12}},
     {"markov": {"n": 9}},
+    {"markov": {"n": 1, "blocks": 4}},
+    {"markov": {"n": 1, "blocks": 5000}},
 ])
 def test_entropy_malformed_scenario_exits_2(tmp_path, capsys, scenario):
     scen = tmp_path / "scen.json"

@@ -24,7 +24,7 @@ from extraction_lab.gf2 import (
     parse_bits,
     parse_poly,
     poly_is_irreducible,
-    poly_mulmod,
+    poly_mod,
 )
 
 
@@ -91,6 +91,17 @@ def test_a_s_trivial_cases():
     assert np.array_equal(a_s(fam, (1, 0)), fam.matrices[0])
     with pytest.raises(ValueError):
         a_s(fam, (1, 0, 1))
+
+
+def poly_mulmod(a, b, mod):
+    # Shift-and-add product of two coefficient masks, reduced mod ``mod``.
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a = poly_mod(a << 1, mod)
+    return poly_mod(out, mod)
 
 
 def field_element_mult_matrix(elem, poly, n):

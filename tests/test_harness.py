@@ -164,21 +164,22 @@ DRAW_DIGESTS = {
     ("b1-quantum-product", {"count": 2.0}, "of type int"),
     ("b1-quantum-product", {"count": True}, "of type int"),
     ("b1-quantum-product", {"strong_in": None}, "of type str"),
-    ("hmin-linear-drop", {"random_ns": [4, -1]}, "positive"),
+    ("hmin-linear-drop", {"random_ns": [4, -1]}, "random_ns must be in 1..11, got -1"),
     ("parseval-random", [("count", 3)], "must be an object"),
     ("b1-exhaustive-flat", {"bounds": ["B7"], "ms": [1, 2]}, "draws m up to 2"),
     ("b1-quantum-product", {"bounds": ["B7"], "m_max": 2, "n_max": 4}, "draws m up to 2"),
     ("b2-markov", {"bounds": ["B7"], "n_max": 3}, "draws m up to 2"),
     ("b1-exhaustive-flat", {"ns": [3, 4], "ms": [4]}, "smallest 'ns' entry 3, got 4"),
-    ("ip-classical", {"ns": [2, 12]}, "'ns' entry must be <= 11.*got 12"),
-    ("b1-exhaustive-flat", {"ns": [12], "ms": [1]}, "'ns' entry must be <= 11.*got 12"),
-    ("hmin-linear-drop", {"exhaustive_n": 5}, "'exhaustive_n' must be <= 4.*got 5"),
+    ("ip-classical", {"ns": [2, 12]}, "ns must be in 1..11, got 12"),
+    ("b1-exhaustive-flat", {"ns": [12], "ms": [1]}, "ns must be in 1..11, got 12"),
+    ("hmin-linear-drop", {"exhaustive_n": 5}, "exhaustive_n must be in 1..4, got 5"),
     ("b1-quantum-product", {"n_max": 12}, "n_max must be in 1..11, got 12"),
-    ("b8-weak-quantum", {"n_max": 30}, "n_max must be in 1..11, got 30"),
-    ("b2-markov", {"n_max": 9}, "'n_max' must be <= 8.*got 9"),
-    ("hmin-linear-drop", {"random_ns": [4, 30]}, "'random_ns' entry must be <= 11.*got 30"),
-    ("measured-xor-random", {"m_max": 13}, "'m_max' must be <= 12.*got 13"),
+    ("b8-weak-quantum", {"n_max": 30}, "n_max must be in 3..11, got 30"),
+    ("b2-markov", {"n_max": 9}, "n_max must be in 1..8, got 9"),
+    ("hmin-linear-drop", {"random_ns": [4, 30]}, "random_ns must be in 1..11, got 30"),
+    ("measured-xor-random", {"m_max": 13}, "m_max must be in 1..12, got 13"),
     ("measured-xor-random", {"dim_max": 100000}, "dim_max must be in 1..16, got 100000"),
+    ("b8-weak-quantum", {"n_max": 2}, "n_max must be in 3..11, got 2"),
 ])
 def test_resolve_params_rejects(check_id, params, match):
     with pytest.raises(ValueError, match=match):
@@ -197,6 +198,7 @@ def test_resolve_params_defaults_and_overrides():
     # Each size cap admits its own value; the checks are not run at these sizes.
     assert resolve_params("b1-quantum-product", {"n_max": 11})["n_max"] == 11
     assert resolve_params("b8-weak-quantum", {"n_max": 11})["n_max"] == 11
+    assert resolve_params("b8-weak-quantum", {"n_max": 3})["n_max"] == 3
     assert resolve_params("b2-markov", {"n_max": 8})["n_max"] == 8
     assert resolve_params("hmin-linear-drop", {"random_ns": [11]})["random_ns"] == (11,)
     got = resolve_params("measured-xor-random", {"m_max": 12, "dim_max": 16})
@@ -359,6 +361,11 @@ def test_suite_parallel_matches_serial():
 def test_check_ids_registry():
     assert "b1-exhaustive-flat" in CHECK_IDS
     assert len(CHECK_IDS) == 14
+    # A check's own choices name its own params, and a check that takes
+    # bounds says how wide its output can be, which the single-bit rule reads.
+    for check in CHECKS.values():
+        assert set(check.choices) <= set(check.defaults)
+        assert (check.max_m is None) == ("bounds" not in check.defaults)
 
 
 def test_maps_with_one_kernel_lift_to_the_same_blocks():
