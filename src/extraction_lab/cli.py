@@ -173,8 +173,10 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    if args.poly is not None and args.build != "field":
+        raise ValueError(f"--poly is for --build field only, not --build {args.build}")
     if args.build == "field":
-        poly = parse_poly(args.poly) if args.poly else None
+        poly = parse_poly(args.poly) if args.poly is not None else None
         family = build_field_family(args.n, args.m, poly)
     else:
         family = build_shift_family(args.n, args.m)

@@ -58,18 +58,18 @@ class CqState:
             i = int(np.argmax(low))
             raise ValueError(f"conditional operator for {symbols[i]} is not PSD "
                              f"(min eig {w[i, 0]:.3e})")
-        self._adopt(side_dim, symbols, stack)
+        self._adopt(symbols, stack)
 
     @classmethod
-    def _from_stack(cls, side_dim: int, symbols, stack: np.ndarray) -> CqState:
+    def _from_stack(cls, symbols, stack: np.ndarray) -> CqState:
         """Wrap an unchecked complex (N, d, d) stack, not copied, rows in sorted ``symbols``."""
         state = cls.__new__(cls)
-        state._adopt(side_dim, symbols, stack)
+        state._adopt(symbols, stack)
         return state
 
-    def _adopt(self, side_dim: int, symbols, stack: np.ndarray) -> None:
+    def _adopt(self, symbols, stack: np.ndarray) -> None:
         stack.flags.writeable = False
-        self.side_dim, self.stack, self._symbols = side_dim, stack, tuple(symbols)
+        self.side_dim, self.stack, self._symbols = stack.shape[-1], stack, tuple(symbols)
         self.blocks = MappingProxyType(dict(zip(self._symbols, stack)))
 
     def symbols(self) -> list:
@@ -154,7 +154,7 @@ def apply_classical_function(state: CqState, f) -> CqState:
     position = {image: i for i, image in enumerate(out)}
     sums = np.zeros((len(out),) + state.stack.shape[1:], dtype=complex)
     np.add.at(sums, np.array([position[image] for image in images], dtype=np.intp), state.stack)
-    return CqState._from_stack(state.side_dim, out, sums)
+    return CqState._from_stack(out, sums)
 
 
 def product(s1: CqState, s2: CqState) -> CqState:
@@ -162,7 +162,7 @@ def product(s1: CqState, s2: CqState) -> CqState:
     side_dim = s1.side_dim * s2.side_dim
     stack = _kron_stack(s1.stack[:, None], s2.stack[None]).reshape(-1, side_dim, side_dim)
     symbols = [(a, b) for a in s1.symbols() for b in s2.symbols()]
-    return CqState._from_stack(side_dim, symbols, stack)
+    return CqState._from_stack(symbols, stack)
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def markov_block_state(scenario: MarkovScenario) -> CqState:
             present[at] = True
     rows, cols = np.nonzero(present)
     symbols = [(alpha1[r], alpha2[c]) for r, c in zip(rows.tolist(), cols.tolist())]
-    return CqState._from_stack(side_dim, symbols, stack[rows, cols])
+    return CqState._from_stack(symbols, stack[rows, cols])
 
 
 def _strong_flag(strong_in) -> str | None:
@@ -246,7 +246,6 @@ def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqS
                                _symbol_indices(sym2, ext.n, "source 2"))]
     z_bits = all_bit_vectors(ext.m)
     n_out = len(z_bits)
-    side_dim = s1.side_dim * s2.side_dim
     # Pieces follow (z, copied symbol) order, the sorted order of the output symbols.
     if flag == "x2":
         sums, present = _grouped(s1.stack, outputs.T, n_out)
@@ -257,7 +256,7 @@ def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqS
         zs, rows = np.nonzero(present.T)
         pieces, copied = _kron_stack(s1.stack[rows], sums[rows, zs]), sym1
     keys = [(z_bits[z], copied[r]) for z, r in zip(zs.tolist(), rows.tolist())]
-    strong = CqState._from_stack(side_dim, keys, pieces)
+    strong = CqState._from_stack(keys, pieces)
     return strong if flag else apply_classical_function(strong, lambda sym: sym[0])
 
 
@@ -306,16 +305,17 @@ def _distance_terms(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shap
     return terms
 
 
-def weak_distances(stacks: np.ndarray, present: np.ndarray, uniform_dim: int) -> np.ndarray:
+def weak_distances(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
     """:func:`distance_to_uniform` of P weak output states, as a (P,) array.
 
     State i is the zero-padded stack stacks[i], (S, d, d), with its blocks in
-    sorted-symbol order where present[i] holds (:func:`padded_stacks`).  Each
-    state's distance is half the sum of its row of :func:`_distance_terms`,
-    added one term at a time, as for a single state.
+    sorted-symbol order where present[i] holds (:func:`padded_stacks`); the
+    uniform output has the S symbols of the slots.  Each state's distance is
+    half the sum of its row of :func:`_distance_terms`, added one term at a
+    time, as for a single state.
     """
     rows, cols = np.nonzero(present)
-    terms = _distance_terms(stacks[rows, cols], rows, cols, present.shape, uniform_dim)
+    terms = _distance_terms(stacks[rows, cols], rows, cols, present.shape, stacks.shape[1])
     return 0.5 * _block_sum(terms, axis=1)
 
 

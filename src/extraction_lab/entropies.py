@@ -33,7 +33,7 @@ the bound's entropy minus that value.  Restricting sigma to supp rho_B loses
 nothing: the pinching X -> P X P + tr((1 - P) X) tau fixes every rho_x and,
 by data processing, can only improve sigma.
 
-Classical side information is handled by exact closed forms.  Kernel
+Classical side information is handled by one exact closed form.  Kernel
 violations return -inf, mirroring the definition.
 """
 
@@ -94,30 +94,42 @@ def h2_rel(rho: CqState, sigma) -> float:
 
 @dataclass(frozen=True)
 class EntropyResult:
+    """An achieved entropy, the sigma achieving it, its gap in bits and the solver's steps.
+
+    ``gap`` bounds the shortfall of ``value`` to the true supremum; it is
+    0.0, with ``iterations`` 0, for a closed form.
+    """
+
     value: float
     sigma: np.ndarray
-    converged: bool
     gap: float
     iterations: int
+
+    @property
+    def converged(self) -> bool:
+        return self.gap <= CONVERGED_GAP_BITS
 
 
 def _is_classical(state: CqState) -> bool:
     return state.side_dim == 1 or _diagonal(state.stack)
 
 
-def _classical_h_min(state: CqState) -> EntropyResult:
-    per_b = np.diagonal(state.stack, axis1=-2, axis2=-1).real.max(axis=0)
-    p_guess = float(per_b.sum())
-    sigma = np.diag(per_b / p_guess).astype(complex)
-    return EntropyResult(-float(np.log2(p_guess)), sigma, True, 0.0, 0)
+def _closed_form(state: CqState, order: int) -> EntropyResult | None:
+    """The side cap, then the exact H_min (order 1) or H_2 (order 2) of a classical side register.
 
-
-def _classical_h2(state: CqState) -> EntropyResult:
+    With w the per-column max of the blocks' diagonals (order 1), or the
+    root of their sum of squares (order 2), sigma = diag(w) / sum w and the
+    value is -order log2 sum w.  None for a quantum side register.
+    """
+    if state.side_dim > SOLVER_SIDE_CAP:
+        raise ValueError(f"side_dim {state.side_dim} exceeds solver cap {SOLVER_SIDE_CAP}")
+    if not _is_classical(state):
+        return None
     diags = np.diagonal(state.stack, axis1=-2, axis2=-1).real
-    roots = np.sqrt((diags ** 2).sum(axis=0))
-    z = float(roots.sum())
-    sigma = np.diag(roots / z).astype(complex)
-    return EntropyResult(-2.0 * float(np.log2(z)), sigma, True, 0.0, 0)
+    w = diags.max(axis=0) if order == 1 else np.sqrt((diags ** 2).sum(axis=0))
+    total = float(w.sum())
+    sigma = np.diag(w / total).astype(complex)
+    return EntropyResult(-order * float(np.log2(total)), sigma, 0.0, 0)
 
 
 def _support_basis(rho_b: np.ndarray) -> np.ndarray:
@@ -137,14 +149,9 @@ def h_min_cond(state: CqState, iters: int = 500) -> EntropyResult:
     reached and ``converged`` is not at risk.  ``result.value`` is from a
     dual Y that dominates every block in exact arithmetic, so it is sound
     whether or not the solver converged; ``result.gap`` bounds the
-    shortfall to the true supremum in bits, ``result.converged`` is
-    ``gap <= 1e-6`` and ``result.sigma`` is Y / tr Y.
+    shortfall to the true supremum in bits and ``result.sigma`` is Y / tr Y.
     """
-    if state.side_dim > SOLVER_SIDE_CAP:
-        raise ValueError(f"side_dim {state.side_dim} exceeds solver cap {SOLVER_SIDE_CAP}")
-    if _is_classical(state):
-        return _classical_h_min(state)
-    return _h_min_solver(state, iters)
+    return _closed_form(state, 1) or _h_min_solver(state, iters)
 
 
 def _h_min_solver(state: CqState, iters: int) -> EntropyResult:
@@ -154,8 +161,7 @@ def _h_min_solver(state: CqState, iters: int) -> EntropyResult:
     p_dual = float(np.trace(y).real)
     value = -float(np.log2(p_dual))
     upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
-    gap = max(upper - value, 0.0)
-    return EntropyResult(value, y / p_dual, gap <= CONVERGED_GAP_BITS, gap, steps)
+    return EntropyResult(value, y / p_dual, max(upper - value, 0.0), steps)
 
 
 def _guessing_barrier(blocks: np.ndarray, iters: int):
@@ -304,14 +310,13 @@ def h2_cond(state: CqState, iters: int = 500) -> EntropyResult:
     Phi = sum_x rho_x sigma^-1/2 rho_x, runs until the least f found and the
     best Frank-Wolfe lower bound on min f agree within ``SOLVER_TOL``,
     or for ``iters`` iterates (``result.iterations`` counts them).
-    ``result.value`` is ``h2_rel`` at the best sigma, an achieved value;
-    ``result.gap`` bounds its shortfall to the true supremum in bits and
-    ``result.converged`` is ``gap <= 1e-6``.
+    ``result.value`` is ``h2_rel`` at the best sigma, an achieved value,
+    and ``result.gap`` bounds its shortfall to the true supremum in bits.
     """
-    if state.side_dim > SOLVER_SIDE_CAP:
-        raise ValueError(f"side_dim {state.side_dim} exceeds solver cap {SOLVER_SIDE_CAP}")
-    if _is_classical(state):
-        return _classical_h2(state)
+    return _closed_form(state, 2) or _h2_solver(state, iters)
+
+
+def _h2_solver(state: CqState, iters: int) -> EntropyResult:
     basis = _support_basis(marginal_side(state))
     blocks = basis.conj().T @ state.stack @ basis
     total = float(_block_sum(_traces(blocks)))
@@ -319,8 +324,7 @@ def h2_cond(state: CqState, iters: int = 500) -> EntropyResult:
     sigma_full = basis @ sigma @ basis.conj().T
     value = h2_rel(state, sigma_full)
     upper = -float(np.log2(f_lower / total)) if f_lower > 0 else float("inf")
-    gap = max(upper - value, 0.0)
-    return EntropyResult(value, sigma_full, gap <= CONVERGED_GAP_BITS, gap, steps)
+    return EntropyResult(value, sigma_full, max(upper - value, 0.0), steps)
 
 
 def _collision_fixed_point(blocks: np.ndarray, iters: int):

@@ -153,10 +153,13 @@ class MatrixFamily:
     Built as ``MatrixFamily(matrices, poly=None)``: each matrix goes
     through :func:`as_gf2_matrix` and is stored as a read-only copy, n and
     m are read off the matrices and r is :func:`family_rank_parameter` of
-    them, so no deficiency can be declared.  ``poly`` is the defining polynomial (coefficient bitmask,
-    bit i = coefficient of x^i) for families built from field
-    multiplication, None otherwise.  ValueError for an empty, non-square
-    or mixed-size tuple, for m > 2^n - 1 and for a zero combination A_s.
+    them, so no deficiency can be declared.  ``poly`` is the defining
+    polynomial (coefficient bitmask, bit i = coefficient of x^i) for
+    families built from field multiplication, None otherwise; it must have
+    degree n, and the matrices must be A_1 = I and A_{i+1} = X A_i, X
+    multiplication by x modulo ``poly`` (:func:`_times_x`).  ValueError
+    for an empty, non-square or mixed-size tuple, for m > 2^n - 1, for a
+    ``poly`` that does not define the matrices and for a zero combination A_s.
     """
 
     n: int = field(init=False)
@@ -176,6 +179,15 @@ class MatrixFamily:
             a.setflags(write=False)       # r stays the deficiency of what is stored
         if m > (1 << n) - 1:
             raise ValueError(f"m={m} too large: at most 2^n - 1 distinct nonzero combinations")
+        if self.poly is not None:
+            if poly_degree(self.poly) != n:
+                raise ValueError(f"poly {format_poly(self.poly)} has degree "
+                                 f"{poly_degree(self.poly)}, not n={n}")
+            times_x = _times_x(self.poly)
+            powers = [np.eye(n, dtype=np.uint8)] + [gf2_matmul(times_x, a) for a in matrices[:-1]]
+            if not all(np.array_equal(a, b) for a, b in zip(matrices, powers)):
+                raise ValueError(f"the matrices are not the powers of multiplication by x "
+                                 f"modulo poly {format_poly(self.poly)}")
         for name, value in (("matrices", matrices), ("n", n), ("m", m)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "r", family_rank_parameter(self))
@@ -222,19 +234,38 @@ def poly_mod(a: int, mod: int) -> int:
     return a
 
 
+def poly_mulmod(a: int, b: int, mod: int) -> int:
+    """a * b modulo ``mod``, by shift-and-add with each shift of a reduced."""
+    out, a = 0, poly_mod(a, mod)
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a = poly_mod(a << 1, mod)
+    return out
+
+
+def _poly_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, poly_mod(a, b)
+    return a
+
+
 def poly_is_irreducible(p: int) -> bool:
-    """Brute-force irreducibility over GF(2): trial division up to degree n/2."""
+    """Ben-Or's irreducibility test (1981), exact over GF(2).
+
+    p of degree n is irreducible iff gcd(x^(2^i) - x mod p, p) = 1 for
+    i = 1..n/2: a reducible p has an irreducible factor of degree d <= n/2,
+    and every irreducible polynomial of degree d divides x^(2^d) - x.
+    """
     n = poly_degree(p)
     if n < 1:
         return False
-    if n == 1:
-        return True
-    if not (p & 1):                       # divisible by x
-        return False
-    for d in range(1, n // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if poly_mod(p, q) == 0:
-                return False
+    power = 0b10                          # x^(2^i) mod p, from x
+    for _ in range(n // 2):
+        power = poly_mulmod(power, power, p)
+        if _poly_gcd(power ^ 0b10, p) != 1:
+            return False
     return True
 
 
@@ -272,6 +303,17 @@ def _power_family(gen: np.ndarray, m: int, poly: int | None) -> MatrixFamily:
     return MatrixFamily(tuple(matrices), poly)
 
 
+def _times_x(poly: int) -> np.ndarray:
+    """Multiplication by x modulo ``poly``, of degree n, as an n x n matrix.
+
+    Row i holds the coefficient of x^i: x * x^j = x^(j+1), and x * x^(n-1) = poly - x^n.
+    """
+    n = poly_degree(poly)
+    times_x = np.eye(n, k=-1, dtype=np.uint8)
+    times_x[::-1, -1] = index_to_bits(poly ^ (1 << n), n)
+    return times_x
+
+
 def build_field_family(n: int, m: int, poly: int | None = None) -> MatrixFamily:
     """Family A_i = multiplication by x^{i-1} in GF(2^n): the powers of multiplication by x.
 
@@ -286,10 +328,7 @@ def build_field_family(n: int, m: int, poly: int | None = None) -> MatrixFamily:
         raise ValueError(f"polynomial degree {poly_degree(poly)} != n={n}")
     if not poly_is_irreducible(poly):
         raise ValueError(f"polynomial {format_poly(poly)} is reducible")
-    # Row i holds the coefficient of x^i: x * x^j = x^(j+1), and x * x^(n-1) = poly - x^n.
-    times_x = np.eye(n, k=-1, dtype=np.uint8)
-    times_x[::-1, -1] = index_to_bits(poly ^ (1 << n), n)
-    fam = _power_family(times_x, m, poly)
+    fam = _power_family(_times_x(poly), m, poly)
     if fam.r != 0:
         raise RuntimeError("field family failed invertibility verification")  # pragma: no cover
     return fam

@@ -331,7 +331,7 @@ def _random_output_groups(p, rng, m_max: int, dim_max: int, bound, with_sigma=Fa
         at, stacks, slots, sigmas = zip(*members.pop(key))
         padded, present = padded_stacks(list(zip(stacks, slots)), 1 << key[0])
         values = bound(padded, present, np.array(sigmas) if with_sigma else None)
-        for i, delta, value in zip(at, weak_distances(padded, present, 1 << key[0]).tolist(),
+        for i, delta, value in zip(at, weak_distances(padded, present).tolist(),
                                    values.tolist()):
             results[i] = key + (delta, value)
 

@@ -9,7 +9,7 @@ solver's convergence flag and gap, for quantum side information.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,13 +57,18 @@ def make_flat_source(n: int, k: int, support_rule: str = "prefix",
 class SourceWithSide:
     """A source together with its side information and certified entropy.
 
-    ``hmin`` is the ``h_min_cond`` result of ``state``, kept so that no
-    caller solves it again; its value is the certified entropy ``k``.
+    Built as ``SourceWithSide(state, model)``: ``hmin`` is the
+    ``h_min_cond`` result of ``state``, solved once when the source is
+    built so that no caller solves it again; its value is the certified
+    entropy ``k``.
     """
 
     state: CqState
     model: str
-    hmin: EntropyResult
+    hmin: EntropyResult = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "hmin", h_min_cond(self.state))
 
     @property
     def k(self) -> float:
@@ -108,7 +113,7 @@ def make_side_info(model: str, dist: dict, params: dict | None = None, *,
         rng = np.random.default_rng(seed)
         state = build_cq(dist, {sym: random_pure_state(params["dim"], rng)
                                 for sym in sorted(dist)})
-    return SourceWithSide(state, model, h_min_cond(state))
+    return SourceWithSide(state, model)
 
 
 def _random_distribution(n: int, rng: np.random.Generator, min_support: int = 1) -> dict:

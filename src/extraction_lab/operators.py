@@ -150,13 +150,11 @@ def _spectral_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     """H^p from the eigenpairs (w ascending, V) of a PSD operator H, or of each of a stack.
 
     Eigenvalues at or below the relative kernel threshold map to 0
-    (Moore-Penrose convention for p < 0).
+    (Moore-Penrose convention for p < 0), so p = 0 gives the support projector.
     """
     fw = np.zeros_like(w)
     live = ~_kernel_mask(w)
-    if p == 0:
-        fw[live] = 1.0                      # support projector convention
-    elif p > 0:
+    if p >= 0:
         fw[live] = np.clip(w[live], 0.0, None) ** p
     else:
         fw[live] = w[live] ** p

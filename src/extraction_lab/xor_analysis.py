@@ -122,7 +122,7 @@ def pgm(state: CqState) -> CqState:
     This is :func:`pgm_stacks` of a batch of one.
     """
     elements = pgm_stacks(state.stack[None], np.ones((1, len(state.stack)), dtype=bool))[0]
-    return CqState._from_stack(state.side_dim, state.symbols(), elements)
+    return CqState._from_stack(state.symbols(), elements)
 
 
 def fourier_bounds(stacks: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -185,10 +185,7 @@ def measured_xor_bounds(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
     joint = _traces(elements[:, :, None] @ masked[:, :, :, None])      # [.., bit, outcome]
     marginal = _traces(elements @ rho_e[:, None, None])                 # [.., outcome]
     terms = np.abs(joint - 0.5 * marginal[:, :, None]).reshape(count, len(masks), 4)
-    acc = np.zeros(count)
-    for per_mask in _block_sum(terms, axis=2).T:
-        acc += 0.5 * per_mask
-    return np.sqrt(0.5 * acc)
+    return np.sqrt(0.5 * _block_sum(0.5 * _block_sum(terms, axis=2), axis=1))
 
 
 def measured_xor_bound(state: CqState) -> float:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -41,6 +42,40 @@ def test_extract_refuses_non_bits(tmp_path, capsys):
                  "--out", str(fam_path)]) == 0
     assert main(["extract", "--family", str(fam_path), "--x", "21", "--y", "11"]) == 2
     assert "not a 0/1 string: '21'" in capsys.readouterr().err
+
+
+def test_family_refuses_poly_without_field(tmp_path, capsys):
+    # --poly used to be ignored: the shift family was written and the exit was 0.
+    out = tmp_path / "s.txt"
+    assert main(["family", "--build", "shift", "--n", "4", "--m", "2", "--poly", "10011",
+                 "--out", str(out)]) == 2
+    assert "error: --poly is for --build field only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_refuses_a_mislabelled_poly(tmp_path, capsys):
+    # A shift family labelled with poly 10011 used to load and extract, printing 11.
+    fam_path, lie = tmp_path / "s.txt", tmp_path / "lie.txt"
+    assert main(["family", "--build", "shift", "--n", "4", "--m", "2",
+                 "--out", str(fam_path)]) == 0
+    lie.write_text(fam_path.read_text().replace("4 2 1 -", "4 2 1 10011"))
+    capsys.readouterr()
+    assert main(["extract", "--family", str(lie), "--x", "1001", "--y", "0111"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: the matrices are not the powers of multiplication by x modulo poly 10011" \
+        in captured.err
+
+
+def test_family_degree_64_field_within_a_second(tmp_path, capsys):
+    # Trial division took hours at degree 64; x^64 + x^4 + x^3 + x + 1 is irreducible.
+    out = tmp_path / "f.txt"
+    start = time.perf_counter()
+    assert main(["family", "--build", "field", "--n", "64", "--m", "1",
+                 "--poly", "1" + "0" * 59 + "11011", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    fam = read_family(out)
+    assert (fam.n, fam.m, fam.r, fam.poly) == (64, 1, 0, (1 << 64) | 0b11011)
 
 
 def test_entropy_flat_scenario(tmp_path, capsys):

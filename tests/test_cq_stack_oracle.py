@@ -398,7 +398,7 @@ def test_kernels_match_the_per_state_references_on_a_mixed_batch():
         bare = _block_sum(inv_sqrt @ s.stack @ inv_sqrt)
         assert np.max(np.abs(np.eye(s.side_dim) - bare)) > COMPLETENESS_ATOL
     for (m, _), (idx, (stacks, present)) in groups.items():
-        weak = weak_distances(stacks, present, 1 << m).tolist()
+        weak = weak_distances(stacks, present).tolist()
         xor = measured_xor_bounds(stacks, present).tolist()
         fourier = fourier_bounds(stacks, np.array([sigmas[i] for i in idx])).tolist()
         elements = pgm_stacks(stacks, present)
@@ -420,7 +420,7 @@ def test_a_states_values_do_not_depend_on_its_batch(m, dim):
     for shift in (0, 1, 77):      # every state at three positions of a 200-state batch
         order = np.roll(np.arange(200), shift)
         (idx, (stacks, present)), = _groups([states[i] for i in order]).values()
-        batch = zip(weak_distances(stacks, present, 1 << m).tolist(),
+        batch = zip(weak_distances(stacks, present).tolist(),
                     measured_xor_bounds(stacks, present).tolist(),
                     fourier_bounds(stacks, np.array([sigmas[i] for i in order])).tolist())
         assert [alone[i] for i in order] == list(batch)

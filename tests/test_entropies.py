@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from extraction_lab.cq_states import (
     marginal_side,
 )
 from extraction_lab.entropies import (
+    CONVERGED_GAP_BITS,
     EntropyResult,
     _h_min_solver,
+    _is_classical,
     h2_cond,
     h2_rel,
     h_min_classical,
@@ -20,6 +24,7 @@ from extraction_lab.entropies import (
     h_min_rel,
 )
 from extraction_lab.gf2 import all_bit_vectors, gf2_matvec
+from extraction_lab.harness.scenarios import make_side_info
 from extraction_lab.operators import op_power, random_density, tensor
 from extraction_lab.xor_analysis import pgm
 
@@ -267,3 +272,80 @@ def test_solver_result_shape():
     assert abs(np.trace(res.sigma).real - 1.0) < 1e-9
     with pytest.raises(ValueError):
         h_min_cond(random_cq_state(1, 17, np.random.default_rng(0)))
+
+
+# -- one closed form, one side cap, a derived converged flag -------------------
+
+def _ref_classical_h_min(state):
+    # h_min_cond's own closed form before both entropies shared one, verbatim but for its result.
+    per_b = np.diagonal(state.stack, axis1=-2, axis2=-1).real.max(axis=0)
+    p_guess = float(per_b.sum())
+    sigma = np.diag(per_b / p_guess).astype(complex)
+    return -float(np.log2(p_guess)), sigma
+
+
+def _ref_classical_h2(state):
+    # h2_cond's own closed form before both entropies shared one, verbatim but for its result.
+    diags = np.diagonal(state.stack, axis1=-2, axis2=-1).real
+    roots = np.sqrt((diags ** 2).sum(axis=0))
+    z = float(roots.sum())
+    sigma = np.diag(roots / z).astype(complex)
+    return -2.0 * float(np.log2(z)), sigma
+
+
+def _diagonal_cq(n_bits, dim, rng):
+    dist = random_distribution(n_bits, rng)
+    conds = {}
+    for sym in dist:
+        weights = rng.random(dim) * (rng.random(dim) < 0.7)      # some diagonal zeros
+        weights[int(rng.integers(dim))] += 1e-3                  # no conditional is zero
+        conds[sym] = np.diag(weights / weights.sum()).astype(complex)
+    return build_cq(dist, conds, side_dim=dim)
+
+
+def _classical_side_states(rng):
+    states = []
+    for n in (1, 2, 3):
+        dist = random_distribution(n, rng)
+        states.append(make_side_info("trivial", dist).state)
+        states.append(make_side_info("classical_leak", dist).state)
+        states.append(make_side_info("classical_leak", dist, {"leak": "first_bit"}).state)
+        states += [_diagonal_cq(n, dim, rng) for dim in (3, 4) for _ in range(3)]
+    return states
+
+
+def test_one_closed_form_matches_both_old_ones(rng):
+    for i, state in enumerate(_classical_side_states(rng)):
+        for entropy, ref in ((h_min_cond, _ref_classical_h_min), (h2_cond, _ref_classical_h2)):
+            res, (value, sigma) = entropy(state), ref(state)
+            assert res.value == value, (i, entropy.__name__)
+            assert res.sigma.dtype == sigma.dtype and res.sigma.tobytes() == sigma.tobytes(), i
+            assert (res.gap, res.iterations, res.converged) == (0.0, 0, True), i
+
+
+@pytest.mark.parametrize("entropy", [h_min_cond, h2_cond])
+def test_side_register_above_the_solver_cap_is_refused(entropy, rng):
+    # The cap comes before the closed form: a diagonal 17-dimensional register is refused too.
+    quantum = random_cq_state(1, 17, rng, min_support=2)
+    diagonal = _diagonal_cq(2, 17, rng)
+    assert not _is_classical(quantum) and _is_classical(diagonal)
+    for state in (quantum, diagonal):
+        with pytest.raises(ValueError, match="^side_dim 17 exceeds solver cap 16$"):
+            entropy(state)
+    assert entropy(_diagonal_cq(2, 16, rng)).iterations == 0     # at the cap, still solved
+
+
+def test_converged_is_read_off_the_gap(rng):
+    assert [f.name for f in dataclasses.fields(EntropyResult)] == \
+        ["value", "sigma", "gap", "iterations"]
+    sigma = np.eye(1, dtype=complex)
+    assert EntropyResult(0.0, sigma, CONVERGED_GAP_BITS, 3).converged
+    assert not EntropyResult(0.0, sigma, np.nextafter(CONVERGED_GAP_BITS, 1.0), 3).converged
+    classical = _classical_side_states(rng)[:4]
+    quantum = [bb84_state()] + [random_cq_state(2, 3, rng, min_support=3) for _ in range(3)]
+    results = [f(s) for f in (h_min_cond, h2_cond) for s in classical + quantum]
+    capped = [f(s, iters=2) for f in (h_min_cond, h2_cond) for s in quantum]
+    assert all(res.converged for res in results)
+    assert any(not res.converged for res in capped)
+    for res in results + capped:
+        assert res.converged == (res.gap <= CONVERGED_GAP_BITS)

@@ -14,7 +14,7 @@ scores the min-entropy solver's sigma, may pass neither the new upper bound
 check both solvers independently of any implementation: for the
 min-entropy, the Helstrom bound for two symbols and the
 pretty-good-measurement value for geometrically uniform pure states; for
-the collision entropy, ``_classical_h2`` on classical states in a rotated
+the collision entropy, ``h2_cond`` on classical states in a rotated
 basis.  The collision value is also recomputed on the dense operator
 rho_XB, and ``_ref_collision_bound`` recomputes the first Frank-Wolfe
 certificate from a central-difference gradient.
@@ -30,11 +30,9 @@ from extraction_lab.entropies import (
     BARRIER_GROWTH,
     BARRIER_T_CAP,
     CENTRED,
-    CONVERGED_GAP_BITS,
     NEAR_CENTRED,
     NEG_INF,
     EntropyResult,
-    _classical_h2,
     _dominating,
     _h_min_solver,
     _is_classical,
@@ -144,7 +142,7 @@ def _ref_h_min_solver(state, iters, tol):
     value, sigma = max(scored, key=lambda t: t[0])
     upper = -float(np.log2(best_pri)) if best_pri > 0 else float("inf")
     gap = max(upper - value, 0.0)
-    return EntropyResult(value, sigma, gap <= 1e-6, gap, iterations)
+    return EntropyResult(value, sigma, gap, iterations)
 
 
 def _ref_cold_barrier(blocks, iters, tol):
@@ -218,7 +216,7 @@ def _ref_cold_h_min_solver(state, iters, tol):
     value = -float(np.log2(p_dual))
     upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
     gap = max(upper - value, 0.0)
-    return EntropyResult(value, y / p_dual, gap <= CONVERGED_GAP_BITS, gap, steps)
+    return EntropyResult(value, y / p_dual, gap, steps)
 
 
 def _ref_h2_cond(state, hmin, iters=500):
@@ -264,8 +262,7 @@ def _ref_h2_cond(state, hmin, iters=500):
 
     sigma_full = basis @ best_sigma @ basis.conj().T
     value = _ref_h2_rel(state, sigma_full)
-    converged = value >= hmin.value - 1e-9 and np.isfinite(value)
-    return EntropyResult(value, sigma_full, converged, max(hmin.value - value, 0.0), iterations)
+    return EntropyResult(value, sigma_full, max(hmin.value - value, 0.0), iterations)
 
 
 # -- seeded states -------------------------------------------------------------
@@ -533,7 +530,7 @@ def test_h2_cond_rotated_classical_matches_closed_form(seed, dim, n_sym, drop):
     rot = _rotation(dim, rng)
     rotated = CqState(dim, {s: rot @ b @ rot.conj().T for s, b in classical.blocks.items()})
     assert not _is_classical(rotated)
-    exact = _classical_h2(classical).value
+    exact = h2_cond(classical).value
     res = h2_cond(rotated)
     assert res.converged
     assert res.value - ROUNDING_BITS <= exact <= res.value + res.gap + ROUNDING_BITS

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from extraction_lab import gf2
 from extraction_lab.gf2 import (
     MatrixFamily,
     a_s,
@@ -294,6 +295,53 @@ def test_default_polynomials():
     assert format_poly(default_polynomial(4)) == "10011"
     for n in range(1, 13):
         assert poly_is_irreducible(default_polynomial(n))
+
+
+def _trial_division_irreducible(p):
+    # Oracle: the trial division that Ben-Or's test replaced, verbatim.
+    n = p.bit_length() - 1
+    if n < 1:
+        return False
+    if n == 1:
+        return True
+    if not (p & 1):                       # divisible by x
+        return False
+    for d in range(1, n // 2 + 1):
+        for q in range(1 << d, 1 << (d + 1)):
+            if poly_mod(p, q) == 0:
+                return False
+    return True
+
+
+def test_ben_or_agrees_with_trial_division():
+    assert [p for p in range(1 << 14)
+            if poly_is_irreducible(p) != _trial_division_irreducible(p)] == []
+    assert poly_is_irreducible((1 << 64) | 0b11011)        # x^64 + x^4 + x^3 + x + 1
+    assert not poly_is_irreducible((1 << 64) | 0b11010)    # divisible by x
+    assert not poly_is_irreducible(0b100000101)            # (x^4 + x + 1)^2
+
+
+def test_poly_mulmod_matches_the_oracle(rng):
+    for _ in range(200):
+        mod = int(rng.integers(2, 1 << 12))
+        a, b = (int(v) for v in rng.integers(0, 1 << 14, size=2))
+        assert gf2.poly_mulmod(a, b, mod) == poly_mulmod(a, b, mod)
+
+
+def test_family_refuses_a_poly_that_does_not_define_it():
+    shift = build_shift_family(4, 2)
+    field = build_field_family(4, 3, parse_poly("11001"))
+    with pytest.raises(ValueError, match="not the powers of multiplication by x modulo poly 10011"):
+        MatrixFamily(shift.matrices, parse_poly("10011"))
+    with pytest.raises(ValueError, match="not the powers of multiplication by x modulo poly 10011"):
+        MatrixFamily(field.matrices, parse_poly("10011"))    # same n and m, another poly
+    with pytest.raises(ValueError, match="not the powers"):
+        MatrixFamily(field.matrices[1:], field.poly)         # A_1 is not I
+    with pytest.raises(ValueError, match="poly 1011 has degree 3, not n=4"):
+        MatrixFamily(field.matrices, parse_poly("1011"))
+    with pytest.raises(ValueError, match="not the powers"):
+        load_family(dump_family(shift).replace("4 2 1 -", "4 2 1 10011"))
+    assert MatrixFamily(field.matrices, field.poly).poly == field.poly
 
 
 def test_transpose_family_preserves_r():

@@ -16,6 +16,7 @@ from extraction_lab.harness import checks
 from extraction_lab.harness.checks import CHECK_IDS, CHECKS, resolve_params
 from extraction_lab.harness.scenarios import (
     SIDE_PARAMS,
+    SourceWithSide,
     _random_cq,
     make_flat_source,
     make_markov_scenario,
@@ -64,6 +65,16 @@ def test_make_side_info_models():
 
     with pytest.raises(ValueError):
         make_side_info("nope", dist)
+
+
+def test_source_with_side_derives_its_hmin():
+    state = make_side_info("bb84", make_flat_source(2, 2), {"bits": 2}).state
+    source, solved = SourceWithSide(state, "bb84"), h_min_cond(state)
+    assert (source.k, source.hmin.gap, source.hmin.iterations) == \
+        (solved.value, solved.gap, solved.iterations)
+    assert source.hmin.sigma.tobytes() == solved.sigma.tobytes()
+    with pytest.raises(TypeError):
+        SourceWithSide(state, "bb84", solved)       # hmin is derived, never declared
 
 
 @pytest.mark.parametrize("model,params,match", [
