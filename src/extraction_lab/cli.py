@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -46,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="built-in suite name or path to a JSON config")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", required=True, help="output directory for reports")
-    p_verify.add_argument("--jobs", type=int, default=1)
 
     p_entropy = sub.add_parser("entropy", help="entropies of a scenario JSON")
     p_entropy.add_argument("--state", required=True, help="scenario description file")
@@ -67,16 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     config = load_config(args.suite)
-    result = run_suite(config, seed=args.seed, jobs=args.jobs)
+    result = run_suite(config, seed=args.seed)
     json_path, csv_path = write_reports(result, args.out)
-    counts: dict[str, list[int]] = {}
-    for r in result.reports:
-        ok, total = counts.get(r.check_id, (0, 0))
-        counts[r.check_id] = (ok + (1 if r.passed else 0), total + 1)
-    for check_id in sorted(counts):
-        ok, total = counts[check_id]
-        status = "pass" if ok == total else "FAIL"
-        print(f"{status}  {check_id}: {ok}/{total}")
+    # run_suite sorts the rows by check id
+    for check_id, rows in itertools.groupby(result.reports, key=lambda r: r.check_id):
+        passed = [r.passed for r in rows]
+        ok, total = sum(passed), len(passed)
+        print(f"{'pass' if ok == total else 'FAIL'}  {check_id}: {ok}/{total}")
     summary = result.summary
     print(f"unconverged rows: {summary['n_unconverged']}/{summary['n_solver_rows']}")
     print(f"reports: {json_path} {csv_path}")

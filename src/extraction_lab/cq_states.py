@@ -121,8 +121,11 @@ def padded_stacks(drawn, slots: int):
     return out, present
 
 
-def build_cq(dist: dict, cond_states: dict, side_dim: int | None = None) -> CqState:
-    """Assemble a cq-state from a distribution and normalized conditionals."""
+def build_cq(dist: dict, cond_states: dict) -> CqState:
+    """Assemble a cq-state from a distribution and normalized conditionals.
+
+    The side dimension is the first conditional's; every block must share it.
+    """
     probability_vector(dist.values())
     blocks = {}
     for sym, p in dist.items():
@@ -130,8 +133,7 @@ def build_cq(dist: dict, cond_states: dict, side_dim: int | None = None) -> CqSt
             cond = np.asarray(cond_states[sym], dtype=complex)
             _unit_trace(np.trace(cond).real, "conditional state for", sym)
             blocks[sym] = p * cond
-    dim = next(iter(blocks.values())).shape[0] if side_dim is None else side_dim
-    state = CqState(side_dim=dim, blocks=blocks)
+    state = CqState(side_dim=next(iter(blocks.values())).shape[0], blocks=blocks)
     _unit_trace(state.total_trace(), "cq-state")
     return state
 
@@ -139,7 +141,7 @@ def build_cq(dist: dict, cond_states: dict, side_dim: int | None = None) -> CqSt
 def classical_state(dist: dict) -> CqState:
     """Source with trivial (one-dimensional) side register."""
     one = np.ones((1, 1), dtype=complex)
-    return build_cq(dist, {sym: one for sym in dist}, side_dim=1)
+    return build_cq(dist, {sym: one for sym in dist})
 
 
 def marginal_side(state: CqState) -> np.ndarray:

@@ -110,10 +110,15 @@ class BoundReport:
     params: dict
     measured_delta: float
     bound_epsilon: float
-    passed: bool
     runtime_ms: float
     scenario: str
     flags: dict
+
+    @property
+    def passed(self) -> bool:
+        """measured ≤ ε + PASS_TOL; a Python bool even for numpy inputs, which
+        compare to an ``np.bool_`` that reports refuse."""
+        return bool(self.measured_delta <= self.bound_epsilon + PASS_TOL)
 
 
 class Case(NamedTuple):
@@ -283,7 +288,7 @@ def _ip_classical(p, rng):
         ext = ip_extractor(n)
         for side in p["sides"]:
             for k1, k2, s1, s2, delta in _flat_grid(ext, _flat_sources(n, side), "x1"):
-                kp = _k_params(n, 1, 0, s1.k, s2.k)
+                kp = _k_params(n, ext.m, ext.family.r, s1.k, s2.k)
                 yield Case(kp, f"ip n={n} side={side} flat=({k1},{k2})",
                            _catalog(("B7",), kp, delta))
 
@@ -564,7 +569,6 @@ def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
                 params=params,
                 measured_delta=float(measured),
                 bound_epsilon=float(epsilon),
-                passed=bool(measured <= epsilon + PASS_TOL),
                 runtime_ms=runtime_ms,
                 scenario=scenario,
                 flags=flags,

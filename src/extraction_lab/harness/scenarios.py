@@ -132,7 +132,7 @@ def _random_cq(n_bits: int, dim: int, rng: np.random.Generator, min_support: int
     if dim == 1:
         return classical_state(dist)
     conds = {sym: draw(dim, rng) for sym in sorted(dist)}
-    return build_cq(dist, conds, side_dim=dim)
+    return build_cq(dist, conds)
 
 
 def _random_source(n: int, rng: np.random.Generator):

@@ -19,7 +19,7 @@ import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -103,14 +103,24 @@ def load_config(suite: str) -> dict:
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """A suite's rows, sorted by (check_id, scenario, bound_id), and what follows from them."""
+
     name: str
     seed: int
     reports: list
-    all_pass: bool
-    summary: dict
+    summary: dict = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "summary", _summarize(self.reports))
+
+    @property
+    def all_pass(self) -> bool:
+        return self.summary["n_failed"] == 0
 
 
 def run_suite(config: dict, seed: int = 0, jobs: int = 1) -> SuiteResult:
+    """Run every check of ``config``.  ``jobs`` > 1 runs the checks on threads;
+    only perfbench's ``paper-table-1-jobs2`` workload asks for that."""
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     entries = config["checks"]
@@ -127,10 +137,7 @@ def run_suite(config: dict, seed: int = 0, jobs: int = 1) -> SuiteResult:
         chunks = [run_entry(item) for item in enumerate(entries)]
     reports = [r for chunk in chunks for r in chunk]
     reports.sort(key=lambda r: (r.check_id, r.scenario, r.bound_id))
-    all_pass = all(r.passed for r in reports)
-    summary = _summarize(reports)
-    return SuiteResult(name=config.get("name", "custom"), seed=seed,
-                       reports=reports, all_pass=all_pass, summary=summary)
+    return SuiteResult(name=config.get("name", "custom"), seed=seed, reports=reports)
 
 
 def _summarize(reports) -> dict:
@@ -143,12 +150,12 @@ def _summarize(reports) -> dict:
     ratios: dict[str, float] = {}
     failed = solved = unconverged = 0
     for r in reports:
-        if not r.passed:
-            failed += 1
+        failed += not r.passed
         if r.bound_epsilon > 0:
             ratio = r.measured_delta / r.bound_epsilon
             ratios[r.bound_id] = max(ratios.get(r.bound_id, 0.0), ratio)
-        flags = [v for k, v in r.flags.items() if k.startswith("converged")]
+        flags = [v for k, v in r.flags.items()
+                 if isinstance(k, str) and k.startswith("converged")]
         if flags:
             solved += 1
             unconverged += not all(flags)
@@ -266,11 +273,8 @@ def _csv_rows(reports):
     for r in reports:
         if r.params is not params:
             params = r.params
-            k1, k2 = params.get("k1"), params.get("k2")
-            # A plain float, what every check builds, is spelled by repr without a call.
             case_columns = [params.get("n"), params.get("m"), params.get("r"),
-                            repr(k1) if type(k1) is float else _csv_k(k1),
-                            repr(k2) if type(k2) is float else _csv_k(k2)]
+                            _csv_k(params.get("k1")), _csv_k(params.get("k2"))]
         if r.flags is not flags:
             flags, flags_text = r.flags, _flat_object(r.flags)
         yield [r.check_id, r.bound_id, *case_columns, repr(r.measured_delta), repr(r.bound_epsilon),

@@ -27,7 +27,7 @@ def random_cq_state(n_bits: int, dim: int, rng, min_support: int = 1,
         return classical_state(dist)
     make = random_pure_state if pure else random_density
     conds = {sym: make(dim, rng) for sym in sorted(dist)}
-    return build_cq(dist, conds, side_dim=dim)
+    return build_cq(dist, conds)
 
 
 def dense_cq(state: CqState, symbols=None) -> np.ndarray:

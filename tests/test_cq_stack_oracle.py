@@ -238,7 +238,7 @@ def random_state(m: int, dim: int, rng) -> CqState:
                              + 1j * rng.standard_normal((dim, dim)))[0][:, :max(1, dim // 2)]
         conds = {sym: basis @ random_density(basis.shape[1], rng) @ basis.conj().T
                  for sym in dist}
-    return build_cq(dist, conds, side_dim=dim)
+    return build_cq(dist, conds)
 
 
 def assert_same_state(new: CqState, ref: CqState, label):
@@ -370,11 +370,11 @@ def mixed_batch(rng):
             states += [random_state(m, dim, rng) for _ in range(8)]
             cond = random_pure_state(dim, rng) if dim > 1 else np.ones((1, 1))
             states.append(build_cq({index_to_bits(int(rng.integers(1 << m)), m): 1.0},
-                                   {index_to_bits(z, m): cond for z in range(1 << m)}, dim))
+                                   {index_to_bits(z, m): cond for z in range(1 << m)}))
             low = [index_to_bits(z, m) for z in range(1 << (m - 1))]
             weights = rng.random(len(low)) + 0.1
             states.append(build_cq(dict(zip(low, weights / weights.sum())),
-                                   {z: random_density(dim, rng) for z in low}, dim))
+                                   {z: random_density(dim, rng) for z in low}))
     sigmas = []
     for state in states:
         rho = marginal_side(state)

@@ -53,7 +53,7 @@ def test_h_min_classical():
 def test_h_min_rel_uniform_times_state(rng):
     sigma = random_density(3, rng)
     st = build_cq({b: 0.25 for b in all_bit_vectors(2)},
-                  {b: sigma for b in all_bit_vectors(2)}, side_dim=3)
+                  {b: sigma for b in all_bit_vectors(2)})
     assert abs(h_min_rel(st, sigma) - 2.0) < 1e-9
 
 
@@ -80,7 +80,7 @@ def test_h_min_rel_dense_agrees_with_blockwise(rng):
 def test_h_min_cond_product_state(rng):
     dist = random_distribution(2, rng)
     sigma = random_density(3, rng)
-    st = build_cq(dist, {s: sigma for s in dist}, side_dim=3)
+    st = build_cq(dist, {s: sigma for s in dist})
     res = h_min_cond(st)
     assert abs(res.value - h_min_classical(dist)) < 1e-7
 
@@ -144,7 +144,7 @@ def test_h2_rel_matches_dense_oracle(rng):
 def test_h2_cond_product_and_order(rng):
     dist = random_distribution(2, rng)
     sigma = random_density(2, rng)
-    st = build_cq(dist, {s: sigma for s in dist}, side_dim=2)
+    st = build_cq(dist, {s: sigma for s in dist})
     res = h2_cond(st)
     classical_h2 = -np.log2(sum(p * p for p in dist.values()))
     assert res.value >= classical_h2 - 1e-9
@@ -300,7 +300,7 @@ def _diagonal_cq(n_bits, dim, rng):
         weights = rng.random(dim) * (rng.random(dim) < 0.7)      # some diagonal zeros
         weights[int(rng.integers(dim))] += 1e-3                  # no conditional is zero
         conds[sym] = np.diag(weights / weights.sum()).astype(complex)
-    return build_cq(dist, conds, side_dim=dim)
+    return build_cq(dist, conds)
 
 
 def _classical_side_states(rng):

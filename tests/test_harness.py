@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,41 @@ def test_suite_parallel_matches_serial():
     assert render_json(serial) == render_json(threaded)
 
 
+@pytest.mark.parametrize("jobs", [0, -4, True])
+def test_run_suite_refuses_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        run_suite(load_config("quick"), jobs=jobs)
+
+
+def _row(measured, epsilon, flags=None) -> BoundReport:
+    return BoundReport("c", "B1", {}, measured, epsilon, 0.0, "s", flags or {})
+
+
+def test_a_row_derives_its_verdict():
+    edge = 0.25 + checks.PASS_TOL
+    assert _row(edge, 0.25).passed
+    assert not _row(math.nextafter(edge, math.inf), 0.25).passed
+    assert not _row(NAN, 0.25).passed and not _row(0.0, NAN).passed
+    verdict = _row(np.float64(0.1), np.float64(0.25)).passed
+    assert type(verdict) is bool and verdict
+    with pytest.raises(TypeError):
+        BoundReport("c", "B1", {}, 0.0, 1.0, True, 0.0, "s", {})
+    with pytest.raises(TypeError):
+        BoundReport("c", "B1", {}, 0.0, 1.0, passed=True, runtime_ms=0.0, scenario="s", flags={})
+
+
+def test_a_suite_result_derives_its_summary_and_verdict():
+    reports = [_row(0.1, 0.25, {"converged": True}), _row(0.2, 0.25, {"converged": False})]
+    result = SuiteResult("derived", 0, reports)
+    assert result.summary == _summarize(reports) and result.all_pass is True
+    failing = SuiteResult("derived", 0, reports + [_row(0.5, 0.25)])
+    assert failing.summary["n_failed"] == 1 and failing.all_pass is False
+    with pytest.raises(TypeError):
+        SuiteResult("derived", 0, reports, True, _summarize(reports))
+    with pytest.raises(TypeError):
+        SuiteResult("derived", 0, reports, all_pass=True)
+
+
 def test_check_ids_registry():
     assert "b1-exhaustive-flat" in CHECK_IDS
     assert len(CHECK_IDS) == 14
@@ -415,7 +451,7 @@ def test_weak_quantum_rows_carry_source_flags():
 
 def test_summary_counts_unconverged_rows():
     def report(flags):
-        return checks.BoundReport("c", "B1", {}, 0.0, 1.0, True, 0.0, "s", flags)
+        return checks.BoundReport("c", "B1", {}, 0.0, 1.0, 0.0, "s", flags)
 
     rows = [report({}), report({"converged": True}), report({"converged": False}),
             report({"converged1": True, "converged2": False}), report({"criterion_tol": 1e-10})]
@@ -546,8 +582,7 @@ def _stdlib_csv(result) -> str:
 
 
 def _result(reports, name="edge") -> SuiteResult:
-    return SuiteResult(name=name, seed=3, reports=reports,
-                       all_pass=all(r.passed for r in reports), summary=_summarize(reports))
+    return SuiteResult(name=name, seed=3, reports=reports)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -568,7 +603,7 @@ def _edge_reports() -> list:
         for j, epsilon in enumerate(EDGE_VALUES):
             k = i * len(EDGE_VALUES) + j
             rows.append(BoundReport("edge-check", f"B{j}", EDGE_PARAMS[i % 3], measured, epsilon,
-                                    measured <= epsilon, 0.25 * k,
+                                    0.25 * k,
                                     EDGE_LABELS[k % 4], EDGE_FLAGS[k % len(EDGE_FLAGS)]))
     return rows
 
@@ -598,7 +633,7 @@ def test_csv_spells_a_numpy_float_param_as_a_number():
     ({"k1": 1j}, {}),
 ])
 def test_render_json_refuses_what_json_dumps_refuses(params, flags):
-    result = _result([BoundReport("c", "B1", params, 0.5, 1.0, True, 0.0, "s", flags)])
+    result = _result([BoundReport("c", "B1", params, 0.5, 1.0, 0.0, "s", flags)])
     with pytest.raises(TypeError):
         _stdlib_json(result)
     with pytest.raises(TypeError):
@@ -608,8 +643,7 @@ def test_render_json_refuses_what_json_dumps_refuses(params, flags):
 @pytest.mark.parametrize("params, flags", [({"ks": [1, 2]}, {}), ({}, {7: True})])
 def test_render_json_refuses_rows_off_the_flat_shape(params, flags):
     # json.dumps would lay these out; no check builds them.
-    result = SuiteResult("odd", 0, [BoundReport("c", "B1", params, 0.5, 1.0, True, 0.0, "s", flags)],
-                         True, {})
+    result = SuiteResult("odd", 0, [BoundReport("c", "B1", params, 0.5, 1.0, 0.0, "s", flags)])
     with pytest.raises(TypeError):
         render_json(result)
 
@@ -618,19 +652,26 @@ _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6
                      st.floats(allow_nan=True, allow_infinity=True),
                      st.floats().map(np.float64))
 _FLAT_DICTS = st.dictionaries(st.text(max_size=4), _SCALARS, max_size=4)
+# A row's two numbers, which its verdict compares: ints stay within float range,
+# since ε + PASS_TOL makes a float of ε.
+_NUMBERS = st.one_of(st.booleans(), st.integers(-10 ** 300, 10 ** 300),
+                     st.floats(allow_nan=True, allow_infinity=True),
+                     st.floats().map(np.float64))
 
 
 @settings(max_examples=60, deadline=None)
 @given(pools=st.tuples(st.lists(_FLAT_DICTS, min_size=1, max_size=3),
                        st.lists(_FLAT_DICTS, min_size=1, max_size=3)),
-       rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), _SCALARS, _SCALARS,
-                               st.booleans(), st.text(max_size=8)), max_size=8))
+       rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), _NUMBERS, _NUMBERS,
+                               st.text(max_size=8)), max_size=8))
 def test_render_json_matches_the_stdlib_on_random_rows(pools, rows):
     params, flags = pools
-    reports = [BoundReport("c", "B1", params[p % len(params)], measured, epsilon, passed, 0.0,
+    reports = [BoundReport("c", "B1", params[p % len(params)], measured, epsilon, 0.0,
                            label, flags[f % len(flags)])
-               for p, f, measured, epsilon, passed, label in rows]
-    result = SuiteResult(name="random", seed=0, reports=reports, all_pass=True, summary={})
+               for p, f, measured, epsilon, label in rows]
+    # the summary's ratios of numpy floats may overflow to inf or be inf/inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = SuiteResult(name="random", seed=0, reports=reports)
     assert render_json(result) == _stdlib_json(result)
     assert render_csv(result) == _stdlib_csv(result)
 

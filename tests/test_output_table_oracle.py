@@ -219,7 +219,7 @@ def random_source(n: int, dim: int, rng, pure: bool = False) -> CqState:
     if dim == 1:
         return classical_state(dist)
     make = random_pure_state if pure else random_density
-    return build_cq(dist, {sym: make(dim, rng) for sym in sorted(dist)}, side_dim=dim)
+    return build_cq(dist, {sym: make(dim, rng) for sym in sorted(dist)})
 
 
 def random_extractor(n: int, rng):

@@ -117,7 +117,7 @@ def test_pgm_orthogonal_conditionals_is_projective():
 def test_pgm_identical_conditionals(rng):
     tau = random_density(3, rng)
     dist = {(0,): 0.25, (1,): 0.75}
-    st = build_cq(dist, {s: tau for s in dist}, side_dim=3)
+    st = build_cq(dist, {s: tau for s in dist})
     povm = pgm(st)
     # On the support of tau the elements are P(x) * identity; the deficit
     # on ker(tau) goes to the first outcome.
@@ -158,7 +158,7 @@ def test_pgm_function_commutation(rng):
 def test_fourier_bound_uniform_independent():
     sigma = np.eye(2, dtype=complex) / 2
     st = build_cq({b: 0.25 for b in all_bit_vectors(2)},
-                  {b: sigma for b in all_bit_vectors(2)}, side_dim=2)
+                  {b: sigma for b in all_bit_vectors(2)})
     assert squared_distance_fourier_bound(st, marginal_side(st)) < 1e-12
 
 
@@ -220,7 +220,7 @@ def test_fourier_side_bounds_refuse_non_bit_symbols():
 def test_measured_xor_uniform_independent():
     sigma = np.eye(2, dtype=complex) / 2
     st = build_cq({b: 0.25 for b in all_bit_vectors(2)},
-                  {b: sigma for b in all_bit_vectors(2)}, side_dim=2)
+                  {b: sigma for b in all_bit_vectors(2)})
     assert measured_xor_bound(st) < 1e-7
     assert distance_to_uniform(st, 4) < 1e-12
 
