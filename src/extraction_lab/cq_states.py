@@ -25,11 +25,13 @@ import numpy as np
 
 from .gf2 import _symbol_indices, all_bit_vectors
 from .operators import (
+    TRACE_ATOL,
     _not_psd,
     _unit_trace,
     hermitian_stack,
     hermitian_trace_norms,
     probability_vector,
+    tensor,
 )
 
 
@@ -38,26 +40,16 @@ class CqState:
 
     ``CqState(side_dim, blocks)`` copies the blocks into the stack and raises
     ValueError, naming the symbol, for one not of shape (side_dim, side_dim),
-    not finite, not Hermitian or not PSD; ``blocks`` then maps each symbol to
-    its row, a view of the stack.
+    not finite, not Hermitian or not PSD (:func:`check_blocks`); ``blocks``
+    then maps each symbol to its row, a view of the stack.
     """
 
     __slots__ = ("side_dim", "stack", "blocks", "_symbols")
 
     def __init__(self, side_dim: int, blocks):
         symbols = sorted(blocks)
-        for sym in symbols:
-            if np.shape(blocks[sym]) != (side_dim, side_dim):
-                raise ValueError(f"block for {sym} has shape {np.shape(blocks[sym])}, "
-                                 f"expected side_dim {side_dim}")
-        stack = np.array([blocks[s] for s in symbols], dtype=complex)
-        stack = hermitian_stack(stack.reshape(-1, side_dim, side_dim), symbols)
-        w = np.linalg.eigvalsh(stack)
-        low = _not_psd(w)
-        if low.any():
-            i = int(np.argmax(low))
-            raise ValueError(f"conditional operator for {symbols[i]} is not PSD "
-                             f"(min eig {w[i, 0]:.3e})")
+        stack = _block_stack(blocks, symbols, side_dim)
+        check_blocks(stack[None], np.ones((1, len(symbols)), dtype=bool), symbols)
         self._adopt(symbols, stack)
 
     @classmethod
@@ -80,6 +72,52 @@ class CqState:
 
     def total_trace(self) -> float:
         return float(_block_sum(_traces(self.stack)))
+
+
+def _block_stack(blocks, symbols, side_dim: int) -> np.ndarray:
+    """The complex (N, side_dim, side_dim) stack of blocks[sym] for sym in ``symbols``;
+    ValueError naming the first symbol whose block has another shape."""
+    for sym in symbols:
+        if np.shape(blocks[sym]) != (side_dim, side_dim):
+            raise ValueError(f"block for {sym} has shape {np.shape(blocks[sym])}, "
+                             f"expected side_dim {side_dim}")
+    return np.array([blocks[sym] for sym in symbols], dtype=complex).reshape(
+        -1, side_dim, side_dim)
+
+
+def check_blocks(stacks: np.ndarray, present: np.ndarray, names,
+                 normalized: bool = False) -> None:
+    """Refuse P cq-states given as a zero-padded (P, S, d, d) stack and its (P, S) mask.
+
+    Slot j of every state holds the block of symbol names[j] where present
+    holds (:func:`padded_stacks`).  ValueError, naming the first bad
+    block's symbol as :class:`CqState` does, for a present block that is
+    not finite or not Hermitian, or not PSD by one stacked eigvalsh of the
+    present blocks; and, when ``normalized``, ValueError as
+    :func:`build_cq` gives it for a state whose total trace, its slots
+    added in order by :func:`_block_sum`, is not 1 within TRACE_ATOL.
+    :class:`CqState` and :func:`build_cq` call it on a batch of one.
+    """
+    rows, cols = np.nonzero(present)
+    symbols = [names[j] for j in cols.tolist()]
+    blocks = hermitian_stack(stacks[rows, cols], symbols)
+    w = np.linalg.eigvalsh(blocks)
+    low = _not_psd(w)
+    if low.any():
+        i = int(np.argmax(low))
+        raise ValueError(f"conditional operator for {symbols[i]} is not PSD "
+                         f"(min eig {w[i, 0]:.3e})")
+    if normalized:
+        check_unit_traces(_block_sum(_traces(stacks), axis=1), "cq-state")
+
+
+def check_unit_traces(traces: np.ndarray, what: str, names=None) -> None:
+    """ValueError for the first of ``traces`` that is not 1 within TRACE_ATOL, as
+    ``<what> <names[i]> is not normalized``, or ``<what> is not normalized`` without names."""
+    off = np.abs(traces - 1.0) > TRACE_ATOL
+    if off.any():
+        i = int(np.argmax(off))
+        _unit_trace(traces[i], what, *(() if names is None else (names[i],)))
 
 
 def _traces(stack: np.ndarray) -> np.ndarray:
@@ -125,17 +163,20 @@ def build_cq(dist: dict, cond_states: dict) -> CqState:
     """Assemble a cq-state from a distribution and normalized conditionals.
 
     The side dimension is the first conditional's; every block must share it.
+    One stacked test refuses a conditional whose trace is not 1, naming the
+    first in ``dist`` order; :func:`check_blocks` then tests the weighted
+    blocks and the total trace.
     """
     probability_vector(dist.values())
-    blocks = {}
-    for sym, p in dist.items():
-        if p > 0:
-            cond = np.asarray(cond_states[sym], dtype=complex)
-            _unit_trace(np.trace(cond).real, "conditional state for", sym)
-            blocks[sym] = p * cond
-    state = CqState(side_dim=next(iter(blocks.values())).shape[0], blocks=blocks)
-    _unit_trace(state.total_trace(), "cq-state")
-    return state
+    live = [sym for sym, p in dist.items() if p > 0]
+    first = np.shape(cond_states[live[0]])      # () for a scalar, refused as a shape
+    conds = _block_stack(cond_states, live, first[0] if first else 0)
+    check_unit_traces(_traces(conds), "conditional state for", live)
+    order = sorted(range(len(live)), key=live.__getitem__)
+    symbols = [live[i] for i in order]
+    stack = np.array([dist[sym] for sym in symbols])[:, None, None] * conds[order]
+    check_blocks(stack[None], np.ones((1, len(symbols)), dtype=bool), symbols, normalized=True)
+    return CqState._from_stack(symbols, stack)
 
 
 def classical_state(dist: dict) -> CqState:
@@ -162,7 +203,7 @@ def apply_classical_function(state: CqState, f) -> CqState:
 def product(s1: CqState, s2: CqState) -> CqState:
     """Independent pair: alphabet of pairs, side register C1 (x) C2."""
     side_dim = s1.side_dim * s2.side_dim
-    stack = _kron_stack(s1.stack[:, None], s2.stack[None]).reshape(-1, side_dim, side_dim)
+    stack = tensor(s1.stack[:, None], s2.stack[None]).reshape(-1, side_dim, side_dim)
     symbols = [(a, b) for a in s1.symbols() for b in s2.symbols()]
     return CqState._from_stack(symbols, stack)
 
@@ -198,7 +239,7 @@ def markov_block_state(scenario: MarkovScenario) -> CqState:
         if w > 0:
             at = np.ix_([alpha1.index(a) for a in s1.symbols()],
                         [alpha2.index(b) for b in s2.symbols()])
-            stack[at + (slice(lo, hi),) * 2] = w * _kron_stack(s1.stack[:, None], s2.stack[None])
+            stack[at + (slice(lo, hi),) * 2] = w * tensor(s1.stack[:, None], s2.stack[None])
             present[at] = True
     rows, cols = np.nonzero(present)
     symbols = [(alpha1[r], alpha2[c]) for r, c in zip(rows.tolist(), cols.tolist())]
@@ -226,12 +267,6 @@ def _grouped(stack: np.ndarray, outputs: np.ndarray, n_out: int):
     return sums, present
 
 
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a[k], b[k]) for every k (leading axes broadcast), as one product."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
-
-
 def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqState:
     """State of (Ext(X1, X2), [X_i copy], C1 C2) for independent sources.
 
@@ -252,11 +287,11 @@ def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqS
     if flag == "x2":
         sums, present = _grouped(s1.stack, outputs.T, n_out)
         zs, rows = np.nonzero(present.T)
-        pieces, copied = _kron_stack(sums[rows, zs], s2.stack[rows]), sym2
+        pieces, copied = tensor(sums[rows, zs], s2.stack[rows]), sym2
     else:
         sums, present = _grouped(s2.stack, outputs, n_out)
         zs, rows = np.nonzero(present.T)
-        pieces, copied = _kron_stack(s1.stack[rows], sums[rows, zs]), sym1
+        pieces, copied = tensor(s1.stack[rows], sums[rows, zs]), sym1
     keys = [(z_bits[z], copied[r]) for z, r in zip(zs.tolist(), rows.tolist())]
     strong = CqState._from_stack(keys, pieces)
     return strong if flag else apply_classical_function(strong, lambda sym: sym[0])

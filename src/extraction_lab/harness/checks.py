@@ -22,7 +22,10 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from ..cq_states import (
+    _traces,
     apply_classical_function,
+    check_blocks,
+    check_unit_traces,
     classical_state,
     distance_to_uniform,
     extractor_output_from_joint,
@@ -47,20 +50,22 @@ from ..gf2 import (
 )
 from ..operators import (
     conditional_mutual_information,
+    ginibre_densities,
+    hermitian_trace_norms,
     partial_trace,
+    probability_vector,
+    random_densities,
     random_density,
     tensor,
-    trace_distance,
 )
 from ..xor_analysis import (
     MAX_FOURIER_BITS,
     MatrixValuedFunction,
     fourier_bounds,
-    l2_distance_to_uniform,
+    l2_distances_to_uniform,
     measured_xor_bounds,
     mvf_fourier,
     mvf_l2_norm,
-    output_slots,
     pgm,
 )
 from .bounds import BOUND_IDS, CATALOG, base_exponent, bound_value
@@ -69,6 +74,7 @@ from .scenarios import (
     MARKOV_BLOCKS_MAX,
     MARKOV_N_MAX,
     SIDE_PARAMS,
+    _random_blocks,
     _random_cq,
     _random_source,
     make_flat_source,
@@ -85,10 +91,12 @@ MARKOV_M_MAX = 2    # b2-markov draws m from 1..min(MARKOV_M_MAX, n)
 # The widest source a check draws: output tables cover 2^(2n) input pairs.
 SOURCE_N_MAX = MAX_TABLE_BITS // 2
 EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at n = 4
-# A random-state scenario with m-bit outputs on a dim-dimensional side weighs
-# 4^m·dim², about the complex entries of its 2^m − 1 masked block pairs in
-# measured_xor_bounds; a group of them is evaluated as soon as it weighs this
-# much, which bounds a pass's memory for any count.  No built-in suite reaches it.
+# A group of drawn scenarios (_in_groups) is evaluated as soon as it weighs
+# this much, which bounds a pass's memory for any count.  A random-state
+# scenario with m-bit outputs on a dim-dimensional side weighs 4^m·dim², about
+# the complex entries of its 2^m − 1 masked block pairs in measured_xor_bounds,
+# and no built-in suite fills such a group; a one-two-norm scenario weighs
+# 16·(dim_a·dim_b)², and the built-in suites fill its larger groups.
 BLOCK_BUDGET = 1 << 16
 CLASSICAL_SIDES = ("trivial", "classical_leak")     # flat grids count these exactly
 # The values of a param that its type alone does not pin down, and their name;
@@ -316,44 +324,73 @@ def _markov_cmi(p, rng):
                    [("cmi-zero", cmi, 0.0)])
 
 
-def _random_output_groups(p, rng, m_max: int, dim_max: int, bound, with_sigma=False) -> list:
-    """(m, dim, delta, bound value) per scenario of a random-state check, in draw order.
+def _in_groups(draws, evaluate) -> list:
+    """The results of drawn scenarios, evaluated group by group, in draw order.
 
-    Each of the ``p["count"]`` scenarios draws m and dim, a random cq-state
-    with m-bit outputs on a dim-dimensional side register, kept only as its
-    block stack and :func:`output_slots`, and, ``with_sigma``, a random
-    density sigma.  Each (m, dim) group is then evaluated in one stacked
-    pass: :func:`weak_distances` and ``bound(stacks, present, sigmas)``, with
-    ``sigmas`` None unless ``with_sigma``.
-    A group is evaluated early once its draws weigh BLOCK_BUDGET.  The
-    kernels draw no random numbers, so every draw is where the per-scenario
-    loop made it.
+    ``draws`` yields (key, weight, item) per scenario, and ``evaluate(key,
+    items)`` returns one result per item of a group.  A group is evaluated
+    as soon as its draws weigh BLOCK_BUDGET, and the rest after the last
+    draw.  The evaluations draw no random numbers, so every draw is where
+    a per-scenario loop makes it.
     """
     results, members, weights = [], {}, {}
 
     def flush(key):
         del weights[key]
-        at, stacks, slots, sigmas = zip(*members.pop(key))
-        padded, present = padded_stacks(list(zip(stacks, slots)), 1 << key[0])
-        values = bound(padded, present, np.array(sigmas) if with_sigma else None)
-        for i, delta, value in zip(at, weak_distances(padded, present).tolist(),
-                                   values.tolist()):
-            results[i] = key + (delta, value)
+        at, items = zip(*members.pop(key))
+        for i, result in zip(at, evaluate(key, items)):
+            results[i] = result
 
-    for _ in range(p["count"]):
-        m = int(rng.integers(1, m_max + 1))
-        dim = int(rng.integers(1, dim_max + 1))
-        state = _random_cq(m, dim, rng)
-        sigma = random_density(dim, rng) if with_sigma else None
-        members.setdefault((m, dim), []).append((len(results), state.stack,
-                                                 output_slots(state), sigma))
+    for key, weight, item in draws:
+        members.setdefault(key, []).append((len(results), item))
         results.append(None)
-        weights[m, dim] = weights.get((m, dim), 0) + (1 << 2 * m) * dim * dim
-        if weights[m, dim] >= BLOCK_BUDGET:
-            flush((m, dim))
+        weights[key] = weights.get(key, 0) + weight
+        if weights[key] >= BLOCK_BUDGET:
+            flush(key)
     for key in list(members):
         flush(key)
     return results
+
+
+def _random_output_groups(p, rng, m_max: int, dim_max: int, bound, with_sigma=False) -> list:
+    """(m, dim, delta, bound value) per scenario of a random-state check, in draw order.
+
+    Each of the ``p["count"]`` scenarios draws m and dim, a random cq-state
+    with m-bit outputs on a dim-dimensional side register and, ``with_sigma``,
+    a random density sigma.  Its distribution and conditionals are tested
+    when drawn (:func:`probability_vector`, :func:`check_unit_traces`), and
+    only its weighted blocks and their slots, the drawn indices, are kept.
+    Each (m, dim) group (:func:`_in_groups`) is then validated by one
+    :func:`check_blocks` and evaluated in one stacked pass:
+    :func:`weak_distances` and ``bound(stacks, present, sigmas)``, with
+    ``sigmas`` None unless ``with_sigma``.  A scenario weighs 4^m·dim².
+    """
+    names = {}      # m -> the m-bit symbols, slot order
+
+    def draws():
+        for _ in range(p["count"]):
+            m = int(rng.integers(1, m_max + 1))
+            dim = int(rng.integers(1, dim_max + 1))
+            slots, weights, conds = _random_blocks(m, dim, rng)
+            sigma = random_densities(1, dim, rng) if with_sigma else None
+            if m not in names:
+                names[m] = all_bit_vectors(m)
+            bits = names[m]
+            probability_vector(weights.tolist())
+            check_unit_traces(_traces(conds), "conditional state for",
+                              [bits[i] for i in slots.tolist()])
+            yield ((m, dim), (1 << 2 * m) * dim * dim,
+                   (weights[:, None, None] * conds, slots, sigma))
+
+    def evaluate(key, items):
+        blocks, slots, sigmas = zip(*items)
+        padded, present = padded_stacks(list(zip(blocks, slots)), 1 << key[0])
+        check_blocks(padded, present, names[key[0]], normalized=True)
+        values = bound(padded, present, np.concatenate(sigmas) if with_sigma else None)
+        return [key + pair for pair in zip(weak_distances(padded, present).tolist(),
+                                           values.tolist())]
+
+    return _in_groups(draws(), evaluate)
 
 
 @_check("measured-xor-random", count=1000, m_max=2, dim_max=3,
@@ -477,16 +514,38 @@ def _hmin_le_h2(p, rng):
 
 @_check("one-two-norm", count=500)
 def _one_two_norm(p, rng):
-    """Trace distance bounded through the conjugated 2-distance."""
-    for _ in range(p["count"]):
-        dim_a = int(rng.integers(2, 5))
-        dim_b = int(rng.integers(2, 5))
-        rho = random_density(dim_a * dim_b, rng)
-        sigma = random_density(dim_b, rng) * float(rng.uniform(0.5, 2.0))
-        rho_b = partial_trace(rho, (dim_a, dim_b), keep=(1,))
-        delta = trace_distance(rho, tensor(np.eye(dim_a) / dim_a, rho_b), check_trace=False)
-        rhs = 0.5 * np.sqrt(dim_a * np.trace(sigma).real
-                            * l2_distance_to_uniform(rho, dim_a, sigma))
+    """Trace distance bounded through the conjugated 2-distance.
+
+    Each scenario draws dims, then the standard normals of rho_AB and of
+    sigma_B as :func:`random_density` would, and sigma_B's scale; the
+    densities are formed per (dim_a, dim_b) group (:func:`ginibre_densities`)
+    and the group evaluated in one stacked pass.  A scenario weighs
+    16·(dim_a·dim_b)², about the complex entries of every D×D operator its
+    pass allocates, so a pass holds at most 16 scenarios of 16×16.  All
+    scenarios are evaluated before the first case, so its ``runtime_ms``
+    carries the batch's time.
+    """
+    def draws():
+        for _ in range(p["count"]):
+            dim_a = int(rng.integers(2, 5))
+            dim_b = int(rng.integers(2, 5))
+            rho = rng.standard_normal((2, dim_a * dim_b, dim_a * dim_b))
+            sigma = rng.standard_normal((2, dim_b, dim_b))
+            yield ((dim_a, dim_b), 16 * (dim_a * dim_b) ** 2,
+                   (rho, sigma, float(rng.uniform(0.5, 2.0))))
+
+    def evaluate(dims, items):
+        rhos, sigmas, scales = (np.array(column) for column in zip(*items))
+        rhos = ginibre_densities(rhos)
+        sigmas = ginibre_densities(sigmas) * scales[:, None, None]
+        dim_a = dims[0]
+        rho_b = partial_trace(rhos, dims, keep=(1,))
+        deltas = 0.5 * hermitian_trace_norms(rhos - tensor(np.eye(dim_a) / dim_a, rho_b))
+        rhs = 0.5 * np.sqrt(dim_a * _traces(sigmas)
+                            * l2_distances_to_uniform(rhos, dim_a, sigmas))
+        return [dims + pair for pair in zip(deltas.tolist(), rhs.tolist())]
+
+    for dim_a, dim_b, delta, rhs in _in_groups(draws(), evaluate):
         yield Case(_k_params(dim_a, 1, 0, 0.0, 0.0), f"one-two-norm dims=({dim_a},{dim_b})",
                    [("two-norm-rhs", delta, rhs)])
 
@@ -550,9 +609,10 @@ def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
     """Run one registered check, deterministic given ``config``'s params and seed.
 
     A row's ``runtime_ms`` is the time the generator took to yield its case.
-    A check that evaluates a batch before yielding (a flat grid, a group of
-    ``measured-xor-random`` or ``useful-prop-random``) charges the whole batch
-    to the first case it yields, and the later cases of the batch take almost none.
+    A check that evaluates a batch before yielding (a flat grid, or the groups
+    of ``measured-xor-random``, ``useful-prop-random`` or ``one-two-norm``)
+    charges the whole batch to the first case it yields, and the later cases
+    of the batch take almost none.
     """
     entry = resolve_entry({**(config or {}), "id": check_id})
     cases = CHECKS[check_id].cases(entry["params"], np.random.default_rng(entry["seed"]))

@@ -24,7 +24,7 @@ from ..cq_states import (
 from ..entropies import EntropyResult, h_min_cond
 from ..extractors import ip_eval
 from ..gf2 import index_to_bits
-from ..operators import random_density, random_pure_state
+from ..operators import random_densities, random_pure_state
 from .params import resolved
 
 # Every side-information model with the params it accepts and their defaults.
@@ -116,23 +116,28 @@ def make_side_info(model: str, dist: dict, params: dict | None = None, *,
     return SourceWithSide(state, model)
 
 
-def _random_distribution(n: int, rng: np.random.Generator, min_support: int = 1) -> dict:
-    size = 1 << n
+def _random_blocks(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1,
+                   draw=random_densities):
+    """A random distribution on n-bit strings and one conditional state per symbol.
+
+    Returns its support as ascending indices, their weights and the (support,
+    dim, dim) stack draw(support, dim, rng) of conditionals (1x1 ones for a
+    one-dimensional side register, drawing nothing).
+    """
+    size = 1 << n_bits
     support = int(rng.integers(min_support, size + 1))
-    chosen = sorted(int(i) for i in rng.choice(size, size=support, replace=False))
+    indices = np.sort(rng.choice(size, size=support, replace=False))
     weights = rng.random(support) + 1e-3
-    weights = weights / weights.sum()
-    return {index_to_bits(i, n): float(w) for i, w in zip(chosen, weights)}
+    conds = draw(support, dim, rng) if dim > 1 else np.ones((support, 1, 1), dtype=complex)
+    return indices, weights / weights.sum(), conds
 
 
 def _random_cq(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1,
-               draw=random_density) -> CqState:
-    """Random distribution with conditional states draw(dim, rng), in sorted-symbol order."""
-    dist = _random_distribution(n_bits, rng, min_support=min_support)
-    if dim == 1:
-        return classical_state(dist)
-    conds = {sym: draw(dim, rng) for sym in sorted(dist)}
-    return build_cq(dist, conds)
+               draw=random_densities) -> CqState:
+    """:func:`_random_blocks` as a cq-state; ``draw`` as there."""
+    indices, weights, conds = _random_blocks(n_bits, dim, rng, min_support, draw)
+    symbols = [index_to_bits(i, n_bits) for i in indices.tolist()]
+    return build_cq(dict(zip(symbols, weights.tolist())), dict(zip(symbols, conds)))
 
 
 def _random_source(n: int, rng: np.random.Generator):
@@ -159,7 +164,13 @@ def make_markov_scenario(n: int, n_blocks: int, seed: int,
     rng = np.random.default_rng(seed)
     weights = rng.random(n_blocks) + 0.2
     weights = tuple(float(w) for w in weights / weights.sum())
-    draw = (lambda d, r: _one_hot(int(r.integers(d)), d)) if classical else random_pure_state
+
+    def draw(count, d, r):
+        """``count`` one-hot (classical) or pure states, drawn one after another."""
+        if classical:
+            return np.array([_one_hot(int(r.integers(d)), d) for _ in range(count)])
+        return np.array([random_pure_state(d, r) for _ in range(count)])
+
     factors = []
     for _ in range(n_blocks):
         d1 = int(rng.integers(1, 3))

@@ -217,32 +217,38 @@ def trace_distance(rho, sigma, check_trace: bool = True) -> float:
 
 
 def tensor(a, b) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two operators, or of each pair of two stacks (leading axes
+    broadcast), as one elementwise product: np.kron's entries, bit for bit."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
+    """Trace out all subsystems not listed in ``keep``, of one operator or of each operator
+    of an (N, D, D) stack of Hermitian operators (checked by :func:`hermitian_stack`).
 
     ``dims`` are the subsystem dimensions in tensor order, ``keep`` the
     indices (0-based) of the subsystems to retain, in their tensor order.
     """
-    m = as_operator(rho)
+    m = as_operator(rho) if np.ndim(rho) == 2 else hermitian_stack(rho)
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    if m.shape[0] != total:
-        raise ValueError(f"operator dim {m.shape[0]} != product of subsystem dims {total}")
+    if m.shape[-1] != total:
+        raise ValueError(f"operator dim {m.shape[-1]} != product of subsystem dims {total}")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
     k = len(dims)
-    tensor_form = m.reshape(dims + dims)
+    lead = m.shape[:-2]
+    tensor_form = m.reshape(lead + dims + dims)
     # Contract each traced subsystem's row index with its column index.
     traced = [i for i in range(k) if i not in keep]
     for count, idx in enumerate(traced):
-        axis = idx - count                      # axes shift as we trace
+        axis = len(lead) + idx - count          # axes shift as we trace
         tensor_form = np.trace(tensor_form, axis1=axis, axis2=axis + (k - count))
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return tensor_form.reshape(d_keep, d_keep)
+    return tensor_form.reshape(lead + (d_keep, d_keep))
 
 
 def von_neumann_entropy(rho, check_trace: bool = True) -> float:
@@ -266,11 +272,28 @@ def conditional_mutual_information(rho, dims) -> float:
     return s_ac + s_bc - s_abc - s_c
 
 
+def random_densities(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` full-rank random density operators (Wishart-normalized), (count, dim, dim).
+
+    One standard-normal draw of shape (count, 2, dim, dim) holds each
+    operator's real and imaginary Ginibre parts, in the order that
+    ``count`` single draws take them, so the operators and the generator's
+    state are those of ``count`` calls of :func:`random_density`.
+    """
+    return ginibre_densities(rng.standard_normal((count, 2, dim, dim)))
+
+
+def ginibre_densities(x: np.ndarray) -> np.ndarray:
+    """g g^dagger / tr(g g^dagger) for each g = x[i, 0] + 1j x[i, 1] of an (N, 2, d, d)
+    array of standard normals; each operator is what a batch of one gives it."""
+    g = x[:, 0] + 1j * x[:, 1]
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density operator (Wishart-normalized)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    """Full-rank random density operator: :func:`random_densities` of a batch of one."""
+    return random_densities(1, dim, rng)[0]
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:

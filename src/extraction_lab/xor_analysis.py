@@ -14,7 +14,9 @@ mask; :func:`pgm`, :func:`squared_distance_fourier_bound` and
 state's values do not depend on the batch it is in.  The random-state
 checks evaluate each (m, d) group of their scenarios in one pass before
 their first case, so that case carries the batch's time in its
-``runtime_ms``.
+``runtime_ms``.  The conjugated 2-distance of the one-norm/two-norm check
+is stacked the same way: :func:`l2_distance_to_uniform` is
+:func:`l2_distances_to_uniform` of a batch of one.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from .operators import (
     _herm,
     _kernel_leaks,
     _psd_eigh,
-    _sigma_power,
     _spectral_power,
-    check_hermitian,
     partial_trace,
     tensor,
 )
@@ -222,18 +222,32 @@ def _batch_of_one(state: CqState):
     return padded_stacks([(state.stack, slots)], 1 << len(state.symbols()[0]))
 
 
+def l2_distances_to_uniform(rhos, dim_a: int, sigmas) -> np.ndarray:
+    """:func:`l2_distance_to_uniform` of each rho_AB of an (N, D, D) stack, as an (N,) array.
+
+    rhos[i] is weighed by sigma_B = sigmas[i], one of an (N, d_B, d_B)
+    stack whose powers come from one stacked eigh.  ValueError for a rho
+    that is not finite or not Hermitian, for a sigma that is not Hermitian
+    or not PSD, and when the kernel of a sigma_B meets its rho_B.
+    """
+    rhos, sigmas = np.asarray(rhos, dtype=complex), np.asarray(sigmas, dtype=complex)
+    # partial_trace refuses a stack that is not finite and Hermitian (hermitian_stack).
+    rho_b = partial_trace(rhos, (dim_a, sigmas.shape[-1]), keep=(1,))
+    w, v = _psd_eigh(sigmas)
+    if np.any(_kernel_leaks(w, v, rho_b[:, None])):
+        raise ValueError("sigma_B kernel is not contained in the kernel of rho_B")
+    centered = rhos - tensor(np.eye(dim_a) / dim_a, rho_b)
+    weight = tensor(np.eye(dim_a), _spectral_power(w, v, -0.25))
+    conj = weight @ centered @ weight
+    return _traces(conj @ conj)
+
+
 def l2_distance_to_uniform(rho_ab, dim_a: int, sigma_b) -> float:
     """Conjugated squared 2-distance of rho_AB from omega_A (x) rho_B.
 
     Internal evaluator for the one-norm/two-norm inequality checks; not
     part of the supported API surface.  ValueError when ker sigma_B meets rho_B.
+    This is :func:`l2_distances_to_uniform` of a batch of one.
     """
-    rho = check_hermitian(rho_ab)
-    rho_b = partial_trace(rho, (dim_a, np.shape(sigma_b)[0]), keep=(1,))
-    quarter = _sigma_power(sigma_b, -0.25, rho_b[None])
-    if quarter is None:
-        raise ValueError("sigma_B kernel is not contained in the kernel of rho_B")
-    centered = rho - tensor(np.eye(dim_a) / dim_a, rho_b)
-    weight = tensor(np.eye(dim_a), quarter)
-    conj = weight @ centered @ weight
-    return float(np.trace(conj @ conj).real)
+    return float(l2_distances_to_uniform(np.asarray(rho_ab, dtype=complex)[None], dim_a,
+                                         np.asarray(sigma_b, dtype=complex)[None])[0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +10,17 @@ from extraction_lab.cq_states import (
     CqState,
     MarkovScenario,
     apply_classical_function,
+    _traces,
     build_cq,
+    check_blocks,
+    check_unit_traces,
     classical_state,
     distance_to_uniform,
     extractor_output_from_joint,
     extractor_output_state,
     markov_block_state,
     marginal_side,
+    padded_stacks,
     product,
     to_dense,
 )
@@ -23,6 +29,7 @@ from extraction_lab.gf2 import all_bit_vectors, build_field_family, build_shift_
 from extraction_lab.operators import (
     conditional_mutual_information,
     partial_trace,
+    random_densities,
     trace_distance,
 )
 
@@ -39,6 +46,8 @@ def test_build_cq_validation():
         build_cq({(0,): 0.6, (1,): 0.6}, {(0,): KET0, (1,): KET0})
     with pytest.raises(ValueError, match="not normalized"):
         build_cq({(0,): 1.0}, {(0,): 2 * KET0})
+    with pytest.raises(ValueError, match=r"block for \(0,\) has shape \(\)"):
+        build_cq({(0,): 1.0}, {(0,): 1.0})
     bad = np.array([[1.0, 2.0], [2.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="not PSD"):
         CqState(side_dim=2, blocks={(0,): bad})
@@ -333,3 +342,88 @@ def test_validate_cq_names_the_offending_block():
     loose = (1 + 9e-10) * KET0
     with pytest.raises(ValueError, match="cq-state is not normalized"):
         build_cq({(0,): 0.5 + 6e-10, (1,): 0.5}, {(0,): loose, (1,): loose})
+
+
+# Three 2-bit states on a two-dimensional side register: their slots, and the
+# middle state's block at slot 2, symbol (1, 0), is the one made bad below.
+GROUP_SLOTS = ([0, 3], [0, 2, 3], [1, 2])
+BAD_STATE, BAD_SLOT = 1, 2
+
+
+def _group_conditionals():
+    rng = np.random.default_rng(11)
+    return [random_densities(len(slots), 2, rng) for slots in GROUP_SLOTS]
+
+
+def _group(conds):
+    """The states' weighted blocks as a padded group, and each state as a CqState dict."""
+    names = all_bit_vectors(2)
+    drawn, dicts = [], []
+    for slots, stack in zip(GROUP_SLOTS, conds):
+        blocks = stack / len(slots)
+        drawn.append((blocks, np.array(slots)))
+        dicts.append({names[j]: block for j, block in zip(slots, blocks)})
+    padded, present = padded_stacks(drawn, 4)
+    return padded, present, names, dicts
+
+
+def _message(call) -> str:
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+def test_check_blocks_accepts_a_padded_group_of_states():
+    padded, present, names, _ = _group(_group_conditionals())
+    check_blocks(padded, present, names, normalized=True)
+    # Absent slots hold zeros; only present blocks reach the eigvalsh.
+    assert present.sum() == 7 and not padded[~present].any()
+
+
+@pytest.mark.parametrize("fault,match", [
+    ("skew", r"^block for \(1, 0\) is not Hermitian"),
+    ("nan", r"^block for \(1, 0\) has non-finite entries$"),
+    ("negative", r"^conditional operator for \(1, 0\) is not PSD"),
+])
+def test_check_blocks_names_the_bad_block_in_the_middle_of_a_group(fault, match):
+    conds = _group_conditionals()
+    bad = conds[BAD_STATE][GROUP_SLOTS[BAD_STATE].index(BAD_SLOT)]
+    if fault == "skew":
+        bad[0, 1] += 1e-6
+    elif fault == "nan":
+        bad[1, 1] = np.nan
+    else:
+        bad[:] = np.diag([1.2, -0.2])
+    padded, present, names, dicts = _group(conds)
+    message = _message(lambda: check_blocks(padded, present, names, normalized=True))
+    assert re.match(match, message)
+    # The message CqState gives for the bad state on its own.
+    assert message == _message(lambda: CqState(2, dicts[BAD_STATE]))
+
+
+def test_check_blocks_refuses_a_group_with_one_state_not_normalized():
+    conds = _group_conditionals()
+    conds[BAD_STATE][0] *= 1.5
+    padded, present, names, _ = _group(conds)
+    # build_cq's message; CqState, which allows a subnormalized state, does not test it.
+    message = _message(lambda: check_blocks(padded, present, names, normalized=True))
+    assert message == "cq-state is not normalized (trace 1.16667)"
+    check_blocks(padded, present, names)
+
+
+def test_check_unit_traces_names_the_first_bad_conditional():
+    conds = random_densities(5, 3, np.random.default_rng(12))
+    names = [(1, 1), (0, 1), (1, 0), (0, 0), (0, 1, 1)]
+    check_unit_traces(_traces(conds), "conditional state for", names)
+    conds[2] *= 2.0
+    conds[4] *= 3.0
+    message = _message(lambda: check_unit_traces(_traces(conds), "conditional state for",
+                                                 names))
+    assert message == "conditional state for (1, 0) is not normalized (trace 2)"
+    # build_cq runs the same stacked test, naming the first bad symbol in dist
+    # order, which is not the sorted order of its blocks.
+    dist = dict(zip(names[:4], (0.25,) * 4))
+    conds_of = dict(zip(names[:4], conds))
+    assert message == _message(lambda: build_cq(dist, conds_of))
+    conds_of[(0, 0)] = 2 * conds_of[(0, 0)]
+    assert message == _message(lambda: build_cq(dist, conds_of))

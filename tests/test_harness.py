@@ -25,7 +25,20 @@ from extraction_lab.harness.scenarios import (
 )
 from extraction_lab.harness.checks import BoundReport
 from extraction_lab.harness.suite import CSV_COLUMNS, SuiteResult, _summarize, render_csv, render_json
-from extraction_lab.cq_states import markov_block_state, apply_classical_function
+from extraction_lab.cq_states import (
+    apply_classical_function,
+    check_blocks,
+    check_unit_traces,
+    markov_block_state,
+)
+from extraction_lab.operators import (
+    hermitian_trace_norm,
+    op_power,
+    partial_trace,
+    probability_vector,
+    random_density,
+)
+from conftest import random_cq_state
 
 
 def test_make_flat_source():
@@ -442,6 +455,71 @@ def test_hmin_linear_drop_solves_once_per_kernel(monkeypatch):
     assert len(reports) == 512 + 6 and all(r.passed for r in reports)
     # two exhaustive bases with at most 16 kernels each, one random base and its maps
     assert len(solved) <= 2 + 2 * 16 + 1 + 6
+
+
+def _one_two_norm_oracle(count: int, seed: int) -> list:
+    """The per-scenario loop the grouped one-two-norm check replaced: (label, delta, rhs)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        dim_a = int(rng.integers(2, 5))
+        dim_b = int(rng.integers(2, 5))
+        rho = random_density(dim_a * dim_b, rng)
+        sigma = random_density(dim_b, rng) * float(rng.uniform(0.5, 2.0))
+        rho_b = partial_trace(rho, (dim_a, dim_b), keep=(1,))
+        centered = rho - np.kron(np.eye(dim_a) / dim_a, rho_b)
+        delta = 0.5 * hermitian_trace_norm(centered)
+        weight = np.kron(np.eye(dim_a), op_power(sigma, -0.25))
+        conj = weight @ centered @ weight
+        l2 = float(np.trace(conj @ conj).real)
+        rhs = 0.5 * np.sqrt(dim_a * np.trace(sigma).real * l2)
+        rows.append((f"one-two-norm dims=({dim_a},{dim_b})", delta.hex(), float(rhs).hex()))
+    return rows
+
+
+def test_one_two_norm_groups_match_the_per_scenario_loop(monkeypatch):
+    want = _one_two_norm_oracle(300, 31)
+    assert len({label for label, _, _ in want}) == 9      # every (dim_a, dim_b) cell
+    for budget in (checks.BLOCK_BUDGET, 2000):      # one pass per cell, then early flushes
+        monkeypatch.setattr(checks, "BLOCK_BUDGET", budget)
+        reports = run_check("one-two-norm", {"params": {"count": 300}, "seed": 31})
+        assert [(r.scenario.split(" ", 1)[1], r.measured_delta.hex(), r.bound_epsilon.hex())
+                for r in reports] == want
+
+
+def test_random_cq_matches_the_per_symbol_draw():
+    # conftest's random_cq_state draws one conditional at a time, as _random_cq once did.
+    for seed in range(12):
+        ours, oracle = (np.random.default_rng(seed) for _ in range(2))
+        for n_bits, dim in ((1, 1), (2, 3), (3, 2), (2, 4)):
+            got, want = _random_cq(n_bits, dim, ours), random_cq_state(n_bits, dim, oracle)
+            assert got.symbols() == want.symbols()
+            assert got.stack.tobytes() == want.stack.tobytes()
+        assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+def test_random_state_checks_validate_every_draw(monkeypatch):
+    seen = {"distributions": 0, "conditionals": 0, "states": 0}
+
+    def distributions(values, *rest):
+        seen["distributions"] += 1
+        return probability_vector(values, *rest)
+
+    def conditionals(traces, what, names=None):
+        seen["conditionals"] += 1
+        return check_unit_traces(traces, what, names)
+
+    def states(stacks, present, names, normalized=False):
+        assert normalized
+        seen["states"] += len(stacks)
+        return check_blocks(stacks, present, names, normalized)
+
+    monkeypatch.setattr(checks, "probability_vector", distributions)
+    monkeypatch.setattr(checks, "check_unit_traces", conditionals)
+    monkeypatch.setattr(checks, "check_blocks", states)
+    for check_id in ("measured-xor-random", "useful-prop-random"):
+        run_check(check_id, {"params": {"count": 40}, "seed": 3})
+    assert seen == {"distributions": 80, "conditionals": 80, "states": 80}
 
 
 def test_weak_quantum_rows_carry_source_flags():

@@ -14,6 +14,7 @@ from extraction_lab.operators import (
     hermitian_trace_norm,
     op_power,
     partial_trace,
+    random_densities,
     random_density,
     random_pure_state,
     tensor,
@@ -111,6 +112,38 @@ def test_partial_trace_product_and_bell():
     bell[0] = bell[3] = 1 / np.sqrt(2)
     rho = np.outer(bell, bell.conj())
     assert np.allclose(partial_trace(rho, (2, 2), keep=(0,)), np.eye(2) / 2)
+
+
+def _random_density_oracle(dim, rng):
+    """The per-matrix draw that random_densities replaced."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_random_densities_are_successive_single_draws():
+    for dim in range(1, 5):
+        for count in range(1, 6):
+            ours, oracle = (np.random.default_rng(10 * dim + count) for _ in range(2))
+            got = random_densities(count, dim, ours)
+            want = np.array([_random_density_oracle(dim, oracle) for _ in range(count)])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (dim, count)
+            assert ours.bit_generator.state == oracle.bit_generator.state, (dim, count)
+            assert random_density(dim, ours).tobytes() == _random_density_oracle(
+                dim, oracle).tobytes()
+
+
+def test_stacked_partial_trace_and_tensor_match_one_operator_at_a_time(rng):
+    stack = np.array([random_density(12, rng) for _ in range(5)])
+    for dims, keep in (((2, 3, 2), (0, 2)), ((4, 3), (1,)), ((3, 4), (0,)), ((2, 6), ())):
+        got = partial_trace(stack, dims, keep)
+        for rho, reduced in zip(stack, got):
+            assert reduced.tobytes() == partial_trace(rho, dims, keep).tobytes()
+    small = stack[:, :3, :3]
+    for a, b in zip(stack, small):
+        assert tensor(a, b).tobytes() == np.kron(a, b).tobytes()
+    assert tensor(np.eye(2), small).tobytes() == np.array(
+        [np.kron(np.eye(2), b) for b in small]).tobytes()
 
 
 def test_partial_trace_three_party_oracle(rng):

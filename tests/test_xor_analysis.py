@@ -23,6 +23,7 @@ from extraction_lab.xor_analysis import (
     MatrixValuedFunction,
     character_matrix,
     l2_distance_to_uniform,
+    l2_distances_to_uniform,
     measured_xor_bound,
     mvf_fourier,
     mvf_l2_norm,
@@ -279,3 +280,26 @@ def test_l2_distance_evaluator_matches_manual(rng):
     centered = rho - tensor(np.eye(2) / 2, rho_b)
     manual = np.trace((w @ centered @ w) @ (w @ centered @ w)).real
     assert abs(l2_distance_to_uniform(rho, 2, sigma) - manual) < 1e-12
+
+
+def test_l2_distances_are_the_batch_of_one_values_and_refuse_a_bad_member(rng):
+    rhos = np.array([random_density(6, rng) for _ in range(4)])
+    sigmas = np.array([random_density(3, rng) * float(rng.uniform(0.5, 2.0)) for _ in range(4)])
+    got = l2_distances_to_uniform(rhos, 2, sigmas)
+    assert [value.hex() for value in got.tolist()] == [
+        l2_distance_to_uniform(rho, 2, sigma).hex() for rho, sigma in zip(rhos, sigmas)]
+    # One member whose sigma_B kernel, |2>, meets its full-rank rho_B.
+    leaky = sigmas.copy()
+    leaky[2] = np.diag([0.5, 0.5, 0.0])
+    with pytest.raises(ValueError,
+                       match="^sigma_B kernel is not contained in the kernel of rho_B$"):
+        l2_distances_to_uniform(rhos, 2, leaky)
+    negative = sigmas.copy()
+    negative[1] = np.diag([0.6, 0.5, -0.1])
+    with pytest.raises(ValueError, match="not PSD"):
+        l2_distances_to_uniform(rhos, 2, negative)
+    for entry, match in ((1e-6, "not Hermitian"), (np.nan, "non-finite")):
+        bad = rhos.copy()
+        bad[3, 0, 1] += entry
+        with pytest.raises(ValueError, match=match):
+            l2_distances_to_uniform(bad, 2, sigmas)
