@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .entropies import h2_cond, h_min_classical
+from .entropies import h2_cond, h_min_classical, h_min_cond
 from .extractors import deor_eval
 from .gf2 import (
     build_field_family,
@@ -124,8 +124,9 @@ def _load_scenario(path: str) -> tuple[str, dict]:
 def _cmd_entropy(args) -> int:
     form, scenario = _load_scenario(args.state)
     if form == "markov":
-        joint, res1, res2 = markov_marginals(scenario["n"], scenario["blocks"], scenario["seed"],
+        joint, *marginals = markov_marginals(scenario["n"], scenario["blocks"], scenario["seed"],
                                              scenario["classical"])
+        res1, res2 = map(h_min_cond, marginals)
         out = {
             "model": "markov_blocks",
             "side_dim": joint.side_dim,
@@ -144,18 +145,18 @@ def _cmd_entropy(args) -> int:
     else:
         dist = make_flat_source(scenario["n"], scenario["k"], scenario["support"], seed=seed)
     side = dict(scenario["side_info"])
-    source = make_side_info(side.pop("model", "trivial"), dist, side, seed=seed)
-    hmin = source.hmin
-    h2 = h2_cond(source.state)
+    model = side.pop("model", "trivial")
+    state = make_side_info(model, dist, side, seed=seed)
+    hmin, h2 = h_min_cond(state), h2_cond(state)
     out = {
-        "model": source.model,
-        "side_dim": source.state.side_dim,
+        "model": model,
+        "side_dim": state.side_dim,
         "h_min_classical": h_min_classical(dist),
         "h_min_cond": hmin.value,
         "h_min_converged": bool(hmin.converged),
         "h2_cond": h2.value,
         "h2_converged": bool(h2.converged),
-        "certified_k": source.k,
+        "certified_k": hmin.value,
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

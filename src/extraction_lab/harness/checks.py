@@ -15,6 +15,7 @@ A row passes iff measured <= epsilon + 1e-9.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -180,12 +181,13 @@ def _random_family(rng: np.random.Generator, n_min: int, n_max: int, m_max: int)
 
 
 def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
-    """A random family and two quantum sources, with the output's distance to uniform."""
+    """A random family and two quantum sources: the family, the sources' models
+    and certified entropies, and the output's distance to uniform."""
     kind, fam = _random_family(rng, n_min, n_max, m_max)
-    s1, s2 = _random_source(fam.n, rng), _random_source(fam.n, rng)
-    out = extractor_output_state(deor_extractor(fam), s1.state, s2.state, strong_in)
+    (model1, state1), (model2, state2) = _random_source(fam.n, rng), _random_source(fam.n, rng)
+    out = extractor_output_state(deor_extractor(fam), state1, state2, strong_in)
     delta = distance_to_uniform(out, 1 << fam.m, strong=strong_in is not None)
-    return kind, fam, s1, s2, delta
+    return kind, fam, f"{model1},{model2}", h_min_cond(state1), h_min_cond(state2), delta
 
 
 def _source_flags(res1, res2) -> dict:
@@ -193,35 +195,30 @@ def _source_flags(res1, res2) -> dict:
     return {"converged1": res1.converged, "converged2": res2.converged}
 
 
-def _flat_sources(n: int, side: str) -> list:
-    """The prefix-flat n-bit sources, k = 0..n, under one side model."""
-    return [make_side_info(side, make_flat_source(n, k)) for k in range(n + 1)]
+def _flat_sources(n: int, side: str) -> tuple[list, list]:
+    """The prefix-flat n-bit sources, k = 0..n, under one side model, and their certified k."""
+    states = [make_side_info(side, make_flat_source(n, k)) for k in range(n + 1)]
+    return states, [h_min_cond(state).value for state in states]
 
 
-def _flat_grid(ext, sources: list, strong_in):
-    """Every (k1, k2) pair of the prefix-flat ``sources``, with its strong distance.
+def _flat_grid(ext, side: str, states: list, strong_in) -> list:
+    """The strong distance of every (k1, k2) pair of the prefix-flat ``states``: grid[k1][k2].
 
-    Under a classical side model (``CLASSICAL_SIDES``) one integer pass over
-    ``ext.table``, :func:`flat_grid_distances`, gives every distance; besides
-    the table it holds O(2^n·2^m·d) counts.  The side symbol of each input is
-    read off the full-support source's diagonal blocks.  Quantum side models
-    take the cq-state route, :func:`extractor_output_state` and
-    :func:`distance_to_uniform` per pair, which every quantum check uses and
-    which is the counting route's oracle in the tests.  Either way the whole
-    grid is computed before its first pair is yielded, so the first case's
-    ``runtime_ms`` carries the grid's time.
+    Under a classical side model (``side`` in ``CLASSICAL_SIDES``) one
+    integer pass over ``ext.table``, :func:`flat_grid_distances`, gives every
+    distance; besides the table it holds O(2^n·2^m·d) counts.  The side
+    symbol of each input is read off the full-support state's diagonal
+    blocks.  Quantum side models take the cq-state route,
+    :func:`extractor_output_state` and :func:`distance_to_uniform` per pair,
+    which every quantum check uses and which is the counting route's oracle
+    in the tests.  A check takes the whole grid before it yields its first
+    pair, so the first case's ``runtime_ms`` carries the grid's time.
     """
-    if sources[0].model in CLASSICAL_SIDES:
-        full = sources[-1].state.stack
-        labels = np.argmax(full.diagonal(axis1=1, axis2=2).real, axis=1)
-        deltas = flat_grid_distances(ext.table, ext.m, labels, strong_in).tolist()
-    else:
-        deltas = [[distance_to_uniform(extractor_output_state(ext, s1.state, s2.state, strong_in),
-                                       1 << ext.m, strong=True) for s2 in sources]
-                  for s1 in sources]
-    for k1, s1 in enumerate(sources):
-        for k2, s2 in enumerate(sources):
-            yield k1, k2, s1, s2, deltas[k1][k2]
+    if side in CLASSICAL_SIDES:
+        labels = np.argmax(states[-1].stack.diagonal(axis1=1, axis2=2).real, axis=1)
+        return flat_grid_distances(ext.table, ext.m, labels, strong_in).tolist()
+    return [[distance_to_uniform(extractor_output_state(ext, s1, s2, strong_in), 1 << ext.m,
+                                 strong=True) for s2 in states] for s1 in states]
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +237,12 @@ def _b1_exhaustive(p, rng):
                 fam = _family(kind, n, m)
                 ext = deor_extractor(fam)
                 for side in p["sides"]:
-                    for k1, k2, s1, s2, delta in _flat_grid(ext, sources[n, side], p["strong_in"]):
-                        kp = _k_params(n, m, fam.r, s1.k, s2.k)
+                    states, ks = sources[n, side]
+                    grid = _flat_grid(ext, side, states, p["strong_in"])
+                    for k1, k2 in itertools.product(range(n + 1), repeat=2):
+                        kp = _k_params(n, m, fam.r, ks[k1], ks[k2])
                         yield Case(kp, f"{kind} n={n} m={m} side={side} flat=({k1},{k2})",
-                                   _catalog(p["bounds"], kp, delta))
+                                   _catalog(p["bounds"], kp, grid[k1][k2]))
 
 
 @_check("b1-quantum-product", count=200, n_min=3, n_max=5, m_max=3,
@@ -252,11 +251,11 @@ def _b1_exhaustive(p, rng):
 def _b1_quantum(p, rng):
     """Randomized quantum product-type scenarios with solver-certified entropies."""
     for _ in range(p["count"]):
-        kind, fam, s1, s2, delta = _random_deor_output(
+        kind, fam, models, res1, res2, delta = _random_deor_output(
             rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
-        kp = _k_params(fam.n, fam.m, fam.r, s1.k, s2.k)
-        yield Case(kp, f"{kind} n={fam.n} m={fam.m} sides=({s1.model},{s2.model})",
-                   _catalog(p["bounds"], kp, delta), _source_flags(s1.hmin, s2.hmin))
+        kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
+        yield Case(kp, f"{kind} n={fam.n} m={fam.m} sides=({models})",
+                   _catalog(p["bounds"], kp, delta), _source_flags(res1, res2))
 
 
 @_check("b8-weak-quantum", count=50, n_max=4,
@@ -264,10 +263,10 @@ def _b1_quantum(p, rng):
 def _b8_weak(p, rng):
     """Weak-output variant: same pipeline with no copied source register."""
     for _ in range(p["count"]):
-        kind, fam, s1, s2, delta = _random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None)
-        kp = _k_params(fam.n, fam.m, fam.r, s1.k, s2.k)
+        kind, fam, _, res1, res2, delta = _random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None)
+        kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} weak", _catalog(("B8",), kp, delta),
-                   _source_flags(s1.hmin, s2.hmin))
+                   _source_flags(res1, res2))
 
 
 @_check("b2-markov", count=40, n_min=2, n_max=4, bounds=("B2", "B5", "B10", "B11"),
@@ -279,8 +278,9 @@ def _b2_markov(p, rng):
         kind, fam = _random_family(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
         classical = bool(rng.random() < 0.5)
         blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
-        joint, res1, res2 = markov_marginals(fam.n, blocks, seed=int(rng.integers(2 ** 31)),
-                                             classical=classical)
+        joint, marginal1, marginal2 = markov_marginals(
+            fam.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical)
+        res1, res2 = h_min_cond(marginal1), h_min_cond(marginal2)
         out = extractor_output_from_joint(deor_extractor(fam), joint, "x1")
         delta = distance_to_uniform(out, 1 << fam.m, strong=True)
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
@@ -295,10 +295,12 @@ def _ip_classical(p, rng):
     for n in p["ns"]:
         ext = ip_extractor(n)
         for side in p["sides"]:
-            for k1, k2, s1, s2, delta in _flat_grid(ext, _flat_sources(n, side), "x1"):
-                kp = _k_params(n, ext.m, ext.family.r, s1.k, s2.k)
+            states, ks = _flat_sources(n, side)
+            grid = _flat_grid(ext, side, states, "x1")
+            for k1, k2 in itertools.product(range(n + 1), repeat=2):
+                kp = _k_params(n, ext.m, ext.family.r, ks[k1], ks[k2])
                 yield Case(kp, f"ip n={n} side={side} flat=({k1},{k2})",
-                           _catalog(("B7",), kp, delta))
+                           _catalog(("B7",), kp, grid[k1][k2]))
 
 
 # ---------------------------------------------------------------------------

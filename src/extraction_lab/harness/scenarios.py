@@ -1,15 +1,13 @@
 """Scenario construction: flat sources, side-information models, Markov blocks.
 
-Every builder is deterministic given its seed.  A built source carries its
-``h_min_cond`` result: the exact closed form for trivial/classical side
-information, and the achieved (hence sound) solver lower bound, with the
-solver's convergence flag and gap, for quantum side information.
+Every builder is deterministic given its seed, and draws only: a source is
+its cq-state, and no builder solves an entropy.  A caller that needs a
+source's certified entropy calls ``h_min_cond`` on the state itself.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +19,6 @@ from ..cq_states import (
     classical_state,
     markov_block_state,
 )
-from ..entropies import EntropyResult, h_min_cond
 from ..extractors import ip_eval
 from ..gf2 import index_to_bits
 from ..operators import random_densities, random_pure_state
@@ -36,9 +33,11 @@ _KETS = (np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
          np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
 
 
-def make_flat_source(n: int, k: int, support_rule: str = "prefix",
-                     seed: int | None = None) -> dict:
-    """Uniform distribution over 2^k of the 2^n strings; H_min = k exactly."""
+def make_flat_source(n: int, k: int, support_rule: str = "prefix", seed: int = 0) -> dict:
+    """Uniform distribution over 2^k of the 2^n strings; H_min = k exactly.
+
+    The "random" support rule draws the 2^k strings from ``seed``.
+    """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     size = 1 << k
@@ -51,28 +50,6 @@ def make_flat_source(n: int, k: int, support_rule: str = "prefix",
         raise ValueError(f"unknown support rule {support_rule!r}")
     p = 1.0 / size
     return {index_to_bits(i, n): p for i in indices}
-
-
-@dataclass(frozen=True)
-class SourceWithSide:
-    """A source together with its side information and certified entropy.
-
-    Built as ``SourceWithSide(state, model)``: ``hmin`` is the
-    ``h_min_cond`` result of ``state``, solved once when the source is
-    built so that no caller solves it again; its value is the certified
-    entropy ``k``.
-    """
-
-    state: CqState
-    model: str
-    hmin: EntropyResult = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "hmin", h_min_cond(self.state))
-
-    @property
-    def k(self) -> float:
-        return self.hmin.value
 
 
 # The classical_leak models: the bit of a source symbol that is leaked.
@@ -92,7 +69,7 @@ def _one_hot(index: int, dim: int) -> np.ndarray:
 
 
 def make_side_info(model: str, dist: dict, params: dict | None = None, *,
-                   seed: int = 0) -> SourceWithSide:
+                   seed: int = 0) -> CqState:
     """Attach side information of the named model to a source; ``params`` maps its SIDE_PARAMS."""
     model = resolved("side information", {"model": model}, {"model": "trivial"},
                      SIDE_CHOICES)["model"]
@@ -113,7 +90,7 @@ def make_side_info(model: str, dist: dict, params: dict | None = None, *,
         rng = np.random.default_rng(seed)
         state = build_cq(dist, {sym: random_pure_state(params["dim"], rng)
                                 for sym in sorted(dist)})
-    return SourceWithSide(state, model)
+    return state
 
 
 def _random_blocks(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1,
@@ -140,7 +117,8 @@ def _random_cq(n_bits: int, dim: int, rng: np.random.Generator, min_support: int
     return build_cq(dict(zip(symbols, weights.tolist())), dict(zip(symbols, conds)))
 
 
-def _random_source(n: int, rng: np.random.Generator):
+def _random_source(n: int, rng: np.random.Generator) -> tuple[str, CqState]:
+    """A random flat n-bit source under bb84 or random_pure side information: (model, state)."""
     k_target = int(rng.integers(max(1, n - 2), n + 1))
     rule = "prefix" if rng.random() < 0.5 else "random"
     dist = make_flat_source(n, k_target, rule, seed=int(rng.integers(2 ** 31)))
@@ -149,7 +127,7 @@ def _random_source(n: int, rng: np.random.Generator):
         params = {"bits": int(rng.integers(1, min(2, n) + 1))}
     else:
         params = {"dim": int(rng.integers(2, 5))}
-    return make_side_info(model, dist, params, seed=int(rng.integers(2 ** 31)))
+    return model, make_side_info(model, dist, params, seed=int(rng.integers(2 ** 31)))
 
 
 # A Markov scenario's joint state holds (2^n, 2^n, side, side) entries; side <= 4·blocks
@@ -180,8 +158,7 @@ def make_markov_scenario(n: int, n_blocks: int, seed: int,
 
 
 def markov_marginals(n: int, n_blocks: int, seed: int, classical: bool = False):
-    """The joint state of ``make_markov_scenario``'s mixture and each source's ``h_min_cond``."""
+    """The joint state of ``make_markov_scenario``'s mixture and its two sources' cq-states."""
     joint = markov_block_state(make_markov_scenario(n, n_blocks, seed, classical))
-    res1 = h_min_cond(apply_classical_function(joint, lambda sym: sym[0]))
-    res2 = h_min_cond(apply_classical_function(joint, lambda sym: sym[1]))
-    return joint, res1, res2
+    return (joint, apply_classical_function(joint, lambda sym: sym[0]),
+            apply_classical_function(joint, lambda sym: sym[1]))

@@ -307,9 +307,9 @@ def _classical_side_states(rng):
     states = []
     for n in (1, 2, 3):
         dist = random_distribution(n, rng)
-        states.append(make_side_info("trivial", dist).state)
-        states.append(make_side_info("classical_leak", dist).state)
-        states.append(make_side_info("classical_leak", dist, {"leak": "first_bit"}).state)
+        states.append(make_side_info("trivial", dist))
+        states.append(make_side_info("classical_leak", dist))
+        states.append(make_side_info("classical_leak", dist, {"leak": "first_bit"}))
         states += [_diagonal_cq(n, dim, rng) for dim in (3, 4) for _ in range(3)]
     return states
 

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extraction_lab import entropies
 from extraction_lab.cli import SCENARIO_FORMS
+from extraction_lab.cq_states import CqState
 from extraction_lab.entropies import h_min_cond
 from extraction_lab.harness import load_config, run_check, run_suite, write_reports
 from extraction_lab.gf2 import gf2_images, gf2_matvec, index_to_bits
@@ -17,11 +19,12 @@ from extraction_lab.harness import checks
 from extraction_lab.harness.checks import CHECK_IDS, CHECKS, resolve_params
 from extraction_lab.harness.scenarios import (
     SIDE_PARAMS,
-    SourceWithSide,
     _random_cq,
+    _random_source,
     make_flat_source,
     make_markov_scenario,
     make_side_info,
+    markov_marginals,
 )
 from extraction_lab.harness.checks import BoundReport
 from extraction_lab.harness.suite import CSV_COLUMNS, SuiteResult, _summarize, render_csv, render_json
@@ -56,39 +59,52 @@ def test_make_flat_source():
     assert a == b
 
 
+def test_unseeded_random_flat_source_is_deterministic():
+    # Without a seed the random support used to come from OS entropy.
+    first = make_flat_source(6, 3, "random")
+    assert all(make_flat_source(6, 3, "random") == first for _ in range(4))
+    assert first == make_flat_source(6, 3, "random", seed=0)
+
+
 def test_make_side_info_models():
     dist = make_flat_source(2, 2)
     trivial = make_side_info("trivial", dist)
-    assert trivial.k == 2.0 and trivial.state.side_dim == 1
-    skewed = make_side_info("trivial", {(0,): 0.3, (1,): 0.7})
-    solved = h_min_cond(skewed.state)
-    assert (skewed.hmin.value, skewed.hmin.converged, skewed.hmin.gap, skewed.hmin.iterations) \
-        == (solved.value, solved.converged, solved.gap, solved.iterations)
-    assert skewed.hmin.sigma.tobytes() == solved.sigma.tobytes()
+    assert isinstance(trivial, CqState) and trivial.side_dim == 1
+    assert h_min_cond(trivial).value == 2.0
+    skewed = h_min_cond(make_side_info("trivial", {(0,): 0.3, (1,): 0.7}))
+    assert (skewed.value, skewed.gap, skewed.iterations) == (-np.log2(0.7), 0.0, 0)
 
     leak = make_side_info("classical_leak", dist)
-    assert abs(leak.k - 1.0) < 1e-9        # parity of a uniform 2-bit source
+    assert abs(h_min_cond(leak).value - 1.0) < 1e-9        # parity of a uniform 2-bit source
 
     bb = make_side_info("bb84", make_flat_source(1, 1))
-    assert abs(bb.k - (-np.log2(0.5 + 0.5 / np.sqrt(2)))) < 1e-9
+    assert abs(h_min_cond(bb).value - (-np.log2(0.5 + 0.5 / np.sqrt(2)))) < 1e-9
 
     rp = make_side_info("random_pure", dist, {"dim": 2}, seed=3)
-    assert 0.0 <= rp.k <= 2.0
     again = make_side_info("random_pure", dist, {"dim": 2}, seed=3)
-    assert abs(rp.k - again.k) < 1e-15
+    assert rp.stack.tobytes() == again.stack.tobytes()
+    assert 0.0 <= h_min_cond(rp).value <= 2.0
 
     with pytest.raises(ValueError):
         make_side_info("nope", dist)
 
 
-def test_source_with_side_derives_its_hmin():
-    state = make_side_info("bb84", make_flat_source(2, 2), {"bits": 2}).state
-    source, solved = SourceWithSide(state, "bb84"), h_min_cond(state)
-    assert (source.k, source.hmin.gap, source.hmin.iterations) == \
-        (solved.value, solved.gap, solved.iterations)
-    assert source.hmin.sigma.tobytes() == solved.sigma.tobytes()
-    with pytest.raises(TypeError):
-        SourceWithSide(state, "bb84", solved)       # hmin is derived, never declared
+def test_building_scenarios_runs_no_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scenario builder solved an entropy")
+
+    monkeypatch.setattr(entropies, "_closed_form", refuse)
+    monkeypatch.setattr(entropies, "_h_min_solver", refuse)
+    dist = make_flat_source(3, 2)
+    for model in SIDE_PARAMS:
+        assert isinstance(make_side_info(model, dist), CqState)
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        model, state = _random_source(3, rng)
+        assert model in SIDE_PARAMS and isinstance(state, CqState)
+    for classical in (False, True):
+        joint, *marginals = markov_marginals(2, 3, seed=5, classical=classical)
+        assert [m.side_dim for m in marginals] == [joint.side_dim] * 2
 
 
 @pytest.mark.parametrize("model,params,match", [
@@ -112,16 +128,7 @@ def test_bb84_refuses_more_bits_than_the_symbols_have():
     # This used to fail with "block for (0,) has shape (2, 2), expected side_dim 4".
     with pytest.raises(ValueError, match="bits 2 is above the symbol length 1"):
         make_side_info("bb84", make_flat_source(1, 1), {"bits": 2})
-    assert make_side_info("bb84", make_flat_source(2, 1), {"bits": 2}).state.side_dim == 4
-
-
-def test_certified_entropy_is_achievable_lower_bound():
-    # Re-evaluating the conditional min-entropy of the built state can only
-    # confirm (not undercut) the certified value.
-    dist = make_flat_source(3, 2)
-    src = make_side_info("random_pure", dist, {"dim": 3}, seed=11)
-    res = h_min_cond(src.state)
-    assert res.value >= src.k - 1e-9
+    assert make_side_info("bb84", make_flat_source(2, 1), {"bits": 2}).side_dim == 4
 
 
 def test_markov_scenario_marginal_entropies():
@@ -455,6 +462,39 @@ def test_hmin_linear_drop_solves_once_per_kernel(monkeypatch):
     assert len(reports) == 512 + 6 and all(r.passed for r in reports)
     # two exhaustive bases with at most 16 kernels each, one random base and its maps
     assert len(solved) <= 2 + 2 * 16 + 1 + 6
+
+
+def _counting_solves(monkeypatch) -> list:
+    """The states that ``checks`` passes to ``h_min_cond`` from now on, in call order."""
+    solved = []
+
+    def counting(state, *args, **kwargs):
+        solved.append(state)
+        return h_min_cond(state, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "h_min_cond", counting)
+    return solved
+
+
+def test_flat_sources_are_solved_once_across_families_and_ms(monkeypatch):
+    solved = _counting_solves(monkeypatch)
+    reports = run_check("b1-exhaustive-flat", {"params": {"ns": [3]}})
+    assert len(reports) == 2 * 2 * 2 * 16 and all(r.passed for r in reports)
+    # one solve per flat source: k = 0..3 under each of the two sides
+    assert len(solved) == 2 * 4
+    assert len({(s.side_dim, s.stack.tobytes()) for s in solved}) == 8
+
+
+@pytest.mark.parametrize("check_id,params", [
+    ("b1-quantum-product", {"count": 6, "n_max": 4}),
+    ("b8-weak-quantum", {"count": 6}),
+    ("b2-markov", {"count": 6, "n_max": 3}),
+])
+def test_certified_entropies_are_solved_in_the_checks(monkeypatch, check_id, params):
+    solved = _counting_solves(monkeypatch)
+    reports = run_check(check_id, {"params": params, "seed": 4})
+    assert len({r.scenario for r in reports}) == 6 and all(r.passed for r in reports)
+    assert len(solved) == 2 * 6
 
 
 def _one_two_norm_oracle(count: int, seed: int) -> list:

@@ -14,6 +14,7 @@ Independent routes:
   over input pairs.
 """
 
+import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -341,11 +342,14 @@ def test_counted_flat_grids_match_cq_route():
     pairs = 0
     for ext in flat_grid_extractors(5):
         for side in CLASSICAL_SIDES:
-            sources = _flat_sources(ext.n, side)
+            states, _ = _flat_sources(ext.n, side)
             for strong_in in ("x1", "x2"):
-                for k1, k2, s1, s2, delta in _flat_grid(ext, sources, strong_in):
-                    out = extractor_output_state(ext, s1.state, s2.state, strong_in)
+                grid = _flat_grid(ext, side, states, strong_in)
+                assert [len(row) for row in grid] == [ext.n + 1] * (ext.n + 1)
+                for (k1, s1), (k2, s2) in itertools.product(enumerate(states), repeat=2):
+                    out = extractor_output_state(ext, s1, s2, strong_in)
                     ref = distance_to_uniform(out, 1 << ext.m, strong=True)
+                    delta = grid[k1][k2]
                     assert type(delta) is float and delta == ref, \
                         (ext.family, side, strong_in, k1, k2)
                     pairs += 1
