@@ -98,14 +98,15 @@ def check_blocks(stacks: np.ndarray, present: np.ndarray, names,
     added in order by :func:`_block_sum`, is not 1 within TRACE_ATOL.
     :class:`CqState` and :func:`build_cq` call it on a batch of one.
     """
-    rows, cols = np.nonzero(present)
-    symbols = [names[j] for j in cols.tolist()]
-    blocks = hermitian_stack(stacks[rows, cols], symbols)
+    def symbol(i):      # of row i of the present blocks, looked up only for an error message
+        return names[int(np.flatnonzero(present)[i]) % present.shape[1]]
+
+    blocks = hermitian_stack(stacks[present], symbol)
     w = np.linalg.eigvalsh(blocks)
     low = _not_psd(w)
     if low.any():
         i = int(np.argmax(low))
-        raise ValueError(f"conditional operator for {symbols[i]} is not PSD "
+        raise ValueError(f"conditional operator for {symbol(i)} is not PSD "
                          f"(min eig {w[i, 0]:.3e})")
     if normalized:
         check_unit_traces(_block_sum(_traces(stacks), axis=1), "cq-state")

@@ -23,6 +23,21 @@ times the identity.  The barrier's measurements S_x^{-1}/t, renormalised
 to a POVM, give the primal bound; the gap between the two is reported on
 the result.
 
+Each Newton step factors and inverts the N slacks Y - rho_x and solves one
+k^2 x k^2 system.  At k <= 6 the np.linalg wrappers' per-call work (a dtype
+check and an errstate of their own) costs more than LAPACK does, so the
+barrier calls the gufuncs behind ``inv``, ``solve`` and ``cholesky`` directly,
+with the same results bit for bit.  It enters one errstate per solve,
+``_lapack_errors``: invalid='call' with a handler that raises LinAlgError,
+so a failed Cholesky still halves the step.  The errstate covers the whole
+barrier, so any invalid operation inside a solve, in LAPACK or not, raises
+LinAlgError.  The gufuncs clear every floating-point flag but invalid, so
+only invalid needs a setting: the caller's other settings hold inside the
+solve, and all of them after it.
+numpy keeps errstate in a context variable, so threads each see their own.
+The eigen calls stay on np.linalg, where a tracer that wraps np.linalg
+still counts them.
+
 For H_2 the solver minimises the sandwiched Renyi-2 quasi-entropy
 f(sigma) = sum_x tr(sigma^-1/2 rho_x sigma^-1/2 rho_x), convex in sigma
 (Frank and Lieb, J. Math. Phys. 54, 122201, 2013), on the same projected
@@ -164,6 +179,21 @@ def _h_min_solver(state: CqState, iters: int) -> EntropyResult:
     return EntropyResult(value, y / p_dual, max(upper - value, 0.0), steps)
 
 
+# numpy's private gufunc module: the LAPACK calls behind np.linalg.inv, solve
+# and cholesky, without the wrappers' per-call cost (see the module
+# docstring).  Only the barrier below calls it, always under _lapack_errors.
+from numpy.linalg import _umath_linalg  # noqa: E402
+
+
+def _lapack_failed(err, flag):
+    raise np.linalg.LinAlgError("invalid floating-point result in the min-entropy barrier")
+
+
+# As a decorator, np.errstate keeps its state per call, so threads may share it.
+_lapack_errors = np.errstate(invalid="call", call=_lapack_failed)
+
+
+@_lapack_errors
 def _guessing_barrier(blocks: np.ndarray, iters: int):
     """Barrier method for min tr Y s.t. Y > blocks[x]; blocks are (N, k, k), sum PD.
 
@@ -173,27 +203,29 @@ def _guessing_barrier(blocks: np.ndarray, iters: int):
     of Newton steps.
     """
     n, k = blocks.shape[0], blocks.shape[1]
-    eye = np.eye(k, dtype=complex)
+    rhs = np.empty((k * k, 2), dtype=complex)
+    rhs[:, 1] = np.eye(k).ravel()
     y, t = _pgm_start(blocks)
     s = y - blocks
-    log_det = _log_det(np.linalg.cholesky(s))
-    best_dual, best_y, best_primal = float(np.trace(y).real), y, 0.0
+    log_det = _log_det(_umath_linalg.cholesky_lo(s, signature="D->D"))
+    tr_y = float(np.trace(y).real)
+    best_dual, best_y, best_primal = tr_y, y, 0.0
     last_decrement = float("inf")
     steps = 0
     while steps < iters:
         steps += 1
         alpha = 1.0
-        s_inv = np.linalg.inv(s)
+        s_inv = _umath_linalg.inv(s, signature="D->D")
         s_inv_sum = _herm(s_inv.sum(axis=0))
         # Newton system sum_x S_x^-1 D S_x^-1 = s_inv_sum - t I in row-major
         # vec form; the solution is a - t b, so raising t needs no new solve.
         flat = s_inv.reshape(n, k * k)
         hess = (flat.T @ flat).reshape(k, k, k, k).transpose(0, 3, 1, 2).reshape(k * k, k * k)
-        rhs = np.column_stack([s_inv_sum.ravel(), eye.ravel()])
-        a, b = np.linalg.solve(hess, rhs).T.reshape(2, k, k)
-        delta, decrement = _newton_step(a, b, s_inv_sum, t)
+        rhs[:, 0] = s_inv_sum.ravel()
+        a, b = _umath_linalg.solve(hess, rhs, signature="DD->D").T.reshape(2, k, k)
+        delta, tr_delta, decrement = _newton_step(a, b, s_inv_sum, t)
         if decrement <= NEAR_CENTRED or steps == iters:
-            best_primal = max(best_primal, _primal_bound(y, s, s_inv, s_inv_sum / t, t))
+            best_primal = max(best_primal, _primal_bound(tr_y, s, s_inv, s_inv_sum / t, t))
             if best_dual - best_primal <= SOLVER_TOL * best_dual or steps == iters:
                 break
             # Centred, or Newton no longer shrinks the decrement (rounding floor).
@@ -201,19 +233,20 @@ def _guessing_barrier(blocks: np.ndarray, iters: int):
                 if t >= BARRIER_T_CAP:
                     break
                 t *= BARRIER_GROWTH
-                delta, decrement = _newton_step(a, b, s_inv_sum, t)
+                delta, tr_delta, decrement = _newton_step(a, b, s_inv_sum, t)
                 last_decrement = float("inf")
                 # At a centred point of the scalar problem the boundary lies
                 # at alpha = 1 / (BARRIER_GROWTH - 1), so longer steps fail.
                 alpha = 1.0 / BARRIER_GROWTH
             else:
                 last_decrement = decrement
-        step = _feasible_step(y, delta, blocks, t, log_det, decrement, alpha)
+        step = _feasible_step(y, delta, tr_delta, blocks, t, log_det, decrement, alpha)
         if step is None:
             break
         y, s, log_det = step
-        if float(np.trace(y).real) < best_dual:
-            best_dual, best_y = float(np.trace(y).real), y
+        tr_y = float(np.trace(y).real)
+        if tr_y < best_dual:
+            best_dual, best_y = tr_y, y
     return best_y, best_primal, steps
 
 
@@ -239,28 +272,29 @@ def _pgm_start(blocks: np.ndarray):
 
 
 def _newton_step(a, b, s_inv_sum, t):
-    """The Hermitian Newton direction a - t b and its squared decrement."""
+    """The Hermitian Newton direction a - t b, its trace and its squared decrement."""
     delta = _herm(a - t * b)
-    return delta, float(np.vdot(s_inv_sum, delta).real) - t * float(np.trace(delta).real)
+    tr_delta = float(np.trace(delta).real)
+    return delta, tr_delta, float(np.vdot(s_inv_sum, delta).real) - t * tr_delta
 
 
 def _log_det(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
 
 
-def _feasible_step(y, delta, blocks, t, log_det, decrement, alpha):
+def _feasible_step(y, delta, tr_delta, blocks, t, log_det, decrement, alpha):
     """Backtrack from the Newton step ``alpha * delta`` while some Y - rho_x is not PD.
 
-    A batched Cholesky is the feasibility test; a feasible step is also
-    halved (down to 1/1024) until it decreases the barrier objective by
-    a quarter of the decrement it predicts.  None when no step is feasible.
+    A batched Cholesky is the feasibility test (LinAlgError under the
+    barrier's errstate); a feasible step is also halved (down to 1/1024)
+    until it decreases the barrier objective by a quarter of the decrement
+    it predicts.  ``tr_delta`` is tr delta.  None when no step is feasible.
     """
-    tr_delta = float(np.trace(delta).real)
     while alpha > 1e-12:
         y_new = y + alpha * delta
         s_new = y_new - blocks
         try:
-            new_log_det = _log_det(np.linalg.cholesky(s_new))
+            new_log_det = _log_det(_umath_linalg.cholesky_lo(s_new, signature="D->D"))
         except np.linalg.LinAlgError:
             alpha *= 0.5
             continue
@@ -271,18 +305,19 @@ def _feasible_step(y, delta, blocks, t, log_det, decrement, alpha):
     return None
 
 
-def _primal_bound(y, s, s_inv, g, t) -> float:
+def _primal_bound(tr_y, s, s_inv, g, t) -> float:
     """Guessing probability of the POVM G^-1/2 (S_x^-1 / t) G^-1/2, with G = sum_x S_x^-1 / t.
 
-    Written as tr Y - sum_x tr(E_x S_x), which keeps its accuracy when the
-    S_x are nearly singular; 0 when rounding has left G not PD.
+    Written as ``tr_y`` - sum_x tr(E_x S_x), with ``tr_y`` = tr Y, which
+    keeps its accuracy when the S_x are nearly singular; 0 when rounding
+    has left G not PD.
     """
     w, v = np.linalg.eigh(g)
     if w[0] <= 0:
         return 0.0
     g_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     slack = float(np.vdot(g_inv_sqrt @ s @ g_inv_sqrt, s_inv).real) / t
-    return float(np.trace(y).real) - slack
+    return tr_y - slack
 
 
 def _dominating(y: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -42,10 +42,10 @@ def check_hermitian(a) -> np.ndarray:
     return hermitian_stack(np.asarray(a, dtype=complex)[None])[0]
 
 
-def hermitian_stack(stack, names=None) -> np.ndarray:
+def hermitian_stack(stack, name=None) -> np.ndarray:
     """``stack`` as a complex (N, d, d) array of finite Hermitian operators, tested at once.
 
-    ValueError names the first bad one, as ``block for names[i]`` if ``names`` are given.
+    ValueError names the first bad one, i, as ``block for name(i)`` if ``name`` is given.
     """
     m = np.asarray(stack, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
@@ -54,7 +54,7 @@ def hermitian_stack(stack, names=None) -> np.ndarray:
     if not dev.max(initial=0.0) <= HERMITICITY_ATOL:    # NaN whenever an entry is not finite
         dev = dev.max(axis=(-2, -1))
         i = int(np.argmax(~(dev <= HERMITICITY_ATOL)))
-        what = "operator" if names is None else f"block for {names[i]}"
+        what = "operator" if name is None else f"block for {name(i)}"
         if not np.isfinite(m[i]).all():
             raise ValueError(f"{what} has non-finite entries")
         raise ValueError(f"{what} is not Hermitian (max deviation {dev[i]:.3e})")

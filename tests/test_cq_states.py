@@ -401,6 +401,19 @@ def test_check_blocks_names_the_bad_block_in_the_middle_of_a_group(fault, match)
     assert message == _message(lambda: CqState(2, dicts[BAD_STATE]))
 
 
+def test_check_blocks_names_the_bad_block_of_a_later_state_in_a_full_group():
+    names = all_bit_vectors(2)
+    stacks = random_densities(12, 2, np.random.default_rng(13)).reshape(3, 4, 2, 2) / 4
+    present = np.ones((3, 4), dtype=bool)
+    check_blocks(stacks, present, names, normalized=True)
+    stacks[2, 1] = np.diag([0.3, -0.05])
+    message = _message(lambda: check_blocks(stacks, present, names))
+    assert re.match(r"^conditional operator for \(0, 1\) is not PSD", message)
+    stacks[2, 1, 0, 1] += 1e-6
+    message = _message(lambda: check_blocks(stacks, present, names))
+    assert re.match(r"^block for \(0, 1\) is not Hermitian", message)
+
+
 def test_check_blocks_refuses_a_group_with_one_state_not_normalized():
     conds = _group_conditionals()
     conds[BAD_STATE][0] *= 1.5

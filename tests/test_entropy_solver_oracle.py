@@ -7,7 +7,10 @@ must lie in [old value - new gap, -log2(old primal)].
 ``_ref_cold_barrier`` is the barrier as it was before it started at the
 pretty-good measurement: from Y = (1.5 max lambda_max + 1e-3) I, with every
 line search from the full Newton step; the same bracket holds between the
-two starts.  ``_ref_h2_cond`` is the three-start fixed point that the
+two starts.  ``_linalg_barrier`` is the barrier as it was when it called
+LAPACK through ``np.linalg.inv``, ``solve`` and ``cholesky`` at every
+step, verbatim but for names: the gufunc route must match it bit for
+bit.  ``_ref_h2_cond`` is the three-start fixed point that the
 gap-certified ``h2_cond`` replaced, kept verbatim; its value, which also
 scores the min-entropy solver's sigma, may pass neither the new upper bound
 (value + gap) nor, by more than 1e-12 bits, the new value.  Closed forms
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dense_cq
+from extraction_lab import entropies
 from extraction_lab.cq_states import CqState, build_cq, marginal_side
 from extraction_lab.entropies import (
     BARRIER_GROWTH,
@@ -32,15 +36,17 @@ from extraction_lab.entropies import (
     CENTRED,
     NEAR_CENTRED,
     NEG_INF,
+    SOLVER_TOL,
     EntropyResult,
     _dominating,
+    _guessing_barrier,
     _h_min_solver,
     _is_classical,
+    _lapack_errors,
     _log_det,
-    _newton_step,
     _pgm_start,
-    _primal_bound,
     _support_basis,
+    _umath_linalg,
     h2_cond,
     h2_rel,
     h_min_cond,
@@ -166,9 +172,9 @@ def _ref_cold_barrier(blocks, iters, tol):
         hess = (flat.T @ flat).reshape(k, k, k, k).transpose(0, 3, 1, 2).reshape(k * k, k * k)
         rhs = np.column_stack([s_inv_sum.ravel(), eye.ravel()])
         a, b = np.linalg.solve(hess, rhs).T.reshape(2, k, k)
-        delta, decrement = _newton_step(a, b, s_inv_sum, t)
+        delta, decrement = _linalg_newton_step(a, b, s_inv_sum, t)
         if decrement <= NEAR_CENTRED or steps == iters:
-            best_primal = max(best_primal, _primal_bound(y, s, s_inv, s_inv_sum / t, t))
+            best_primal = max(best_primal, _linalg_primal_bound(y, s, s_inv, s_inv_sum / t, t))
             if best_dual - best_primal <= tol * best_dual or steps == iters:
                 break
             # Centred, or Newton no longer shrinks the decrement (rounding floor).
@@ -176,7 +182,7 @@ def _ref_cold_barrier(blocks, iters, tol):
                 if t >= BARRIER_T_CAP:
                     break
                 t *= BARRIER_GROWTH
-                delta, decrement = _newton_step(a, b, s_inv_sum, t)
+                delta, decrement = _linalg_newton_step(a, b, s_inv_sum, t)
                 last_decrement = float("inf")
             else:
                 last_decrement = decrement
@@ -217,6 +223,102 @@ def _ref_cold_h_min_solver(state, iters, tol):
     upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
     gap = max(upper - value, 0.0)
     return EntropyResult(value, y / p_dual, gap, steps)
+
+
+def _linalg_barrier(blocks: np.ndarray, iters: int):
+    """Barrier method for min tr Y s.t. Y > blocks[x]; blocks are (N, k, k), sum PD.
+
+    Starts at ``_pgm_start``; after each increase of t the line search
+    starts at 1 / BARRIER_GROWTH of the Newton step.  Returns the feasible
+    Y of least trace, the best primal guessing probability and the number
+    of Newton steps.
+    """
+    n, k = blocks.shape[0], blocks.shape[1]
+    eye = np.eye(k, dtype=complex)
+    y, t = _pgm_start(blocks)
+    s = y - blocks
+    log_det = _log_det(np.linalg.cholesky(s))
+    best_dual, best_y, best_primal = float(np.trace(y).real), y, 0.0
+    last_decrement = float("inf")
+    steps = 0
+    while steps < iters:
+        steps += 1
+        alpha = 1.0
+        s_inv = np.linalg.inv(s)
+        s_inv_sum = _herm(s_inv.sum(axis=0))
+        # Newton system sum_x S_x^-1 D S_x^-1 = s_inv_sum - t I in row-major
+        # vec form; the solution is a - t b, so raising t needs no new solve.
+        flat = s_inv.reshape(n, k * k)
+        hess = (flat.T @ flat).reshape(k, k, k, k).transpose(0, 3, 1, 2).reshape(k * k, k * k)
+        rhs = np.column_stack([s_inv_sum.ravel(), eye.ravel()])
+        a, b = np.linalg.solve(hess, rhs).T.reshape(2, k, k)
+        delta, decrement = _linalg_newton_step(a, b, s_inv_sum, t)
+        if decrement <= NEAR_CENTRED or steps == iters:
+            best_primal = max(best_primal, _linalg_primal_bound(y, s, s_inv, s_inv_sum / t, t))
+            if best_dual - best_primal <= SOLVER_TOL * best_dual or steps == iters:
+                break
+            # Centred, or Newton no longer shrinks the decrement (rounding floor).
+            if decrement <= CENTRED or decrement > 0.25 * last_decrement:
+                if t >= BARRIER_T_CAP:
+                    break
+                t *= BARRIER_GROWTH
+                delta, decrement = _linalg_newton_step(a, b, s_inv_sum, t)
+                last_decrement = float("inf")
+                # At a centred point of the scalar problem the boundary lies
+                # at alpha = 1 / (BARRIER_GROWTH - 1), so longer steps fail.
+                alpha = 1.0 / BARRIER_GROWTH
+            else:
+                last_decrement = decrement
+        step = _linalg_feasible_step(y, delta, blocks, t, log_det, decrement, alpha)
+        if step is None:
+            break
+        y, s, log_det = step
+        if float(np.trace(y).real) < best_dual:
+            best_dual, best_y = float(np.trace(y).real), y
+    return best_y, best_primal, steps
+
+
+def _linalg_newton_step(a, b, s_inv_sum, t):
+    """The Hermitian Newton direction a - t b and its squared decrement."""
+    delta = _herm(a - t * b)
+    return delta, float(np.vdot(s_inv_sum, delta).real) - t * float(np.trace(delta).real)
+
+
+def _linalg_feasible_step(y, delta, blocks, t, log_det, decrement, alpha):
+    """Backtrack from the Newton step ``alpha * delta`` while some Y - rho_x is not PD.
+
+    A batched Cholesky is the feasibility test; a feasible step is also
+    halved (down to 1/1024) until it decreases the barrier objective by
+    a quarter of the decrement it predicts.  None when no step is feasible.
+    """
+    tr_delta = float(np.trace(delta).real)
+    while alpha > 1e-12:
+        y_new = y + alpha * delta
+        s_new = y_new - blocks
+        try:
+            new_log_det = _log_det(np.linalg.cholesky(s_new))
+        except np.linalg.LinAlgError:
+            alpha *= 0.5
+            continue
+        drop = (new_log_det - log_det) - t * alpha * tr_delta
+        if drop >= 0.25 * alpha * decrement or alpha < 1e-3:
+            return y_new, s_new, new_log_det
+        alpha *= 0.5
+    return None
+
+
+def _linalg_primal_bound(y, s, s_inv, g, t) -> float:
+    """Guessing probability of the POVM G^-1/2 (S_x^-1 / t) G^-1/2, with G = sum_x S_x^-1 / t.
+
+    Written as tr Y - sum_x tr(E_x S_x), which keeps its accuracy when the
+    S_x are nearly singular; 0 when rounding has left G not PD.
+    """
+    w, v = np.linalg.eigh(g)
+    if w[0] <= 0:
+        return 0.0
+    g_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    slack = float(np.vdot(g_inv_sqrt @ s @ g_inv_sqrt, s_inv).real) / t
+    return float(np.trace(y).real) - slack
 
 
 def _ref_h2_cond(state, hmin, iters=500):
@@ -370,6 +472,62 @@ def test_warm_start_brackets_cold_start():
         warm_steps += warm.iterations
         cold_steps += cold.iterations
     assert warm_steps < cold_steps
+
+
+def _barrier_bytes(result):
+    best_y, best_primal, steps = result
+    return best_y.tobytes(), best_primal, steps
+
+
+@pytest.mark.parametrize("count, seed, iters", [(100, 11, 500), (24, 12, 5)],
+                         ids=["converged", "capped"])
+def test_gufunc_barrier_matches_the_linalg_route_bit_for_bit(count, seed, iters):
+    for i, state in enumerate(oracle_states(count, seed)):
+        basis = _support_basis(marginal_side(state))
+        blocks = basis.conj().T @ state.stack @ basis
+        new = _barrier_bytes(_guessing_barrier(blocks, iters))
+        assert new == _barrier_bytes(_linalg_barrier(blocks, iters)), f"state {i}"
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_lapack_gufuncs_equal_np_linalg_bit_for_bit(k):
+    rng = np.random.default_rng(100 + k)
+    a = rng.standard_normal((5, k, k)) + 1j * rng.standard_normal((5, k, k))
+    pd = a @ np.swapaxes(a.conj(), -1, -2) + 1e-3 * np.eye(k)
+    rhs = rng.standard_normal((5, k, 2)) + 1j * rng.standard_normal((5, k, 2))
+    assert (_umath_linalg.inv(a, signature="D->D").tobytes()
+            == np.linalg.inv(a).tobytes())
+    assert (_umath_linalg.solve(a, rhs, signature="DD->D").tobytes()
+            == np.linalg.solve(a, rhs).tobytes())
+    assert (_umath_linalg.cholesky_lo(pd, signature="D->D").tobytes()
+            == np.linalg.cholesky(pd).tobytes())
+
+
+def test_lapack_failures_raise_under_the_solver_errstate():
+    not_pd = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex)
+    singular = np.array([[[1.0, 2.0], [2.0, 4.0]]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        _lapack_errors(_umath_linalg.cholesky_lo)(not_pd, signature="D->D")
+    with pytest.raises(np.linalg.LinAlgError):
+        _lapack_errors(_umath_linalg.inv)(singular, signature="D->D")
+
+
+def test_solver_errstate_changes_only_invalid(monkeypatch):
+    """The caller's other flags hold inside a solve, and every flag after it."""
+    state = oracle_states(1, seed=11)[0]
+    inside = []
+
+    def spy(blocks):
+        inside.append(np.geterr())
+        return _pgm_start(blocks)
+
+    monkeypatch.setattr(entropies, "_pgm_start", spy)
+    with np.errstate(divide="raise", over="warn", under="ignore", invalid="warn"):
+        before = np.geterr()
+        h_min_cond(state)
+        assert np.geterr() == before
+    assert len(inside) == 1
+    assert inside[0] == dict(before, invalid="call")
 
 
 def _assert_start_dominates(state, label):
