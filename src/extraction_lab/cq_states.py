@@ -25,9 +25,8 @@ import numpy as np
 
 from .gf2 import _symbol_indices, all_bit_vectors
 from .operators import (
-    TRACE_ATOL,
     _not_psd,
-    _unit_trace,
+    check_unit_traces,
     hermitian_stack,
     hermitian_trace_norms,
     probability_vector,
@@ -112,18 +111,9 @@ def check_blocks(stacks: np.ndarray, present: np.ndarray, names,
         check_unit_traces(_block_sum(_traces(stacks), axis=1), "cq-state")
 
 
-def check_unit_traces(traces: np.ndarray, what: str, names=None) -> None:
-    """ValueError for the first of ``traces`` that is not 1 within TRACE_ATOL, as
-    ``<what> <names[i]> is not normalized``, or ``<what> is not normalized`` without names."""
-    off = np.abs(traces - 1.0) > TRACE_ATOL
-    if off.any():
-        i = int(np.argmax(off))
-        _unit_trace(traces[i], what, *(() if names is None else (names[i],)))
-
-
 def _traces(stack: np.ndarray) -> np.ndarray:
     """Real trace of each operator in a stack."""
-    return np.trace(stack, axis1=-2, axis2=-1).real
+    return stack.trace(axis1=-2, axis2=-1).real
 
 
 def _block_sum(stack: np.ndarray, axis: int = 0) -> np.ndarray:

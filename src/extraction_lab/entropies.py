@@ -63,7 +63,7 @@ from .operators import (
     _diagonal,
     _herm,
     _kernel_mask,
-    _sigma_power,
+    _sigma_powers,
     _spectral_power,
     _trusted_psd_eigh,
     probability_vector,
@@ -91,8 +91,9 @@ def h_min_classical(dist: dict) -> float:
 
 def h_min_rel(rho: CqState, sigma) -> float:
     """H_min of a cq-state relative to sigma, blockwise; -inf when ker(sigma) leaks into rho."""
-    inv_sqrt = _sigma_power(sigma, -0.5, rho.stack)
-    if inv_sqrt is None:
+    (inv_sqrt,), (leaks,) = _sigma_powers(np.asarray(sigma, dtype=complex)[None], -0.5,
+                                          rho.stack[None])
+    if leaks:
         return NEG_INF
     tops = np.linalg.eigvalsh(_herm(inv_sqrt @ rho.stack @ inv_sqrt))[:, -1]
     return -float(np.log2(max(0.0, float(tops.max()))))
@@ -100,8 +101,9 @@ def h_min_rel(rho: CqState, sigma) -> float:
 
 def h2_rel(rho: CqState, sigma) -> float:
     """Collision entropy of a cq-state relative to sigma (blockwise form)."""
-    quarter = _sigma_power(sigma, -0.25, rho.stack)
-    if quarter is None:
+    (quarter,), (leaks,) = _sigma_powers(np.asarray(sigma, dtype=complex)[None], -0.25,
+                                         rho.stack[None])
+    if leaks:
         return NEG_INF
     conj = quarter @ rho.stack @ quarter
     return -float(np.log2(_block_sum(_traces(conj @ conj)) / rho.total_trace()))
@@ -173,7 +175,7 @@ def _h_min_solver(state: CqState, iters: int) -> EntropyResult:
     basis = _support_basis(marginal_side(state))
     y, p_primal, steps = _guessing_barrier(basis.conj().T @ state.stack @ basis, iters)
     y = _dominating(basis @ y @ basis.conj().T, state.stack)
-    p_dual = float(np.trace(y).real)
+    p_dual = float(y.trace().real)
     value = -float(np.log2(p_dual))
     upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
     return EntropyResult(value, y / p_dual, max(upper - value, 0.0), steps)
@@ -208,7 +210,7 @@ def _guessing_barrier(blocks: np.ndarray, iters: int):
     y, t = _pgm_start(blocks)
     s = y - blocks
     log_det = _log_det(_umath_linalg.cholesky_lo(s, signature="D->D"))
-    tr_y = float(np.trace(y).real)
+    tr_y = float(y.trace().real)
     best_dual, best_y, best_primal = tr_y, y, 0.0
     last_decrement = float("inf")
     steps = 0
@@ -244,7 +246,7 @@ def _guessing_barrier(blocks: np.ndarray, iters: int):
         if step is None:
             break
         y, s, log_det = step
-        tr_y = float(np.trace(y).real)
+        tr_y = float(y.trace().real)
         if tr_y < best_dual:
             best_dual, best_y = tr_y, y
     return best_y, best_primal, steps
@@ -266,15 +268,15 @@ def _pgm_start(blocks: np.ndarray):
     p_pgm = float(_block_sum(_traces(pgm @ blocks)))
     lagrange = _herm(_block_sum(blocks @ pgm))
     shift = max(0.0, float(np.linalg.eigvalsh(blocks - lagrange)[:, -1].max()))
-    slack = max(float(np.trace(lagrange).real) + k * shift - p_pgm, 1e-12 * p_pgm)
+    slack = max(float(lagrange.trace().real) + k * shift - p_pgm, 1e-12 * p_pgm)
     y = lagrange + (shift + slack / k) * np.eye(k)
-    return y, n * k / (float(np.trace(y).real) - p_pgm)
+    return y, n * k / (float(y.trace().real) - p_pgm)
 
 
 def _newton_step(a, b, s_inv_sum, t):
     """The Hermitian Newton direction a - t b, its trace and its squared decrement."""
     delta = _herm(a - t * b)
-    tr_delta = float(np.trace(delta).real)
+    tr_delta = float(delta.trace().real)
     return delta, tr_delta, float(np.vdot(s_inv_sum, delta).real) - t * tr_delta
 
 
@@ -373,7 +375,7 @@ def _collision_fixed_point(blocks: np.ndarray, iters: int):
     number of iterates evaluated, at most ``iters``.
     """
     rho_b = _block_sum(blocks)
-    sigma = rho_b / np.trace(rho_b).real
+    sigma = rho_b / rho_b.trace().real
     f_best, f_lower, best_sigma = float("inf"), NEG_INF, sigma
     steps = 0
     while steps < iters:
@@ -392,5 +394,5 @@ def _collision_fixed_point(blocks: np.ndarray, iters: int):
         if f_best - f_lower <= SOLVER_TOL * f_best or steps == iters:
             break
         prop = _spectral_power(*_trusted_psd_eigh(phi), 2.0 / 3.0)
-        sigma = _herm(0.5 * sigma + 0.5 * prop / float(np.trace(prop).real))
+        sigma = _herm(0.5 * sigma + 0.5 * prop / float(prop.trace().real))
     return best_sigma, f_lower, steps

@@ -6,10 +6,10 @@ for probability vectors, one for unit traces.  Eigendecompositions are
 delegated to LAPACK via numpy (eigenvalues ascending).  Operator powers
 map the kernel to zero (the pseudo-inverse convention) so that
 expressions like sigma^{-1/4} rho sigma^{-1/4} are well defined for
-singular sigma; :func:`_spectral_power` alone decides what sigma^p is and
-:func:`_kernel_leaks` whether ker sigma meets the state, where such an
-expression means nothing.  Both, like the PSD test, take one operator or a
-stack of them.
+singular sigma.  Every sigma-weighted quantity takes its powers from
+:func:`_sigma_powers`, which also tests, per sigma of a stack, whether
+ker sigma meets the state, where such an expression means nothing; every
+unit-trace test is :func:`check_unit_traces`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def hermitian_stack(stack, name=None) -> np.ndarray:
     m = np.asarray(stack, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected an (N, d, d) stack of square operators, got shape {m.shape}")
-    dev = np.abs(m - np.swapaxes(m.conj(), -1, -2))
+    dev = np.abs(m - m.conj().swapaxes(-1, -2))
     if not dev.max(initial=0.0) <= HERMITICITY_ATOL:    # NaN whenever an entry is not finite
         dev = dev.max(axis=(-2, -1))
         i = int(np.argmax(~(dev <= HERMITICITY_ATOL)))
@@ -74,10 +74,14 @@ def probability_vector(values, what: str = "distribution") -> list:
     return p
 
 
-def _unit_trace(trace, *name) -> None:
-    """ValueError unless ``trace`` is 1 within TRACE_ATOL; ``name``'s parts name the operator."""
-    if abs(trace - 1.0) > TRACE_ATOL:
-        raise ValueError(f"{' '.join(map(str, name))} is not normalized (trace {trace:.6g})")
+def check_unit_traces(traces, what: str, names=None) -> None:
+    """ValueError for the first of ``traces`` that is not 1 within TRACE_ATOL, as
+    ``<what> <names[i]> is not normalized``, or ``<what> is not normalized`` without names."""
+    off = np.abs(np.asarray(traces) - 1.0) > TRACE_ATOL
+    if off.any():
+        i = int(np.argmax(off))
+        what = what if names is None else f"{what} {names[i]}"
+        raise ValueError(f"{what} is not normalized (trace {traces[i]:.6g})")
 
 
 # The package's one PSD test, kernel cut, diagonal test and Hermitian part.
@@ -87,14 +91,14 @@ def _unit_trace(trace, *name) -> None:
 def _not_psd(w: np.ndarray):
     """Whether ascending eigenvalues ``w`` fall below the PSD tolerance: a bool for
     one operator's, a bool array for the rows of a stack's."""
-    if w.ndim == 1:
+    if w.ndim == 1:     # the single-operator fast path; _checked_psd needs its bool
         return bool(w.size and w[0] < -PSD_RTOL * max(1.0, float(abs(w[-1]))))
     return w[..., 0] < -PSD_RTOL * np.maximum(1.0, np.abs(w[..., -1]))
 
 
 def _kernel_mask(w: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues ``w`` (per row) at or below the relative kernel threshold."""
-    if w.ndim == 1:
+    if w.ndim == 1:     # the single-operator fast path
         return w <= KERNEL_RTOL * max(float(w[-1]) if w.size else 0.0, 0.0)
     return w <= KERNEL_RTOL * np.maximum(w[..., -1:], 0.0)
 
@@ -106,7 +110,7 @@ def _diagonal(stack: np.ndarray) -> bool:
 
 def _herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part of an operator, or of each operator in a stack."""
-    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def eigh(h):
@@ -154,34 +158,24 @@ def _spectral_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     """
     fw = np.zeros_like(w)
     live = ~_kernel_mask(w)
-    if p >= 0:
-        fw[live] = np.clip(w[live], 0.0, None) ** p
-    else:
-        fw[live] = w[live] ** p
+    fw[live] = w[live] ** p
     return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _kernel_leaks(w: np.ndarray, v: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Per operator sigma_i of a stack, from its PSD eigenpairs (w[i], v[i]): whether
-    ker sigma_i meets the (N, d, d) stack states[i], i.e. some tr(P rho P) >
-    KERNEL_LEAK_ATOL, P the kernel projector.  Only a sigma with a kernel is tested."""
+def _sigma_powers(sigmas, p: float, states: np.ndarray):
+    """Each sigma_i^p of a PSD (K, d, d) stack, as :func:`op_power` gives it, from one
+    stacked eigh, and whether ker sigma_i meets the (N, d, d) stack states[i]: some
+    tr(P rho P) > KERNEL_LEAK_ATOL, P the kernel projector.  Only a sigma with a
+    kernel is tested."""
+    w, v = _psd_eigh(sigmas)
     dead = _kernel_mask(w)
     leaks = np.zeros(len(w), dtype=bool)
     for i in np.flatnonzero(dead.any(axis=-1)):
         kernel = v[i][:, dead[i]]
         proj = kernel @ kernel.conj().T
-        leaks[i] = np.any(np.trace(proj @ states[i] @ proj, axis1=-2, axis2=-1).real
+        leaks[i] = np.any((proj @ states[i] @ proj).trace(axis1=-2, axis2=-1).real
                           > KERNEL_LEAK_ATOL)
-    return leaks
-
-
-def _sigma_power(sigma, p: float, states: np.ndarray) -> np.ndarray | None:
-    """sigma^p as :func:`op_power` gives it, or None when ker sigma meets the (N, d, d)
-    stack ``states`` (:func:`_kernel_leaks`)."""
-    w, v = _psd_eigh(sigma)
-    if _kernel_leaks(w[None], v[None], states[None])[0]:
-        return None
-    return _spectral_power(w, v, p)
+    return _spectral_power(w, v, p), leaks
 
 
 def op_power(h, p: float) -> np.ndarray:
@@ -211,8 +205,8 @@ def trace_distance(rho, sigma, check_trace: bool = True) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if check_trace:
-        _unit_trace(np.trace(a), "rho")
-        _unit_trace(np.trace(b), "sigma")
+        check_unit_traces([a.trace()], "rho")
+        check_unit_traces([b.trace()], "sigma")
     return 0.5 * hermitian_trace_norm(a - b)
 
 
@@ -255,7 +249,7 @@ def von_neumann_entropy(rho, check_trace: bool = True) -> float:
     """Entropy -sum(lambda log2 lambda) of a PSD operator, with 0 log 0 = 0."""
     m = check_hermitian(rho)
     if check_trace:
-        _unit_trace(np.trace(m), "density operator")
+        check_unit_traces([m.trace()], "density operator")
     w, _ = _checked_psd(np.linalg.eigvalsh(m), None)
     live = w > 0
     return float(-np.sum(w[live] * np.log2(w[live])))
@@ -287,8 +281,8 @@ def ginibre_densities(x: np.ndarray) -> np.ndarray:
     """g g^dagger / tr(g g^dagger) for each g = x[i, 0] + 1j x[i, 1] of an (N, 2, d, d)
     array of standard normals; each operator is what a batch of one gives it."""
     g = x[:, 0] + 1j * x[:, 1]
-    rho = g @ np.swapaxes(g.conj(), -1, -2)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / rho.trace(axis1=-2, axis2=-1).real[:, None, None]
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

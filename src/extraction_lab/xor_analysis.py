@@ -31,8 +31,8 @@ from .gf2 import _symbol_indices
 from .operators import (
     COMPLETENESS_ATOL,
     _herm,
-    _kernel_leaks,
     _psd_eigh,
+    _sigma_powers,
     _spectral_power,
     partial_trace,
     tensor,
@@ -136,11 +136,10 @@ def fourier_bounds(stacks: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     PSD, and for one whose kernel meets its state.
     """
     slots = stacks.shape[1]
-    w, v = _psd_eigh(sigmas)
-    if np.any(_kernel_leaks(w, v, stacks)):
+    quarter, leaks = _sigma_powers(sigmas, -0.25, stacks)
+    if leaks.any():
         raise ValueError("sigma kernel is not contained in the state kernel")
-    quarter = _spectral_power(w, v, -0.25)[:, None]
-    values = quarter @ stacks @ quarter
+    values = quarter[:, None] @ stacks @ quarter[:, None]
     nonzero = _character_transform(values)[:, 1:]
     return (slots / 4.0) * _block_sum(_traces(nonzero @ nonzero), axis=1)
 
@@ -233,11 +232,11 @@ def l2_distances_to_uniform(rhos, dim_a: int, sigmas) -> np.ndarray:
     rhos, sigmas = np.asarray(rhos, dtype=complex), np.asarray(sigmas, dtype=complex)
     # partial_trace refuses a stack that is not finite and Hermitian (hermitian_stack).
     rho_b = partial_trace(rhos, (dim_a, sigmas.shape[-1]), keep=(1,))
-    w, v = _psd_eigh(sigmas)
-    if np.any(_kernel_leaks(w, v, rho_b[:, None])):
+    quarter, leaks = _sigma_powers(sigmas, -0.25, rho_b[:, None])
+    if leaks.any():
         raise ValueError("sigma_B kernel is not contained in the kernel of rho_B")
     centered = rhos - tensor(np.eye(dim_a) / dim_a, rho_b)
-    weight = tensor(np.eye(dim_a), _spectral_power(w, v, -0.25))
+    weight = tensor(np.eye(dim_a), quarter)
     conj = weight @ centered @ weight
     return _traces(conj @ conj)
 

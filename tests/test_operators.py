@@ -5,12 +5,36 @@ import numpy as np
 import pytest
 
 import extraction_lab
-from extraction_lab.cq_states import CqState, MarkovScenario, classical_state
-from extraction_lab.entropies import h_min_classical
+from extraction_lab import gf2, operators
+from extraction_lab.cq_states import (
+    CqState,
+    MarkovScenario,
+    classical_state,
+    distance_to_uniform,
+)
+from extraction_lab.entropies import h2_rel, h_min_classical, h_min_rel
+from extraction_lab.extractors import s_component
+from extraction_lab.gf2 import (
+    MatrixFamily,
+    build_field_family,
+    default_polynomial,
+    gf2_images,
+    gf2_matmul,
+    gf2_rank,
+    index_to_bits,
+    load_family,
+    parse_poly,
+)
 from extraction_lab.operators import (
+    KERNEL_LEAK_ATOL,
+    _kernel_mask,
+    _psd_eigh,
+    _sigma_powers,
+    as_operator,
     check_hermitian,
     conditional_mutual_information,
     eigh,
+    hermitian_stack,
     hermitian_trace_norm,
     op_power,
     partial_trace,
@@ -21,7 +45,13 @@ from extraction_lab.operators import (
     trace_distance,
     von_neumann_entropy,
 )
-from extraction_lab.xor_analysis import l2_distance_to_uniform
+from extraction_lab.xor_analysis import (
+    character_matrix,
+    fourier_bounds,
+    l2_distance_to_uniform,
+    l2_distances_to_uniform,
+    measured_xor_bound,
+)
 
 
 def random_hermitian(dim, rng):
@@ -244,15 +274,64 @@ _CLASSICAL = classical_state({(0,): 1.0})
     # give a delta up to 27 times above the one-norm/two-norm right-hand side.
     (lambda: l2_distance_to_uniform(random_density(4, np.random.default_rng(0)), 2,
                                     np.diag([1.0, 0.0])), "kernel"),
+    (lambda: h_min_classical({(0,): 1.5, (1,): -0.5}), "^negative probability in distribution$"),
+    (lambda: as_operator([1.0, 0.0]), r"^expected a square matrix, got shape \(2,\)$"),
+    (lambda: as_operator([[np.inf]]), "^operator has non-finite entries$"),
+    (lambda: hermitian_stack(np.eye(2)),
+     r"^expected an \(N, d, d\) stack of square operators, got shape \(2, 2\)$"),
+    (lambda: _eigh_past_the_cap(), "^dimension 3 exceeds cap 2$"),
+    (lambda: partial_trace(np.eye(4), (2, 3), keep=(0,)),
+     "^operator dim 4 != product of subsystem dims 6$"),
+    (lambda: partial_trace(np.eye(4), (2, 2), keep=(2,)),
+     r"^keep indices \[2\] out of range for 2 subsystems$"),
+    (lambda: conditional_mutual_information(np.eye(4) / 4, (2, 2)),
+     r"^dims must be \(d_A, d_B, d_C\)$"),
+    (lambda: MarkovScenario(weights=(1.0,), factors=((_CLASSICAL, _CLASSICAL),) * 2),
+     "^weights and factor pairs must align$"),
+    (lambda: distance_to_uniform(_CLASSICAL, 2, strong=True),
+     r"^strong output symbols must be \(z, x\) pairs, got \(0,\)$"),
+    (lambda: character_matrix(13), "^transform capped at m <= 12$"),
+    (lambda: measured_xor_bound(classical_state({(0,): 0.5, (0, 1): 0.5})),
+     "^state symbols must all be bit tuples of one length$"),
+    (lambda: measured_xor_bound(classical_state({(0,) * 13: 1.0})),
+     "^output length 13 exceeds cap 12$"),
+    (lambda: index_to_bits(4, 2), "^index 4 out of range for 2 bits$"),
+    (lambda: gf2_rank([1, 0]), r"^expected a 2-D matrix, got shape \(2,\)$"),
+    (lambda: gf2_rank(np.zeros((gf2.MAX_DIM + 1, 1))), "^matrix larger than 64x64 not supported$"),
+    (lambda: gf2_images(np.zeros((1, gf2.MAX_TABLE_BITS + 1))),
+     "^images of a 1x23 matrix over every input not supported"),
+    (lambda: gf2_matmul(np.eye(2), np.eye(3)), r"^dimension mismatch in GF\(2\) matrix product$"),
+    (lambda: MatrixFamily((np.eye(5),) * (gf2.MAX_ENUM_M + 1)),
+     "^m=21 too large for exhaustive selector enumeration$"),
+    (lambda: default_polynomial(17), r"^built-in polynomial table covers degrees 1\.\.16$"),
+    (lambda: parse_poly("011"), "^not a valid polynomial coefficient string: '011'$"),
+    (lambda: build_field_family(4, 2, poly=0b111), "^polynomial degree 2 != n=4$"),
+    (lambda: load_family("3 2 0\n100\n010\n001"), "^bad family header: '3 2 0'$"),
+    (lambda: s_component(build_field_family(3, 2), (1,)), "^selector must have length m=2$"),
 ], ids=["h_min_classical-nan", "markov-weight-nan", "von_neumann-not-psd",
         "trace_distance-skew", "hermitian_trace_norm-skew",
-        "cq_state-nan", "cq_state-not-psd", "l2-kernel-leak"])
+        "cq_state-nan", "cq_state-not-psd", "l2-kernel-leak",
+        "probability-negative", "operator-not-square", "operator-inf", "stack-not-3d",
+        "eigh-past-cap", "partial_trace-dims", "partial_trace-keep", "cmi-dims",
+        "markov-misaligned", "strong-symbol-not-pair", "character-past-cap",
+        "output-lengths-differ", "output-past-cap", "index-out-of-range", "gf2-not-2d",
+        "gf2-too-large", "gf2-images-too-wide", "gf2-matmul-mismatch",
+        "family-past-enumeration", "no-built-in-polynomial", "poly-string", "poly-degree",
+        "family-header", "selector-length"])
 def test_numeric_policy_refuses(call, match):
-    # Probability vectors, operators and sigma powers are refused by the one
-    # validator of each kind in ``operators``, at the tolerance ``eigh``
-    # applies to _SKEW and the kernel policy of ``_sigma_power``.
+    # Probability vectors, operators, states and sigma powers are refused by
+    # the one validator of each kind in ``operators``, at the tolerance
+    # ``eigh`` applies to _SKEW and the kernel policy of ``_sigma_powers``.
+    # Shapes, sizes, caps and GF(2) inputs are refused where they are read.
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def _eigh_past_the_cap():
+    # A matrix past the real cap, 4096, would take about a gigabyte to test.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "MAX_EIG_DIM", 2)
+        eigh(np.eye(3))
 
 
 def test_only_operators_defines_tolerances():
@@ -270,3 +349,121 @@ def test_only_operators_defines_tolerances():
                           for target in targets for name in ast.walk(target)
                           if isinstance(name, ast.Name) and name.id.endswith(("_ATOL", "_RTOL"))]
     assert found == []
+
+
+def test_only_operators_reads_tolerances():
+    # No module but ``operators`` reads or imports a *_ATOL / *_RTOL name, so
+    # every numeric decision is made there.  The one exception: the PGM's
+    # completeness rule needs ``cq_states._block_sum``, and ``operators``
+    # cannot import ``cq_states``, which imports it.
+    root = Path(extraction_lab.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "operators.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found |= {f"{path.relative_to(root)}:{name}" for name in names
+                      if name.endswith(("_ATOL", "_RTOL"))}
+    assert found == {"xor_analysis.py:COMPLETENESS_ATOL"}
+
+
+# The kernel policy that ``_sigma_powers`` replaced, verbatim but for names and
+# docstrings.
+
+def _ref_spectral_power(w, v, p):
+    fw = np.zeros_like(w)
+    live = ~_kernel_mask(w)
+    if p >= 0:
+        fw[live] = np.clip(w[live], 0.0, None) ** p
+    else:
+        fw[live] = w[live] ** p
+    return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _ref_kernel_leaks(w, v, states):
+    dead = _kernel_mask(w)
+    leaks = np.zeros(len(w), dtype=bool)
+    for i in np.flatnonzero(dead.any(axis=-1)):
+        kernel = v[i][:, dead[i]]
+        proj = kernel @ kernel.conj().T
+        leaks[i] = np.any(np.trace(proj @ states[i] @ proj, axis1=-2, axis2=-1).real
+                          > KERNEL_LEAK_ATOL)
+    return leaks
+
+
+def _ref_sigma_power(sigma, p, states):
+    w, v = _psd_eigh(sigma)
+    if _ref_kernel_leaks(w[None], v[None], states[None])[0]:
+        return None
+    return _ref_spectral_power(w, v, p)
+
+
+def _sigma_case(kind, d, n, rng):
+    """A PSD sigma and n PSD blocks of trace 1 / n: sigma full-rank, or of rank
+    below d with a kernel that misses the blocks or meets them."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    u = np.linalg.qr(g)[0]
+    rank = d if kind == "full" else int(rng.integers(kind == "misses", d))
+    part = u[:, :rank]
+    sigma = (part * rng.uniform(0.5, 1.5, rank)) @ part.conj().T
+    if kind == "misses":
+        blocks = part @ random_densities(n, rank, rng) @ part.conj().T / n
+    else:
+        blocks = random_densities(n, d, rng) / n
+    return (0.5 * (sigma + sigma.conj().T),
+            0.5 * (blocks + blocks.conj().swapaxes(-1, -2)))
+
+
+def _sigma_stack(d, n, rng):
+    """A (K, d, d) stack of sigmas of mixed kinds, their (K, n, d, d) blocks and
+    whether each sigma's kernel meets its blocks."""
+    kinds = ["full", "misses", "meets", "misses", "meets", "full"]
+    if d == 1:
+        kinds = [kind for kind in kinds if kind != "misses"]
+    sigmas, states = zip(*(_sigma_case(kind, d, n, rng) for kind in kinds))
+    return np.array(sigmas), np.array(states), np.array([kind == "meets" for kind in kinds])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sigma_powers_match_the_kernel_policy_they_replace(d):
+    rng = np.random.default_rng(40 + d)
+    for n in range(1, 5):
+        sigmas, states, leaking = _sigma_stack(d, n, rng)
+        for p in (-0.5, -0.25, 0.0, 2.0 / 3.0):
+            powers, leaks = _sigma_powers(sigmas, p, states)
+            assert leaks.tolist() == leaking.tolist(), (n, p)
+            for k, sigma in enumerate(sigmas):
+                want = _ref_sigma_power(sigma, p, states[k])
+                assert (want is None) == leaking[k], (n, p, k)
+                if want is None:
+                    want = _ref_spectral_power(*_psd_eigh(sigma), p)
+                assert powers[k].tobytes() == want.tobytes(), (n, p, k)
+                assert op_power(sigma, p).tobytes() == want.tobytes(), (n, p, k)
+        for k, sigma in enumerate(sigmas):
+            state = CqState(d, {(j,): block for j, block in enumerate(states[k])})
+            for value in (h_min_rel(state, sigma), h2_rel(state, sigma)):
+                assert (value == float("-inf")) == leaking[k] and not np.isnan(value), (n, k)
+        # The stacked weightings refuse a stack in which only the k-th sigma leaks.
+        safe = np.where(leaking[:, None, None], np.eye(d) / d, sigmas)
+        rhos = tensor(np.eye(2) / 2, states.sum(axis=1))
+        if n != 3:          # the Fourier bound takes 2^m outputs
+            fourier_bounds(states, safe)
+        l2_distances_to_uniform(rhos, 2, safe)
+        for k in np.flatnonzero(leaking):
+            bad = safe.copy()
+            bad[k] = sigmas[k]
+            if n != 3:
+                with pytest.raises(ValueError,
+                                   match="^sigma kernel is not contained in the state kernel$"):
+                    fourier_bounds(states, bad)
+            with pytest.raises(ValueError,
+                               match="^sigma_B kernel is not contained in the kernel of rho_B$"):
+                l2_distances_to_uniform(rhos, 2, bad)
