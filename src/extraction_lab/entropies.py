@@ -46,7 +46,12 @@ the linearisation at every iterate a lower bound on min f (a Frank-Wolfe
 certificate); the value is H_2 relative to the best iterate, and the gap is
 the bound's entropy minus that value.  Restricting sigma to supp rho_B loses
 nothing: the pinching X -> P X P + tr((1 - P) X) tau fixes every rho_x and,
-by data processing, can only improve sigma.
+by data processing, can only improve sigma.  ``h2_cond_many`` solves many
+states at once: those whose rho_B has the same support rank k run one
+stacked fixed point over their (N, k, k) blocks, zero-padded to the largest
+N, so each step costs a few numpy calls for the whole group instead of a few
+per state, with every state's result bit for bit its own solve's.
+``h2_cond`` is ``h2_cond_many`` of one state.
 
 Classical side information is handled by one exact closed form.  Kernel
 violations return -inf, mirroring the definition.
@@ -58,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq_states import CqState, _block_sum, _traces, marginal_side
+from .cq_states import CqState, _block_sum, _traces, marginal_side, padded_stacks
 from .operators import (
     _diagonal,
     _herm,
@@ -337,7 +342,7 @@ def _dominating(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def h2_cond(state: CqState, iters: int = 500) -> EntropyResult:
-    """Conditional collision entropy sup_sigma H_2(rho|sigma).
+    """Conditional collision entropy sup_sigma H_2(rho|sigma): :func:`h2_cond_many` of one state.
 
     Exact for classical side registers.  Otherwise sigma minimises the
     convex f(sigma) = sum_x tr(sigma^-1/2 rho_x sigma^-1/2 rho_x) over
@@ -350,49 +355,87 @@ def h2_cond(state: CqState, iters: int = 500) -> EntropyResult:
     ``result.value`` is ``h2_rel`` at the best sigma, an achieved value,
     and ``result.gap`` bounds its shortfall to the true supremum in bits.
     """
-    return _closed_form(state, 2) or _h2_solver(state, iters)
+    return h2_cond_many([state], iters)[0]
 
 
-def _h2_solver(state: CqState, iters: int) -> EntropyResult:
-    basis = _support_basis(marginal_side(state))
-    blocks = basis.conj().T @ state.stack @ basis
-    total = float(_block_sum(_traces(blocks)))
-    sigma, f_lower, steps = _collision_fixed_point(blocks, iters)
-    sigma_full = basis @ sigma @ basis.conj().T
-    value = h2_rel(state, sigma_full)
-    upper = -float(np.log2(f_lower / total)) if f_lower > 0 else float("inf")
-    return EntropyResult(value, sigma_full, max(upper - value, 0.0), steps)
+def h2_cond_many(states, iters: int = 500) -> list[EntropyResult]:
+    """:func:`h2_cond` of each of ``states``, in order, from one stacked fixed point per rank.
+
+    Classical side registers take the closed form.  The other states are
+    projected onto supp rho_B and grouped by its rank k; each group's
+    (N, k, k) blocks are zero-padded to the group's largest N and iterated
+    together by :func:`_collision_fixed_point`, whose results are, bit for
+    bit, those of a group of one.  ``h2_rel`` then scores each best sigma
+    on its own state.
+    """
+    results = [_closed_form(state, 2) for state in states]
+    groups = {}     # support rank -> [(index into states, support basis, projected blocks)]
+    for i, state in enumerate(states):
+        if results[i] is None:
+            basis = _support_basis(marginal_side(state))
+            groups.setdefault(basis.shape[1], []).append(
+                (i, basis, basis.conj().T @ state.stack @ basis))
+    for members in groups.values():
+        width = max(len(blocks) for _, _, blocks in members)
+        padded, _ = padded_stacks([(blocks, np.arange(len(blocks))) for _, _, blocks in members],
+                                  width)
+        for (i, basis, blocks), (sigma, f_lower, steps) in zip(
+                members, _collision_fixed_point(padded, iters)):
+            total = float(_block_sum(_traces(blocks)))
+            sigma_full = basis @ sigma @ basis.conj().T
+            value = h2_rel(states[i], sigma_full)
+            upper = -float(np.log2(f_lower / total)) if f_lower > 0 else float("inf")
+            results[i] = EntropyResult(value, sigma_full, max(upper - value, 0.0), steps)
+    return results
 
 
-def _collision_fixed_point(blocks: np.ndarray, iters: int):
-    """The fixed point of ``h2_cond`` on (N, k, k) blocks whose sum is PD.
+def _collision_fixed_point(blocks: np.ndarray, iters: int) -> list:
+    """The fixed point of ``h2_cond`` on a (P, N, k, k) stack: P members, each of N
+    blocks (zero blocks pad a member's own N) whose sum is PD.
 
     At sigma = V diag(lambda) V^dag, with s = sqrt(lambda), f = tr(sigma^-1/2 Phi)
     and G = 2 V [(V^dag Phi V)_ij / (s_i s_j (s_i + s_j))] V^dag is -grad f
     (a Daleckii-Krein divided difference).  As tr(G sigma) = f, convexity
     gives min f >= 2 f - lambda_max(G); lambda_max is read in sigma's
-    eigenbasis.  Returns the sigma of least f, the best lower bound and the
-    number of iterates evaluated, at most ``iters``.
+    eigenbasis.  Every step is one stacked call over the members still
+    running.  A member leaves the stack when its least f and best bound
+    agree within ``SOLVER_TOL``, after ``iters`` iterates, or when its
+    sigma loses rank.  Returns per member the sigma of least f, the best
+    lower bound and the number of iterates evaluated.
     """
-    rho_b = _block_sum(blocks)
-    sigma = rho_b / rho_b.trace().real
-    f_best, f_lower, best_sigma = float("inf"), NEG_INF, sigma
-    steps = 0
-    while steps < iters:
-        steps += 1
+    count = len(blocks)
+    rho_b = _block_sum(blocks, axis=1)
+    sigma = rho_b / _traces(rho_b)[:, None, None]
+    best_sigma = sigma.copy()
+    f_best, f_lower = np.full(count, np.inf), np.full(count, -np.inf)
+    steps = np.zeros(count, dtype=int)
+    live = np.arange(count)     # the members still in the stack
+    step = 0
+    while live.size and step < iters:
+        step += 1
         w, v = _trusted_psd_eigh(sigma)
-        if w[0] <= 0:
-            break
+        lost = w[:, 0] <= 0
+        if lost.any():
+            steps[live[lost]] = step
+            live, sigma, blocks, w, v = (a[~lost] for a in (live, sigma, blocks, w, v))
+            if not live.size:
+                break
         s = np.sqrt(w)
-        phi = _herm(_block_sum(blocks @ ((v / s) @ v.conj().T) @ blocks))
-        phi_v = v.conj().T @ phi @ v
-        f = float((np.diagonal(phi_v).real / s).sum())
-        neg_grad = 2.0 * phi_v / (s[:, None] * s[None, :] * (s[:, None] + s[None, :]))
-        f_lower = max(f_lower, 2.0 * f - float(np.linalg.eigvalsh(neg_grad)[-1]))
-        if f < f_best:
-            f_best, best_sigma = f, sigma
-        if f_best - f_lower <= SOLVER_TOL * f_best or steps == iters:
-            break
+        v_dag = v.conj().swapaxes(-1, -2)
+        inv_sqrt = (v / s[:, None, :]) @ v_dag
+        phi = _herm(_block_sum(blocks @ inv_sqrt[:, None] @ blocks, axis=1))
+        phi_v = v_dag @ phi @ v
+        f = (np.diagonal(phi_v, axis1=-2, axis2=-1).real / s).sum(axis=-1)
+        neg_grad = 2.0 * phi_v / (s[:, :, None] * s[:, None, :] * (s[:, :, None] + s[:, None, :]))
+        f_lower[live] = np.maximum(f_lower[live], 2.0 * f - np.linalg.eigvalsh(neg_grad)[:, -1])
+        better = f < f_best[live]
+        f_best[live[better]], best_sigma[live[better]] = f[better], sigma[better]
+        done = (f_best[live] - f_lower[live] <= SOLVER_TOL * f_best[live]) | (step == iters)
+        if done.any():
+            steps[live[done]] = step
+            live, sigma, blocks, phi = (a[~done] for a in (live, sigma, blocks, phi))
+            if not live.size:
+                break
         prop = _spectral_power(*_trusted_psd_eigh(phi), 2.0 / 3.0)
-        sigma = _herm(0.5 * sigma + 0.5 * prop / float(prop.trace().real))
-    return best_sigma, f_lower, steps
+        sigma = _herm(0.5 * sigma + 0.5 * prop / _traces(prop)[:, None, None])
+    return list(zip(best_sigma, f_lower, steps.tolist()))

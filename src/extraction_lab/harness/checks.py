@@ -37,7 +37,7 @@ from ..cq_states import (
     to_dense,
     weak_distances,
 )
-from ..entropies import h2_cond, h2_rel, h_min_cond, h_min_rel
+from ..entropies import h2_cond_many, h2_rel, h_min_cond, h_min_rel
 from ..extractors import deor_extractor, ip_extractor
 from ..gf2 import (
     MAX_TABLE_BITS,
@@ -97,7 +97,9 @@ EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at
 # scenario with m-bit outputs on a dim-dimensional side weighs 4^m·dim², about
 # the complex entries of its 2^m − 1 masked block pairs in measured_xor_bounds,
 # and no built-in suite fills such a group; a one-two-norm scenario weighs
-# 16·(dim_a·dim_b)², and the built-in suites fill its larger groups.
+# 16·(dim_a·dim_b)², and the built-in suites fill its larger groups; an
+# hmin-le-h2 scenario weighs its blocks' N·dim² entries, at most 72, and no
+# built-in suite fills its one group.
 BLOCK_BUDGET = 1 << 16
 CLASSICAL_SIDES = ("trivial", "classical_leak")     # flat grids count these exactly
 # The values of a param that its type alone does not pin down, and their name;
@@ -500,14 +502,30 @@ def _hmin_linear_drop(p, rng):
 
 @_check("hmin-le-h2", count=500)
 def _hmin_le_h2(p, rng):
-    """Min-entropy below collision entropy, relative and optimized."""
-    for _ in range(p["count"]):
-        n_bits = int(rng.integers(1, 4))
-        dim = int(rng.integers(1, 4))
-        state = _random_cq(n_bits, dim, rng)
-        sigma = random_density(dim, rng) if dim > 1 else np.ones((1, 1), dtype=complex)
-        rel_gap = h_min_rel(state, sigma) - h2_rel(state, sigma)
-        hmin, h2 = h_min_cond(state), h2_cond(state)
+    """Min-entropy below collision entropy, relative and optimized.
+
+    The scenarios are drawn in order and evaluated in batches
+    (:func:`_in_groups`, all in one group): one :func:`h2_cond_many` gives a
+    batch's collision entropies, and the relative entropies and
+    ``h_min_cond`` are taken per state.  A scenario weighs its blocks'
+    complex entries, N·dim², at most 72, so the built-in counts fit in one
+    batch, evaluated before the first case, whose ``runtime_ms`` carries
+    the batch's time.
+    """
+    def draws():
+        for _ in range(p["count"]):
+            n_bits = int(rng.integers(1, 4))
+            dim = int(rng.integers(1, 4))
+            state = _random_cq(n_bits, dim, rng)
+            sigma = random_density(dim, rng) if dim > 1 else np.ones((1, 1), dtype=complex)
+            yield None, state.stack.size, (n_bits, dim, state, sigma)
+
+    def evaluate(_, items):
+        h2s = h2_cond_many([state for _, _, state, _ in items])
+        return [(n_bits, dim, h_min_rel(state, sigma) - h2_rel(state, sigma),
+                 h_min_cond(state), h2) for (n_bits, dim, state, sigma), h2 in zip(items, h2s)]
+
+    for n_bits, dim, rel_gap, hmin, h2 in _in_groups(draws(), evaluate):
         yield Case(_k_params(n_bits, 1, 0, 0.0, 0.0), f"entropy-order n={n_bits} dim={dim}",
                    [("relative", rel_gap, ENTROPY_SLACK),
                     ("optimized", hmin.value - h2.value, ENTROPY_SLACK)],
@@ -612,9 +630,9 @@ def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
 
     A row's ``runtime_ms`` is the time the generator took to yield its case.
     A check that evaluates a batch before yielding (a flat grid, or the groups
-    of ``measured-xor-random``, ``useful-prop-random`` or ``one-two-norm``)
-    charges the whole batch to the first case it yields, and the later cases
-    of the batch take almost none.
+    of ``measured-xor-random``, ``useful-prop-random``, ``one-two-norm`` or
+    ``hmin-le-h2``) charges the whole batch to the first case it yields, and
+    the later cases of the batch take almost none.
     """
     entry = resolve_entry({**(config or {}), "id": check_id})
     cases = CHECKS[check_id].cases(entry["params"], np.random.default_rng(entry["seed"]))

@@ -89,9 +89,9 @@ def check_unit_traces(traces, what: str, names=None) -> None:
 # public API.
 
 def _not_psd(w: np.ndarray):
-    """Whether ascending eigenvalues ``w`` fall below the PSD tolerance: a bool for
-    one operator's, a bool array for the rows of a stack's."""
-    if w.ndim == 1:     # the single-operator fast path; _checked_psd needs its bool
+    """Whether ascending eigenvalues ``w`` fall below the PSD tolerance: a truth value
+    for one operator's, a bool array for the rows of a stack's."""
+    if w.ndim == 1:     # the single-operator fast path
         return bool(w.size and w[0] < -PSD_RTOL * max(1.0, float(abs(w[-1]))))
     return w[..., 0] < -PSD_RTOL * np.maximum(1.0, np.abs(w[..., -1]))
 
@@ -145,7 +145,7 @@ def _checked_psd(w: np.ndarray, v: np.ndarray):
     low = _not_psd(w)
     if w.ndim > 1 and low.any():
         w, low = w[low][0], True
-    if low is True:
+    if w.ndim == 1 and low:     # the truth value, so a numpy bool refuses as well
         raise ValueError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
     return w, v
 

@@ -20,16 +20,21 @@ pretty-good-measurement value for geometrically uniform pure states; for
 the collision entropy, ``h2_cond`` on classical states in a rotated
 basis.  The collision value is also recomputed on the dense operator
 rho_XB, and ``_ref_collision_bound`` recomputes the first Frank-Wolfe
-certificate from a central-difference gradient.
+certificate from a central-difference gradient.  ``_per_state_h2_solver``
+and ``_per_state_fixed_point`` are the collision solver as it ran one state
+at a time, before ``h2_cond_many`` stacked it per support rank, verbatim
+but for names: the stacked solver must match them bit for bit.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_cq
+from conftest import dense_cq, random_cq_state
 from extraction_lab import entropies
-from extraction_lab.cq_states import CqState, build_cq, marginal_side
+from extraction_lab.cq_states import CqState, _block_sum, _traces, build_cq, marginal_side
 from extraction_lab.entropies import (
     BARRIER_GROWTH,
     BARRIER_T_CAP,
@@ -38,6 +43,7 @@ from extraction_lab.entropies import (
     NEG_INF,
     SOLVER_TOL,
     EntropyResult,
+    _closed_form,
     _dominating,
     _guessing_barrier,
     _h_min_solver,
@@ -48,6 +54,7 @@ from extraction_lab.entropies import (
     _support_basis,
     _umath_linalg,
     h2_cond,
+    h2_cond_many,
     h2_rel,
     h_min_cond,
     h_min_rel,
@@ -57,6 +64,8 @@ from extraction_lab.operators import (
     KERNEL_LEAK_ATOL,
     _herm,
     _kernel_mask,
+    _spectral_power,
+    _trusted_psd_eigh,
     eigh,
     op_power,
     random_density,
@@ -692,6 +701,103 @@ def test_h2_cond_rotated_classical_matches_closed_form(seed, dim, n_sym, drop):
     res = h2_cond(rotated)
     assert res.converged
     assert res.value - ROUNDING_BITS <= exact <= res.value + res.gap + ROUNDING_BITS
+
+
+# -- the per-state collision fixed point ---------------------------------------
+
+def _per_state_h2_solver(state: CqState, iters: int) -> EntropyResult:
+    basis = _support_basis(marginal_side(state))
+    blocks = basis.conj().T @ state.stack @ basis
+    total = float(_block_sum(_traces(blocks)))
+    sigma, f_lower, steps = _per_state_fixed_point(blocks, iters)
+    sigma_full = basis @ sigma @ basis.conj().T
+    value = h2_rel(state, sigma_full)
+    upper = -float(np.log2(f_lower / total)) if f_lower > 0 else float("inf")
+    return EntropyResult(value, sigma_full, max(upper - value, 0.0), steps)
+
+
+def _per_state_fixed_point(blocks: np.ndarray, iters: int):
+    """The fixed point of ``h2_cond`` on (N, k, k) blocks whose sum is PD.
+
+    At sigma = V diag(lambda) V^dag, with s = sqrt(lambda), f = tr(sigma^-1/2 Phi)
+    and G = 2 V [(V^dag Phi V)_ij / (s_i s_j (s_i + s_j))] V^dag is -grad f
+    (a Daleckii-Krein divided difference).  As tr(G sigma) = f, convexity
+    gives min f >= 2 f - lambda_max(G); lambda_max is read in sigma's
+    eigenbasis.  Returns the sigma of least f, the best lower bound and the
+    number of iterates evaluated, at most ``iters``.
+    """
+    rho_b = _block_sum(blocks)
+    sigma = rho_b / rho_b.trace().real
+    f_best, f_lower, best_sigma = float("inf"), NEG_INF, sigma
+    steps = 0
+    while steps < iters:
+        steps += 1
+        w, v = _trusted_psd_eigh(sigma)
+        if w[0] <= 0:
+            break
+        s = np.sqrt(w)
+        phi = _herm(_block_sum(blocks @ ((v / s) @ v.conj().T) @ blocks))
+        phi_v = v.conj().T @ phi @ v
+        f = float((np.diagonal(phi_v).real / s).sum())
+        neg_grad = 2.0 * phi_v / (s[:, None] * s[None, :] * (s[:, None] + s[None, :]))
+        f_lower = max(f_lower, 2.0 * f - float(np.linalg.eigvalsh(neg_grad)[-1]))
+        if f < f_best:
+            f_best, best_sigma = f, sigma
+        if f_best - f_lower <= SOLVER_TOL * f_best or steps == iters:
+            break
+        prop = _spectral_power(*_trusted_psd_eigh(phi), 2.0 / 3.0)
+        sigma = _herm(0.5 * sigma + 0.5 * prop / float(prop.trace().real))
+    return best_sigma, f_lower, steps
+
+
+def _per_state_h2_cond(state, iters):
+    return _closed_form(state, 2) or _per_state_h2_solver(state, iters)
+
+
+def _mixed_h2_states():
+    """Classical states, then quantum ones of N = 1..8 blocks on side registers of
+    dimension 2 or 3 whose marginal has support rank 1, 2 or 3, the rank groups
+    interleaved; (3, 2) is a rank-deficient marginal."""
+    rng = np.random.default_rng(2030)
+    diagonal = {(0,): np.diag([0.25, 0.1]), (1,): np.diag([0.05, 0.6])}
+    states = [random_cq_state(2, 1, rng), CqState(2, diagonal)]
+    for n_sym in range(1, 9):
+        for dim, rank in ((2, 1), (3, 3), (3, 2), (2, 2), (3, 1)):
+            make = (_low_rank_pure(dim, rank, rng) if rank < dim
+                    else functools.partial(random_density, dim, rng))
+            syms = [index_to_bits(int(i), 3) for i in sorted(rng.choice(8, n_sym, replace=False))]
+            weights = rng.random(n_sym) + 1e-3
+            states.append(build_cq(dict(zip(syms, (weights / weights.sum()).tolist())),
+                                   {sym: make() for sym in syms}))
+    return states
+
+
+def _same_result(got, want):
+    return (got.value == want.value and got.sigma.tobytes() == want.sigma.tobytes()
+            and got.gap == want.gap and got.iterations == want.iterations)
+
+
+@pytest.mark.parametrize("iters", [500, 1, 2])
+def test_h2_cond_many_is_the_per_state_fixed_point(iters):
+    states = _mixed_h2_states()
+    ranks = {_support_basis(marginal_side(s)).shape[1] for s in states if not _is_classical(s)}
+    sizes = {len(s.blocks) for s in states if not _is_classical(s)}
+    assert ranks == {1, 2, 3} and sizes == set(range(1, 9))
+    assert sum(_is_classical(s) for s in states) == 2
+    want = [_per_state_h2_cond(state, iters) for state in states]
+    got = h2_cond_many(states, iters)
+    for i, (res, ref) in enumerate(zip(got, want, strict=True)):
+        assert _same_result(res, ref), i
+    if iters == 500:
+        assert all(res.converged for res in got)
+    # No member leaks into another: the reversed list gives the reversed results.
+    for i, (res, ref) in enumerate(zip(h2_cond_many(states[::-1], iters), want[::-1],
+                                       strict=True)):
+        assert _same_result(res, ref), i
+    for state, ref in zip(states[::7], want[::7]):
+        (alone,) = h2_cond_many([state], iters)
+        assert _same_result(alone, ref) and _same_result(h2_cond(state, iters), ref)
+    assert h2_cond_many([], iters) == []
 
 
 # -- Helstrom closed form --------------------------------------------------------

@@ -327,6 +327,21 @@ def test_numeric_policy_refuses(call, match):
         call()
 
 
+def test_psd_refusal_reads_the_truth_value(monkeypatch):
+    # The one-operator test refuses by the truth value of ``_not_psd``, not by
+    # its type: a numpy bool refuses as the fast path's Python bool does, and
+    # the stack test still names its first non-PSD operator.
+    not_psd = operators._not_psd
+    monkeypatch.setattr(operators, "_not_psd",
+                        lambda w: np.bool_(not_psd(w)) if w.ndim == 1 else not_psd(w))
+    with pytest.raises(ValueError, match=r"^operator is not PSD \(min eigenvalue -5\.000e-01\)$"):
+        op_power(np.diag([1.0, -0.5]), 0.5)
+    with pytest.raises(ValueError, match=r"^operator is not PSD \(min eigenvalue -2\.500e-01\)$"):
+        op_power(np.array([np.eye(2), np.diag([1.0, -0.25]), np.diag([1.0, -0.5])]), 0.5)
+    root = op_power(np.diag([1.0, 0.25]), 0.5)
+    assert root.tobytes() == np.diag([1.0, 0.5]).astype(complex).tobytes()
+
+
 def _eigh_past_the_cap():
     # A matrix past the real cap, 4096, would take about a gigabyte to test.
     with pytest.MonkeyPatch.context() as patch:
