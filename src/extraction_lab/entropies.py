@@ -9,7 +9,21 @@ of convergence.
 For H_min the solver works on the guessing-probability SDP
 p_guess = min tr Y subject to Y >= rho_x for every x, with
 h_min_cond = -log2 p_guess (Koenig, Renner, Schaffner, IEEE TIT 55(9),
-2009).  A log-barrier interior-point method minimises
+2009), on the N blocks projected onto the k-dimensional support of rho_B.
+Where the SDP is tiny it has an exact solution (``_exact_guess``): for
+k = 1, Y = max_x rho_x; for N <= 2, Helstrom's
+Y = (rho_0 + rho_1 + |rho_0 - rho_1|) / 2; for k = 2, writing
+rho_x = a_x I + b_x.sigma, p_guess is twice the radius of the smallest
+ball enclosing the Bloch balls B(b_x, a_x) (Bae, New J. Phys. 15, 073037,
+2013), found by deterministic pivoting over supports of at most four
+balls.  Each returns the measurement that attains it: the argmax, the
+projector onto the positive part of rho_0 - rho_1, or
+Pi_x = mu_x (I - u_x.sigma) from the ball's support.  Every other problem,
+k >= 3 with N >= 3, goes to the barrier below.  Whichever solved it, Y is
+lifted back and made to dominate as described below, and the gap to the
+renormalised measurement is measured, never assumed.
+
+A log-barrier interior-point method minimises
 t tr Y - sum_x log det(Y - rho_x) on the blocks projected onto the support
 of rho_B, one batched Newton step at a time, multiplying t by 8 whenever
 the iterate is centred.  It starts at the pretty-good measurement: Y at
@@ -59,6 +73,8 @@ violations return -inf, mirroring the definition.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +94,7 @@ NEG_INF = float("-inf")
 SOLVER_SIDE_CAP = 16
 CONVERGED_GAP_BITS = 1e-6
 SOLVER_TOL = 1e-10         # relative gap target; ~1e-8 bits is reached at BARRIER_T_CAP
+PIVOT_TOL = 1e-13          # a Bloch ball sticking out by this times the radius counts as held
 BARRIER_GROWTH = 8.0       # t grows by this factor at each centred iterate
 BARRIER_T_CAP = 1e13       # past this t, S_x^{-1} is dominated by rounding
 CENTRED = 1e-6             # Newton decrement^2 at which an iterate counts as centred
@@ -87,6 +104,10 @@ NEAR_CENTRED = 1e-3        # decrement^2 below which the primal bound is evaluat
 # spectral norm, which also covers forming the difference (Golub and Van
 # Loan, Matrix Computations, 4th ed., 2013, section 8.1).
 ROUNDING_FACTOR = 8.0
+# sigma_x, sigma_y, sigma_z: a qubit operator is rho = a I + b.sigma with a = tr rho / 2 and
+# b_i = tr(rho sigma_i) / 2.  Read-only, so threads may share it.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.setflags(write=False)
 
 
 def h_min_classical(dist: dict) -> float:
@@ -119,7 +140,10 @@ class EntropyResult:
     """An achieved entropy, the sigma achieving it, its gap in bits and the solver's steps.
 
     ``gap`` bounds the shortfall of ``value`` to the true supremum; it is
-    0.0, with ``iterations`` 0, for a closed form.
+    0.0, with ``iterations`` 0, for the classical closed form.  The exact
+    guessing-probability solutions (k <= 2 or N <= 2) measure their gap
+    as the barrier does, at the level of rounding, and count their pivots
+    as ``iterations`` (none for k = 1 or N <= 2).
     """
 
     value: float
@@ -163,7 +187,11 @@ def h_min_cond(state: CqState, iters: int = 500) -> EntropyResult:
     """Conditional min-entropy sup_sigma H_min(rho|sigma).
 
     Exact for classical side registers.  Otherwise the guessing-probability
-    SDP is solved by a log-barrier method: ``iters`` caps its Newton steps
+    SDP is projected onto the k-dimensional support of rho_B.  With N
+    blocks, k <= 2 or N <= 2 has an exact solution (``_exact_guess``: the
+    largest block, Helstrom, or the Bloch-ball solver, whose pivots
+    ``iters`` caps and ``result.iterations`` counts).  Every other problem
+    is solved by a log-barrier method: ``iters`` caps its Newton steps
     (``result.iterations`` counts them) and ``SOLVER_TOL`` is the target
     relative gap between the dual and primal guessing probabilities; it
     also stops once t passes ``BARRIER_T_CAP``, where rounding dominates and
@@ -178,12 +206,199 @@ def h_min_cond(state: CqState, iters: int = 500) -> EntropyResult:
 
 def _h_min_solver(state: CqState, iters: int) -> EntropyResult:
     basis = _support_basis(marginal_side(state))
-    y, p_primal, steps = _guessing_barrier(basis.conj().T @ state.stack @ basis, iters)
+    blocks = basis.conj().T @ state.stack @ basis
+    n, k = blocks.shape[0], blocks.shape[1]
+    y, p_primal, steps = (_exact_guess if k <= 2 or n <= 2 else _guessing_barrier)(blocks, iters)
     y = _dominating(basis @ y @ basis.conj().T, state.stack)
     p_dual = float(y.trace().real)
     value = -float(np.log2(p_dual))
     upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
     return EntropyResult(value, y / p_dual, max(upper - value, 0.0), steps)
+
+
+def _exact_guess(blocks: np.ndarray, iters: int):
+    """The guessing-probability SDP, solved exactly on (N, k, k) blocks with k <= 2 or N <= 2.
+
+    Returns Y, the guessing probability of a measurement and the number of
+    pivots, as ``_guessing_barrier`` does.  k = 1: Y = max_x rho_x, guessed
+    by its argmax.  N <= 2, with N = 1 padded by a zero block: Helstrom,
+    Y = (rho_0 + rho_1 + |rho_0 - rho_1|) / 2, measured by the projector onto
+    the positive part of rho_0 - rho_1.  k = 2: with rho_x = a_x I + b_x.sigma,
+    the smallest ball enclosing the Bloch balls B(b_x, a_x) (``_bloch_ball``,
+    at most ``iters`` pivots) and the measurement of its support.
+    """
+    n, k = blocks.shape[0], blocks.shape[1]
+    pivots = 0
+    if k == 1:
+        best = int(np.argmax(blocks[:, 0, 0].real))
+        y = _herm(blocks[best])
+        povm = np.zeros_like(blocks)
+        povm[best] = 1.0
+    elif n <= 2:
+        blocks = np.concatenate([blocks, np.zeros_like(blocks[:2 - n])])
+        w, v = np.linalg.eigh(blocks[0] - blocks[1])
+        plus, minus = v[:, w > 0], v[:, w <= 0]
+        y = _herm(0.5 * (blocks[0] + blocks[1] + (v * np.abs(w)) @ v.conj().T))
+        povm = np.stack([plus @ plus.conj().T, minus @ minus.conj().T])
+    else:
+        radii = 0.5 * np.trace(blocks, axis1=1, axis2=2).real
+        centres = 0.5 * np.einsum("xij,aji->xa", blocks, _PAULI).real
+        centre, radius, support, mu, u, pivots = _bloch_ball(radii, centres, iters)
+        paulis = _PAULI.reshape(3, 4)
+        y = radius * np.eye(2) + (centre @ paulis).reshape(2, 2)
+        povm = np.zeros_like(blocks)
+        povm[support] = mu[:, None, None] * (np.eye(2) - (u @ paulis).reshape(-1, 2, 2))
+    return y, _povm_guess(povm, blocks), pivots
+
+
+def _povm_guess(povm: np.ndarray, blocks: np.ndarray) -> float:
+    """Guessing probability of the POVM G^-1/2 povm_x G^-1/2, G = sum_x povm_x; 0 when G is not PD.
+
+    The renormalisation of ``_primal_bound``: the value is a measurement's,
+    whatever rounding has left in sum_x povm_x.
+    """
+    w, v = np.linalg.eigh(_block_sum(povm))
+    if w[0] <= 0:
+        return 0.0
+    g_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return float(_block_sum(_traces(g_inv_sqrt @ povm @ g_inv_sqrt @ blocks)))
+
+
+def _bloch_ball(radii: np.ndarray, centres: np.ndarray, iters: int):
+    """The smallest ball enclosing the balls B(centres[x], radii[x]) of R^3, by pivoting.
+
+    Y = c I + d.sigma dominates a_x I + b_x.sigma iff c - a_x >= |d - b_x|,
+    that is iff B(d, c) holds B(b_x, a_x), so min tr Y is twice the least
+    enclosing radius (Bae, New J. Phys. 15, 073037, 2013).  From the largest
+    ball, each pivot takes the ball that sticks out most, by more than
+    ``PIVOT_TOL`` times the radius, and ``_ball_basis`` re-solves the support
+    with it, over subsets of at most four balls (as in Fischer and Gaertner,
+    IJCGA 14, 2004).  The radius grows at every pivot, so no support recurs,
+    and the order is fixed: no random draw.  It stops when no ball sticks out,
+    after ``iters`` pivots, or when rounding leaves the ball that sticks out
+    most in the support or no subset passing.
+
+    Returns the centre, the radius, the support, weights mu >= 0 with
+    sum mu = 1 and unit (or zero) vectors u with sum_x mu_x u_x = 0 on the
+    support, and the pivots.  Pi_x = mu_x (I - u_x.sigma) is then a
+    measurement whose guessing probability is twice the radius.
+    """
+    rad, cen = radii.tolist(), centres.tolist()
+    first = int(np.argmax(radii))
+    support, centre, radius, pivots = [first], centres[first], rad[first], 0
+    mu, u = np.ones(1), np.zeros((1, 3))
+    while pivots < iters:
+        out = radii + np.sqrt(((centres - centre) ** 2).sum(axis=1)) - radius
+        j = int(np.argmax(out))
+        if out[j] <= PIVOT_TOL * radius or j in support:
+            break
+        basis = _ball_basis(support, j, rad, cen)
+        if basis is None:
+            break
+        support, centre, radius, mu, u = basis
+        pivots += 1
+    return centre, radius, support, mu, u, pivots
+
+
+def _ball_basis(support: list, j: int, rad: list, cen: list):
+    """The smallest ball enclosing the balls of ``support`` and ball j, with its support.
+
+    Ball j lies on it, so the subsets of ``support`` joined by j are tried,
+    smallest first; the first tangent ball that holds every candidate is the
+    one.  Ball j alone is never it: the enclosing radius, at least the
+    largest of the radii, grows at each pivot.  None when rounding leaves no
+    subset passing.
+    """
+    for size in range(1, min(len(support), 3) + 1):
+        for rest in itertools.combinations(support, size):
+            basis = _tangent_ball([j, *rest], rad, cen, support + [j])
+            if basis is not None:
+                return basis
+    return None
+
+
+def _tangent_ball(subset: list, rad: list, cen: list, held: list):
+    """The ball tangent from inside to every ball of ``subset``, its centre a convex
+    combination of theirs, if it holds every ball of ``held`` (within ``PIVOT_TOL``).
+
+    These are the optimality conditions of the smallest ball holding ``held``,
+    so that ball is returned, as ``_bloch_ball`` describes it; else None.
+    With ball 0 the largest, m_i = b_i - b_0, delta_i = a_0 - a_i,
+    r = c - a_0 and e = d - b_0 = sum_i lambda_i m_i, tangency is
+    |e - m_i| = r + delta_i.  Subtracting |e| = r leaves
+    sum_j lambda_j m_i.m_j = (|m_i|^2 - delta_i^2) / 2 - r delta_i, linear in
+    lambda for each r, and |e| = r is then quadratic in r.
+    """
+    order = sorted(subset, key=lambda i: -rad[i])
+    a0, b0 = rad[order[0]], cen[order[0]]
+    ms = [[p - q for p, q in zip(cen[i], b0)] for i in order[1:]]
+    deltas = [a0 - rad[i] for i in order[1:]]
+    lams = _gram_solve([[_dot(p, q) for q in ms] for p in ms],
+                       [[0.5 * (_dot(p, p) - dl * dl), -dl] for p, dl in zip(ms, deltas)])
+    if lams is None:
+        return None
+    e0, e1 = (_combine([lam[col] for lam in lams], ms) for col in (0, 1))
+    roots = _quadratic_roots(_dot(e1, e1) - 1.0, _dot(e0, e1), _dot(e0, e0))
+    for r in sorted(max(root, 0.0) for root in roots if root >= -PIVOT_TOL * a0):
+        lam = [l0 + r * l1 for l0, l1 in lams]
+        nu = [1.0 - sum(lam)] + lam
+        if not min(nu) >= -PIVOT_TOL:
+            continue
+        c, e = a0 + r, _combine(lam, ms)
+        slack = PIVOT_TOL * c
+        d = [p + q for p, q in zip(b0, e)]
+        if not all(rad[i] + math.dist(d, cen[i]) <= c + slack for i in held):
+            continue
+        arms = [e] + [[p - q for p, q in zip(e, m)] for m in ms]     # d - b_i
+        dists = [math.hypot(*arm) for arm in arms]
+        if not all(abs(dist - r - dl) <= slack for dist, dl in zip(dists, [0.0] + deltas)):
+            continue
+        nu = [max(w, 0.0) for w in nu]
+        weights = [w * dist for w, dist in zip(nu, dists)]
+        if sum(weights) > 0:
+            u = [[p / dist for p in arm] if dist > 0 else [0.0] * 3
+                 for arm, dist in zip(arms, dists)]
+        else:       # each weighted ball is the enclosing ball itself: Pi_x = mu_x I
+            weights, u = nu, [[0.0] * 3] * len(nu)
+        return order, np.array(d), c, np.array(weights) / sum(weights), np.array(u)
+    return None
+
+
+def _dot(p, q) -> float:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _combine(coefficients, vectors) -> list:
+    """sum_i coefficients[i] vectors[i], for 3-vectors as lists."""
+    total = [0.0, 0.0, 0.0]
+    for c, (x, y, z) in zip(coefficients, vectors):
+        total = [total[0] + c * x, total[1] + c * y, total[2] + c * z]
+    return total
+
+
+def _gram_solve(gram: list, rhs: list):
+    """X with gram X = rhs, for a small Gram matrix and rhs given as lists of rows;
+    elimination without pivoting, as a Gram matrix is PSD.  None when it is singular."""
+    rows = [g + r for g, r in zip(gram, rhs)]
+    size = len(rows)
+    for i in range(size):
+        if not rows[i][i] > 0:
+            return None
+        for row in rows[i + 1:]:
+            f = row[i] / rows[i][i]
+            row[i:] = [p - f * q for p, q in zip(row[i:], rows[i][i:])]
+    x = [None] * size
+    for i in reversed(range(size)):
+        x[i] = [(b - sum(rows[i][j] * x[j][col] for j in range(i + 1, size))) / rows[i][i]
+                for col, b in enumerate(rows[i][size:])]
+    return x
+
+
+def _quadratic_roots(alpha: float, beta: float, gamma: float) -> list:
+    """The real roots of alpha r^2 + 2 beta r + gamma, by the cancellation-free formula;
+    a negative discriminant is rounding's, so a double root is not lost."""
+    q = -(beta + math.copysign(math.sqrt(max(beta * beta - alpha * gamma, 0.0)), beta))
+    return ([q / alpha] if alpha else []) + ([gamma / q] if q else [])
 
 
 # numpy's private gufunc module: the LAPACK calls behind np.linalg.inv, solve

@@ -455,7 +455,7 @@ def _pgm_commutation(p, rng):
         dev = float(np.max(np.abs(lhs.stack - rhs.stack)))
         yield Case(_k_params(n_bits, out_bits, 0, 0.0, 0.0),
                    f"pgm-commute n={n_bits} dim={dim} out={out_bits}",
-                   [("channel-equality", dev, 0.0)], {"criterion_tol": 1e-10})
+                   [("channel-equality", dev, 0.0)])
 
 
 @_check("hmin-linear-drop", exhaustive_n=3, random_ns=(4, 5, 6), per_n=25,
@@ -476,7 +476,7 @@ def _hmin_linear_drop(p, rng):
                 state, lambda x: int(images[bits_to_index(x)])))
         lifted = memo[kernel]
         r = n - gf2_rank(mat)
-        return Case(_k_params(n, 1, min(r, n - 1), base.value, lifted.value),
+        return Case(_k_params(n, 1, r, base.value, lifted.value),
                     f"linear-drop {label} n={n} r={r}",
                     [("rank-drop", (base.value - r) - lifted.value, ENTROPY_SLACK)],
                     {"converged": base.converged and lifted.converged})

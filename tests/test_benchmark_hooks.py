@@ -93,7 +93,7 @@ CONFIG_DIGESTS = {
     ("classical-exhaustive.json", 0):
         "d367d82b19b5e3c32f2ae212048ad2dfa10736959899eca052767753b4a1f0b0",
     ("small-state-mix.json", 3):
-        "cf9601bd6f0e3783da4388880ea2ee30a5c992489ccbc4d08a21fec96a009587",
+        "f9b0f11c865afe40ea7e5a94f8943250218b5fe16cd45908f8ace3ead6e38a10",
 }
 
 

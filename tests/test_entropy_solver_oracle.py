@@ -24,6 +24,12 @@ certificate from a central-difference gradient.  ``_per_state_h2_solver``
 and ``_per_state_fixed_point`` are the collision solver as it ran one state
 at a time, before ``h2_cond_many`` stacked it per support rank, verbatim
 but for names: the stacked solver must match them bit for bit.
+``_barrier_h_min_solver`` is ``_h_min_solver`` as it was before the exact
+routes, with every problem sent to the barrier.  Since then the barrier is
+the oracle of ``_exact_guess``: on qubit supports (k = 2) the Bloch-ball
+solver's dual and measurement must lie within the barrier's gap, its
+support must meet the optimality conditions, two blocks must give the
+Helstrom value and k = 1 the largest block.
 """
 
 import functools
@@ -43,8 +49,10 @@ from extraction_lab.entropies import (
     NEG_INF,
     SOLVER_TOL,
     EntropyResult,
+    _bloch_ball,
     _closed_form,
     _dominating,
+    _exact_guess,
     _guessing_barrier,
     _h_min_solver,
     _is_classical,
@@ -224,14 +232,18 @@ def _ref_feasible_step(y, delta, blocks, t, log_det, decrement):
 
 def _ref_cold_h_min_solver(state, iters, tol):
     """``_h_min_solver`` around ``_ref_cold_barrier``."""
+    return _barrier_h_min_solver(state, iters, lambda blocks, n: _ref_cold_barrier(blocks, n, tol))
+
+
+def _barrier_h_min_solver(state, iters, barrier=_guessing_barrier):
+    """``_h_min_solver`` with every problem, whatever its k and N, solved by ``barrier``."""
     basis = _support_basis(marginal_side(state))
-    y, p_primal, steps = _ref_cold_barrier(basis.conj().T @ state.stack @ basis, iters, tol)
+    y, p_primal, steps = barrier(basis.conj().T @ state.stack @ basis, iters)
     y = _dominating(basis @ y @ basis.conj().T, state.stack)
     p_dual = float(np.trace(y).real)
     value = -float(np.log2(p_dual))
     upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
-    gap = max(upper - value, 0.0)
-    return EntropyResult(value, y / p_dual, gap, steps)
+    return EntropyResult(value, y / p_dual, max(upper - value, 0.0), steps)
 
 
 def _linalg_barrier(blocks: np.ndarray, iters: int):
@@ -463,8 +475,8 @@ def test_barrier_dual_dominates_every_block():
 
 def test_barrier_h_min_solver_unconverged_is_sound():
     for i, state in enumerate(oracle_states(24, seed=12)):
-        capped = _h_min_solver(state, 5)
-        full = _h_min_solver(state, 500)
+        capped = _barrier_h_min_solver(state, 5)
+        full = _barrier_h_min_solver(state, 500)
         assert capped.iterations == 5 and not capped.converged, f"state {i}"
         assert capped.value <= full.value + full.gap + ROUNDING_BITS, f"state {i}"
         assert _dominated_by(capped, state) >= 0.0, f"state {i}"
@@ -473,7 +485,7 @@ def test_barrier_h_min_solver_unconverged_is_sound():
 def test_warm_start_brackets_cold_start():
     warm_steps = cold_steps = 0
     for i, state in enumerate(oracle_states(100, seed=11)):
-        warm = _h_min_solver(state, 500)
+        warm = _barrier_h_min_solver(state, 500)
         cold = _ref_cold_h_min_solver(state, 500, 1e-10)
         assert warm.converged and cold.converged, f"state {i}"
         assert cold.value - warm.gap - ROUNDING_BITS <= warm.value, f"state {i}"
@@ -860,3 +872,162 @@ def test_relative_entropies_follow_the_per_block_kernel_test(support, rng):
     assert (expected == NEG_INF) == (support == 3)
     assert h_min_rel(state, sigma) == pytest.approx(expected, rel=0, abs=1e-9)
     assert h2_rel(state, sigma) == pytest.approx(_ref_h2_rel(state, sigma), rel=0, abs=1e-9)
+
+
+# -- exact solutions: qubit supports, two blocks, one dimension ---------------------
+
+def _qubit_problems(count, seed):
+    """(N, 2, 2) stacks with a PD sum and unit trace, N = 1..37.
+
+    Each block is a random mixed or pure state or a zero block, times a
+    random weight, or it repeats an earlier block: an identical copy, a
+    scaled copy (a ball nested in its Bloch ball) or the block plus 1e-9 of
+    a pure state (a ball that barely sticks out of it).  Every third stack
+    is real, so its Bloch centres are coplanar.
+    """
+    rng = np.random.default_rng(seed)
+    problems = []
+    while len(problems) < count:
+        n, real = 1 + len(problems) % 37, len(problems) % 3 == 0
+        blocks = []
+        for _ in range(n):
+            kind = int(rng.integers(6)) if blocks else int(rng.integers(2))
+            if kind < 3:
+                fresh = [random_density, random_pure_state, lambda *_: np.zeros((2, 2))][kind]
+                blocks.append(fresh(2, rng) * (rng.random() + 1e-3))
+            else:
+                earlier = blocks[int(rng.integers(len(blocks)))]
+                blocks.append([earlier, earlier * rng.random(),
+                               earlier + 1e-9 * np.trace(earlier).real * random_pure_state(2, rng),
+                               ][kind - 3])
+            if real:
+                blocks[-1] = blocks[-1].real
+        stack = np.array(blocks, dtype=complex)
+        total = _block_sum(stack)
+        if np.linalg.eigvalsh(total)[0] > 1e-3 * np.trace(total).real:
+            problems.append(stack / np.trace(total).real)
+    return problems
+
+
+def _bloch_form(blocks):
+    """(a_x, b_x) with rho_x = a_x I + b_x.sigma, read off the entries."""
+    radii = 0.5 * (blocks[:, 0, 0] + blocks[:, 1, 1]).real
+    centres = np.stack([blocks[:, 1, 0].real, blocks[:, 1, 0].imag,
+                        0.5 * (blocks[:, 0, 0] - blocks[:, 1, 1]).real], axis=1)
+    return radii, centres
+
+
+def test_qubit_problems_cover_the_cases():
+    problems = _qubit_problems(200, seed=31)
+    assert {len(p) for p in problems} == set(range(1, 38))
+    ranks = [np.linalg.matrix_rank(b, tol=1e-9) for p in problems for b in p]
+    assert {0, 1, 2} <= set(ranks)
+    assert sum(not np.any(p.imag) for p in problems) >= 60
+
+
+def _lowest_slack(y, blocks):
+    return float(np.linalg.eigvalsh(y - blocks)[:, 0].min())
+
+
+def test_exact_guess_brackets_the_barrier_on_qubit_supports():
+    for i, blocks in enumerate(_qubit_problems(200, seed=31)):
+        y, p_exact, pivots = _exact_guess(blocks, 500)
+        y_barrier, p_barrier, _ = _guessing_barrier(blocks, 500)
+        dual, dual_barrier = float(np.trace(y).real), float(np.trace(y_barrier).real)
+        assert _lowest_slack(y, blocks) >= -1e-15, f"problem {i}"
+        # Both are exact: p_exact and dual agree to rounding, either way round.
+        assert abs(dual - p_exact) <= 1e-13 * dual, f"problem {i}"
+        assert p_barrier * (1 - 1e-12) <= p_exact, f"problem {i}"
+        assert dual <= dual_barrier * (1 + 1e-12), f"problem {i}"
+        assert pivots == 0 if len(blocks) <= 2 else pivots <= 8, f"problem {i}"
+
+
+def test_bloch_ball_support_meets_the_optimality_conditions():
+    for i, blocks in enumerate(_qubit_problems(200, seed=31)):
+        radii, centres = _bloch_form(blocks)
+        centre, radius, support, mu, u, _ = _bloch_ball(radii, centres, 500)
+        sticking_out = radii + np.linalg.norm(centres - centre, axis=1) - radius
+        assert sticking_out.max() <= 1e-13 * radius, f"problem {i}"
+        assert np.all(np.abs(sticking_out[support]) <= 1e-13 * radius), f"problem {i}"
+        assert len(set(support)) == len(support) <= 4, f"problem {i}"
+        assert np.all(mu >= 0) and abs(mu.sum() - 1.0) <= 1e-12, f"problem {i}"
+        assert np.abs(mu @ u).max() <= 1e-12, f"problem {i}"
+        norms = np.linalg.norm(u, axis=1)
+        assert np.all((np.abs(norms - 1.0) <= 1e-12) | (norms == 0.0)), f"problem {i}"
+        # Pi_x = mu_x (I - u_x.sigma) guesses with twice the radius.
+        guess = 2.0 * float(mu @ (radii[support] - (u * centres[support]).sum(axis=1)))
+        assert abs(guess - 2.0 * radius) <= 1e-12, f"problem {i}"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_two_blocks_give_the_helstrom_value(k):
+    rng = np.random.default_rng(40 + k)
+    for i in range(30):
+        make = random_pure_state if i % 2 else random_density
+        blocks = np.array([rng.random() * make(k, rng) for _ in range(2)])
+        helstrom = 0.5 * (np.trace(blocks[0] + blocks[1]).real
+                          + np.abs(np.linalg.eigvalsh(blocks[0] - blocks[1])).sum())
+        y, p_primal, pivots = _exact_guess(blocks, 500)
+        assert pivots == 0 and _lowest_slack(y, blocks) >= -1e-15, i
+        assert abs(np.trace(y).real - helstrom) <= 1e-14 and abs(p_primal - helstrom) <= 1e-14, i
+        y, p_primal, _ = _exact_guess(blocks[:1], 500)
+        assert abs(np.trace(y).real - np.trace(blocks[0]).real) <= 1e-15, i
+        assert abs(p_primal - np.trace(blocks[0]).real) <= 1e-15, i
+
+
+def test_one_dimensional_support_takes_the_largest_block():
+    rng = np.random.default_rng(50)
+    for n in (1, 2, 3, 9):
+        blocks = rng.random((n, 1, 1)).astype(complex)
+        y, p_primal, pivots = _exact_guess(blocks, 500)
+        assert y[0, 0] == blocks.max() and p_primal == blocks.real.max() and pivots == 0
+
+
+def _qubit_states(count, seed):
+    """cq-states on a qubit side register with N >= 3 random mixed blocks."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        syms = [index_to_bits(j, 3) for j in range(int(rng.integers(3, 9)))]
+        weights = rng.random(len(syms)) + 1e-3
+        states.append(build_cq(dict(zip(syms, (weights / weights.sum()).tolist())),
+                               {s: random_density(2, rng) for s in syms}))
+    return states
+
+
+def test_pivot_cap_is_reported_unconverged_and_sound():
+    capped_states = 0
+    for i, state in enumerate(_qubit_states(40, seed=60)):
+        full = h_min_cond(state)
+        barrier = _barrier_h_min_solver(state, 500)
+        assert full.converged and full.gap <= 1e-12, f"state {i}"
+        assert barrier.value - full.gap <= full.value <= barrier.value + barrier.gap, f"state {i}"
+        if full.iterations < 2:
+            continue
+        capped = h_min_cond(state, iters=1)
+        assert capped.iterations == 1 and not capped.converged, f"state {i}"
+        assert capped.value <= full.value + full.gap + ROUNDING_BITS, f"state {i}"
+        assert _dominated_by(capped, state) >= 0.0, f"state {i}"
+        capped_states += 1
+    assert capped_states >= 5
+
+
+def test_paper_table_1_sends_only_k_and_n_of_three_or_more_to_the_barrier(monkeypatch):
+    from extraction_lab.harness import load_config, run_suite
+    routes = {"exact": 0, "barrier": 0}
+    barrier, exact = entropies._guessing_barrier, entropies._exact_guess
+
+    def guarded_barrier(blocks, iters):
+        if blocks.shape[0] <= 2 or blocks.shape[1] <= 2:
+            raise AssertionError(f"the barrier got (N, k, k) = {blocks.shape}")
+        routes["barrier"] += 1
+        return barrier(blocks, iters)
+
+    def counted_exact(blocks, iters):
+        routes["exact"] += 1
+        return exact(blocks, iters)
+
+    monkeypatch.setattr(entropies, "_guessing_barrier", guarded_barrier)
+    monkeypatch.setattr(entropies, "_exact_guess", counted_exact)
+    assert run_suite(load_config("paper-table-1"), seed=42).all_pass
+    assert routes["exact"] > 0 and routes["barrier"] > 0

@@ -180,7 +180,7 @@ DRAW_DIGESTS = {
     "useful-prop-random": "6febc4b579214adfaee9821e1182050d24703f3ccc82b6c3647d5d7b9eb104ec",
     "parseval-random": "9d23d32c52ef5bfb5207e09e4f773fd8c26c3e76c5a1feaed8a5439c3b5226f1",
     "pgm-commutation": "c57b13ae2b1715c3b9fe578a5669a8b48789435fb975831bdf5cb92bb6c3829f",
-    "hmin-linear-drop": "559e02bd010cf809a5208006a26c9e30b131c5d69dbca62c99b0f783f5727dad",
+    "hmin-linear-drop": "b9b8de448e918258d30d84cf35881ea3d22ffb60b97e244be79b76893c1b37e1",
     "hmin-le-h2": "a5047e21ec709edae46a3761c496342474b050b173c9e29910727997a42b7a78",
     "one-two-norm": "e8eba841a7c7e2c5e77ea7cba7c6373589b194b5ae4a8ba8ac2df2b009846f51",
     "bound-ordering": "3f9ad161a66910c3cb7d1dc58d46f9ade8fa31cf64d329ae20729b8643e781e6",
@@ -583,8 +583,9 @@ def test_summary_counts_unconverged_rows():
 # taken with the per-pair output-state builders, before the output tables,
 # re-taken when the barrier-method h_min_cond replaced the fixed point and
 # b8-weak-quantum rows gained convergence flags, when the barrier started at
-# the pretty-good measurement, and when h2_cond became gap-certified and
-# hmin-le-h2 rows gained convergence flags.
+# the pretty-good measurement, when h2_cond became gap-certified and
+# hmin-le-h2 rows gained convergence flags, and when the guessing probability
+# became exact for support rank k <= 2 or N <= 2 blocks.
 OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b1-exhaustive-flat",
      "params": {"ns": [3, 4], "ms": [1, 2], "families": ["field", "shift"],
@@ -597,7 +598,7 @@ OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 8, "n_max": 3}},
     {"id": "hmin-le-h2", "params": {"count": 20}},
 ]}
-OUTPUT_PATHS_DIGEST = "240ff412de90600bf95817c36f2b57a109283819ea1133e8f27a73401d6b04a8"
+OUTPUT_PATHS_DIGEST = "fedbd6e91d4415fe4db534dfeec9f89b69e0dd778ca4c90c2bd8e79feb1d60bd"
 
 
 def test_output_paths_report_digest(tmp_path):
@@ -611,12 +612,14 @@ def test_output_paths_report_digest(tmp_path):
 # The rows of `verify --suite full --seed 7` that no other pinned digest
 # reaches: b2-markov at n_max 4 (B2, B5, B10 and B11 at n = 4) and
 # hmin-linear-drop, with full's params and the seeds that run_suite derives
-# for them at positions 4 and 10.  Taken before the bound catalog became a table.
+# for them at positions 4 and 10.  Taken before the bound catalog became a table;
+# re-taken when the guessing probability became exact for k <= 2 or N <= 2 and
+# hmin-linear-drop's params took the scenario's r.
 FULL_ONLY_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 40, "n_max": 4}, "seed": 7 * 1000003 + 4},
     {"id": "hmin-linear-drop", "params": {}, "seed": 7 * 1000003 + 10},
 ]}
-FULL_ONLY_DIGEST = "9e7ab50badc5fcfcba7dd0b542a7f478f30f4e828a15e4ad92c541c6f66b6da1"
+FULL_ONLY_DIGEST = "9be7bbf625a1b45a68f91ea7a10832db54d7ed5af0c208eb6cdfed97cf0dca55"
 
 
 def test_full_only_rows_report_digest():
@@ -634,13 +637,14 @@ def test_full_only_rows_report_digest():
 # pgm-commutation relabels a state and its PGM, measured-xor-random masks
 # the output bits, and useful-prop-random tests the Fourier bound's kernel.
 # The digest was taken with a hand-written sum over the PGM's elements and
-# a Fourier bound that decomposed sigma twice.
+# a Fourier bound that decomposed sigma twice; re-taken when pgm-commutation
+# rows dropped an unread criterion_tol flag.
 RELABEL_PATHS_CONFIG = {"checks": [
     {"id": "pgm-commutation", "params": {"count": 40}},
     {"id": "useful-prop-random", "params": {"count": 40}},
     {"id": "measured-xor-random", "params": {"count": 40}},
 ]}
-RELABEL_PATHS_DIGEST = "526293086e6d75609e16b6d34cb3829696b62317d627b297328fdbd5379a75e3"
+RELABEL_PATHS_DIGEST = "7d67fb8fcd8186dc50d3e1edf7aab620d7b7885350b756fc7543ff91ad30e234"
 
 
 def test_relabel_paths_report_digest():
@@ -652,7 +656,7 @@ def test_relabel_paths_report_digest():
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
-PAPER_TABLE_1_DIGEST = "ecc66dafee9d935a68f99570355d9e7e48c36af9232ed2774b056f49af7d3f18"
+PAPER_TABLE_1_DIGEST = "5c89f3eb8fbcbce129d3cd8d00835d16395c39c883df597589e8368177d9dafa"
 
 
 def test_paper_table_1_report_digest():
@@ -818,7 +822,7 @@ def _blank_runtimes(report_csv: str) -> str:
 
 # sha256 of report.csv for `verify --suite paper-table-1 --seed 42` with the
 # runtime_ms column blanked: the CSV's counterpart of PAPER_TABLE_1_DIGEST.
-PAPER_TABLE_1_CSV_DIGEST = "5265b1d0b4757bf8a3dd8d5a71ce197dc2e13ec21a60a34bfb5e5ab3ada66e12"
+PAPER_TABLE_1_CSV_DIGEST = "fa6a4d1b92d6d35a4ad1c9066e1104615299207506adaff18dbcaf938bd6331e"
 
 
 def test_paper_table_1_csv_digest():
