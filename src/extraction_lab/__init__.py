@@ -20,7 +20,15 @@ from .cq_states import (
     marginal_side,
     product,
 )
-from .entropies import h2_cond, h2_cond_many, h2_rel, h_min_classical, h_min_cond, h_min_rel
+from .entropies import (
+    h2_cond,
+    h2_cond_many,
+    h2_rel,
+    h_min_classical,
+    h_min_cond,
+    h_min_cond_many,
+    h_min_rel,
+)
 from .extractors import (
     ExtractorSpec,
     deor_eval,

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .entropies import h2_cond, h_min_classical, h_min_cond
+from .entropies import h2_cond, h_min_classical, h_min_cond, h_min_cond_many
 from .extractors import deor_eval
 from .gf2 import (
     build_field_family,
@@ -126,7 +126,7 @@ def _cmd_entropy(args) -> int:
     if form == "markov":
         joint, *marginals = markov_marginals(scenario["n"], scenario["blocks"], scenario["seed"],
                                              scenario["classical"])
-        res1, res2 = map(h_min_cond, marginals)
+        res1, res2 = h_min_cond_many(marginals)
         out = {
             "model": "markov_blocks",
             "side_dim": joint.side_dim,

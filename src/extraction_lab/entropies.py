@@ -19,35 +19,37 @@ ball enclosing the Bloch balls B(b_x, a_x) (Bae, New J. Phys. 15, 073037,
 balls.  Each returns the measurement that attains it: the argmax, the
 projector onto the positive part of rho_0 - rho_1, or
 Pi_x = mu_x (I - u_x.sigma) from the ball's support.  Every other problem,
-k >= 3 with N >= 3, goes to the barrier below.  Whichever solved it, Y is
-lifted back and made to dominate as described below, and the gap to the
-renormalised measurement is measured, never assumed.
+k >= 3 with N >= 3, goes to the primal-dual method below.  Whichever solved
+it, Y is lifted back and made to dominate as described below, and the gap
+to the renormalised measurement is measured, never assumed.
 
-A log-barrier interior-point method minimises
-t tr Y - sum_x log det(Y - rho_x) on the blocks projected onto the support
-of rho_B, one batched Newton step at a time, multiplying t by 8 whenever
-the iterate is centred.  It starts at the pretty-good measurement: Y at
-that measurement's Lagrange operator sum_x rho_x E_x, shifted to dominate
-every block strictly, and t where the barrier's duality gap equals the
-start's measured gap, so few steps are spent far from the optimum.  The
-value comes from the dual Y, made rigorous in
-floating point: lambda_min(Y - rho_x) minus a rounding bound for eigvalsh
-must be non-negative for every block, else Y is shifted by that much
-times the identity.  The barrier's measurements S_x^{-1}/t, renormalised
-to a POVM, give the primal bound; the gap between the two is reported on
-the result.
+The primal-dual method (Mehrotra's predictor-corrector, SIAM J. Optim. 2,
+1992, in the HKM direction of Helmberg, Rendl, Vanderbei and Wolkowicz,
+SIAM J. Optim. 6, 1996) moves Y and the measurement E_x together on the
+blocks projected onto the support of rho_B.  It starts at the pretty-good
+measurement: Y at that measurement's Lagrange operator sum_x rho_x E_x,
+shifted to dominate every block strictly, so few iterations are spent far
+from the optimum.  Each iteration solves one k^2 x k^2 system twice, and
+has no line search: the step goes a fixed fraction of the way to the
+boundary, which one stacked Cholesky and eigvalsh place.  So every
+iteration is the same few numpy calls for every member, and
+``h_min_cond_many`` runs the problems of one projected shape (N, k) in
+lockstep, with every member's result bit for bit its own solve's.  The
+value comes from the dual Y, made rigorous in floating point:
+lambda_min(Y - rho_x) minus a rounding bound for eigvalsh must be
+non-negative for every block, else Y is shifted by that much times the
+identity.  The iterate's E, renormalised to a POVM, gives the primal
+bound; the gap between the two is reported on the result.
 
-Each Newton step factors and inverts the N slacks Y - rho_x and solves one
-k^2 x k^2 system.  At k <= 6 the np.linalg wrappers' per-call work (a dtype
-check and an errstate of their own) costs more than LAPACK does, so the
-barrier calls the gufuncs behind ``inv``, ``solve`` and ``cholesky`` directly,
-with the same results bit for bit.  It enters one errstate per solve,
-``_lapack_errors``: invalid='call' with a handler that raises LinAlgError,
-so a failed Cholesky still halves the step.  The errstate covers the whole
-barrier, so any invalid operation inside a solve, in LAPACK or not, raises
-LinAlgError.  The gufuncs clear every floating-point flag but invalid, so
-only invalid needs a setting: the caller's other settings hold inside the
-solve, and all of them after it.
+At k <= 6 the np.linalg wrappers' per-call work (a dtype check and an
+errstate of their own) costs more than LAPACK does, so the solver calls the
+gufuncs behind ``inv``, ``solve`` and ``cholesky`` directly, with the same
+results bit for bit.  It enters one errstate per call, ``_failures_as_nan``,
+which ignores invalid: a factorisation or solve that fails fills its
+member's result with NaN and raises nothing, and the member, tested on its
+own, leaves the stack with its best iterate.  The gufuncs clear every
+floating-point flag but invalid, so only invalid needs a setting: the
+caller's other settings hold inside the solve, and all of them after it.
 numpy keeps errstate in a context variable, so threads each see their own.
 The eigen calls stay on np.linalg, where a tracer that wraps np.linalg
 still counts them.
@@ -93,12 +95,9 @@ from .operators import (
 NEG_INF = float("-inf")
 SOLVER_SIDE_CAP = 16
 CONVERGED_GAP_BITS = 1e-6
-SOLVER_TOL = 1e-10         # relative gap target; ~1e-8 bits is reached at BARRIER_T_CAP
+SOLVER_TOL = 1e-10         # relative gap target of the solvers
 PIVOT_TOL = 1e-13          # a Bloch ball sticking out by this times the radius counts as held
-BARRIER_GROWTH = 8.0       # t grows by this factor at each centred iterate
-BARRIER_T_CAP = 1e13       # past this t, S_x^{-1} is dominated by rounding
-CENTRED = 1e-6             # Newton decrement^2 at which an iterate counts as centred
-NEAR_CENTRED = 1e-3        # decrement^2 below which the primal bound is evaluated
+FRACTION_TO_BOUNDARY = 0.98    # a primal-dual step goes this far to the edge of the PSD cone
 # eigvalsh is backward stable: the computed spectrum of Y - rho_x is exact
 # for a matrix within ROUNDING_FACTOR * d * eps * (|Y|_F + |rho_x|_F) in
 # spectral norm, which also covers forming the difference (Golub and Van
@@ -142,8 +141,8 @@ class EntropyResult:
     ``gap`` bounds the shortfall of ``value`` to the true supremum; it is
     0.0, with ``iterations`` 0, for the classical closed form.  The exact
     guessing-probability solutions (k <= 2 or N <= 2) measure their gap
-    as the barrier does, at the level of rounding, and count their pivots
-    as ``iterations`` (none for k = 1 or N <= 2).
+    as the primal-dual method does, at the level of rounding, and count
+    their pivots as ``iterations`` (none for k = 1 or N <= 2).
     """
 
     value: float
@@ -184,31 +183,63 @@ def _support_basis(rho_b: np.ndarray) -> np.ndarray:
 
 
 def h_min_cond(state: CqState, iters: int = 500) -> EntropyResult:
-    """Conditional min-entropy sup_sigma H_min(rho|sigma).
+    """Conditional min-entropy sup_sigma H_min(rho|sigma): :func:`h_min_cond_many` of one state.
 
     Exact for classical side registers.  Otherwise the guessing-probability
     SDP is projected onto the k-dimensional support of rho_B.  With N
     blocks, k <= 2 or N <= 2 has an exact solution (``_exact_guess``: the
     largest block, Helstrom, or the Bloch-ball solver, whose pivots
     ``iters`` caps and ``result.iterations`` counts).  Every other problem
-    is solved by a log-barrier method: ``iters`` caps its Newton steps
+    is solved by a primal-dual method: ``iters`` caps its iterations
     (``result.iterations`` counts them) and ``SOLVER_TOL`` is the target
-    relative gap between the dual and primal guessing probabilities; it
-    also stops once t passes ``BARRIER_T_CAP``, where rounding dominates and
-    gaps up to 3.3e-9 bits were measured, so about 1e-8 bits is what can be
-    reached and ``converged`` is not at risk.  ``result.value`` is from a
-    dual Y that dominates every block in exact arithmetic, so it is sound
-    whether or not the solver converged; ``result.gap`` bounds the
-    shortfall to the true supremum in bits and ``result.sigma`` is Y / tr Y.
+    relative gap between the dual and primal guessing probabilities.
+    ``result.value`` is from a dual Y that dominates every block in exact
+    arithmetic, so it is sound whether or not the solver converged;
+    ``result.gap`` bounds the shortfall to the true supremum in bits and
+    ``result.sigma`` is Y / tr Y.
     """
-    return _closed_form(state, 1) or _h_min_solver(state, iters)
+    return h_min_cond_many([state], iters)[0]
 
 
-def _h_min_solver(state: CqState, iters: int) -> EntropyResult:
-    basis = _support_basis(marginal_side(state))
-    blocks = basis.conj().T @ state.stack @ basis
-    n, k = blocks.shape[0], blocks.shape[1]
-    y, p_primal, steps = (_exact_guess if k <= 2 or n <= 2 else _guessing_barrier)(blocks, iters)
+def h_min_cond_many(states, iters: int = 500) -> list[EntropyResult]:
+    """:func:`h_min_cond` of each of ``states``, in order, from one lockstep solve per shape.
+
+    Classical side registers take the closed form.  The other states are
+    projected onto supp rho_B; those with k <= 2 or N <= 2 are solved
+    exactly one by one, and the rest are grouped by their projected shape
+    (N, k) and solved together by :func:`_guessing_pd`, whose results are,
+    bit for bit, those of a group of one.
+    """
+    results = [_closed_form(state, 1) for state in states]
+    quantum = [i for i, result in enumerate(results) if result is None]
+    for i, result in zip(quantum, _h_min_solver([states[i] for i in quantum], iters)):
+        results[i] = result
+    return results
+
+
+def _h_min_solver(states: list, iters: int) -> list[EntropyResult]:
+    """The certified min-entropy of each of ``states``, whatever its side register."""
+    bases = [_support_basis(marginal_side(state)) for state in states]
+    solved, groups = [None] * len(states), {}   # groups: projected shape -> [(index, blocks)]
+    for i, (state, basis) in enumerate(zip(states, bases)):
+        blocks = basis.conj().T @ state.stack @ basis
+        n, k = blocks.shape[0], blocks.shape[1]
+        if k <= 2 or n <= 2:
+            solved[i] = _exact_guess(blocks, iters)
+        else:
+            groups.setdefault(blocks.shape, []).append((i, blocks))
+    for members in groups.values():
+        at, stacks = zip(*members)
+        for i, result in zip(at, _guessing_pd(np.array(stacks), iters)):
+            solved[i] = result
+    return [_certified(state, basis, *result)
+            for state, basis, result in zip(states, bases, solved)]
+
+
+def _certified(state: CqState, basis: np.ndarray, y: np.ndarray, p_primal: float,
+               steps: int) -> EntropyResult:
+    """The result of a projected solve: Y lifted back and made to dominate, and the gap to
+    the guessing probability ``p_primal`` of a measurement."""
     y = _dominating(basis @ y @ basis.conj().T, state.stack)
     p_dual = float(y.trace().real)
     value = -float(np.log2(p_dual))
@@ -220,7 +251,7 @@ def _exact_guess(blocks: np.ndarray, iters: int):
     """The guessing-probability SDP, solved exactly on (N, k, k) blocks with k <= 2 or N <= 2.
 
     Returns Y, the guessing probability of a measurement and the number of
-    pivots, as ``_guessing_barrier`` does.  k = 1: Y = max_x rho_x, guessed
+    pivots, as ``_guessing_pd`` does per member.  k = 1: Y = max_x rho_x, guessed
     by its argmax.  N <= 2, with N = 1 padded by a zero block: Helstrom,
     Y = (rho_0 + rho_1 + |rho_0 - rho_1|) / 2, measured by the projector onto
     the positive part of rho_0 - rho_1.  k = 2: with rho_x = a_x I + b_x.sigma,
@@ -248,20 +279,22 @@ def _exact_guess(blocks: np.ndarray, iters: int):
         y = radius * np.eye(2) + (centre @ paulis).reshape(2, 2)
         povm = np.zeros_like(blocks)
         povm[support] = mu[:, None, None] * (np.eye(2) - (u @ paulis).reshape(-1, 2, 2))
-    return y, _povm_guess(povm, blocks), pivots
+    return y, float(_povm_guess(povm, blocks)), pivots
 
 
-def _povm_guess(povm: np.ndarray, blocks: np.ndarray) -> float:
-    """Guessing probability of the POVM G^-1/2 povm_x G^-1/2, G = sum_x povm_x; 0 when G is not PD.
+def _povm_guess(povm: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Guessing probability of the POVM G^-1/2 povm_x G^-1/2, G = sum_x povm_x, for an
+    (N, k, k) stack or each of a (P, N, k, k) stack; 0 where G is not PD.
 
-    The renormalisation of ``_primal_bound``: the value is a measurement's,
-    whatever rounding has left in sum_x povm_x.
+    The value is a measurement's, whatever rounding or an unfinished solve
+    has left in sum_x povm_x.
     """
-    w, v = np.linalg.eigh(_block_sum(povm))
-    if w[0] <= 0:
-        return 0.0
-    g_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return float(_block_sum(_traces(g_inv_sqrt @ povm @ g_inv_sqrt @ blocks)))
+    axis = povm.ndim - 3
+    w, v = np.linalg.eigh(_block_sum(povm, axis))
+    pd = w[..., 0] > 0
+    root = np.sqrt(np.where(pd[..., None], w, 1.0))
+    g_inv_sqrt = np.expand_dims((v / root[..., None, :]) @ v.conj().swapaxes(-1, -2), axis)
+    return np.where(pd, _block_sum(_traces(g_inv_sqrt @ povm @ g_inv_sqrt @ blocks), axis), 0.0)
 
 
 def _bloch_ball(radii: np.ndarray, centres: np.ndarray, iters: int):
@@ -403,143 +436,165 @@ def _quadratic_roots(alpha: float, beta: float, gamma: float) -> list:
 
 # numpy's private gufunc module: the LAPACK calls behind np.linalg.inv, solve
 # and cholesky, without the wrappers' per-call cost (see the module
-# docstring).  Only the barrier below calls it, always under _lapack_errors.
+# docstring).  Only the primal-dual solver below calls it, always under
+# _failures_as_nan.
 from numpy.linalg import _umath_linalg  # noqa: E402
 
-
-def _lapack_failed(err, flag):
-    raise np.linalg.LinAlgError("invalid floating-point result in the min-entropy barrier")
-
-
-# As a decorator, np.errstate keeps its state per call, so threads may share it.
-_lapack_errors = np.errstate(invalid="call", call=_lapack_failed)
+# A failed factorisation or solve fills its result with NaN and raises the
+# invalid flag; ignoring the flag leaves each member of a stack to be tested
+# on its own.  As a decorator, np.errstate keeps its state per call, so
+# threads may share it.
+_failures_as_nan = np.errstate(invalid="ignore")
 
 
-@_lapack_errors
-def _guessing_barrier(blocks: np.ndarray, iters: int):
-    """Barrier method for min tr Y s.t. Y > blocks[x]; blocks are (N, k, k), sum PD.
+@_failures_as_nan
+def _guessing_pd(blocks: np.ndarray, iters: int) -> list:
+    """min tr Y s.t. S_x = Y - rho_x >= 0 on a (P, N, k, k) stack: P members of N blocks
+    each, whose sums are PD, solved together by a primal-dual method.
 
-    Starts at ``_pgm_start``; after each increase of t the line search
-    starts at 1 / BARRIER_GROWTH of the Newton step.  Returns the feasible
-    Y of least trace, the best primal guessing probability and the number
-    of Newton steps.
+    The dual variables are the measurement operators E_x >= 0 with
+    sum_x E_x = I, which the iterates meet only in the limit.  From
+    ``_pgm_start``'s (Y0, t0) and E_x = herm(S_x^-1) / t0, each iteration
+    factors every S_x and E_x by one stacked Cholesky, and takes a
+    Mehrotra predictor-corrector step in the HKM direction
+    dE_x = sigma mu S_x^-1 - E_x - herm(S_x^-1 dY E_x), where dY solves
+    the k^2 x k^2 Schur system sum_x herm(S_x^-1 dY E_x) = sigma mu
+    sum_x S_x^-1 - I.  The predictor (sigma = 0) steps to the boundary as
+    the Wolkowicz-Styan bound lambda_min >= m - s sqrt(k - 1) on the
+    spectrum of X^-1 D, from tr X^-1 D and tr (X^-1 D)^2, places it, and
+    sets sigma = (mu_aff / mu)^3; the corrector adds the second-order term
+    and steps ``FRACTION_TO_BOUNDARY`` of the way to the boundary, exactly,
+    from lambda_min of L^-1 D L^-H.  Once sum_x tr(S_x E_x) is at most
+    ``SOLVER_TOL`` tr Y, E is renormalised to a POVM and measured
+    (``_povm_guess``).  A member leaves the stack when its least tr Y and
+    best measurement agree within ``SOLVER_TOL``, after ``iters``
+    iterations, or when a factorisation or solve of its own fails (NaN).
+    Every scalar is a member's own and sums over x add in slot order, so a
+    member's result is, bit for bit, its solve in a stack of one.  Returns
+    per member the feasible Y of least trace, the best measured guessing
+    probability and the number of iterations.
     """
-    n, k = blocks.shape[0], blocks.shape[1]
-    rhs = np.empty((k * k, 2), dtype=complex)
-    rhs[:, 1] = np.eye(k).ravel()
+    n, k = blocks.shape[1], blocks.shape[-1]
+    eye = np.eye(k)
+    predictor_rhs = np.broadcast_to(-2.0 * eye.ravel().astype(complex), (len(blocks), k * k))
     y, t = _pgm_start(blocks)
-    s = y - blocks
-    log_det = _log_det(_umath_linalg.cholesky_lo(s, signature="D->D"))
-    tr_y = float(y.trace().real)
-    best_dual, best_y, best_primal = tr_y, y, 0.0
-    last_decrement = float("inf")
-    steps = 0
-    while steps < iters:
-        steps += 1
-        alpha = 1.0
-        s_inv = _umath_linalg.inv(s, signature="D->D")
-        s_inv_sum = _herm(s_inv.sum(axis=0))
-        # Newton system sum_x S_x^-1 D S_x^-1 = s_inv_sum - t I in row-major
-        # vec form; the solution is a - t b, so raising t needs no new solve.
-        flat = s_inv.reshape(n, k * k)
-        hess = (flat.T @ flat).reshape(k, k, k, k).transpose(0, 3, 1, 2).reshape(k * k, k * k)
-        rhs[:, 0] = s_inv_sum.ravel()
-        a, b = _umath_linalg.solve(hess, rhs, signature="DD->D").T.reshape(2, k, k)
-        delta, tr_delta, decrement = _newton_step(a, b, s_inv_sum, t)
-        if decrement <= NEAR_CENTRED or steps == iters:
-            best_primal = max(best_primal, _primal_bound(tr_y, s, s_inv, s_inv_sum / t, t))
-            if best_dual - best_primal <= SOLVER_TOL * best_dual or steps == iters:
+    s = y[:, None] - blocks
+    e = _herm(_umath_linalg.inv(s, signature="D->D")) / t[:, None, None, None]
+    best_y, best_dual = y.copy(), _traces(y)
+    best_primal = np.zeros(len(blocks))
+    steps = np.zeros(len(blocks), dtype=int)
+    live = np.arange(len(blocks))     # the members still in the stack
+    step = 0
+    while live.size and step < iters:
+        step += 1
+        chol = _umath_linalg.cholesky_lo(np.concatenate([s, e], axis=1), signature="D->D")
+        failed = np.isnan(np.diagonal(chol, axis1=-2, axis2=-1).real).any(axis=(1, 2))
+        if failed.any():
+            steps[live[failed]] = step
+            live, y, s, e, blocks, chol = (a[~failed] for a in (live, y, s, e, blocks, chol))
+            if not live.size:
                 break
-            # Centred, or Newton no longer shrinks the decrement (rounding floor).
-            if decrement <= CENTRED or decrement > 0.25 * last_decrement:
-                if t >= BARRIER_T_CAP:
+        tr_y = _traces(y)
+        better = tr_y < best_dual[live]
+        best_dual[live[better]], best_y[live[better]] = tr_y[better], y[better]
+        complementarity = _block_sum(_inner(s, e), axis=1)
+        measure = (complementarity <= SOLVER_TOL * tr_y) | (step == iters)
+        if measure.any():
+            at = live[measure]
+            best_primal[at] = np.maximum(best_primal[at], _povm_guess(e[measure], blocks[measure]))
+            done = (best_dual[live] - best_primal[live] <= SOLVER_TOL * best_dual[live]) | (
+                step == iters)
+            if done.any():
+                steps[live[done]] = step
+                live, y, s, e, blocks, chol, complementarity = (
+                    a[~done] for a in (live, y, s, e, blocks, chol, complementarity))
+                if not live.size:
                     break
-                t *= BARRIER_GROWTH
-                delta, tr_delta, decrement = _newton_step(a, b, s_inv_sum, t)
-                last_decrement = float("inf")
-                # At a centred point of the scalar problem the boundary lies
-                # at alpha = 1 / (BARRIER_GROWTH - 1), so longer steps fail.
-                alpha = 1.0 / BARRIER_GROWTH
-            else:
-                last_decrement = decrement
-        step = _feasible_step(y, delta, tr_delta, blocks, t, log_det, decrement, alpha)
-        if step is None:
-            break
-        y, s, log_det = step
-        tr_y = float(y.trace().real)
-        if tr_y < best_dual:
-            best_dual, best_y = tr_y, y
-    return best_y, best_primal, steps
+        l_inv = _umath_linalg.inv(chol, signature="D->D")
+        l_inv_h = l_inv.conj().swapaxes(-1, -2)
+        inverse = l_inv_h @ l_inv
+        s_inv, e_inv = inverse[:, :n], inverse[:, n:]
+        mu = complementarity / (n * k)
+        # Schur matrix of X -> sum_x (S_x^-1 X E_x + E_x X S_x^-1) in row-major
+        # vec form: sum_x (S_x^-1 (x) E_x^T + E_x (x) S_x^-T), from one product.
+        outer = s_inv.reshape(-1, n, k * k).swapaxes(1, 2) @ e.reshape(-1, n, k * k)
+        schur = (outer + outer.swapaxes(1, 2)).reshape(-1, k, k, k, k).transpose(
+            0, 1, 4, 2, 3).reshape(-1, k * k, k * k)
+        dy_a = _herm(_umath_linalg.solve1(schur, predictor_rhs[:len(live)],
+                                          signature="DD->D").reshape(-1, k, k))
+        s_inv_dy = s_inv @ dy_a[:, None]
+        de_a = -e - _herm(s_inv_dy @ e)
+        alpha_p, alpha_d = _bounded_steps(
+            np.concatenate([s_inv_dy, e_inv @ de_a], axis=1).reshape(-1, 2, n, k, k))
+        mu_aff = _block_sum(_inner(s + alpha_p[:, None, None, None] * dy_a[:, None],
+                                   e + alpha_d[:, None, None, None] * de_a), axis=1) / (n * k)
+        target = np.minimum(mu_aff / mu, 1.0) ** 3 * mu
+        second = _herm(s_inv_dy @ de_a)
+        rhs = 2.0 * (target[:, None, None] * _block_sum(s_inv, axis=1) - eye
+                     - _block_sum(second, axis=1))
+        dy = _herm(_umath_linalg.solve1(schur, rhs.reshape(-1, k * k),
+                                        signature="DD->D").reshape(-1, k, k))
+        failed = ~np.isfinite(dy).all(axis=(1, 2))
+        if failed.any():
+            steps[live[failed]] = step
+            live, y, e, blocks, s_inv, l_inv, l_inv_h, second, target, dy = (
+                a[~failed]
+                for a in (live, y, e, blocks, s_inv, l_inv, l_inv_h, second, target, dy))
+            if not live.size:
+                break
+        de = target[:, None, None, None] * s_inv - e - _herm(s_inv @ dy[:, None] @ e) - second
+        lowest = np.linalg.eigvalsh(l_inv @ np.concatenate(
+            [np.broadcast_to(dy[:, None], e.shape), de], axis=1) @ l_inv_h)[..., 0]
+        alpha_p, alpha_d = (FRACTION_TO_BOUNDARY
+                            / np.maximum(-low.min(axis=1), FRACTION_TO_BOUNDARY)
+                            for low in (lowest[:, :n], lowest[:, n:]))
+        y = y + alpha_p[:, None, None] * dy
+        e = e + alpha_d[:, None, None, None] * de
+        s = y[:, None] - blocks
+    return list(zip(best_y, best_primal.tolist(), steps.tolist()))
+
+
+def _bounded_steps(ratios: np.ndarray) -> np.ndarray:
+    """Per member and variable, the step in [0, 1] along D that keeps every X_x + alpha D_x
+    PSD, from ``ratios`` X_x^-1 D_x (P, V, N, k, k), whose spectra are real.
+
+    The Wolkowicz-Styan bound lambda_min >= m - s sqrt(k - 1), with m the mean
+    and s^2 the variance of the spectrum, takes tr X^-1 D and tr (X^-1 D)^2
+    only (Wolkowicz and Styan, Linear Algebra Appl. 29, 1980).  Returns V
+    arrays of P steps.
+    """
+    k = ratios.shape[-1]
+    mean = _traces(ratios) / k
+    square = (ratios * ratios.swapaxes(-1, -2)).real.sum(axis=(-2, -1))     # tr (X^-1 D)^2
+    spread = np.sqrt(np.maximum(square / k - mean * mean, 0.0) * (k - 1))
+    return 1.0 / np.maximum(-(mean - spread).min(axis=2), 1.0).T
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(a b) = sum_ij a_ij conj(b_ij) of each pair of Hermitian operators of two stacks."""
+    return (a * b.conj()).real.sum(axis=(-2, -1))
 
 
 def _pgm_start(blocks: np.ndarray):
-    """Barrier start (Y0, t0) from the pretty-good measurement.
+    """Start (Y0, t0) of ``_guessing_pd`` from the pretty-good measurement, per member
+    of a (P, N, k, k) stack.
 
     E_x = rho^-1/2 rho_x rho^-1/2 (Hausladen and Wootters, J. Mod. Opt. 41,
     1994) guesses with p_pgm >= p_guess^2 (Barnum and Knill, J. Math. Phys.
     43, 2002).  Its Lagrange operator L = sum_x rho_x E_x is the optimal Y
     when E is optimal (Holevo; Yuen, Kennedy and Lax); Y0 is L shifted to
-    dominate every block strictly, and t0 makes the barrier's duality gap
+    dominate every block strictly, and t0 makes the central-path gap
     N k / t0 equal the measured gap tr Y0 - p_pgm.
     """
-    n, k = blocks.shape[0], blocks.shape[1]
-    inv_sqrt = _spectral_power(*np.linalg.eigh(_block_sum(blocks)), -0.5)
+    n, k = blocks.shape[1], blocks.shape[-1]
+    inv_sqrt = _spectral_power(*np.linalg.eigh(_block_sum(blocks, axis=1)), -0.5)[:, None]
     pgm = inv_sqrt @ blocks @ inv_sqrt
-    p_pgm = float(_block_sum(_traces(pgm @ blocks)))
-    lagrange = _herm(_block_sum(blocks @ pgm))
-    shift = max(0.0, float(np.linalg.eigvalsh(blocks - lagrange)[:, -1].max()))
-    slack = max(float(lagrange.trace().real) + k * shift - p_pgm, 1e-12 * p_pgm)
-    y = lagrange + (shift + slack / k) * np.eye(k)
-    return y, n * k / (float(y.trace().real) - p_pgm)
-
-
-def _newton_step(a, b, s_inv_sum, t):
-    """The Hermitian Newton direction a - t b, its trace and its squared decrement."""
-    delta = _herm(a - t * b)
-    tr_delta = float(delta.trace().real)
-    return delta, tr_delta, float(np.vdot(s_inv_sum, delta).real) - t * tr_delta
-
-
-def _log_det(chol: np.ndarray) -> float:
-    return 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
-
-
-def _feasible_step(y, delta, tr_delta, blocks, t, log_det, decrement, alpha):
-    """Backtrack from the Newton step ``alpha * delta`` while some Y - rho_x is not PD.
-
-    A batched Cholesky is the feasibility test (LinAlgError under the
-    barrier's errstate); a feasible step is also halved (down to 1/1024)
-    until it decreases the barrier objective by a quarter of the decrement
-    it predicts.  ``tr_delta`` is tr delta.  None when no step is feasible.
-    """
-    while alpha > 1e-12:
-        y_new = y + alpha * delta
-        s_new = y_new - blocks
-        try:
-            new_log_det = _log_det(_umath_linalg.cholesky_lo(s_new, signature="D->D"))
-        except np.linalg.LinAlgError:
-            alpha *= 0.5
-            continue
-        drop = (new_log_det - log_det) - t * alpha * tr_delta
-        if drop >= 0.25 * alpha * decrement or alpha < 1e-3:
-            return y_new, s_new, new_log_det
-        alpha *= 0.5
-    return None
-
-
-def _primal_bound(tr_y, s, s_inv, g, t) -> float:
-    """Guessing probability of the POVM G^-1/2 (S_x^-1 / t) G^-1/2, with G = sum_x S_x^-1 / t.
-
-    Written as ``tr_y`` - sum_x tr(E_x S_x), with ``tr_y`` = tr Y, which
-    keeps its accuracy when the S_x are nearly singular; 0 when rounding
-    has left G not PD.
-    """
-    w, v = np.linalg.eigh(g)
-    if w[0] <= 0:
-        return 0.0
-    g_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    slack = float(np.vdot(g_inv_sqrt @ s @ g_inv_sqrt, s_inv).real) / t
-    return tr_y - slack
+    p_pgm = _block_sum(_traces(pgm @ blocks), axis=1)
+    lagrange = _herm(_block_sum(blocks @ pgm, axis=1))
+    shift = np.maximum(0.0, np.linalg.eigvalsh(blocks - lagrange[:, None])[..., -1].max(axis=1))
+    slack = np.maximum(_traces(lagrange) + k * shift - p_pgm, 1e-12 * p_pgm)
+    y = lagrange + (shift + slack / k)[:, None, None] * np.eye(k)
+    return y, n * k / (_traces(y) - p_pgm)
 
 
 def _dominating(y: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from ..cq_states import (
     to_dense,
     weak_distances,
 )
-from ..entropies import h2_cond_many, h2_rel, h_min_cond, h_min_rel
+from ..entropies import h2_cond_many, h2_rel, h_min_cond_many, h_min_rel
 from ..extractors import deor_extractor, ip_extractor
 from ..gf2 import (
     MAX_TABLE_BITS,
@@ -183,13 +183,28 @@ def _random_family(rng: np.random.Generator, n_min: int, n_max: int, m_max: int)
 
 
 def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
-    """A random family and two quantum sources: the family, the sources' models
-    and certified entropies, and the output's distance to uniform."""
+    """A random family and two quantum sources: the family, the sources' models,
+    the output's distance to uniform and the two sources."""
     kind, fam = _random_family(rng, n_min, n_max, m_max)
     (model1, state1), (model2, state2) = _random_source(fam.n, rng), _random_source(fam.n, rng)
     out = extractor_output_state(deor_extractor(fam), state1, state2, strong_in)
     delta = distance_to_uniform(out, 1 << fam.m, strong=strong_in is not None)
-    return kind, fam, f"{model1},{model2}", h_min_cond(state1), h_min_cond(state2), delta
+    return kind, fam, f"{model1},{model2}", delta, state1, state2
+
+
+def _with_sources_solved(scenarios) -> list:
+    """The drawn ``scenarios``, each a tuple ending in its two sources, in draw order,
+    with the sources replaced by their ``h_min_cond`` results.
+
+    Every scenario is drawn before one :func:`h_min_cond_many` solves all the
+    sources; the solver draws nothing, so every draw stays where a
+    per-scenario loop makes it.  A check that yields from the list charges
+    the whole batch to its first case.
+    """
+    scenarios = list(scenarios)
+    results = h_min_cond_many([state for *_, s1, s2 in scenarios for state in (s1, s2)])
+    return [(*rest, results[2 * i], results[2 * i + 1])
+            for i, (*rest, _, _) in enumerate(scenarios)]
 
 
 def _source_flags(res1, res2) -> dict:
@@ -200,7 +215,7 @@ def _source_flags(res1, res2) -> dict:
 def _flat_sources(n: int, side: str) -> tuple[list, list]:
     """The prefix-flat n-bit sources, k = 0..n, under one side model, and their certified k."""
     states = [make_side_info(side, make_flat_source(n, k)) for k in range(n + 1)]
-    return states, [h_min_cond(state).value for state in states]
+    return states, [res.value for res in h_min_cond_many(states)]
 
 
 def _flat_grid(ext, side: str, states: list, strong_in) -> list:
@@ -251,10 +266,11 @@ def _b1_exhaustive(p, rng):
         bounds=("B1", "B6", "B3", "B4"), strong_in="x1",
         max_m=lambda p: min(p["m_max"], p["n_max"]))
 def _b1_quantum(p, rng):
-    """Randomized quantum product-type scenarios with solver-certified entropies."""
-    for _ in range(p["count"]):
-        kind, fam, models, res1, res2, delta = _random_deor_output(
-            rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
+    """Randomized quantum product-type scenarios with solver-certified entropies,
+    drawn first and their sources solved together (:func:`_with_sources_solved`)."""
+    for kind, fam, models, delta, res1, res2 in _with_sources_solved(
+            _random_deor_output(rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
+            for _ in range(p["count"])):
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} sides=({models})",
                    _catalog(p["bounds"], kp, delta), _source_flags(res1, res2))
@@ -264,8 +280,8 @@ def _b1_quantum(p, rng):
         choices={"n_max": ("n_max", range(WEAK_N_MIN, SOURCE_N_MAX + 1))})
 def _b8_weak(p, rng):
     """Weak-output variant: same pipeline with no copied source register."""
-    for _ in range(p["count"]):
-        kind, fam, _, res1, res2, delta = _random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None)
+    for kind, fam, _, delta, res1, res2 in _with_sources_solved(
+            _random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None) for _ in range(p["count"])):
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} weak", _catalog(("B8",), kp, delta),
                    _source_flags(res1, res2))
@@ -275,16 +291,20 @@ def _b8_weak(p, rng):
         max_m=lambda p: min(MARKOV_M_MAX, p["n_max"]),
         choices={"n_max": ("n_max", range(1, MARKOV_N_MAX + 1))})  # its joint state's size
 def _b2_markov(p, rng):
-    """Markov block scenarios against the Markov-model bound family."""
-    for _ in range(p["count"]):
-        kind, fam = _random_family(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
-        classical = bool(rng.random() < 0.5)
-        blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
-        joint, marginal1, marginal2 = markov_marginals(
-            fam.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical)
-        res1, res2 = h_min_cond(marginal1), h_min_cond(marginal2)
-        out = extractor_output_from_joint(deor_extractor(fam), joint, "x1")
-        delta = distance_to_uniform(out, 1 << fam.m, strong=True)
+    """Markov block scenarios against the Markov-model bound family, drawn first and
+    their marginals solved together (:func:`_with_sources_solved`)."""
+    def draws():
+        for _ in range(p["count"]):
+            kind, fam = _random_family(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
+            classical = bool(rng.random() < 0.5)
+            blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
+            joint, marginal1, marginal2 = markov_marginals(
+                fam.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical)
+            out = extractor_output_from_joint(deor_extractor(fam), joint, "x1")
+            delta = distance_to_uniform(out, 1 << fam.m, strong=True)
+            yield kind, fam, classical, blocks, delta, marginal1, marginal2
+
+    for kind, fam, classical, blocks, delta, res1, res2 in _with_sources_solved(draws()):
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} {model} blocks={blocks}",
@@ -462,42 +482,48 @@ def _pgm_commutation(p, rng):
         choices={"exhaustive_n": ("exhaustive_n", range(1, EXHAUSTIVE_N_MAX + 1)),
                  "random_ns": ("random_ns", range(1, SOURCE_N_MAX + 1))})
 def _hmin_linear_drop(p, rng):
-    """Entropy decrease under GF(2) maps bounded by the rank deficiency."""
-    def case(state, memo, base, mat, label):
-        n = mat.shape[0]
-        # Maps with one kernel merge the inputs into the same cosets, so their
-        # lifted stacks hold bitwise-equal blocks in another order and one
-        # certificate serves them all: ``memo`` holds one solve per kernel.
+    """Entropy decrease under GF(2) maps bounded by the rank deficiency.
+
+    Maps with one kernel merge the inputs into the same cosets, so their
+    lifted stacks hold bitwise-equal blocks in another order and one
+    certificate serves them all: each source is lifted once per kernel.
+    Every source and map is drawn first, then one :func:`h_min_cond_many`
+    solves the sources and their lifts, so the first case's ``runtime_ms``
+    carries the batch's time.
+    """
+    states, lifts, cases = [], {}, []   # lifts: (source, kernel) -> index into states
+
+    def add(source, mat, label):
         # x maps to the index of M x, which sorts as the bit tuple M x does.
         images = gf2_images(mat)
         kernel = np.flatnonzero(images == 0).tobytes()
-        if kernel not in memo:
-            memo[kernel] = h_min_cond(apply_classical_function(
-                state, lambda x: int(images[bits_to_index(x)])))
-        lifted = memo[kernel]
-        r = n - gf2_rank(mat)
-        return Case(_k_params(n, 1, r, base.value, lifted.value),
-                    f"linear-drop {label} n={n} r={r}",
-                    [("rank-drop", (base.value - r) - lifted.value, ENTROPY_SLACK)],
-                    {"converged": base.converged and lifted.converged})
+        if (source, kernel) not in lifts:
+            lifts[source, kernel] = len(states)
+            states.append(apply_classical_function(
+                states[source], lambda x: int(images[bits_to_index(x)])))
+        n = mat.shape[0]
+        cases.append((source, lifts[source, kernel], n, n - gf2_rank(mat), label))
 
     n = p["exhaustive_n"]
-    states = [
+    states += [
         _random_cq(n, 2, rng, min_support=2),
         classical_state(make_flat_source(n, n - 1, "random", seed=int(rng.integers(2 ** 31)))),
     ]
-    bases = [h_min_cond(s) for s in states]
-    memos = [{}, {}]
     for mat_idx in range(1 << (n * n)):
         mat = np.array(index_to_bits(mat_idx, n * n), dtype=np.uint8).reshape(n, n)
-        i = mat_idx % 2
-        yield case(states[i], memos[i], bases[i], mat, "exhaustive")
+        add(mat_idx % 2, mat, "exhaustive")
     for n in p["random_ns"]:
-        state = _random_cq(n, int(rng.integers(1, 4)), rng, min_support=2)
-        base, memo = h_min_cond(state), {}
+        states.append(_random_cq(n, int(rng.integers(1, 4)), rng, min_support=2))
+        source = len(states) - 1
         for _ in range(p["per_n"]):
-            mat = np.array(rng.integers(0, 2, size=(n, n)), dtype=np.uint8)
-            yield case(state, memo, base, mat, "random")
+            add(source, np.array(rng.integers(0, 2, size=(n, n)), dtype=np.uint8), "random")
+    results = h_min_cond_many(states)
+    for source, lift, n, r, label in cases:
+        base, lifted = results[source], results[lift]
+        yield Case(_k_params(n, 1, r, base.value, lifted.value),
+                   f"linear-drop {label} n={n} r={r}",
+                   [("rank-drop", (base.value - r) - lifted.value, ENTROPY_SLACK)],
+                   {"converged": base.converged and lifted.converged})
 
 
 @_check("hmin-le-h2", count=500)
@@ -505,9 +531,9 @@ def _hmin_le_h2(p, rng):
     """Min-entropy below collision entropy, relative and optimized.
 
     The scenarios are drawn in order and evaluated in batches
-    (:func:`_in_groups`, all in one group): one :func:`h2_cond_many` gives a
-    batch's collision entropies, and the relative entropies and
-    ``h_min_cond`` are taken per state.  A scenario weighs its blocks'
+    (:func:`_in_groups`, all in one group): one :func:`h2_cond_many` and one
+    :func:`h_min_cond_many` give a batch's optimized entropies, and the
+    relative entropies are taken per state.  A scenario weighs its blocks'
     complex entries, N·dim², at most 72, so the built-in counts fit in one
     batch, evaluated before the first case, whose ``runtime_ms`` carries
     the batch's time.
@@ -521,9 +547,10 @@ def _hmin_le_h2(p, rng):
             yield None, state.stack.size, (n_bits, dim, state, sigma)
 
     def evaluate(_, items):
-        h2s = h2_cond_many([state for _, _, state, _ in items])
-        return [(n_bits, dim, h_min_rel(state, sigma) - h2_rel(state, sigma),
-                 h_min_cond(state), h2) for (n_bits, dim, state, sigma), h2 in zip(items, h2s)]
+        states = [state for _, _, state, _ in items]
+        return [(n_bits, dim, h_min_rel(state, sigma) - h2_rel(state, sigma), hmin, h2)
+                for (n_bits, dim, state, sigma), hmin, h2 in zip(
+                    items, h_min_cond_many(states), h2_cond_many(states))]
 
     for n_bits, dim, rel_gap, hmin, h2 in _in_groups(draws(), evaluate):
         yield Case(_k_params(n_bits, 1, 0, 0.0, 0.0), f"entropy-order n={n_bits} dim={dim}",
@@ -629,10 +656,12 @@ def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
     """Run one registered check, deterministic given ``config``'s params and seed.
 
     A row's ``runtime_ms`` is the time the generator took to yield its case.
-    A check that evaluates a batch before yielding (a flat grid, or the groups
+    A check that evaluates a batch before yielding (a flat grid, the groups
     of ``measured-xor-random``, ``useful-prop-random``, ``one-two-norm`` or
-    ``hmin-le-h2``) charges the whole batch to the first case it yields, and
-    the later cases of the batch take almost none.
+    ``hmin-le-h2``, or the solved sources of ``b1-quantum-product``,
+    ``b8-weak-quantum``, ``b2-markov`` or ``hmin-linear-drop``) charges the
+    whole batch to the first case it yields, and the later cases of the batch
+    take almost none.
     """
     entry = resolve_entry({**(config or {}), "id": check_id})
     cases = CHECKS[check_id].cases(entry["params"], np.random.default_rng(entry["seed"]))

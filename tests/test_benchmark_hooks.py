@@ -93,7 +93,7 @@ CONFIG_DIGESTS = {
     ("classical-exhaustive.json", 0):
         "d367d82b19b5e3c32f2ae212048ad2dfa10736959899eca052767753b4a1f0b0",
     ("small-state-mix.json", 3):
-        "f9b0f11c865afe40ea7e5a94f8943250218b5fe16cd45908f8ace3ead6e38a10",
+        "7876462a2bbc80063dc6bd3f9e2f17fdd2229664c1042a2e176c88b1f02ef903",
 }
 
 

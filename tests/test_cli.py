@@ -184,14 +184,14 @@ def test_entropy_solves_the_source_once(tmp_path, capsys, monkeypatch):
 # or to where the CLI solves shows here as soon as it moves a byte.
 ENTROPY_STDOUT_DIGESTS = [
     ({"n": 2, "k": 2, "side_info": {"model": "bb84", "bits": 2}},
-     "8994853fcb08fd92e6c687e7312224c553cc0917f4a35d220a52647b5beb680a"),
+     "1d4614ff4c21a12f901d2202a66e0ca2ca26fcd720b2f9e465fe3d0da1f6edc9"),
     ({"dist": {"00": 0.4, "01": 0.1, "10": 0.3, "11": 0.2},
       "side_info": {"model": "classical_leak", "leak": "first_bit"}},
      "9a92116e465075fcce19a7f1c8e04932036f57640e7720746288eb7d8eac210d"),
     ({"markov": {"n": 2, "blocks": 3}},
-     "9a61aa67d71920261d84c6e360f29dbdfe2d5bee44cb104c615c16eb9aa32b65"),
+     "5e6f8395e38d6670513b6671f3d97ddd18e0eb7598f6af908ee2ec0b288d35ff"),
     ({"n": 3, "k": 2, "support": "random", "side_info": {"model": "random_pure", "dim": 3}},
-     "f933fa638fe715b982ddcef2735ef10128951cd91a8e0f58cfc9e64e2732d7c1"),
+     "6da7d17461c9a0f7e5451404bc9d0eae8e01d293c1be2996aee304dda313be64"),
 ]
 
 

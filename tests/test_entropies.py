@@ -96,7 +96,7 @@ def test_h_min_cond_matches_cc_closed_form(rng):
         res = h_min_cond(ccst)
         assert abs(res.value - exact) < 1e-9
         # generic solver path must agree with the closed form
-        solver = _h_min_solver(ccst, 500)
+        (solver,) = _h_min_solver([ccst], 500)
         assert abs(solver.value - exact) < 1e-7
 
 

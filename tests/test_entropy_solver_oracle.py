@@ -30,9 +30,22 @@ the oracle of ``_exact_guess``: on qubit supports (k = 2) the Bloch-ball
 solver's dual and measurement must lie within the barrier's gap, its
 support must meet the optimality conditions, two blocks must give the
 Helstrom value and k = 1 the largest block.
+
+The lockstep primal-dual solver ``_guessing_pd`` replaced the barrier for
+k >= 3 with N >= 3.  ``_guessing_barrier`` and its helpers, with the
+per-state ``_per_state_pgm_start``, are the barrier as it ran in the
+module, verbatim but for names, and the oracle of the new solver: on
+seeded problems with rank-1, repeated and tiny blocks, the two certified
+intervals [value, value + gap] must overlap.  A member's result must not
+depend on its group, the stacked start must be the per-state start bit for
+bit, and a member whose factorisation or solve fails must leave with a
+certified result while the others go on unchanged.  The tests named after
+the barrier that call ``h_min_cond_many`` hold its successor to the same
+oracles.
 """
 
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -42,10 +55,6 @@ from conftest import dense_cq, random_cq_state
 from extraction_lab import entropies
 from extraction_lab.cq_states import CqState, _block_sum, _traces, build_cq, marginal_side
 from extraction_lab.entropies import (
-    BARRIER_GROWTH,
-    BARRIER_T_CAP,
-    CENTRED,
-    NEAR_CENTRED,
     NEG_INF,
     SOLVER_TOL,
     EntropyResult,
@@ -53,11 +62,9 @@ from extraction_lab.entropies import (
     _closed_form,
     _dominating,
     _exact_guess,
-    _guessing_barrier,
-    _h_min_solver,
+    _failures_as_nan,
+    _guessing_pd,
     _is_classical,
-    _lapack_errors,
-    _log_det,
     _pgm_start,
     _support_basis,
     _umath_linalg,
@@ -65,6 +72,7 @@ from extraction_lab.entropies import (
     h2_cond_many,
     h2_rel,
     h_min_cond,
+    h_min_cond_many,
     h_min_rel,
 )
 from extraction_lab.gf2 import index_to_bits
@@ -230,6 +238,149 @@ def _ref_feasible_step(y, delta, blocks, t, log_det, decrement):
     return None
 
 
+# -- the log-barrier that the primal-dual solver replaced ----------------------
+
+BARRIER_GROWTH = 8.0       # t grows by this factor at each centred iterate
+BARRIER_T_CAP = 1e13       # past this t, S_x^{-1} is dominated by rounding
+CENTRED = 1e-6             # Newton decrement^2 at which an iterate counts as centred
+NEAR_CENTRED = 1e-3        # decrement^2 below which the primal bound is evaluated
+
+
+def _lapack_failed(err, flag):
+    raise np.linalg.LinAlgError("invalid floating-point result in the min-entropy barrier")
+
+
+# As a decorator, np.errstate keeps its state per call, so threads may share it.
+_lapack_errors = np.errstate(invalid="call", call=_lapack_failed)
+
+
+@_lapack_errors
+def _guessing_barrier(blocks: np.ndarray, iters: int):
+    """Barrier method for min tr Y s.t. Y > blocks[x]; blocks are (N, k, k), sum PD.
+
+    Starts at ``_per_state_pgm_start``; after each increase of t the line search
+    starts at 1 / BARRIER_GROWTH of the Newton step.  Returns the feasible
+    Y of least trace, the best primal guessing probability and the number
+    of Newton steps.
+    """
+    n, k = blocks.shape[0], blocks.shape[1]
+    rhs = np.empty((k * k, 2), dtype=complex)
+    rhs[:, 1] = np.eye(k).ravel()
+    y, t = _per_state_pgm_start(blocks)
+    s = y - blocks
+    log_det = _log_det(_umath_linalg.cholesky_lo(s, signature="D->D"))
+    tr_y = float(y.trace().real)
+    best_dual, best_y, best_primal = tr_y, y, 0.0
+    last_decrement = float("inf")
+    steps = 0
+    while steps < iters:
+        steps += 1
+        alpha = 1.0
+        s_inv = _umath_linalg.inv(s, signature="D->D")
+        s_inv_sum = _herm(s_inv.sum(axis=0))
+        # Newton system sum_x S_x^-1 D S_x^-1 = s_inv_sum - t I in row-major
+        # vec form; the solution is a - t b, so raising t needs no new solve.
+        flat = s_inv.reshape(n, k * k)
+        hess = (flat.T @ flat).reshape(k, k, k, k).transpose(0, 3, 1, 2).reshape(k * k, k * k)
+        rhs[:, 0] = s_inv_sum.ravel()
+        a, b = _umath_linalg.solve(hess, rhs, signature="DD->D").T.reshape(2, k, k)
+        delta, tr_delta, decrement = _newton_step(a, b, s_inv_sum, t)
+        if decrement <= NEAR_CENTRED or steps == iters:
+            best_primal = max(best_primal, _primal_bound(tr_y, s, s_inv, s_inv_sum / t, t))
+            if best_dual - best_primal <= SOLVER_TOL * best_dual or steps == iters:
+                break
+            # Centred, or Newton no longer shrinks the decrement (rounding floor).
+            if decrement <= CENTRED or decrement > 0.25 * last_decrement:
+                if t >= BARRIER_T_CAP:
+                    break
+                t *= BARRIER_GROWTH
+                delta, tr_delta, decrement = _newton_step(a, b, s_inv_sum, t)
+                last_decrement = float("inf")
+                # At a centred point of the scalar problem the boundary lies
+                # at alpha = 1 / (BARRIER_GROWTH - 1), so longer steps fail.
+                alpha = 1.0 / BARRIER_GROWTH
+            else:
+                last_decrement = decrement
+        step = _feasible_step(y, delta, tr_delta, blocks, t, log_det, decrement, alpha)
+        if step is None:
+            break
+        y, s, log_det = step
+        tr_y = float(y.trace().real)
+        if tr_y < best_dual:
+            best_dual, best_y = tr_y, y
+    return best_y, best_primal, steps
+
+
+def _per_state_pgm_start(blocks: np.ndarray):
+    """Barrier start (Y0, t0) from the pretty-good measurement.
+
+    E_x = rho^-1/2 rho_x rho^-1/2 (Hausladen and Wootters, J. Mod. Opt. 41,
+    1994) guesses with p_pgm >= p_guess^2 (Barnum and Knill, J. Math. Phys.
+    43, 2002).  Its Lagrange operator L = sum_x rho_x E_x is the optimal Y
+    when E is optimal (Holevo; Yuen, Kennedy and Lax); Y0 is L shifted to
+    dominate every block strictly, and t0 makes the barrier's duality gap
+    N k / t0 equal the measured gap tr Y0 - p_pgm.
+    """
+    n, k = blocks.shape[0], blocks.shape[1]
+    inv_sqrt = _spectral_power(*np.linalg.eigh(_block_sum(blocks)), -0.5)
+    pgm = inv_sqrt @ blocks @ inv_sqrt
+    p_pgm = float(_block_sum(_traces(pgm @ blocks)))
+    lagrange = _herm(_block_sum(blocks @ pgm))
+    shift = max(0.0, float(np.linalg.eigvalsh(blocks - lagrange)[:, -1].max()))
+    slack = max(float(lagrange.trace().real) + k * shift - p_pgm, 1e-12 * p_pgm)
+    y = lagrange + (shift + slack / k) * np.eye(k)
+    return y, n * k / (float(y.trace().real) - p_pgm)
+
+
+def _newton_step(a, b, s_inv_sum, t):
+    """The Hermitian Newton direction a - t b, its trace and its squared decrement."""
+    delta = _herm(a - t * b)
+    tr_delta = float(delta.trace().real)
+    return delta, tr_delta, float(np.vdot(s_inv_sum, delta).real) - t * tr_delta
+
+
+def _log_det(chol: np.ndarray) -> float:
+    return 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
+
+
+def _feasible_step(y, delta, tr_delta, blocks, t, log_det, decrement, alpha):
+    """Backtrack from the Newton step ``alpha * delta`` while some Y - rho_x is not PD.
+
+    A batched Cholesky is the feasibility test (LinAlgError under the
+    barrier's errstate); a feasible step is also halved (down to 1/1024)
+    until it decreases the barrier objective by a quarter of the decrement
+    it predicts.  ``tr_delta`` is tr delta.  None when no step is feasible.
+    """
+    while alpha > 1e-12:
+        y_new = y + alpha * delta
+        s_new = y_new - blocks
+        try:
+            new_log_det = _log_det(_umath_linalg.cholesky_lo(s_new, signature="D->D"))
+        except np.linalg.LinAlgError:
+            alpha *= 0.5
+            continue
+        drop = (new_log_det - log_det) - t * alpha * tr_delta
+        if drop >= 0.25 * alpha * decrement or alpha < 1e-3:
+            return y_new, s_new, new_log_det
+        alpha *= 0.5
+    return None
+
+
+def _primal_bound(tr_y, s, s_inv, g, t) -> float:
+    """Guessing probability of the POVM G^-1/2 (S_x^-1 / t) G^-1/2, with G = sum_x S_x^-1 / t.
+
+    Written as ``tr_y`` - sum_x tr(E_x S_x), with ``tr_y`` = tr Y, which
+    keeps its accuracy when the S_x are nearly singular; 0 when rounding
+    has left G not PD.
+    """
+    w, v = np.linalg.eigh(g)
+    if w[0] <= 0:
+        return 0.0
+    g_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    slack = float(np.vdot(g_inv_sqrt @ s @ g_inv_sqrt, s_inv).real) / t
+    return tr_y - slack
+
+
 def _ref_cold_h_min_solver(state, iters, tol):
     """``_h_min_solver`` around ``_ref_cold_barrier``."""
     return _barrier_h_min_solver(state, iters, lambda blocks, n: _ref_cold_barrier(blocks, n, tol))
@@ -249,14 +400,14 @@ def _barrier_h_min_solver(state, iters, barrier=_guessing_barrier):
 def _linalg_barrier(blocks: np.ndarray, iters: int):
     """Barrier method for min tr Y s.t. Y > blocks[x]; blocks are (N, k, k), sum PD.
 
-    Starts at ``_pgm_start``; after each increase of t the line search
+    Starts at ``_per_state_pgm_start``; after each increase of t the line search
     starts at 1 / BARRIER_GROWTH of the Newton step.  Returns the feasible
     Y of least trace, the best primal guessing probability and the number
     of Newton steps.
     """
     n, k = blocks.shape[0], blocks.shape[1]
     eye = np.eye(k, dtype=complex)
-    y, t = _pgm_start(blocks)
+    y, t = _per_state_pgm_start(blocks)
     s = y - blocks
     log_det = _log_det(np.linalg.cholesky(s))
     best_dual, best_y, best_primal = float(np.trace(y).real), y, 0.0
@@ -460,8 +611,8 @@ def _dominated_by(res, state):
 
 
 def test_barrier_h_min_solver_brackets_fixed_point():
-    for i, state in enumerate(oracle_states(100, seed=11)):
-        new = _h_min_solver(state, 500)
+    states = oracle_states(100, seed=11)
+    for i, (state, new) in enumerate(zip(states, h_min_cond_many(states))):
         old = _ref_h_min_solver(state, 500, 1e-8)
         assert new.converged and new.iterations < 500, f"state {i}"
         assert old.value - new.gap - ROUNDING_BITS <= new.value, f"state {i}"
@@ -469,8 +620,9 @@ def test_barrier_h_min_solver_brackets_fixed_point():
 
 
 def test_barrier_dual_dominates_every_block():
-    for i, state in enumerate(oracle_states(100, seed=11)):
-        assert _dominated_by(_h_min_solver(state, 500), state) >= 0.0, f"state {i}"
+    states = oracle_states(100, seed=11)
+    for i, (state, res) in enumerate(zip(states, h_min_cond_many(states))):
+        assert _dominated_by(res, state) >= 0.0, f"state {i}"
 
 
 def test_barrier_h_min_solver_unconverged_is_sound():
@@ -548,14 +700,14 @@ def test_solver_errstate_changes_only_invalid(monkeypatch):
         h_min_cond(state)
         assert np.geterr() == before
     assert len(inside) == 1
-    assert inside[0] == dict(before, invalid="call")
+    assert inside[0] == dict(before, invalid="ignore")
 
 
 def _assert_start_dominates(state, label):
-    """Y0 - rho_x passes the barrier's Cholesky test for every block; returns N k / t0."""
+    """Y0 - rho_x passes a Cholesky test for every block; returns N k / t0."""
     basis = _support_basis(marginal_side(state))
     blocks = basis.conj().T @ state.stack @ basis
-    y0, t0 = _pgm_start(blocks)
+    (y0,), (t0,) = _pgm_start(blocks[None])
     assert t0 > 0, label
     np.linalg.cholesky(y0 - blocks)
     return blocks.shape[0] * blocks.shape[1] / t0
@@ -1013,21 +1165,196 @@ def test_pivot_cap_is_reported_unconverged_and_sound():
 
 
 def test_paper_table_1_sends_only_k_and_n_of_three_or_more_to_the_barrier(monkeypatch):
+    """Only k >= 3 with N >= 3 reaches the lockstep solver, which took the barrier's place,
+    and some of its groups hold more than one state."""
     from extraction_lab.harness import load_config, run_suite
-    routes = {"exact": 0, "barrier": 0}
-    barrier, exact = entropies._guessing_barrier, entropies._exact_guess
+    routes = {"exact": 0, "lockstep": 0, "groups": 0}
+    lockstep, exact = entropies._guessing_pd, entropies._exact_guess
 
-    def guarded_barrier(blocks, iters):
-        if blocks.shape[0] <= 2 or blocks.shape[1] <= 2:
-            raise AssertionError(f"the barrier got (N, k, k) = {blocks.shape}")
-        routes["barrier"] += 1
-        return barrier(blocks, iters)
+    def guarded_lockstep(blocks, iters):
+        if blocks.shape[1] <= 2 or blocks.shape[2] <= 2:
+            raise AssertionError(f"the lockstep solver got (P, N, k, k) = {blocks.shape}")
+        routes["lockstep"] += len(blocks)
+        routes["groups"] += 1
+        return lockstep(blocks, iters)
 
     def counted_exact(blocks, iters):
         routes["exact"] += 1
         return exact(blocks, iters)
 
-    monkeypatch.setattr(entropies, "_guessing_barrier", guarded_barrier)
+    monkeypatch.setattr(entropies, "_guessing_pd", guarded_lockstep)
     monkeypatch.setattr(entropies, "_exact_guess", counted_exact)
     assert run_suite(load_config("paper-table-1"), seed=42).all_pass
-    assert routes["exact"] > 0 and routes["barrier"] > 0
+    assert routes["exact"] > 0 and routes["lockstep"] > routes["groups"] > 0
+
+
+# -- the lockstep primal-dual solver ----------------------------------------------
+
+def _pd_problems(count, seed):
+    """(N, k, k) stacks with k = 3..8, N = 3..32 and a PD sum of unit trace.
+
+    Each block is a random mixed or pure (rank-1) state times a random
+    weight, a pure state of weight 1e-6, or an identical or a scaled copy of
+    an earlier block.  Every seventh stack is scaled by 1e-6 as a whole.
+    """
+    rng = np.random.default_rng(seed)
+    problems = []
+    while len(problems) < count:
+        k, n = 3 + len(problems) % 6, int(rng.integers(3, 33))
+        blocks = []
+        for _ in range(n):
+            kind = int(rng.integers(5)) if blocks else int(rng.integers(2))
+            if kind < 2:
+                blocks.append((random_density, random_pure_state)[kind](k, rng)
+                              * (rng.random() + 1e-3))
+            elif kind == 2:
+                blocks.append(1e-6 * random_pure_state(k, rng))
+            else:
+                earlier = blocks[int(rng.integers(len(blocks)))]
+                blocks.append(earlier if kind == 3 else earlier * rng.random())
+        stack = np.array(blocks, dtype=complex)
+        total = _block_sum(stack)
+        if np.linalg.eigvalsh(total)[0] > 1e-9 * np.trace(total).real:
+            scale = 1e-6 if len(problems) % 7 == 3 else 1.0
+            problems.append(stack * (scale / np.trace(total).real))
+    return problems
+
+
+def test_pd_problems_cover_the_cases():
+    problems = _pd_problems(200, seed=70)
+    assert {p.shape[1] for p in problems} == set(range(3, 9))
+    assert min(len(p) for p in problems) == 3 and max(len(p) for p in problems) >= 30
+    ranks = [np.linalg.matrix_rank(b, tol=1e-9 * np.abs(b).max()) for p in problems for b in p]
+    assert 1 in ranks
+    assert any(len({b.tobytes() for b in p}) < len(p) for p in problems)
+    assert sum(np.trace(_block_sum(p)).real < 1e-5 for p in problems) >= 25
+
+
+def _interval(y, p_primal, blocks):
+    """[value, value + gap] in bits of a projected solve, as ``h_min_cond`` reports it."""
+    assert p_primal > 0
+    return -np.log2(np.trace(_dominating(y, blocks)).real), -np.log2(p_primal)
+
+
+def test_lockstep_solver_brackets_the_barrier():
+    for i, blocks in enumerate(_pd_problems(200, seed=70)):
+        (y, p_primal, iterations), = _guessing_pd(blocks[None], 500)
+        low, high = _interval(y, p_primal, blocks)
+        barrier_low, barrier_high = _interval(*_guessing_barrier(blocks, 500)[:2], blocks)
+        assert iterations < 500 and high - low <= 1e-9, f"problem {i}"
+        assert low <= barrier_high + ROUNDING_BITS, f"problem {i}"
+        assert barrier_low <= high + ROUNDING_BITS, f"problem {i}"
+
+
+def _mixed_h_min_states():
+    """Classical states, then states that the exact routes take (k = 1, N <= 2, k = 2),
+    interleaved with lockstep ones of repeated projected shapes (N, k) = (4, 3), (8, 3)
+    and (5, 4); one (4, 3) state has a rank-deficient rho_B on a 4-dimensional side."""
+    rng = np.random.default_rng(2032)
+    diagonal = {(0,): np.diag([0.25, 0.1]), (1,): np.diag([0.05, 0.6])}
+    states = [random_cq_state(2, 1, rng), CqState(2, diagonal)]
+    shapes = [(4, 3, 3), (3, 3, 1), (8, 3, 3), (2, 3, 3), (4, 3, 3), (5, 4, 4), (1, 3, 3),
+              (4, 2, 2), (8, 3, 3), (4, 4, 3), (5, 4, 4), (4, 3, 3)]
+    for n_sym, dim, rank in shapes:
+        make = (_low_rank_pure(dim, rank, rng) if rank < dim
+                else functools.partial(random_density, dim, rng))
+        syms = [index_to_bits(int(i), 3) for i in sorted(rng.choice(8, n_sym, replace=False))]
+        weights = rng.random(n_sym) + 1e-3
+        states.append(build_cq(dict(zip(syms, (weights / weights.sum()).tolist())),
+                               {sym: make() for sym in syms}))
+    return states
+
+
+def _lockstep_shape(state):
+    basis = _support_basis(marginal_side(state))
+    shape = (len(state.blocks), basis.shape[1])
+    return shape if min(shape) >= 3 and not _is_classical(state) else None
+
+
+@pytest.mark.parametrize("iters", [500, 1, 2])
+def test_h_min_cond_many_is_each_states_own_solve(iters):
+    states = _mixed_h_min_states()
+    shapes = [_lockstep_shape(s) for s in states]
+    assert [shapes.count(shape) for shape in ((4, 3), (8, 3), (5, 4))] == [4, 2, 2]
+    assert sum(_is_classical(s) for s in states) == 2
+    want = [h_min_cond(state, iters) for state in states]
+    for order in (list(range(len(states))), list(range(len(states)))[::-1],
+                  [*range(len(states)), 2, 6, 2, 13]):
+        got = h_min_cond_many([states[i] for i in order], iters)
+        for i, res in zip(order, got, strict=True):
+            assert _same_result(res, want[i]), i
+    for res, shape in zip(want, shapes):
+        if shape is not None and iters < 500:
+            assert res.iterations == iters and not res.converged
+        assert res.converged or iters < 500
+    assert h_min_cond_many([], iters) == []
+
+
+@pytest.mark.parametrize("count, n, k", [(200, 6, 3), (24, 9, 8)])
+def test_a_members_solve_does_not_depend_on_its_group(count, n, k):
+    rng = np.random.default_rng(300 + k)
+    group = np.array([[random_density(k, rng) * (rng.random() + 1e-3) for _ in range(n)]
+                      for _ in range(count)])
+    together = _guessing_pd(group, 500)
+    for j in (0, count // 2 + 7, count - 1):
+        (alone,) = _guessing_pd(group[j:j + 1], 500)
+        assert _barrier_bytes(together[j]) == _barrier_bytes(alone), j
+
+
+def _poisoned_linalg(name, member, call):
+    """``_umath_linalg``'s gufuncs, but the ``call``-th call of ``name`` fills member
+    ``member``'s result with NaN, as a failed factorisation or solve does."""
+    real = getattr(_umath_linalg, name)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(name)
+        if len(calls) == call:
+            out[member] = np.nan
+        return out
+
+    gufuncs = {f: getattr(_umath_linalg, f) for f in ("inv", "solve1", "cholesky_lo")}
+    return types.SimpleNamespace(**{**gufuncs, name: poisoned})
+
+
+@pytest.mark.parametrize("name, call", [("cholesky_lo", 3), ("solve1", 5)],
+                         ids=["cholesky", "solve"])
+def test_a_failed_member_leaves_with_a_sound_result(monkeypatch, name, call):
+    """Member 1 fails in the third iteration; it leaves with its best iterate,
+    certified by ``_dominating``, and no other member's result moves."""
+    rng = np.random.default_rng(81)
+    group = np.array([[random_density(3, rng) * (rng.random() + 1e-3) for _ in range(5)]
+                      for _ in range(4)])
+    clean = _guessing_pd(group, 500)
+    assert min(steps for _, _, steps in clean) > 3
+    monkeypatch.setattr(entropies, "_umath_linalg", _poisoned_linalg(name, 1, call))
+    with np.errstate(invalid="raise"):
+        hit = _guessing_pd(group, 500)
+    for j in (0, 2, 3):
+        assert _barrier_bytes(hit[j]) == _barrier_bytes(clean[j]), j
+    y, p_primal, steps = hit[1]
+    assert steps == 3 and p_primal == 0.0
+    certified = _dominating(y, group[1])
+    assert _lowest_slack(certified, group[1]) >= 0.0
+    clean_low, clean_high = _interval(*clean[1][:2], group[1])
+    assert -np.log2(np.trace(certified).real) <= clean_high + ROUNDING_BITS
+
+
+def test_failures_are_nan_under_the_lockstep_errstate():
+    mixed = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex)
+    with np.errstate(invalid="raise"):
+        factors = _failures_as_nan(_umath_linalg.cholesky_lo)(mixed, signature="D->D")
+    assert np.array_equal(factors[0], np.eye(2)) and np.isnan(factors[1]).all()
+
+
+def test_stacked_pgm_start_is_the_per_state_start():
+    problems = [p for p in _pd_problems(60, seed=71) if p.shape == (p.shape[0], 3, 3)]
+    width = max(len(p) for p in problems)
+    for n in {len(p) for p in problems}:
+        group = np.array([p for p in problems if len(p) == n])
+        ys, ts = _pgm_start(group)
+        for j, blocks in enumerate(group):
+            y, t = _per_state_pgm_start(blocks)
+            assert ys[j].tobytes() == y.tobytes() and ts[j] == t, (n, j)
+    assert width >= 20

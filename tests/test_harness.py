@@ -3,16 +3,20 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import extraction_lab
 from extraction_lab import entropies
 from extraction_lab.cli import SCENARIO_FORMS
 from extraction_lab.cq_states import CqState
-from extraction_lab.entropies import h_min_cond
+from extraction_lab.entropies import h_min_cond, h_min_cond_many
 from extraction_lab.harness import load_config, run_check, run_suite, write_reports
 from extraction_lab.gf2 import gf2_images, gf2_matvec, index_to_bits
 from extraction_lab.harness import checks
@@ -450,38 +454,35 @@ def test_maps_with_one_kernel_lift_to_the_same_blocks():
 
 
 def test_hmin_linear_drop_solves_once_per_kernel(monkeypatch):
-    solved = []
-
-    def counting(state, *args, **kwargs):
-        solved.append(state)
-        return h_min_cond(state, *args, **kwargs)
-
-    monkeypatch.setattr(checks, "h_min_cond", counting)
+    batches = _counting_solves(monkeypatch)
     reports = run_check("hmin-linear-drop",
                         {"params": {"exhaustive_n": 3, "random_ns": [4], "per_n": 6}, "seed": 2})
     assert len(reports) == 512 + 6 and all(r.passed for r in reports)
-    # two exhaustive bases with at most 16 kernels each, one random base and its maps
-    assert len(solved) <= 2 + 2 * 16 + 1 + 6
+    # two exhaustive bases with at most 16 kernels each, one random base and its maps,
+    # all in one batch
+    assert len(batches) == 1 and len(batches[0]) <= 2 + 2 * 16 + 1 + 6
 
 
 def _counting_solves(monkeypatch) -> list:
-    """The states that ``checks`` passes to ``h_min_cond`` from now on, in call order."""
-    solved = []
+    """The batches of states that ``checks`` passes to ``h_min_cond_many`` from now on,
+    in call order."""
+    batches = []
 
-    def counting(state, *args, **kwargs):
-        solved.append(state)
-        return h_min_cond(state, *args, **kwargs)
+    def counting(states, *args, **kwargs):
+        batches.append(list(states))
+        return h_min_cond_many(states, *args, **kwargs)
 
-    monkeypatch.setattr(checks, "h_min_cond", counting)
-    return solved
+    monkeypatch.setattr(checks, "h_min_cond_many", counting)
+    return batches
 
 
 def test_flat_sources_are_solved_once_across_families_and_ms(monkeypatch):
-    solved = _counting_solves(monkeypatch)
+    batches = _counting_solves(monkeypatch)
     reports = run_check("b1-exhaustive-flat", {"params": {"ns": [3]}})
     assert len(reports) == 2 * 2 * 2 * 16 and all(r.passed for r in reports)
-    # one solve per flat source: k = 0..3 under each of the two sides
-    assert len(solved) == 2 * 4
+    # one batch per side, one solve per flat source: k = 0..3 under each of the two sides
+    solved = [state for batch in batches for state in batch]
+    assert len(batches) == 2 and len(solved) == 2 * 4
     assert len({(s.side_dim, s.stack.tobytes()) for s in solved}) == 8
 
 
@@ -491,10 +492,10 @@ def test_flat_sources_are_solved_once_across_families_and_ms(monkeypatch):
     ("b2-markov", {"count": 6, "n_max": 3}),
 ])
 def test_certified_entropies_are_solved_in_the_checks(monkeypatch, check_id, params):
-    solved = _counting_solves(monkeypatch)
+    batches = _counting_solves(monkeypatch)
     reports = run_check(check_id, {"params": params, "seed": 4})
     assert len({r.scenario for r in reports}) == 6 and all(r.passed for r in reports)
-    assert len(solved) == 2 * 6
+    assert len(batches) == 1 and len(batches[0]) == 2 * 6
 
 
 def _one_two_norm_oracle(count: int, seed: int) -> list:
@@ -584,8 +585,9 @@ def test_summary_counts_unconverged_rows():
 # re-taken when the barrier-method h_min_cond replaced the fixed point and
 # b8-weak-quantum rows gained convergence flags, when the barrier started at
 # the pretty-good measurement, when h2_cond became gap-certified and
-# hmin-le-h2 rows gained convergence flags, and when the guessing probability
-# became exact for support rank k <= 2 or N <= 2 blocks.
+# hmin-le-h2 rows gained convergence flags, when the guessing probability
+# became exact for support rank k <= 2 or N <= 2 blocks, and when a
+# lockstep primal-dual solver replaced the barrier.
 OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b1-exhaustive-flat",
      "params": {"ns": [3, 4], "ms": [1, 2], "families": ["field", "shift"],
@@ -598,7 +600,7 @@ OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 8, "n_max": 3}},
     {"id": "hmin-le-h2", "params": {"count": 20}},
 ]}
-OUTPUT_PATHS_DIGEST = "fedbd6e91d4415fe4db534dfeec9f89b69e0dd778ca4c90c2bd8e79feb1d60bd"
+OUTPUT_PATHS_DIGEST = "96f586698315d9a01977bba81689fe41f8407198fbb2deac7ea97a4a530823fa"
 
 
 def test_output_paths_report_digest(tmp_path):
@@ -614,12 +616,13 @@ def test_output_paths_report_digest(tmp_path):
 # hmin-linear-drop, with full's params and the seeds that run_suite derives
 # for them at positions 4 and 10.  Taken before the bound catalog became a table;
 # re-taken when the guessing probability became exact for k <= 2 or N <= 2 and
-# hmin-linear-drop's params took the scenario's r.
+# hmin-linear-drop's params took the scenario's r, and when a lockstep
+# primal-dual solver replaced the barrier.
 FULL_ONLY_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 40, "n_max": 4}, "seed": 7 * 1000003 + 4},
     {"id": "hmin-linear-drop", "params": {}, "seed": 7 * 1000003 + 10},
 ]}
-FULL_ONLY_DIGEST = "9be7bbf625a1b45a68f91ea7a10832db54d7ed5af0c208eb6cdfed97cf0dca55"
+FULL_ONLY_DIGEST = "aeb9225496d8e5fe47b4d43e513ea8c0a271e6a03edd75a7b298b14f47834050"
 
 
 def test_full_only_rows_report_digest():
@@ -656,12 +659,50 @@ def test_relabel_paths_report_digest():
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
-PAPER_TABLE_1_DIGEST = "5c89f3eb8fbcbce129d3cd8d00835d16395c39c883df597589e8368177d9dafa"
+PAPER_TABLE_1_DIGEST = "d825c1e989b80875363e76cfe370659ed6a1fbedbd68625f82b4a742a286f1c7"
 
 
 def test_paper_table_1_report_digest():
     result = run_suite(load_config("paper-table-1"), seed=42)
     assert hashlib.sha256(render_json(result).encode()).hexdigest() == PAPER_TABLE_1_DIGEST
+
+
+def _openblas() -> bool:
+    return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+def _keyed_rows(report: dict) -> dict:
+    rows = {(r["check_id"], r["scenario"], r["bound_id"]): r for r in report["reports"]}
+    assert len(rows) == len(report["reports"])
+    return rows
+
+
+# The digests above hold for one BLAS kernel; the verdicts must not.  Another
+# OpenBLAS kernel moves the last bits of BLAS and LAPACK results, and the
+# certified entropies carry them into epsilon.  Under OpenBLAS's Haswell kernel,
+# paper-table-1 must give the same rows and verdicts, every measured value
+# within CROSS_KERNEL_MEASURED and every epsilon within CROSS_KERNEL_EPSILON.
+CROSS_KERNEL_MEASURED = 1e-12
+CROSS_KERNEL_EPSILON = 1e-9
+
+
+@pytest.mark.skipif(not _openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_paper_table_1_verdicts_hold_under_another_blas_kernel(tmp_path):
+    src = str(Path(extraction_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "extraction_lab.cli", "verify", "--suite",
+                    "paper-table-1", "--seed", "42", "--out", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    forced = _keyed_rows(json.loads((tmp_path / "report.json").read_text()))
+    default = _keyed_rows(json.loads(render_json(run_suite(load_config("paper-table-1"),
+                                                           seed=42))))
+    assert forced.keys() == default.keys()
+    for key, row in default.items():
+        other = forced[key]
+        assert other["pass"] == row["pass"], key
+        assert abs(other["measured_delta"] - row["measured_delta"]) <= CROSS_KERNEL_MEASURED, key
+        assert abs(other["bound_epsilon"] - row["bound_epsilon"]) <= CROSS_KERNEL_EPSILON, key
 
 
 # Report emission.  render_json and render_csv spell the rows' scalars and
@@ -822,7 +863,7 @@ def _blank_runtimes(report_csv: str) -> str:
 
 # sha256 of report.csv for `verify --suite paper-table-1 --seed 42` with the
 # runtime_ms column blanked: the CSV's counterpart of PAPER_TABLE_1_DIGEST.
-PAPER_TABLE_1_CSV_DIGEST = "fa6a4d1b92d6d35a4ad1c9066e1104615299207506adaff18dbcaf938bd6331e"
+PAPER_TABLE_1_CSV_DIGEST = "2e41b4053acc1bfa3e48c39916b97f315d6b2c57f3285bffba39f66d4dfcac1d"
 
 
 def test_paper_table_1_csv_digest():
