@@ -25,15 +25,12 @@ import numpy as np
 from ..cq_states import (
     _traces,
     apply_classical_function,
-    check_blocks,
-    check_unit_traces,
     classical_state,
     distance_to_uniform,
     extractor_output_from_joint,
     extractor_output_state,
     flat_grid_distances,
     markov_block_state,
-    padded_stacks,
     to_dense,
     weak_distances,
 )
@@ -50,12 +47,10 @@ from ..gf2 import (
     index_to_bits,
 )
 from ..operators import (
-    conditional_mutual_information,
+    conditional_mutual_informations,
     ginibre_densities,
     hermitian_trace_norms,
     partial_trace,
-    probability_vector,
-    random_densities,
     random_density,
     tensor,
 )
@@ -75,13 +70,17 @@ from .scenarios import (
     MARKOV_BLOCKS_MAX,
     MARKOV_N_MAX,
     SIDE_PARAMS,
+    _formed_group,
+    _ginibre_normals,
+    _joint_and_marginals,
+    _markov_draw,
+    _markov_scenarios,
     _random_blocks,
     _random_cq,
+    _random_cqs,
     _random_source,
     make_flat_source,
-    make_markov_scenario,
     make_side_info,
-    markov_marginals,
 )
 
 PASS_TOL = 1e-9
@@ -99,7 +98,8 @@ EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at
 # and no built-in suite fills such a group; a one-two-norm scenario weighs
 # 16·(dim_a·dim_b)², and the built-in suites fill its larger groups; an
 # hmin-le-h2 scenario weighs its blocks' N·dim² entries, at most 72, and no
-# built-in suite fills its one group.
+# built-in suite fills its one group; a markov-cmi scenario weighs 16·D² for its
+# D×D dense operator, so from D = 64 on a dense fills a group alone.
 BLOCK_BUDGET = 1 << 16
 CLASSICAL_SIDES = ("trivial", "classical_leak")     # flat grids count these exactly
 # The values of a param that its type alone does not pin down, and their name;
@@ -291,20 +291,29 @@ def _b8_weak(p, rng):
         max_m=lambda p: min(MARKOV_M_MAX, p["n_max"]),
         choices={"n_max": ("n_max", range(1, MARKOV_N_MAX + 1))})  # its joint state's size
 def _b2_markov(p, rng):
-    """Markov block scenarios against the Markov-model bound family, drawn first and
-    their marginals solved together (:func:`_with_sources_solved`)."""
-    def draws():
-        for _ in range(p["count"]):
-            kind, fam = _random_family(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
-            classical = bool(rng.random() < 0.5)
-            blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
-            joint, marginal1, marginal2 = markov_marginals(
-                fam.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical)
+    """Markov block scenarios against the Markov-model bound family.
+
+    Every scenario is drawn first (:func:`_markov_draw`), then all are
+    formed together (:func:`_markov_scenarios`), and their marginals are
+    solved together (:func:`_with_sources_solved`).
+    """
+    drawn = []
+    for _ in range(p["count"]):
+        kind, fam = _random_family(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
+        classical = bool(rng.random() < 0.5)
+        blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
+        drawn.append((kind, fam, classical, blocks, _markov_draw(
+            fam.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical)))
+
+    def outputs():
+        for (kind, fam, classical, blocks, _), scn in zip(
+                drawn, _markov_scenarios([draw for *_, draw in drawn])):
+            joint, marginal1, marginal2 = _joint_and_marginals(scn)
             out = extractor_output_from_joint(deor_extractor(fam), joint, "x1")
             delta = distance_to_uniform(out, 1 << fam.m, strong=True)
             yield kind, fam, classical, blocks, delta, marginal1, marginal2
 
-    for kind, fam, classical, blocks, delta, res1, res2 in _with_sources_solved(draws()):
+    for kind, fam, classical, blocks, delta, res1, res2 in _with_sources_solved(outputs()):
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} {model} blocks={blocks}",
@@ -331,20 +340,40 @@ def _ip_classical(p, rng):
 
 @_check("markov-cmi", count=100)
 def _markov_cmi(p, rng):
-    """Conditional mutual information of constructed Markov block states."""
+    """Conditional mutual information of constructed Markov block states.
+
+    Every scenario is drawn first (:func:`_markov_draw`) and all are formed
+    together (:func:`_markov_scenarios`).  The scenarios are then grouped by
+    dims (:func:`_in_groups`); a group builds its dense operators and takes
+    their CMIs with one :func:`conditional_mutual_informations`.  A
+    scenario weighs 16·D², about the complex entries of every D×D operator
+    its pass allocates, so a dense of D ≥ 64 fills a BLOCK_BUDGET and is
+    evaluated alone: stacking pays only where the per-call cost dominates.
+    All scenarios are evaluated before the first case, so its
+    ``runtime_ms`` carries the batch's time.
+    """
+    drawn = []
     for _ in range(p["count"]):
         n = int(rng.integers(1, 3))
         classical = bool(rng.random() < 0.3)
-        scn = make_markov_scenario(n, int(rng.integers(2, MARKOV_BLOCKS_MAX + 1)),
-                                   seed=int(rng.integers(2 ** 31)),
-                                   classical=classical)
-        joint = markov_block_state(scn)
-        alphabet = all_bit_vectors(n)
-        dense = to_dense(joint, [(a, b) for a in alphabet for b in alphabet])
-        cmi = conditional_mutual_information(
-            dense, (len(alphabet), len(alphabet), joint.side_dim))
+        drawn.append((n, _markov_draw(n, int(rng.integers(2, MARKOV_BLOCKS_MAX + 1)),
+                                      seed=int(rng.integers(2 ** 31)), classical=classical)))
+    scenarios = _markov_scenarios([draw for _, draw in drawn])
+
+    def dense_draws():
+        for (n, _), scn in zip(drawn, scenarios):
+            dims = (1 << n, 1 << n, sum(s1.side_dim * s2.side_dim for s1, s2 in scn.factors))
+            yield dims, 16 * (dims[0] * dims[1] * dims[2]) ** 2, scn
+
+    def evaluate(dims, items):
+        alphabet = all_bit_vectors(dims[0].bit_length() - 1)
+        order = [(a, b) for a in alphabet for b in alphabet]
+        dense = np.array([to_dense(markov_block_state(scn), order) for scn in items])
+        return [(dims[2], cmi) for cmi in conditional_mutual_informations(dense, dims).tolist()]
+
+    for (n, _), scn, (side, cmi) in zip(drawn, scenarios, _in_groups(dense_draws(), evaluate)):
         yield Case(_k_params(n, 1, 0, 0.0, 0.0),
-                   f"markov-cmi n={n} blocks={len(scn.weights)} side={joint.side_dim}",
+                   f"markov-cmi n={n} blocks={len(scn.weights)} side={side}",
                    [("cmi-zero", cmi, 0.0)])
 
 
@@ -379,38 +408,32 @@ def _in_groups(draws, evaluate) -> list:
 def _random_output_groups(p, rng, m_max: int, dim_max: int, bound, with_sigma=False) -> list:
     """(m, dim, delta, bound value) per scenario of a random-state check, in draw order.
 
-    Each of the ``p["count"]`` scenarios draws m and dim, a random cq-state
-    with m-bit outputs on a dim-dimensional side register and, ``with_sigma``,
-    a random density sigma.  Its distribution and conditionals are tested
-    when drawn (:func:`probability_vector`, :func:`check_unit_traces`), and
-    only its weighted blocks and their slots, the drawn indices, are kept.
-    Each (m, dim) group (:func:`_in_groups`) is then validated by one
-    :func:`check_blocks` and evaluated in one stacked pass:
-    :func:`weak_distances` and ``bound(stacks, present, sigmas)``, with
+    Each of the ``p["count"]`` scenarios draws m and dim, then what a random
+    cq-state with m-bit outputs on a dim-dimensional side register
+    (:func:`_random_blocks`) and, ``with_sigma``, a random density sigma
+    draw, in that order; it holds its distribution, slots and raw standard
+    normals (:func:`_ginibre_normals`).  Each (m, dim) group
+    (:func:`_in_groups`) is formed and validated at once by
+    :func:`_formed_group`: one :func:`ginibre_densities`, one
+    :func:`check_unit_traces` naming the symbol, and one
+    ``check_blocks(..., normalized=True)``.  Its sigmas are formed by one
+    more :func:`ginibre_densities`, and the group is evaluated in one stacked
+    pass: :func:`weak_distances` and ``bound(stacks, present, sigmas)``, with
     ``sigmas`` None unless ``with_sigma``.  A scenario weighs 4^m·dim².
     """
-    names = {}      # m -> the m-bit symbols, slot order
-
     def draws():
         for _ in range(p["count"]):
             m = int(rng.integers(1, m_max + 1))
             dim = int(rng.integers(1, dim_max + 1))
-            slots, weights, conds = _random_blocks(m, dim, rng)
-            sigma = random_densities(1, dim, rng) if with_sigma else None
-            if m not in names:
-                names[m] = all_bit_vectors(m)
-            bits = names[m]
-            probability_vector(weights.tolist())
-            check_unit_traces(_traces(conds), "conditional state for",
-                              [bits[i] for i in slots.tolist()])
-            yield ((m, dim), (1 << 2 * m) * dim * dim,
-                   (weights[:, None, None] * conds, slots, sigma))
+            drawn = _random_blocks(m, dim, rng, draw=_ginibre_normals)
+            sigma = _ginibre_normals(1, dim, rng) if with_sigma else None
+            yield (m, dim), (1 << 2 * m) * dim * dim, (drawn, sigma)
 
     def evaluate(key, items):
-        blocks, slots, sigmas = zip(*items)
-        padded, present = padded_stacks(list(zip(blocks, slots)), 1 << key[0])
-        check_blocks(padded, present, names[key[0]], normalized=True)
-        values = bound(padded, present, np.concatenate(sigmas) if with_sigma else None)
+        drawn, sigmas = zip(*items)
+        padded, present, _ = _formed_group(all_bit_vectors(key[0]), drawn)
+        values = bound(padded, present,
+                       ginibre_densities(np.concatenate(sigmas)) if with_sigma else None)
         return [key + pair for pair in zip(weak_distances(padded, present).tolist(),
                                            values.tolist())]
 
@@ -542,15 +565,15 @@ def _hmin_le_h2(p, rng):
         for _ in range(p["count"]):
             n_bits = int(rng.integers(1, 4))
             dim = int(rng.integers(1, 4))
-            state = _random_cq(n_bits, dim, rng)
+            drawn = (n_bits, *_random_blocks(n_bits, dim, rng, draw=_ginibre_normals))
             sigma = random_density(dim, rng) if dim > 1 else np.ones((1, 1), dtype=complex)
-            yield None, state.stack.size, (n_bits, dim, state, sigma)
+            yield None, len(drawn[1]) * dim * dim, (n_bits, dim, drawn, sigma)
 
     def evaluate(_, items):
-        states = [state for _, _, state, _ in items]
+        states = _random_cqs([drawn for _, _, drawn, _ in items])
         return [(n_bits, dim, h_min_rel(state, sigma) - h2_rel(state, sigma), hmin, h2)
-                for (n_bits, dim, state, sigma), hmin, h2 in zip(
-                    items, h_min_cond_many(states), h2_cond_many(states))]
+                for (n_bits, dim, _, sigma), state, hmin, h2 in zip(
+                    items, states, h_min_cond_many(states), h2_cond_many(states))]
 
     for n_bits, dim, rel_gap, hmin, h2 in _in_groups(draws(), evaluate):
         yield Case(_k_params(n_bits, 1, 0, 0.0, 0.0), f"entropy-order n={n_bits} dim={dim}",
@@ -657,11 +680,11 @@ def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
 
     A row's ``runtime_ms`` is the time the generator took to yield its case.
     A check that evaluates a batch before yielding (a flat grid, the groups
-    of ``measured-xor-random``, ``useful-prop-random``, ``one-two-norm`` or
-    ``hmin-le-h2``, or the solved sources of ``b1-quantum-product``,
-    ``b8-weak-quantum``, ``b2-markov`` or ``hmin-linear-drop``) charges the
-    whole batch to the first case it yields, and the later cases of the batch
-    take almost none.
+    of ``measured-xor-random``, ``useful-prop-random``, ``one-two-norm``,
+    ``markov-cmi`` or ``hmin-le-h2``, or the solved sources of
+    ``b1-quantum-product``, ``b8-weak-quantum``, ``b2-markov`` or
+    ``hmin-linear-drop``) charges the whole batch to the first case it
+    yields, and the later cases of the batch take almost none.
     """
     entry = resolve_entry({**(config or {}), "id": check_id})
     cases = CHECKS[check_id].cases(entry["params"], np.random.default_rng(entry["seed"]))

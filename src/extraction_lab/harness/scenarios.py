@@ -3,25 +3,33 @@
 Every builder is deterministic given its seed, and draws only: a source is
 its cq-state, and no builder solves an entropy.  A caller that needs a
 source's certified entropy calls ``h_min_cond`` on the state itself.
+Random cq-states are drawn raw (:func:`_random_blocks`, :func:`_markov_draw`)
+and formed and validated per group (:func:`_formed_group`), so a check that
+draws many pays the fixed cost of forming once per group, not per state.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 from ..cq_states import (
     CqState,
     MarkovScenario,
+    _traces,
     apply_classical_function,
     build_cq,
+    check_blocks,
+    check_unit_traces,
     classical_state,
     markov_block_state,
+    padded_stacks,
 )
 from ..extractors import ip_eval
-from ..gf2 import index_to_bits
-from ..operators import random_densities, random_pure_state
+from ..gf2 import all_bit_vectors, index_to_bits
+from ..operators import ginibre_densities, probability_vector, random_densities, random_pure_state
 from .params import resolved
 
 # Every side-information model with the params it accepts and their defaults.
@@ -97,9 +105,10 @@ def _random_blocks(n_bits: int, dim: int, rng: np.random.Generator, min_support:
                    draw=random_densities):
     """A random distribution on n-bit strings and one conditional state per symbol.
 
-    Returns its support as ascending indices, their weights and the (support,
-    dim, dim) stack draw(support, dim, rng) of conditionals (1x1 ones for a
-    one-dimensional side register, drawing nothing).
+    Returns its support as ascending indices, their weights and the stack
+    draw(support, dim, rng) of conditionals, (support, dim, dim), or of their
+    unformed normals (:func:`_ginibre_normals`); 1x1 ones for a
+    one-dimensional side register, drawing nothing.
     """
     size = 1 << n_bits
     support = int(rng.integers(min_support, size + 1))
@@ -109,12 +118,65 @@ def _random_blocks(n_bits: int, dim: int, rng: np.random.Generator, min_support:
     return indices, weights / weights.sum(), conds
 
 
+def _ginibre_normals(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The (count, 2, dim, dim) standard normals that ``random_densities(count, dim, rng)``
+    draws, left unformed for :func:`_formed_group`."""
+    return rng.standard_normal((count, 2, dim, dim))
+
+
+def _formed_group(names, drawn):
+    """Drawn cq-states of one side dimension, formed and validated at once.
+
+    ``names`` are the n-bit symbols in index order, and ``drawn`` holds each
+    state's (indices, weights, conds) as :func:`_random_blocks` returns them
+    for n bits.  Conds of shape (support, 2, d, d) are the standard normals
+    of :func:`_ginibre_normals`, formed by one :func:`ginibre_densities` for
+    the group, each as its own draw would form it.  Each distribution is
+    tested as :func:`build_cq` tests it, every conditional's trace by one
+    :func:`check_unit_traces` naming the symbol, and the weighted blocks by
+    one ``check_blocks(..., normalized=True)``.  Returns the weighted blocks
+    as :func:`padded_stacks` does, the (P, 2^n, d, d) stack and its (P, 2^n)
+    mask, and each state's (support, d, d) stack of them, a view.
+    """
+    indices, weights, conds = zip(*drawn)
+    for w in weights:
+        probability_vector(w.tolist())
+    conds = np.concatenate(conds)
+    if conds.ndim == 4:
+        conds = ginibre_densities(conds)
+    slots = np.concatenate(indices)
+    check_unit_traces(_traces(conds), "conditional state for", [names[i] for i in slots.tolist()])
+    blocks = np.concatenate(weights)[:, None, None] * conds
+    stacks = [blocks[end - len(i):end]
+              for i, end in zip(indices, itertools.accumulate(map(len, indices)))]
+    padded, present = padded_stacks(list(zip(stacks, indices)), len(names))
+    check_blocks(padded, present, names, normalized=True)
+    return padded, present, stacks
+
+
+def _random_cqs(draws) -> list:
+    """The cq-states of ``draws``, each (n_bits, indices, weights, conds), in order.
+
+    The draws are formed and validated per group of one n_bits and conds
+    shape by :func:`_formed_group`; each state's blocks are bit for bit
+    those :func:`build_cq` gives it alone.
+    """
+    groups = {}
+    for i, (n_bits, _, _, conds) in enumerate(draws):
+        groups.setdefault((n_bits, conds.shape[1:]), []).append(i)
+    states = [None] * len(draws)
+    for (n_bits, _), at in groups.items():
+        names = all_bit_vectors(n_bits)
+        *_, stacks = _formed_group(names, [draws[i][1:] for i in at])
+        for i, stack in zip(at, stacks):
+            states[i] = CqState._from_stack([names[j] for j in draws[i][1].tolist()], stack)
+    return states
+
+
 def _random_cq(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1,
                draw=random_densities) -> CqState:
-    """:func:`_random_blocks` as a cq-state; ``draw`` as there."""
-    indices, weights, conds = _random_blocks(n_bits, dim, rng, min_support, draw)
-    symbols = [index_to_bits(i, n_bits) for i in indices.tolist()]
-    return build_cq(dict(zip(symbols, weights.tolist())), dict(zip(symbols, conds)))
+    """:func:`_random_blocks` as a cq-state, :func:`_random_cqs` of one; ``draw`` as there."""
+    return _random_cqs([(n_bits, *_random_blocks(n_bits, dim, rng, min_support, draw))])[0]
 
 
 def _random_source(n: int, rng: np.random.Generator) -> tuple[str, CqState]:
@@ -136,9 +198,14 @@ MARKOV_N_MAX = 8
 MARKOV_BLOCKS_MAX = 3
 
 
-def make_markov_scenario(n: int, n_blocks: int, seed: int,
-                         classical: bool = False) -> MarkovScenario:
-    """Random block mixture of product sources, one side register of dimension 1 or 2 each."""
+def _markov_draw(n: int, n_blocks: int, seed: int, classical: bool = False):
+    """What :func:`make_markov_scenario` draws, unformed: (weights, factors).
+
+    ``factors`` holds per block the draws (n, indices, weights, conds) of its
+    two factors, side dimension 1 or 2 each.  The one-hot (classical) or pure
+    conditionals are drawn one after another: a stacked draw would take
+    other numbers from the generator.
+    """
     rng = np.random.default_rng(seed)
     weights = rng.random(n_blocks) + 0.2
     weights = tuple(float(w) for w in weights / weights.sum())
@@ -153,12 +220,33 @@ def make_markov_scenario(n: int, n_blocks: int, seed: int,
     for _ in range(n_blocks):
         d1 = int(rng.integers(1, 3))
         d2 = int(rng.integers(1, 3))
-        factors.append((_random_cq(n, d1, rng, draw=draw), _random_cq(n, d2, rng, draw=draw)))
-    return MarkovScenario(weights=weights, factors=tuple(factors))
+        factors.append(((n, *_random_blocks(n, d1, rng, draw=draw)),
+                        (n, *_random_blocks(n, d2, rng, draw=draw))))
+    return weights, factors
+
+
+def _markov_scenarios(draws) -> list:
+    """The :class:`MarkovScenario` of each of ``draws`` (:func:`_markov_draw`), in order,
+    with every factor of the batch formed and validated by one :func:`_random_cqs`."""
+    states = iter(_random_cqs([f for _, factors in draws for pair in factors for f in pair]))
+    return [MarkovScenario(weights, tuple((next(states), next(states)) for _ in factors))
+            for weights, factors in draws]
+
+
+def make_markov_scenario(n: int, n_blocks: int, seed: int,
+                         classical: bool = False) -> MarkovScenario:
+    """Random block mixture of product sources, one side register of dimension 1 or 2 each:
+    :func:`_markov_scenarios` of one :func:`_markov_draw`."""
+    return _markov_scenarios([_markov_draw(n, n_blocks, seed, classical)])[0]
+
+
+def _joint_and_marginals(scenario: MarkovScenario):
+    """The joint state of a Markov mixture and its two sources' cq-states."""
+    joint = markov_block_state(scenario)
+    return (joint, apply_classical_function(joint, lambda sym: sym[0]),
+            apply_classical_function(joint, lambda sym: sym[1]))
 
 
 def markov_marginals(n: int, n_blocks: int, seed: int, classical: bool = False):
     """The joint state of ``make_markov_scenario``'s mixture and its two sources' cq-states."""
-    joint = markov_block_state(make_markov_scenario(n, n_blocks, seed, classical))
-    return (joint, apply_classical_function(joint, lambda sym: sym[0]),
-            apply_classical_function(joint, lambda sym: sym[1]))
+    return _joint_and_marginals(make_markov_scenario(n, n_blocks, seed, classical))

@@ -9,7 +9,11 @@ expressions like sigma^{-1/4} rho sigma^{-1/4} are well defined for
 singular sigma.  Every sigma-weighted quantity takes its powers from
 :func:`_sigma_powers`, which also tests, per sigma of a stack, whether
 ker sigma meets the state, where such an expression means nothing; every
-unit-trace test is :func:`check_unit_traces`.
+unit-trace test is :func:`check_unit_traces`.  Entropies and conditional
+mutual informations are taken per stack (:func:`von_neumann_entropies`,
+:func:`conditional_mutual_informations`): one Hermiticity test and one
+eigvalsh per stack, each member bit for bit what it gives alone, and the
+scalar forms are batches of one.
 """
 
 from __future__ import annotations
@@ -225,7 +229,12 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     ``dims`` are the subsystem dimensions in tensor order, ``keep`` the
     indices (0-based) of the subsystems to retain, in their tensor order.
     """
-    m = as_operator(rho) if np.ndim(rho) == 2 else hermitian_stack(rho)
+    return _partial_trace(as_operator(rho) if np.ndim(rho) == 2 else hermitian_stack(rho),
+                          dims, keep)
+
+
+def _partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
+    """:func:`partial_trace` of an operator or stack already tested as it tests one."""
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
     if m.shape[-1] != total:
@@ -250,19 +259,46 @@ def von_neumann_entropy(rho, check_trace: bool = True) -> float:
     m = check_hermitian(rho)
     if check_trace:
         check_unit_traces([m.trace()], "density operator")
-    w, _ = _checked_psd(np.linalg.eigvalsh(m), None)
+    return float(von_neumann_entropies(m[None])[0])
+
+
+def von_neumann_entropies(stack: np.ndarray) -> np.ndarray:
+    """:func:`von_neumann_entropy` of each operator of an (N, d, d) stack of Hermitian
+    operators, tested for neither Hermiticity nor trace, from one stacked eigvalsh;
+    ValueError for the first that is not PSD.
+
+    Each row's sum runs over that row's positive eigenvalues alone, as a
+    single operator's does: a masked sum over the whole stack would add
+    in another order and move the last bits.
+    """
+    w, _ = _checked_psd(np.linalg.eigvalsh(stack), None)
     live = w > 0
-    return float(-np.sum(w[live] * np.log2(w[live])))
+    values = w[live]
+    terms = values * np.log2(values)
+    ends = np.cumsum(np.count_nonzero(live, axis=-1)).tolist()
+    return -np.array([np.add.reduce(terms[lo:hi]) for lo, hi in zip([0] + ends, ends)],
+                     dtype=float)
 
 
 def conditional_mutual_information(rho, dims) -> float:
     """I(A:B|C) = S(AC) + S(BC) - S(ABC) - S(C) in bits for dims (dA, dB, dC)."""
+    return float(conditional_mutual_informations(as_operator(rho)[None], dims)[0])
+
+
+def conditional_mutual_informations(rhos, dims) -> np.ndarray:
+    """:func:`conditional_mutual_information` of each operator of an (N, D, D) stack, all
+    of dims (dA, dB, dC), each bit for bit what it gives alone.
+
+    The stack is tested once (:func:`hermitian_stack`), its three marginals
+    are taken from it untested, and each of the four entropies is one
+    :func:`von_neumann_entropies` call.
+    """
     if len(dims) != 3:
         raise ValueError("dims must be (d_A, d_B, d_C)")
-    s_ac = von_neumann_entropy(partial_trace(rho, dims, keep=(0, 2)), check_trace=False)
-    s_bc = von_neumann_entropy(partial_trace(rho, dims, keep=(1, 2)), check_trace=False)
-    s_abc = von_neumann_entropy(rho, check_trace=False)
-    s_c = von_neumann_entropy(partial_trace(rho, dims, keep=(2,)), check_trace=False)
+    m = hermitian_stack(rhos)
+    s_ac, s_bc, s_abc, s_c = (von_neumann_entropies(x) for x in (
+        _partial_trace(m, dims, (0, 2)), _partial_trace(m, dims, (1, 2)), m,
+        _partial_trace(m, dims, (2,))))
     return s_ac + s_bc - s_abc - s_c
 
 

@@ -183,15 +183,20 @@ def test_entropy_solves_the_source_once(tmp_path, capsys, monkeypatch):
 # side-information models drawn by a seed: a change to the scenario builders
 # or to where the CLI solves shows here as soon as it moves a byte.
 ENTROPY_STDOUT_DIGESTS = [
-    ({"n": 2, "k": 2, "side_info": {"model": "bb84", "bits": 2}},
-     "1d4614ff4c21a12f901d2202a66e0ca2ca26fcd720b2f9e465fe3d0da1f6edc9"),
-    ({"dist": {"00": 0.4, "01": 0.1, "10": 0.3, "11": 0.2},
-      "side_info": {"model": "classical_leak", "leak": "first_bit"}},
-     "9a92116e465075fcce19a7f1c8e04932036f57640e7720746288eb7d8eac210d"),
-    ({"markov": {"n": 2, "blocks": 3}},
-     "5e6f8395e38d6670513b6671f3d97ddd18e0eb7598f6af908ee2ec0b288d35ff"),
-    ({"n": 3, "k": 2, "support": "random", "side_info": {"model": "random_pure", "dim": 3}},
-     "6da7d17461c9a0f7e5451404bc9d0eae8e01d293c1be2996aee304dda313be64"),
+    pytest.param({"n": 2, "k": 2, "side_info": {"model": "bb84", "bits": 2}},
+                 "1d4614ff4c21a12f901d2202a66e0ca2ca26fcd720b2f9e465fe3d0da1f6edc9",
+                 id="flat-bb84"),
+    pytest.param({"dist": {"00": 0.4, "01": 0.1, "10": 0.3, "11": 0.2},
+                  "side_info": {"model": "classical_leak", "leak": "first_bit"}},
+                 "9a92116e465075fcce19a7f1c8e04932036f57640e7720746288eb7d8eac210d",
+                 id="dist-classical_leak"),
+    pytest.param({"markov": {"n": 2, "blocks": 3}},
+                 "5e6f8395e38d6670513b6671f3d97ddd18e0eb7598f6af908ee2ec0b288d35ff",
+                 id="markov"),
+    pytest.param({"n": 3, "k": 2, "support": "random",
+                  "side_info": {"model": "random_pure", "dim": 3}},
+                 "6da7d17461c9a0f7e5451404bc9d0eae8e01d293c1be2996aee304dda313be64",
+                 id="flat-random_pure"),
 ]
 
 

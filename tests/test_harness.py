@@ -19,7 +19,7 @@ from extraction_lab.cq_states import CqState
 from extraction_lab.entropies import h_min_cond, h_min_cond_many
 from extraction_lab.harness import load_config, run_check, run_suite, write_reports
 from extraction_lab.gf2 import gf2_images, gf2_matvec, index_to_bits
-from extraction_lab.harness import checks
+from extraction_lab.harness import checks, scenarios
 from extraction_lab.harness.checks import CHECK_IDS, CHECKS, resolve_params
 from extraction_lab.harness.scenarios import (
     SIDE_PARAMS,
@@ -555,12 +555,16 @@ def test_random_state_checks_validate_every_draw(monkeypatch):
         seen["states"] += len(stacks)
         return check_blocks(stacks, present, names, normalized)
 
-    monkeypatch.setattr(checks, "probability_vector", distributions)
-    monkeypatch.setattr(checks, "check_unit_traces", conditionals)
-    monkeypatch.setattr(checks, "check_blocks", states)
+    monkeypatch.setattr(scenarios, "probability_vector", distributions)
+    monkeypatch.setattr(scenarios, "check_unit_traces", conditionals)
+    monkeypatch.setattr(scenarios, "check_blocks", states)
+    groups = 0
     for check_id in ("measured-xor-random", "useful-prop-random"):
-        run_check(check_id, {"params": {"count": 40}, "seed": 3})
-    assert seen == {"distributions": 80, "conditionals": 80, "states": 80}
+        reports = run_check(check_id, {"params": {"count": 40}, "seed": 3})
+        groups += len({r.scenario.split(" ", 1)[1] for r in reports})
+    # each distribution and state, and each (m, dim) group's conditionals at once
+    assert seen == {"distributions": 80, "conditionals": groups, "states": 80}
+    assert groups == 12
 
 
 def test_weak_quantum_rows_carry_source_flags():
@@ -678,18 +682,24 @@ def _keyed_rows(report: dict) -> dict:
 
 
 # The digests above hold for one BLAS kernel; the verdicts must not.  Another
-# OpenBLAS kernel moves the last bits of BLAS and LAPACK results, and the
-# certified entropies carry them into epsilon.  Under OpenBLAS's Haswell kernel,
+# OpenBLAS kernel, or numpy without its AVX-512 paths (the stacked log2 of the
+# entropies among them), moves the last bits of BLAS, LAPACK and ufunc
+# results, and the certified entropies carry them into epsilon.  Under either,
 # paper-table-1 must give the same rows and verdicts, every measured value
 # within CROSS_KERNEL_MEASURED and every epsilon within CROSS_KERNEL_EPSILON.
 CROSS_KERNEL_MEASURED = 1e-12
 CROSS_KERNEL_EPSILON = 1e-9
 
 
-@pytest.mark.skipif(not _openblas(), reason="numpy's BLAS is not OpenBLAS")
-def test_paper_table_1_verdicts_hold_under_another_blas_kernel(tmp_path):
+@pytest.mark.parametrize("setting", [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="openblas-haswell",
+                 marks=pytest.mark.skipif(not _openblas(), reason="numpy's BLAS is not OpenBLAS")),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL,AVX512_SPR,X86_V4"},
+                 id="numpy-without-avx512"),
+])
+def test_paper_table_1_verdicts_hold_under_another_blas_kernel(tmp_path, setting):
     src = str(Path(extraction_lab.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+    env = {**os.environ, **setting,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-m", "extraction_lab.cli", "verify", "--suite",
                     "paper-table-1", "--seed", "42", "--out", str(tmp_path)],
