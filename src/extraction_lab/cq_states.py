@@ -13,6 +13,10 @@ Symbols are hashable tuples: bit tuples for plain registers, nested
 tuples such as ``(z_bits, x_bits)`` for composite classical registers.
 Sums over blocks, and over the distance terms of ``_distance_terms``, add
 one at a time in sorted-symbol order, so results are bit-reproducible.
+The classical register is relabelled by one kernel,
+:func:`relabelled_stacks`, over P zero-padded states at once;
+:func:`apply_classical_function` is its batch of one, and the extractor
+output builders sum each source's blocks per output through it.
 """
 
 from __future__ import annotations
@@ -181,14 +185,39 @@ def marginal_side(state: CqState) -> np.ndarray:
     return _block_sum(state.stack)
 
 
+def relabelled_stacks(stacks: np.ndarray, present: np.ndarray, images: np.ndarray,
+                      slots: int):
+    """P cq-states with their classical register relabelled, as (out, occupied).
+
+    State p is the zero-padded stack stacks[p], (S, d, d), with a block at
+    each slot z where present[p, z] holds (:func:`padded_stacks`); its block
+    at slot z goes to output slot images[p, z], one of ``slots``.  ``out``
+    is the (P, slots, d, d) stack of the sums and ``occupied`` the (P, slots)
+    mask of the output slots that some present block reaches.  One
+    ``np.add.at`` onto zeros adds the present blocks at the flat targets
+    p·slots + images[p, z] in row-major (p, z) order, so each sum adds its
+    blocks one at a time in slot order, as for the state alone.
+    """
+    count = len(stacks)
+    rows, cols = np.nonzero(present)
+    targets = rows * slots + images[rows, cols]
+    out = np.zeros((count * slots,) + stacks.shape[2:], dtype=complex)
+    np.add.at(out, targets, stacks[rows, cols])
+    occupied = np.zeros(count * slots, dtype=bool)
+    occupied[targets] = True
+    return out.reshape((count, slots) + stacks.shape[2:]), occupied.reshape(count, slots)
+
+
 def apply_classical_function(state: CqState, f) -> CqState:
-    """Push the classical register through f, summing merged blocks in sorted-symbol order."""
+    """Push the classical register through f, summing merged blocks in sorted-symbol order:
+    :func:`relabelled_stacks` of a batch of one, its outputs the sorted images."""
     images = [f(sym) for sym in state.symbols()]
     out = sorted(set(images))
     position = {image: i for i, image in enumerate(out)}
-    sums = np.zeros((len(out),) + state.stack.shape[1:], dtype=complex)
-    np.add.at(sums, np.array([position[image] for image in images], dtype=np.intp), state.stack)
-    return CqState._from_stack(out, sums)
+    sums, _ = relabelled_stacks(state.stack[None], np.ones((1, len(images)), dtype=bool),
+                                np.array([[position[image] for image in images]], dtype=np.intp),
+                                len(out))
+    return CqState._from_stack(out, sums[0])
 
 
 def product(s1: CqState, s2: CqState) -> CqState:
@@ -244,18 +273,10 @@ def _strong_flag(strong_in) -> str | None:
 
 
 def _grouped(stack: np.ndarray, outputs: np.ndarray, n_out: int):
-    """Per row r of ``outputs``: the sum of stack[c] over the columns c with output z.
-
-    Returns the (R, n_out, d, d) sums and the (R, n_out) mask of outputs that
-    occur.  The scatter-add runs over columns in order, onto zeros, so each
-    sum adds its blocks one at a time in sorted-symbol order.
-    """
-    rows, cols = np.indices(outputs.shape).reshape(2, -1)
-    sums = np.zeros((outputs.shape[0], n_out) + stack.shape[1:], dtype=complex)
-    np.add.at(sums, (rows, outputs.ravel()), stack[cols])
-    present = np.zeros((outputs.shape[0], n_out), dtype=bool)
-    present[rows, outputs.ravel()] = True
-    return sums, present
+    """``stack`` relabelled by each row of ``outputs`` (:func:`relabelled_stacks`): the
+    (R, n_out, d, d) sums over the columns with output z and their (R, n_out) mask."""
+    return relabelled_stacks(np.broadcast_to(stack, outputs.shape + stack.shape[1:]),
+                             np.ones(outputs.shape, dtype=bool), outputs, n_out)
 
 
 def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqState:

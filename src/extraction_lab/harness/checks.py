@@ -31,6 +31,7 @@ from ..cq_states import (
     extractor_output_state,
     flat_grid_distances,
     markov_block_state,
+    relabelled_stacks,
     to_dense,
     weak_distances,
 )
@@ -62,7 +63,7 @@ from ..xor_analysis import (
     measured_xor_bounds,
     mvf_fourier,
     mvf_l2_norm,
-    pgm,
+    pgm_stacks,
 )
 from .bounds import BOUND_IDS, CATALOG, base_exponent, bound_value
 from .params import NATURALS, resolved
@@ -76,7 +77,6 @@ from .scenarios import (
     _markov_draw,
     _markov_scenarios,
     _random_blocks,
-    _random_cq,
     _random_cqs,
     _random_source,
     make_flat_source,
@@ -95,7 +95,9 @@ EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at
 # this much, which bounds a pass's memory for any count.  A random-state
 # scenario with m-bit outputs on a dim-dimensional side weighs 4^m·dim², about
 # the complex entries of its 2^m − 1 masked block pairs in measured_xor_bounds,
-# and no built-in suite fills such a group; a one-two-norm scenario weighs
+# and no built-in suite fills such a group; a pgm-commutation scenario weighs
+# 2^n·dim², the entries of its padded n-bit stack, and no built-in suite fills
+# its groups either; a one-two-norm scenario weighs
 # 16·(dim_a·dim_b)², and the built-in suites fill its larger groups; an
 # hmin-le-h2 scenario weighs its blocks' N·dim² entries, at most 72, and no
 # built-in suite fills its one group; a markov-cmi scenario weighs 16·D² for its
@@ -483,19 +485,52 @@ def _parseval(p, rng):
                    [("parseval", dev, 0.0)])
 
 
+def _commutation_deviations(key, items) -> list:
+    """max |pgm(relabelled) − relabelled(pgm)| of each drawn state of one group, in order.
+
+    ``key`` is the group's (n_bits, dim, out_bits) and ``items`` hold each
+    state's draw, (indices, weights, normals) as :func:`_random_blocks`
+    returns them, and the output index of each of its symbols in ascending
+    order.  The group is formed by one :func:`_formed_group`, both sides are
+    measured by one :func:`pgm_stacks` call each and relabelled by one
+    :func:`relabelled_stacks` each, and each state's value is the largest
+    entry of its difference.
+    """
+    n_bits, _, out_bits = key
+    drawn, images = zip(*items)
+    padded, present, _ = _formed_group(all_bit_vectors(n_bits), drawn)
+    table = np.zeros(present.shape, dtype=np.intp)
+    table[present] = np.concatenate(images)
+    lhs = pgm_stacks(*relabelled_stacks(padded, present, table, 1 << out_bits))
+    rhs, _ = relabelled_stacks(pgm_stacks(padded, present), present, table, 1 << out_bits)
+    return np.max(np.abs(lhs - rhs), axis=(1, 2, 3)).tolist()
+
+
 @_check("pgm-commutation", count=200)
 def _pgm_commutation(p, rng):
-    """Measurement-then-relabel equals relabel-then-measurement, elementwise."""
-    for _ in range(p["count"]):
-        n_bits = int(rng.integers(1, 4))
-        dim = int(rng.integers(2, 5))
-        state = _random_cq(n_bits, dim, rng, min_support=2)
-        out_bits = int(rng.integers(1, 3))
-        table = {sym: index_to_bits(int(rng.integers(1 << out_bits)), out_bits)
-                 for sym in state.symbols()}
-        lhs = pgm(apply_classical_function(state, table.__getitem__))
-        rhs = apply_classical_function(pgm(state), table.__getitem__)
-        dev = float(np.max(np.abs(lhs.stack - rhs.stack)))
+    """Measurement-then-relabel equals relabel-then-measurement, elementwise.
+
+    Each scenario draws n_bits and dim, a random cq-state's raw draw
+    (:func:`_random_blocks` with :func:`_ginibre_normals`), out_bits, and
+    one output index per symbol of its support in ascending order.  Each
+    (n_bits, dim, out_bits) group (:func:`_in_groups`) is evaluated by
+    :func:`_commutation_deviations`; a scenario weighs 2^n·dim².  All
+    scenarios are evaluated before the first case, so its ``runtime_ms``
+    carries the batch's time.
+    """
+    def draws():
+        for _ in range(p["count"]):
+            n_bits = int(rng.integers(1, 4))
+            dim = int(rng.integers(2, 5))
+            drawn = _random_blocks(n_bits, dim, rng, min_support=2, draw=_ginibre_normals)
+            out_bits = int(rng.integers(1, 3))
+            images = [int(rng.integers(1 << out_bits)) for _ in drawn[0]]
+            yield (n_bits, dim, out_bits), (dim * dim) << n_bits, (drawn, images)
+
+    def evaluate(key, items):
+        return [key + (dev,) for dev in _commutation_deviations(key, items)]
+
+    for n_bits, dim, out_bits, dev in _in_groups(draws(), evaluate):
         yield Case(_k_params(n_bits, out_bits, 0, 0.0, 0.0),
                    f"pgm-commute n={n_bits} dim={dim} out={out_bits}",
                    [("channel-equality", dev, 0.0)])
@@ -510,9 +545,10 @@ def _hmin_linear_drop(p, rng):
     Maps with one kernel merge the inputs into the same cosets, so their
     lifted stacks hold bitwise-equal blocks in another order and one
     certificate serves them all: each source is lifted once per kernel.
-    Every source and map is drawn first, then one :func:`h_min_cond_many`
-    solves the sources and their lifts, so the first case's ``runtime_ms``
-    carries the batch's time.
+    Every source and map is drawn first, the random sources raw
+    (:func:`_random_blocks`), and one :func:`_random_cqs` forms them before
+    any lift; one :func:`h_min_cond_many` then solves the sources and their
+    lifts, so the first case's ``runtime_ms`` carries the batch's time.
     """
     states, lifts, cases = [], {}, []   # lifts: (source, kernel) -> index into states
 
@@ -528,18 +564,24 @@ def _hmin_linear_drop(p, rng):
         cases.append((source, lifts[source, kernel], n, n - gf2_rank(mat), label))
 
     n = p["exhaustive_n"]
-    states += [
-        _random_cq(n, 2, rng, min_support=2),
-        classical_state(make_flat_source(n, n - 1, "random", seed=int(rng.integers(2 ** 31)))),
-    ]
+    drawn = [(n, *_random_blocks(n, 2, rng, min_support=2, draw=_ginibre_normals))]
+    flat = classical_state(make_flat_source(n, n - 1, "random", seed=int(rng.integers(2 ** 31))))
+    maps = []
+    for k in p["random_ns"]:
+        drawn.append((k, *_random_blocks(k, int(rng.integers(1, 4)), rng, min_support=2,
+                                         draw=_ginibre_normals)))
+        maps.append([np.array(rng.integers(0, 2, size=(k, k)), dtype=np.uint8)
+                     for _ in range(p["per_n"])])
+    first, *sources = _random_cqs(drawn)
+    states += [first, flat]
     for mat_idx in range(1 << (n * n)):
         mat = np.array(index_to_bits(mat_idx, n * n), dtype=np.uint8).reshape(n, n)
         add(mat_idx % 2, mat, "exhaustive")
-    for n in p["random_ns"]:
-        states.append(_random_cq(n, int(rng.integers(1, 4)), rng, min_support=2))
-        source = len(states) - 1
-        for _ in range(p["per_n"]):
-            add(source, np.array(rng.integers(0, 2, size=(n, n)), dtype=np.uint8), "random")
+    for source, mats in zip(sources, maps):
+        states.append(source)
+        at = len(states) - 1
+        for mat in mats:
+            add(at, mat, "random")
     results = h_min_cond_many(states)
     for source, lift, n, r, label in cases:
         base, lifted = results[source], results[lift]
@@ -680,8 +722,8 @@ def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
 
     A row's ``runtime_ms`` is the time the generator took to yield its case.
     A check that evaluates a batch before yielding (a flat grid, the groups
-    of ``measured-xor-random``, ``useful-prop-random``, ``one-two-norm``,
-    ``markov-cmi`` or ``hmin-le-h2``, or the solved sources of
+    of ``measured-xor-random``, ``useful-prop-random``, ``pgm-commutation``,
+    ``one-two-norm``, ``markov-cmi`` or ``hmin-le-h2``, or the solved sources of
     ``b1-quantum-product``, ``b8-weak-quantum``, ``b2-markov`` or
     ``hmin-linear-drop``) charges the whole batch to the first case it
     yields, and the later cases of the batch take almost none.

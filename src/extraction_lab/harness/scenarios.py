@@ -173,12 +173,6 @@ def _random_cqs(draws) -> list:
     return states
 
 
-def _random_cq(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1,
-               draw=random_densities) -> CqState:
-    """:func:`_random_blocks` as a cq-state, :func:`_random_cqs` of one; ``draw`` as there."""
-    return _random_cqs([(n_bits, *_random_blocks(n_bits, dim, rng, min_support, draw))])[0]
-
-
 def _random_source(n: int, rng: np.random.Generator) -> tuple[str, CqState]:
     """A random flat n-bit source under bb84 or random_pure side information: (model, state)."""
     k_target = int(rng.integers(max(1, n - 2), n + 1))

@@ -12,9 +12,14 @@ over states given as zero-padded (P, 2^m, d, d) stacks with a presence
 mask; :func:`pgm`, :func:`squared_distance_fourier_bound` and
 :func:`measured_xor_bound` are the same kernels on a batch of one, and a
 state's values do not depend on the batch it is in.  The random-state
-checks evaluate each (m, d) group of their scenarios in one pass before
-their first case, so that case carries the batch's time in its
-``runtime_ms``.  The conjugated 2-distance of the one-norm/two-norm check
+checks evaluate each group of their scenarios in one pass before their
+first case, so that case carries the batch's time in its ``runtime_ms``:
+``pgm-commutation`` measures each (n_bits, dim, out_bits) group before
+and after relabelling by two :func:`pgm_stacks` calls, relabelled by
+``cq_states.relabelled_stacks``.  :func:`measured_xor_bounds` forms its
+masked states itself, the one relabelling outside that kernel: it sums
+each mask's blocks in slot order onto zeros, the same additions in the
+same order.  The conjugated 2-distance of the one-norm/two-norm check
 is stacked the same way: :func:`l2_distance_to_uniform` is
 :func:`l2_distances_to_uniform` of a batch of one.
 """

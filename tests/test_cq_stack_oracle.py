@@ -2,9 +2,9 @@
 
 The reference functions below are the dict-based loops that the stacked
 ``marginal_side``, ``probabilities``, ``total_trace``, ``product``,
-``apply_classical_function``, ``pgm``, ``squared_distance_fourier_bound``
-and ``measured_xor_bound`` replaced,
-kept verbatim (apart from ``op_power`` no longer taking a kernel-policy
+``apply_classical_function`` (now ``relabelled_stacks`` of a batch of one),
+``pgm``, ``squared_distance_fourier_bound`` and ``measured_xor_bound``
+replaced, kept verbatim (apart from ``op_power`` no longer taking a kernel-policy
 argument, and a POVM being a ``CqState`` whose blocks are its elements)
 as the exact oracle: the stacked versions must reproduce them bit for
 bit, because the report bytes rest on them.  ``_ref_distance_to_uniform``
@@ -26,6 +26,7 @@ from extraction_lab.cq_states import (
     marginal_side,
     padded_stacks,
     product,
+    relabelled_stacks,
     weak_distances,
 )
 from extraction_lab.gf2 import bits_to_index, index_to_bits
@@ -442,6 +443,50 @@ def test_block_budget_flushes_change_no_row(check_id, monkeypatch):
     rows = [(r.scenario, r.bound_id, r.params, r.measured_delta, r.bound_epsilon) for r in whole]
     assert rows == [(r.scenario, r.bound_id, r.params, r.measured_delta, r.bound_epsilon)
                     for r in flushed]
+
+
+# -- the relabel kernel -------------------------------------------------------------------
+
+def _assert_relabelled_as_reference(states, images, out, occupied, label):
+    """Row j of (out, occupied) is states[j] relabelled by the dict-based route, its
+    symbol at slot z going to output images[j][z], and zero elsewhere."""
+    for j, state in enumerate(states):
+        ref = _ref_apply_classical_function(state, lambda z: int(images[j][bits_to_index(z)]))
+        assert np.flatnonzero(occupied[j]).tolist() == ref.symbols(), (label, j)
+        assert out[j][occupied[j]].tobytes() == ref.stack.tobytes(), (label, j)
+        assert not out[j][~occupied[j]].any(), (label, j)
+
+
+def test_relabelled_stacks_match_the_reference_relabelling():
+    rng = np.random.default_rng(34)
+    m, slots = 3, 4
+    states = [random_state(m, 3, rng) for _ in range(200)]
+    images = []
+    for state in states:
+        row = np.full(1 << m, slots)      # an absent slot's image is out of range: never read
+        row[output_slots(state)] = rng.integers(0, rng.integers(1, slots + 1), len(state.stack))
+        images.append(row)
+    spread = [len(set(row[row < slots].tolist())) for row in images]
+    assert min(spread) == 1 and max(spread) == slots
+    assert 1 in {len(s.stack) for s in states} and any((row == slots).any() for row in images)
+    for shift in (0, 1, 77):      # every state at three positions of a 200-state batch
+        order = np.roll(np.arange(200), shift)
+        stacks, present = padded_stacks([(states[i].stack, output_slots(states[i]))
+                                         for i in order], 1 << m)
+        out, occupied = relabelled_stacks(stacks, present, np.array([images[i] for i in order]),
+                                          slots)
+        assert out.shape == (200, slots, 3, 3) and occupied.shape == (200, slots)
+        _assert_relabelled_as_reference([states[i] for i in order], [images[i] for i in order],
+                                        out, occupied, shift)
+    for state, row in zip(states[:6], images):      # a batch of one
+        stacks, present = padded_stacks([(state.stack, output_slots(state))], 1 << m)
+        _assert_relabelled_as_reference([state], [row], *relabelled_stacks(
+            stacks, present, row[None], slots), "one")
+    one = [np.where(row < slots, 2, row) for row in images[:20]]     # every symbol to output 2
+    stacks, present = padded_stacks([(s.stack, output_slots(s)) for s in states[:20]], 1 << m)
+    out, occupied = relabelled_stacks(stacks, present, np.array(one), slots)
+    assert occupied[:, 2].all() and occupied.sum() == 20
+    _assert_relabelled_as_reference(states[:20], one, out, occupied, "one image")
 
 
 def test_strong_distance_matches_the_per_state_reference():

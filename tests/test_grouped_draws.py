@@ -5,9 +5,11 @@ former (``scenarios._formed_group`` and ``_random_cqs``) and the stacked
 conditional mutual information replaced, kept verbatim: ``_random_blocks``
 with ``build_cq`` for one random cq-state, ``make_markov_scenario`` forming
 its factors one at a time, and the per-state ``von_neumann_entropy`` and
-``conditional_mutual_information``.  The grouped routes must reproduce them
-bit for bit, because the report bytes rest on them, and must refuse what
-they refuse with the same message.
+``conditional_mutual_information``.  The per-scenario loops of the grouped
+checks are kept as their oracles, ``pgm-commutation``'s relabelling and
+measuring one state at a time by ``apply_classical_function`` and ``pgm``.
+The grouped routes must reproduce them bit for bit, because the report
+bytes rest on them, and must refuse what they refuse with the same message.
 """
 
 import itertools
@@ -60,7 +62,7 @@ from extraction_lab.operators import (
     von_neumann_entropies,
     von_neumann_entropy,
 )
-from extraction_lab.xor_analysis import measured_xor_bound, squared_distance_fourier_bound
+from extraction_lab.xor_analysis import measured_xor_bound, pgm, squared_distance_fourier_bound
 
 
 # -- per-scenario reference copies --------------------------------------------------
@@ -361,6 +363,54 @@ def test_b2_markov_matches_the_per_scenario_loop():
         _b2_markov_oracle(10, 2)
 
 
+def _pgm_commutation_oracle(count, seed):
+    """The per-scenario loop of pgm-commutation before grouping: (label, dev) rows."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        n_bits = int(rng.integers(1, 4))
+        dim = int(rng.integers(2, 5))
+        state = _ref_random_cq(n_bits, dim, rng, min_support=2)
+        out_bits = int(rng.integers(1, 3))
+        table = {sym: index_to_bits(int(rng.integers(1 << out_bits)), out_bits)
+                 for sym in state.symbols()}
+        lhs = pgm(apply_classical_function(state, table.__getitem__))
+        rhs = apply_classical_function(pgm(state), table.__getitem__)
+        dev = float(np.max(np.abs(lhs.stack - rhs.stack)))
+        rows.append((f"pgm-commute n={n_bits} dim={dim} out={out_bits}", dev.hex()))
+    return rows
+
+
+def test_pgm_commutation_groups_match_the_per_scenario_loop(monkeypatch):
+    want = _pgm_commutation_oracle(200, 14)
+    assert len({label for label, _ in want}) == 18      # every (n_bits, dim, out_bits) group
+    groups = []
+    deviations = checks._commutation_deviations
+    monkeypatch.setattr(checks, "_commutation_deviations",
+                        lambda key, items: groups.append((key, items)) or deviations(key, items))
+    reports = run_check("pgm-commutation", {"params": {"count": 200}, "seed": 14})
+    labels = [r.scenario.split(" ", 1)[1] for r in reports]
+    assert list(zip(labels, (r.measured_delta.hex() for r in reports))) == want
+    # Each group's draws, back in draw order, then every draw at three positions
+    # of the 200-draw batch, grouped as the check groups it.
+    drawn = [None] * len(want)
+    for key, items in groups:
+        at = [i for i, label in enumerate(labels)
+              if label == "pgm-commute n={} dim={} out={}".format(*key)]
+        assert len(at) == len(items)
+        for i, item in zip(at, items):
+            drawn[i] = (key, item)
+    for shift in (0, 1, 77):
+        at = {}
+        for i in np.roll(np.arange(len(drawn)), shift).tolist():
+            at.setdefault(drawn[i][0], []).append(i)
+        for key, idx in at.items():
+            devs = deviations(key, [drawn[i][1] for i in idx])
+            assert [dev.hex() for dev in devs] == [want[i][1] for i in idx], (shift, key)
+    for (key, item), (_, dev) in zip(drawn[:6], want):       # a batch of one
+        assert [d.hex() for d in deviations(key, [item])] == [dev]
+
+
 # -- refusals ----------------------------------------------------------------------------
 
 def _fault_trace(weights, conds):
@@ -389,7 +439,7 @@ FAULTS = {"trace": (_fault_trace, "conditional state for .* is not normalized"),
           "distribution": (_fault_distribution, "^distribution sums to .*, not 1$")}
 GROUPED = {"markov-cmi": {"count": 12}, "b2-markov": {"count": 6, "n_max": 3},
            "measured-xor-random": {"count": 40}, "useful-prop-random": {"count": 40},
-           "hmin-le-h2": {"count": 20}}
+           "hmin-le-h2": {"count": 20}, "pgm-commutation": {"count": 20}}
 
 
 @pytest.mark.parametrize("fault", FAULTS)

@@ -23,7 +23,8 @@ from extraction_lab.harness import checks, scenarios
 from extraction_lab.harness.checks import CHECK_IDS, CHECKS, resolve_params
 from extraction_lab.harness.scenarios import (
     SIDE_PARAMS,
-    _random_cq,
+    _random_blocks,
+    _random_cqs,
     _random_source,
     make_flat_source,
     make_markov_scenario,
@@ -45,6 +46,7 @@ from extraction_lab.operators import (
     probability_vector,
     random_density,
 )
+from extraction_lab.xor_analysis import pgm_stacks
 from conftest import random_cq_state
 
 
@@ -442,7 +444,7 @@ def test_check_ids_registry():
 def test_maps_with_one_kernel_lift_to_the_same_blocks():
     # The premise of the hmin-linear-drop memo: every 3x3 GF(2) matrix with
     # a given kernel lifts a state to bitwise-equal blocks in another order.
-    state = _random_cq(3, 2, np.random.default_rng(4), min_support=8)
+    state = _random_cqs([(3, *_random_blocks(3, 2, np.random.default_rng(4), min_support=8))])[0]
     by_kernel: dict = {}
     for idx in range(1 << 9):
         mat = np.array(index_to_bits(idx, 9), dtype=np.uint8).reshape(3, 3)
@@ -529,11 +531,12 @@ def test_one_two_norm_groups_match_the_per_scenario_loop(monkeypatch):
 
 
 def test_random_cq_matches_the_per_symbol_draw():
-    # conftest's random_cq_state draws one conditional at a time, as _random_cq once did.
+    # conftest's random_cq_state draws one conditional at a time, as the checks once did.
     for seed in range(12):
         ours, oracle = (np.random.default_rng(seed) for _ in range(2))
         for n_bits, dim in ((1, 1), (2, 3), (3, 2), (2, 4)):
-            got, want = _random_cq(n_bits, dim, ours), random_cq_state(n_bits, dim, oracle)
+            got = _random_cqs([(n_bits, *_random_blocks(n_bits, dim, ours))])[0]
+            want = random_cq_state(n_bits, dim, oracle)
             assert got.symbols() == want.symbols()
             assert got.stack.tobytes() == want.stack.tobytes()
         assert ours.bit_generator.state == oracle.bit_generator.state
@@ -555,16 +558,27 @@ def test_random_state_checks_validate_every_draw(monkeypatch):
         seen["states"] += len(stacks)
         return check_blocks(stacks, present, names, normalized)
 
+    measured = []
+
+    def elements(stacks, present):
+        measured.append(len(stacks))
+        return pgm_stacks(stacks, present)
+
     monkeypatch.setattr(scenarios, "probability_vector", distributions)
     monkeypatch.setattr(scenarios, "check_unit_traces", conditionals)
     monkeypatch.setattr(scenarios, "check_blocks", states)
-    groups = 0
-    for check_id in ("measured-xor-random", "useful-prop-random"):
+    monkeypatch.setattr(checks, "pgm_stacks", elements)
+    groups = {}     # a scenario's label names its group
+    for check_id in ("measured-xor-random", "useful-prop-random", "pgm-commutation"):
         reports = run_check(check_id, {"params": {"count": 40}, "seed": 3})
-        groups += len({r.scenario.split(" ", 1)[1] for r in reports})
-    # each distribution and state, and each (m, dim) group's conditionals at once
-    assert seen == {"distributions": 80, "conditionals": groups, "states": 80}
-    assert groups == 12
+        groups[check_id] = len({r.scenario.split(" ", 1)[1] for r in reports})
+    # each distribution and state, and each (m, dim) or (n_bits, dim, out_bits)
+    # group's conditionals at once
+    assert seen == {"distributions": 120, "conditionals": sum(groups.values()), "states": 120}
+    assert groups == {"measured-xor-random": 6, "useful-prop-random": 6, "pgm-commutation": 16}
+    # pgm-commutation measures both sides of a group in two pgm_stacks calls of its size
+    assert len(measured) == 2 * 16 and measured[::2] == measured[1::2]
+    assert sum(measured) == 2 * 40
 
 
 def test_weak_quantum_rows_carry_source_flags():
