@@ -50,7 +50,6 @@ member's result with NaN and raises nothing, and the member, tested on its
 own, leaves the stack with its best iterate.  The gufuncs clear every
 floating-point flag but invalid, so only invalid needs a setting: the
 caller's other settings hold inside the solve, and all of them after it.
-numpy keeps errstate in a context variable, so threads each see their own.
 The eigen calls stay on np.linalg, where a tracer that wraps np.linalg
 still counts them.
 
@@ -104,7 +103,7 @@ FRACTION_TO_BOUNDARY = 0.98    # a primal-dual step goes this far to the edge of
 # Loan, Matrix Computations, 4th ed., 2013, section 8.1).
 ROUNDING_FACTOR = 8.0
 # sigma_x, sigma_y, sigma_z: a qubit operator is rho = a I + b.sigma with a = tr rho / 2 and
-# b_i = tr(rho sigma_i) / 2.  Read-only, so threads may share it.
+# b_i = tr(rho sigma_i) / 2.
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _PAULI.setflags(write=False)
 
@@ -442,8 +441,7 @@ from numpy.linalg import _umath_linalg  # noqa: E402
 
 # A failed factorisation or solve fills its result with NaN and raises the
 # invalid flag; ignoring the flag leaves each member of a stack to be tested
-# on its own.  As a decorator, np.errstate keeps its state per call, so
-# threads may share it.
+# on its own.
 _failures_as_nan = np.errstate(invalid="ignore")
 
 

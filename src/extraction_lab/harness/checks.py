@@ -200,8 +200,7 @@ def _with_sources_solved(scenarios) -> list:
 
     Every scenario is drawn before one :func:`h_min_cond_many` solves all the
     sources; the solver draws nothing, so every draw stays where a
-    per-scenario loop makes it.  A check that yields from the list charges
-    the whole batch to its first case.
+    per-scenario loop makes it.
     """
     scenarios = list(scenarios)
     results = h_min_cond_many([state for *_, s1, s2 in scenarios for state in (s1, s2)])
@@ -230,8 +229,7 @@ def _flat_grid(ext, side: str, states: list, strong_in) -> list:
     blocks.  Quantum side models take the cq-state route,
     :func:`extractor_output_state` and :func:`distance_to_uniform` per pair,
     which every quantum check uses and which is the counting route's oracle
-    in the tests.  A check takes the whole grid before it yields its first
-    pair, so the first case's ``runtime_ms`` carries the grid's time.
+    in the tests.
     """
     if side in CLASSICAL_SIDES:
         labels = np.argmax(states[-1].stack.diagonal(axis1=1, axis2=2).real, axis=1)
@@ -351,8 +349,6 @@ def _markov_cmi(p, rng):
     scenario weighs 16·D², about the complex entries of every D×D operator
     its pass allocates, so a dense of D ≥ 64 fills a BLOCK_BUDGET and is
     evaluated alone: stacking pays only where the per-call cost dominates.
-    All scenarios are evaluated before the first case, so its
-    ``runtime_ms`` carries the batch's time.
     """
     drawn = []
     for _ in range(p["count"]):
@@ -449,7 +445,7 @@ def _measured_xor(p, rng):
     """Distance to uniform against the masked-bit measured bound.
 
     All scenarios are drawn and evaluated, each (m, dim) group in one stacked
-    pass, before the first case, so its ``runtime_ms`` carries the batch's time.
+    pass, before the first case.
     """
     for m, dim, delta, bound in _random_output_groups(
             p, rng, p["m_max"], p["dim_max"],
@@ -462,8 +458,7 @@ def _measured_xor(p, rng):
 def _useful_prop(p, rng):
     """Squared distance against the Fourier-side bound for arbitrary sigma.
 
-    Drawn and evaluated in (m, dim) groups as ``measured-xor-random`` is, so
-    the first case's ``runtime_ms`` carries the batch's time.
+    Drawn and evaluated in (m, dim) groups as ``measured-xor-random`` is.
     """
     for m, dim, delta, bound in _random_output_groups(
             p, rng, 2, 3, lambda stacks, _, sigmas: fourier_bounds(stacks, sigmas),
@@ -514,9 +509,7 @@ def _pgm_commutation(p, rng):
     (:func:`_random_blocks` with :func:`_ginibre_normals`), out_bits, and
     one output index per symbol of its support in ascending order.  Each
     (n_bits, dim, out_bits) group (:func:`_in_groups`) is evaluated by
-    :func:`_commutation_deviations`; a scenario weighs 2^n·dim².  All
-    scenarios are evaluated before the first case, so its ``runtime_ms``
-    carries the batch's time.
+    :func:`_commutation_deviations`; a scenario weighs 2^n·dim².
     """
     def draws():
         for _ in range(p["count"]):
@@ -548,7 +541,7 @@ def _hmin_linear_drop(p, rng):
     Every source and map is drawn first, the random sources raw
     (:func:`_random_blocks`), and one :func:`_random_cqs` forms them before
     any lift; one :func:`h_min_cond_many` then solves the sources and their
-    lifts, so the first case's ``runtime_ms`` carries the batch's time.
+    lifts.
     """
     states, lifts, cases = [], {}, []   # lifts: (source, kernel) -> index into states
 
@@ -600,8 +593,7 @@ def _hmin_le_h2(p, rng):
     :func:`h_min_cond_many` give a batch's optimized entropies, and the
     relative entropies are taken per state.  A scenario weighs its blocks'
     complex entries, N·dim², at most 72, so the built-in counts fit in one
-    batch, evaluated before the first case, whose ``runtime_ms`` carries
-    the batch's time.
+    batch.
     """
     def draws():
         for _ in range(p["count"]):
@@ -633,9 +625,7 @@ def _one_two_norm(p, rng):
     densities are formed per (dim_a, dim_b) group (:func:`ginibre_densities`)
     and the group evaluated in one stacked pass.  A scenario weighs
     16·(dim_a·dim_b)², about the complex entries of every D×D operator its
-    pass allocates, so a pass holds at most 16 scenarios of 16×16.  All
-    scenarios are evaluated before the first case, so its ``runtime_ms``
-    carries the batch's time.
+    pass allocates, so a pass holds at most 16 scenarios of 16×16.
     """
     def draws():
         for _ in range(p["count"]):
@@ -721,12 +711,10 @@ def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
     """Run one registered check, deterministic given ``config``'s params and seed.
 
     A row's ``runtime_ms`` is the time the generator took to yield its case.
-    A check that evaluates a batch before yielding (a flat grid, the groups
-    of ``measured-xor-random``, ``useful-prop-random``, ``pgm-commutation``,
-    ``one-two-norm``, ``markov-cmi`` or ``hmin-le-h2``, or the solved sources of
-    ``b1-quantum-product``, ``b8-weak-quantum``, ``b2-markov`` or
-    ``hmin-linear-drop``) charges the whole batch to the first case it
-    yields, and the later cases of the batch take almost none.
+    Whatever a check computes before it yields a case is charged to that
+    case: a check that evaluates a batch (a grid, a group, a solve of all
+    its sources) before its first case charges the whole batch to it, and
+    the later cases of the batch take almost none.
     """
     entry = resolve_entry({**(config or {}), "id": check_id})
     cases = CHECKS[check_id].cases(entry["params"], np.random.default_rng(entry["seed"]))

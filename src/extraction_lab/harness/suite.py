@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -119,23 +118,18 @@ class SuiteResult:
 
 
 def run_suite(config: dict, seed: int = 0, jobs: int = 1) -> SuiteResult:
-    """Run every check of ``config``.  ``jobs`` > 1 runs the checks on threads;
-    only perfbench's ``paper-table-1-jobs2`` workload asks for that."""
+    """Run every check of ``config``, one after another.
+
+    ``jobs`` selects nothing: it is accepted, and refused below 1 or when
+    not an ``int``, only because perfbench's worker still passes it, until
+    ROADMAP item 1 deletes it with the worker's argument.
+    """
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    entries = config["checks"]
-
-    def run_entry(pos_entry):
-        pos, entry = pos_entry
+    reports = []
+    for pos, entry in enumerate(config["checks"]):
         entry_seed = entry.get("seed", (seed * 1000003 + pos) & 0x7FFFFFFF)
-        return run_check(entry["id"], {"params": entry.get("params", {}), "seed": entry_seed})
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(run_entry, enumerate(entries)))
-    else:
-        chunks = [run_entry(item) for item in enumerate(entries)]
-    reports = [r for chunk in chunks for r in chunk]
+        reports += run_check(entry["id"], {"params": entry.get("params", {}), "seed": entry_seed})
     reports.sort(key=lambda r: (r.check_id, r.scenario, r.bound_id))
     return SuiteResult(name=config.get("name", "custom"), seed=seed, reports=reports)
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from extraction_lab.cq_states import CqState
 from extraction_lab.entropies import h_min_cond, h_min_cond_many
 from extraction_lab.harness import load_config, run_check, run_suite, write_reports
 from extraction_lab.gf2 import gf2_images, gf2_matvec, index_to_bits
-from extraction_lab.harness import checks, scenarios
+from extraction_lab.harness import checks, scenarios, suite
 from extraction_lab.harness.checks import CHECK_IDS, CHECKS, resolve_params
 from extraction_lab.harness.scenarios import (
     SIDE_PARAMS,
@@ -389,11 +390,20 @@ def test_suite_reports_deterministic(tmp_path):
     assert render_json(r3) != render_json(r1)
 
 
-def test_suite_parallel_matches_serial():
+def test_suite_runs_every_check_in_the_calling_thread(monkeypatch):
+    # ``jobs`` selects nothing: every value runs the checks one after
+    # another in the caller's thread and gives the same bytes.
+    seen = []
+
+    def wrapped(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return run_check(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "run_check", wrapped)
     cfg = load_config("quick")
-    serial = run_suite(cfg, seed=3, jobs=1)
-    threaded = run_suite(cfg, seed=3, jobs=4)
-    assert render_json(serial) == render_json(threaded)
+    texts = {render_json(run_suite(cfg, seed=3, jobs=k)) for k in (1, 2, 4)}
+    assert len(texts) == 1
+    assert seen == [threading.get_ident()] * (3 * len(cfg["checks"]))
 
 
 @pytest.mark.parametrize("jobs", [0, -4, True])

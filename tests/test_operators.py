@@ -390,6 +390,24 @@ def test_only_operators_reads_tolerances():
     assert found == {"xor_analysis.py:COMPLETENESS_ATOL"}
 
 
+def test_no_module_imports_threads_or_processes():
+    # Every check batches its own scenarios, so a suite runs serially and
+    # no module starts a thread or a process.
+    root = Path(extraction_lab.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found |= {f"{path.relative_to(root)}:{name}" for name in names
+                      if name.split(".")[0] in ("threading", "concurrent", "multiprocessing")}
+    assert found == set()
+
+
 # The kernel policy that ``_sigma_powers`` replaced, verbatim but for names and
 # docstrings.
 
