@@ -27,6 +27,7 @@ from .entropies import (
     h_min_classical,
     h_min_cond,
     h_min_cond_many,
+    h_min_markov_sources,
     h_min_rel,
 )
 from .extractors import (

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .entropies import h2_cond, h_min_classical, h_min_cond, h_min_cond_many
+from .entropies import h2_cond, h_min_classical, h_min_cond, h_min_markov_sources
 from .extractors import deor_eval
 from .gf2 import (
     build_field_family,
@@ -32,8 +32,8 @@ from .harness.scenarios import (
     MARKOV_BLOCKS_MAX,
     MARKOV_N_MAX,
     make_flat_source,
+    make_markov_scenario,
     make_side_info,
-    markov_marginals,
 )
 
 
@@ -91,7 +91,7 @@ SCENARIO_FORMS = {
     "markov": ({"n": 1, "blocks": 2, "seed": 0, "classical": False}, ("n",)),
 }
 # Each form's choices.  A flat source with bb84 side information takes 20–26 s
-# at n = 16; the markov limits bound the joint state's size.
+# at n = 16; the markov form's n and blocks take the scenario builder's limits.
 _NATURAL_KEYS = {"k": ("k", NATURALS), "seed": ("seed", NATURALS)}
 _SCENARIO_CHOICES = {"flat": {**_NATURAL_KEYS, "n": ("n", range(1, 17))},
                      "dist": _NATURAL_KEYS,
@@ -124,12 +124,12 @@ def _load_scenario(path: str) -> tuple[str, dict]:
 def _cmd_entropy(args) -> int:
     form, scenario = _load_scenario(args.state)
     if form == "markov":
-        joint, *marginals = markov_marginals(scenario["n"], scenario["blocks"], scenario["seed"],
-                                             scenario["classical"])
-        res1, res2 = h_min_cond_many(marginals)
+        scn = make_markov_scenario(scenario["n"], scenario["blocks"], scenario["seed"],
+                                   scenario["classical"])
+        [(res1, res2)] = h_min_markov_sources([scn])
         out = {
             "model": "markov_blocks",
-            "side_dim": joint.side_dim,
+            "side_dim": sum(s1.side_dim * s2.side_dim for s1, s2 in scn.factors),
             "h_min_cond_x1": res1.value,
             "h_min_cond_x2": res2.value,
             "converged": bool(res1.converged and res2.converged),

@@ -16,7 +16,7 @@ one at a time in sorted-symbol order, so results are bit-reproducible.
 The classical register is relabelled by one kernel,
 :func:`relabelled_stacks`, over P zero-padded states at once;
 :func:`apply_classical_function` is its batch of one, and the extractor
-output builders sum each source's blocks per output through it.
+output builder sums each source's blocks per output through it.
 """
 
 from __future__ import annotations
@@ -307,25 +307,6 @@ def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqS
     keys = [(z_bits[z], copied[r]) for z, r in zip(zs.tolist(), rows.tolist())]
     strong = CqState._from_stack(keys, pieces)
     return strong if flag else apply_classical_function(strong, lambda sym: sym[0])
-
-
-def extractor_output_from_joint(ext, joint: CqState, strong_in=None) -> CqState:
-    """Same as :func:`extractor_output_state` for a joint (x1, x2) state.
-
-    Used for Markov block states, whose side register does not factorize.
-    """
-    flag = _strong_flag(strong_in)
-    symbols = joint.symbols()
-    for sym in symbols:
-        if not (isinstance(sym, tuple) and len(sym) == 2):
-            raise ValueError(f"joint alphabet symbol {sym!r} is not an (x1, x2) pair")
-    i1 = _symbol_indices([sym[0] for sym in symbols], ext.n, "source 1")
-    i2 = _symbol_indices([sym[1] for sym in symbols], ext.n, "source 2")
-    z_bits = all_bit_vectors(ext.m)
-    copied = {"x1": 0, "x2": 1}.get(flag)
-    names = {sym: z_bits[z] if flag is None else (z_bits[z], sym[copied])
-             for sym, z in zip(symbols, ext.table[i1, i2].tolist())}
-    return apply_classical_function(joint, names.__getitem__)
 
 
 def _distance_terms(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape,

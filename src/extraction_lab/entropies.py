@@ -89,6 +89,7 @@ from .operators import (
     _spectral_power,
     _trusted_psd_eigh,
     probability_vector,
+    tensor,
 )
 
 NEG_INF = float("-inf")
@@ -214,6 +215,42 @@ def h_min_cond_many(states, iters: int = 500) -> list[EntropyResult]:
     for i, result in zip(quantum, _h_min_solver([states[i] for i in quantum], iters)):
         results[i] = result
     return results
+
+
+def h_min_markov_sources(scenarios, iters: int = 500) -> list[tuple]:
+    """(H_min(X1|C), H_min(X2|C)) of each :class:`MarkovScenario`, composed from its blocks.
+
+    C is the direct sum over blocks j of C1^j (x) C2^j, laid out as in
+    :func:`markov_block_state`, and X1's conditional is (+)_j w_j rho^j_{x1} (x)
+    rho^j_{C2}.  One :func:`h_min_cond_many` solves every factor.  If Y_j
+    dominates each rho^j_{x1}, Y = (+)_j w_j Y_j (x) rho^j_{C2} dominates each
+    conditional, as (Y_j - rho^j_{x1}) (x) rho^j_{C2} is PSD, and
+    tr Y = sum_j w_j 2^-value_j, as tr rho^j_{C2} = 1: the value, with
+    sigma = Y / tr Y.  Reading j and then measuring as block j's solve does
+    guesses with sum_j w_j 2^-(value_j + gap_j), which gives the gap.  X2 is
+    the same with rho^j_{C1} (x) Y_j.
+    """
+    solved = iter(h_min_cond_many([f for scn in scenarios for pair in scn.factors for f in pair],
+                                  iters))
+    results = [[(next(solved), next(solved)) for _ in scn.factors] for scn in scenarios]
+    return [(_block_composed(scn, res, 0), _block_composed(scn, res, 1))
+            for scn, res in zip(scenarios, results)]
+
+
+def _block_composed(scenario, results: list, source: int) -> EntropyResult:
+    """X1's (``source`` 0) or X2's (1) result from each block's pair of factor ``results``."""
+    ys, dual, primal = [], 0.0, 0.0
+    for w, pair, res in zip(scenario.weights, scenario.factors, (r[source] for r in results)):
+        y, other = 2.0 ** -res.value * res.sigma, marginal_side(pair[1 - source])
+        ys.append(w * (tensor(y, other) if source == 0 else tensor(other, y)))
+        dual += w * 2.0 ** -res.value
+        primal += w * 2.0 ** -(res.value + res.gap)
+    y = np.zeros((sum(map(len, ys)),) * 2, dtype=complex)
+    for lo, block in zip(itertools.accumulate(map(len, ys), initial=0), ys):
+        y[lo:lo + len(block), lo:lo + len(block)] = block
+    value, upper = -math.log2(dual), -math.log2(primal) if primal > 0 else math.inf
+    return EntropyResult(value, y / y.trace().real, max(upper - value, 0.0),
+                         sum(r[source].iterations for r in results))
 
 
 def _h_min_solver(states: list, iters: int) -> list[EntropyResult]:

@@ -27,7 +27,6 @@ from ..cq_states import (
     apply_classical_function,
     classical_state,
     distance_to_uniform,
-    extractor_output_from_joint,
     extractor_output_state,
     flat_grid_distances,
     markov_block_state,
@@ -35,7 +34,7 @@ from ..cq_states import (
     to_dense,
     weak_distances,
 )
-from ..entropies import h2_cond_many, h2_rel, h_min_cond_many, h_min_rel
+from ..entropies import h2_cond_many, h2_rel, h_min_cond_many, h_min_markov_sources, h_min_rel
 from ..extractors import deor_extractor, ip_extractor
 from ..gf2 import (
     MAX_TABLE_BITS,
@@ -69,11 +68,9 @@ from .bounds import BOUND_IDS, CATALOG, base_exponent, bound_value
 from .params import NATURALS, resolved
 from .scenarios import (
     MARKOV_BLOCKS_MAX,
-    MARKOV_N_MAX,
     SIDE_PARAMS,
     _formed_group,
     _ginibre_normals,
-    _joint_and_marginals,
     _markov_draw,
     _markov_scenarios,
     _random_blocks,
@@ -288,14 +285,14 @@ def _b8_weak(p, rng):
 
 
 @_check("b2-markov", count=40, n_min=2, n_max=4, bounds=("B2", "B5", "B10", "B11"),
-        max_m=lambda p: min(MARKOV_M_MAX, p["n_max"]),
-        choices={"n_max": ("n_max", range(1, MARKOV_N_MAX + 1))})  # its joint state's size
+        max_m=lambda p: min(MARKOV_M_MAX, p["n_max"]))
 def _b2_markov(p, rng):
     """Markov block scenarios against the Markov-model bound family.
 
     Every scenario is drawn first (:func:`_markov_draw`), then all are
     formed together (:func:`_markov_scenarios`), and their marginals are
-    solved together (:func:`_with_sources_solved`).
+    solved together (:func:`h_min_markov_sources`).  C is a direct sum over
+    blocks, so the distance is sum_j w_j delta_j over the blocks' products.
     """
     drawn = []
     for _ in range(p["count"]):
@@ -304,16 +301,13 @@ def _b2_markov(p, rng):
         blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
         drawn.append((kind, fam, classical, blocks, _markov_draw(
             fam.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical)))
-
-    def outputs():
-        for (kind, fam, classical, blocks, _), scn in zip(
-                drawn, _markov_scenarios([draw for *_, draw in drawn])):
-            joint, marginal1, marginal2 = _joint_and_marginals(scn)
-            out = extractor_output_from_joint(deor_extractor(fam), joint, "x1")
-            delta = distance_to_uniform(out, 1 << fam.m, strong=True)
-            yield kind, fam, classical, blocks, delta, marginal1, marginal2
-
-    for kind, fam, classical, blocks, delta, res1, res2 in _with_sources_solved(outputs()):
+    scenarios = _markov_scenarios([draw for *_, draw in drawn])
+    for (kind, fam, classical, blocks, _), scn, (res1, res2) in zip(
+            drawn, scenarios, h_min_markov_sources(scenarios)):
+        ext = deor_extractor(fam)
+        delta = sum(w * distance_to_uniform(extractor_output_state(ext, s1, s2, "x1"),
+                                            1 << fam.m, strong=True)
+                    for w, (s1, s2) in zip(scn.weights, scn.factors))
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} {model} blocks={blocks}",

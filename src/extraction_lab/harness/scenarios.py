@@ -19,12 +19,10 @@ from ..cq_states import (
     CqState,
     MarkovScenario,
     _traces,
-    apply_classical_function,
     build_cq,
     check_blocks,
     check_unit_traces,
     classical_state,
-    markov_block_state,
     padded_stacks,
 )
 from ..extractors import ip_eval
@@ -186,8 +184,8 @@ def _random_source(n: int, rng: np.random.Generator) -> tuple[str, CqState]:
     return model, make_side_info(model, dist, params, seed=int(rng.integers(2 ** 31)))
 
 
-# A Markov scenario's joint state holds (2^n, 2^n, side, side) entries; side <= 4·blocks
-# is at most 12 at MARKOV_BLOCKS_MAX blocks, so 151 MB at n = MARKOV_N_MAX.
+# The widest n that the CLI's `entropy` markov form accepts.  It bounds no memory: each
+# factor is solved alone, at most 2^n blocks of side dimension 1 or 2.
 MARKOV_N_MAX = 8
 MARKOV_BLOCKS_MAX = 3
 
@@ -232,15 +230,3 @@ def make_markov_scenario(n: int, n_blocks: int, seed: int,
     """Random block mixture of product sources, one side register of dimension 1 or 2 each:
     :func:`_markov_scenarios` of one :func:`_markov_draw`."""
     return _markov_scenarios([_markov_draw(n, n_blocks, seed, classical)])[0]
-
-
-def _joint_and_marginals(scenario: MarkovScenario):
-    """The joint state of a Markov mixture and its two sources' cq-states."""
-    joint = markov_block_state(scenario)
-    return (joint, apply_classical_function(joint, lambda sym: sym[0]),
-            apply_classical_function(joint, lambda sym: sym[1]))
-
-
-def markov_marginals(n: int, n_blocks: int, seed: int, classical: bool = False):
-    """The joint state of ``make_markov_scenario``'s mixture and its two sources' cq-states."""
-    return _joint_and_marginals(make_markov_scenario(n, n_blocks, seed, classical))

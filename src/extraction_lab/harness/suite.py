@@ -59,7 +59,7 @@ SUITES: dict[str, dict] = {
                         "sides": ["trivial", "classical_leak"]}},
             {"id": "b1-quantum-product", "params": {"count": 200, "n_max": 5}},
             {"id": "b8-weak-quantum", "params": {"count": 50}},
-            {"id": "b2-markov", "params": {"count": 40, "n_max": 4}},
+            {"id": "b2-markov", "params": {"count": 40, "n_max": 8}},
             {"id": "markov-cmi", "params": {"count": 100}},
             {"id": "ip-classical", "params": {"ns": [2, 3, 4]}},
             {"id": "measured-xor-random", "params": {"count": 1000}},

@@ -191,7 +191,7 @@ ENTROPY_STDOUT_DIGESTS = [
                  "9a92116e465075fcce19a7f1c8e04932036f57640e7720746288eb7d8eac210d",
                  id="dist-classical_leak"),
     pytest.param({"markov": {"n": 2, "blocks": 3}},
-                 "5e6f8395e38d6670513b6671f3d97ddd18e0eb7598f6af908ee2ec0b288d35ff",
+                 "8bacab4d155b030826c3cf62768faa25e06658a9dd0763cbd4bea940b1f0d274",
                  id="markov"),
     pytest.param({"n": 3, "k": 2, "support": "random",
                   "side_info": {"model": "random_pure", "dim": 3}},
@@ -275,7 +275,7 @@ def _after_a_valid_check(entry) -> dict:
     _after_a_valid_check({"id": "parseval-random", "seed": "5"}),
     _after_a_valid_check({"id": "b1-quantum-product", "params": {"n_max": 12}}),
     _after_a_valid_check({"id": "b8-weak-quantum", "params": {"n_max": 12}}),
-    _after_a_valid_check({"id": "b2-markov", "params": {"n_max": 9}}),
+    _after_a_valid_check({"id": "b2-markov", "params": {"n_max": 12}}),
     _after_a_valid_check({"id": "hmin-linear-drop", "params": {"random_ns": [30]}}),
     _after_a_valid_check({"id": "measured-xor-random", "params": {"m_max": 13}}),
     _after_a_valid_check({"id": "measured-xor-random", "params": {"dim_max": 100000}}),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_cq, random_cq_state
+from conftest import dense_cq, extractor_output_from_joint, random_cq_state
 
 from extraction_lab.cq_states import (
     CqState,
@@ -16,7 +16,6 @@ from extraction_lab.cq_states import (
     check_unit_traces,
     classical_state,
     distance_to_uniform,
-    extractor_output_from_joint,
     extractor_output_state,
     markov_block_state,
     marginal_side,
@@ -319,10 +318,6 @@ def test_extractor_output_rejects_non_binary_symbols():
             extractor_output_state(ext, bad, good, strong_in)
         with pytest.raises(ValueError, match="source 2 alphabet"):
             extractor_output_state(ext, good, bad, strong_in)
-        with pytest.raises(ValueError, match="not an 3-bit string"):
-            extractor_output_from_joint(ext, product(good, bad), strong_in)
-    with pytest.raises(ValueError, match="not an .x1, x2. pair"):
-        extractor_output_from_joint(ext, good, None)
 
 
 def test_validate_cq_names_the_offending_block():

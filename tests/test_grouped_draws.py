@@ -22,11 +22,11 @@ from extraction_lab.cq_states import (
     apply_classical_function,
     build_cq,
     distance_to_uniform,
-    extractor_output_from_joint,
+    extractor_output_state,
     markov_block_state,
     to_dense,
 )
-from extraction_lab.entropies import h2_cond, h2_rel, h_min_cond, h_min_cond_many, h_min_rel
+from extraction_lab.entropies import h2_cond, h2_rel, h_min_cond, h_min_markov_sources, h_min_rel
 from extraction_lab.extractors import deor_extractor
 from extraction_lab.gf2 import all_bit_vectors, index_to_bits
 from extraction_lab.harness import checks, scenarios
@@ -46,7 +46,6 @@ from extraction_lab.harness.scenarios import (
     _random_blocks,
     _random_cqs,
     make_markov_scenario,
-    markov_marginals,
 )
 from extraction_lab.operators import (
     _checked_psd,
@@ -174,8 +173,6 @@ def test_markov_scenarios_match_the_per_factor_route_at_three_positions():
             assert_same_scenario(scn, refs[i], (shift, i))
     for spec, ref in zip(specs[:12], refs):       # the batch of one
         assert_same_scenario(make_markov_scenario(*spec), ref, spec)
-        joint, *marginals = markov_marginals(*spec)
-        assert_same_state(joint, markov_block_state(ref), spec)
 
 
 # -- stacked entropies against the per-state route ----------------------------------------
@@ -323,24 +320,26 @@ def _hmin_le_h2_oracle(count, seed):
 
 
 def _b2_markov_oracle(count, seed):
+    """The per-scenario loop of b2-markov: each scenario formed alone, its distance
+    summed over its blocks' product outputs and its entropies composed alone."""
     rng = np.random.default_rng(seed)
-    drawn = []
+    rows = []
     for _ in range(count):
         kind, fam = _random_family(rng, 2, 3, MARKOV_M_MAX)
         classical = bool(rng.random() < 0.5)
         blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
-        joint = markov_block_state(_ref_make_markov_scenario(
-            fam.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical))
-        out = extractor_output_from_joint(deor_extractor(fam), joint, "x1")
-        drawn.append((kind, fam, classical, blocks, distance_to_uniform(out, 1 << fam.m, True),
-                      apply_classical_function(joint, lambda sym: sym[0]),
-                      apply_classical_function(joint, lambda sym: sym[1])))
-    results = h_min_cond_many([s for *_, s1, s2 in drawn for s in (s1, s2)])
-    rows = []
-    for i, (kind, fam, classical, blocks, delta, _, _) in enumerate(drawn):
-        kp = _k_params(fam.n, fam.m, fam.r, results[2 * i].value, results[2 * i + 1].value)
+        scn = _ref_make_markov_scenario(fam.n, blocks, seed=int(rng.integers(2 ** 31)),
+                                        classical=classical)
+        ext = deor_extractor(fam)
+        delta = 0.0
+        for w, (s1, s2) in zip(scn.weights, scn.factors):
+            out = extractor_output_state(ext, s1, s2, "x1")
+            delta += w * distance_to_uniform(out, 1 << fam.m, True)
+        [(res1, res2)] = h_min_markov_sources([scn])
+        kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
-        rows += [(f"{kind} n={fam.n} m={fam.m} {model} blocks={blocks}", delta, kp)] * 4
+        flags = {"converged1": res1.converged, "converged2": res2.converged}
+        rows += [(f"{kind} n={fam.n} m={fam.m} {model} blocks={blocks}", delta, kp, flags)] * 4
     return rows
 
 
@@ -359,8 +358,8 @@ def test_hmin_le_h2_batches_match_the_per_scenario_loop():
 
 def test_b2_markov_matches_the_per_scenario_loop():
     reports = run_check("b2-markov", {"params": {"count": 10, "n_max": 3}, "seed": 2})
-    assert [(r.scenario.split(" ", 1)[1], r.measured_delta, r.params) for r in reports] == \
-        _b2_markov_oracle(10, 2)
+    assert [(r.scenario.split(" ", 1)[1], r.measured_delta, r.params, r.flags)
+            for r in reports] == _b2_markov_oracle(10, 2)
 
 
 def _pgm_commutation_oracle(count, seed):

@@ -30,7 +30,6 @@ from extraction_lab.harness.scenarios import (
     make_flat_source,
     make_markov_scenario,
     make_side_info,
-    markov_marginals,
 )
 from extraction_lab.harness.checks import BoundReport
 from extraction_lab.harness.suite import CSV_COLUMNS, SuiteResult, _summarize, render_csv, render_json
@@ -110,8 +109,8 @@ def test_building_scenarios_runs_no_solver(monkeypatch):
         model, state = _random_source(3, rng)
         assert model in SIDE_PARAMS and isinstance(state, CqState)
     for classical in (False, True):
-        joint, *marginals = markov_marginals(2, 3, seed=5, classical=classical)
-        assert [m.side_dim for m in marginals] == [joint.side_dim] * 2
+        scn = make_markov_scenario(2, 3, seed=5, classical=classical)
+        assert all(isinstance(f, CqState) for pair in scn.factors for f in pair)
 
 
 @pytest.mark.parametrize("model,params,match", [
@@ -214,7 +213,7 @@ DRAW_DIGESTS = {
     ("hmin-linear-drop", {"exhaustive_n": 5}, "exhaustive_n must be in 1..4, got 5"),
     ("b1-quantum-product", {"n_max": 12}, "n_max must be in 1..11, got 12"),
     ("b8-weak-quantum", {"n_max": 30}, "n_max must be in 3..11, got 30"),
-    ("b2-markov", {"n_max": 9}, "n_max must be in 1..8, got 9"),
+    ("b2-markov", {"n_max": 12}, "n_max must be in 1..11, got 12"),
     ("hmin-linear-drop", {"random_ns": [4, 30]}, "random_ns must be in 1..11, got 30"),
     ("measured-xor-random", {"m_max": 13}, "m_max must be in 1..12, got 13"),
     ("measured-xor-random", {"dim_max": 100000}, "dim_max must be in 1..16, got 100000"),
@@ -238,7 +237,7 @@ def test_resolve_params_defaults_and_overrides():
     assert resolve_params("b1-quantum-product", {"n_max": 11})["n_max"] == 11
     assert resolve_params("b8-weak-quantum", {"n_max": 11})["n_max"] == 11
     assert resolve_params("b8-weak-quantum", {"n_max": 3})["n_max"] == 3
-    assert resolve_params("b2-markov", {"n_max": 8})["n_max"] == 8
+    assert resolve_params("b2-markov", {"n_max": 11})["n_max"] == 11
     assert resolve_params("hmin-linear-drop", {"random_ns": [11]})["random_ns"] == (11,)
     got = resolve_params("measured-xor-random", {"m_max": 12, "dim_max": 16})
     assert (got["m_max"], got["dim_max"]) == (12, 16)
@@ -476,8 +475,8 @@ def test_hmin_linear_drop_solves_once_per_kernel(monkeypatch):
 
 
 def _counting_solves(monkeypatch) -> list:
-    """The batches of states that ``checks`` passes to ``h_min_cond_many`` from now on,
-    in call order."""
+    """The batches of states that ``checks``, or ``h_min_markov_sources`` for it, passes
+    to ``h_min_cond_many`` from now on, in call order."""
     batches = []
 
     def counting(states, *args, **kwargs):
@@ -485,6 +484,7 @@ def _counting_solves(monkeypatch) -> list:
         return h_min_cond_many(states, *args, **kwargs)
 
     monkeypatch.setattr(checks, "h_min_cond_many", counting)
+    monkeypatch.setattr(entropies, "h_min_cond_many", counting)
     return batches
 
 
@@ -506,8 +506,13 @@ def test_flat_sources_are_solved_once_across_families_and_ms(monkeypatch):
 def test_certified_entropies_are_solved_in_the_checks(monkeypatch, check_id, params):
     batches = _counting_solves(monkeypatch)
     reports = run_check(check_id, {"params": params, "seed": 4})
-    assert len({r.scenario for r in reports}) == 6 and all(r.passed for r in reports)
-    assert len(batches) == 1 and len(batches[0]) == 2 * 6
+    scenarios = {r.scenario for r in reports}
+    assert len(scenarios) == 6 and all(r.passed for r in reports)
+    # two sources a scenario, or in b2-markov two factors a block
+    sources = sum(int(s.split("blocks=")[1]) if "blocks=" in s else 1 for s in scenarios)
+    assert len(batches) == 1 and len(batches[0]) == 2 * sources
+    if check_id == "b2-markov":
+        assert sources > 6 and max(state.side_dim for state in batches[0]) <= 2
 
 
 def _one_two_norm_oracle(count: int, seed: int) -> list:
@@ -608,14 +613,15 @@ def test_summary_counts_unconverged_rows():
 
 # Every extractor-output path of the harness on one small config: the flat
 # grids (strong x1 and x2), ip-classical, the weak output of b8-weak-quantum,
-# the joint output of b2-markov, and hmin-le-h2 for h2_cond.  The digest was
+# the block outputs of b2-markov, and hmin-le-h2 for h2_cond.  The digest was
 # taken with the per-pair output-state builders, before the output tables,
 # re-taken when the barrier-method h_min_cond replaced the fixed point and
 # b8-weak-quantum rows gained convergence flags, when the barrier started at
 # the pretty-good measurement, when h2_cond became gap-certified and
 # hmin-le-h2 rows gained convergence flags, when the guessing probability
-# became exact for support rank k <= 2 or N <= 2 blocks, and when a
-# lockstep primal-dual solver replaced the barrier.
+# became exact for support rank k <= 2 or N <= 2 blocks, when a
+# lockstep primal-dual solver replaced the barrier, and when b2-markov's
+# distances and entropies were composed from its blocks.
 OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b1-exhaustive-flat",
      "params": {"ns": [3, 4], "ms": [1, 2], "families": ["field", "shift"],
@@ -628,7 +634,7 @@ OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 8, "n_max": 3}},
     {"id": "hmin-le-h2", "params": {"count": 20}},
 ]}
-OUTPUT_PATHS_DIGEST = "96f586698315d9a01977bba81689fe41f8407198fbb2deac7ea97a4a530823fa"
+OUTPUT_PATHS_DIGEST = "918115fe2b446d7578b6a325937c91f73bc8a399f57f9629e22154596eb702fa"
 
 
 def test_output_paths_report_digest(tmp_path):
@@ -640,17 +646,18 @@ def test_output_paths_report_digest(tmp_path):
 
 
 # The rows of `verify --suite full --seed 7` that no other pinned digest
-# reaches: b2-markov at n_max 4 (B2, B5, B10 and B11 at n = 4) and
+# reaches: b2-markov at n_max 8 (B2, B5, B10 and B11 at n = 4..8) and
 # hmin-linear-drop, with full's params and the seeds that run_suite derives
 # for them at positions 4 and 10.  Taken before the bound catalog became a table;
 # re-taken when the guessing probability became exact for k <= 2 or N <= 2 and
-# hmin-linear-drop's params took the scenario's r, and when a lockstep
-# primal-dual solver replaced the barrier.
+# hmin-linear-drop's params took the scenario's r, when a lockstep
+# primal-dual solver replaced the barrier, and when b2-markov went from its
+# dense joint state, at n_max 4, to its blocks, at n_max 8.
 FULL_ONLY_CONFIG = {"checks": [
-    {"id": "b2-markov", "params": {"count": 40, "n_max": 4}, "seed": 7 * 1000003 + 4},
+    {"id": "b2-markov", "params": {"count": 40, "n_max": 8}, "seed": 7 * 1000003 + 4},
     {"id": "hmin-linear-drop", "params": {}, "seed": 7 * 1000003 + 10},
 ]}
-FULL_ONLY_DIGEST = "aeb9225496d8e5fe47b4d43e513ea8c0a271e6a03edd75a7b298b14f47834050"
+FULL_ONLY_DIGEST = "5bd0684343832ac08f122e99f8e58e8b6893aeab3d4cae2a13bf3c0d936a159e"
 
 
 def test_full_only_rows_report_digest():
@@ -687,7 +694,7 @@ def test_relabel_paths_report_digest():
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
-PAPER_TABLE_1_DIGEST = "d825c1e989b80875363e76cfe370659ed6a1fbedbd68625f82b4a742a286f1c7"
+PAPER_TABLE_1_DIGEST = "327726011b40c3c0f1466d39c9d66a51100561968b363fcae8bac78adcbd5668"
 
 
 def test_paper_table_1_report_digest():
@@ -897,7 +904,7 @@ def _blank_runtimes(report_csv: str) -> str:
 
 # sha256 of report.csv for `verify --suite paper-table-1 --seed 42` with the
 # runtime_ms column blanked: the CSV's counterpart of PAPER_TABLE_1_DIGEST.
-PAPER_TABLE_1_CSV_DIGEST = "2e41b4053acc1bfa3e48c39916b97f315d6b2c57f3285bffba39f66d4dfcac1d"
+PAPER_TABLE_1_CSV_DIGEST = "6697df16eb8aa3453480302482e0d7eb1ae2817bec3cc7cc2e83117296ba64ad"
 
 
 def test_paper_table_1_csv_digest():

@@ -5,10 +5,11 @@ Independent routes:
 * every output table equals per-pair evaluation (``deor_eval``,
   ``ip_eval``, the s-component evaluator) on every input pair, and the
   inner product's table equals the deor table of the field family at m = 1;
-* the per-pair ``extractor_output_state``, ``extractor_output_from_joint``
-  and ``distance_to_uniform`` that the table-driven, stacked versions
-  replaced, kept verbatim below, give bitwise-equal blocks and distances.
-  Report bytes rest on that equality;
+* the per-pair ``extractor_output_state`` and ``distance_to_uniform`` that
+  the table-driven, stacked versions replaced, kept verbatim below, give
+  bitwise-equal blocks and distances.  Report bytes rest on that equality.
+  The joint builder, conftest's ``extractor_output_from_joint``, the oracle
+  of the Markov block route, is held to its per-pair copy the same way;
 * the counted flat-grid distances (``flat_grid_distances``) equal the
   cq-state route bit for bit, and equal an exact ``Fraction`` enumeration
   over input pairs.
@@ -29,7 +30,6 @@ from extraction_lab.cq_states import (
     build_cq,
     classical_state,
     distance_to_uniform,
-    extractor_output_from_joint,
     extractor_output_state,
     flat_grid_distances,
     markov_block_state,
@@ -53,6 +53,7 @@ from extraction_lab.harness import checks
 from extraction_lab.harness.checks import CLASSICAL_SIDES, _flat_grid, _flat_sources, run_check
 from extraction_lab.harness.scenarios import LEAKS, make_markov_scenario
 from extraction_lab.operators import check_hermitian, random_density, random_pure_state, tensor
+from conftest import extractor_output_from_joint
 
 FAMILIES = {"field": build_field_family, "shift": build_shift_family}
 

@@ -5,12 +5,14 @@ A check that no bound could make fail would show nothing.  For each
 row's coefficient is scaled to 0.99 times the worst ratio the suite found
 for it, and the entries whose rows carry the bound are run again with the
 seeds the suite gave them, so their rows are those of the full run.  Some
-row of that bound must then fail.
+row of that bound must then fail.  The Markov block route is powered from
+its measured side too: its distance, scaled past the worst B2 ratio, must
+fail B2 rows.
 """
 
 import pytest
 
-from extraction_lab.harness import bounds
+from extraction_lab.harness import bounds, checks
 from extraction_lab.harness.suite import load_config, run_suite
 
 SEED = 42
@@ -62,3 +64,21 @@ def test_b1_keeps_its_slack_at_eight_tenths(monkeypatch, paper_table_1):
     assert ratios["B1"] == pytest.approx(0.7955, abs=1e-4)
     result = _scaled_run(monkeypatch, paper_table_1, "B1", 0.8)
     assert result.all_pass
+
+
+@pytest.mark.parametrize("factor,fails", [(1.01, True), (0.99, False)])
+def test_b2_markov_distance_fails_past_its_worst_ratio(monkeypatch, paper_table_1, factor,
+                                                       fails):
+    # b2-markov's distance is sum_j w_j delta_j over its blocks.  A sum that dropped
+    # a weight or a block would move the worst B2 ratio, 0.1752, or leave rows that
+    # no scaling of the per-block distances could make fail.
+    entries, _, ratios = paper_table_1
+    assert ratios["B2"] == pytest.approx(0.1752, abs=1e-4)
+    scale = factor / ratios["B2"]
+    distance = checks.distance_to_uniform
+    monkeypatch.setattr(checks, "distance_to_uniform",
+                        lambda *args, **kwargs: scale * distance(*args, **kwargs))
+    result = run_suite({"name": "power",
+                        "checks": [entry for entry in entries if entry["id"] == "b2-markov"]})
+    b2 = [r for r in result.reports if r.bound_id == "B2"]
+    assert len(b2) == 24 and any(not r.passed for r in b2) == fails
