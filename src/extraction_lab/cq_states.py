@@ -4,10 +4,9 @@ A cq-state sum_x |x><x| (x) rho_{B and x} is stored one way: its sorted
 symbols and one read-only complex (N, d, d) stack whose row i is the
 subnormalized PSD conditional operator of symbol i.  ``state.blocks``
 maps each symbol to its row, a view of the stack, never a copy.  A state
-is never materialized as one dense matrix except through
-:func:`to_dense`, which exists for cross-checks (the dense and blockwise
-routes must agree) and for conditional-mutual-information evaluation of
-Markov block states.
+is never materialized as one dense matrix: the distances, the relabelling
+and the conditional mutual information of states on pair symbols
+(:func:`pair_cmis`) all work on the blocks.
 
 Symbols are hashable tuples: bit tuples for plain registers, nested
 tuples such as ``(z_bits, x_bits)`` for composite classical registers.
@@ -35,6 +34,7 @@ from .operators import (
     hermitian_trace_norms,
     probability_vector,
     tensor,
+    von_neumann_entropies,
 )
 
 
@@ -266,6 +266,34 @@ def markov_block_state(scenario: MarkovScenario) -> CqState:
     return CqState._from_stack(symbols, stack[rows, cols])
 
 
+def pair_cmis(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """I(X1:X2|C) in bits of P cq-states on pair symbols (x1, x2), as a (P,) array,
+    each bit for bit what it gives alone.
+
+    State i is the zero-padded (A, B, d, d) stack stacks[i], its slot [j, k]
+    the block of the pair of the j-th x1 and the k-th x2 symbol where
+    present[i, j, k] holds, slots in sorted-symbol order (:func:`padded_stacks`
+    of A·B slots, reshaped).  X1 and X2 are classical, so each entropy of
+    I = S(X1C) + S(X2C) - S(X1X2C) - S(C) is a sum over d×d operators:
+    Σ_x1 S(Σ_x2 ρ^{x1 x2}), Σ_x2 S(Σ_x1 ρ^{x1 x2}), Σ_{x1,x2} S(ρ^{x1 x2}) and
+    S(Σ ρ^{x1 x2}).  Each is one :func:`von_neumann_entropies` call, which
+    refuses an operator that is not PSD, and every sum over slots adds in slot
+    order (:func:`_block_sum`).  The present blocks are tested for
+    Hermiticity once (:func:`hermitian_stack`).
+    """
+    p, a, b, d, _ = stacks.shape
+    hermitian_stack(stacks[present])
+
+    def entropy(ops):       # of the (p, K, d, d) operators, summed over K in slot order
+        return _block_sum(von_neumann_entropies(ops.reshape(-1, d, d)).reshape(p, -1), axis=1)
+
+    slots = stacks.reshape(p, a * b, d, d)
+    s_ac, s_bc, s_abc, s_c = (entropy(ops) for ops in (
+        _block_sum(stacks, axis=2), _block_sum(stacks, axis=1), slots,
+        _block_sum(slots, axis=1)[:, None]))
+    return s_ac + s_bc - s_abc - s_c
+
+
 def _strong_flag(strong_in) -> str | None:
     if strong_in not in (None, "x1", "x2"):
         raise ValueError(f"strong_in must be None, 'x1' or 'x2', got {strong_in!r}")
@@ -423,17 +451,3 @@ def flat_grid_distances(table: np.ndarray, m: int, side_labels: np.ndarray,
     ks = np.arange(n + 1)
     g = np.cumsum(f, axis=1)[:, (1 << ks) - 1].T    # g[k1, k2]
     return g / np.exp2(ks[:, None] + ks + m + 1)
-
-
-def to_dense(state: CqState, symbols=None) -> np.ndarray:
-    """Materialize sum_x |x><x| (x) rho_{B and x} over an explicit symbol order."""
-    if symbols is None:
-        symbols = state.symbols()
-    d = state.side_dim
-    n = len(symbols)
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for i, sym in enumerate(symbols):
-        block = state.blocks.get(sym)
-        if block is not None:
-            out[i * d : (i + 1) * d, i * d : (i + 1) * d] = block
-    return out

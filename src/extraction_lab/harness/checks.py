@@ -30,8 +30,9 @@ from ..cq_states import (
     extractor_output_state,
     flat_grid_distances,
     markov_block_state,
+    padded_stacks,
+    pair_cmis,
     relabelled_stacks,
-    to_dense,
     weak_distances,
 )
 from ..entropies import h2_cond_many, h2_rel, h_min_cond_many, h_min_markov_sources, h_min_rel
@@ -47,7 +48,6 @@ from ..gf2 import (
     index_to_bits,
 )
 from ..operators import (
-    conditional_mutual_informations,
     ginibre_densities,
     hermitian_trace_norms,
     partial_trace,
@@ -97,8 +97,9 @@ EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at
 # its groups either; a one-two-norm scenario weighs
 # 16·(dim_a·dim_b)², and the built-in suites fill its larger groups; an
 # hmin-le-h2 scenario weighs its blocks' N·dim² entries, at most 72, and no
-# built-in suite fills its one group; a markov-cmi scenario weighs 16·D² for its
-# D×D dense operator, so from D = 64 on a dense fills a group alone.
+# built-in suite fills its one group; a markov-cmi scenario weighs 4^n·d_C², the
+# entries of its padded (2^n, 2^n, d_C, d_C) stack, and no built-in suite fills
+# its groups either.
 BLOCK_BUDGET = 1 << 16
 CLASSICAL_SIDES = ("trivial", "classical_leak")     # flat grids count these exactly
 # The values of a param that its type alone does not pin down, and their name;
@@ -338,11 +339,11 @@ def _markov_cmi(p, rng):
 
     Every scenario is drawn first (:func:`_markov_draw`) and all are formed
     together (:func:`_markov_scenarios`).  The scenarios are then grouped by
-    dims (:func:`_in_groups`); a group builds its dense operators and takes
-    their CMIs with one :func:`conditional_mutual_informations`.  A
-    scenario weighs 16·D², about the complex entries of every D×D operator
-    its pass allocates, so a dense of D ≥ 64 fills a BLOCK_BUDGET and is
-    evaluated alone: stacking pays only where the per-call cost dominates.
+    (n, d_C) (:func:`_in_groups`); a group builds each state with
+    :func:`markov_block_state`, pads their blocks into one (P, 2^n, 2^n, d_C,
+    d_C) stack and takes their CMIs with one :func:`pair_cmis`, which never
+    forms the dense 4^n·d_C operator.  A scenario weighs 4^n·d_C², the
+    entries of its padded stack.
     """
     drawn = []
     for _ in range(p["count"]):
@@ -352,18 +353,23 @@ def _markov_cmi(p, rng):
                                       seed=int(rng.integers(2 ** 31)), classical=classical)))
     scenarios = _markov_scenarios([draw for _, draw in drawn])
 
-    def dense_draws():
+    def draws():
         for (n, _), scn in zip(drawn, scenarios):
-            dims = (1 << n, 1 << n, sum(s1.side_dim * s2.side_dim for s1, s2 in scn.factors))
-            yield dims, 16 * (dims[0] * dims[1] * dims[2]) ** 2, scn
+            side = sum(s1.side_dim * s2.side_dim for s1, s2 in scn.factors)
+            yield (n, side), 4 ** n * side ** 2, scn
 
-    def evaluate(dims, items):
-        alphabet = all_bit_vectors(dims[0].bit_length() - 1)
-        order = [(a, b) for a in alphabet for b in alphabet]
-        dense = np.array([to_dense(markov_block_state(scn), order) for scn in items])
-        return [(dims[2], cmi) for cmi in conditional_mutual_informations(dense, dims).tolist()]
+    def evaluate(key, items):
+        n, side = key
+        alphabet = all_bit_vectors(n)
+        slot = {(a, b): i for i, (a, b) in enumerate(itertools.product(alphabet, repeat=2))}
+        states = [markov_block_state(scn) for scn in items]
+        stacks, present = padded_stacks(
+            [(s.stack, np.array([slot[sym] for sym in s.symbols()])) for s in states], len(slot))
+        shape = (len(items), len(alphabet), len(alphabet))
+        cmis = pair_cmis(stacks.reshape(shape + (side, side)), present.reshape(shape))
+        return [(side, cmi) for cmi in cmis.tolist()]
 
-    for (n, _), scn, (side, cmi) in zip(drawn, scenarios, _in_groups(dense_draws(), evaluate)):
+    for (n, _), scn, (side, cmi) in zip(drawn, scenarios, _in_groups(draws(), evaluate)):
         yield Case(_k_params(n, 1, 0, 0.0, 0.0),
                    f"markov-cmi n={n} blocks={len(scn.weights)} side={side}",
                    [("cmi-zero", cmi, 0.0)])

@@ -90,8 +90,10 @@ def make_side_info(model: str, dist: dict, params: dict | None = None, *,
         bits = params["bits"]
         if bits > (n := min(map(len, dist))):
             raise ValueError(f"bb84 side information: bits {bits} is above the symbol length {n}")
-        state = build_cq(dist, {sym: functools.reduce(np.kron, [_KETS[b] for b in sym[:bits]])
-                                for sym in dist})
+        # one product per distinct prefix: at most 2^bits, however many symbols
+        encode = functools.cache(
+            lambda prefix: functools.reduce(np.kron, [_KETS[b] for b in prefix]))
+        state = build_cq(dist, {sym: encode(sym[:bits]) for sym in dist})
     else:
         rng = np.random.default_rng(seed)
         state = build_cq(dist, {sym: random_pure_state(params["dim"], rng)

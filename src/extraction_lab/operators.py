@@ -9,11 +9,10 @@ expressions like sigma^{-1/4} rho sigma^{-1/4} are well defined for
 singular sigma.  Every sigma-weighted quantity takes its powers from
 :func:`_sigma_powers`, which also tests, per sigma of a stack, whether
 ker sigma meets the state, where such an expression means nothing; every
-unit-trace test is :func:`check_unit_traces`.  Entropies and conditional
-mutual informations are taken per stack (:func:`von_neumann_entropies`,
-:func:`conditional_mutual_informations`): one Hermiticity test and one
-eigvalsh per stack, each member bit for bit what it gives alone, and the
-scalar forms are batches of one.
+unit-trace test is :func:`check_unit_traces`.  Entropies are taken per
+stack (:func:`von_neumann_entropies`): one eigvalsh per stack, each member
+bit for bit what it gives alone, and :func:`von_neumann_entropy` is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -229,12 +228,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     ``dims`` are the subsystem dimensions in tensor order, ``keep`` the
     indices (0-based) of the subsystems to retain, in their tensor order.
     """
-    return _partial_trace(as_operator(rho) if np.ndim(rho) == 2 else hermitian_stack(rho),
-                          dims, keep)
-
-
-def _partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
-    """:func:`partial_trace` of an operator or stack already tested as it tests one."""
+    m = as_operator(rho) if np.ndim(rho) == 2 else hermitian_stack(rho)
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
     if m.shape[-1] != total:
@@ -278,28 +272,6 @@ def von_neumann_entropies(stack: np.ndarray) -> np.ndarray:
     ends = np.cumsum(np.count_nonzero(live, axis=-1)).tolist()
     return -np.array([np.add.reduce(terms[lo:hi]) for lo, hi in zip([0] + ends, ends)],
                      dtype=float)
-
-
-def conditional_mutual_information(rho, dims) -> float:
-    """I(A:B|C) = S(AC) + S(BC) - S(ABC) - S(C) in bits for dims (dA, dB, dC)."""
-    return float(conditional_mutual_informations(as_operator(rho)[None], dims)[0])
-
-
-def conditional_mutual_informations(rhos, dims) -> np.ndarray:
-    """:func:`conditional_mutual_information` of each operator of an (N, D, D) stack, all
-    of dims (dA, dB, dC), each bit for bit what it gives alone.
-
-    The stack is tested once (:func:`hermitian_stack`), its three marginals
-    are taken from it untested, and each of the four entropies is one
-    :func:`von_neumann_entropies` call.
-    """
-    if len(dims) != 3:
-        raise ValueError("dims must be (d_A, d_B, d_C)")
-    m = hermitian_stack(rhos)
-    s_ac, s_bc, s_abc, s_c = (von_neumann_entropies(x) for x in (
-        _partial_trace(m, dims, (0, 2)), _partial_trace(m, dims, (1, 2)), m,
-        _partial_trace(m, dims, (2,))))
-    return s_ac + s_bc - s_abc - s_c
 
 
 def random_densities(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,7 +10,14 @@ from extraction_lab.cq_states import (
     markov_block_state,
 )
 from extraction_lab.gf2 import _symbol_indices, all_bit_vectors, index_to_bits
-from extraction_lab.operators import random_density, random_pure_state
+from extraction_lab.operators import (
+    as_operator,
+    hermitian_stack,
+    partial_trace,
+    random_density,
+    random_pure_state,
+    von_neumann_entropies,
+)
 
 
 @pytest.fixture
@@ -38,7 +45,8 @@ def random_cq_state(n_bits: int, dim: int, rng, min_support: int = 1,
 
 
 def dense_cq(state: CqState, symbols=None) -> np.ndarray:
-    """Independent dense materialization used as the blockwise oracle."""
+    """Independent dense materialization used as the blockwise oracle: sum_x |x><x| (x)
+    rho_{B and x} over ``symbols`` (the state's own by default), zero where it has none."""
     if symbols is None:
         symbols = sorted(state.blocks)
     d = state.side_dim
@@ -70,3 +78,42 @@ def joint_and_marginals(scenario):
     joint = markov_block_state(scenario)
     return (joint, apply_classical_function(joint, lambda sym: sym[0]),
             apply_classical_function(joint, lambda sym: sym[1]))
+
+
+# -- the dense conditional mutual information, the oracle of pair_cmis -------------
+
+def conditional_mutual_informations(rhos, dims) -> np.ndarray:
+    """I(A:B|C) = S(AC) + S(BC) - S(ABC) - S(C) in bits of each operator of an (N, D, D)
+    stack, all of dims (dA, dB, dC), each bit for bit what it gives alone.
+
+    The stack is tested once (``hermitian_stack``), and each of the four
+    entropies is one ``von_neumann_entropies`` call on the whole operators or
+    their marginals.
+    """
+    if len(dims) != 3:
+        raise ValueError("dims must be (d_A, d_B, d_C)")
+    m = hermitian_stack(rhos)
+    s_ac, s_bc, s_abc, s_c = (von_neumann_entropies(x) for x in (
+        partial_trace(m, dims, (0, 2)), partial_trace(m, dims, (1, 2)), m,
+        partial_trace(m, dims, (2,))))
+    return s_ac + s_bc - s_abc - s_c
+
+
+def conditional_mutual_information(rho, dims) -> float:
+    """``conditional_mutual_informations`` of one operator."""
+    return float(conditional_mutual_informations(as_operator(rho)[None], dims)[0])
+
+
+def padded_pairs(states, n):
+    """States on pairs of n-bit symbols, all of one side dimension d, as ``pair_cmis``
+    takes them: the (P, 2^n, 2^n, d, d) stack of their blocks, zero where a pair has
+    none, and its (P, 2^n, 2^n) mask, filled pair by pair."""
+    index = {sym: i for i, sym in enumerate(all_bit_vectors(n))}
+    d = states[0].side_dim
+    stacks = np.zeros((len(states), 1 << n, 1 << n, d, d), dtype=complex)
+    present = np.zeros(stacks.shape[:3], dtype=bool)
+    for i, state in enumerate(states):
+        for (a, b), block in state.blocks.items():
+            stacks[i, index[a], index[b]] = block
+            present[i, index[a], index[b]] = True
+    return stacks, present

@@ -93,7 +93,7 @@ CONFIG_DIGESTS = {
     ("classical-exhaustive.json", 0):
         "d367d82b19b5e3c32f2ae212048ad2dfa10736959899eca052767753b4a1f0b0",
     ("small-state-mix.json", 3):
-        "7876462a2bbc80063dc6bd3f9e2f17fdd2229664c1042a2e176c88b1f02ef903",
+        "f42bce8c14108b310d8d94064960d1bedeb5eb4f6b9be517cf3efd06a1e69883",
 }
 
 

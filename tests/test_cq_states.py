@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_cq, extractor_output_from_joint, random_cq_state
+from conftest import (
+    conditional_mutual_information,
+    dense_cq,
+    extractor_output_from_joint,
+    random_cq_state,
+)
 
 from extraction_lab.cq_states import (
     CqState,
@@ -21,12 +26,10 @@ from extraction_lab.cq_states import (
     marginal_side,
     padded_stacks,
     product,
-    to_dense,
 )
 from extraction_lab.extractors import deor_extractor, ip_extractor
 from extraction_lab.gf2 import all_bit_vectors, build_field_family, build_shift_family
 from extraction_lab.operators import (
-    conditional_mutual_information,
     partial_trace,
     random_densities,
     trace_distance,
@@ -122,7 +125,7 @@ def test_markov_block_state_has_zero_cmi(rng):
         )
         joint = markov_block_state(scn)
         symbols = [(a, b) for a in all_bit_vectors(1) for b in all_bit_vectors(1)]
-        dense = to_dense(joint, symbols)
+        dense = dense_cq(joint, symbols)
         cmi = conditional_mutual_information(dense, (2, 2, joint.side_dim))
         assert abs(cmi) <= 1e-9
 

@@ -2,12 +2,14 @@
 
 The reference functions below are the per-scenario routes that the grouped
 former (``scenarios._formed_group`` and ``_random_cqs``) and the stacked
-conditional mutual information replaced, kept verbatim: ``_random_blocks``
-with ``build_cq`` for one random cq-state, ``make_markov_scenario`` forming
-its factors one at a time, and the per-state ``von_neumann_entropy`` and
-``conditional_mutual_information``.  The per-scenario loops of the grouped
-checks are kept as their oracles, ``pgm-commutation``'s relabelling and
-measuring one state at a time by ``apply_classical_function`` and ``pgm``.
+entropies replaced, kept verbatim: ``_random_blocks`` with ``build_cq`` for
+one random cq-state, ``make_markov_scenario`` forming its factors one at a
+time, and the per-state ``von_neumann_entropy`` and dense conditional mutual
+information, which also check conftest's stacked dense oracle.  The
+per-scenario loops of the grouped checks are kept as their oracles,
+``markov-cmi`` taking each state's CMI alone by ``pair_cmis`` and
+``pgm-commutation`` relabelling and measuring one state at a time by
+``apply_classical_function`` and ``pgm``.
 The grouped routes must reproduce them bit for bit, because the report
 bytes rest on them, and must refuse what they refuse with the same message.
 """
@@ -17,6 +19,13 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import (
+    conditional_mutual_information,
+    conditional_mutual_informations,
+    dense_cq,
+    padded_pairs,
+)
+
 from extraction_lab.cq_states import (
     MarkovScenario,
     apply_classical_function,
@@ -24,7 +33,7 @@ from extraction_lab.cq_states import (
     distance_to_uniform,
     extractor_output_state,
     markov_block_state,
-    to_dense,
+    pair_cmis,
 )
 from extraction_lab.entropies import h2_cond, h2_rel, h_min_cond, h_min_markov_sources, h_min_rel
 from extraction_lab.extractors import deor_extractor
@@ -51,8 +60,6 @@ from extraction_lab.operators import (
     _checked_psd,
     check_hermitian,
     check_unit_traces,
-    conditional_mutual_information,
-    conditional_mutual_informations,
     ginibre_densities,
     partial_trace,
     random_densities,
@@ -185,7 +192,7 @@ def _dense_inputs(rng):
         n = 1 + i % 2
         joint = markov_block_state(make_markov_scenario(n, 2 + i % 2, seed=i, classical=i % 3 == 0))
         alphabet = all_bit_vectors(n)
-        pairs.append((to_dense(joint, [(a, b) for a in alphabet for b in alphabet]),
+        pairs.append((dense_cq(joint, [(a, b) for a in alphabet for b in alphabet]),
                       (1 << n, 1 << n, joint.side_dim)))
     for dims in ((2, 2, 1), (2, 2, 3), (2, 4, 2), (4, 4, 2)):
         size = int(np.prod(dims))
@@ -254,36 +261,41 @@ def test_stacked_cmi_refuses_a_non_psd_member():
 # -- whole checks against their per-scenario loops -----------------------------------------
 
 def _markov_cmi_oracle(count, seed):
-    """The per-scenario loop of markov-cmi before grouping: (label, cmi) rows."""
+    """The per-scenario loop of markov-cmi: each state's CMI taken alone, (label, cmi)
+    rows, and the dense route's CMI of each."""
     rng = np.random.default_rng(seed)
-    rows = []
+    rows, dense = [], []
     for _ in range(count):
         n = int(rng.integers(1, 3))
         classical = bool(rng.random() < 0.3)
         scn = _ref_make_markov_scenario(n, int(rng.integers(2, MARKOV_BLOCKS_MAX + 1)),
                                         seed=int(rng.integers(2 ** 31)), classical=classical)
         joint = markov_block_state(scn)
-        alphabet = all_bit_vectors(n)
-        dense = to_dense(joint, [(a, b) for a in alphabet for b in alphabet])
-        cmi = _ref_conditional_mutual_information(
-            dense, (len(alphabet), len(alphabet), joint.side_dim))
         rows.append((f"markov-cmi n={n} blocks={len(scn.weights)} side={joint.side_dim}",
-                     cmi.hex()))
-    return rows
+                     pair_cmis(*padded_pairs([joint], n))[0].hex()))
+        alphabet = all_bit_vectors(n)
+        dense.append(_ref_conditional_mutual_information(
+            dense_cq(joint, [(a, b) for a in alphabet for b in alphabet]),
+            (len(alphabet), len(alphabet), joint.side_dim)))
+    return rows, dense
 
 
 def test_markov_cmi_groups_match_the_per_scenario_loop(monkeypatch):
-    want = _markov_cmi_oracle(120, 12)
+    want, dense = _markov_cmi_oracle(120, 12)
     sizes = []
-    stacked = checks.conditional_mutual_informations
-    monkeypatch.setattr(checks, "conditional_mutual_informations",
-                        lambda rhos, dims: sizes.append(len(rhos)) or stacked(rhos, dims))
-    for budget in (checks.BLOCK_BUDGET, 20000):     # then early flushes of the small dims
+    stacked = checks.pair_cmis
+    monkeypatch.setattr(checks, "pair_cmis", lambda stacks, present:
+                        sizes.append(len(stacks)) or stacked(stacks, present))
+    calls = []
+    for budget in (checks.BLOCK_BUDGET, 300):     # then early flushes of the small dims
         sizes.clear()
         monkeypatch.setattr(checks, "BLOCK_BUDGET", budget)
         reports = run_check("markov-cmi", {"params": {"count": 120}, "seed": 12})
         assert [(r.scenario.split(" ", 1)[1], r.measured_delta.hex()) for r in reports] == want
-        assert sum(sizes) == 120 and 1 in sizes and max(sizes) > 4
+        assert sum(sizes) == 120 and max(sizes) > 4
+        calls.append(len(sizes))
+    assert calls[1] > calls[0]
+    assert max(abs(r.measured_delta - cmi) for r, cmi in zip(reports, dense)) <= 1e-12
 
 
 def _output_oracle(check_id, count, seed):

@@ -694,7 +694,7 @@ def test_relabel_paths_report_digest():
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
-PAPER_TABLE_1_DIGEST = "327726011b40c3c0f1466d39c9d66a51100561968b363fcae8bac78adcbd5668"
+PAPER_TABLE_1_DIGEST = "b91763bbc5b73ced920fea062ee1fce6c00b15bab6210815e266ed4e3fd6285f"
 
 
 def test_paper_table_1_report_digest():
@@ -904,7 +904,7 @@ def _blank_runtimes(report_csv: str) -> str:
 
 # sha256 of report.csv for `verify --suite paper-table-1 --seed 42` with the
 # runtime_ms column blanked: the CSV's counterpart of PAPER_TABLE_1_DIGEST.
-PAPER_TABLE_1_CSV_DIGEST = "6697df16eb8aa3453480302482e0d7eb1ae2817bec3cc7cc2e83117296ba64ad"
+PAPER_TABLE_1_CSV_DIGEST = "e831988e66f2918adb3c171348714acdd8bb5629b356b6f9baa474263d86d0e0"
 
 
 def test_paper_table_1_csv_digest():

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import conditional_mutual_information
+
 import extraction_lab
 from extraction_lab import gf2, operators
 from extraction_lab.cq_states import (
@@ -32,7 +34,6 @@ from extraction_lab.operators import (
     _sigma_powers,
     as_operator,
     check_hermitian,
-    conditional_mutual_information,
     eigh,
     hermitian_stack,
     hermitian_trace_norm,
