@@ -15,7 +15,11 @@ one at a time in sorted-symbol order, so results are bit-reproducible.
 The classical register is relabelled by one kernel,
 :func:`relabelled_stacks`, over P zero-padded states at once;
 :func:`apply_classical_function` is its batch of one, and the extractor
-output builder sums each source's blocks per output through it.
+output builder sums each source's blocks per output through it.  The
+strong distance of a product pair never forms its output state:
+:func:`product_strong_distances` reads only the copied source's block
+traces and sums the other source's blocks per (copied symbol, output)
+through the same kernel.
 """
 
 from __future__ import annotations
@@ -403,6 +407,51 @@ def distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) 
     terms = _distance_terms(state.stack, rows, cols,
                             (rows.max(initial=-1) + 1, cols.max(initial=-1) + 1), uniform_dim)
     return float(0.5 * _block_sum(terms.ravel()))
+
+
+def product_strong_distances(pairs, strong_in: str) -> np.ndarray:
+    """Strong distance to uniform of P product pairs (ext, s1, s2), as a (P,) array,
+    each bit for bit what it gives alone.
+
+    The copied source X is s1 for ``strong_in="x1"`` and s2 for "x2"; Y is
+    the other.  Given x, the output is a function of y alone, and X's side
+    register is a tensor factor of trace p(x) in each of x's blocks, so
+
+        δ = Σ_x p(x) · ½ Σ_z ‖A_{x,z} − ρ_Y/2^m‖₁,  A_{x,z} = Σ_{y: Ext(x,y)=z} ω_y,
+
+    with ω_y Y's blocks: X's side register never enters, and of X only its
+    block traces p(x) are read.  Pairs are grouped by (n, m, Y's side
+    dimension).  One :func:`relabelled_stacks` call per group sums each
+    A_{x,z} through ``ext.table``, rows (pair, x) in row-major order and Y's
+    blocks in sorted-symbol slots; one :func:`_distance_terms` call gives one
+    row of terms per (pair, x); and each pair's p(x) · ½ Σ_z terms are added
+    as a running total in sorted x order.  It equals :func:`distance_to_uniform`
+    of the strong :func:`extractor_output_state` up to rounding.
+    """
+    if _strong_flag(strong_in) is None:
+        raise ValueError("product_strong_distances needs strong_in 'x1' or 'x2', not None")
+    deltas = np.zeros(len(pairs))
+    groups = {}
+    for i, (ext, s1, s2) in enumerate(pairs):
+        copied, other = (s1, s2) if strong_in == "x1" else (s2, s1)
+        table = ext.table if strong_in == "x1" else ext.table.T
+        groups.setdefault((ext.n, ext.m, other.side_dim), []).append((i, table, copied, other))
+    for (n, m, _), members in groups.items():
+        at, tables, copied, others = zip(*members)
+        xs = [_symbol_indices(s.symbols(), n, "copied source") for s in copied]
+        padded, present = padded_stacks(
+            [(s.stack, _symbol_indices(s.symbols(), n, "other source")) for s in others], 1 << n)
+        owner = np.repeat(np.arange(len(at)), [len(x) for x in xs])
+        images = np.concatenate([table[x] for table, x in zip(tables, xs)], dtype=np.intp)
+        sums, occupied = relabelled_stacks(padded[owner], present[owner], images, 1 << m)
+        rows, cols = np.nonzero(occupied)
+        terms = _distance_terms(sums[rows, cols], rows, cols, occupied.shape, 1 << m)
+        # Each pair's per-x distances in x slots, zero elsewhere, added in slot order.
+        per_x = np.zeros((len(at), 1 << n))
+        probs = np.concatenate([_traces(s.stack) for s in copied])
+        per_x[owner, np.concatenate(xs)] = probs * (0.5 * _block_sum(terms, axis=1))
+        deltas[list(at)] = _block_sum(per_x, axis=1)
+    return deltas
 
 
 def flat_grid_distances(table: np.ndarray, m: int, side_labels: np.ndarray,

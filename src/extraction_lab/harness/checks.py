@@ -32,6 +32,7 @@ from ..cq_states import (
     markov_block_state,
     padded_stacks,
     pair_cmis,
+    product_strong_distances,
     relabelled_stacks,
     weak_distances,
 )
@@ -183,18 +184,26 @@ def _random_family(rng: np.random.Generator, n_min: int, n_max: int, m_max: int)
 
 
 def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
-    """A random family and two quantum sources: the family, the sources' models,
-    the output's distance to uniform and the two sources."""
+    """A random family and two random flat sources: the family kind, the family,
+    the sources' models ("bb84,random_pure", for example) and the two sources.
+
+    Each source draws a bb84 or random_pure side model (:func:`_random_source`).
+    For a strong output the copied source (``strong_in``) keeps only its flat
+    distribution, under a trivial side register: its side register never
+    enters the strong distance (:func:`product_strong_distances`), and a
+    quantum one could only lower its certified min-entropy, and so loosen
+    every bound, without moving the distance.  Its k is then exact, from the
+    closed form.  The generator moves as for two quantum sources.
+    """
     kind, fam = _random_family(rng, n_min, n_max, m_max)
-    (model1, state1), (model2, state2) = _random_source(fam.n, rng), _random_source(fam.n, rng)
-    out = extractor_output_state(deor_extractor(fam), state1, state2, strong_in)
-    delta = distance_to_uniform(out, 1 << fam.m, strong=strong_in is not None)
-    return kind, fam, f"{model1},{model2}", delta, state1, state2
+    (model1, state1), (model2, state2) = (_random_source(fam.n, rng, trivial=strong_in == "x1"),
+                                          _random_source(fam.n, rng, trivial=strong_in == "x2"))
+    return kind, fam, f"{model1},{model2}", state1, state2
 
 
 def _with_sources_solved(scenarios) -> list:
     """The drawn ``scenarios``, each a tuple ending in its two sources, in draw order,
-    with the sources replaced by their ``h_min_cond`` results.
+    each followed by its sources' ``h_min_cond`` results.
 
     Every scenario is drawn before one :func:`h_min_cond_many` solves all the
     sources; the solver draws nothing, so every draw stays where a
@@ -202,8 +211,8 @@ def _with_sources_solved(scenarios) -> list:
     """
     scenarios = list(scenarios)
     results = h_min_cond_many([state for *_, s1, s2 in scenarios for state in (s1, s2)])
-    return [(*rest, results[2 * i], results[2 * i + 1])
-            for i, (*rest, _, _) in enumerate(scenarios)]
+    return [(*scenario, results[2 * i], results[2 * i + 1])
+            for i, scenario in enumerate(scenarios)]
 
 
 def _source_flags(res1, res2) -> dict:
@@ -224,16 +233,17 @@ def _flat_grid(ext, side: str, states: list, strong_in) -> list:
     integer pass over ``ext.table``, :func:`flat_grid_distances`, gives every
     distance; besides the table it holds O(2^n·2^m·d) counts.  The side
     symbol of each input is read off the full-support state's diagonal
-    blocks.  Quantum side models take the cq-state route,
+    blocks.  Quantum side models take the strong product route, one
+    :func:`product_strong_distances` call over every pair of the grid, which
+    every strong product check uses.  The cq-state route,
     :func:`extractor_output_state` and :func:`distance_to_uniform` per pair,
-    which every quantum check uses and which is the counting route's oracle
-    in the tests.
+    is the oracle of both in the tests.
     """
     if side in CLASSICAL_SIDES:
         labels = np.argmax(states[-1].stack.diagonal(axis1=1, axis2=2).real, axis=1)
         return flat_grid_distances(ext.table, ext.m, labels, strong_in).tolist()
-    return [[distance_to_uniform(extractor_output_state(ext, s1, s2, strong_in), 1 << ext.m,
-                                 strong=True) for s2 in states] for s1 in states]
+    pairs = [(ext, s1, s2) for s1 in states for s2 in states]
+    return product_strong_distances(pairs, strong_in).reshape(len(states), -1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +274,19 @@ def _b1_exhaustive(p, rng):
         bounds=("B1", "B6", "B3", "B4"), strong_in="x1",
         max_m=lambda p: min(p["m_max"], p["n_max"]))
 def _b1_quantum(p, rng):
-    """Randomized quantum product-type scenarios with solver-certified entropies,
-    drawn first and their sources solved together (:func:`_with_sources_solved`)."""
-    for kind, fam, models, delta, res1, res2 in _with_sources_solved(
-            _random_deor_output(rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
-            for _ in range(p["count"])):
+    """Randomized product-type scenarios, quantum side information on the source
+    that is not copied (:func:`_random_deor_output`), with certified entropies.
+
+    Every scenario is drawn first; one :func:`product_strong_distances` call
+    gives every distance and one :func:`h_min_cond_many` every entropy
+    (:func:`_with_sources_solved`).
+    """
+    drawn = [_random_deor_output(rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
+             for _ in range(p["count"])]
+    deltas = product_strong_distances([(deor_extractor(fam), s1, s2)
+                                       for _, fam, _, s1, s2 in drawn], p["strong_in"])
+    for (kind, fam, models, _, _, res1, res2), delta in zip(_with_sources_solved(drawn),
+                                                           deltas.tolist()):
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} sides=({models})",
                    _catalog(p["bounds"], kp, delta), _source_flags(res1, res2))
@@ -277,9 +295,12 @@ def _b1_quantum(p, rng):
 @_check("b8-weak-quantum", count=50, n_max=4,
         choices={"n_max": ("n_max", range(WEAK_N_MIN, SOURCE_N_MAX + 1))})
 def _b8_weak(p, rng):
-    """Weak-output variant: same pipeline with no copied source register."""
-    for kind, fam, _, delta, res1, res2 in _with_sources_solved(
+    """Weak-output variant, both sources quantum: the weak output does not factorise,
+    so its distance takes the cq-state route."""
+    for kind, fam, _, s1, s2, res1, res2 in _with_sources_solved(
             _random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None) for _ in range(p["count"])):
+        delta = distance_to_uniform(extractor_output_state(deor_extractor(fam), s1, s2),
+                                    1 << fam.m)
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} weak", _catalog(("B8",), kp, delta),
                    _source_flags(res1, res2))
@@ -293,7 +314,9 @@ def _b2_markov(p, rng):
     Every scenario is drawn first (:func:`_markov_draw`), then all are
     formed together (:func:`_markov_scenarios`), and their marginals are
     solved together (:func:`h_min_markov_sources`).  C is a direct sum over
-    blocks, so the distance is sum_j w_j delta_j over the blocks' products.
+    blocks, so the distance is sum_j w_j delta_j over the blocks' products,
+    in block order; one :func:`product_strong_distances` call gives every
+    block's delta_j.
     """
     drawn = []
     for _ in range(p["count"]):
@@ -303,12 +326,12 @@ def _b2_markov(p, rng):
         drawn.append((kind, fam, classical, blocks, _markov_draw(
             fam.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical)))
     scenarios = _markov_scenarios([draw for *_, draw in drawn])
+    exts = [deor_extractor(fam) for _, fam, *_ in drawn]
+    deltas = iter(product_strong_distances([(ext, s1, s2) for ext, scn in zip(exts, scenarios)
+                                            for s1, s2 in scn.factors], "x1").tolist())
     for (kind, fam, classical, blocks, _), scn, (res1, res2) in zip(
             drawn, scenarios, h_min_markov_sources(scenarios)):
-        ext = deor_extractor(fam)
-        delta = sum(w * distance_to_uniform(extractor_output_state(ext, s1, s2, "x1"),
-                                            1 << fam.m, strong=True)
-                    for w, (s1, s2) in zip(scn.weights, scn.factors))
+        delta = sum(w * next(deltas) for w in scn.weights)
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
         yield Case(kp, f"{kind} n={fam.n} m={fam.m} {model} blocks={blocks}",
@@ -660,8 +683,8 @@ def _bound_ordering(p, rng):
             n = int(rng.integers(2, 25))
             m = int(rng.integers(1, min(8, n) + 1))
             r = int(rng.integers(0, min(m, n - 1) + 1))
-            k1 = float(rng.uniform(0, n))
-            k2 = float(rng.uniform(0, n))
+            # uniform(0, n) is 0.0 + n·random(): the same values and generator state
+            k1, k2 = n * rng.random(), n * rng.random()
             if base_exponent(n, m, r, k1, k2) >= 0:
                 break
         kp = _k_params(n, m, r, k1, k2)

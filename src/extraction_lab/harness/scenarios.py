@@ -173,8 +173,14 @@ def _random_cqs(draws) -> list:
     return states
 
 
-def _random_source(n: int, rng: np.random.Generator) -> tuple[str, CqState]:
-    """A random flat n-bit source under bb84 or random_pure side information: (model, state)."""
+def _random_source(n: int, rng: np.random.Generator,
+                   trivial: bool = False) -> tuple[str, CqState]:
+    """A random flat n-bit source under bb84 or random_pure side information: (model, state).
+
+    With ``trivial`` the side model and its params are drawn all the same, so
+    the generator moves as for a quantum source, and the state is the flat
+    distribution under a trivial side register: ("trivial", state).
+    """
     k_target = int(rng.integers(max(1, n - 2), n + 1))
     rule = "prefix" if rng.random() < 0.5 else "random"
     dist = make_flat_source(n, k_target, rule, seed=int(rng.integers(2 ** 31)))
@@ -183,7 +189,10 @@ def _random_source(n: int, rng: np.random.Generator) -> tuple[str, CqState]:
         params = {"bits": int(rng.integers(1, min(2, n) + 1))}
     else:
         params = {"dim": int(rng.integers(2, 5))}
-    return model, make_side_info(model, dist, params, seed=int(rng.integers(2 ** 31)))
+    seed = int(rng.integers(2 ** 31))
+    if trivial:
+        return "trivial", classical_state(dist)
+    return model, make_side_info(model, dist, params, seed=seed)
 
 
 # The widest n that the CLI's `entropy` markov form accepts.  It bounds no memory: each

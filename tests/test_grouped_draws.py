@@ -34,6 +34,7 @@ from extraction_lab.cq_states import (
     extractor_output_state,
     markov_block_state,
     pair_cmis,
+    product_strong_distances,
 )
 from extraction_lab.entropies import h2_cond, h2_rel, h_min_cond, h_min_markov_sources, h_min_rel
 from extraction_lab.extractors import deor_extractor
@@ -333,7 +334,9 @@ def _hmin_le_h2_oracle(count, seed):
 
 def _b2_markov_oracle(count, seed):
     """The per-scenario loop of b2-markov: each scenario formed alone, its distance
-    summed over its blocks' product outputs and its entropies composed alone."""
+    summed over its blocks' product distances, each block's a batch of one, and its
+    entropies composed alone.  Each block's distance is also held within 1e-14 of
+    the cq-state route, the output state's ``distance_to_uniform``."""
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(count):
@@ -345,8 +348,10 @@ def _b2_markov_oracle(count, seed):
         ext = deor_extractor(fam)
         delta = 0.0
         for w, (s1, s2) in zip(scn.weights, scn.factors):
+            [block] = product_strong_distances([(ext, s1, s2)], "x1").tolist()
             out = extractor_output_state(ext, s1, s2, "x1")
-            delta += w * distance_to_uniform(out, 1 << fam.m, True)
+            assert abs(block - distance_to_uniform(out, 1 << fam.m, True)) <= 1e-14
+            delta += w * block
         [(res1, res2)] = h_min_markov_sources([scn])
         kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"

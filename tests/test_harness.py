@@ -177,7 +177,7 @@ def test_every_check_runs_and_passes(check_id, small):
 
 DRAW_DIGESTS = {
     "b1-exhaustive-flat": "3183a7151690ecd59a93ae4039b86f7cec35bcc8a867dc5369e78d23f446232f",
-    "b1-quantum-product": "2c9623e6f0ac50be995fc9d6e69c47bbe26d8342b77f3e36b1492824bf330bbd",
+    "b1-quantum-product": "6b876f30fe292eacc7ffacbe9d096b726cb4f5919c88d0fb238658107a9170a1",
     "b8-weak-quantum": "b5413b3b1e3f10316e0a0c2e25d80b788a27cc691972db29c5160a1a61083031",
     "b2-markov": "07abf47e0085a91d3a5533503b33dd9573d3a386d6804860025b1e1a3287581f",
     "ip-classical": "3eb3ee0b3dba7440c7803a46dfbd68851ad363c2df83eab0943b0fa4ef1b3692",
@@ -191,6 +191,20 @@ DRAW_DIGESTS = {
     "one-two-norm": "e8eba841a7c7e2c5e77ea7cba7c6373589b194b5ae4a8ba8ac2df2b009846f51",
     "bound-ordering": "3f9ad161a66910c3cb7d1dc58d46f9ade8fa31cf64d329ae20729b8643e781e6",
 }
+
+
+def test_bound_ordering_entropy_draws_are_uniform_draws():
+    # bound-ordering draws k1 and k2 as n·random(); uniform(0, n) computes
+    # 0.0 + n·random() from the same 64-bit word, so both values and the
+    # generator state are bit for bit those of two uniform(0, n) calls.
+    fast, uniform = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(20000):
+        n = int(fast.integers(2, 25))
+        assert n == int(uniform.integers(2, 25))
+        k1, k2 = n * fast.random(), n * fast.random()
+        assert (k1.hex(), k2.hex()) == (float(uniform.uniform(0, n)).hex(),
+                                        float(uniform.uniform(0, n)).hex())
+    assert fast.bit_generator.state == uniform.bit_generator.state
 
 
 @pytest.mark.parametrize("check_id,params,match", [
@@ -620,8 +634,9 @@ def test_summary_counts_unconverged_rows():
 # the pretty-good measurement, when h2_cond became gap-certified and
 # hmin-le-h2 rows gained convergence flags, when the guessing probability
 # became exact for support rank k <= 2 or N <= 2 blocks, when a
-# lockstep primal-dual solver replaced the barrier, and when b2-markov's
-# distances and entropies were composed from its blocks.
+# lockstep primal-dual solver replaced the barrier, when b2-markov's
+# distances and entropies were composed from its blocks, and when its blocks'
+# distances came from the strong product route.
 OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b1-exhaustive-flat",
      "params": {"ns": [3, 4], "ms": [1, 2], "families": ["field", "shift"],
@@ -634,7 +649,7 @@ OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 8, "n_max": 3}},
     {"id": "hmin-le-h2", "params": {"count": 20}},
 ]}
-OUTPUT_PATHS_DIGEST = "918115fe2b446d7578b6a325937c91f73bc8a399f57f9629e22154596eb702fa"
+OUTPUT_PATHS_DIGEST = "770574fdb0ab7b72a33551c80dc642b15414049ce949c743927b80e7588f0007"
 
 
 def test_output_paths_report_digest(tmp_path):
@@ -651,13 +666,14 @@ def test_output_paths_report_digest(tmp_path):
 # for them at positions 4 and 10.  Taken before the bound catalog became a table;
 # re-taken when the guessing probability became exact for k <= 2 or N <= 2 and
 # hmin-linear-drop's params took the scenario's r, when a lockstep
-# primal-dual solver replaced the barrier, and when b2-markov went from its
-# dense joint state, at n_max 4, to its blocks, at n_max 8.
+# primal-dual solver replaced the barrier, when b2-markov went from its
+# dense joint state, at n_max 4, to its blocks, at n_max 8, and when its blocks'
+# distances came from the strong product route.
 FULL_ONLY_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 40, "n_max": 8}, "seed": 7 * 1000003 + 4},
     {"id": "hmin-linear-drop", "params": {}, "seed": 7 * 1000003 + 10},
 ]}
-FULL_ONLY_DIGEST = "5bd0684343832ac08f122e99f8e58e8b6893aeab3d4cae2a13bf3c0d936a159e"
+FULL_ONLY_DIGEST = "de34554045496dab7877b2969a12139b8f19007006b307bdc01280427b86d09f"
 
 
 def test_full_only_rows_report_digest():
@@ -694,7 +710,7 @@ def test_relabel_paths_report_digest():
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
-PAPER_TABLE_1_DIGEST = "b91763bbc5b73ced920fea062ee1fce6c00b15bab6210815e266ed4e3fd6285f"
+PAPER_TABLE_1_DIGEST = "3a63e5000acee0a055342ce754ad180877ddeaed9a4d1c3634bf919da693fdb6"
 
 
 def test_paper_table_1_report_digest():
@@ -904,7 +920,7 @@ def _blank_runtimes(report_csv: str) -> str:
 
 # sha256 of report.csv for `verify --suite paper-table-1 --seed 42` with the
 # runtime_ms column blanked: the CSV's counterpart of PAPER_TABLE_1_DIGEST.
-PAPER_TABLE_1_CSV_DIGEST = "e831988e66f2918adb3c171348714acdd8bb5629b356b6f9baa474263d86d0e0"
+PAPER_TABLE_1_CSV_DIGEST = "9847b8e7ad9fb40cca993cb71fa9193507de1f1f6616fc27be8076822ba655e2"
 
 
 def test_paper_table_1_csv_digest():

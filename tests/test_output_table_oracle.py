@@ -412,10 +412,23 @@ def test_flat_grid_distances_refuses_bad_input():
         flat_grid_distances(table + 1, 1, labels, "x2")
 
 
-def test_quantum_side_flat_grids_take_the_cq_route(monkeypatch):
+def test_quantum_side_flat_grids_take_the_product_route(monkeypatch):
+    # One product_strong_distances call per grid, never the counting route or an
+    # output state; the cq-state route is the oracle of each grid entry.
     monkeypatch.setattr(checks, "flat_grid_distances", None)    # classical grids only
+    monkeypatch.setattr(checks, "extractor_output_state", None)     # the weak check's only
+    grids, kernel = [], checks.product_strong_distances
+    monkeypatch.setattr(checks, "product_strong_distances",
+                        lambda pairs, strong_in: grids.append((pairs, strong_in))
+                        or kernel(pairs, strong_in))
     params = {"ns": [3], "sides": ["bb84", "random_pure"]}
     flat = run_check("b1-exhaustive-flat", {"params": params})
     ip = run_check("ip-classical", {"params": {"ns": [3], "sides": params["sides"]}})
     assert len(flat) == 2 * 2 * 2 * 16 and len(ip) == 2 * 16
     assert all(r.passed for r in flat + ip)
+    assert len(grids) == 2 * 2 * 2 + 2
+    for pairs, strong_in in grids[::3]:
+        got = kernel(pairs, strong_in)
+        for (ext, s1, s2), delta in zip(pairs, got.tolist()):
+            out = extractor_output_state(ext, s1, s2, strong_in)
+            assert abs(delta - distance_to_uniform(out, 1 << ext.m, strong=True)) <= 1e-14
