@@ -14,8 +14,6 @@ from .cq_states import (
     MarkovScenario,
     apply_classical_function,
     build_cq,
-    distance_to_uniform,
-    extractor_output_state,
     markov_block_state,
     marginal_side,
     product,

@@ -14,23 +14,23 @@ Sums over blocks, and over the distance terms of ``_distance_terms``, add
 one at a time in sorted-symbol order, so results are bit-reproducible.
 The classical register is relabelled by one kernel,
 :func:`relabelled_stacks`, over P zero-padded states at once;
-:func:`apply_classical_function` is its batch of one, and the extractor
-output builder sums each source's blocks per output through it.  The
-strong distance of a product pair never forms its output state:
-:func:`product_strong_distances` reads only the copied source's block
-traces and sums the other source's blocks per (copied symbol, output)
-through the same kernel.
+:func:`apply_classical_function` is its batch of one.  The distance of
+a product pair's extractor output never forms its output state:
+:func:`product_distances` sums one source's blocks per (other source's
+symbol, output) through the same kernel.  A strong output then reads only
+the copied source's block traces; a weak one tensors those sums with the
+other source's blocks and sums the pieces per output through the kernel
+again.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .gf2 import _symbol_indices, all_bit_vectors
+from .gf2 import _symbol_indices
 from .operators import (
     _not_psd,
     check_unit_traces,
@@ -304,43 +304,6 @@ def _strong_flag(strong_in) -> str | None:
     return strong_in
 
 
-def _grouped(stack: np.ndarray, outputs: np.ndarray, n_out: int):
-    """``stack`` relabelled by each row of ``outputs`` (:func:`relabelled_stacks`): the
-    (R, n_out, d, d) sums over the columns with output z and their (R, n_out) mask."""
-    return relabelled_stacks(np.broadcast_to(stack, outputs.shape + stack.shape[1:]),
-                             np.ones(outputs.shape, dtype=bool), outputs, n_out)
-
-
-def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqState:
-    """State of (Ext(X1, X2), [X_i copy], C1 C2) for independent sources.
-
-    The classical register is the output z for a weak evaluation, or the
-    pair (z, x_i) when strong_in names a source; the side register is
-    always C1 (x) C2.  Outputs come from ``ext.table``; the blocks of one
-    source are summed per (other source's symbol, z) before tensoring, so
-    the full joint operator is never built.  The weak output is the strong
-    (z, x1) state with x1 dropped by :func:`apply_classical_function`.
-    """
-    flag = _strong_flag(strong_in)
-    sym1, sym2 = s1.symbols(), s2.symbols()
-    outputs = ext.table[np.ix_(_symbol_indices(sym1, ext.n, "source 1"),
-                               _symbol_indices(sym2, ext.n, "source 2"))]
-    z_bits = all_bit_vectors(ext.m)
-    n_out = len(z_bits)
-    # Pieces follow (z, copied symbol) order, the sorted order of the output symbols.
-    if flag == "x2":
-        sums, present = _grouped(s1.stack, outputs.T, n_out)
-        zs, rows = np.nonzero(present.T)
-        pieces, copied = tensor(sums[rows, zs], s2.stack[rows]), sym2
-    else:
-        sums, present = _grouped(s2.stack, outputs, n_out)
-        zs, rows = np.nonzero(present.T)
-        pieces, copied = tensor(s1.stack[rows], sums[rows, zs]), sym1
-    keys = [(z_bits[z], copied[r]) for z, r in zip(zs.tolist(), rows.tolist())]
-    strong = CqState._from_stack(keys, pieces)
-    return strong if flag else apply_classical_function(strong, lambda sym: sym[0])
-
-
 def _distance_terms(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape,
                     uniform_dim: int) -> np.ndarray:
     """Distance-to-uniform terms of ``shape[0]`` states, as a (states, slots + 1) array.
@@ -368,7 +331,8 @@ def _distance_terms(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shap
 
 
 def weak_distances(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """:func:`distance_to_uniform` of P weak output states, as a (P,) array.
+    """Exact trace distance δ(ρ_ZC, ω ⊗ ρ_C) to uniform of P weak output states, as a
+    (P,) array.
 
     State i is the zero-padded stack stacks[i], (S, d, d), with its blocks in
     sorted-symbol order where present[i] holds (:func:`padded_stacks`); the
@@ -381,74 +345,60 @@ def weak_distances(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
     return 0.5 * _block_sum(terms, axis=1)
 
 
-def distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) -> float:
-    """Exact trace distance to (uniform output) (x) (rest of the state).
-
-    For a weak output state (symbols are z themselves) this is
-    delta(rho_{ZC}, omega (x) rho_C); for a strong one (symbols are (z, x_i)
-    pairs) it is the expectation over x_i of the per-x_i distances.  Either
-    is half the running total of :func:`_distance_terms` (one state per x_i,
-    in sorted order, when strong), which counts the output symbols of weight
-    zero that the alphabet omits; :func:`weak_distances` batches the weak case.
-    """
-    symbols = state.symbols()
-    if strong:
-        for sym in symbols:
-            if not (isinstance(sym, tuple) and len(sym) == 2):
-                raise ValueError(f"strong output symbols must be (z, x) pairs, got {sym!r}")
-        # State g is the g-th x_i in sorted order.  In sorted-symbol order each
-        # x_i's blocks come in z order, so their slots count up from 0.
-        slots = {rest: itertools.count() for rest in sorted({rest for _, rest in symbols})}
-        group_of = {rest: g for g, rest in enumerate(slots)}
-        rows, cols = np.array([(group_of[rest], next(slots[rest])) for _, rest in symbols],
-                              dtype=np.intp).reshape(-1, 2).T
-    else:
-        rows, cols = np.zeros(len(symbols), dtype=np.intp), np.arange(len(symbols))
-    terms = _distance_terms(state.stack, rows, cols,
-                            (rows.max(initial=-1) + 1, cols.max(initial=-1) + 1), uniform_dim)
-    return float(0.5 * _block_sum(terms.ravel()))
-
-
-def product_strong_distances(pairs, strong_in: str) -> np.ndarray:
-    """Strong distance to uniform of P product pairs (ext, s1, s2), as a (P,) array,
+def product_distances(pairs, strong_in=None) -> np.ndarray:
+    """Distance to uniform of the output of P product pairs (ext, s1, s2), as a (P,) array,
     each bit for bit what it gives alone.
 
-    The copied source X is s1 for ``strong_in="x1"`` and s2 for "x2"; Y is
-    the other.  Given x, the output is a function of y alone, and X's side
+    X, the row source, is s1 for ``strong_in="x1"`` or None and s2 for "x2";
+    Y is the other.  A_{x,z} = Σ_{y: Ext(x,y)=z} ω_y sums Y's blocks ω_y per
+    output.  Pairs are grouped by (n, m, Y's side dimension), and for a weak
+    output by X's too.  One :func:`relabelled_stacks` call per group sums
+    each A_{x,z} through ``ext.table``, rows (pair, x) in row-major order and
+    Y's blocks in sorted-symbol slots.
+
+    Strong in X: given x, the output is a function of y alone, and X's side
     register is a tensor factor of trace p(x) in each of x's blocks, so
 
-        δ = Σ_x p(x) · ½ Σ_z ‖A_{x,z} − ρ_Y/2^m‖₁,  A_{x,z} = Σ_{y: Ext(x,y)=z} ω_y,
+        δ = Σ_x p(x) · ½ Σ_z ‖A_{x,z} − ρ_Y/2^m‖₁,
 
-    with ω_y Y's blocks: X's side register never enters, and of X only its
-    block traces p(x) are read.  Pairs are grouped by (n, m, Y's side
-    dimension).  One :func:`relabelled_stacks` call per group sums each
-    A_{x,z} through ``ext.table``, rows (pair, x) in row-major order and Y's
-    blocks in sorted-symbol slots; one :func:`_distance_terms` call gives one
-    row of terms per (pair, x); and each pair's p(x) · ½ Σ_z terms are added
-    as a running total in sorted x order.  It equals :func:`distance_to_uniform`
-    of the strong :func:`extractor_output_state` up to rounding.
+    and of X only its block traces p(x) are read.  One :func:`_distance_terms`
+    call gives one row of terms per (pair, x), and each pair's p(x) · ½ Σ_z
+    terms are added as a running total in sorted x order.
+
+    Weak (``strong_in=None``): the output blocks are B_z = Σ_x ρ_x ⊗ A_{x,z},
+    with ρ_x X's blocks.  The pieces ρ_x ⊗ A_{x,z} of the occupied (x, z)
+    slots are summed per (pair, z) by one more :func:`relabelled_stacks`
+    call, in row-major (pair, x, z) order, so each B_z adds its pieces in
+    sorted x order, and :func:`weak_distances` gives the distances.
     """
-    if _strong_flag(strong_in) is None:
-        raise ValueError("product_strong_distances needs strong_in 'x1' or 'x2', not None")
+    flag = _strong_flag(strong_in)
     deltas = np.zeros(len(pairs))
     groups = {}
     for i, (ext, s1, s2) in enumerate(pairs):
-        copied, other = (s1, s2) if strong_in == "x1" else (s2, s1)
-        table = ext.table if strong_in == "x1" else ext.table.T
-        groups.setdefault((ext.n, ext.m, other.side_dim), []).append((i, table, copied, other))
-    for (n, m, _), members in groups.items():
-        at, tables, copied, others = zip(*members)
-        xs = [_symbol_indices(s.symbols(), n, "copied source") for s in copied]
+        x, y, table = (s2, s1, ext.table.T) if flag == "x2" else (s1, s2, ext.table)
+        key = (ext.n, ext.m, y.side_dim, x.side_dim if flag is None else 0)
+        groups.setdefault(key, []).append((i, table, x, y))
+    x_name, y_name = ("source 2", "source 1") if flag == "x2" else ("source 1", "source 2")
+    for (n, m, *_), members in groups.items():
+        at, tables, x_states, y_states = zip(*members)
+        xs = [_symbol_indices(s.symbols(), n, x_name) for s in x_states]
         padded, present = padded_stacks(
-            [(s.stack, _symbol_indices(s.symbols(), n, "other source")) for s in others], 1 << n)
+            [(s.stack, _symbol_indices(s.symbols(), n, y_name)) for s in y_states], 1 << n)
         owner = np.repeat(np.arange(len(at)), [len(x) for x in xs])
         images = np.concatenate([table[x] for table, x in zip(tables, xs)], dtype=np.intp)
         sums, occupied = relabelled_stacks(padded[owner], present[owner], images, 1 << m)
-        rows, cols = np.nonzero(occupied)
-        terms = _distance_terms(sums[rows, cols], rows, cols, occupied.shape, 1 << m)
+        rows, zs = np.nonzero(occupied)
+        if flag is None:
+            pieces = tensor(np.concatenate([s.stack for s in x_states])[rows], sums[rows, zs])
+            blocks, filled = relabelled_stacks(pieces[None], np.ones((1, len(rows)), dtype=bool),
+                                               (owner[rows] << m)[None] + zs, len(at) << m)
+            deltas[list(at)] = weak_distances(blocks.reshape((len(at), 1 << m) + pieces.shape[1:]),
+                                              filled.reshape(len(at), 1 << m))
+            continue
+        terms = _distance_terms(sums[rows, zs], rows, zs, occupied.shape, 1 << m)
         # Each pair's per-x distances in x slots, zero elsewhere, added in slot order.
         per_x = np.zeros((len(at), 1 << n))
-        probs = np.concatenate([_traces(s.stack) for s in copied])
+        probs = np.concatenate([_traces(s.stack) for s in x_states])
         per_x[owner, np.concatenate(xs)] = probs * (0.5 * _block_sum(terms, axis=1))
         deltas[list(at)] = _block_sum(per_x, axis=1)
     return deltas
@@ -460,9 +410,9 @@ def flat_grid_distances(table: np.ndarray, m: int, side_labels: np.ndarray,
 
     Source i is uniform on the inputs below 2^k_i, and input x carries the
     classical side symbol ``side_labels[x]`` (all 0 for a trivial side
-    register).  Entry [k1, k2] of the returned (n+1, n+1) array is what
-    :func:`distance_to_uniform` gives for the strong output state of that
-    pair, as the exact dyadic rational g / 2^(k1+k2+m+1) with
+    register).  Entry [k1, k2] of the returned (n+1, n+1) array is the strong
+    distance of that pair (:func:`product_distances`), as the exact dyadic
+    rational g / 2^(k1+k2+m+1) with
     g = Σ_{x1 < 2^k1} Σ_{z,c} |2^m·N(x1, z, c) − N(c)|, where N(x1, z, c)
     counts the x2 < 2^k2 with table[x1, x2] = z and side symbol c, and N(c)
     counts the x2 < 2^k2 with side symbol c.  For ``strong_in="x2"`` the

@@ -26,13 +26,11 @@ from ..cq_states import (
     _traces,
     apply_classical_function,
     classical_state,
-    distance_to_uniform,
-    extractor_output_state,
     flat_grid_distances,
     markov_block_state,
     padded_stacks,
     pair_cmis,
-    product_strong_distances,
+    product_distances,
     relabelled_stacks,
     weak_distances,
 )
@@ -162,8 +160,10 @@ def _check(check_id: str, choices=None, max_m=None, **defaults):
 
 
 @functools.lru_cache(maxsize=None)
-def _family(kind: str, n: int, m: int):
-    return FAMILY_BUILDERS[kind](n, m)
+def _extractor(kind: str, n: int, m: int):
+    """The deor extractor of the (kind, n, m) family, built once, so every scenario
+    on the family shares its output table."""
+    return deor_extractor(FAMILY_BUILDERS[kind](n, m))
 
 
 def _k_params(n, m, r, k1, k2):
@@ -176,29 +176,30 @@ def _catalog(bounds, params: dict, measured) -> list:
     return [(b, measured, bound_value(b, params)) for b in bounds]
 
 
-def _random_family(rng: np.random.Generator, n_min: int, n_max: int, m_max: int):
+def _random_extractor(rng: np.random.Generator, n_min: int, n_max: int, m_max: int):
     n = int(rng.integers(n_min, n_max + 1))
     m = int(rng.integers(1, min(m_max, n) + 1))
     kind = "field" if rng.random() < 0.5 else "shift"
-    return kind, _family(kind, n, m)
+    return kind, _extractor(kind, n, m)
 
 
 def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
-    """A random family and two random flat sources: the family kind, the family,
-    the sources' models ("bb84,random_pure", for example) and the two sources.
+    """A random family's extractor and two random flat sources: the family kind, the
+    extractor, the sources' models ("bb84,random_pure", for example) and the two
+    sources, whose output distance :func:`product_distances` gives.
 
     Each source draws a bb84 or random_pure side model (:func:`_random_source`).
     For a strong output the copied source (``strong_in``) keeps only its flat
     distribution, under a trivial side register: its side register never
-    enters the strong distance (:func:`product_strong_distances`), and a
-    quantum one could only lower its certified min-entropy, and so loosen
-    every bound, without moving the distance.  Its k is then exact, from the
-    closed form.  The generator moves as for two quantum sources.
+    enters the strong distance, and a quantum one could only lower its
+    certified min-entropy, and so loosen every bound, without moving the
+    distance.  Its k is then exact, from the closed form.  The generator
+    moves as for two quantum sources.
     """
-    kind, fam = _random_family(rng, n_min, n_max, m_max)
-    (model1, state1), (model2, state2) = (_random_source(fam.n, rng, trivial=strong_in == "x1"),
-                                          _random_source(fam.n, rng, trivial=strong_in == "x2"))
-    return kind, fam, f"{model1},{model2}", state1, state2
+    kind, ext = _random_extractor(rng, n_min, n_max, m_max)
+    (model1, state1), (model2, state2) = (_random_source(ext.n, rng, trivial=strong_in == "x1"),
+                                          _random_source(ext.n, rng, trivial=strong_in == "x2"))
+    return kind, ext, f"{model1},{model2}", state1, state2
 
 
 def _with_sources_solved(scenarios) -> list:
@@ -233,17 +234,15 @@ def _flat_grid(ext, side: str, states: list, strong_in) -> list:
     integer pass over ``ext.table``, :func:`flat_grid_distances`, gives every
     distance; besides the table it holds O(2^n·2^m·d) counts.  The side
     symbol of each input is read off the full-support state's diagonal
-    blocks.  Quantum side models take the strong product route, one
-    :func:`product_strong_distances` call over every pair of the grid, which
-    every strong product check uses.  The cq-state route,
-    :func:`extractor_output_state` and :func:`distance_to_uniform` per pair,
-    is the oracle of both in the tests.
+    blocks.  Quantum side models take the product route, one
+    :func:`product_distances` call over every pair of the grid, which every
+    product check uses.
     """
     if side in CLASSICAL_SIDES:
         labels = np.argmax(states[-1].stack.diagonal(axis1=1, axis2=2).real, axis=1)
         return flat_grid_distances(ext.table, ext.m, labels, strong_in).tolist()
     pairs = [(ext, s1, s2) for s1 in states for s2 in states]
-    return product_strong_distances(pairs, strong_in).reshape(len(states), -1).tolist()
+    return product_distances(pairs, strong_in).reshape(len(states), -1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +258,12 @@ def _b1_exhaustive(p, rng):
     for kind in p["families"]:
         for n in p["ns"]:
             for m in p["ms"]:
-                fam = _family(kind, n, m)
-                ext = deor_extractor(fam)
+                ext = _extractor(kind, n, m)
                 for side in p["sides"]:
                     states, ks = sources[n, side]
                     grid = _flat_grid(ext, side, states, p["strong_in"])
                     for k1, k2 in itertools.product(range(n + 1), repeat=2):
-                        kp = _k_params(n, m, fam.r, ks[k1], ks[k2])
+                        kp = _k_params(n, m, ext.family.r, ks[k1], ks[k2])
                         yield Case(kp, f"{kind} n={n} m={m} side={side} flat=({k1},{k2})",
                                    _catalog(p["bounds"], kp, grid[k1][k2]))
 
@@ -277,32 +275,36 @@ def _b1_quantum(p, rng):
     """Randomized product-type scenarios, quantum side information on the source
     that is not copied (:func:`_random_deor_output`), with certified entropies.
 
-    Every scenario is drawn first; one :func:`product_strong_distances` call
-    gives every distance and one :func:`h_min_cond_many` every entropy
+    Every scenario is drawn first; one :func:`product_distances` call gives
+    every distance and one :func:`h_min_cond_many` every entropy
     (:func:`_with_sources_solved`).
     """
     drawn = [_random_deor_output(rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
              for _ in range(p["count"])]
-    deltas = product_strong_distances([(deor_extractor(fam), s1, s2)
-                                       for _, fam, _, s1, s2 in drawn], p["strong_in"])
-    for (kind, fam, models, _, _, res1, res2), delta in zip(_with_sources_solved(drawn),
+    deltas = product_distances([(ext, s1, s2) for _, ext, _, s1, s2 in drawn], p["strong_in"])
+    for (kind, ext, models, _, _, res1, res2), delta in zip(_with_sources_solved(drawn),
                                                            deltas.tolist()):
-        kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
-        yield Case(kp, f"{kind} n={fam.n} m={fam.m} sides=({models})",
+        kp = _k_params(ext.n, ext.m, ext.family.r, res1.value, res2.value)
+        yield Case(kp, f"{kind} n={ext.n} m={ext.m} sides=({models})",
                    _catalog(p["bounds"], kp, delta), _source_flags(res1, res2))
 
 
 @_check("b8-weak-quantum", count=50, n_max=4,
         choices={"n_max": ("n_max", range(WEAK_N_MIN, SOURCE_N_MAX + 1))})
 def _b8_weak(p, rng):
-    """Weak-output variant, both sources quantum: the weak output does not factorise,
-    so its distance takes the cq-state route."""
-    for kind, fam, _, s1, s2, res1, res2 in _with_sources_solved(
-            _random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None) for _ in range(p["count"])):
-        delta = distance_to_uniform(extractor_output_state(deor_extractor(fam), s1, s2),
-                                    1 << fam.m)
-        kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
-        yield Case(kp, f"{kind} n={fam.n} m={fam.m} weak", _catalog(("B8",), kp, delta),
+    """Weak-output variant, both sources quantum.
+
+    Every scenario is drawn first; one weak :func:`product_distances` call
+    gives every distance, from the output blocks Σ_x1 ρ_x1 ⊗ A_{x1,z}, and
+    one :func:`h_min_cond_many` every entropy (:func:`_with_sources_solved`).
+    """
+    drawn = [_random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None)
+             for _ in range(p["count"])]
+    deltas = product_distances([(ext, s1, s2) for _, ext, _, s1, s2 in drawn])
+    for (kind, ext, _, _, _, res1, res2), delta in zip(_with_sources_solved(drawn),
+                                                       deltas.tolist()):
+        kp = _k_params(ext.n, ext.m, ext.family.r, res1.value, res2.value)
+        yield Case(kp, f"{kind} n={ext.n} m={ext.m} weak", _catalog(("B8",), kp, delta),
                    _source_flags(res1, res2))
 
 
@@ -315,26 +317,25 @@ def _b2_markov(p, rng):
     formed together (:func:`_markov_scenarios`), and their marginals are
     solved together (:func:`h_min_markov_sources`).  C is a direct sum over
     blocks, so the distance is sum_j w_j delta_j over the blocks' products,
-    in block order; one :func:`product_strong_distances` call gives every
-    block's delta_j.
+    in block order; one :func:`product_distances` call gives every block's
+    delta_j.
     """
     drawn = []
     for _ in range(p["count"]):
-        kind, fam = _random_family(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
+        kind, ext = _random_extractor(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
         classical = bool(rng.random() < 0.5)
         blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
-        drawn.append((kind, fam, classical, blocks, _markov_draw(
-            fam.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical)))
+        drawn.append((kind, ext, classical, blocks, _markov_draw(
+            ext.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical)))
     scenarios = _markov_scenarios([draw for *_, draw in drawn])
-    exts = [deor_extractor(fam) for _, fam, *_ in drawn]
-    deltas = iter(product_strong_distances([(ext, s1, s2) for ext, scn in zip(exts, scenarios)
-                                            for s1, s2 in scn.factors], "x1").tolist())
-    for (kind, fam, classical, blocks, _), scn, (res1, res2) in zip(
+    deltas = iter(product_distances([(ext, s1, s2) for (_, ext, *_), scn in zip(drawn, scenarios)
+                                     for s1, s2 in scn.factors], "x1").tolist())
+    for (kind, ext, classical, blocks, _), scn, (res1, res2) in zip(
             drawn, scenarios, h_min_markov_sources(scenarios)):
         delta = sum(w * next(deltas) for w in scn.weights)
-        kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
+        kp = _k_params(ext.n, ext.m, ext.family.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
-        yield Case(kp, f"{kind} n={fam.n} m={fam.m} {model} blocks={blocks}",
+        yield Case(kp, f"{kind} n={ext.n} m={ext.m} {model} blocks={blocks}",
                    _catalog(p["bounds"], kp, delta), _source_flags(res1, res2))
 
 

@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from extraction_lab.cq_states import (
     CqState,
+    _block_sum,
+    _distance_terms,
     _strong_flag,
     apply_classical_function,
     build_cq,
     classical_state,
     markov_block_state,
+    relabelled_stacks,
 )
 from extraction_lab.gf2 import _symbol_indices, all_bit_vectors, index_to_bits
 from extraction_lab.operators import (
@@ -16,6 +21,7 @@ from extraction_lab.operators import (
     partial_trace,
     random_density,
     random_pure_state,
+    tensor,
     von_neumann_entropies,
 )
 
@@ -55,6 +61,73 @@ def dense_cq(state: CqState, symbols=None) -> np.ndarray:
         if sym in state.blocks:
             out[i * d:(i + 1) * d, i * d:(i + 1) * d] = state.blocks[sym]
     return out
+
+
+# -- the per-state output route, the oracle of cq_states.product_distances --------
+
+def _grouped(stack: np.ndarray, outputs: np.ndarray, n_out: int):
+    """``stack`` relabelled by each row of ``outputs`` (``relabelled_stacks``): the
+    (R, n_out, d, d) sums over the columns with output z and their (R, n_out) mask."""
+    return relabelled_stacks(np.broadcast_to(stack, outputs.shape + stack.shape[1:]),
+                             np.ones(outputs.shape, dtype=bool), outputs, n_out)
+
+
+def extractor_output_state(ext, s1: CqState, s2: CqState, strong_in=None) -> CqState:
+    """State of (Ext(X1, X2), [X_i copy], C1 C2) for independent sources.
+
+    The classical register is the output z for a weak evaluation, or the
+    pair (z, x_i) when strong_in names a source; the side register is
+    always C1 (x) C2.  Outputs come from ``ext.table``; the blocks of one
+    source are summed per (other source's symbol, z) before tensoring, so
+    the full joint operator is never built.  The weak output is the strong
+    (z, x1) state with x1 dropped by ``apply_classical_function``.
+    """
+    flag = _strong_flag(strong_in)
+    sym1, sym2 = s1.symbols(), s2.symbols()
+    outputs = ext.table[np.ix_(_symbol_indices(sym1, ext.n, "source 1"),
+                               _symbol_indices(sym2, ext.n, "source 2"))]
+    z_bits = all_bit_vectors(ext.m)
+    n_out = len(z_bits)
+    # Pieces follow (z, copied symbol) order, the sorted order of the output symbols.
+    if flag == "x2":
+        sums, present = _grouped(s1.stack, outputs.T, n_out)
+        zs, rows = np.nonzero(present.T)
+        pieces, copied = tensor(sums[rows, zs], s2.stack[rows]), sym2
+    else:
+        sums, present = _grouped(s2.stack, outputs, n_out)
+        zs, rows = np.nonzero(present.T)
+        pieces, copied = tensor(s1.stack[rows], sums[rows, zs]), sym1
+    keys = [(z_bits[z], copied[r]) for z, r in zip(zs.tolist(), rows.tolist())]
+    strong = CqState._from_stack(keys, pieces)
+    return strong if flag else apply_classical_function(strong, lambda sym: sym[0])
+
+
+def distance_to_uniform(state: CqState, uniform_dim: int, strong: bool = False) -> float:
+    """Exact trace distance to (uniform output) (x) (rest of the state).
+
+    For a weak output state (symbols are z themselves) this is
+    delta(rho_{ZC}, omega (x) rho_C); for a strong one (symbols are (z, x_i)
+    pairs) it is the expectation over x_i of the per-x_i distances.  Either
+    is half the running total of ``_distance_terms`` (one state per x_i, in
+    sorted order, when strong), which counts the output symbols of weight
+    zero that the alphabet omits.
+    """
+    symbols = state.symbols()
+    if strong:
+        for sym in symbols:
+            if not (isinstance(sym, tuple) and len(sym) == 2):
+                raise ValueError(f"strong output symbols must be (z, x) pairs, got {sym!r}")
+        # State g is the g-th x_i in sorted order.  In sorted-symbol order each
+        # x_i's blocks come in z order, so their slots count up from 0.
+        slots = {rest: itertools.count() for rest in sorted({rest for _, rest in symbols})}
+        group_of = {rest: g for g, rest in enumerate(slots)}
+        rows, cols = np.array([(group_of[rest], next(slots[rest])) for _, rest in symbols],
+                              dtype=np.intp).reshape(-1, 2).T
+    else:
+        rows, cols = np.zeros(len(symbols), dtype=np.intp), np.arange(len(symbols))
+    terms = _distance_terms(state.stack, rows, cols,
+                            (rows.max(initial=-1) + 1, cols.max(initial=-1) + 1), uniform_dim)
+    return float(0.5 * _block_sum(terms.ravel()))
 
 
 # -- the dense Markov route, the oracle of the block route ------------------------

@@ -10,8 +10,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import distance_to_uniform
+
 from extraction_lab.cli import main as cli_main
-from extraction_lab.cq_states import classical_state, distance_to_uniform
+from extraction_lab.cq_states import classical_state
 from extraction_lab.extractors import ip_extractor
 from extraction_lab.harness import run_check
 from extraction_lab.xor_analysis import (

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import distance_to_uniform
+
 from extraction_lab.cq_states import (
     CqState,
     _block_sum,
     apply_classical_function,
     build_cq,
     classical_state,
-    distance_to_uniform,
     marginal_side,
     padded_stacks,
     product,

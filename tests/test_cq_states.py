@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     conditional_mutual_information,
     dense_cq,
+    distance_to_uniform,
     extractor_output_from_joint,
+    extractor_output_state,
     random_cq_state,
 )
 
@@ -20,8 +22,6 @@ from extraction_lab.cq_states import (
     check_blocks,
     check_unit_traces,
     classical_state,
-    distance_to_uniform,
-    extractor_output_state,
     markov_block_state,
     marginal_side,
     padded_stacks,

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from extraction_lab.cq_states import (
-    classical_state,
-    distance_to_uniform,
-    extractor_output_state,
-)
+from conftest import distance_to_uniform, extractor_output_state
+
+from extraction_lab.cq_states import classical_state
 from extraction_lab.extractors import (
     deor_eval,
     deor_extractor,

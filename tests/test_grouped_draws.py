@@ -23,6 +23,8 @@ from conftest import (
     conditional_mutual_information,
     conditional_mutual_informations,
     dense_cq,
+    distance_to_uniform,
+    extractor_output_state,
     padded_pairs,
 )
 
@@ -30,20 +32,17 @@ from extraction_lab.cq_states import (
     MarkovScenario,
     apply_classical_function,
     build_cq,
-    distance_to_uniform,
-    extractor_output_state,
     markov_block_state,
     pair_cmis,
-    product_strong_distances,
+    product_distances,
 )
 from extraction_lab.entropies import h2_cond, h2_rel, h_min_cond, h_min_markov_sources, h_min_rel
-from extraction_lab.extractors import deor_extractor
 from extraction_lab.gf2 import all_bit_vectors, index_to_bits
 from extraction_lab.harness import checks, scenarios
 from extraction_lab.harness.checks import (
     MARKOV_M_MAX,
     _k_params,
-    _random_family,
+    _random_extractor,
     run_check,
 )
 from extraction_lab.harness.scenarios import (
@@ -340,23 +339,22 @@ def _b2_markov_oracle(count, seed):
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(count):
-        kind, fam = _random_family(rng, 2, 3, MARKOV_M_MAX)
+        kind, ext = _random_extractor(rng, 2, 3, MARKOV_M_MAX)
         classical = bool(rng.random() < 0.5)
         blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
-        scn = _ref_make_markov_scenario(fam.n, blocks, seed=int(rng.integers(2 ** 31)),
+        scn = _ref_make_markov_scenario(ext.n, blocks, seed=int(rng.integers(2 ** 31)),
                                         classical=classical)
-        ext = deor_extractor(fam)
         delta = 0.0
         for w, (s1, s2) in zip(scn.weights, scn.factors):
-            [block] = product_strong_distances([(ext, s1, s2)], "x1").tolist()
+            [block] = product_distances([(ext, s1, s2)], "x1").tolist()
             out = extractor_output_state(ext, s1, s2, "x1")
-            assert abs(block - distance_to_uniform(out, 1 << fam.m, True)) <= 1e-14
+            assert abs(block - distance_to_uniform(out, 1 << ext.m, True)) <= 1e-14
             delta += w * block
         [(res1, res2)] = h_min_markov_sources([scn])
-        kp = _k_params(fam.n, fam.m, fam.r, res1.value, res2.value)
+        kp = _k_params(ext.n, ext.m, ext.family.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
         flags = {"converged1": res1.converged, "converged2": res2.converged}
-        rows += [(f"{kind} n={fam.n} m={fam.m} {model} blocks={blocks}", delta, kp, flags)] * 4
+        rows += [(f"{kind} n={ext.n} m={ext.m} {model} blocks={blocks}", delta, kp, flags)] * 4
     return rows
 
 

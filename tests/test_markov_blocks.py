@@ -20,7 +20,9 @@ import pytest
 from conftest import (
     conditional_mutual_informations,
     dense_cq,
+    distance_to_uniform,
     extractor_output_from_joint,
+    extractor_output_state,
     joint_and_marginals,
     padded_pairs,
     random_cq_state,
@@ -30,8 +32,6 @@ from extraction_lab import entropies
 from extraction_lab.cq_states import (
     apply_classical_function,
     classical_state,
-    distance_to_uniform,
-    extractor_output_state,
     markov_block_state,
     pair_cmis,
 )

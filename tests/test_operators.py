@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import conditional_mutual_information
+from conftest import conditional_mutual_information, distance_to_uniform
 
 import extraction_lab
 from extraction_lab import gf2, operators
@@ -12,7 +12,6 @@ from extraction_lab.cq_states import (
     CqState,
     MarkovScenario,
     classical_state,
-    distance_to_uniform,
 )
 from extraction_lab.entropies import h2_rel, h_min_classical, h_min_rel
 from extraction_lab.extractors import s_component

@@ -6,8 +6,8 @@ Independent routes:
   ``ip_eval``, the s-component evaluator) on every input pair, and the
   inner product's table equals the deor table of the field family at m = 1;
 * the per-pair ``extractor_output_state`` and ``distance_to_uniform`` that
-  the table-driven, stacked versions replaced, kept verbatim below, give
-  bitwise-equal blocks and distances.  Report bytes rest on that equality.
+  the table-driven, stacked versions in conftest replaced, kept verbatim
+  below, give bitwise-equal blocks and distances.  Report bytes rest on that equality.
   The joint builder, conftest's ``extractor_output_from_joint``, the oracle
   of the Markov block route, is held to its per-pair copy the same way;
 * the counted flat-grid distances (``flat_grid_distances``) equal the
@@ -29,8 +29,6 @@ from extraction_lab.cq_states import (
     _strong_flag,
     build_cq,
     classical_state,
-    distance_to_uniform,
-    extractor_output_state,
     flat_grid_distances,
     markov_block_state,
     product,
@@ -53,7 +51,7 @@ from extraction_lab.harness import checks
 from extraction_lab.harness.checks import CLASSICAL_SIDES, _flat_grid, _flat_sources, run_check
 from extraction_lab.harness.scenarios import LEAKS, make_markov_scenario
 from extraction_lab.operators import check_hermitian, random_density, random_pure_state, tensor
-from conftest import extractor_output_from_joint
+from conftest import distance_to_uniform, extractor_output_from_joint, extractor_output_state
 
 FAMILIES = {"field": build_field_family, "shift": build_shift_family}
 
@@ -413,12 +411,11 @@ def test_flat_grid_distances_refuses_bad_input():
 
 
 def test_quantum_side_flat_grids_take_the_product_route(monkeypatch):
-    # One product_strong_distances call per grid, never the counting route or an
-    # output state; the cq-state route is the oracle of each grid entry.
+    # One strong product_distances call per grid, never the counting route; the
+    # cq-state route is the oracle of each grid entry.
     monkeypatch.setattr(checks, "flat_grid_distances", None)    # classical grids only
-    monkeypatch.setattr(checks, "extractor_output_state", None)     # the weak check's only
-    grids, kernel = [], checks.product_strong_distances
-    monkeypatch.setattr(checks, "product_strong_distances",
+    grids, kernel = [], checks.product_distances
+    monkeypatch.setattr(checks, "product_distances",
                         lambda pairs, strong_in: grids.append((pairs, strong_in))
                         or kernel(pairs, strong_in))
     params = {"ns": [3], "sides": ["bb84", "random_pure"]}
@@ -427,6 +424,7 @@ def test_quantum_side_flat_grids_take_the_product_route(monkeypatch):
     assert len(flat) == 2 * 2 * 2 * 16 and len(ip) == 2 * 16
     assert all(r.passed for r in flat + ip)
     assert len(grids) == 2 * 2 * 2 + 2
+    assert {strong_in for _, strong_in in grids} == {"x1"}
     for pairs, strong_in in grids[::3]:
         got = kernel(pairs, strong_in)
         for (ext, s1, s2), delta in zip(pairs, got.tolist()):

@@ -5,9 +5,10 @@ A check that no bound could make fail would show nothing.  For each
 row's coefficient is scaled to 0.99 times the worst ratio the suite found
 for it, and the entries whose rows carry the bound are run again with the
 seeds the suite gave them, so their rows are those of the full run.  Some
-row of that bound must then fail.  The strong product route is powered
-from its measured side too: ``b1-quantum-product``'s and ``b2-markov``'s
-distances, scaled past the check's worst B1 or B2 ratio, must fail rows.
+row of that bound must then fail.  The product route is powered from its
+measured side too: ``b1-quantum-product``'s, ``b2-markov``'s and
+``b8-weak-quantum``'s distances, scaled past the check's worst B1, B2 or
+B8 ratio, must fail rows.
 """
 
 import pytest
@@ -71,10 +72,10 @@ def test_b1_keeps_its_slack_at_eight_tenths(monkeypatch, paper_table_1):
 
 
 def _distance_scaled_run(monkeypatch, paper_table_1, check_id, scale):
-    """The suite's ``check_id`` entry, rerun with every strong product distance times ``scale``."""
+    """The suite's ``check_id`` entry, rerun with every product distance times ``scale``."""
     entries, *_ = paper_table_1
-    kernel = checks.product_strong_distances
-    monkeypatch.setattr(checks, "product_strong_distances",
+    kernel = checks.product_distances
+    monkeypatch.setattr(checks, "product_distances",
                         lambda *args, **kwargs: scale * kernel(*args, **kwargs))
     return run_suite({"name": "power",
                       "checks": [entry for entry in entries if entry["id"] == check_id]})
@@ -108,3 +109,17 @@ def test_b2_markov_distance_fails_past_its_worst_ratio(monkeypatch, paper_table_
                                   factor / ratios["B2"])
     b2 = [r for r in result.reports if r.bound_id == "B2"]
     assert len(b2) == 24 and any(not r.passed for r in b2) == fails
+
+
+@pytest.mark.parametrize("factor,fails", [(1.01, True), (0.99, False)])
+def test_b8_weak_quantum_distance_fails_past_its_worst_ratio(monkeypatch, paper_table_1,
+                                                             factor, fails):
+    # Every b8-weak-quantum distance comes from the weak product route.  A sum that
+    # lost a piece rho_x1 (x) A_{x1,z} or an output z would move the worst B8
+    # ratio, 0.1924, or leave rows that no scaling of the distances could make fail.
+    _, _, ratios, _ = paper_table_1
+    assert ratios["B8"] == pytest.approx(0.1924, abs=1e-4)
+    result = _distance_scaled_run(monkeypatch, paper_table_1, "b8-weak-quantum",
+                                  factor / ratios["B8"])
+    b8 = [r for r in result.reports if r.bound_id == "B8"]
+    assert len(b8) == 20 and any(not r.passed for r in b8) == fails

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import dense_cq, random_cq_state
+from conftest import dense_cq, distance_to_uniform, random_cq_state
 
 from extraction_lab.cq_states import (
     apply_classical_function,
     build_cq,
     classical_state,
-    distance_to_uniform,
     marginal_side,
 )
 from extraction_lab.gf2 import all_bit_vectors
