@@ -42,6 +42,15 @@ from .operators import (
 )
 
 
+# product_distances evaluates a group of pairs in consecutive chunks whose
+# padded rows, Σ|X|·2^n·d² complex entries (|X| the row source's symbols, d
+# the other source's side dimension), stay within this budget, and a heavier
+# pair's rows in slices that do.  Each (pair, x) row is bit for bit the same
+# alone, so the split moves no value.  The built-in suites' largest group
+# weighs 844 800, so each of their groups is one chunk.
+PAIR_BUDGET = 1 << 20
+
+
 class CqState:
     """Sorted symbols and the read-only (N, d, d) ``stack`` of their blocks.
 
@@ -352,9 +361,12 @@ def product_distances(pairs, strong_in=None) -> np.ndarray:
     X, the row source, is s1 for ``strong_in="x1"`` or None and s2 for "x2";
     Y is the other.  A_{x,z} = Σ_{y: Ext(x,y)=z} ω_y sums Y's blocks ω_y per
     output.  Pairs are grouped by (n, m, Y's side dimension), and for a weak
-    output by X's too.  One :func:`relabelled_stacks` call per group sums
-    each A_{x,z} through ``ext.table``, rows (pair, x) in row-major order and
-    Y's blocks in sorted-symbol slots.
+    output by X's too, and a group is split into consecutive chunks whose
+    padded rows, Σ|X|·2^n·d² entries, stay within ``PAIR_BUDGET``; a heavier
+    pair is a chunk of its own, and its rows are taken in slices that do.
+    One :func:`relabelled_stacks` call per chunk (or slice) sums each A_{x,z}
+    through ``ext.table``, rows (pair, x) in row-major order and Y's blocks
+    in sorted-symbol slots.
 
     Strong in X: given x, the output is a function of y alone, and X's side
     register is a tensor factor of trace p(x) in each of x's blocks, so
@@ -373,20 +385,31 @@ def product_distances(pairs, strong_in=None) -> np.ndarray:
     """
     flag = _strong_flag(strong_in)
     deltas = np.zeros(len(pairs))
-    groups = {}
+    chunks, filling = [], {}    # filling: each group's last chunk and its weight
     for i, (ext, s1, s2) in enumerate(pairs):
         x, y, table = (s2, s1, ext.table.T) if flag == "x2" else (s1, s2, ext.table)
         key = (ext.n, ext.m, y.side_dim, x.side_dim if flag is None else 0)
-        groups.setdefault(key, []).append((i, table, x, y))
+        weight = len(x.stack) * y.side_dim ** 2 << ext.n     # its rows of `padded[owner]`
+        members, held = filling.get(key, (None, 0))
+        if members is None or held + weight > PAIR_BUDGET:
+            members, held = [], 0
+            chunks.append((key, members))
+        members.append((i, table, x, y))
+        filling[key] = members, held + weight
     x_name, y_name = ("source 2", "source 1") if flag == "x2" else ("source 1", "source 2")
-    for (n, m, *_), members in groups.items():
+    for (n, m, *_), members in chunks:
         at, tables, x_states, y_states = zip(*members)
         xs = [_symbol_indices(s.symbols(), n, x_name) for s in x_states]
         padded, present = padded_stacks(
             [(s.stack, _symbol_indices(s.symbols(), n, y_name)) for s in y_states], 1 << n)
         owner = np.repeat(np.arange(len(at)), [len(x) for x in xs])
         images = np.concatenate([table[x] for table, x in zip(tables, xs)], dtype=np.intp)
-        sums, occupied = relabelled_stacks(padded[owner], present[owner], images, 1 << m)
+        # A pair heavier than the budget has its (pair, x) rows relabelled in slices.
+        step = max(1, PAIR_BUDGET // padded[0].size)
+        parts = [relabelled_stacks(padded[owner[lo:lo + step]], present[owner[lo:lo + step]],
+                                   images[lo:lo + step], 1 << m)
+                 for lo in range(0, len(owner), step)]
+        sums, occupied = (np.concatenate(column) for column in zip(*parts))
         rows, zs = np.nonzero(occupied)
         if flag is None:
             pieces = tensor(np.concatenate([s.stack for s in x_states])[rows], sums[rows, zs])

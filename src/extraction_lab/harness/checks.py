@@ -100,6 +100,8 @@ EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at
 # entries of its padded (2^n, 2^n, d_C, d_C) stack, and no built-in suite fills
 # its groups either.
 BLOCK_BUDGET = 1 << 16
+# bound-ordering draws its tries this many at a time; about 28 % of them are kept.
+ORDERING_BLOCK = 1024
 CLASSICAL_SIDES = ("trivial", "classical_leak")     # flat grids count these exactly
 # The values of a param that its type alone does not pin down, and their name;
 # a check's own choices (``Check.choices``) take precedence.
@@ -676,18 +678,36 @@ def _one_two_norm(p, rng):
                    [("two-norm-rhs", delta, rhs)])
 
 
+def _ordering_block(rng: np.random.Generator) -> tuple:
+    """One block of ``ORDERING_BLOCK`` tries (n, m, r, k1, k2) as five arrays, in
+    five generator calls: n, then m given n, then r given (m, n), then k1 and k2
+    given n.  n·random() is uniform(0, n) with an array n: the same values and
+    generator state."""
+    n = rng.integers(2, 25, size=ORDERING_BLOCK)
+    m = rng.integers(1, np.minimum(8, n) + 1)
+    r = rng.integers(0, np.minimum(m, n - 1) + 1)
+    return n, m, r, n * rng.random(ORDERING_BLOCK), n * rng.random(ORDERING_BLOCK)
+
+
 @_check("bound-ordering", count=10000)
 def _bound_ordering(p, rng):
-    """Pointwise comparison of the exact bound against the generic lifts."""
-    for _ in range(p["count"]):
-        while True:     # rejection-sample the regime where the exact bound is nontrivial
-            n = int(rng.integers(2, 25))
-            m = int(rng.integers(1, min(8, n) + 1))
-            r = int(rng.integers(0, min(m, n - 1) + 1))
-            # uniform(0, n) is 0.0 + n·random(): the same values and generator state
-            k1, k2 = n * rng.random(), n * rng.random()
-            if base_exponent(n, m, r, k1, k2) >= 0:
-                break
+    """Pointwise comparison of the exact bound against the generic lifts.
+
+    Rejection-samples the regime where the exact bound is nontrivial,
+    ``base_exponent ≥ 0``.  Tries are drawn a block at a time
+    (:func:`_ordering_block`), and a block's kept tries are taken in draw
+    order before the next block is drawn, so at most one block is held.
+    Tries are i.i.d., so the kept ones have the law of a per-try loop; and as
+    the block size is fixed, the scenarios of any count are the first ones of
+    every larger count.
+    """
+    def kept():
+        while True:
+            block = _ordering_block(rng)
+            keep = base_exponent(*block) >= 0
+            yield from zip(*(column[keep].tolist() for column in block))
+
+    for n, m, r, k1, k2 in itertools.islice(kept(), p["count"]):
         kp = _k_params(n, m, r, k1, k2)
         b1 = bound_value("B1", kp)
         yield Case(kp, f"ordering n={n} m={m} r={r}",

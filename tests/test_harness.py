@@ -189,21 +189,23 @@ DRAW_DIGESTS = {
     "hmin-linear-drop": "b9b8de448e918258d30d84cf35881ea3d22ffb60b97e244be79b76893c1b37e1",
     "hmin-le-h2": "a5047e21ec709edae46a3761c496342474b050b173c9e29910727997a42b7a78",
     "one-two-norm": "e8eba841a7c7e2c5e77ea7cba7c6373589b194b5ae4a8ba8ac2df2b009846f51",
-    "bound-ordering": "3f9ad161a66910c3cb7d1dc58d46f9ade8fa31cf64d329ae20729b8643e781e6",
+    "bound-ordering": "9faab1bee4d25e87b6f6e043bebc0de55dd5a36050a20605139bbb3fc8a492c4",
 }
 
 
 def test_bound_ordering_entropy_draws_are_uniform_draws():
-    # bound-ordering draws k1 and k2 as n·random(); uniform(0, n) computes
-    # 0.0 + n·random() from the same 64-bit word, so both values and the
-    # generator state are bit for bit those of two uniform(0, n) calls.
+    # bound-ordering draws a block's k1 and k2 as n·random(B) with an array n;
+    # uniform(0, n) computes 0.0 + n·random() from the same 64-bit words, so
+    # both values and the generator state are bit for bit those of
+    # uniform(0, n) with the array n.
     fast, uniform = np.random.default_rng(17), np.random.default_rng(17)
-    for _ in range(20000):
-        n = int(fast.integers(2, 25))
-        assert n == int(uniform.integers(2, 25))
-        k1, k2 = n * fast.random(), n * fast.random()
-        assert (k1.hex(), k2.hex()) == (float(uniform.uniform(0, n)).hex(),
-                                        float(uniform.uniform(0, n)).hex())
+    for _ in range(20):
+        n, m, r, k1, k2 = checks._ordering_block(fast)
+        assert (n == uniform.integers(2, 25, size=checks.ORDERING_BLOCK)).all()
+        assert (m == uniform.integers(1, np.minimum(8, n) + 1)).all()
+        assert (r == uniform.integers(0, np.minimum(m, n - 1) + 1)).all()
+        assert k1.tobytes() == uniform.uniform(0, n).tobytes()
+        assert k2.tobytes() == uniform.uniform(0, n).tobytes()
     assert fast.bit_generator.state == uniform.bit_generator.state
 
 
@@ -710,7 +712,7 @@ def test_relabel_paths_report_digest():
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
-PAPER_TABLE_1_DIGEST = "3a63e5000acee0a055342ce754ad180877ddeaed9a4d1c3634bf919da693fdb6"
+PAPER_TABLE_1_DIGEST = "e56276981e4bcc20d7cb22f0a94cb9a99d6020fceb3608f83d572add52a59410"
 
 
 def test_paper_table_1_report_digest():
@@ -920,7 +922,7 @@ def _blank_runtimes(report_csv: str) -> str:
 
 # sha256 of report.csv for `verify --suite paper-table-1 --seed 42` with the
 # runtime_ms column blanked: the CSV's counterpart of PAPER_TABLE_1_DIGEST.
-PAPER_TABLE_1_CSV_DIGEST = "9847b8e7ad9fb40cca993cb71fa9193507de1f1f6616fc27be8076822ba655e2"
+PAPER_TABLE_1_CSV_DIGEST = "b14b86e41c3cc1ebc5a81e5dd79defdc7e885011c9be061924a3f98d84170a81"
 
 
 def test_paper_table_1_csv_digest():

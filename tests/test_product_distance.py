@@ -11,7 +11,8 @@ tensors X's blocks into every output block.  The tests hold:
   register equals δ with it dropped;
 * the strong kernel against the cq-state route within 1e-14, and the weak
   kernel bit for bit, on 200 seeded pairs;
-* each pair's distance in a batch, bit for bit what a batch of one gives;
+* each pair's distance in a batch, bit for bit what a batch of one gives,
+  and the same bits when ``PAIR_BUDGET`` splits the batch's groups;
 * ``b1-quantum-product`` at ``full``'s params: it builds no output state,
   takes every distance from one kernel call, and solves no copied source;
   and it builds each extractor's output table once;
@@ -34,7 +35,7 @@ from conftest import (
 )
 
 import extraction_lab
-from extraction_lab import entropies, extractors
+from extraction_lab import cq_states, entropies, extractors
 from extraction_lab.cq_states import classical_state, product_distances
 from extraction_lab.extractors import deor_extractor
 from extraction_lab.gf2 import build_field_family, build_shift_family
@@ -135,6 +136,25 @@ def test_each_pair_of_a_batch_is_its_batch_of_one(strong_in):
     assert product_distances([], strong_in).shape == (0,)
     with pytest.raises(ValueError, match="strong_in must be None, 'x1' or 'x2', got 'x3'"):
         product_distances(pairs[:1], "x3")
+
+
+@pytest.mark.parametrize("strong_in", STRONG + (None,))
+def test_a_group_split_by_the_budget_gives_the_same_bits(monkeypatch, strong_in):
+    # Each (pair, x) row is bit for bit the same alone, so chunks of pairs, and
+    # slices of one pair's rows, move no value.
+    pairs = _seeded_pairs(200, 38)
+    calls, relabel = [], cq_states.relabelled_stacks
+    monkeypatch.setattr(cq_states, "relabelled_stacks",
+                        lambda *args: calls.append(1) or relabel(*args))
+    whole = [d.hex() for d in product_distances(pairs, strong_in).tolist()]
+    made = [len(calls)]
+    for budget in (4096, 0):    # chunks of a few pairs; then every row alone
+        monkeypatch.setattr(cq_states, "PAIR_BUDGET", budget)
+        calls.clear()
+        assert [d.hex() for d in product_distances(pairs, strong_in).tolist()] == whole
+        made.append(len(calls))
+    rows = sum(len((s2 if strong_in == "x2" else s1).stack) for _, s1, s2 in pairs)
+    assert made[0] < made[1] < made[2] == rows + (len(pairs) if strong_in is None else 0)
 
 
 def test_b1_quantum_product_builds_no_output_state_and_solves_no_copied_source(monkeypatch):
