@@ -13,8 +13,9 @@ tuples such as ``(z_bits, x_bits)`` for composite classical registers.
 Sums over blocks, and over the distance terms of ``_distance_terms``, add
 one at a time in sorted-symbol order, so results are bit-reproducible.
 The classical register is relabelled by one kernel,
-:func:`relabelled_stacks`, over P zero-padded states at once;
-:func:`apply_classical_function` is its batch of one.  The distance of
+:func:`relabelled_stacks`, over P zero-padded states at once; one state
+is its batch of one (:func:`apply_classical_function`, whose symbols are
+the sorted images).  The distance of
 a product pair's extractor output never forms its output state:
 :func:`product_distances` sums one source's blocks per (other source's
 symbol, output) through the same kernel.  A strong output then reads only
@@ -231,14 +232,6 @@ def apply_classical_function(state: CqState, f) -> CqState:
                                 np.array([[position[image] for image in images]], dtype=np.intp),
                                 len(out))
     return CqState._from_stack(out, sums[0])
-
-
-def product(s1: CqState, s2: CqState) -> CqState:
-    """Independent pair: alphabet of pairs, side register C1 (x) C2."""
-    side_dim = s1.side_dim * s2.side_dim
-    stack = tensor(s1.stack[:, None], s2.stack[None]).reshape(-1, side_dim, side_dim)
-    symbols = [(a, b) for a in s1.symbols() for b in s2.symbols()]
-    return CqState._from_stack(symbols, stack)
 
 
 @dataclass(frozen=True)

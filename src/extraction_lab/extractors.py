@@ -135,8 +135,3 @@ class ComponentExtractor:
     def table(self) -> np.ndarray:
         """Read-only (2^n, 2^n) uint8 array of output bits, one per input pair."""
         return _read_only(_parity(deor_table(self.family) & bits_to_index(self.s)))
-
-
-def s_component(family: MatrixFamily, s: Bits) -> ComponentExtractor:
-    return ComponentExtractor(family=family, s=tuple(s))
-

@@ -11,8 +11,8 @@ singular sigma.  Every sigma-weighted quantity takes its powers from
 ker sigma meets the state, where such an expression means nothing; every
 unit-trace test is :func:`check_unit_traces`.  Entropies are taken per
 stack (:func:`von_neumann_entropies`): one eigvalsh per stack, each member
-bit for bit what it gives alone, and :func:`von_neumann_entropy` is a batch
-of one.
+bit for bit what it gives alone.  The eigenvalue tests (PSD, kernel) read
+rows of a stack; a single operator is a stack of one.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ def as_operator(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("operator has non-finite entries")
     return m
-
-
-def check_hermitian(a) -> np.ndarray:
-    """``a`` as a complex operator; ValueError unless finite, square and Hermitian."""
-    return hermitian_stack(np.asarray(a, dtype=complex)[None])[0]
 
 
 def hermitian_stack(stack, name=None) -> np.ndarray:
@@ -91,18 +86,13 @@ def check_unit_traces(traces, what: str, names=None) -> None:
 # Every module imports these rather than restating a threshold; they are not
 # public API.
 
-def _not_psd(w: np.ndarray):
-    """Whether ascending eigenvalues ``w`` fall below the PSD tolerance: a truth value
-    for one operator's, a bool array for the rows of a stack's."""
-    if w.ndim == 1:     # the single-operator fast path
-        return bool(w.size and w[0] < -PSD_RTOL * max(1.0, float(abs(w[-1]))))
+def _not_psd(w: np.ndarray) -> np.ndarray:
+    """Whether each row of ascending eigenvalues ``w`` falls below the PSD tolerance."""
     return w[..., 0] < -PSD_RTOL * np.maximum(1.0, np.abs(w[..., -1]))
 
 
 def _kernel_mask(w: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues ``w`` (per row) at or below the relative kernel threshold."""
-    if w.ndim == 1:     # the single-operator fast path
-        return w <= KERNEL_RTOL * max(float(w[-1]) if w.size else 0.0, 0.0)
     return w <= KERNEL_RTOL * np.maximum(w[..., -1:], 0.0)
 
 
@@ -146,10 +136,8 @@ def _trusted_psd_eigh(h: np.ndarray):
 def _checked_psd(w: np.ndarray, v: np.ndarray):
     """(w, v) as given; ValueError for the first operator (row of ``w``) that is not PSD."""
     low = _not_psd(w)
-    if w.ndim > 1 and low.any():
-        w, low = w[low][0], True
-    if w.ndim == 1 and low:     # the truth value, so a numpy bool refuses as well
-        raise ValueError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
+    if low.any():
+        raise ValueError(f"operator is not PSD (min eigenvalue {w[low][0][0]:.3e})")
     return w, v
 
 
@@ -166,8 +154,8 @@ def _spectral_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
 
 
 def _sigma_powers(sigmas, p: float, states: np.ndarray):
-    """Each sigma_i^p of a PSD (K, d, d) stack, as :func:`op_power` gives it, from one
-    stacked eigh, and whether ker sigma_i meets the (N, d, d) stack states[i]: some
+    """Each sigma_i^p of a PSD (K, d, d) stack, as :func:`_spectral_power` gives it, from
+    one stacked eigh, and whether ker sigma_i meets the (N, d, d) stack states[i]: some
     tr(P rho P) > KERNEL_LEAK_ATOL, P the kernel projector.  Only a sigma with a
     kernel is tested."""
     w, v = _psd_eigh(sigmas)
@@ -181,36 +169,9 @@ def _sigma_powers(sigmas, p: float, states: np.ndarray):
     return _spectral_power(w, v, p), leaks
 
 
-def op_power(h, p: float) -> np.ndarray:
-    """Spectral power H^p of a positive semidefinite operator.
-
-    Eigenvalues at or below the relative kernel threshold map to 0
-    (Moore-Penrose convention for p < 0; p = 0 gives the support
-    projector).
-    """
-    return _spectral_power(*_psd_eigh(h), p)
-
-
-def hermitian_trace_norm(s) -> float:
-    """Trace norm of a Hermitian matrix via its eigenvalues (cheaper than SVD)."""
-    return float(hermitian_trace_norms(as_operator(s)[None])[0])
-
-
 def hermitian_trace_norms(stack) -> np.ndarray:
     """Trace norm of each Hermitian matrix in an (N, d, d) stack, from one stacked eigvalsh."""
     return np.sum(np.abs(np.linalg.eigvalsh(hermitian_stack(stack))), axis=-1)
-
-
-def trace_distance(rho, sigma, check_trace: bool = True) -> float:
-    """Half the trace norm of rho - sigma."""
-    a = as_operator(rho)
-    b = as_operator(sigma)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if check_trace:
-        check_unit_traces([a.trace()], "rho")
-        check_unit_traces([b.trace()], "sigma")
-    return 0.5 * hermitian_trace_norm(a - b)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -248,18 +209,10 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return tensor_form.reshape(lead + (d_keep, d_keep))
 
 
-def von_neumann_entropy(rho, check_trace: bool = True) -> float:
-    """Entropy -sum(lambda log2 lambda) of a PSD operator, with 0 log 0 = 0."""
-    m = check_hermitian(rho)
-    if check_trace:
-        check_unit_traces([m.trace()], "density operator")
-    return float(von_neumann_entropies(m[None])[0])
-
-
 def von_neumann_entropies(stack: np.ndarray) -> np.ndarray:
-    """:func:`von_neumann_entropy` of each operator of an (N, d, d) stack of Hermitian
-    operators, tested for neither Hermiticity nor trace, from one stacked eigvalsh;
-    ValueError for the first that is not PSD.
+    """Entropy -sum(lambda log2 lambda), with 0 log 0 = 0, of each operator of an
+    (N, d, d) stack of Hermitian operators, tested for neither Hermiticity nor trace,
+    from one stacked eigvalsh; ValueError for the first that is not PSD.
 
     Each row's sum runs over that row's positive eigenvalues alone, as a
     single operator's does: a masked sum over the whole stack would add

@@ -9,15 +9,13 @@ bound that compresses a multi-bit output state to its s-masked bits.
 The pretty good measurement and both bounds are stacked kernels
 (:func:`pgm_stacks`, :func:`fourier_bounds`, :func:`measured_xor_bounds`)
 over states given as zero-padded (P, 2^m, d, d) stacks with a presence
-mask; :func:`pgm`, :func:`squared_distance_fourier_bound` and
-:func:`measured_xor_bound` are the same kernels on a batch of one, and a
-state's values do not depend on the batch it is in.
-:func:`measured_xor_bounds` forms its masked states itself, the one
-relabelling outside ``cq_states.relabelled_stacks``: it sums each mask's
-blocks in slot order onto zeros, the same additions in the same order.
-The conjugated 2-distance of the one-norm/two-norm check is stacked the
-same way: :func:`l2_distance_to_uniform` is
-:func:`l2_distances_to_uniform` of a batch of one.
+mask (``cq_states.padded_stacks``), the block for output z at slot z; a
+state's values do not depend on the batch it is in, so one state is a
+batch of one.  :func:`measured_xor_bounds` forms its masked states
+itself, the one relabelling outside ``cq_states.relabelled_stacks``: it
+sums each mask's blocks in slot order onto zeros, the same additions in
+the same order.  The conjugated 2-distance of the one-norm/two-norm check
+is stacked the same way (:func:`l2_distances_to_uniform`).
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cq_states import CqState, _block_sum, _traces, padded_stacks
-from .gf2 import _symbol_indices
+from .cq_states import _block_sum, _traces
 from .operators import (
     COMPLETENESS_ATOL,
     _herm,
@@ -113,28 +110,18 @@ def pgm_stacks(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
     return _herm(elements)
 
 
-def pgm(state: CqState) -> CqState:
-    """Pretty good measurement: rho_B^{-1/2} rho_{B and x} rho_B^{-1/2}.
-
-    A POVM is a cq-state whose symbols are its outcomes and whose blocks
-    are its elements.  The completeness deficit, on ker(rho_B) (never
-    occupied by the state) plus rounding, goes to the first outcome when an
-    entry exceeds COMPLETENESS_ATOL: the result is a POVM on the full space.
-    This is :func:`pgm_stacks` of a batch of one.
-    """
-    elements = pgm_stacks(state.stack[None], np.ones((1, len(state.stack)), dtype=bool))[0]
-    return CqState._from_stack(state.symbols(), elements)
-
-
 def fourier_bounds(stacks: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """:func:`squared_distance_fourier_bound` of P states with m-bit outputs, as a (P,) array.
+    """Fourier-side upper bound on delta(rho_ZE, omega (x) rho_E)^2 of P states with
+    m-bit outputs, as a (P,) array.
 
     State i is the zero-padded (2^m, d, d) stack stacks[i], its block for
-    output z at slot z (:func:`output_slots`) and a zero block at an output
-    it omits, and sigmas[i] its sigma.  The sigmas' powers come from one
-    stacked eigh.
-    ValueError, as for one state, for a sigma that is not Hermitian or not
-    PSD, and for one whose kernel meets its state.
+    output z at slot z and a zero block at an output it omits, and
+    sigmas[i] its sigma.  Each bound is (2^m / 4) * sum_{s != 0} tr F[M](s)^2
+    for the matrix-valued function M(z) = sigma^{-1/4} rho_{E and z}
+    sigma^{-1/4}; the raw double sum over (z, z') is kept as a test oracle.
+    The sigmas' powers come from one stacked eigh.  ValueError for a sigma
+    that is not Hermitian or not PSD, and for one whose kernel meets its
+    state.
     """
     slots = stacks.shape[1]
     quarter, leaks = _sigma_powers(sigmas, -0.25, stacks)
@@ -145,31 +132,18 @@ def fourier_bounds(stacks: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return (slots / 4.0) * _block_sum(_traces(nonzero @ nonzero), axis=1)
 
 
-def squared_distance_fourier_bound(state: CqState, sigma) -> float:
-    """Fourier-side upper bound on delta(rho_ZE, omega (x) rho_E)^2.
-
-    Equals (2^m / 4) * sum_{s != 0} tr F[M](s)^2 for the matrix-valued
-    function M(z) = sigma^{-1/4} rho_{E and z} sigma^{-1/4}; the raw
-    double sum over (z, z') is kept as a test oracle.  A non-bit output
-    symbol such as (2,) raises ValueError naming it, and so does a sigma
-    whose kernel meets the state.  This is :func:`fourier_bounds` of a
-    batch of one.
-    """
-    stacks, _ = _batch_of_one(state)
-    return float(fourier_bounds(stacks, np.asarray(sigma, dtype=complex)[None])[0])
-
-
 def measured_xor_bounds(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """:func:`measured_xor_bound` of P states with m-bit outputs, as a (P,) array.
+    """Root-mean bound on delta(rho_ZE, omega (x) rho_E) via masked bits, of P states
+    with m-bit outputs, as a (P,) array.
 
     State i is the zero-padded (2^m, d, d) stack stacks[i], its block for
-    output z at slot z (:func:`output_slots`) where present[i] holds.  For
-    every state and nonzero mask s the blocks are summed, in slot order,
-    into the two blocks of the bit s . z, and one :func:`pgm_stacks` call
-    measures all P (2^m - 1) masked states.  Each masked bit's distance
-    from (uniform bit) (x) (measured marginal) adds its terms bit-major,
-    one at a time; a bit that never occurs weighs 0, and an outcome that
-    never occurs adds +0.0 terms, which change no bit.
+    output z at slot z where present[i] holds.  For every state and nonzero
+    mask s the blocks are summed, in slot order, into the two blocks of the
+    bit s . z, and one :func:`pgm_stacks` call measures all P (2^m - 1)
+    masked states, each on its own side register.  Each masked bit's
+    classical distance from (uniform bit) (x) (measured marginal) adds its
+    terms bit-major, one at a time; a bit that never occurs weighs 0, and an
+    outcome that never occurs adds +0.0 terms, which change no bit.
     """
     count, slots, _, d = stacks.shape
     rho_e = _block_sum(stacks, axis=1)
@@ -188,42 +162,9 @@ def measured_xor_bounds(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * _block_sum(0.5 * _block_sum(terms, axis=2), axis=1))
 
 
-def measured_xor_bound(state: CqState) -> float:
-    """Root-mean bound on delta(rho_ZE, omega (x) rho_E) via masked bits.
-
-    For each nonzero mask s the m-bit state is compressed to the bit
-    s . z, the pretty good measurement of the compressed state is applied
-    to its own side register, and the resulting classical-classical
-    distance from (uniform bit) (x) (measured marginal) is accumulated.
-    A non-bit output symbol such as (2,) raises ValueError naming it.
-    This is :func:`measured_xor_bounds` of a batch of one.
-    """
-    return float(measured_xor_bounds(*_batch_of_one(state))[0])
-
-
-def output_slots(state: CqState) -> np.ndarray:
-    """The slot of each block of a state with m-bit outputs: the index of its symbol.
-
-    ValueError unless the symbols are bit tuples of one length m <= MAX_FOURIER_BITS,
-    naming a symbol that is not an m-bit string.
-    """
-    lengths = {len(sym) for sym in state.symbols()}
-    if len(lengths) != 1:
-        raise ValueError("state symbols must all be bit tuples of one length")
-    (m,) = lengths
-    if m > MAX_FOURIER_BITS:
-        raise ValueError(f"output length {m} exceeds cap {MAX_FOURIER_BITS}")
-    return _symbol_indices(state.symbols(), m, "output")
-
-
-def _batch_of_one(state: CqState):
-    """The padded (1, 2^m, d, d) stack and mask of one state with m-bit outputs."""
-    slots = output_slots(state)
-    return padded_stacks([(state.stack, slots)], 1 << len(state.symbols()[0]))
-
-
 def l2_distances_to_uniform(rhos, dim_a: int, sigmas) -> np.ndarray:
-    """:func:`l2_distance_to_uniform` of each rho_AB of an (N, D, D) stack, as an (N,) array.
+    """Conjugated squared 2-distance of each rho_AB of an (N, D, D) stack from
+    omega_A (x) rho_B, as an (N,) array: the evaluator of the one-norm/two-norm checks.
 
     rhos[i] is weighed by sigma_B = sigmas[i], one of an (N, d_B, d_B)
     stack whose powers come from one stacked eigh.  ValueError for a rho
@@ -240,14 +181,3 @@ def l2_distances_to_uniform(rhos, dim_a: int, sigmas) -> np.ndarray:
     weight = tensor(np.eye(dim_a), quarter)
     conj = weight @ centered @ weight
     return _traces(conj @ conj)
-
-
-def l2_distance_to_uniform(rho_ab, dim_a: int, sigma_b) -> float:
-    """Conjugated squared 2-distance of rho_AB from omega_A (x) rho_B.
-
-    Internal evaluator for the one-norm/two-norm inequality checks; not
-    part of the supported API surface.  ValueError when ker sigma_B meets rho_B.
-    This is :func:`l2_distances_to_uniform` of a batch of one.
-    """
-    return float(l2_distances_to_uniform(np.asarray(rho_ab, dtype=complex)[None], dim_a,
-                                         np.asarray(sigma_b, dtype=complex)[None])[0])

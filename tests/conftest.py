@@ -12,10 +12,12 @@ from extraction_lab.cq_states import (
     build_cq,
     classical_state,
     markov_block_state,
+    padded_stacks,
     relabelled_stacks,
 )
 from extraction_lab.gf2 import _symbol_indices, all_bit_vectors, index_to_bits
 from extraction_lab.operators import (
+    KERNEL_RTOL,
     as_operator,
     hermitian_stack,
     partial_trace,
@@ -48,6 +50,42 @@ def random_cq_state(n_bits: int, dim: int, rng, min_support: int = 1,
     make = random_pure_state if pure else random_density
     conds = {sym: make(dim, rng) for sym in sorted(dist)}
     return build_cq(dist, conds)
+
+
+def output_stacks(states):
+    """States with m-bit outputs as the kernels of ``xor_analysis`` take them: the
+    (P, 2^m, d, d) ``padded_stacks`` of their blocks, each at the index of its output
+    (ValueError naming a symbol that is not an m-bit string), and its (P, 2^m) mask."""
+    m = len(states[0].symbols()[0])
+    return padded_stacks([(s.stack, _symbol_indices(s.symbols(), m, "output")) for s in states],
+                         1 << m)
+
+
+# -- dense single-operator and joint oracles --------------------------------------
+
+def op_power(h, p: float) -> np.ndarray:
+    """H^p of one PSD operator from its own eigh, eigenvalues at or below KERNEL_RTOL
+    times the largest mapped to 0 (p = 0 gives the support projector): the dense
+    route of ``operators._spectral_power``, bit for bit."""
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    live = w > KERNEL_RTOL * max(float(w[-1]), 0.0)
+    fw = np.zeros_like(w)
+    fw[live] = w[live] ** p
+    return (v * fw) @ v.conj().T
+
+
+def trace_distance(rho, sigma) -> float:
+    """Half the trace norm of the dense difference rho - sigma, from its eigenvalues."""
+    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
+def product(s1: CqState, s2: CqState) -> CqState:
+    """Independent pair: alphabet of pairs (x1, x2), side register C1 (x) C2, each
+    block the np.kron of its two factors."""
+    symbols = [(a, b) for a in s1.symbols() for b in s2.symbols()]
+    return CqState._from_stack(symbols, np.array([np.kron(s1.blocks[a], s2.blocks[b])
+                                                  for a, b in symbols]))
 
 
 def dense_cq(state: CqState, symbols=None) -> np.ndarray:

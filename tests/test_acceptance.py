@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import distance_to_uniform
+from conftest import distance_to_uniform, output_stacks
 
 from extraction_lab.cli import main as cli_main
 from extraction_lab.cq_states import classical_state
@@ -18,7 +18,7 @@ from extraction_lab.extractors import ip_extractor
 from extraction_lab.harness import run_check
 from extraction_lab.xor_analysis import (
     MatrixValuedFunction,
-    measured_xor_bound,
+    measured_xor_bounds,
     mvf_fourier,
     mvf_l2_norm,
 )
@@ -86,7 +86,7 @@ def test_criterion_04_measured_xor():
     violations = [r for r in reports if r.measured_delta > r.bound_epsilon + 1e-9]
     det = classical_state({(0,): 1.0})
     lhs = distance_to_uniform(det, 2)
-    rhs = measured_xor_bound(det)
+    rhs = measured_xor_bounds(*output_stacks([det]))[0]
     equality_ok = abs(lhs - rhs) <= 1e-12
     ok = not violations and equality_ok
     record(4, "measured-xor-bound", ok,

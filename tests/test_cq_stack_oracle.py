@@ -1,13 +1,15 @@
 """Oracles for the consumers that read a cq-state's (N, d, d) stack.
 
 The reference functions below are the dict-based loops that the stacked
-``marginal_side``, ``probabilities``, ``total_trace``, ``product``,
-``apply_classical_function`` (now ``relabelled_stacks`` of a batch of one),
-``pgm``, ``squared_distance_fourier_bound`` and ``measured_xor_bound``
-replaced, kept verbatim (apart from ``op_power`` no longer taking a kernel-policy
-argument, and a POVM being a ``CqState`` whose blocks are its elements)
-as the exact oracle: the stacked versions must reproduce them bit for
-bit, because the report bytes rest on them.  ``_ref_distance_to_uniform``
+``marginal_side``, ``probabilities``, ``total_trace``, ``product`` (now
+the tests' joint builder in conftest), ``apply_classical_function`` (now
+``relabelled_stacks`` of a batch of one), ``pgm_stacks``,
+``fourier_bounds`` and ``measured_xor_bounds`` replaced, kept verbatim
+(apart from ``op_power``, now conftest's dense power, no longer taking a
+kernel-policy argument, and a POVM being a ``CqState`` whose blocks are
+its elements) as the exact oracle: the stacked versions, on a batch of
+one or of many, must reproduce them bit for bit, because the report
+bytes rest on them.  ``_ref_distance_to_uniform``
 is the per-state ``distance_to_uniform`` that the padded-stack kernels
 (``weak_distances`` and the strong path) replaced, kept verbatim.
 """
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import distance_to_uniform
+from conftest import distance_to_uniform, op_power, output_stacks, product
 
 from extraction_lab.cq_states import (
     CqState,
@@ -25,8 +27,6 @@ from extraction_lab.cq_states import (
     build_cq,
     classical_state,
     marginal_side,
-    padded_stacks,
-    product,
     relabelled_stacks,
     weak_distances,
 )
@@ -37,7 +37,6 @@ from extraction_lab.operators import (
     COMPLETENESS_ATOL,
     _herm,
     hermitian_trace_norms,
-    op_power,
     random_density,
     random_pure_state,
     tensor,
@@ -46,13 +45,9 @@ from extraction_lab.xor_analysis import (
     MAX_FOURIER_BITS,
     MatrixValuedFunction,
     fourier_bounds,
-    measured_xor_bound,
     measured_xor_bounds,
     mvf_fourier,
-    output_slots,
-    pgm,
     pgm_stacks,
-    squared_distance_fourier_bound,
 )
 
 
@@ -258,17 +253,19 @@ def check_against_reference(state: CqState, rng, label):
     parity = lambda z: (sum(z) & 1,)  # noqa: E731
     assert_same_state(apply_classical_function(state, parity),
                       _ref_apply_classical_function(state, parity), label)
-    other = random_state(1, int(rng.integers(1, 3)), rng)
+    other = random_state(1, int(rng.integers(1, 3)), rng)     # conftest's joint builder
     assert_same_state(product(state, other), _ref_product(state, other), label)
 
-    povm = _ref_pgm(state)
-    assert_same_state(pgm(state), povm, label)
+    # The stacked kernels on a batch of one.
+    elements = pgm_stacks(state.stack[None], np.ones((1, len(state.stack)), dtype=bool))[0]
+    assert elements.tobytes() == _ref_pgm(state).stack.tobytes(), label
+    stacks, present = output_stacks([state])
     rho_e = marginal_side(state)
     d = state.side_dim
     for sigma in (rho_e / np.trace(rho_e).real, random_density(d, rng) if d > 1 else rho_e):
-        assert squared_distance_fourier_bound(state, sigma) == \
+        assert fourier_bounds(stacks, sigma[None])[0] == \
             _ref_squared_distance_fourier_bound(state, sigma), label
-    assert measured_xor_bound(state) == _ref_measured_xor_bound(state), label
+    assert measured_xor_bounds(stacks, present)[0] == _ref_measured_xor_bound(state), label
 
 
 # -- bitwise oracle -------------------------------------------------------------------
@@ -307,9 +304,9 @@ def test_pgm_completion_matches_deficit_oracle(low):
         cond = basis @ np.diag(rng.uniform(0.1, 1.0, 3) * [1.0, 1.0, low]) @ basis.conj().T
         conds[sym] = cond / np.trace(cond).real
     state = build_cq({sym: 1 / 3 for sym in conds}, conds)
-    povm = pgm(state)
-    assert_same_state(povm, _ref_pgm(state), low)
-    assert np.max(np.abs(povm.stack.sum(axis=0) - np.eye(3))) <= COMPLETENESS_ATOL
+    povm = pgm_stacks(state.stack[None], np.ones((1, len(state.stack)), dtype=bool))[0]
+    assert povm.tobytes() == _ref_pgm(state).stack.tobytes(), low
+    assert np.max(np.abs(povm.sum(axis=0) - np.eye(3))) <= COMPLETENESS_ATOL
     inv_sqrt = op_power(marginal_side(state), -0.5)
     bare = sum(inv_sqrt @ block @ inv_sqrt for block in state.stack)
     assert np.max(np.abs(bare - np.eye(3))) > COMPLETENESS_ATOL
@@ -347,9 +344,7 @@ def _groups(states):
     groups = {}
     for i, state in enumerate(states):
         groups.setdefault((len(state.symbols()[0]), state.side_dim), []).append(i)
-    return {key: (idx, padded_stacks([(states[i].stack, output_slots(states[i])) for i in idx],
-                                     1 << key[0]))
-            for key, idx in groups.items()}
+    return {key: (idx, output_stacks([states[i] for i in idx])) for key, idx in groups.items()}
 
 
 def _masked_bit_never_occurs(state) -> bool:
@@ -417,8 +412,11 @@ def test_a_states_values_do_not_depend_on_its_batch(m, dim):
     rng = np.random.default_rng(100 * m + dim)
     states = [random_state(m, dim, rng) for _ in range(200)]
     sigmas = [random_density(dim, rng) if dim > 1 else np.ones((1, 1)) for _ in states]
-    alone = [(distance_to_uniform(s, 1 << m), measured_xor_bound(s),
-              squared_distance_fourier_bound(s, sigma)) for s, sigma in zip(states, sigmas)]
+    alone = []
+    for s, sigma in zip(states, sigmas):     # each state a batch of one
+        stacks, present = output_stacks([s])
+        alone.append((distance_to_uniform(s, 1 << m), measured_xor_bounds(stacks, present)[0],
+                      fourier_bounds(stacks, sigma[None])[0]))
     for shift in (0, 1, 77):      # every state at three positions of a 200-state batch
         order = np.roll(np.arange(200), shift)
         (idx, (stacks, present)), = _groups([states[i] for i in order]).values()
@@ -465,26 +463,26 @@ def test_relabelled_stacks_match_the_reference_relabelling():
     images = []
     for state in states:
         row = np.full(1 << m, slots)      # an absent slot's image is out of range: never read
-        row[output_slots(state)] = rng.integers(0, rng.integers(1, slots + 1), len(state.stack))
+        row[[bits_to_index(z) for z in state.symbols()]] = rng.integers(
+            0, rng.integers(1, slots + 1), len(state.stack))
         images.append(row)
     spread = [len(set(row[row < slots].tolist())) for row in images]
     assert min(spread) == 1 and max(spread) == slots
     assert 1 in {len(s.stack) for s in states} and any((row == slots).any() for row in images)
     for shift in (0, 1, 77):      # every state at three positions of a 200-state batch
         order = np.roll(np.arange(200), shift)
-        stacks, present = padded_stacks([(states[i].stack, output_slots(states[i]))
-                                         for i in order], 1 << m)
+        stacks, present = output_stacks([states[i] for i in order])
         out, occupied = relabelled_stacks(stacks, present, np.array([images[i] for i in order]),
                                           slots)
         assert out.shape == (200, slots, 3, 3) and occupied.shape == (200, slots)
         _assert_relabelled_as_reference([states[i] for i in order], [images[i] for i in order],
                                         out, occupied, shift)
     for state, row in zip(states[:6], images):      # a batch of one
-        stacks, present = padded_stacks([(state.stack, output_slots(state))], 1 << m)
+        stacks, present = output_stacks([state])
         _assert_relabelled_as_reference([state], [row], *relabelled_stacks(
             stacks, present, row[None], slots), "one")
     one = [np.where(row < slots, 2, row) for row in images[:20]]     # every symbol to output 2
-    stacks, present = padded_stacks([(s.stack, output_slots(s)) for s in states[:20]], 1 << m)
+    stacks, present = output_stacks(states[:20])
     out, occupied = relabelled_stacks(stacks, present, np.array(one), slots)
     assert occupied[:, 2].all() and occupied.sum() == 20
     _assert_relabelled_as_reference(states[:20], one, out, occupied, "one image")
@@ -557,10 +555,10 @@ def test_a_batch_refuses_what_the_per_state_call_refuses():
                 np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex)):  # not Hermitian
         sigmas = np.array([random_density(2, rng) for _ in states])
         sigmas[2] = bad
-        message = _same_error(lambda: squared_distance_fourier_bound(seen, bad),
+        message = _same_error(lambda: fourier_bounds(output_stacks([seen])[0], bad[None]),
                               lambda: fourier_bounds(stacks, sigmas))
         assert any(word in message for word in ("kernel", "PSD", "Hermitian"))
     two = build_cq({(0,): 0.5, (2,): 0.5}, {(0,): KET0, (2,): KETPLUS})
-    message = _same_error(lambda: measured_xor_bound(two),
+    message = _same_error(lambda: output_stacks([two]),
                           lambda: _groups(good[:2] + [two] + good[2:]))
     assert "(2,) is not an 1-bit string" in message

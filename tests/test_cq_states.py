@@ -10,7 +10,9 @@ from conftest import (
     distance_to_uniform,
     extractor_output_from_joint,
     extractor_output_state,
+    product,
     random_cq_state,
+    trace_distance,
 )
 
 from extraction_lab.cq_states import (
@@ -25,15 +27,10 @@ from extraction_lab.cq_states import (
     markov_block_state,
     marginal_side,
     padded_stacks,
-    product,
 )
 from extraction_lab.extractors import deor_extractor, ip_extractor
 from extraction_lab.gf2 import all_bit_vectors, build_field_family, build_shift_family
-from extraction_lab.operators import (
-    partial_trace,
-    random_densities,
-    trace_distance,
-)
+from extraction_lab.operators import partial_trace, random_densities
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -235,7 +232,7 @@ def test_blockwise_distance_equals_dense(rng):
             target = {z: tot / 4 for z in keys}
         dense_state = dense_cq(out, keys)
         dense_target = dense_cq(CqState(side_dim=out.side_dim, blocks=target), keys)
-        oracle = trace_distance(dense_state, dense_target, check_trace=False)
+        oracle = trace_distance(dense_state, dense_target)
         assert abs(blockwise - oracle) < 1e-9
 
 

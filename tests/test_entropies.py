@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_cq_state, random_distribution
+from conftest import op_power, random_cq_state, random_distribution
 
 from extraction_lab.cq_states import (
     CqState,
@@ -25,8 +25,8 @@ from extraction_lab.entropies import (
 )
 from extraction_lab.gf2 import all_bit_vectors, gf2_matvec
 from extraction_lab.harness.scenarios import make_side_info
-from extraction_lab.operators import op_power, random_density, tensor
-from extraction_lab.xor_analysis import pgm
+from extraction_lab.operators import random_density, tensor
+from extraction_lab.xor_analysis import pgm_stacks
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -128,7 +128,6 @@ def test_h2_rel_values():
 
 
 def test_h2_rel_matches_dense_oracle(rng):
-    from extraction_lab.operators import op_power
     for _ in range(10):
         st = random_cq_state(2, 2, rng, min_support=2)
         sigma = marginal_side(st)
@@ -206,10 +205,10 @@ def test_data_processing_pgm_measurement(rng):
     for _ in range(10):
         st = random_cq_state(2, 2, rng, min_support=2)
         res = h_min_cond(st)
-        povm = pgm(st)
+        povm = pgm_stacks(st.stack[None], np.ones((1, len(st.stack)), dtype=bool))[0]
         # X with the measured outcome as a classical side register.
-        weights = np.einsum("oij,xji->xo", povm.stack, st.stack).real   # tr(E_o rho_x)
-        measured = CqState(side_dim=len(povm.symbols()),
+        weights = np.einsum("oij,xji->xo", povm, st.stack).real   # tr(E_o rho_x)
+        measured = CqState(side_dim=len(povm),
                            blocks={x: np.diag(w) for x, w in zip(st.symbols(), weights)})
         cc = h_min_cond(measured)
         assert cc.value >= res.value - 1e-6

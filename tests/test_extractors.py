@@ -5,11 +5,11 @@ from conftest import distance_to_uniform, extractor_output_state
 
 from extraction_lab.cq_states import classical_state
 from extraction_lab.extractors import (
+    ComponentExtractor,
     deor_eval,
     deor_extractor,
     ip_eval,
     ip_extractor,
-    s_component,
 )
 from extraction_lab.gf2 import (
     MatrixFamily,
@@ -72,7 +72,7 @@ def test_s_component_identity_exhaustive():
         n, m = fam.n, fam.m
         for s_idx in range(1, 1 << m):
             s = index_to_bits(s_idx, m)
-            comp = s_component(fam, s)
+            comp = ComponentExtractor(fam, s)
             ast = a_s(fam, s).T
             for xi in range(1 << n):
                 for yi in range(1 << n):
@@ -88,33 +88,33 @@ def test_s_component_linearity_in_s():
                 continue
             s, t = index_to_bits(s_idx, 3), index_to_bits(t_idx, 3)
             xor = tuple(a ^ b for a, b in zip(s, t))
-            es, et = s_component(fam, s), s_component(fam, t)
+            es, et = ComponentExtractor(fam, s), ComponentExtractor(fam, t)
             for xi in range(8):
                 for yi in range(8):
                     x, y = index_to_bits(xi, 3), index_to_bits(yi, 3)
                     want = es(x, y)[0] ^ et(x, y)[0]
                     if any(xor):
-                        assert s_component(fam, xor)(x, y)[0] == want
+                        assert ComponentExtractor(fam, xor)(x, y)[0] == want
                     else:
                         assert want == 0
 
 
 def test_s_component_m1_is_deor():
     fam = build_field_family(3, 1)
-    comp = s_component(fam, (1,))
+    comp = ComponentExtractor(fam, (1,))
     for xi in range(8):
         for yi in range(8):
             x, y = index_to_bits(xi, 3), index_to_bits(yi, 3)
             assert comp(x, y) == deor_eval(fam, x, y)
     with pytest.raises(ValueError):
-        s_component(fam, (0,))
+        ComponentExtractor(fam, (0,))
 
 
 def test_s_component_refuses_non_bit_selector():
     # s = (2, 1) used to be accepted; its table and its __call__ disagreed
     # with IP(A_s x, y) on 28 of the 64 input pairs.
     with pytest.raises(ValueError, match="not a bit vector"):
-        s_component(build_field_family(3, 2), (2, 1))
+        ComponentExtractor(build_field_family(3, 2), (2, 1))
 
 
 @pytest.mark.parametrize("evaluate", [
@@ -123,7 +123,7 @@ def test_s_component_refuses_non_bit_selector():
     lambda: gf2_matvec(np.eye(2, dtype=np.uint8), (2, 1)),
     lambda: deor_eval(build_field_family(2, 1), (2, 1), (1, 1)),
     lambda: ip_extractor(2)((2, 1), (1, 1)),
-    lambda: s_component(build_field_family(2, 2), (1, 1))((1, 1), (0, 3)),
+    lambda: ComponentExtractor(build_field_family(2, 2), (1, 1))((1, 1), (0, 3)),
 ])
 def test_pair_evaluators_refuse_non_bits(evaluate):
     # These used to mask (2, 1) to (0, 1): ip_eval((2, 1), (1, 1)) was 1.

@@ -4,12 +4,12 @@ The reference functions below are the per-scenario routes that the grouped
 former (``scenarios._formed_group`` and ``_random_cqs``) and the stacked
 entropies replaced, kept verbatim: ``_random_blocks`` with ``build_cq`` for
 one random cq-state, ``make_markov_scenario`` forming its factors one at a
-time, and the per-state ``von_neumann_entropy`` and dense conditional mutual
+time, and the per-state von Neumann entropy and dense conditional mutual
 information, which also check conftest's stacked dense oracle.  The
 per-scenario loops of the grouped checks are kept as their oracles,
 ``markov-cmi`` taking each state's CMI alone by ``pair_cmis`` and
 ``pgm-commutation`` relabelling and measuring one state at a time by
-``apply_classical_function`` and ``pgm``.
+``apply_classical_function`` and ``pgm_stacks`` on a batch of one.
 The grouped routes must reproduce them bit for bit, because the report
 bytes rest on them, and must refuse what they refuse with the same message.
 """
@@ -25,10 +25,12 @@ from conftest import (
     dense_cq,
     distance_to_uniform,
     extractor_output_state,
+    output_stacks,
     padded_pairs,
 )
 
 from extraction_lab.cq_states import (
+    CqState,
     MarkovScenario,
     apply_classical_function,
     build_cq,
@@ -58,17 +60,16 @@ from extraction_lab.harness.scenarios import (
 )
 from extraction_lab.operators import (
     _checked_psd,
-    check_hermitian,
     check_unit_traces,
+    hermitian_stack,
     ginibre_densities,
     partial_trace,
     random_densities,
     random_density,
     random_pure_state,
     von_neumann_entropies,
-    von_neumann_entropy,
 )
-from extraction_lab.xor_analysis import measured_xor_bound, pgm, squared_distance_fourier_bound
+from extraction_lab.xor_analysis import fourier_bounds, measured_xor_bounds, pgm_stacks
 
 
 # -- per-scenario reference copies --------------------------------------------------
@@ -99,7 +100,7 @@ def _ref_make_markov_scenario(n, n_blocks, seed, classical=False):
 
 
 def _ref_von_neumann_entropy(rho, check_trace=True):
-    m = check_hermitian(rho)
+    m = hermitian_stack(np.asarray(rho, dtype=complex)[None])[0]
     if check_trace:
         check_unit_traces([m.trace()], "density operator")
     w, _ = _checked_psd(np.linalg.eigvalsh(m), None)
@@ -239,7 +240,7 @@ def test_stacked_entropies_match_the_per_state_route():
         stack[::3] = stack[::3] @ np.diag([1.0] + [0.0] * (dim - 1)) @ stack[::3]
         want = [_ref_von_neumann_entropy(rho, check_trace=False) for rho in stack]
         assert von_neumann_entropies(stack).tolist() == want
-        assert [von_neumann_entropy(rho) for rho in stack[1::3]] == want[1::3]
+        assert [von_neumann_entropies(rho[None])[0] for rho in stack[1::3]] == want[1::3]
     assert von_neumann_entropies(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
 
 
@@ -309,9 +310,10 @@ def _output_oracle(check_id, count, seed):
         state = _ref_random_cq(m, dim, rng)
         delta = distance_to_uniform(state, 1 << m)
         if check_id == "measured-xor-random":
-            rows.append((f"xor m={m} dim={dim}", delta, measured_xor_bound(state)))
+            rows.append((f"xor m={m} dim={dim}", delta,
+                         measured_xor_bounds(*output_stacks([state]))[0]))
         else:
-            bound = squared_distance_fourier_bound(state, random_densities(1, dim, rng)[0])
+            bound = fourier_bounds(output_stacks([state])[0], random_densities(1, dim, rng))[0]
             rows.append((f"fourier m={m} dim={dim}", delta ** 2, bound))
     return rows
 
@@ -388,9 +390,12 @@ def _pgm_commutation_oracle(count, seed):
         out_bits = int(rng.integers(1, 3))
         table = {sym: index_to_bits(int(rng.integers(1 << out_bits)), out_bits)
                  for sym in state.symbols()}
-        lhs = pgm(apply_classical_function(state, table.__getitem__))
-        rhs = apply_classical_function(pgm(state), table.__getitem__)
-        dev = float(np.max(np.abs(lhs.stack - rhs.stack)))
+        mapped = apply_classical_function(state, table.__getitem__)
+        lhs = pgm_stacks(mapped.stack[None], np.ones((1, len(mapped.stack)), dtype=bool))[0]
+        povm = pgm_stacks(state.stack[None], np.ones((1, len(state.stack)), dtype=bool))[0]
+        rhs = apply_classical_function(CqState._from_stack(state.symbols(), povm),
+                                       table.__getitem__)
+        dev = float(np.max(np.abs(lhs - rhs.stack)))
         rows.append((f"pgm-commute n={n_bits} dim={dim} out={out_bits}", dev.hex()))
     return rows
 

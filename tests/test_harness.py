@@ -1,9 +1,11 @@
+import ast
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import extraction_lab
+import extraction_lab.harness
 from extraction_lab import entropies
 from extraction_lab.cli import SCENARIO_FORMS
 from extraction_lab.cq_states import CqState
@@ -40,14 +43,13 @@ from extraction_lab.cq_states import (
     markov_block_state,
 )
 from extraction_lab.operators import (
-    hermitian_trace_norm,
-    op_power,
+    hermitian_trace_norms,
     partial_trace,
     probability_vector,
     random_density,
 )
 from extraction_lab.xor_analysis import pgm_stacks
-from conftest import random_cq_state
+from conftest import op_power, random_cq_state
 
 
 def test_make_flat_source():
@@ -303,6 +305,33 @@ def test_readme_lists_every_check_param():
             assert f"| `{check_id}` | `{key}` | `{shown}` |" in readme, (check_id, key)
 
 
+def _readme_library_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_example_runs_on_the_library_surface():
+    # The example imports only names of the two ``__all__`` lists, and runs:
+    # it asserts that the distance it computes is within the bound.
+    code, = re.findall(r"```python\n(.*?)```", _readme_library_section(), re.DOTALL)
+    surfaces = {"extraction_lab": extraction_lab.__all__,
+                "extraction_lab.harness": extraction_lab.harness.__all__}
+    imports = [node for node in ast.walk(ast.parse(code))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all(isinstance(node, ast.ImportFrom) for node in imports)
+    for node in imports:
+        assert {alias.name for alias in node.names} <= set(surfaces.get(node.module, ())), \
+            node.module
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_lists_the_library_surface():
+    listed = re.search(r"`extraction_lab\.__all__` names the library surface, beside\s+"
+                       r"`extraction_lab\.harness\.__all__`: (.*?`)\.", _readme_library_section(),
+                       re.DOTALL)
+    assert re.findall(r"`(\w+)`", listed.group(1)) == extraction_lab.__all__
+
+
 def test_run_check_deterministic_replay():
     a = run_check("b1-quantum-product", {"params": {"count": 4, "n_max": 3}, "seed": 13})
     b = run_check("b1-quantum-product", {"params": {"count": 4, "n_max": 3}, "seed": 13})
@@ -542,7 +571,7 @@ def _one_two_norm_oracle(count: int, seed: int) -> list:
         sigma = random_density(dim_b, rng) * float(rng.uniform(0.5, 2.0))
         rho_b = partial_trace(rho, (dim_a, dim_b), keep=(1,))
         centered = rho - np.kron(np.eye(dim_a) / dim_a, rho_b)
-        delta = 0.5 * hermitian_trace_norm(centered)
+        delta = 0.5 * float(hermitian_trace_norms(centered[None])[0])
         weight = np.kron(np.eye(dim_a), op_power(sigma, -0.25))
         conj = weight @ centered @ weight
         l2 = float(np.trace(conj @ conj).real)

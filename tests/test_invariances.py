@@ -1,0 +1,79 @@
+"""Symmetries of the deor extractor that the product route must respect.
+
+* Output mixing: for an invertible L over F_2^m, the family with matrices
+  B_j = sum_i L_ji A_i outputs L z where the original outputs z.  Its
+  combinations B_s are the original's A_{L^T s}, so it has the same r, and
+  an invertible relabelling of the output moves no distance to uniform.
+* Transposition: deor(x1, x2) of (A_i) is deor(x2, x1) of (A_i^T), so the
+  transposed family on the swapped sources gives the same output, and an
+  output strong in X1 is the transposed one strong in X2.
+
+Both are checked on fixed batches of product pairs (bb84 and random_pure
+side information, n 3-5, m 2-3, field and shift families) through
+``cq_states.product_distances``.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import random_distribution
+
+from extraction_lab.cq_states import product_distances
+from extraction_lab.extractors import deor_extractor
+from extraction_lab.gf2 import MatrixFamily, build_field_family, build_shift_family, gf2_rank
+from extraction_lab.harness.scenarios import make_side_info
+
+FAMILIES = (build_field_family, build_shift_family)
+SIDES = ({"model": "bb84", "params": {"bits": 1}}, {"model": "random_pure", "params": {"dim": 2}},
+         {"model": "random_pure", "params": {"dim": 3}})
+
+
+def _source(n, rng):
+    side = SIDES[int(rng.integers(len(SIDES)))]
+    return make_side_info(side["model"], random_distribution(n, rng, min_support=2),
+                          side["params"], seed=int(rng.integers(2 ** 31)))
+
+
+def _invertible(m, rng) -> np.ndarray:
+    while True:
+        mat = rng.integers(0, 2, size=(m, m), dtype=np.uint8)
+        if gf2_rank(mat) == m:
+            return mat
+
+
+def _batch(seed):
+    """(family, s1, s2) for every (n, m, family kind), each with two source pairs."""
+    rng = np.random.default_rng(seed)
+    return [(build(n, m), _source(n, rng), _source(n, rng))
+            for n in (3, 4, 5) for m in (2, 3) for build in FAMILIES for _ in range(2)]
+
+
+def _mixed(family, mix) -> MatrixFamily:
+    stacked = np.array(family.matrices, dtype=np.int64)
+    return MatrixFamily(tuple((np.tensordot(mix, stacked, axes=1) % 2).astype(np.uint8)))
+
+
+@pytest.mark.parametrize("strong_in", ["x1", "x2", None])
+def test_an_invertible_output_mixing_moves_no_distance(strong_in):
+    batch = _batch(41)
+    rng = np.random.default_rng(42)
+    mixed = [(_mixed(family, _invertible(family.m, rng)), s1, s2) for family, s1, s2 in batch]
+    assert [f.r for f, _, _ in mixed] == [f.r for f, _, _ in batch]
+    assert any(not np.array_equal(f.matrices, g.matrices) for (f, _, _), (g, _, _)
+               in zip(mixed, batch))
+    before = product_distances([(deor_extractor(f), s1, s2) for f, s1, s2 in batch], strong_in)
+    after = product_distances([(deor_extractor(f), s1, s2) for f, s1, s2 in mixed], strong_in)
+    assert np.abs(after - before).max() <= 1e-14
+    assert before.min() > 0
+
+
+@pytest.mark.parametrize("strong_in,swapped", [("x1", "x2"), ("x2", "x1"), (None, None)])
+def test_transposing_the_family_swaps_the_sources(strong_in, swapped):
+    batch = _batch(43)
+    transposed = [(MatrixFamily(tuple(a.T for a in family.matrices)), s1, s2)
+                  for family, s1, s2 in batch]
+    assert [f.r for f, _, _ in transposed] == [f.r for f, _, _ in batch]
+    direct = product_distances([(deor_extractor(f), s1, s2) for f, s1, s2 in batch], strong_in)
+    swapped_pairs = [(deor_extractor(f), s2, s1) for f, s1, s2 in transposed]
+    assert np.abs(product_distances(swapped_pairs, swapped) - direct).max() <= 1e-14
+    assert direct.min() > 0

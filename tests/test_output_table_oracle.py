@@ -31,14 +31,13 @@ from extraction_lab.cq_states import (
     classical_state,
     flat_grid_distances,
     markov_block_state,
-    product,
 )
 from extraction_lab.extractors import (
+    ComponentExtractor,
     deor_eval,
     deor_extractor,
     ip_eval,
     ip_extractor,
-    s_component,
 )
 from extraction_lab.gf2 import (
     all_bit_vectors,
@@ -50,8 +49,13 @@ from extraction_lab.gf2 import (
 from extraction_lab.harness import checks
 from extraction_lab.harness.checks import CLASSICAL_SIDES, _flat_grid, _flat_sources, run_check
 from extraction_lab.harness.scenarios import LEAKS, make_markov_scenario
-from extraction_lab.operators import check_hermitian, random_density, random_pure_state, tensor
-from conftest import distance_to_uniform, extractor_output_from_joint, extractor_output_state
+from extraction_lab.operators import hermitian_stack, random_density, random_pure_state, tensor
+from conftest import (
+    distance_to_uniform,
+    extractor_output_from_joint,
+    extractor_output_state,
+    product,
+)
 
 FAMILIES = {"field": build_field_family, "shift": build_shift_family}
 
@@ -67,7 +71,7 @@ def test_deor_and_component_tables_match_per_pair(kind, n):
         table = deor_extractor(fam).table
         assert table.shape == (1 << n, 1 << n) and not table.flags.writeable
         selectors = [index_to_bits(i, m) for i in range(1, 1 << m)]
-        components = [s_component(fam, s).table for s in selectors]
+        components = [ComponentExtractor(fam, s).table for s in selectors]
         for i, x in enumerate(vectors):
             for j, y in enumerate(vectors):
                 out = deor_eval(fam, x, y)
@@ -81,7 +85,7 @@ def test_component_table_matches_component_evaluator(kind):
     fam = FAMILIES[kind](3, 3)
     vectors = all_bit_vectors(3)
     for idx in range(1, 8):
-        comp = s_component(fam, index_to_bits(idx, 3))
+        comp = ComponentExtractor(fam, index_to_bits(idx, 3))
         for i, x in enumerate(vectors):
             for j, y in enumerate(vectors):
                 assert (int(comp.table[i, j]),) == comp(x, y)
@@ -114,7 +118,7 @@ def test_uint16_table_matches_per_pair():
     fam = build_field_family(9, 9)
     table = deor_extractor(fam).table
     assert table.dtype == np.uint16
-    assert s_component(fam, index_to_bits(257, 9)).table.dtype == np.uint8
+    assert ComponentExtractor(fam, index_to_bits(257, 9)).table.dtype == np.uint8
     rng = np.random.default_rng(909)
     for i, j in rng.integers(1 << 9, size=(2000, 2)).tolist():
         out = deor_eval(fam, index_to_bits(i, 9), index_to_bits(j, 9))
@@ -134,7 +138,7 @@ def test_ip_table_build_stays_below_one_int64_table():
 # -- per-pair reference copies (the replaced implementations, verbatim) --------
 
 def _ref_hermitian_trace_norm(s) -> float:
-    m = check_hermitian(s)
+    m = hermitian_stack(np.asarray(s, dtype=complex)[None])[0]
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
@@ -231,7 +235,7 @@ def random_extractor(n: int, rng):
     fam = FAMILIES["field" if rng.random() < 0.5 else "shift"](n, m)
     if pick == 0:
         return deor_extractor(fam)
-    return s_component(fam, index_to_bits(int(rng.integers(1, 1 << m)), m))
+    return ComponentExtractor(fam, index_to_bits(int(rng.integers(1, 1 << m)), m))
 
 
 def assert_same_state(new: CqState, ref: CqState, label):

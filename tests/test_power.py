@@ -8,8 +8,12 @@ seeds the suite gave them, so their rows are those of the full run.  Some
 row of that bound must then fail.  The product route is powered from its
 measured side too: ``b1-quantum-product``'s, ``b2-markov``'s and
 ``b8-weak-quantum``'s distances, scaled past the check's worst B1, B2 or
-B8 ratio, must fail rows.
+B8 ratio, must fail rows.  So are the two entropy checks: their certified
+min-entropies, moved by more than the solver's slack, must fail rows, and
+moved by less, none.
 """
+
+import dataclasses
 
 import pytest
 
@@ -123,3 +127,28 @@ def test_b8_weak_quantum_distance_fails_past_its_worst_ratio(monkeypatch, paper_
                                   factor / ratios["B8"])
     b8 = [r for r in result.reports if r.bound_id == "B8"]
     assert len(b8) == 20 and any(not r.passed for r in b8) == fails
+
+
+def _min_entropies_moved(monkeypatch, check_id, params, move):
+    """``check_id`` at seed 7 with every certified min-entropy v reported as move(v)."""
+    kernel = checks.h_min_cond_many
+    monkeypatch.setattr(checks, "h_min_cond_many", lambda *args, **kwargs: [
+        dataclasses.replace(r, value=move(r.value)) for r in kernel(*args, **kwargs)])
+    return checks.run_check(check_id, {"params": params, "seed": 7})
+
+
+@pytest.mark.parametrize("scale,fails", [(1.01, True), (1 + 1e-7, False)])
+def test_hmin_linear_drop_fails_when_its_entropies_move(monkeypatch, scale, fails):
+    # Each row is (H_min(X) - r) - H_min(MX) <= slack: scaling both entropies by
+    # 1.01 moves the difference past the slack on some rows, by 1 + 1e-7 on none.
+    reports = _min_entropies_moved(monkeypatch, "hmin-linear-drop", {}, lambda v: v * scale)
+    assert len(reports) == 587 and any(not r.passed for r in reports) == fails
+
+
+@pytest.mark.parametrize("shift,fails", [(1e-5, True), (1e-7, False)])
+def test_hmin_le_h2_fails_when_its_min_entropies_move(monkeypatch, shift, fails):
+    # The optimized row is H_min - H_2 <= slack: a min-entropy raised by 1e-5
+    # bits passes some collision entropy, one raised by 1e-7 none.
+    reports = _min_entropies_moved(monkeypatch, "hmin-le-h2", {"count": 500},
+                                   lambda v: v + shift)
+    assert len(reports) == 1000 and any(not r.passed for r in reports) == fails

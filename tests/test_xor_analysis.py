@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import dense_cq, distance_to_uniform, random_cq_state
+from conftest import (
+    dense_cq,
+    distance_to_uniform,
+    op_power,
+    output_stacks,
+    random_cq_state,
+    trace_distance,
+)
 
 from extraction_lab.cq_states import (
     apply_classical_function,
@@ -10,38 +17,29 @@ from extraction_lab.cq_states import (
     marginal_side,
 )
 from extraction_lab.gf2 import all_bit_vectors
-from extraction_lab.operators import (
-    op_power,
-    partial_trace,
-    random_density,
-    random_pure_state,
-    tensor,
-    trace_distance,
-)
+from extraction_lab.operators import partial_trace, random_density, random_pure_state, tensor
 from extraction_lab.xor_analysis import (
     MatrixValuedFunction,
     character_matrix,
-    l2_distance_to_uniform,
+    fourier_bounds,
     l2_distances_to_uniform,
-    measured_xor_bound,
+    measured_xor_bounds,
     mvf_fourier,
     mvf_l2_norm,
-    output_slots,
-    pgm,
-    squared_distance_fourier_bound,
+    pgm_stacks,
 )
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
-def assert_povm(povm):
+def assert_povm(elements):
     """Every element Hermitian and PSD, and the elements sum to the identity."""
-    elements = np.array(list(povm.blocks.values()))
     assert np.abs(elements - elements.conj().transpose(0, 2, 1)).max() <= 1e-9
     assert np.linalg.eigvalsh(elements).min() >= -1e-9
-    assert np.abs(elements.sum(axis=0) - np.eye(povm.side_dim)).max() <= 1e-9
-    return povm
+    assert np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1])).max() <= 1e-9
+    return elements
+
 
 
 def random_mvf(m, d, rng):
@@ -106,10 +104,10 @@ def test_pgm_orthogonal_conditionals_is_projective():
     st = build_cq({(0,): 0.5, (1,): 0.5},
                   {(0,): np.diag([1.0, 0.0]).astype(complex),
                    (1,): np.diag([0.0, 1.0]).astype(complex)})
-    povm = assert_povm(pgm(st))
-    assert np.allclose(povm.blocks[(0,)], np.diag([1.0, 0.0]))
-    assert np.allclose(povm.blocks[(1,)], np.diag([0.0, 1.0]))
-    joint = np.einsum("oij,xji->xo", povm.stack, st.stack).real   # tr(E_o rho_x)
+    povm = assert_povm(pgm_stacks(*output_stacks([st]))[0])
+    assert np.allclose(povm[0], np.diag([1.0, 0.0]))
+    assert np.allclose(povm[1], np.diag([0.0, 1.0]))
+    joint = np.einsum("oij,xji->xo", povm, st.stack).real   # tr(E_o rho_x)
     assert abs(joint[0, 0] - 0.5) < 1e-12
     assert abs(joint[0, 1]) < 1e-12
 
@@ -118,27 +116,27 @@ def test_pgm_identical_conditionals(rng):
     tau = random_density(3, rng)
     dist = {(0,): 0.25, (1,): 0.75}
     st = build_cq(dist, {s: tau for s in dist})
-    povm = pgm(st)
+    povm = pgm_stacks(*output_stacks([st]))[0]
     # On the support of tau the elements are P(x) * identity; the deficit
     # on ker(tau) goes to the first outcome.
     proj = op_power(tau, 0)
-    assert np.allclose(povm.blocks[(1,)], 0.75 * proj, atol=1e-9)
+    assert np.allclose(povm[1], 0.75 * proj, atol=1e-9)
     assert_povm(povm)
 
 
 def test_pgm_bb84_completeness():
     st = build_cq({(0,): 0.5, (1,): 0.5}, {(0,): KET0, (1,): KETPLUS})
-    povm = assert_povm(pgm(st))
-    total = sum(povm.blocks.values())
+    povm = assert_povm(pgm_stacks(*output_stacks([st]))[0])
+    total = povm.sum(axis=0)
     assert np.max(np.abs(total - np.eye(2))) < 1e-9
 
 
 def test_pgm_deficit_assignment_rank_deficient():
     # rho_B has rank 1, so the kernel deficit lands on the first outcome.
     st = build_cq({(0,): 0.5, (1,): 0.5}, {(0,): KET0, (1,): KET0})
-    povm = assert_povm(pgm(st))
-    assert np.allclose(povm.blocks[(0,)], np.diag([0.5, 1.0]), atol=1e-9)
-    assert np.allclose(povm.blocks[(1,)], np.diag([0.5, 0.0]), atol=1e-9)
+    povm = assert_povm(pgm_stacks(*output_stacks([st]))[0])
+    assert np.allclose(povm[0], np.diag([0.5, 1.0]), atol=1e-9)
+    assert np.allclose(povm[1], np.diag([0.5, 0.0]), atol=1e-9)
 
 
 def test_pgm_function_commutation(rng):
@@ -147,24 +145,27 @@ def test_pgm_function_commutation(rng):
         st = random_cq_state(2, 3, rng, min_support=2)
         table = {s: index_to_bits(int(rng.integers(2)), 1) for s in st.symbols()}
         fn = lambda s, t=table: t[s]
-        lhs = pgm(apply_classical_function(st, fn))
+        mapped = apply_classical_function(st, fn)
+        lhs = dict(zip(mapped.symbols(), pgm_stacks(
+            mapped.stack[None], np.ones((1, len(mapped.stack)), dtype=bool))[0]))
+        povm = pgm_stacks(st.stack[None], np.ones((1, len(st.stack)), dtype=bool))[0]
         grouped = {}
-        for sym, el in pgm(st).blocks.items():
+        for sym, el in zip(st.symbols(), povm):
             grouped[fn(sym)] = grouped.get(fn(sym), 0) + el
-        for y in lhs.symbols():
-            assert np.max(np.abs(lhs.blocks[y] - grouped[y])) < 1e-10
+        for y in mapped.symbols():
+            assert np.max(np.abs(lhs[y] - grouped[y])) < 1e-10
 
 
 def test_fourier_bound_uniform_independent():
     sigma = np.eye(2, dtype=complex) / 2
     st = build_cq({b: 0.25 for b in all_bit_vectors(2)},
                   {b: sigma for b in all_bit_vectors(2)})
-    assert squared_distance_fourier_bound(st, marginal_side(st)) < 1e-12
+    assert fourier_bounds(output_stacks([st])[0], marginal_side(st)[None])[0] < 1e-12
 
 
 def test_fourier_bound_deterministic_case():
     det = classical_state({(0,): 1.0})
-    rhs = squared_distance_fourier_bound(det, np.ones((1, 1)))
+    rhs = fourier_bounds(output_stacks([det])[0], np.ones((1, 1, 1)))[0]
     assert abs(rhs - 0.25) < 1e-12
 
 
@@ -185,7 +186,7 @@ def test_fourier_bound_matches_double_sum_oracle(rng):
                                     + sum(a & b for a, b in zip(s, zp)))
                     acc += sign * np.trace(mz @ mzp).real
         oracle = acc / 4.0
-        assert abs(squared_distance_fourier_bound(st, sigma) - oracle) < 1e-9
+        assert abs(fourier_bounds(output_stacks([st])[0], sigma[None])[0] - oracle) < 1e-9
 
 
 def test_fourier_bound_dominates_squared_distance(rng):
@@ -195,40 +196,36 @@ def test_fourier_bound_dominates_squared_distance(rng):
         st = random_cq_state(m, dim, rng)
         delta = distance_to_uniform(st, 1 << m)
         sigma = marginal_side(st)
-        assert delta ** 2 <= squared_distance_fourier_bound(st, sigma) + 1e-9
+        assert delta ** 2 <= fourier_bounds(output_stacks([st])[0], sigma[None])[0] + 1e-9
 
 
 def test_fourier_bound_kernel_violation():
     st = build_cq({(0,): 0.5, (1,): 0.5}, {(0,): KET0, (1,): KETPLUS})
     with pytest.raises(ValueError, match="kernel"):
-        squared_distance_fourier_bound(st, np.diag([1.0, 0.0]).astype(complex))
+        fourier_bounds(output_stacks([st])[0], np.diag([1.0, 0.0])[None])
 
 
 def test_fourier_side_bounds_refuse_non_bit_symbols():
-    # (2,) used to be read as bit 0: measured_xor_bound gave 0.5 here, and
+    # (2,) used to be read as bit 0: the masked-bit bound gave 0.5 here, and
     # 0.4204 with the same blocks under (0,) and (1,).
+    # Both bounds take a state's blocks at the indices of their output bits.
     bad = build_cq({(0,): 0.5, (2,): 0.5}, {(0,): KET0, (2,): KETPLUS})
-    named = r"symbol \(2,\) is not an 1-bit string"
-    with pytest.raises(ValueError, match=named):
-        measured_xor_bound(bad)
-    with pytest.raises(ValueError, match=named):
-        squared_distance_fourier_bound(bad, marginal_side(bad))
-    with pytest.raises(ValueError, match=named):
-        output_slots(bad)
+    with pytest.raises(ValueError, match=r"symbol \(2,\) is not an 1-bit string"):
+        output_stacks([bad])
 
 
 def test_measured_xor_uniform_independent():
     sigma = np.eye(2, dtype=complex) / 2
     st = build_cq({b: 0.25 for b in all_bit_vectors(2)},
                   {b: sigma for b in all_bit_vectors(2)})
-    assert measured_xor_bound(st) < 1e-7
+    assert measured_xor_bounds(*output_stacks([st]))[0] < 1e-7
     assert distance_to_uniform(st, 4) < 1e-12
 
 
 def test_measured_xor_equality_case():
     det = classical_state({(0,): 1.0})
     lhs = distance_to_uniform(det, 2)
-    rhs = measured_xor_bound(det)
+    rhs = measured_xor_bounds(*output_stacks([det]))[0]
     assert abs(lhs - 0.5) < 1e-12
     assert abs(rhs - lhs) < 1e-12
 
@@ -239,7 +236,7 @@ def test_measured_xor_dominates_distance(rng):
         dim = int(rng.integers(1, 4))
         st = random_cq_state(m, dim, rng)
         lhs = distance_to_uniform(st, 1 << m)
-        assert lhs <= measured_xor_bound(st) + 1e-9
+        assert lhs <= measured_xor_bounds(*output_stacks([st]))[0] + 1e-9
 
 
 def test_one_two_norm_inequality(rng):
@@ -249,9 +246,9 @@ def test_one_two_norm_inequality(rng):
         rho = random_density(da * db, rng)
         sigma = random_density(db, rng) * float(rng.uniform(0.5, 2.0))
         rho_b = partial_trace(rho, (da, db), keep=(1,))
-        delta = trace_distance(rho, tensor(np.eye(da) / da, rho_b), check_trace=False)
-        rhs = 0.5 * np.sqrt(da * np.trace(sigma).real
-                            * l2_distance_to_uniform(rho, da, sigma))
+        delta = trace_distance(rho, tensor(np.eye(da) / da, rho_b))
+        l2 = l2_distances_to_uniform(rho[None], da, sigma[None])[0]
+        rhs = 0.5 * np.sqrt(da * np.trace(sigma).real * l2)
         assert delta <= rhs + 1e-9
 
 
@@ -266,9 +263,10 @@ def test_bounds_hold_for_a_singular_sigma_that_misses_the_state(rng):
             conds[z][:2, :2] = random_density(2, rng)
         st = build_cq({z: 0.25 for z in conds}, conds)
         delta = distance_to_uniform(st, 4)
-        assert delta ** 2 <= squared_distance_fourier_bound(st, sigma) + 1e-9
+        assert delta ** 2 <= fourier_bounds(output_stacks([st])[0], sigma[None])[0] + 1e-9
         # tr sigma = 1 and d_A = 4 in the one-norm/two-norm bound.
-        assert delta <= 0.5 * np.sqrt(4 * l2_distance_to_uniform(dense_cq(st), 4, sigma)) + 1e-9
+        l2 = l2_distances_to_uniform(dense_cq(st)[None], 4, sigma[None])[0]
+        assert delta <= 0.5 * np.sqrt(4 * l2) + 1e-9
 
 
 def test_l2_distance_evaluator_matches_manual(rng):
@@ -278,7 +276,7 @@ def test_l2_distance_evaluator_matches_manual(rng):
     w = tensor(np.eye(2), op_power(sigma, -0.25))
     centered = rho - tensor(np.eye(2) / 2, rho_b)
     manual = np.trace((w @ centered @ w) @ (w @ centered @ w)).real
-    assert abs(l2_distance_to_uniform(rho, 2, sigma) - manual) < 1e-12
+    assert abs(l2_distances_to_uniform(rho[None], 2, sigma[None])[0] - manual) < 1e-12
 
 
 def test_l2_distances_are_the_batch_of_one_values_and_refuse_a_bad_member(rng):
@@ -286,7 +284,8 @@ def test_l2_distances_are_the_batch_of_one_values_and_refuse_a_bad_member(rng):
     sigmas = np.array([random_density(3, rng) * float(rng.uniform(0.5, 2.0)) for _ in range(4)])
     got = l2_distances_to_uniform(rhos, 2, sigmas)
     assert [value.hex() for value in got.tolist()] == [
-        l2_distance_to_uniform(rho, 2, sigma).hex() for rho, sigma in zip(rhos, sigmas)]
+        l2_distances_to_uniform(rho[None], 2, sigma[None])[0].hex()
+        for rho, sigma in zip(rhos, sigmas)]
     # One member whose sigma_B kernel, |2>, meets its full-rank rho_B.
     leaky = sigmas.copy()
     leaky[2] = np.diag([0.5, 0.5, 0.0])
