@@ -259,12 +259,13 @@ def markov_block_state(scenario: MarkovScenario) -> CqState:
     side_dim = int(offsets[-1])
     alpha1 = sorted({a for s1, _ in scenario.factors for a in s1.symbols()})
     alpha2 = sorted({b for _, s2 in scenario.factors for b in s2.symbols()})
+    slot1 = {a: i for i, a in enumerate(alpha1)}
+    slot2 = {b: j for j, b in enumerate(alpha2)}
     stack = np.zeros((len(alpha1), len(alpha2), side_dim, side_dim), dtype=complex)
     present = np.zeros(stack.shape[:2], dtype=bool)
     for lo, hi, w, (s1, s2) in zip(offsets, offsets[1:], scenario.weights, scenario.factors):
         if w > 0:
-            at = np.ix_([alpha1.index(a) for a in s1.symbols()],
-                        [alpha2.index(b) for b in s2.symbols()])
+            at = np.ix_([slot1[a] for a in s1.symbols()], [slot2[b] for b in s2.symbols()])
             stack[at + (slice(lo, hi),) * 2] = w * tensor(s1.stack[:, None], s2.stack[None])
             present[at] = True
     rows, cols = np.nonzero(present)

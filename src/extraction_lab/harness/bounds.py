@@ -6,13 +6,14 @@ epsilon, and every bound has one form: with E = k1 + k2 + 2 - n - r - m,
     epsilon = coef * 2^(-((E + a) - b*m) / q),
 
 so the catalog is one table, ``CATALOG``, of rows (coef, a, b, q, only_m),
-and one evaluator, :func:`bound_value`.  A row with ``only_m`` holds for
-that output length alone.  Direct results use their published exponent;
-reduction-style results (a transformer applied to the base extractor
-statement) are algebraically inverted so that the returned epsilon is
-expressed at the *declared* entropies, the entropy offsets of the quoted
-statement absorbed into the row.  Each inversion is verified by a
-consistency identity in the test suite.
+and one evaluator, :func:`bound_values`, with :func:`bound_value` its batch
+of one.  A row with ``only_m`` holds for that output length alone.  Direct
+results use their published exponent; reduction-style results (a
+transformer applied to the base extractor statement) are algebraically
+inverted so that the returned epsilon is expressed at the *declared*
+entropies, the entropy offsets of the quoted statement absorbed into the
+row.  Each inversion is verified by a consistency identity in the test
+suite.
 """
 
 from __future__ import annotations
@@ -64,14 +65,28 @@ def _validate(n, m, r, k1, k2) -> None:
             raise ValueError(f"{name}={k} outside the source entropy range [0, {n}]")
 
 
+def bound_values(bound_ids, params) -> list[float]:
+    """Evaluate catalog bounds at params with keys n, m, r, k1, k2, one value per id.
+
+    The values and any refusal are those of :func:`bound_value` called once
+    per id in order, but the params are read and validated only once.
+    """
+    values = []
+    for bound_id in bound_ids:
+        if bound_id not in CATALOG:
+            raise KeyError(f"unknown bound id {bound_id!r}; known: {', '.join(BOUND_IDS)}")
+        if not values:  # the first id: read and validate the params
+            n, m, r = int(params["n"]), int(params["m"]), int(params["r"])
+            k1, k2 = float(params["k1"]), float(params["k2"])
+            _validate(n, m, r, k1, k2)
+            e = base_exponent(n, m, r, k1, k2)
+        coef, a, b, q, only_m = CATALOG[bound_id]
+        if only_m is not None and m != only_m:
+            raise ValueError(f"bound {bound_id!r} applies to m = {only_m} output only, got m={m}")
+        values.append(float(coef * 2.0 ** (-((e + a) - b * m) / q)))
+    return values
+
+
 def bound_value(bound_id: str, params) -> float:
     """Evaluate a catalog bound at params with keys n, m, r, k1, k2."""
-    if bound_id not in CATALOG:
-        raise KeyError(f"unknown bound id {bound_id!r}; known: {', '.join(BOUND_IDS)}")
-    n, m, r = int(params["n"]), int(params["m"]), int(params["r"])
-    k1, k2 = float(params["k1"]), float(params["k2"])
-    _validate(n, m, r, k1, k2)
-    coef, a, b, q, only_m = CATALOG[bound_id]
-    if only_m is not None and m != only_m:
-        raise ValueError(f"bound {bound_id!r} applies to m = {only_m} output only, got m={m}")
-    return float(coef * 2.0 ** (-((base_exponent(n, m, r, k1, k2) + a) - b * m) / q))
+    return bound_values((bound_id,), params)[0]

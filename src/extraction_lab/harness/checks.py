@@ -63,7 +63,7 @@ from ..xor_analysis import (
     mvf_l2_norm,
     pgm_stacks,
 )
-from .bounds import BOUND_IDS, CATALOG, base_exponent, bound_value
+from .bounds import BOUND_IDS, CATALOG, base_exponent, bound_values
 from .params import NATURALS, resolved
 from .scenarios import (
     MARKOV_BLOCKS_MAX,
@@ -175,7 +175,7 @@ def _k_params(n, m, r, k1, k2):
 
 
 def _catalog(bounds, params: dict, measured) -> list:
-    return [(b, measured, bound_value(b, params)) for b in bounds]
+    return [(b, measured, value) for b, value in zip(bounds, bound_values(bounds, params))]
 
 
 def _random_extractor(rng: np.random.Generator, n_min: int, n_max: int, m_max: int):
@@ -709,9 +709,8 @@ def _bound_ordering(p, rng):
 
     for n, m, r, k1, k2 in itertools.islice(kept(), p["count"]):
         kp = _k_params(n, m, r, k1, k2)
-        b1 = bound_value("B1", kp)
-        yield Case(kp, f"ordering n={n} m={m} r={r}",
-                   [(other, b1, bound_value(other, kp)) for other in ("B6", "B4")])
+        b1, b6, b4 = bound_values(("B1", "B6", "B4"), kp)
+        yield Case(kp, f"ordering n={n} m={m} r={r}", [("B6", b1, b6), ("B4", b1, b4)])
 
 
 CHECK_IDS = tuple(sorted(CHECKS))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -168,6 +169,7 @@ def _summarize(reports) -> dict:
 _ROW = ('    {\n      "bound_epsilon": %s,\n      "bound_id": %s,\n      "check_id": %s,\n'
         '      "flags": %s,\n      "measured_delta": %s,\n      "params": %s,\n'
         '      "pass": %s,\n      "scenario": %s\n    }')
+_NEXT_ROW = ",\n" + _ROW
 _NO_ROWS = '\n  "reports": [],'
 _INF = float("inf")
 
@@ -211,30 +213,32 @@ def _flat_object(obj: dict, indent: int | None = None) -> str:
     return "{" + pad + ("," + pad).join(items) + "\n" + " " * indent + "}"
 
 
-def _row_texts(reports) -> list[str]:
-    """Each row as json.dumps lays it out in the report.
+def _row_texts(reports):
+    """Each row as json.dumps lays it out in the report, every row after the
+    first led by its ``,\\n`` separator.
 
     The rows of one case share their params and flags dicts and sit next
     to each other after the sort, so a case's dicts are spelled once.
     """
-    texts = []
+    row = _ROW
     params = flags = object()
     for r in reports:
         if r.params is not params:
             params, params_text = r.params, _flat_object(r.params, 6)
         if r.flags is not flags:
             flags, flags_text = r.flags, _flat_object(r.flags, 6)
-        texts.append(_ROW % (_scalar(r.bound_epsilon), _scalar(r.bound_id),
-                             _scalar(r.check_id), flags_text, _scalar(r.measured_delta),
-                             params_text, _scalar(r.passed), _scalar(r.scenario)))
-    return texts
+        yield row % (_scalar(r.bound_epsilon), _scalar(r.bound_id),
+                     _scalar(r.check_id), flags_text, _scalar(r.measured_delta),
+                     params_text, _scalar(r.passed), _scalar(r.scenario))
+        row = _NEXT_ROW
 
 
-def render_json(result: SuiteResult) -> str:
-    """The report, byte for byte ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+def _json_pieces(result: SuiteResult):
+    """report.json in order as pieces: the envelope up to ``"reports": [``,
+    each row, and the rest of the envelope; an empty report is one piece.
 
-    Row params and flags must be dicts of str keys and JSON scalars: any
-    other row value raises TypeError.
+    The envelope is one ``json.dumps`` call: the document with no rows,
+    split where its empty list stands.
     """
     head = json.dumps({
         "schema_version": SCHEMA_VERSION,
@@ -245,10 +249,22 @@ def render_json(result: SuiteResult) -> str:
         "reports": [],
     }, indent=2, sort_keys=True)
     if not result.reports:
-        return head + "\n"
+        yield head + "\n"
+        return
     before, _, after = head.partition(_NO_ROWS)
-    rows = ",\n".join(_row_texts(result.reports))
-    return before + '\n  "reports": [\n' + rows + "\n  ]," + after + "\n"
+    yield before + '\n  "reports": [\n'
+    yield from _row_texts(result.reports)
+    yield "\n  ]," + after + "\n"
+
+
+def render_json(result: SuiteResult) -> str:
+    """The report, byte for byte ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+
+    Row params and flags must be dicts of str keys and JSON scalars: any
+    other row value raises TypeError.  The text is joined once from
+    :func:`_json_pieces`, which :func:`write_reports` streams instead.
+    """
+    return "".join(_json_pieces(result))
 
 
 CSV_COLUMNS = ["check_id", "bound_id", "n", "m", "r", "k1", "k2",
@@ -275,19 +291,44 @@ def _csv_rows(reports):
                r.passed, f"{r.runtime_ms:.3f}", r.scenario, flags_text]
 
 
-def render_csv(result: SuiteResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(result: SuiteResult, out) -> None:
+    """Write the CSV report to the text stream ``out``, one row at a time."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows(_csv_rows(result.reports))
+
+
+def render_csv(result: SuiteResult) -> str:
+    """The CSV report: a header of ``CSV_COLUMNS``, then one line per row."""
+    buf = io.StringIO()
+    _write_csv(result, buf)
     return buf.getvalue()
 
 
 def write_reports(result: SuiteResult, out_dir) -> tuple[Path, Path]:
+    """Write ``report.json`` and ``report.csv`` into ``out_dir``, made if missing.
+
+    Each file holds the bytes that ``Path.write_text`` would write of
+    :func:`render_json` and :func:`render_csv`, but neither report is ever
+    held as one string: each is streamed, piece by piece or row by row, into
+    a temporary file beside its target.  Both targets are replaced only once
+    both files are complete, so a row the renderers refuse (TypeError)
+    leaves the previous reports as they were and no temporary file behind.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "report.json"
-    csv_path = out / "report.csv"
-    json_path.write_text(render_json(result))
-    csv_path.write_text(render_csv(result))
-    return json_path, csv_path
+    paths = out / "report.json", out / "report.csv"
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    try:
+        # Path.open's defaults are Path.write_text's: the locale's encoding,
+        # and "\n" written as os.linesep.
+        with temps[0].open("w") as f:
+            f.writelines(_json_pieces(result))
+        with temps[1].open("w") as f:
+            _write_csv(result, f)
+        for temp, path in zip(temps, paths):
+            temp.replace(path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+    return paths

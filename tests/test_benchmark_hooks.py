@@ -62,11 +62,16 @@ def test_family_builders_and_solvers_are_public_functions():
         assert "iters" in inspect.signature(_public_function("entropies", fname)).parameters
 
 
-def test_suite_calls_match_the_suite_signatures():
+def _suite_calls() -> list:
+    """The worker's calls of ``suite.<name>(...)``, as AST nodes."""
     tree = ast.parse((PERFBENCH / "worker.py").read_text())
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)
-             and isinstance(node.func.value, ast.Name) and node.func.value.id == "suite"]
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "suite"]
+
+
+def test_suite_calls_match_the_suite_signatures():
+    calls = _suite_calls()
     assert "run_suite" in {call.func.attr for call in calls}
     for call in calls:
         sig = inspect.signature(getattr(suite, call.func.attr))

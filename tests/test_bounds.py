@@ -1,12 +1,15 @@
 import math
+import re
 
 import pytest
 
 from extraction_lab.harness import bounds, checks
 from extraction_lab.harness.bounds import (
     BOUND_IDS,
+    CATALOG,
     base_exponent,
     bound_value,
+    bound_values,
 )
 
 
@@ -240,3 +243,53 @@ def test_single_bit_rule_reads_the_catalog(monkeypatch):
     assert checks.resolve_params("b1-quantum-product", {"m_max": 1})["bounds"][1] == "B6"
     monkeypatch.setitem(bounds.CATALOG, "B7", bounds.CATALOG["B7"]._replace(only_m=None))
     assert checks.resolve_params("b2-markov", {"bounds": ["B7"]})["bounds"] == ("B7",)
+
+
+def _ref_bound_value(bound_id, params):
+    # The oracle for the batch: one bound at a time, the params read and
+    # validated on every call.
+    if bound_id not in CATALOG:
+        raise KeyError(f"unknown bound id {bound_id!r}; known: {', '.join(BOUND_IDS)}")
+    n, m, r = int(params["n"]), int(params["m"]), int(params["r"])
+    k1, k2 = float(params["k1"]), float(params["k2"])
+    bounds._validate(n, m, r, k1, k2)
+    coef, a, b, q, only_m = CATALOG[bound_id]
+    if only_m is not None and m != only_m:
+        raise ValueError(f"bound {bound_id!r} applies to m = {only_m} output only, got m={m}")
+    return float(coef * 2.0 ** (-((base_exponent(n, m, r, k1, k2) + a) - b * m) / q))
+
+
+def test_batch_is_the_per_bound_evaluation_bit_for_bit():
+    # Every catalog row a case's m admits, at the grid and at the ends of the
+    # entropy range's tolerance.
+    edges = [(n, m, r, k1, k2) for n in (1, 2, 6) for m in range(1, n + 1) for r in (0, n - 1)
+             for k1, k2 in ((-1e-9, n + 1e-9), (n + 1e-9, -1e-9))]
+    for args in [*_grid(), *edges]:
+        p = params(*args)
+        ids = [b for b in BOUND_IDS if CATALOG[b].only_m in (None, args[1])]
+        got = bound_values(ids, p)
+        assert got == [_ref_bound_value(b, p) for b in ids], args
+        assert got == [bound_value(b, p) for b in ids], args
+
+
+@pytest.mark.parametrize("ids, p", [
+    (["B1", "B99"], params(4, 1, 0, 2, 2)),
+    (["B99"], params(0, 1, 0, 0, 0)),
+    (["B1", "B7"], params(4, 2, 0, 3, 3)),
+    (["B1", "B6"], params(4, 1, 0, 5, 2)),
+    (["B1"], params(4, 1, 4, 2, 2)),
+    (["B7"], params(0, 1, 0, 0, 0)),
+    (["B7", "B99"], params(4, 2, 0, 3, 3)),
+    (["B1", "B99"], params(4, 1, 4, 2, 2)),
+])
+def test_batch_refuses_as_the_per_bound_evaluation(ids, p):
+    # The batch refuses with the first refusal its bounds met one at a time;
+    # bound_value is its batch of one.
+    with pytest.raises((KeyError, ValueError)) as want:
+        for b in ids:
+            _ref_bound_value(b, p)
+    with pytest.raises(want.type, match=re.escape(str(want.value.args[0]))):
+        bound_values(ids, p)
+    if len(ids) == 1:
+        with pytest.raises(want.type, match=re.escape(str(want.value.args[0]))):
+            bound_value(ids[0], p)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -927,7 +928,7 @@ def test_render_json_matches_the_stdlib_on_random_rows(pools, rows):
     assert render_csv(result) == _stdlib_csv(result)
 
 
-def test_rows_are_spelled_without_json_dumps(monkeypatch):
+def test_rows_are_spelled_without_json_dumps(monkeypatch, tmp_path):
     result = run_suite(load_config("quick"), seed=1)
     calls = []
     dumps = json.dumps
@@ -937,6 +938,61 @@ def test_rows_are_spelled_without_json_dumps(monkeypatch):
     calls.clear()
     render_csv(result)
     assert calls == []
+    write_reports(result, tmp_path)
+    assert len(calls) == 1
+
+
+def _written(result, out_dir) -> tuple[bytes, bytes]:
+    return tuple(path.read_bytes() for path in write_reports(result, out_dir))
+
+
+def _write_text_bytes(text: str, path: Path) -> bytes:
+    path.write_text(text)
+    return path.read_bytes()
+
+
+def test_written_reports_are_the_renderers_bytes(tmp_path):
+    results = [run_suite(load_config("quick"), seed=1),
+               _result(_edge_reports(), name='edge "suite" \\ é'), _result([])]
+    for i, result in enumerate(results):
+        json_bytes, csv_bytes = _written(result, tmp_path / str(i))
+        assert json_bytes == _write_text_bytes(render_json(result), tmp_path / f"{i}.json")
+        assert csv_bytes == _write_text_bytes(render_csv(result), tmp_path / f"{i}.csv")
+        assert sorted(os.listdir(tmp_path / str(i))) == ["report.csv", "report.json"]
+
+
+@pytest.mark.parametrize("params, flags", [
+    ({"n": np.int64(3)}, {}),                   # refused by render_json alone
+    ({}, {"converged": np.bool_(True)}),        # refused by both renderers
+])
+def test_a_refused_report_leaves_the_previous_files(tmp_path, params, flags):
+    before = _written(run_suite(load_config("quick"), seed=1), tmp_path)
+    result = _result([BoundReport("c", "B1", params, 0.5, 1.0, 0.0, "s", flags)])
+    with pytest.raises(TypeError):
+        write_reports(result, tmp_path)
+    assert tuple((tmp_path / name).read_bytes() for name in ("report.json", "report.csv")) \
+        == before
+    assert sorted(os.listdir(tmp_path)) == ["report.csv", "report.json"]
+
+
+def _traced_peak(emit) -> int:
+    tracemalloc.start()
+    try:
+        emit()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_each_report_is_held_once(tmp_path):
+    # render_json holds its pieces and their join, about twice the report;
+    # write_reports streams both files and holds about one row's text.
+    # Concatenating the envelope around the joined rows peaked at 3x the
+    # report, and writing that string again at 3x.
+    result = run_suite(load_config("paper-table-1"), seed=42)
+    size = len(render_json(result))
+    assert _traced_peak(lambda: render_json(result)) < 2.5 * size
+    assert _traced_peak(lambda: write_reports(result, tmp_path)) < 0.5 * size
 
 
 def _blank_runtimes(report_csv: str) -> str:

@@ -428,14 +428,15 @@ def _source_definitions():
 def test_every_definition_is_reachable_from_the_surface():
     # A top-level function or class stays only if something reaches it by name
     # from the library surface (both ``__all__`` lists), ``cli.main``, a check
-    # registration, a module-level statement, or a name that perfbench hooks.
-    from test_benchmark_hooks import _constant
+    # registration, a module-level statement, a name that perfbench hooks, or a
+    # suite function that the perfbench worker calls.
+    from test_benchmark_hooks import _constant, _suite_calls
 
     definitions, roots = _source_definitions()
     roots |= set(extraction_lab.__all__) | set(extraction_lab.harness.__all__) | {"main"}
     roots |= {cls for _, cls, _ in _constant("tracer.py", "METHODS")}
     roots |= {name.rsplit(".", 1)[1] for name in _constant("layers.py", "FAMILY_BUILDERS")}
-    roots |= set(_constant("tracer.py", "SOLVERS")) | {"run_suite"}
+    roots |= set(_constant("tracer.py", "SOLVERS")) | {call.func.attr for call in _suite_calls()}
     for _, node in definitions:
         if any(isinstance(d, ast.Call) and _names(d.func) == {"_check"}
                for d in getattr(node, "decorator_list", ())):
