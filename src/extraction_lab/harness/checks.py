@@ -73,8 +73,11 @@ from .scenarios import (
     _markov_draw,
     _markov_scenarios,
     _random_blocks,
+    _random_blocks_many,
     _random_cqs,
     _random_source,
+    _split,
+    _standard_normals,
     make_flat_source,
     make_side_info,
 )
@@ -100,6 +103,12 @@ EXHAUSTIVE_N_MAX = 4    # hmin-linear-drop enumerates all 2^(n²) maps: 65536 at
 # entries of its padded (2^n, 2^n, d_C, d_C) stack, and no built-in suite fills
 # its groups either.
 BLOCK_BUDGET = 1 << 16
+# The random-state checks draw their scenarios in blocks (_in_blocks) of as many
+# scenarios as keep the draws of the check's largest scenario within this many
+# numbers, and at least one.  The size depends on no count, so the scenarios of
+# a count are the first ones of every larger count; and on no BLOCK_BUDGET, so a
+# group flushed early evaluates the same draws.
+DRAW_BUDGET = 1 << 16
 # bound-ordering draws its tries this many at a time; about 28 % of them are kept.
 ORDERING_BLOCK = 1024
 CLASSICAL_SIDES = ("trivial", "classical_leak")     # flat grids count these exactly
@@ -429,28 +438,52 @@ def _in_groups(draws, evaluate) -> list:
     return results
 
 
+def _in_blocks(draw_block, count: int):
+    """The first ``count`` scenarios of the blocks that ``draw_block()`` draws, one block
+    after another, each block's in draw order.
+
+    A block is drawn only once the last is used up, so one is held; and as its
+    size does not depend on ``count``, the scenarios of a count are the first
+    ones of every larger count.
+    """
+    def scenarios():
+        while True:
+            yield from draw_block()
+    return itertools.islice(scenarios(), count)
+
+
 def _random_output_groups(p, rng, m_max: int, dim_max: int, bound, with_sigma=False) -> list:
     """(m, dim, delta, bound value) per scenario of a random-state check, in draw order.
 
-    Each of the ``p["count"]`` scenarios draws m and dim, then what a random
-    cq-state with m-bit outputs on a dim-dimensional side register
-    (:func:`_random_blocks`) and, ``with_sigma``, a random density sigma
-    draw, in that order; it holds its distribution, slots and raw standard
-    normals (:func:`_ginibre_normals`).  Each (m, dim) group
-    (:func:`_in_groups`) is formed and validated at once by
-    :func:`_formed_group`: one :func:`ginibre_densities`, one
-    :func:`check_unit_traces` naming the symbol, and one
+    The ``p["count"]`` scenarios are drawn in blocks (:func:`_in_blocks`) of
+    DRAW_BUDGET numbers, each scenario drawing at most m, dim, a support,
+    2^m·(2 + 2·dim²) numbers for its state and 2·dim² for its sigma, at m_max
+    and dim_max.  A block draws every scenario's m,
+    then its dim, then a random cq-state with m-bit outputs on a
+    dim-dimensional side register each (:func:`_random_blocks_many`) and,
+    ``with_sigma``, one random density sigma's standard normals each, all in
+    one generator call per column; it holds its distributions, slots and raw
+    standard normals.  Each (m, dim) group (:func:`_in_groups`) is formed and
+    validated at once by :func:`_formed_group`: one :func:`ginibre_densities`,
+    one :func:`check_unit_traces` naming the symbol, and one
     ``check_blocks(..., normalized=True)``.  Its sigmas are formed by one
     more :func:`ginibre_densities`, and the group is evaluated in one stacked
     pass: :func:`weak_distances` and ``bound(stacks, present, sigmas)``, with
     ``sigmas`` None unless ``with_sigma``.  A scenario weighs 4^m·dim².
     """
+    size = max(1, DRAW_BUDGET // (3 + (1 << m_max) * (2 + 2 * dim_max ** 2)
+                                  + with_sigma * 2 * dim_max ** 2))
+
+    def block():
+        m = rng.integers(1, m_max + 1, size=size)
+        dim = rng.integers(1, dim_max + 1, size=size)
+        drawn = _random_blocks_many(m, dim, rng)
+        sigmas = (_standard_normals(rng, [(1, 2, d, d) for d in dim.tolist()]) if with_sigma
+                  else [None] * size)
+        return zip(m.tolist(), dim.tolist(), drawn, sigmas)
+
     def draws():
-        for _ in range(p["count"]):
-            m = int(rng.integers(1, m_max + 1))
-            dim = int(rng.integers(1, dim_max + 1))
-            drawn = _random_blocks(m, dim, rng, draw=_ginibre_normals)
-            sigma = _ginibre_normals(1, dim, rng) if with_sigma else None
+        for m, dim, drawn, sigma in _in_blocks(block, p["count"]):
             yield (m, dim), (1 << 2 * m) * dim * dim, (drawn, sigma)
 
     def evaluate(key, items):
@@ -510,7 +543,7 @@ def _commutation_deviations(key, items) -> list:
     """max |pgm(relabelled) − relabelled(pgm)| of each drawn state of one group, in order.
 
     ``key`` is the group's (n_bits, dim, out_bits) and ``items`` hold each
-    state's draw, (indices, weights, normals) as :func:`_random_blocks`
+    state's draw, (indices, weights, normals) as :func:`_random_blocks_many`
     returns them, and the output index of each of its symbols in ascending
     order.  The group is formed by one :func:`_formed_group`, both sides are
     measured by one :func:`pgm_stacks` call each and relabelled by one
@@ -531,19 +564,28 @@ def _commutation_deviations(key, items) -> list:
 def _pgm_commutation(p, rng):
     """Measurement-then-relabel equals relabel-then-measurement, elementwise.
 
-    Each scenario draws n_bits and dim, a random cq-state's raw draw
-    (:func:`_random_blocks` with :func:`_ginibre_normals`), out_bits, and
-    one output index per symbol of its support in ascending order.  Each
-    (n_bits, dim, out_bits) group (:func:`_in_groups`) is evaluated by
-    :func:`_commutation_deviations`; a scenario weighs 2^n·dim².
+    The scenarios are drawn in blocks (:func:`_in_blocks`) of DRAW_BUDGET
+    numbers, each scenario drawing at most 4 + 8·(2 + 2·4²) + 8.  A block draws
+    every scenario's n_bits, then its dim, then its out_bits, then a random
+    cq-state's raw draw each (:func:`_random_blocks_many`), and then one
+    output index per symbol of every support in ascending order, all in one
+    generator call per column.  Each (n_bits, dim, out_bits) group
+    (:func:`_in_groups`) is evaluated by :func:`_commutation_deviations`; a
+    scenario weighs 2^n·dim².
     """
+    size = max(1, DRAW_BUDGET // (4 + 8 * (2 + 2 * 4 ** 2) + 8))
+
+    def block():
+        n_bits = rng.integers(1, 4, size=size)
+        dim = rng.integers(2, 5, size=size)
+        out_bits = rng.integers(1, 3, size=size)
+        drawn = _random_blocks_many(n_bits, dim, rng, min_support=2)
+        supports = [len(indices) for indices, _, _ in drawn]
+        images = _split(rng.integers(np.repeat(1 << out_bits, supports)), supports)
+        return zip(n_bits.tolist(), dim.tolist(), out_bits.tolist(), drawn, images)
+
     def draws():
-        for _ in range(p["count"]):
-            n_bits = int(rng.integers(1, 4))
-            dim = int(rng.integers(2, 5))
-            drawn = _random_blocks(n_bits, dim, rng, min_support=2, draw=_ginibre_normals)
-            out_bits = int(rng.integers(1, 3))
-            images = [int(rng.integers(1 << out_bits)) for _ in drawn[0]]
+        for n_bits, dim, out_bits, drawn, images in _in_blocks(block, p["count"]):
             yield (n_bits, dim, out_bits), (dim * dim) << n_bits, (drawn, images)
 
     def evaluate(key, items):
@@ -646,21 +688,28 @@ def _hmin_le_h2(p, rng):
 def _one_two_norm(p, rng):
     """Trace distance bounded through the conjugated 2-distance.
 
-    Each scenario draws dims, then the standard normals of rho_AB and of
-    sigma_B as :func:`random_density` would, and sigma_B's scale; the
+    The scenarios are drawn in blocks (:func:`_in_blocks`) of DRAW_BUDGET
+    numbers, each scenario drawing at most 2·16² + 2·4² + 3.  A block draws
+    every scenario's dim_a, then its dim_b, then the standard normals of
+    rho_AB and then of sigma_B as :func:`random_density` would form them,
+    and then sigma_B's scale, all in one generator call per column.  The
     densities are formed per (dim_a, dim_b) group (:func:`ginibre_densities`)
     and the group evaluated in one stacked pass.  A scenario weighs
     16·(dim_a·dim_b)², about the complex entries of every D×D operator its
     pass allocates, so a pass holds at most 16 scenarios of 16×16.
     """
+    size = max(1, DRAW_BUDGET // (2 * 16 ** 2 + 2 * 4 ** 2 + 3))
+
+    def block():
+        dim_a = rng.integers(2, 5, size=size).tolist()
+        dim_b = rng.integers(2, 5, size=size).tolist()
+        rhos = _standard_normals(rng, [(2, a * b, a * b) for a, b in zip(dim_a, dim_b)])
+        sigmas = _standard_normals(rng, [(2, b, b) for b in dim_b])
+        return zip(dim_a, dim_b, rhos, sigmas, rng.uniform(0.5, 2.0, size=size).tolist())
+
     def draws():
-        for _ in range(p["count"]):
-            dim_a = int(rng.integers(2, 5))
-            dim_b = int(rng.integers(2, 5))
-            rho = rng.standard_normal((2, dim_a * dim_b, dim_a * dim_b))
-            sigma = rng.standard_normal((2, dim_b, dim_b))
-            yield ((dim_a, dim_b), 16 * (dim_a * dim_b) ** 2,
-                   (rho, sigma, float(rng.uniform(0.5, 2.0))))
+        for dim_a, dim_b, rho, sigma, scale in _in_blocks(block, p["count"]):
+            yield (dim_a, dim_b), 16 * (dim_a * dim_b) ** 2, (rho, sigma, scale)
 
     def evaluate(dims, items):
         rhos, sigmas, scales = (np.array(column) for column in zip(*items))
@@ -696,18 +745,17 @@ def _bound_ordering(p, rng):
     Rejection-samples the regime where the exact bound is nontrivial,
     ``base_exponent ≥ 0``.  Tries are drawn a block at a time
     (:func:`_ordering_block`), and a block's kept tries are taken in draw
-    order before the next block is drawn, so at most one block is held.
-    Tries are i.i.d., so the kept ones have the law of a per-try loop; and as
-    the block size is fixed, the scenarios of any count are the first ones of
-    every larger count.
+    order before the next block is drawn (:func:`_in_blocks`), so at most
+    one block is held.  Tries are i.i.d., so the kept ones have the law of a
+    per-try loop; and as the block size is fixed, the scenarios of any count
+    are the first ones of every larger count.
     """
     def kept():
-        while True:
-            block = _ordering_block(rng)
-            keep = base_exponent(*block) >= 0
-            yield from zip(*(column[keep].tolist() for column in block))
+        block = _ordering_block(rng)
+        keep = base_exponent(*block) >= 0
+        return zip(*(column[keep].tolist() for column in block))
 
-    for n, m, r, k1, k2 in itertools.islice(kept(), p["count"]):
+    for n, m, r, k1, k2 in _in_blocks(kept, p["count"]):
         kp = _k_params(n, m, r, k1, k2)
         b1, b6, b4 = bound_values(("B1", "B6", "B4"), kp)
         yield Case(kp, f"ordering n={n} m={m} r={r}", [("B6", b1, b6), ("B4", b1, b4)])

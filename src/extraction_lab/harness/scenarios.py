@@ -3,15 +3,18 @@
 Every builder is deterministic given its seed, and draws only: a source is
 its cq-state, and no builder solves an entropy.  A caller that needs a
 source's certified entropy calls ``h_min_cond`` on the state itself.
-Random cq-states are drawn raw (:func:`_random_blocks`, :func:`_markov_draw`)
-and formed and validated per group (:func:`_formed_group`), so a check that
-draws many pays the fixed cost of forming once per group, not per state.
+Random cq-states are drawn raw and formed and validated per group
+(:func:`_formed_group`), so a check that draws many pays the fixed cost of
+forming once per group, not per state.  A block of them is drawn in four
+generator calls, whatever its size (:func:`_random_blocks_many`); one at a
+time (:func:`_random_blocks`) only where a block cannot be drawn.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -109,6 +112,12 @@ def _random_blocks(n_bits: int, dim: int, rng: np.random.Generator, min_support:
     draw(support, dim, rng) of conditionals, (support, dim, dim), or of their
     unformed normals (:func:`_ginibre_normals`); 1x1 ones for a
     one-dimensional side register, drawing nothing.
+
+    The one-at-a-time form of :func:`_random_blocks_many`, kept only where no
+    block can be drawn: :func:`_markov_draw`, whose pure and one-hot
+    conditionals are drawn one after another from one generator per
+    scenario, and the sources of ``hmin-le-h2`` and ``hmin-linear-drop``,
+    whose rows carry solver flags that a redraw could move.
     """
     size = 1 << n_bits
     support = int(rng.integers(min_support, size + 1))
@@ -116,6 +125,50 @@ def _random_blocks(n_bits: int, dim: int, rng: np.random.Generator, min_support:
     weights = rng.random(support) + 1e-3
     conds = draw(support, dim, rng) if dim > 1 else np.ones((support, 1, 1), dtype=complex)
     return indices, weights / weights.sum(), conds
+
+
+def _random_blocks_many(n_bits, dims, rng: np.random.Generator, min_support: int = 1) -> list:
+    """A block of :func:`_random_blocks` draws with unformed normals, in four generator calls.
+
+    ``n_bits`` and ``dims`` are arrays of each scenario's n and side
+    dimension.  Draws each support, uniform in min_support..2^n (one
+    ``integers`` with an array high); a uniform key for each of every
+    scenario's 2^n slots, the ``support`` smallest of whose keys make a
+    uniform subset, its slots in order the ascending indices; a weight
+    ``random() + 1e-3`` per chosen slot, normalised per scenario; and the
+    block's normals in one :func:`_standard_normals`, each scenario's
+    (support, 2, d, d) (:func:`_ginibre_normals`); a one-dimensional side
+    draws none and gets 1x1 ones.  Returns each scenario's (indices,
+    weights, normals), views of the block's arrays, in order.
+    """
+    sizes = 1 << np.asarray(n_bits)
+    supports = rng.integers(min_support, sizes + 1)
+    owner = np.repeat(np.arange(len(sizes)), sizes)     # the scenario of each slot
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # Sorted by (scenario, key), a scenario's slots keep its range of positions, so
+    # the slot index at a position is the rank of the key sorted to it.
+    chosen = np.empty(len(owner), dtype=bool)
+    chosen[np.lexsort((rng.random(len(owner)), owner))] = slot < supports[owner]
+    weights = rng.random(int(supports.sum())) + 1e-3
+    weights /= np.repeat(np.add.reduceat(weights, np.cumsum(supports) - supports), supports)
+    supports, dims = supports.tolist(), np.asarray(dims).tolist()
+    normals = iter(_standard_normals(rng, [(s, 2, d, d) for s, d in zip(supports, dims) if d > 1]))
+    return [(indices, w, next(normals) if d > 1 else np.ones((len(w), 1, 1), dtype=complex))
+            for indices, w, d in zip(_split(slot[chosen], supports), _split(weights, supports),
+                                     dims)]
+
+
+def _split(flat: np.ndarray, lengths: list) -> list:
+    """Consecutive views of ``flat``, one of each of ``lengths``."""
+    return [flat[end - n:end] for n, end in zip(lengths, itertools.accumulate(lengths))]
+
+
+def _standard_normals(rng: np.random.Generator, shapes: list) -> list:
+    """Standard normals of each of ``shapes``, in order, from one generator call: views
+    of one draw, as consecutive calls of each shape would take them."""
+    sizes = [math.prod(shape) for shape in shapes]
+    return [x.reshape(shape)
+            for x, shape in zip(_split(rng.standard_normal(sum(sizes)), sizes), shapes)]
 
 
 def _ginibre_normals(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,10 +181,11 @@ def _formed_group(names, drawn):
     """Drawn cq-states of one side dimension, formed and validated at once.
 
     ``names`` are the n-bit symbols in index order, and ``drawn`` holds each
-    state's (indices, weights, conds) as :func:`_random_blocks` returns them
-    for n bits.  Conds of shape (support, 2, d, d) are the standard normals
-    of :func:`_ginibre_normals`, formed by one :func:`ginibre_densities` for
-    the group, each as its own draw would form it.  Each distribution is
+    state's (indices, weights, conds) as :func:`_random_blocks` or
+    :func:`_random_blocks_many` returns them for n bits.  Conds of shape
+    (support, 2, d, d) are the standard normals of :func:`_ginibre_normals`,
+    formed by one :func:`ginibre_densities` for the group, each as its own
+    draw would form it.  Each distribution is
     tested as :func:`build_cq` tests it, every conditional's trace by one
     :func:`check_unit_traces` naming the symbol, and the weighted blocks by
     one ``check_blocks(..., normalized=True)``.  Returns the weighted blocks

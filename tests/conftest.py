@@ -16,6 +16,7 @@ from extraction_lab.cq_states import (
     relabelled_stacks,
 )
 from extraction_lab.gf2 import _symbol_indices, all_bit_vectors, index_to_bits
+from extraction_lab.harness import checks
 from extraction_lab.operators import (
     KERNEL_RTOL,
     as_operator,
@@ -228,3 +229,38 @@ def padded_pairs(states, n):
             stacks[i, index[a], index[b]] = block
             present[i, index[a], index[b]] = True
     return stacks, present
+
+
+# -- the random-state checks' draws ---------------------------------------------------
+
+class CountingGenerator:
+    """A generator that records the name and the number of values of each call."""
+
+    def __init__(self, seed):
+        self._rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, np.size(out)))
+            return out
+        return counted
+
+
+def grouped_draws(monkeypatch, check_id: str, config: dict):
+    """``run_check(check_id, config)`` and the (key, item) of each scenario that the
+    check handed to ``checks._in_groups``, in draw order.  Every draw is taken before
+    the first group is evaluated, which moves no draw: evaluation draws nothing."""
+    drawn, grouped = [], checks._in_groups
+
+    def recording(draws, evaluate):
+        draws = list(draws)
+        drawn.extend((key, item) for key, _, item in draws)
+        return grouped(iter(draws), evaluate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_in_groups", recording)
+        reports = checks.run_check(check_id, config)
+    return reports, drawn

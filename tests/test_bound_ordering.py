@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from conftest import CountingGenerator
+
 from extraction_lab.harness import checks, run_check
 from extraction_lab.harness.bounds import base_exponent
 
@@ -101,25 +103,9 @@ def test_the_rows_of_a_count_begin_every_larger_count():
     assert [_fields(r) for r in short] == [_fields(r) for r in long[:40]]
 
 
-class _CountingGenerator:
-    """A generator that records the name and the number of values of each call."""
-
-    def __init__(self, seed):
-        self._rng, self.calls = np.random.default_rng(seed), []
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def counted(*args, **kwargs):
-            out = method(*args, **kwargs)
-            self.calls.append((name, np.size(out)))
-            return out
-        return counted
-
-
 def test_bound_ordering_draws_a_block_of_tries_in_five_calls():
     # Per-try scalar draws would make five calls a try, about 36 000 here.
-    rng = _CountingGenerator(42)
+    rng = CountingGenerator(42)
     assert len(list(checks.CHECKS["bound-ordering"].cases({"count": 2000}, rng))) == 2000
     tries = sum(size for _, size in rng.calls) // 5
     assert len(rng.calls) <= 5 * math.ceil(tries / checks.ORDERING_BLOCK)

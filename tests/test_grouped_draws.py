@@ -9,7 +9,12 @@ information, which also check conftest's stacked dense oracle.  The
 per-scenario loops of the grouped checks are kept as their oracles,
 ``markov-cmi`` taking each state's CMI alone by ``pair_cmis`` and
 ``pgm-commutation`` relabelling and measuring one state at a time by
-``apply_classical_function`` and ``pgm_stacks`` on a batch of one.
+``apply_classical_function`` and ``pgm_stacks`` on a batch of one.  The
+checks that draw their scenarios in blocks (``measured-xor-random``,
+``useful-prop-random``, ``pgm-commutation``) are held to their per-scenario
+evaluation on the draws they made (conftest's ``grouped_draws``), each state
+formed alone by ``build_cq``; the law of those draws is held in
+``tests/test_random_state_draws.py``.
 The grouped routes must reproduce them bit for bit, because the report
 bytes rest on them, and must refuse what they refuse with the same message.
 """
@@ -25,6 +30,7 @@ from conftest import (
     dense_cq,
     distance_to_uniform,
     extractor_output_state,
+    grouped_draws,
     output_stacks,
     padded_pairs,
 )
@@ -55,6 +61,7 @@ from extraction_lab.harness.scenarios import (
     _markov_scenarios,
     _one_hot,
     _random_blocks,
+    _random_blocks_many,
     _random_cqs,
     make_markov_scenario,
 )
@@ -76,6 +83,13 @@ from extraction_lab.xor_analysis import fourier_bounds, measured_xor_bounds, pgm
 
 def _ref_random_cq(n_bits, dim, rng, min_support=1, draw=random_densities):
     indices, weights, conds = _random_blocks(n_bits, dim, rng, min_support, draw)
+    symbols = [index_to_bits(i, n_bits) for i in indices.tolist()]
+    return build_cq(dict(zip(symbols, weights.tolist())), dict(zip(symbols, conds)))
+
+
+def _ref_drawn_cq(n_bits, indices, weights, normals):
+    """The cq-state of one drawn scenario (``_random_blocks_many``), formed alone."""
+    conds = ginibre_densities(normals) if normals.ndim == 4 else normals
     symbols = [index_to_bits(i, n_bits) for i in indices.tolist()]
     return build_cq(dict(zip(symbols, weights.tolist())), dict(zip(symbols, conds)))
 
@@ -299,21 +313,19 @@ def test_markov_cmi_groups_match_the_per_scenario_loop(monkeypatch):
     assert max(abs(r.measured_delta - cmi) for r, cmi in zip(reports, dense)) <= 1e-12
 
 
-def _output_oracle(check_id, count, seed):
-    """The per-scenario loops of measured-xor-random and useful-prop-random: each state
-    by _random_blocks and build_cq, its values by the per-state kernels."""
-    rng = np.random.default_rng(seed)
+def _output_oracle(check_id, drawn):
+    """The per-scenario evaluation of measured-xor-random and useful-prop-random on
+    their draws: each state formed alone by build_cq, its values by the per-state
+    kernels."""
     rows = []
-    for _ in range(count):
-        m = int(rng.integers(1, 3))
-        dim = int(rng.integers(1, 4))
-        state = _ref_random_cq(m, dim, rng)
+    for (m, dim), (blocks, sigma) in drawn:
+        state = _ref_drawn_cq(m, *blocks)
         delta = distance_to_uniform(state, 1 << m)
         if check_id == "measured-xor-random":
             rows.append((f"xor m={m} dim={dim}", delta,
                          measured_xor_bounds(*output_stacks([state]))[0]))
         else:
-            bound = fourier_bounds(output_stacks([state])[0], random_densities(1, dim, rng))[0]
+            bound = fourier_bounds(output_stacks([state])[0], ginibre_densities(sigma))[0]
             rows.append((f"fourier m={m} dim={dim}", delta ** 2, bound))
     return rows
 
@@ -361,10 +373,10 @@ def _b2_markov_oracle(count, seed):
 
 
 @pytest.mark.parametrize("check_id", ["measured-xor-random", "useful-prop-random"])
-def test_random_output_groups_match_the_per_scenario_loop(check_id):
-    reports = run_check(check_id, {"params": {"count": 150}, "seed": 21})
+def test_random_output_groups_match_the_per_scenario_loop(monkeypatch, check_id):
+    reports, drawn = grouped_draws(monkeypatch, check_id, {"params": {"count": 150}, "seed": 21})
     rows = [(r.scenario.split(" ", 1)[1], r.measured_delta, r.bound_epsilon) for r in reports]
-    assert rows == _output_oracle(check_id, 150, 21)
+    assert len(drawn) == 150 and rows == _output_oracle(check_id, drawn)
 
 
 def test_hmin_le_h2_batches_match_the_per_scenario_loop():
@@ -379,17 +391,13 @@ def test_b2_markov_matches_the_per_scenario_loop():
             for r in reports] == _b2_markov_oracle(10, 2)
 
 
-def _pgm_commutation_oracle(count, seed):
-    """The per-scenario loop of pgm-commutation before grouping: (label, dev) rows."""
-    rng = np.random.default_rng(seed)
+def _pgm_commutation_oracle(drawn):
+    """The per-scenario evaluation of pgm-commutation on its draws: (label, dev) rows."""
     rows = []
-    for _ in range(count):
-        n_bits = int(rng.integers(1, 4))
-        dim = int(rng.integers(2, 5))
-        state = _ref_random_cq(n_bits, dim, rng, min_support=2)
-        out_bits = int(rng.integers(1, 3))
-        table = {sym: index_to_bits(int(rng.integers(1 << out_bits)), out_bits)
-                 for sym in state.symbols()}
+    for (n_bits, dim, out_bits), (blocks, images) in drawn:
+        state = _ref_drawn_cq(n_bits, *blocks)
+        table = {sym: index_to_bits(int(z), out_bits)
+                 for sym, z in zip(state.symbols(), images.tolist())}
         mapped = apply_classical_function(state, table.__getitem__)
         lhs = pgm_stacks(mapped.stack[None], np.ones((1, len(mapped.stack)), dtype=bool))[0]
         povm = pgm_stacks(state.stack[None], np.ones((1, len(state.stack)), dtype=bool))[0]
@@ -401,24 +409,15 @@ def _pgm_commutation_oracle(count, seed):
 
 
 def test_pgm_commutation_groups_match_the_per_scenario_loop(monkeypatch):
-    want = _pgm_commutation_oracle(200, 14)
+    reports, drawn = grouped_draws(monkeypatch, "pgm-commutation",
+                                   {"params": {"count": 200}, "seed": 14})
+    want = _pgm_commutation_oracle(drawn)
     assert len({label for label, _ in want}) == 18      # every (n_bits, dim, out_bits) group
-    groups = []
-    deviations = checks._commutation_deviations
-    monkeypatch.setattr(checks, "_commutation_deviations",
-                        lambda key, items: groups.append((key, items)) or deviations(key, items))
-    reports = run_check("pgm-commutation", {"params": {"count": 200}, "seed": 14})
     labels = [r.scenario.split(" ", 1)[1] for r in reports]
     assert list(zip(labels, (r.measured_delta.hex() for r in reports))) == want
-    # Each group's draws, back in draw order, then every draw at three positions
-    # of the 200-draw batch, grouped as the check groups it.
-    drawn = [None] * len(want)
-    for key, items in groups:
-        at = [i for i, label in enumerate(labels)
-              if label == "pgm-commute n={} dim={} out={}".format(*key)]
-        assert len(at) == len(items)
-        for i, item in zip(at, items):
-            drawn[i] = (key, item)
+    # Every draw at three positions of the 200-draw batch, grouped as the check
+    # groups it.
+    deviations = checks._commutation_deviations
     for shift in (0, 1, 77):
         at = {}
         for i in np.roll(np.arange(len(drawn)), shift).tolist():
@@ -464,21 +463,29 @@ GROUPED = {"markov-cmi": {"count": 12}, "b2-markov": {"count": 6, "n_max": 3},
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("check_id", GROUPED)
 def test_grouped_checks_refuse_a_bad_draw_as_build_cq_does(monkeypatch, check_id, fault):
-    # The fifth draw on a side of dimension 2 or more is spoiled; every draw is
-    # formed as drawn, which gives the group what it would form itself.
+    # The fifth draw on a side of dimension 2 or more is spoiled, one at a time
+    # or in a block; every draw is formed as drawn, which gives the group what it
+    # would form itself.
     spoil, match = FAULTS[fault]
-    real, calls, spoiled = _random_blocks, itertools.count(), []
+    calls, spoiled = itertools.count(), []
 
-    def draw_blocks(n_bits, dim, rng, min_support=1, draw=random_densities):
-        indices, weights, conds = real(n_bits, dim, rng, min_support, draw)
+    def formed(n_bits, dim, indices, weights, conds):
         conds = ginibre_densities(conds) if conds.ndim == 4 else conds.copy()
         if dim > 1 and next(calls) == 4:
             weights, conds = spoil(weights, conds)
             spoiled.append((n_bits, indices, weights, conds))
         return indices, weights, conds
 
+    def draw_blocks(n_bits, dim, rng, min_support=1, draw=random_densities):
+        return formed(n_bits, dim, *_random_blocks(n_bits, dim, rng, min_support, draw))
+
+    def draw_blocks_many(n_bits, dims, rng, min_support=1):
+        return [formed(n, dim, *drawn) for n, dim, drawn in zip(
+            n_bits.tolist(), dims.tolist(), _random_blocks_many(n_bits, dims, rng, min_support))]
+
     monkeypatch.setattr(scenarios, "_random_blocks", draw_blocks)
     monkeypatch.setattr(checks, "_random_blocks", draw_blocks)
+    monkeypatch.setattr(checks, "_random_blocks_many", draw_blocks_many)
     with pytest.raises(ValueError) as grouped:
         run_check(check_id, {"params": GROUPED[check_id], "seed": 3})
     (n_bits, indices, weights, conds), = spoiled

@@ -44,13 +44,13 @@ from extraction_lab.cq_states import (
     markov_block_state,
 )
 from extraction_lab.operators import (
+    ginibre_densities,
     hermitian_trace_norms,
     partial_trace,
     probability_vector,
-    random_density,
 )
 from extraction_lab.xor_analysis import pgm_stacks
-from conftest import op_power, random_cq_state
+from conftest import grouped_draws, op_power, random_cq_state
 
 
 def test_make_flat_source():
@@ -185,13 +185,13 @@ DRAW_DIGESTS = {
     "b2-markov": "07abf47e0085a91d3a5533503b33dd9573d3a386d6804860025b1e1a3287581f",
     "ip-classical": "3eb3ee0b3dba7440c7803a46dfbd68851ad363c2df83eab0943b0fa4ef1b3692",
     "markov-cmi": "40292ec4a63a0cf966c46d0a5e604d4b6dbcd052d9fefab7518e3b08514557b7",
-    "measured-xor-random": "ca44a9ab7fade546ea3f34ea5f5d86653e06618c547e00762d6b392269fd9b56",
-    "useful-prop-random": "6febc4b579214adfaee9821e1182050d24703f3ccc82b6c3647d5d7b9eb104ec",
+    "measured-xor-random": "1d291cb3de6d0e63ee4b2fc57b0f4f7b012212e0717af8bf036386aecc36b4a9",
+    "useful-prop-random": "c21d97f8d79d18aaf7bf1387d2edad334736dbe6d13e2d77ed494d5c169b5d7b",
     "parseval-random": "9d23d32c52ef5bfb5207e09e4f773fd8c26c3e76c5a1feaed8a5439c3b5226f1",
-    "pgm-commutation": "c57b13ae2b1715c3b9fe578a5669a8b48789435fb975831bdf5cb92bb6c3829f",
+    "pgm-commutation": "10a17193ed30cb4cc7c691780115a5dd54171f6fef202fa225548e76dd2255b0",
     "hmin-linear-drop": "b9b8de448e918258d30d84cf35881ea3d22ffb60b97e244be79b76893c1b37e1",
     "hmin-le-h2": "a5047e21ec709edae46a3761c496342474b050b173c9e29910727997a42b7a78",
-    "one-two-norm": "e8eba841a7c7e2c5e77ea7cba7c6373589b194b5ae4a8ba8ac2df2b009846f51",
+    "one-two-norm": "9669557e8eca1cd70a614d79af9f1ee431c8b772d09352c3ebaafaa5aef46d40",
     "bound-ordering": "9faab1bee4d25e87b6f6e043bebc0de55dd5a36050a20605139bbb3fc8a492c4",
 }
 
@@ -561,15 +561,13 @@ def test_certified_entropies_are_solved_in_the_checks(monkeypatch, check_id, par
         assert sources > 6 and max(state.side_dim for state in batches[0]) <= 2
 
 
-def _one_two_norm_oracle(count: int, seed: int) -> list:
-    """The per-scenario loop the grouped one-two-norm check replaced: (label, delta, rhs)."""
-    rng = np.random.default_rng(seed)
+def _one_two_norm_oracle(drawn) -> list:
+    """The per-scenario evaluation the grouped one-two-norm check replaced, on its
+    draws: (label, delta, rhs)."""
     rows = []
-    for _ in range(count):
-        dim_a = int(rng.integers(2, 5))
-        dim_b = int(rng.integers(2, 5))
-        rho = random_density(dim_a * dim_b, rng)
-        sigma = random_density(dim_b, rng) * float(rng.uniform(0.5, 2.0))
+    for (dim_a, dim_b), (rho, sigma, scale) in drawn:
+        rho = ginibre_densities(rho[None])[0]
+        sigma = ginibre_densities(sigma[None])[0] * scale
         rho_b = partial_trace(rho, (dim_a, dim_b), keep=(1,))
         centered = rho - np.kron(np.eye(dim_a) / dim_a, rho_b)
         delta = 0.5 * float(hermitian_trace_norms(centered[None])[0])
@@ -582,11 +580,12 @@ def _one_two_norm_oracle(count: int, seed: int) -> list:
 
 
 def test_one_two_norm_groups_match_the_per_scenario_loop(monkeypatch):
-    want = _one_two_norm_oracle(300, 31)
-    assert len({label for label, _, _ in want}) == 9      # every (dim_a, dim_b) cell
     for budget in (checks.BLOCK_BUDGET, 2000):      # one pass per cell, then early flushes
         monkeypatch.setattr(checks, "BLOCK_BUDGET", budget)
-        reports = run_check("one-two-norm", {"params": {"count": 300}, "seed": 31})
+        reports, drawn = grouped_draws(monkeypatch, "one-two-norm",
+                                       {"params": {"count": 300}, "seed": 31})
+        want = _one_two_norm_oracle(drawn)
+        assert len({label for label, _, _ in want}) == 9      # every (dim_a, dim_b) cell
         assert [(r.scenario.split(" ", 1)[1], r.measured_delta.hex(), r.bound_epsilon.hex())
                 for r in reports] == want
 
@@ -636,9 +635,9 @@ def test_random_state_checks_validate_every_draw(monkeypatch):
     # each distribution and state, and each (m, dim) or (n_bits, dim, out_bits)
     # group's conditionals at once
     assert seen == {"distributions": 120, "conditionals": sum(groups.values()), "states": 120}
-    assert groups == {"measured-xor-random": 6, "useful-prop-random": 6, "pgm-commutation": 16}
+    assert groups == {"measured-xor-random": 6, "useful-prop-random": 6, "pgm-commutation": 15}
     # pgm-commutation measures both sides of a group in two pgm_stacks calls of its size
-    assert len(measured) == 2 * 16 and measured[::2] == measured[1::2]
+    assert len(measured) == 2 * 15 and measured[::2] == measured[1::2]
     assert sum(measured) == 2 * 40
 
 
@@ -724,13 +723,14 @@ def test_full_only_rows_report_digest():
 # the output bits, and useful-prop-random tests the Fourier bound's kernel.
 # The digest was taken with a hand-written sum over the PGM's elements and
 # a Fourier bound that decomposed sigma twice; re-taken when pgm-commutation
-# rows dropped an unread criterion_tol flag.
+# rows dropped an unread criterion_tol flag, and when the three checks drew
+# their scenarios in blocks.
 RELABEL_PATHS_CONFIG = {"checks": [
     {"id": "pgm-commutation", "params": {"count": 40}},
     {"id": "useful-prop-random", "params": {"count": 40}},
     {"id": "measured-xor-random", "params": {"count": 40}},
 ]}
-RELABEL_PATHS_DIGEST = "7d67fb8fcd8186dc50d3e1edf7aab620d7b7885350b756fc7543ff91ad30e234"
+RELABEL_PATHS_DIGEST = "584282c1b41c692bf23bbd8b8610e6c2d1d16b4016d6ebe6bffea7edfc3852c9"
 
 
 def test_relabel_paths_report_digest():
@@ -742,7 +742,7 @@ def test_relabel_paths_report_digest():
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
-PAPER_TABLE_1_DIGEST = "e56276981e4bcc20d7cb22f0a94cb9a99d6020fceb3608f83d572add52a59410"
+PAPER_TABLE_1_DIGEST = "d3e6ac57484c362e95dc8a3d8e717703c45b5e9ad8f470f35d31cc986920c3b5"
 
 
 def test_paper_table_1_report_digest():
@@ -1007,7 +1007,7 @@ def _blank_runtimes(report_csv: str) -> str:
 
 # sha256 of report.csv for `verify --suite paper-table-1 --seed 42` with the
 # runtime_ms column blanked: the CSV's counterpart of PAPER_TABLE_1_DIGEST.
-PAPER_TABLE_1_CSV_DIGEST = "b14b86e41c3cc1ebc5a81e5dd79defdc7e885011c9be061924a3f98d84170a81"
+PAPER_TABLE_1_CSV_DIGEST = "6cab76b1b27c8aadea92d4a65cb50dc48f69e2e485ec4250b78901b851a47a89"
 
 
 def test_paper_table_1_csv_digest():

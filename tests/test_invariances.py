@@ -7,18 +7,24 @@
 * Transposition: deor(x1, x2) of (A_i) is deor(x2, x1) of (A_i^T), so the
   transposed family on the swapped sources gives the same output, and an
   output strong in X1 is the transposed one strong in X2.
+* Unitary invariance: conjugating every conditional by one unitary on E
+  moves no eigenvalue of any block, operator or difference of them, so
+  neither H_min, nor H_2, nor the distance to uniform.
 
-Both are checked on fixed batches of product pairs (bb84 and random_pure
-side information, n 3-5, m 2-3, field and shift families) through
-``cq_states.product_distances``.
+The first two are checked on fixed batches of product pairs (bb84 and
+random_pure side information, n 3-5, m 2-3, field and shift families) through
+``cq_states.product_distances``; the third on such a batch and on random
+mixed cq-states through ``h_min_cond_many`` and ``h2_cond_many``, each batch
+holding the states and their conjugates side by side.
 """
 
 import numpy as np
 import pytest
 
-from conftest import random_distribution
+from conftest import random_cq_state, random_distribution
 
-from extraction_lab.cq_states import product_distances
+from extraction_lab.cq_states import CqState, product_distances
+from extraction_lab.entropies import h2_cond_many, h_min_cond_many
 from extraction_lab.extractors import deor_extractor
 from extraction_lab.gf2 import MatrixFamily, build_field_family, build_shift_family, gf2_rank
 from extraction_lab.harness.scenarios import make_side_info
@@ -77,3 +83,39 @@ def test_transposing_the_family_swaps_the_sources(strong_in, swapped):
     swapped_pairs = [(deor_extractor(f), s2, s1) for f, s1, s2 in transposed]
     assert np.abs(product_distances(swapped_pairs, swapped) - direct).max() <= 1e-14
     assert direct.min() > 0
+
+
+def _unitary(dim, rng) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
+def _conjugated(state, rng) -> CqState:
+    """``state`` with every conditional conjugated by one random unitary U on E."""
+    u = _unitary(state.side_dim, rng)
+    blocks = u @ state.stack @ u.conj().T
+    blocks = 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))     # Hermitian to the last bit
+    return CqState(state.side_dim, dict(zip(state.symbols(), blocks)))
+
+
+def test_a_unitary_on_e_moves_no_entropy():
+    rng = np.random.default_rng(45)
+    states = [random_cq_state(int(rng.integers(1, 4)), int(rng.integers(2, 5)), rng)
+              for _ in range(24)]
+    batch = [s for state in states for s in (state, _conjugated(state, rng))]
+    assert not np.allclose(batch[0].stack, batch[1].stack)
+    for solve in (h_min_cond_many, h2_cond_many):
+        results = solve(batch)
+        for before, after in zip(results[::2], results[1::2]):
+            assert abs(after.value - before.value) <= max(before.gap, after.gap) + 1e-12
+
+
+@pytest.mark.parametrize("strong_in", ["x1", None])
+def test_a_unitary_on_e_moves_no_distance(strong_in):
+    rng = np.random.default_rng(46)
+    pairs = [(deor_extractor(family), s1, s2) for family, s1, s2 in _batch(47)]
+    batch = [pair for ext, s1, s2 in pairs
+             for pair in ((ext, s1, s2), (ext, _conjugated(s1, rng), _conjugated(s2, rng)))]
+    deltas = product_distances(batch, strong_in)
+    assert np.abs(deltas[1::2] - deltas[::2]).max() <= 1e-12
+    assert deltas.min() > 0

@@ -8,9 +8,12 @@ seeds the suite gave them, so their rows are those of the full run.  Some
 row of that bound must then fail.  The product route is powered from its
 measured side too: ``b1-quantum-product``'s, ``b2-markov``'s and
 ``b8-weak-quantum``'s distances, scaled past the check's worst B1, B2 or
-B8 ratio, must fail rows.  So are the two entropy checks: their certified
-min-entropies, moved by more than the solver's slack, must fail rows, and
-moved by less, none.
+B8 ratio, must fail rows.  So are the random-state rows of the XOR lemma
+and its proof: ``measured-xor-random``'s and ``useful-prop-random``'s
+distances to uniform, and ``one-two-norm``'s trace distances, scaled past
+the check's worst ratio, must fail rows, and scaled to just below it, none.
+So are the two entropy checks: their certified min-entropies, moved by more
+than the solver's slack, must fail rows, and moved by less, none.
 """
 
 import dataclasses
@@ -75,11 +78,13 @@ def test_b1_keeps_its_slack_at_eight_tenths(monkeypatch, paper_table_1):
     assert result.all_pass
 
 
-def _distance_scaled_run(monkeypatch, paper_table_1, check_id, scale):
-    """The suite's ``check_id`` entry, rerun with every product distance times ``scale``."""
+def _distance_scaled_run(monkeypatch, paper_table_1, check_id, scale,
+                         kernel_name="product_distances"):
+    """The suite's ``check_id`` entry, rerun with every distance that the check takes
+    from ``checks.<kernel_name>`` times ``scale``."""
     entries, *_ = paper_table_1
-    kernel = checks.product_distances
-    monkeypatch.setattr(checks, "product_distances",
+    kernel = getattr(checks, kernel_name)
+    monkeypatch.setattr(checks, kernel_name,
                         lambda *args, **kwargs: scale * kernel(*args, **kwargs))
     return run_suite({"name": "power",
                       "checks": [entry for entry in entries if entry["id"] == check_id]})
@@ -127,6 +132,41 @@ def test_b8_weak_quantum_distance_fails_past_its_worst_ratio(monkeypatch, paper_
                                   factor / ratios["B8"])
     b8 = [r for r in result.reports if r.bound_id == "B8"]
     assert len(b8) == 20 and any(not r.passed for r in b8) == fails
+
+
+@pytest.mark.parametrize("factor,fails", [(1.01, True), (0.99, False)])
+@pytest.mark.parametrize("check_id,bound_id,power", [("measured-xor-random", "measured-xor", 1),
+                                                     ("useful-prop-random", "fourier-rhs", 2)])
+def test_random_output_distances_fail_past_their_worst_ratio(monkeypatch, paper_table_1, check_id,
+                                                             bound_id, power, factor, fails):
+    # Both checks take their distances to uniform from weak_distances; fourier-rhs
+    # compares its square, so a distance scaled by s scales that row by s^2.  Each
+    # bound is tight on some drawn state, so the worst ratio is 1 within rounding; a
+    # bound that lost a mask, a Fourier coefficient or an output z would move it,
+    # or leave rows that no scaling of the distances could make fail.
+    _, _, _, worst = paper_table_1
+    ratio = worst[check_id, bound_id]
+    assert ratio == pytest.approx(1.0, abs=1e-12)
+    result = _distance_scaled_run(monkeypatch, paper_table_1, check_id,
+                                  (factor / ratio) ** (1 / power), "weak_distances")
+    rows = [r for r in result.reports if r.bound_id == bound_id]
+    assert len(rows) == 150 and any(not r.passed for r in rows) == fails
+
+
+@pytest.mark.parametrize("factor,fails", [(1.01, True), (0.99, False)])
+def test_one_two_norm_distance_fails_past_its_worst_ratio(monkeypatch, factor, fails):
+    # paper-table-1 runs no one-two-norm, so the check runs at its default count
+    # and seed 7.  Its trace distances come from hermitian_trace_norms; one that
+    # lost an eigenvalue or the centring by rho_B would move the worst ratio,
+    # 0.9326, or leave rows that no scaling could make fail.
+    config = {"params": {"count": 500}, "seed": 7}
+    ratio = max(r.measured_delta / r.bound_epsilon for r in checks.run_check("one-two-norm", config))
+    assert ratio == pytest.approx(0.9326, abs=1e-4)
+    kernel = checks.hermitian_trace_norms
+    monkeypatch.setattr(checks, "hermitian_trace_norms",
+                        lambda *args, **kwargs: factor / ratio * kernel(*args, **kwargs))
+    reports = checks.run_check("one-two-norm", config)
+    assert len(reports) == 500 and any(not r.passed for r in reports) == fails
 
 
 def _min_entropies_moved(monkeypatch, check_id, params, move):
