@@ -25,7 +25,6 @@ import numpy as np
 from ..cq_states import (
     _traces,
     apply_classical_function,
-    classical_state,
     flat_grid_distances,
     markov_block_state,
     padded_stacks,
@@ -68,6 +67,8 @@ from .params import NATURALS, resolved
 from .scenarios import (
     MARKOV_BLOCKS_MAX,
     SIDE_PARAMS,
+    _flat_draw,
+    _flat_indices,
     _formed_group,
     _ginibre_normals,
     _markov_draw,
@@ -78,8 +79,6 @@ from .scenarios import (
     _random_source,
     _split,
     _standard_normals,
-    make_flat_source,
-    make_side_info,
 )
 
 PASS_TOL = 1e-9
@@ -197,7 +196,7 @@ def _random_extractor(rng: np.random.Generator, n_min: int, n_max: int, m_max: i
 def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
     """A random family's extractor and two random flat sources: the family kind, the
     extractor, the sources' models ("bb84,random_pure", for example) and the two
-    sources, whose output distance :func:`product_distances` gives.
+    sources' raw draws, formed and solved by :func:`_with_sources_solved`.
 
     Each source draws a bb84 or random_pure side model (:func:`_random_source`).
     For a strong output the copied source (``strong_in``) keeps only its flat
@@ -208,23 +207,25 @@ def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
     moves as for two quantum sources.
     """
     kind, ext = _random_extractor(rng, n_min, n_max, m_max)
-    (model1, state1), (model2, state2) = (_random_source(ext.n, rng, trivial=strong_in == "x1"),
-                                          _random_source(ext.n, rng, trivial=strong_in == "x2"))
-    return kind, ext, f"{model1},{model2}", state1, state2
+    (model1, draw1), (model2, draw2) = (_random_source(ext.n, rng, trivial=strong_in == "x1"),
+                                        _random_source(ext.n, rng, trivial=strong_in == "x2"))
+    return kind, ext, f"{model1},{model2}", draw1, draw2
 
 
 def _with_sources_solved(scenarios) -> list:
-    """The drawn ``scenarios``, each a tuple ending in its two sources, in draw order,
-    each followed by its sources' ``h_min_cond`` results.
+    """The drawn ``scenarios``, each a tuple ending in its two sources' raw draws
+    (:func:`_random_source`), in draw order, each with the draws replaced by
+    their cq-states and followed by the states' ``h_min_cond`` results.
 
-    Every scenario is drawn before one :func:`h_min_cond_many` solves all the
-    sources; the solver draws nothing, so every draw stays where a
-    per-scenario loop makes it.
+    Every scenario is drawn before one :func:`_random_cqs` forms all the
+    sources, per group, and one :func:`h_min_cond_many` solves them; neither
+    draws anything, so every draw stays where a per-scenario loop makes it.
     """
     scenarios = list(scenarios)
-    results = h_min_cond_many([state for *_, s1, s2 in scenarios for state in (s1, s2)])
-    return [(*scenario, results[2 * i], results[2 * i + 1])
-            for i, scenario in enumerate(scenarios)]
+    states = _random_cqs([draw for *_, d1, d2 in scenarios for draw in (d1, d2)])
+    results = h_min_cond_many(states)
+    formed = zip(states[::2], states[1::2], results[::2], results[1::2])
+    return [(*head, *sources) for (*head, _, _), sources in zip(scenarios, formed)]
 
 
 def _source_flags(res1, res2) -> dict:
@@ -233,8 +234,15 @@ def _source_flags(res1, res2) -> dict:
 
 
 def _flat_sources(n: int, side: str) -> tuple[list, list]:
-    """The prefix-flat n-bit sources, k = 0..n, under one side model, and their certified k."""
-    states = [make_side_info(side, make_flat_source(n, k)) for k in range(n + 1)]
+    """The prefix-flat n-bit sources, k = 0..n, under one side model at its default
+    params, and their certified k.
+
+    The n + 1 sources are drawn raw (:func:`_flat_draw`) and formed as one
+    group by one :func:`_random_cqs`, each bit for bit its
+    ``make_side_info(side, make_flat_source(n, k))``.
+    """
+    states = _random_cqs([_flat_draw(n, _flat_indices(n, k), side, SIDE_PARAMS[side])
+                          for k in range(n + 1)])
     return states, [res.value for res in h_min_cond_many(states)]
 
 
@@ -286,15 +294,17 @@ def _b1_quantum(p, rng):
     """Randomized product-type scenarios, quantum side information on the source
     that is not copied (:func:`_random_deor_output`), with certified entropies.
 
-    Every scenario is drawn first; one :func:`product_distances` call gives
-    every distance and one :func:`h_min_cond_many` every entropy
-    (:func:`_with_sources_solved`).
+    Every scenario is drawn first; one :func:`_random_cqs` forms every source
+    and one :func:`h_min_cond_many` gives every entropy
+    (:func:`_with_sources_solved`), and one :func:`product_distances` call
+    every distance.
     """
-    drawn = [_random_deor_output(rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
-             for _ in range(p["count"])]
-    deltas = product_distances([(ext, s1, s2) for _, ext, _, s1, s2 in drawn], p["strong_in"])
-    for (kind, ext, models, _, _, res1, res2), delta in zip(_with_sources_solved(drawn),
-                                                           deltas.tolist()):
+    scenarios = _with_sources_solved(
+        _random_deor_output(rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
+        for _ in range(p["count"]))
+    deltas = product_distances([(ext, s1, s2) for _, ext, _, s1, s2, _, _ in scenarios],
+                               p["strong_in"])
+    for (kind, ext, models, _, _, res1, res2), delta in zip(scenarios, deltas.tolist()):
         kp = _k_params(ext.n, ext.m, ext.family.r, res1.value, res2.value)
         yield Case(kp, f"{kind} n={ext.n} m={ext.m} sides=({models})",
                    _catalog(p["bounds"], kp, delta), _source_flags(res1, res2))
@@ -305,15 +315,15 @@ def _b1_quantum(p, rng):
 def _b8_weak(p, rng):
     """Weak-output variant, both sources quantum.
 
-    Every scenario is drawn first; one weak :func:`product_distances` call
-    gives every distance, from the output blocks Σ_x1 ρ_x1 ⊗ A_{x1,z}, and
-    one :func:`h_min_cond_many` every entropy (:func:`_with_sources_solved`).
+    Every scenario is drawn first; one :func:`_random_cqs` forms every source
+    and one :func:`h_min_cond_many` gives every entropy
+    (:func:`_with_sources_solved`), and one weak :func:`product_distances`
+    call every distance, from the output blocks Σ_x1 ρ_x1 ⊗ A_{x1,z}.
     """
-    drawn = [_random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None)
-             for _ in range(p["count"])]
-    deltas = product_distances([(ext, s1, s2) for _, ext, _, s1, s2 in drawn])
-    for (kind, ext, _, _, _, res1, res2), delta in zip(_with_sources_solved(drawn),
-                                                       deltas.tolist()):
+    scenarios = _with_sources_solved(_random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None)
+                                     for _ in range(p["count"]))
+    deltas = product_distances([(ext, s1, s2) for _, ext, _, s1, s2, _, _ in scenarios])
+    for (kind, ext, _, _, _, res1, res2), delta in zip(scenarios, deltas.tolist()):
         kp = _k_params(ext.n, ext.m, ext.family.r, res1.value, res2.value)
         yield Case(kp, f"{kind} n={ext.n} m={ext.m} weak", _catalog(("B8",), kp, delta),
                    _source_flags(res1, res2))
@@ -606,10 +616,10 @@ def _hmin_linear_drop(p, rng):
     Maps with one kernel merge the inputs into the same cosets, so their
     lifted stacks hold bitwise-equal blocks in another order and one
     certificate serves them all: each source is lifted once per kernel.
-    Every source and map is drawn first, the random sources raw
-    (:func:`_random_blocks`), and one :func:`_random_cqs` forms them before
-    any lift; one :func:`h_min_cond_many` then solves the sources and their
-    lifts.
+    Every source and map is drawn first, the sources raw (:func:`_random_blocks`
+    and, for the flat one, :func:`_flat_draw`), and one :func:`_random_cqs`
+    forms them before any lift; one :func:`h_min_cond_many` then solves the
+    sources and their lifts.
     """
     states, lifts, cases = [], {}, []   # lifts: (source, kernel) -> index into states
 
@@ -626,14 +636,14 @@ def _hmin_linear_drop(p, rng):
 
     n = p["exhaustive_n"]
     drawn = [(n, *_random_blocks(n, 2, rng, min_support=2, draw=_ginibre_normals))]
-    flat = classical_state(make_flat_source(n, n - 1, "random", seed=int(rng.integers(2 ** 31))))
+    drawn.append(_flat_draw(n, _flat_indices(n, n - 1, "random", seed=int(rng.integers(2 ** 31)))))
     maps = []
     for k in p["random_ns"]:
         drawn.append((k, *_random_blocks(k, int(rng.integers(1, 4)), rng, min_support=2,
                                          draw=_ginibre_normals)))
         maps.append([np.array(rng.integers(0, 2, size=(k, k)), dtype=np.uint8)
                      for _ in range(p["per_n"])])
-    first, *sources = _random_cqs(drawn)
+    first, flat, *sources = _random_cqs(drawn)
     states += [first, flat]
     for mat_idx in range(1 << (n * n)):
         mat = np.array(index_to_bits(mat_idx, n * n), dtype=np.uint8).reshape(n, n)

@@ -8,6 +8,10 @@ Random cq-states are drawn raw and formed and validated per group
 forming once per group, not per state.  A block of them is drawn in four
 generator calls, whatever its size (:func:`_random_blocks_many`); one at a
 time (:func:`_random_blocks`) only where a block cannot be drawn.
+Flat sources under a side model are drawn raw too (:func:`_flat_draw`), and
+every check forms them per group; :func:`make_side_info` builds one such
+state alone, for the CLI and the library, from the same conditionals
+(:func:`_side_conditionals`), so each side model is written once.
 """
 
 from __future__ import annotations
@@ -25,12 +29,17 @@ from ..cq_states import (
     build_cq,
     check_blocks,
     check_unit_traces,
-    classical_state,
     padded_stacks,
 )
 from ..extractors import ip_eval
 from ..gf2 import all_bit_vectors, index_to_bits
-from ..operators import ginibre_densities, probability_vector, random_densities, random_pure_state
+from ..operators import (
+    ginibre_densities,
+    probability_vector,
+    random_densities,
+    random_pure_state,
+    random_pure_states,
+)
 from .params import resolved
 
 # Every side-information model with the params it accepts and their defaults.
@@ -47,18 +56,21 @@ def make_flat_source(n: int, k: int, support_rule: str = "prefix", seed: int = 0
 
     The "random" support rule draws the 2^k strings from ``seed``.
     """
+    indices = _flat_indices(n, k, support_rule, seed)
+    p = 1.0 / len(indices)
+    return {index_to_bits(i, n): p for i in indices.tolist()}
+
+
+def _flat_indices(n: int, k: int, support_rule: str = "prefix", seed: int = 0) -> np.ndarray:
+    """The ascending indices of the 2^k strings of :func:`make_flat_source`."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     size = 1 << k
     if support_rule == "prefix":
-        indices = range(size)
-    elif support_rule == "random":
-        rng = np.random.default_rng(seed)
-        indices = sorted(int(i) for i in rng.choice(1 << n, size=size, replace=False))
-    else:
-        raise ValueError(f"unknown support rule {support_rule!r}")
-    p = 1.0 / size
-    return {index_to_bits(i, n): p for i in indices}
+        return np.arange(size)
+    if support_rule == "random":
+        return np.sort(np.random.default_rng(seed).choice(1 << n, size=size, replace=False))
+    raise ValueError(f"unknown support rule {support_rule!r}")
 
 
 # The classical_leak models: the bit of a source symbol that is leaked.
@@ -79,29 +91,64 @@ def _one_hot(index: int, dim: int) -> np.ndarray:
 
 def make_side_info(model: str, dist: dict, params: dict | None = None, *,
                    seed: int = 0) -> CqState:
-    """Attach side information of the named model to a source; ``params`` maps its SIDE_PARAMS."""
+    """Attach side information of the named model to a source; ``params`` maps its SIDE_PARAMS.
+
+    The conditionals are :func:`_side_conditionals`' for the sorted symbols of
+    ``dist``, and :func:`build_cq` builds and tests the state alone.
+    """
     model = resolved("side information", {"model": model}, {"model": "trivial"},
                      SIDE_CHOICES)["model"]
     params = resolved(f"{model} side information", {} if params is None else params,
                       SIDE_PARAMS[model], SIDE_CHOICES)
+    symbols = sorted(dist)
+    return build_cq(dist, dict(zip(symbols, _side_conditionals(model, params, symbols, seed))))
 
+
+def _side_conditionals(model: str, params: dict, symbols, seed: int = 0) -> np.ndarray:
+    """The complex (N, d, d) conditional states of side model ``model`` for the sorted
+    ``symbols``, ``params`` resolved as :func:`make_side_info` resolves them.
+
+    trivial gives 1x1 ones; classical_leak the one-hot |leak(x)><leak(x)| of
+    a qubit; bb84 the product of the first ``bits`` bits' kets, one Kronecker
+    product per distinct prefix; random_pure one pure state per symbol,
+    drawn in symbol order from ``default_rng(seed)``.
+    """
+    count = len(symbols)
     if model == "trivial":
-        state = classical_state(dist)
-    elif model == "classical_leak":
-        state = build_cq(dist, {sym: _one_hot(LEAKS[params["leak"]](sym), 2) for sym in dist})
-    elif model == "bb84":
+        return np.ones((count, 1, 1), dtype=complex)
+    if model == "classical_leak":
+        leaks = np.array([LEAKS[params["leak"]](sym) for sym in symbols], dtype=int)
+        conds = np.zeros((count, 2, 2), dtype=complex)
+        conds[np.arange(count), leaks, leaks] = 1.0
+        return conds
+    if model == "bb84":
         bits = params["bits"]
-        if bits > (n := min(map(len, dist))):
+        if bits > (n := min(map(len, symbols))):
             raise ValueError(f"bb84 side information: bits {bits} is above the symbol length {n}")
-        # one product per distinct prefix: at most 2^bits, however many symbols
         encode = functools.cache(
             lambda prefix: functools.reduce(np.kron, [_KETS[b] for b in prefix]))
-        state = build_cq(dist, {sym: encode(sym[:bits]) for sym in dist})
-    else:
-        rng = np.random.default_rng(seed)
-        state = build_cq(dist, {sym: random_pure_state(params["dim"], rng)
-                                for sym in sorted(dist)})
-    return state
+        return np.array([encode(sym[:bits]) for sym in symbols])
+    return random_pure_states(count, params["dim"], np.random.default_rng(seed))
+
+
+@functools.cache
+def _bit_symbols(n_bits: int) -> tuple:
+    """The n-bit symbols in index order, built once per n."""
+    return tuple(all_bit_vectors(n_bits))
+
+
+def _flat_draw(n: int, indices: np.ndarray, model: str = "trivial", params: dict | None = None,
+               seed: int = 0) -> tuple:
+    """The raw draw (n, indices, weights, conds) of the flat source on the ascending
+    ``indices`` of n-bit strings under side model ``model``, for :func:`_random_cqs`.
+
+    Its weights are 1/|indices| each, as :func:`make_flat_source` gives them,
+    and its conds :func:`_side_conditionals`' for its symbols, so the state
+    formed is bit for bit ``make_side_info(model, dist, params, seed=seed)``.
+    """
+    names = _bit_symbols(n)
+    return (n, indices, np.full(len(indices), 1.0 / len(indices)),
+            _side_conditionals(model, params, [names[i] for i in indices.tolist()], seed))
 
 
 def _random_blocks(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1,
@@ -227,17 +274,18 @@ def _random_cqs(draws) -> list:
     return states
 
 
-def _random_source(n: int, rng: np.random.Generator,
-                   trivial: bool = False) -> tuple[str, CqState]:
-    """A random flat n-bit source under bb84 or random_pure side information: (model, state).
+def _random_source(n: int, rng: np.random.Generator, trivial: bool = False) -> tuple:
+    """A random flat n-bit source under bb84 or random_pure side information, drawn raw:
+    (model, draw), the draw (n, indices, weights, conds) of :func:`_flat_draw` for
+    :func:`_random_cqs` to form with the other sources of its check.
 
     With ``trivial`` the side model and its params are drawn all the same, so
-    the generator moves as for a quantum source, and the state is the flat
-    distribution under a trivial side register: ("trivial", state).
+    the generator moves as for a quantum source, and the draw is the flat
+    distribution under a trivial side register: ("trivial", draw).
     """
     k_target = int(rng.integers(max(1, n - 2), n + 1))
     rule = "prefix" if rng.random() < 0.5 else "random"
-    dist = make_flat_source(n, k_target, rule, seed=int(rng.integers(2 ** 31)))
+    indices = _flat_indices(n, k_target, rule, seed=int(rng.integers(2 ** 31)))
     model = "bb84" if rng.random() < 0.5 else "random_pure"
     if model == "bb84":
         params = {"bits": int(rng.integers(1, min(2, n) + 1))}
@@ -245,8 +293,8 @@ def _random_source(n: int, rng: np.random.Generator,
         params = {"dim": int(rng.integers(2, 5))}
     seed = int(rng.integers(2 ** 31))
     if trivial:
-        return "trivial", classical_state(dist)
-    return model, make_side_info(model, dist, params, seed=seed)
+        model = "trivial"
+    return model, _flat_draw(n, indices, model, params, seed)
 
 
 # The widest n that the CLI's `entropy` markov form accepts.  It bounds no memory: each

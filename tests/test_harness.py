@@ -108,8 +108,8 @@ def test_building_scenarios_runs_no_solver(monkeypatch):
     for model in SIDE_PARAMS:
         assert isinstance(make_side_info(model, dist), CqState)
     rng = np.random.default_rng(0)
-    for _ in range(4):
-        model, state = _random_source(3, rng)
+    drawn = [_random_source(3, rng) for _ in range(4)]
+    for (model, _), state in zip(drawn, _random_cqs([draw for _, draw in drawn])):
         assert model in SIDE_PARAMS and isinstance(state, CqState)
     for classical in (False, True):
         scn = make_markov_scenario(2, 3, seed=5, classical=classical)

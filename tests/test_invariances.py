@@ -10,12 +10,15 @@
 * Unitary invariance: conjugating every conditional by one unitary on E
   moves no eigenvalue of any block, operator or difference of them, so
   neither H_min, nor H_2, nor the distance to uniform.
+* Isometric embedding: padding E with an unused dimension, each
+  conditional rho_x becoming rho_x + 0, adds only zero eigenvalues, so it
+  moves neither entropy nor any distance to uniform.
 
 The first two are checked on fixed batches of product pairs (bb84 and
 random_pure side information, n 3-5, m 2-3, field and shift families) through
-``cq_states.product_distances``; the third on such a batch and on random
-mixed cq-states through ``h_min_cond_many`` and ``h2_cond_many``, each batch
-holding the states and their conjugates side by side.
+``cq_states.product_distances``; the last two on such a batch and on random
+cq-states through ``h_min_cond_many`` and ``h2_cond_many``, each batch
+holding the states and their transformed copies side by side.
 """
 
 import numpy as np
@@ -118,4 +121,40 @@ def test_a_unitary_on_e_moves_no_distance(strong_in):
              for pair in ((ext, s1, s2), (ext, _conjugated(s1, rng), _conjugated(s2, rng)))]
     deltas = product_distances(batch, strong_in)
     assert np.abs(deltas[1::2] - deltas[::2]).max() <= 1e-12
+    assert deltas.min() > 0
+
+
+def _padded(state, first: bool) -> CqState:
+    """``state`` with E embedded in one more dimension, unused: the new basis vector
+    first or last."""
+    d = state.side_dim
+    blocks = np.zeros((len(state.stack), d + 1, d + 1), dtype=complex)
+    at = slice(1, None) if first else slice(None, d)
+    blocks[:, at, at] = state.stack
+    return CqState(d + 1, dict(zip(state.symbols(), blocks)))
+
+
+def test_an_unused_dimension_of_e_moves_no_entropy():
+    # Mixed and pure conditionals, so supports of full and of lower rank both
+    # meet the added kernel direction; padded and unpadded states share a batch.
+    rng = np.random.default_rng(48)
+    states = [random_cq_state(int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng,
+                              pure=bool(i % 2)) for i in range(24)]
+    batch = [s for i, state in enumerate(states) for s in (state, _padded(state, i % 3 == 0))]
+    assert {s.side_dim for s in batch[1::2]} == {2, 3, 4}
+    for solve in (h_min_cond_many, h2_cond_many):
+        results = solve(batch)
+        for before, after in zip(results[::2], results[1::2]):
+            assert abs(after.value - before.value) <= max(before.gap, after.gap) + 1e-12
+
+
+@pytest.mark.parametrize("strong_in", ["x1", None])
+def test_an_unused_dimension_of_e_moves_no_distance(strong_in):
+    pairs = [(deor_extractor(family), s1, s2) for family, s1, s2 in _batch(49)]
+    batch = [pair for i, (ext, s1, s2) in enumerate(pairs)
+             for pair in ((ext, s1, s2), (ext, _padded(s1, i % 2 == 0), s2),
+                          (ext, s1, _padded(s2, i % 3 == 0)))]
+    deltas = product_distances(batch, strong_in)
+    assert np.abs(deltas[1::3] - deltas[::3]).max() <= 1e-12
+    assert np.abs(deltas[2::3] - deltas[::3]).max() <= 1e-12
     assert deltas.min() > 0

@@ -8,7 +8,9 @@ seeds the suite gave them, so their rows are those of the full run.  Some
 row of that bound must then fail.  The product route is powered from its
 measured side too: ``b1-quantum-product``'s, ``b2-markov``'s and
 ``b8-weak-quantum``'s distances, scaled past the check's worst B1, B2 or
-B8 ratio, must fail rows.  So are the random-state rows of the XOR lemma
+B8 ratio, must fail rows, and so must ``b1-exhaustive-flat``'s and
+``ip-classical``'s counted grid distances past the check's worst B1 or B7
+ratio.  So are the random-state rows of the XOR lemma
 and its proof: ``measured-xor-random``'s and ``useful-prop-random``'s
 distances to uniform, and ``one-two-norm``'s trace distances, scaled past
 the check's worst ratio, must fail rows, and scaled to just below it, none.
@@ -104,6 +106,23 @@ def test_b1_quantum_product_distance_fails_past_its_worst_ratio(monkeypatch, pap
                                   factor / ratio)
     b1 = [r for r in result.reports if r.bound_id == "B1"]
     assert len(b1) == 40 and any(not r.passed for r in b1) == fails
+
+
+@pytest.mark.parametrize("factor,fails", [(1.01, True), (0.99, False)])
+@pytest.mark.parametrize("check_id,bound_id,ratio,rows", [
+    ("b1-exhaustive-flat", "B1", 0.7955, 128), ("ip-classical", "B7", 0.7071, 50)])
+def test_flat_grid_distance_fails_past_its_worst_ratio(monkeypatch, paper_table_1, check_id,
+                                                       bound_id, ratio, rows, factor, fails):
+    # Both checks take every distance of their classical grids from one counted pass,
+    # flat_grid_distances.  A count that lost an input pair, an output z or a side
+    # label would move the check's worst ratio, or leave rows that no scaling of
+    # the distances could make fail.
+    _, _, _, worst = paper_table_1
+    assert worst[check_id, bound_id] == pytest.approx(ratio, abs=1e-4)
+    result = _distance_scaled_run(monkeypatch, paper_table_1, check_id,
+                                  factor / worst[check_id, bound_id], "flat_grid_distances")
+    reports = [r for r in result.reports if r.bound_id == bound_id]
+    assert len(reports) == rows and any(not r.passed for r in reports) == fails
 
 
 @pytest.mark.parametrize("factor,fails", [(1.01, True), (0.99, False)])

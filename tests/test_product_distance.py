@@ -165,16 +165,17 @@ def test_b1_quantum_product_builds_no_output_state_and_solves_no_copied_source(m
         raise AssertionError("b1-quantum-product built an output state")
 
     copied, solved, kernel_calls = [], [], []
-    draw, solver, kernel = (checks._random_deor_output, entropies._h_min_solver,
+    form, solver, kernel = (checks._with_sources_solved, entropies._h_min_solver,
                             checks.product_distances)
 
-    def recording_draw(*args):
-        scenario = draw(*args)
-        copied.append(scenario[-2])
-        return scenario
+    def recording_form(*args):
+        # each formed scenario ends in (s1, s2, res1, res2); x1 is the copied source
+        scenarios = form(*args)
+        copied.extend(scenario[-4] for scenario in scenarios)
+        return scenarios
 
     monkeypatch.setattr(checks, "apply_classical_function", refuse)
-    monkeypatch.setattr(checks, "_random_deor_output", recording_draw)
+    monkeypatch.setattr(checks, "_with_sources_solved", recording_form)
     monkeypatch.setattr(entropies, "_h_min_solver",
                         lambda states, iters: solved.extend(states) or solver(states, iters))
     monkeypatch.setattr(checks, "product_distances",
