@@ -38,7 +38,6 @@ from ..operators import (
     probability_vector,
     random_densities,
     random_pure_state,
-    random_pure_states,
 )
 from .params import resolved
 
@@ -128,13 +127,8 @@ def _side_conditionals(model: str, params: dict, symbols, seed: int = 0) -> np.n
         encode = functools.cache(
             lambda prefix: functools.reduce(np.kron, [_KETS[b] for b in prefix]))
         return np.array([encode(sym[:bits]) for sym in symbols])
-    return random_pure_states(count, params["dim"], np.random.default_rng(seed))
-
-
-@functools.cache
-def _bit_symbols(n_bits: int) -> tuple:
-    """The n-bit symbols in index order, built once per n."""
-    return tuple(all_bit_vectors(n_bits))
+    rng = np.random.default_rng(seed)
+    return np.array([random_pure_state(params["dim"], rng) for _ in symbols])
 
 
 def _flat_draw(n: int, indices: np.ndarray, model: str = "trivial", params: dict | None = None,
@@ -146,9 +140,9 @@ def _flat_draw(n: int, indices: np.ndarray, model: str = "trivial", params: dict
     and its conds :func:`_side_conditionals`' for its symbols, so the state
     formed is bit for bit ``make_side_info(model, dist, params, seed=seed)``.
     """
-    names = _bit_symbols(n)
+    symbols = [index_to_bits(i, n) for i in indices.tolist()]
     return (n, indices, np.full(len(indices), 1.0 / len(indices)),
-            _side_conditionals(model, params, [names[i] for i in indices.tolist()], seed))
+            _side_conditionals(model, params, symbols, seed))
 
 
 def _random_blocks(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1,
@@ -308,8 +302,8 @@ def _markov_draw(n: int, n_blocks: int, seed: int, classical: bool = False):
 
     ``factors`` holds per block the draws (n, indices, weights, conds) of its
     two factors, side dimension 1 or 2 each.  The one-hot (classical) or pure
-    conditionals are drawn one after another: a stacked draw would take
-    other numbers from the generator.
+    conditionals are drawn one after another, each as :func:`_one_hot` of
+    ``integers(d)`` or :func:`random_pure_state` draws it alone.
     """
     rng = np.random.default_rng(seed)
     weights = rng.random(n_blocks) + 0.2

@@ -255,20 +255,3 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
-
-
-def random_pure_states(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` random pure states, (count, dim, dim): bit for bit ``count`` calls of
-    :func:`random_pure_state`, and the generator left in the same state.
-
-    One (count, 2, dim) standard-normal draw holds each vector's real and
-    imaginary parts in the order the single draws take them.  Each norm is
-    ``np.linalg.norm``'s: a dot of the real parts plus a dot of the
-    imaginary parts, both over strided views of the complex vector, which
-    matmul's vector product takes by the same dot.
-    """
-    x = rng.standard_normal((count, 2, dim))
-    v = x[:, 0] + 1j * x[:, 1]
-    re, im = v.real[:, None], v.imag[:, None]
-    v = v / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0]
-    return v[:, :, None] * v.conj()[:, None, :]

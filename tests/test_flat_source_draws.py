@@ -34,7 +34,7 @@ from extraction_lab.harness.scenarios import (
     make_flat_source,
     make_side_info,
 )
-from extraction_lab.operators import random_pure_state, random_pure_states
+from extraction_lab.operators import random_pure_state
 
 
 # -- per-source reference copies ------------------------------------------------------
@@ -118,17 +118,6 @@ def test_make_side_info_keeps_each_side_model(model, params):
         seed = int(rng.integers(2 ** 31))
         assert_same_state(make_side_info(model, dist, params, seed=seed),
                           _ref_make_side_info(model, dist, params, seed), (trial, n))
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_random_pure_states_are_the_single_draws(dim):
-    for seed, count in enumerate([1, 2, 5, 16, 32, 0]):
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        stack = random_pure_states(count, dim, rng)
-        ref = [random_pure_state(dim, twin) for _ in range(count)]
-        assert stack.shape == (count, dim, dim)
-        assert stack.tobytes() == np.array(ref, dtype=complex).tobytes()
-        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 # -- the grouped sources against the per-source route -------------------------------------
