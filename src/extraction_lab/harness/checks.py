@@ -49,7 +49,6 @@ from ..operators import (
     ginibre_densities,
     hermitian_trace_norms,
     partial_trace,
-    random_density,
     tensor,
 )
 from ..xor_analysis import (
@@ -70,10 +69,8 @@ from .scenarios import (
     _flat_draw,
     _flat_indices,
     _formed_group,
-    _ginibre_normals,
     _markov_draw,
     _markov_scenarios,
-    _random_blocks,
     _random_blocks_many,
     _random_cqs,
     _random_source,
@@ -616,10 +613,12 @@ def _hmin_linear_drop(p, rng):
     Maps with one kernel merge the inputs into the same cosets, so their
     lifted stacks hold bitwise-equal blocks in another order and one
     certificate serves them all: each source is lifted once per kernel.
-    Every source and map is drawn first, the sources raw (:func:`_random_blocks`
-    and, for the flat one, :func:`_flat_draw`), and one :func:`_random_cqs`
-    forms them before any lift; one :func:`h_min_cond_many` then solves the
-    sources and their lifts.
+    Every source and map is drawn first: the random sources raw, the
+    exhaustive one on a qubit and one per random n on a side of dimension
+    1..3, as one block (:func:`_random_blocks_many`), the flat one by
+    :func:`_flat_draw`, and each random n's maps in one ``integers`` call.
+    One :func:`_random_cqs` forms the sources before any lift, and one
+    :func:`h_min_cond_many` then solves the sources and their lifts.
     """
     states, lifts, cases = [], {}, []   # lifts: (source, kernel) -> index into states
 
@@ -634,15 +633,12 @@ def _hmin_linear_drop(p, rng):
         n = mat.shape[0]
         cases.append((source, lifts[source, kernel], n, n - gf2_rank(mat), label))
 
-    n = p["exhaustive_n"]
-    drawn = [(n, *_random_blocks(n, 2, rng, min_support=2, draw=_ginibre_normals))]
-    drawn.append(_flat_draw(n, _flat_indices(n, n - 1, "random", seed=int(rng.integers(2 ** 31)))))
-    maps = []
-    for k in p["random_ns"]:
-        drawn.append((k, *_random_blocks(k, int(rng.integers(1, 4)), rng, min_support=2,
-                                         draw=_ginibre_normals)))
-        maps.append([np.array(rng.integers(0, 2, size=(k, k)), dtype=np.uint8)
-                     for _ in range(p["per_n"])])
+    n, ks = p["exhaustive_n"], list(p["random_ns"])
+    bits, dims = [n, *ks], [2, *rng.integers(1, 4, size=len(ks)).tolist()]
+    drawn = [(b, *d) for b, d in zip(bits, _random_blocks_many(bits, dims, rng, min_support=2))]
+    drawn.insert(1, _flat_draw(n, _flat_indices(n, n - 1, "random",
+                                                seed=int(rng.integers(2 ** 31)))))
+    maps = [rng.integers(0, 2, size=(p["per_n"], k, k), dtype=np.uint8) for k in ks]
     first, flat, *sources = _random_cqs(drawn)
     states += [first, flat]
     for mat_idx in range(1 << (n * n)):
@@ -666,20 +662,32 @@ def _hmin_linear_drop(p, rng):
 def _hmin_le_h2(p, rng):
     """Min-entropy below collision entropy, relative and optimized.
 
-    The scenarios are drawn in order and evaluated in batches
-    (:func:`_in_groups`, all in one group): one :func:`h2_cond_many` and one
-    :func:`h_min_cond_many` give a batch's optimized entropies, and the
-    relative entropies are taken per state.  A scenario weighs its blocks'
-    complex entries, N·dim², at most 72, so the built-in counts fit in one
-    batch.
+    The scenarios are drawn in blocks (:func:`_in_blocks`) of DRAW_BUDGET
+    numbers, each scenario drawing at most n_bits, dim, a support,
+    8·(2 + 2·3²) numbers for its state and 2·3² for its sigma.  A block draws
+    every scenario's n_bits, then its dim, then a random cq-state each
+    (:func:`_random_blocks_many`) and then one random density sigma's
+    standard normals each, as ``useful-prop-random`` draws them, all in one
+    generator call per column; a one-dimensional sigma is 1.  The scenarios
+    are evaluated in batches (:func:`_in_groups`, all in one group): one
+    :func:`h2_cond_many` and one :func:`h_min_cond_many` give a batch's
+    optimized entropies, and the relative entropies are taken per state.  A
+    scenario weighs its blocks' complex entries, N·dim², at most 72, so the
+    built-in counts fit in one batch.
     """
+    size = max(1, DRAW_BUDGET // (3 + 8 * (2 + 2 * 3 ** 2) + 2 * 3 ** 2))
+
+    def block():
+        n_bits = rng.integers(1, 4, size=size)
+        dim = rng.integers(1, 4, size=size)
+        drawn = _random_blocks_many(n_bits, dim, rng)
+        sigmas = _standard_normals(rng, [(1, 2, d, d) for d in dim.tolist()])
+        return zip(n_bits.tolist(), dim.tolist(), drawn, sigmas)
+
     def draws():
-        for _ in range(p["count"]):
-            n_bits = int(rng.integers(1, 4))
-            dim = int(rng.integers(1, 4))
-            drawn = (n_bits, *_random_blocks(n_bits, dim, rng, draw=_ginibre_normals))
-            sigma = random_density(dim, rng) if dim > 1 else np.ones((1, 1), dtype=complex)
-            yield None, len(drawn[1]) * dim * dim, (n_bits, dim, drawn, sigma)
+        for n_bits, dim, drawn, sigma in _in_blocks(block, p["count"]):
+            sigma = ginibre_densities(sigma)[0] if dim > 1 else np.ones((1, 1), dtype=complex)
+            yield None, len(drawn[0]) * dim * dim, (n_bits, dim, (n_bits, *drawn), sigma)
 
     def evaluate(_, items):
         states = _random_cqs([drawn for _, _, drawn, _ in items])
@@ -700,11 +708,11 @@ def _one_two_norm(p, rng):
 
     The scenarios are drawn in blocks (:func:`_in_blocks`) of DRAW_BUDGET
     numbers, each scenario drawing at most 2·16² + 2·4² + 3.  A block draws
-    every scenario's dim_a, then its dim_b, then the standard normals of
-    rho_AB and then of sigma_B as :func:`random_density` would form them,
-    and then sigma_B's scale, all in one generator call per column.  The
-    densities are formed per (dim_a, dim_b) group (:func:`ginibre_densities`)
-    and the group evaluated in one stacked pass.  A scenario weighs
+    every scenario's dim_a, then its dim_b, then the (2, D, D) standard
+    normals of the Ginibre density rho_AB and then of sigma_B, and then
+    sigma_B's scale, all in one generator call per column.  The densities
+    are formed per (dim_a, dim_b) group (:func:`ginibre_densities`) and the
+    group evaluated in one stacked pass.  A scenario weighs
     16·(dim_a·dim_b)², about the complex entries of every D×D operator its
     pass allocates, so a pass holds at most 16 scenarios of 16×16.
     """

@@ -5,9 +5,11 @@ its cq-state, and no builder solves an entropy.  A caller that needs a
 source's certified entropy calls ``h_min_cond`` on the state itself.
 Random cq-states are drawn raw and formed and validated per group
 (:func:`_formed_group`), so a check that draws many pays the fixed cost of
-forming once per group, not per state.  A block of them is drawn in four
-generator calls, whatever its size (:func:`_random_blocks_many`); one at a
-time (:func:`_random_blocks`) only where a block cannot be drawn.
+forming once per group, not per state.  Every random cq-state is drawn by
+column, a block of them in four generator calls whatever its size
+(:func:`_random_blocks_many`): its mixed, pure or one-hot conditionals in
+one call, never one conditional at a time.  A Markov scenario's factors are
+such a block (:func:`_markov_draw`).
 Flat sources under a side model are drawn raw too (:func:`_flat_draw`), and
 every check forms them per group; :func:`make_side_info` builds one such
 state alone, for the CLI and the library, from the same conditionals
@@ -33,12 +35,7 @@ from ..cq_states import (
 )
 from ..extractors import ip_eval
 from ..gf2 import all_bit_vectors, index_to_bits
-from ..operators import (
-    ginibre_densities,
-    probability_vector,
-    random_densities,
-    random_pure_state,
-)
+from ..operators import ginibre_densities, probability_vector, pure_states
 from .params import resolved
 
 # Every side-information model with the params it accepts and their defaults.
@@ -81,13 +78,6 @@ SIDE_CHOICES = {"model": ("side-information model", tuple(SIDE_PARAMS)),
                 "dim": ("side dimension", range(2, 5))}
 
 
-def _one_hot(index: int, dim: int) -> np.ndarray:
-    """The pure state |index><index| of a dim-dimensional register."""
-    c = np.zeros((dim, dim), dtype=complex)
-    c[index, index] = 1.0
-    return c
-
-
 def make_side_info(model: str, dist: dict, params: dict | None = None, *,
                    seed: int = 0) -> CqState:
     """Attach side information of the named model to a source; ``params`` maps its SIDE_PARAMS.
@@ -109,8 +99,9 @@ def _side_conditionals(model: str, params: dict, symbols, seed: int = 0) -> np.n
 
     trivial gives 1x1 ones; classical_leak the one-hot |leak(x)><leak(x)| of
     a qubit; bb84 the product of the first ``bits`` bits' kets, one Kronecker
-    product per distinct prefix; random_pure one pure state per symbol,
-    drawn in symbol order from ``default_rng(seed)``.
+    product per distinct prefix; random_pure one pure state per symbol, in
+    symbol order, formed by :func:`pure_states` from one (N, 2, dim)
+    standard-normal draw of ``default_rng(seed)``.
     """
     count = len(symbols)
     if model == "trivial":
@@ -127,8 +118,7 @@ def _side_conditionals(model: str, params: dict, symbols, seed: int = 0) -> np.n
         encode = functools.cache(
             lambda prefix: functools.reduce(np.kron, [_KETS[b] for b in prefix]))
         return np.array([encode(sym[:bits]) for sym in symbols])
-    rng = np.random.default_rng(seed)
-    return np.array([random_pure_state(params["dim"], rng) for _ in symbols])
+    return pure_states(np.random.default_rng(seed).standard_normal((count, 2, params["dim"])))
 
 
 def _flat_draw(n: int, indices: np.ndarray, model: str = "trivial", params: dict | None = None,
@@ -145,31 +135,10 @@ def _flat_draw(n: int, indices: np.ndarray, model: str = "trivial", params: dict
             _side_conditionals(model, params, symbols, seed))
 
 
-def _random_blocks(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1,
-                   draw=random_densities):
-    """A random distribution on n-bit strings and one conditional state per symbol.
-
-    Returns its support as ascending indices, their weights and the stack
-    draw(support, dim, rng) of conditionals, (support, dim, dim), or of their
-    unformed normals (:func:`_ginibre_normals`); 1x1 ones for a
-    one-dimensional side register, drawing nothing.
-
-    The one-at-a-time form of :func:`_random_blocks_many`, kept only where no
-    block can be drawn: :func:`_markov_draw`, whose pure and one-hot
-    conditionals are drawn one after another from one generator per
-    scenario, and the sources of ``hmin-le-h2`` and ``hmin-linear-drop``,
-    whose rows carry solver flags that a redraw could move.
-    """
-    size = 1 << n_bits
-    support = int(rng.integers(min_support, size + 1))
-    indices = np.sort(rng.choice(size, size=support, replace=False))
-    weights = rng.random(support) + 1e-3
-    conds = draw(support, dim, rng) if dim > 1 else np.ones((support, 1, 1), dtype=complex)
-    return indices, weights / weights.sum(), conds
-
-
-def _random_blocks_many(n_bits, dims, rng: np.random.Generator, min_support: int = 1) -> list:
-    """A block of :func:`_random_blocks` draws with unformed normals, in four generator calls.
+def _random_blocks_many(n_bits, dims, rng: np.random.Generator, min_support: int = 1,
+                        conds: str = "mixed") -> list:
+    """A block of random distributions on n-bit strings, each with one conditional state
+    per symbol, in four generator calls.
 
     ``n_bits`` and ``dims`` are arrays of each scenario's n and side
     dimension.  Draws each support, uniform in min_support..2^n (one
@@ -177,10 +146,10 @@ def _random_blocks_many(n_bits, dims, rng: np.random.Generator, min_support: int
     scenario's 2^n slots, the ``support`` smallest of whose keys make a
     uniform subset, its slots in order the ascending indices; a weight
     ``random() + 1e-3`` per chosen slot, normalised per scenario; and the
-    block's normals in one :func:`_standard_normals`, each scenario's
-    (support, 2, d, d) (:func:`_ginibre_normals`); a one-dimensional side
-    draws none and gets 1x1 ones.  Returns each scenario's (indices,
-    weights, normals), views of the block's arrays, in order.
+    block's conditionals in one more call (:func:`_drawn_conditionals` of
+    ``conds``); a one-dimensional side draws none and gets 1x1 ones.
+    Returns each scenario's (indices, weights, conds), views of the block's
+    arrays, in order.
     """
     sizes = 1 << np.asarray(n_bits)
     supports = rng.integers(min_support, sizes + 1)
@@ -193,10 +162,31 @@ def _random_blocks_many(n_bits, dims, rng: np.random.Generator, min_support: int
     weights = rng.random(int(supports.sum())) + 1e-3
     weights /= np.repeat(np.add.reduceat(weights, np.cumsum(supports) - supports), supports)
     supports, dims = supports.tolist(), np.asarray(dims).tolist()
-    normals = iter(_standard_normals(rng, [(s, 2, d, d) for s, d in zip(supports, dims) if d > 1]))
-    return [(indices, w, next(normals) if d > 1 else np.ones((len(w), 1, 1), dtype=complex))
+    drawn = iter(_drawn_conditionals(rng, [(s, d) for s, d in zip(supports, dims) if d > 1],
+                                     conds))
+    return [(indices, w, next(drawn) if d > 1 else np.ones((len(w), 1, 1), dtype=complex))
             for indices, w, d in zip(_split(slot[chosen], supports), _split(weights, supports),
                                      dims)]
+
+
+def _drawn_conditionals(rng: np.random.Generator, shapes: list, conds: str) -> list:
+    """The conditionals of each (support, d) of ``shapes``, in order, in one generator call.
+
+    "mixed" gives the (support, 2, d, d) standard normals of Ginibre
+    densities, left unformed for :func:`_formed_group`; "pure" the pure
+    states that :func:`pure_states` forms from (support, 2, d) standard
+    normals; "one-hot" the states |i><i| of indices i uniform in 0..d-1, from
+    one ``integers`` with an array high.
+    """
+    if conds == "mixed":
+        return _standard_normals(rng, [(s, 2, d, d) for s, d in shapes])
+    if conds == "pure":
+        return [pure_states(x) for x in _standard_normals(rng, [(s, 2, d) for s, d in shapes])]
+    supports = [s for s, _ in shapes]
+    hot = _split(rng.integers(np.repeat([d for _, d in shapes], supports)), supports)
+    # |i><i| is row i·(d + 1) of the d²×d² identity, taken as a d×d matrix.
+    return [np.eye(d * d, dtype=complex)[i * (d + 1)].reshape(-1, d, d)
+            for i, (_, d) in zip(hot, shapes)]
 
 
 def _split(flat: np.ndarray, lengths: list) -> list:
@@ -212,21 +202,14 @@ def _standard_normals(rng: np.random.Generator, shapes: list) -> list:
             for x, shape in zip(_split(rng.standard_normal(sum(sizes)), sizes), shapes)]
 
 
-def _ginibre_normals(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The (count, 2, dim, dim) standard normals that ``random_densities(count, dim, rng)``
-    draws, left unformed for :func:`_formed_group`."""
-    return rng.standard_normal((count, 2, dim, dim))
-
-
 def _formed_group(names, drawn):
     """Drawn cq-states of one side dimension, formed and validated at once.
 
     ``names`` are the n-bit symbols in index order, and ``drawn`` holds each
-    state's (indices, weights, conds) as :func:`_random_blocks` or
-    :func:`_random_blocks_many` returns them for n bits.  Conds of shape
-    (support, 2, d, d) are the standard normals of :func:`_ginibre_normals`,
-    formed by one :func:`ginibre_densities` for the group, each as its own
-    draw would form it.  Each distribution is
+    state's (indices, weights, conds) as :func:`_random_blocks_many` returns
+    them for n bits.  Conds of shape (support, 2, d, d) are the standard
+    normals of Ginibre densities, formed by one :func:`ginibre_densities`
+    for the group, each as it is formed alone.  Each distribution is
     tested as :func:`build_cq` tests it, every conditional's trace by one
     :func:`check_unit_traces` naming the symbol, and the weighted blocks by
     one ``check_blocks(..., normalized=True)``.  Returns the weighted blocks
@@ -298,30 +281,23 @@ MARKOV_BLOCKS_MAX = 3
 
 
 def _markov_draw(n: int, n_blocks: int, seed: int, classical: bool = False):
-    """What :func:`make_markov_scenario` draws, unformed: (weights, factors).
+    """What :func:`make_markov_scenario` draws, before its states are formed: (weights,
+    factors).
 
     ``factors`` holds per block the draws (n, indices, weights, conds) of its
-    two factors, side dimension 1 or 2 each.  The one-hot (classical) or pure
-    conditionals are drawn one after another, each as :func:`_one_hot` of
-    ``integers(d)`` or :func:`random_pure_state` draws it alone.
+    two factors, side dimension 1 or 2 each.  From the scenario's own
+    generator, ``default_rng(seed)``, in six calls whatever the block count
+    and supports: the block weights, each factor's side dimension, and the
+    factors as one block of :func:`_random_blocks_many`, with one-hot
+    (classical) or pure conditionals.
     """
     rng = np.random.default_rng(seed)
     weights = rng.random(n_blocks) + 0.2
     weights = tuple(float(w) for w in weights / weights.sum())
-
-    def draw(count, d, r):
-        """``count`` one-hot (classical) or pure states, drawn one after another."""
-        if classical:
-            return np.array([_one_hot(int(r.integers(d)), d) for _ in range(count)])
-        return np.array([random_pure_state(d, r) for _ in range(count)])
-
-    factors = []
-    for _ in range(n_blocks):
-        d1 = int(rng.integers(1, 3))
-        d2 = int(rng.integers(1, 3))
-        factors.append(((n, *_random_blocks(n, d1, rng, draw=draw)),
-                        (n, *_random_blocks(n, d2, rng, draw=draw))))
-    return weights, factors
+    dims = rng.integers(1, 3, size=2 * n_blocks)
+    factors = [(n, *drawn) for drawn in _random_blocks_many(
+        np.full(2 * n_blocks, n), dims, rng, conds="one-hot" if classical else "pure")]
+    return weights, list(zip(factors[::2], factors[1::2]))
 
 
 def _markov_scenarios(draws) -> list:

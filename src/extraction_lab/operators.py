@@ -227,17 +227,6 @@ def von_neumann_entropies(stack: np.ndarray) -> np.ndarray:
                      dtype=float)
 
 
-def random_densities(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` full-rank random density operators (Wishart-normalized), (count, dim, dim).
-
-    One standard-normal draw of shape (count, 2, dim, dim) holds each
-    operator's real and imaginary Ginibre parts, in the order that
-    ``count`` single draws take them, so the operators and the generator's
-    state are those of ``count`` calls of :func:`random_density`.
-    """
-    return ginibre_densities(rng.standard_normal((count, 2, dim, dim)))
-
-
 def ginibre_densities(x: np.ndarray) -> np.ndarray:
     """g g^dagger / tr(g g^dagger) for each g = x[i, 0] + 1j x[i, 1] of an (N, 2, d, d)
     array of standard normals; each operator is what a batch of one gives it."""
@@ -246,12 +235,11 @@ def ginibre_densities(x: np.ndarray) -> np.ndarray:
     return rho / rho.trace(axis1=-2, axis2=-1).real[:, None, None]
 
 
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density operator: :func:`random_densities` of a batch of one."""
-    return random_densities(1, dim, rng)[0]
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
+def pure_states(x: np.ndarray) -> np.ndarray:
+    """|v><v| / <v|v> for each v = x[i, 0] + 1j x[i, 1] of an (N, 2, d) array of standard
+    normals.  Each norm is taken from the two dot products that ``np.linalg.norm``
+    takes, one ``vecdot`` per row, so each state is bit for bit what v normalised
+    alone by ``np.linalg.norm`` and its ``np.outer`` give."""
+    v = x[:, 0] + 1j * x[:, 1]
+    v = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+    return v[:, :, None] * v.conj()[:, None, :]

@@ -20,18 +20,97 @@ from extraction_lab.harness import checks
 from extraction_lab.operators import (
     KERNEL_RTOL,
     as_operator,
+    ginibre_densities,
     hermitian_stack,
     partial_trace,
-    random_density,
-    random_pure_state,
     tensor,
     von_neumann_entropies,
 )
+
+# The generator constructor, kept for CountingGenerator where a test patches it.
+_DEFAULT_RNG = np.random.default_rng
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250808)
+
+
+# -- the per-state and per-conditional draws, the law oracle of the column draws -----
+
+def random_densities(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` full-rank random density operators (Wishart-normalized), (count, dim, dim).
+
+    One standard-normal draw of shape (count, 2, dim, dim) holds each
+    operator's real and imaginary Ginibre parts, in the order that
+    ``count`` single draws take them, so the operators and the generator's
+    state are those of ``count`` calls of ``random_density``.
+    """
+    return ginibre_densities(rng.standard_normal((count, 2, dim, dim)))
+
+
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank random density operator: ``random_densities`` of a batch of one."""
+    return random_densities(1, dim, rng)[0]
+
+
+def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def one_hot(index: int, dim: int) -> np.ndarray:
+    """The pure state |index><index| of a dim-dimensional register."""
+    c = np.zeros((dim, dim), dtype=complex)
+    c[index, index] = 1.0
+    return c
+
+
+def ginibre_normals(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The (count, 2, dim, dim) standard normals that ``random_densities(count, dim, rng)``
+    draws, left unformed."""
+    return rng.standard_normal((count, 2, dim, dim))
+
+
+def random_blocks(n_bits: int, dim: int, rng: np.random.Generator, min_support: int = 1,
+                  draw=random_densities):
+    """A random distribution on n-bit strings and one conditional state per symbol, drawn
+    one state at a time: the draw that ``scenarios._random_blocks_many`` replaced.
+
+    Returns its support as ascending indices, their weights and the stack
+    draw(support, dim, rng) of conditionals, (support, dim, dim), or of their
+    unformed normals (``ginibre_normals``); 1x1 ones for a one-dimensional
+    side register, drawing nothing.
+    """
+    size = 1 << n_bits
+    support = int(rng.integers(min_support, size + 1))
+    indices = np.sort(rng.choice(size, size=support, replace=False))
+    weights = rng.random(support) + 1e-3
+    conds = draw(support, dim, rng) if dim > 1 else np.ones((support, 1, 1), dtype=complex)
+    return indices, weights / weights.sum(), conds
+
+
+def markov_draw(n: int, n_blocks: int, seed: int, classical: bool = False):
+    """(weights, factors) as ``scenarios._markov_draw`` gives them, drawn one factor and
+    one conditional at a time: its one-hot (classical) or pure conditionals each as
+    ``one_hot`` of ``integers(d)`` or ``random_pure_state`` draws it alone."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n_blocks) + 0.2
+    weights = tuple(float(w) for w in weights / weights.sum())
+
+    def draw(count, d, r):
+        if classical:
+            return np.array([one_hot(int(r.integers(d)), d) for _ in range(count)])
+        return np.array([random_pure_state(d, r) for _ in range(count)])
+
+    factors = []
+    for _ in range(n_blocks):
+        d1 = int(rng.integers(1, 3))
+        d2 = int(rng.integers(1, 3))
+        factors.append(((n, *random_blocks(n, d1, rng, draw=draw)),
+                        (n, *random_blocks(n, d2, rng, draw=draw))))
+    return weights, factors
 
 
 def random_distribution(n_bits: int, rng, min_support: int = 1) -> dict:
@@ -237,7 +316,7 @@ class CountingGenerator:
     """A generator that records the name and the number of values of each call."""
 
     def __init__(self, seed):
-        self._rng, self.calls = np.random.default_rng(seed), []
+        self._rng, self.calls = _DEFAULT_RNG(seed), []
 
     def __getattr__(self, name):
         method = getattr(self._rng, name)

@@ -98,7 +98,7 @@ CONFIG_DIGESTS = {
     ("classical-exhaustive.json", 0):
         "d367d82b19b5e3c32f2ae212048ad2dfa10736959899eca052767753b4a1f0b0",
     ("small-state-mix.json", 3):
-        "61e80475f320b4cda894aad48890a4e26fe075795ce420ba48d1013e4e73c1d6",
+        "9386cc8418ef6a221fbc87a8a6979bfecb2f9a51e5948531cd6302d7b2850894",
 }
 
 

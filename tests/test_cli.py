@@ -191,7 +191,7 @@ ENTROPY_STDOUT_DIGESTS = [
                  "9a92116e465075fcce19a7f1c8e04932036f57640e7720746288eb7d8eac210d",
                  id="dist-classical_leak"),
     pytest.param({"markov": {"n": 2, "blocks": 3}},
-                 "8bacab4d155b030826c3cf62768faa25e06658a9dd0763cbd4bea940b1f0d274",
+                 "e816a2e4e6be3c29d47608d0a96272eefde823b4aea088d00f37fdadd2bf7468",
                  id="markov"),
     pytest.param({"n": 3, "k": 2, "support": "random",
                   "side_info": {"model": "random_pure", "dim": 3}},

@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import distance_to_uniform, op_power, output_stacks, product
+from conftest import (
+    distance_to_uniform,
+    op_power,
+    output_stacks,
+    product,
+    random_density,
+    random_pure_state,
+)
 
 from extraction_lab.cq_states import (
     CqState,
@@ -37,8 +44,6 @@ from extraction_lab.operators import (
     COMPLETENESS_ATOL,
     _herm,
     hermitian_trace_norms,
-    random_density,
-    random_pure_state,
     tensor,
 )
 from extraction_lab.xor_analysis import (

@@ -12,6 +12,7 @@ from conftest import (
     extractor_output_state,
     product,
     random_cq_state,
+    random_densities,
     trace_distance,
 )
 
@@ -30,7 +31,7 @@ from extraction_lab.cq_states import (
 )
 from extraction_lab.extractors import deor_extractor, ip_extractor
 from extraction_lab.gf2 import all_bit_vectors, build_field_family, build_shift_family
-from extraction_lab.operators import partial_trace, random_densities
+from extraction_lab.operators import partial_trace
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)

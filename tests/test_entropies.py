@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import op_power, random_cq_state, random_distribution
+from conftest import op_power, random_cq_state, random_density, random_distribution
 
 from extraction_lab.cq_states import (
     CqState,
@@ -25,7 +25,7 @@ from extraction_lab.entropies import (
 )
 from extraction_lab.gf2 import all_bit_vectors, gf2_matvec
 from extraction_lab.harness.scenarios import make_side_info
-from extraction_lab.operators import random_density, tensor
+from extraction_lab.operators import tensor
 from extraction_lab.xor_analysis import pgm_stacks
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)

@@ -51,7 +51,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_cq, op_power, random_cq_state
+from conftest import dense_cq, op_power, random_cq_state, random_density, random_pure_state
 from extraction_lab import entropies
 from extraction_lab.cq_states import CqState, _block_sum, _traces, build_cq, marginal_side
 from extraction_lab.entropies import (
@@ -83,8 +83,6 @@ from extraction_lab.operators import (
     _spectral_power,
     _trusted_psd_eigh,
     eigh,
-    random_density,
-    random_pure_state,
 )
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)

@@ -17,6 +17,8 @@ import functools
 import numpy as np
 import pytest
 
+from conftest import one_hot, random_pure_state
+
 from extraction_lab import cq_states
 from extraction_lab.cq_states import build_cq, classical_state
 from extraction_lab.gf2 import index_to_bits
@@ -28,13 +30,11 @@ from extraction_lab.harness.scenarios import (
     SIDE_PARAMS,
     _flat_draw,
     _flat_indices,
-    _one_hot,
     _random_cqs,
     _random_source,
     make_flat_source,
     make_side_info,
 )
-from extraction_lab.operators import random_pure_state
 
 
 # -- per-source reference copies ------------------------------------------------------
@@ -55,7 +55,7 @@ def _ref_make_side_info(model, dist, params=None, seed=0):
     if model == "trivial":
         return classical_state(dist)
     if model == "classical_leak":
-        return build_cq(dist, {sym: _one_hot(LEAKS[params["leak"]](sym), 2) for sym in dist})
+        return build_cq(dist, {sym: one_hot(LEAKS[params["leak"]](sym), 2) for sym in dist})
     if model == "bb84":
         encode = functools.cache(
             lambda prefix: functools.reduce(np.kron, [_KETS[b] for b in prefix]))

@@ -2,18 +2,20 @@
 
 The reference functions below are the per-scenario routes that the grouped
 former (``scenarios._formed_group`` and ``_random_cqs``) and the stacked
-entropies replaced, kept verbatim: ``_random_blocks`` with ``build_cq`` for
-one random cq-state, ``make_markov_scenario`` forming its factors one at a
-time, and the per-state von Neumann entropy and dense conditional mutual
+entropies replaced, kept verbatim: conftest's per-state draw
+(``random_blocks``) with ``build_cq`` for one random cq-state,
+``make_markov_scenario`` forming the factors of its draw one at a time, and
+the per-state von Neumann entropy and dense conditional mutual
 information, which also check conftest's stacked dense oracle.  The
 per-scenario loops of the grouped checks are kept as their oracles,
 ``markov-cmi`` taking each state's CMI alone by ``pair_cmis`` and
 ``pgm-commutation`` relabelling and measuring one state at a time by
 ``apply_classical_function`` and ``pgm_stacks`` on a batch of one.  The
 checks that draw their scenarios in blocks (``measured-xor-random``,
-``useful-prop-random``, ``pgm-commutation``) are held to their per-scenario
-evaluation on the draws they made (conftest's ``grouped_draws``), each state
-formed alone by ``build_cq``; the law of those draws is held in
+``useful-prop-random``, ``pgm-commutation``, ``hmin-le-h2``) are held to
+their per-scenario evaluation on the draws they made (conftest's
+``grouped_draws``), each state formed alone by ``build_cq``; the law of
+those draws, and of the Markov factors', is held in
 ``tests/test_random_state_draws.py``.
 The grouped routes must reproduce them bit for bit, because the report
 bytes rest on them, and must refuse what they refuse with the same message.
@@ -30,9 +32,13 @@ from conftest import (
     dense_cq,
     distance_to_uniform,
     extractor_output_state,
+    ginibre_normals,
     grouped_draws,
     output_stacks,
     padded_pairs,
+    random_blocks,
+    random_densities,
+    random_density,
 )
 
 from extraction_lab.cq_states import (
@@ -56,11 +62,8 @@ from extraction_lab.harness.checks import (
 from extraction_lab.harness.scenarios import (
     MARKOV_BLOCKS_MAX,
     _formed_group,
-    _ginibre_normals,
     _markov_draw,
     _markov_scenarios,
-    _one_hot,
-    _random_blocks,
     _random_blocks_many,
     _random_cqs,
     make_markov_scenario,
@@ -71,9 +74,6 @@ from extraction_lab.operators import (
     hermitian_stack,
     ginibre_densities,
     partial_trace,
-    random_densities,
-    random_density,
-    random_pure_state,
     von_neumann_entropies,
 )
 from extraction_lab.xor_analysis import fourier_bounds, measured_xor_bounds, pgm_stacks
@@ -82,35 +82,24 @@ from extraction_lab.xor_analysis import fourier_bounds, measured_xor_bounds, pgm
 # -- per-scenario reference copies --------------------------------------------------
 
 def _ref_random_cq(n_bits, dim, rng, min_support=1, draw=random_densities):
-    indices, weights, conds = _random_blocks(n_bits, dim, rng, min_support, draw)
+    indices, weights, conds = random_blocks(n_bits, dim, rng, min_support, draw)
     symbols = [index_to_bits(i, n_bits) for i in indices.tolist()]
     return build_cq(dict(zip(symbols, weights.tolist())), dict(zip(symbols, conds)))
 
 
 def _ref_drawn_cq(n_bits, indices, weights, normals):
-    """The cq-state of one drawn scenario (``_random_blocks_many``), formed alone."""
+    """The cq-state of one drawn scenario (``_random_blocks_many``), formed alone: its
+    Ginibre normals by ``ginibre_densities``, its pure or one-hot conds as drawn."""
     conds = ginibre_densities(normals) if normals.ndim == 4 else normals
     symbols = [index_to_bits(i, n_bits) for i in indices.tolist()]
     return build_cq(dict(zip(symbols, weights.tolist())), dict(zip(symbols, conds)))
 
 
 def _ref_make_markov_scenario(n, n_blocks, seed, classical=False):
-    rng = np.random.default_rng(seed)
-    weights = rng.random(n_blocks) + 0.2
-    weights = tuple(float(w) for w in weights / weights.sum())
-
-    def draw(count, d, r):
-        if classical:
-            return np.array([_one_hot(int(r.integers(d)), d) for _ in range(count)])
-        return np.array([random_pure_state(d, r) for _ in range(count)])
-
-    factors = []
-    for _ in range(n_blocks):
-        d1 = int(rng.integers(1, 3))
-        d2 = int(rng.integers(1, 3))
-        factors.append((_ref_random_cq(n, d1, rng, draw=draw),
-                        _ref_random_cq(n, d2, rng, draw=draw)))
-    return MarkovScenario(weights=weights, factors=tuple(factors))
+    """The Markov scenario of one ``_markov_draw``, each factor formed alone."""
+    weights, factors = _markov_draw(n, n_blocks, seed, classical)
+    return MarkovScenario(weights=weights, factors=tuple(
+        (_ref_drawn_cq(*f1), _ref_drawn_cq(*f2)) for f1, f2 in factors))
 
 
 def _ref_von_neumann_entropy(rho, check_trace=True):
@@ -156,7 +145,7 @@ def _drawn_and_reference(count, seed, n_max=3, dim_max=3):
     for _ in range(count):
         n_bits, dim = (int(x) for x in ours.integers(1, [n_max + 1, dim_max + 1]))
         theirs.integers(1, [n_max + 1, dim_max + 1])
-        drawn.append((n_bits, *_random_blocks(n_bits, dim, ours, draw=_ginibre_normals)))
+        drawn.append((n_bits, *random_blocks(n_bits, dim, ours, draw=ginibre_normals)))
         refs.append(_ref_random_cq(n_bits, dim, theirs))
     assert ours.bit_generator.state == theirs.bit_generator.state
     return drawn, refs
@@ -174,7 +163,7 @@ def test_random_cqs_match_build_cq_at_three_positions_of_a_batch():
 @pytest.mark.parametrize("m, dim", [(1, 1), (2, 3), (3, 2)])
 def test_a_formed_group_pads_the_build_cq_blocks(m, dim):
     rng, twin = np.random.default_rng(10 * m + dim), np.random.default_rng(10 * m + dim)
-    drawn = [_random_blocks(m, dim, rng, draw=_ginibre_normals) for _ in range(200)]
+    drawn = [random_blocks(m, dim, rng, draw=ginibre_normals) for _ in range(200)]
     refs = [_ref_random_cq(m, dim, twin) for _ in range(200)]
     for shift in (0, 1, 77):
         order = np.roll(np.arange(200), shift)
@@ -330,14 +319,12 @@ def _output_oracle(check_id, drawn):
     return rows
 
 
-def _hmin_le_h2_oracle(count, seed):
-    rng = np.random.default_rng(seed)
+def _hmin_le_h2_oracle(drawn):
+    """The per-scenario evaluation of hmin-le-h2 on its draws: each state formed alone
+    by build_cq, its entropies solved alone."""
     rows = []
-    for _ in range(count):
-        n_bits = int(rng.integers(1, 4))
-        dim = int(rng.integers(1, 4))
-        state = _ref_random_cq(n_bits, dim, rng)
-        sigma = random_density(dim, rng) if dim > 1 else np.ones((1, 1), dtype=complex)
+    for _, (n_bits, dim, blocks, sigma) in drawn:
+        state = _ref_drawn_cq(*blocks)
         rows.append((f"entropy-order n={n_bits} dim={dim}",
                      h_min_rel(state, sigma) - h2_rel(state, sigma)))
         rows.append((f"entropy-order n={n_bits} dim={dim}",
@@ -379,10 +366,11 @@ def test_random_output_groups_match_the_per_scenario_loop(monkeypatch, check_id)
     assert len(drawn) == 150 and rows == _output_oracle(check_id, drawn)
 
 
-def test_hmin_le_h2_batches_match_the_per_scenario_loop():
-    reports = run_check("hmin-le-h2", {"params": {"count": 60}, "seed": 5})
+def test_hmin_le_h2_batches_match_the_per_scenario_loop(monkeypatch):
+    reports, drawn = grouped_draws(monkeypatch, "hmin-le-h2", {"params": {"count": 60}, "seed": 5})
+    assert len(drawn) == 60 and {item[1] for _, item in drawn} == {1, 2, 3}
     assert [(r.scenario.split(" ", 1)[1], r.measured_delta) for r in reports] == \
-        _hmin_le_h2_oracle(60, 5)
+        _hmin_le_h2_oracle(drawn)
 
 
 def test_b2_markov_matches_the_per_scenario_loop():
@@ -463,9 +451,8 @@ GROUPED = {"markov-cmi": {"count": 12}, "b2-markov": {"count": 6, "n_max": 3},
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("check_id", GROUPED)
 def test_grouped_checks_refuse_a_bad_draw_as_build_cq_does(monkeypatch, check_id, fault):
-    # The fifth draw on a side of dimension 2 or more is spoiled, one at a time
-    # or in a block; every draw is formed as drawn, which gives the group what it
-    # would form itself.
+    # The fifth draw on a side of dimension 2 or more is spoiled; every draw is
+    # formed as drawn, which gives the group what it would form itself.
     spoil, match = FAULTS[fault]
     calls, spoiled = itertools.count(), []
 
@@ -476,15 +463,12 @@ def test_grouped_checks_refuse_a_bad_draw_as_build_cq_does(monkeypatch, check_id
             spoiled.append((n_bits, indices, weights, conds))
         return indices, weights, conds
 
-    def draw_blocks(n_bits, dim, rng, min_support=1, draw=random_densities):
-        return formed(n_bits, dim, *_random_blocks(n_bits, dim, rng, min_support, draw))
-
-    def draw_blocks_many(n_bits, dims, rng, min_support=1):
+    def draw_blocks_many(n_bits, dims, rng, min_support=1, conds="mixed"):
         return [formed(n, dim, *drawn) for n, dim, drawn in zip(
-            n_bits.tolist(), dims.tolist(), _random_blocks_many(n_bits, dims, rng, min_support))]
+            np.asarray(n_bits).tolist(), np.asarray(dims).tolist(),
+            _random_blocks_many(n_bits, dims, rng, min_support, conds))]
 
-    monkeypatch.setattr(scenarios, "_random_blocks", draw_blocks)
-    monkeypatch.setattr(checks, "_random_blocks", draw_blocks)
+    monkeypatch.setattr(scenarios, "_random_blocks_many", draw_blocks_many)
     monkeypatch.setattr(checks, "_random_blocks_many", draw_blocks_many)
     with pytest.raises(ValueError) as grouped:
         run_check(check_id, {"params": GROUPED[check_id], "seed": 3})

@@ -28,7 +28,7 @@ from extraction_lab.harness import checks, scenarios, suite
 from extraction_lab.harness.checks import CHECK_IDS, CHECKS, resolve_params
 from extraction_lab.harness.scenarios import (
     SIDE_PARAMS,
-    _random_blocks,
+    _random_blocks_many,
     _random_cqs,
     _random_source,
     make_flat_source,
@@ -50,7 +50,7 @@ from extraction_lab.operators import (
     probability_vector,
 )
 from extraction_lab.xor_analysis import pgm_stacks
-from conftest import grouped_draws, op_power, random_cq_state
+from conftest import grouped_draws, op_power, random_blocks, random_cq_state
 
 
 def test_make_flat_source():
@@ -184,13 +184,13 @@ DRAW_DIGESTS = {
     "b8-weak-quantum": "b5413b3b1e3f10316e0a0c2e25d80b788a27cc691972db29c5160a1a61083031",
     "b2-markov": "07abf47e0085a91d3a5533503b33dd9573d3a386d6804860025b1e1a3287581f",
     "ip-classical": "3eb3ee0b3dba7440c7803a46dfbd68851ad363c2df83eab0943b0fa4ef1b3692",
-    "markov-cmi": "40292ec4a63a0cf966c46d0a5e604d4b6dbcd052d9fefab7518e3b08514557b7",
+    "markov-cmi": "996e5aa0f02f2df9ec0a55c330f6a2136d6f8f9cc1f6bfadc5f35d9f0cb35520",
     "measured-xor-random": "1d291cb3de6d0e63ee4b2fc57b0f4f7b012212e0717af8bf036386aecc36b4a9",
     "useful-prop-random": "c21d97f8d79d18aaf7bf1387d2edad334736dbe6d13e2d77ed494d5c169b5d7b",
     "parseval-random": "9d23d32c52ef5bfb5207e09e4f773fd8c26c3e76c5a1feaed8a5439c3b5226f1",
     "pgm-commutation": "10a17193ed30cb4cc7c691780115a5dd54171f6fef202fa225548e76dd2255b0",
-    "hmin-linear-drop": "b9b8de448e918258d30d84cf35881ea3d22ffb60b97e244be79b76893c1b37e1",
-    "hmin-le-h2": "a5047e21ec709edae46a3761c496342474b050b173c9e29910727997a42b7a78",
+    "hmin-linear-drop": "b06f0c4bdacde114426a143805be9e1049435ee03721c94a737fe0e11b45dda4",
+    "hmin-le-h2": "9a2de741b7d52e2ee5c004e964ed0b368c8b41d5576dc1d77cf5d47b94972d0d",
     "one-two-norm": "9669557e8eca1cd70a614d79af9f1ee431c8b772d09352c3ebaafaa5aef46d40",
     "bound-ordering": "9faab1bee4d25e87b6f6e043bebc0de55dd5a36050a20605139bbb3fc8a492c4",
 }
@@ -499,7 +499,8 @@ def test_check_ids_registry():
 def test_maps_with_one_kernel_lift_to_the_same_blocks():
     # The premise of the hmin-linear-drop memo: every 3x3 GF(2) matrix with
     # a given kernel lifts a state to bitwise-equal blocks in another order.
-    state = _random_cqs([(3, *_random_blocks(3, 2, np.random.default_rng(4), min_support=8))])[0]
+    [drawn] = _random_blocks_many([3], [2], np.random.default_rng(4), min_support=8)
+    state = _random_cqs([(3, *drawn)])[0]
     by_kernel: dict = {}
     for idx in range(1 << 9):
         mat = np.array(index_to_bits(idx, 9), dtype=np.uint8).reshape(3, 3)
@@ -591,11 +592,12 @@ def test_one_two_norm_groups_match_the_per_scenario_loop(monkeypatch):
 
 
 def test_random_cq_matches_the_per_symbol_draw():
-    # conftest's random_cq_state draws one conditional at a time, as the checks once did.
+    # conftest's random_cq_state draws one conditional at a time, as the checks once did,
+    # and its per-state draw, random_blocks, formed by _random_cqs gives the same state.
     for seed in range(12):
         ours, oracle = (np.random.default_rng(seed) for _ in range(2))
         for n_bits, dim in ((1, 1), (2, 3), (3, 2), (2, 4)):
-            got = _random_cqs([(n_bits, *_random_blocks(n_bits, dim, ours))])[0]
+            got = _random_cqs([(n_bits, *random_blocks(n_bits, dim, ours))])[0]
             want = random_cq_state(n_bits, dim, oracle)
             assert got.symbols() == want.symbols()
             assert got.stack.tobytes() == want.stack.tobytes()
@@ -666,8 +668,9 @@ def test_summary_counts_unconverged_rows():
 # hmin-le-h2 rows gained convergence flags, when the guessing probability
 # became exact for support rank k <= 2 or N <= 2 blocks, when a
 # lockstep primal-dual solver replaced the barrier, when b2-markov's
-# distances and entropies were composed from its blocks, and when its blocks'
-# distances came from the strong product route.
+# distances and entropies were composed from its blocks, when its blocks'
+# distances came from the strong product route, and when the Markov factors and
+# hmin-le-h2's scenarios were drawn by column.
 OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b1-exhaustive-flat",
      "params": {"ns": [3, 4], "ms": [1, 2], "families": ["field", "shift"],
@@ -680,7 +683,7 @@ OUTPUT_PATHS_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 8, "n_max": 3}},
     {"id": "hmin-le-h2", "params": {"count": 20}},
 ]}
-OUTPUT_PATHS_DIGEST = "770574fdb0ab7b72a33551c80dc642b15414049ce949c743927b80e7588f0007"
+OUTPUT_PATHS_DIGEST = "6d6acd959fe5644118b5391b6f7e57ddc3f76ab67a141cb068d9227cbe42c207"
 
 
 def test_output_paths_report_digest(tmp_path):
@@ -698,13 +701,14 @@ def test_output_paths_report_digest(tmp_path):
 # re-taken when the guessing probability became exact for k <= 2 or N <= 2 and
 # hmin-linear-drop's params took the scenario's r, when a lockstep
 # primal-dual solver replaced the barrier, when b2-markov went from its
-# dense joint state, at n_max 4, to its blocks, at n_max 8, and when its blocks'
-# distances came from the strong product route.
+# dense joint state, at n_max 4, to its blocks, at n_max 8, when its blocks'
+# distances came from the strong product route, and when the Markov factors and
+# hmin-linear-drop's sources and maps were drawn by column.
 FULL_ONLY_CONFIG = {"checks": [
     {"id": "b2-markov", "params": {"count": 40, "n_max": 8}, "seed": 7 * 1000003 + 4},
     {"id": "hmin-linear-drop", "params": {}, "seed": 7 * 1000003 + 10},
 ]}
-FULL_ONLY_DIGEST = "de34554045496dab7877b2969a12139b8f19007006b307bdc01280427b86d09f"
+FULL_ONLY_DIGEST = "518b2d4c9351100116c74d9e11fa6df27b8e19c5e87ed13cafe3ebeb651bcd27"
 
 
 def test_full_only_rows_report_digest():
@@ -742,7 +746,7 @@ def test_relabel_paths_report_digest():
 # sha256 of report.json for `verify --suite paper-table-1 --seed 42`.  A
 # refactor keeps these bytes; a change that moves rows on purpose updates the
 # digest and lists the moved rows in CHANGES.md.
-PAPER_TABLE_1_DIGEST = "d3e6ac57484c362e95dc8a3d8e717703c45b5e9ad8f470f35d31cc986920c3b5"
+PAPER_TABLE_1_DIGEST = "46a982347043951bf1e87e505b45fcfaceed83a91b3c3b4114686f0815108faa"
 
 
 def test_paper_table_1_report_digest():
@@ -1007,7 +1011,7 @@ def _blank_runtimes(report_csv: str) -> str:
 
 # sha256 of report.csv for `verify --suite paper-table-1 --seed 42` with the
 # runtime_ms column blanked: the CSV's counterpart of PAPER_TABLE_1_DIGEST.
-PAPER_TABLE_1_CSV_DIGEST = "6cab76b1b27c8aadea92d4a65cb50dc48f69e2e485ec4250b78901b851a47a89"
+PAPER_TABLE_1_CSV_DIGEST = "2cb6b8a02642aeced7eb8961fab9dd518d51573160a5198de23d4a5c8926d59f"
 
 
 def test_paper_table_1_csv_digest():

@@ -13,13 +13,17 @@
 * Isometric embedding: padding E with an unused dimension, each
   conditional rho_x becoming rho_x + 0, adds only zero eigenvalues, so it
   moves neither entropy nor any distance to uniform.
+* Data processing: tracing out one factor of E = E_a ⊗ E_b is a channel on
+  E, so it lowers neither H_min nor H_2 and raises no distance to uniform.
 
 The first two are checked on fixed batches of product pairs (bb84 and
 random_pure side information, n 3-5, m 2-3, field and shift families) through
-``cq_states.product_distances``; the last two on such a batch and on random
+``cq_states.product_distances``; the last three on such a batch and on random
 cq-states through ``h_min_cond_many`` and ``h2_cond_many``, each batch
 holding the states and their transformed copies side by side.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from extraction_lab.entropies import h2_cond_many, h_min_cond_many
 from extraction_lab.extractors import deor_extractor
 from extraction_lab.gf2 import MatrixFamily, build_field_family, build_shift_family, gf2_rank
 from extraction_lab.harness.scenarios import make_side_info
+from extraction_lab.operators import partial_trace
 
 FAMILIES = (build_field_family, build_shift_family)
 SIDES = ({"model": "bb84", "params": {"bits": 1}}, {"model": "random_pure", "params": {"dim": 2}},
@@ -158,3 +163,53 @@ def test_an_unused_dimension_of_e_moves_no_distance(strong_in):
     assert np.abs(deltas[1::3] - deltas[::3]).max() <= 1e-12
     assert np.abs(deltas[2::3] - deltas[::3]).max() <= 1e-12
     assert deltas.min() > 0
+
+
+def _traced(state, dims, keep: int) -> CqState:
+    """``state`` with its E = E_a ⊗ E_b, of ``dims``, traced down to the factor ``keep``."""
+    return CqState(dims[keep], dict(zip(state.symbols(),
+                                        partial_trace(state.stack, dims, (keep,)))))
+
+
+def _product_side(rng):
+    """The (d_a, d_b) of a side register E_a ⊗ E_b of dimension 2 or 4."""
+    return ((1, 2), (2, 1), (2, 2))[int(rng.integers(3))]
+
+
+def test_tracing_out_part_of_e_lowers_no_entropy():
+    # Mixed and pure conditionals: a pure one on E_a ⊗ E_b is mixed on E_a, and a
+    # one-dimensional factor left leaves a classical state.  The achieved value is
+    # at most the gap below the true supremum, which no channel on E lowers.
+    rng = np.random.default_rng(50)
+    batch = []
+    for i in range(24):
+        dims = (int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+        state = random_cq_state(int(rng.integers(1, 4)), dims[0] * dims[1], rng,
+                                pure=bool(i % 2))
+        batch += [state, _traced(state, dims, i % 3 % 2)]
+    assert {s.side_dim for s in batch[1::2]} == {1, 2, 3}
+    for solve in (h_min_cond_many, h2_cond_many):
+        results = solve(batch)
+        rises = [after.value - before.value for before, after in zip(results[::2], results[1::2])]
+        for rise, after in zip(rises, results[1::2]):
+            assert rise >= -(after.gap + 1e-12)
+        assert max(rises) > 0.1
+
+
+@pytest.mark.parametrize("strong_in", ["x1", None])
+def test_tracing_out_part_of_e_raises_no_distance(strong_in):
+    rng = np.random.default_rng(51)
+    batch = []
+    for n in (3, 4):
+        for m, build, pure in itertools.product((2, 3), FAMILIES, (False, True)):
+            ext = deor_extractor(build(n, m))
+            dims1, dims2 = _product_side(rng), _product_side(rng)
+            s1 = random_cq_state(n, dims1[0] * dims1[1], rng, min_support=2, pure=pure)
+            s2 = random_cq_state(n, dims2[0] * dims2[1], rng, min_support=2, pure=pure)
+            batch += [(ext, s1, s2), (ext, _traced(s1, dims1, int(rng.integers(2))), s2),
+                      (ext, s1, _traced(s2, dims2, int(rng.integers(2))))]
+    deltas = product_distances(batch, strong_in)
+    assert (deltas[1::3] - deltas[::3]).max() <= 1e-12
+    assert (deltas[2::3] - deltas[::3]).max() <= 1e-12
+    assert min(deltas[1::3].min(), deltas[2::3].min()) > 0
+    assert (deltas[::3] - np.minimum(deltas[1::3], deltas[2::3])).max() > 1e-3

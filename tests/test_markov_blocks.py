@@ -148,7 +148,9 @@ def _markov(count):
 
 
 def test_pair_cmis_equal_the_dense_route_on_markov_states():
-    states = _markov(48)
+    # Side dimension 2 needs two blocks whose four factors are all one-dimensional,
+    # 1/16 of two-block draws: the first with n = 1 is the 317th state.
+    states = _markov(320)
     assert {(n, s.side_dim) for n, s in states} >= {(1, 2), (2, 2), (2, 5)}
     for i, (n, state) in enumerate(states):
         (cmi,) = pair_cmis(*padded_pairs([state], n)).tolist()

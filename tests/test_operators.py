@@ -11,6 +11,9 @@ from conftest import (
     op_power,
     output_stacks,
     random_cq_state,
+    random_densities,
+    random_density,
+    random_pure_state,
     trace_distance,
 )
 
@@ -45,9 +48,6 @@ from extraction_lab.operators import (
     hermitian_stack,
     hermitian_trace_norms,
     partial_trace,
-    random_densities,
-    random_density,
-    random_pure_state,
     tensor,
     von_neumann_entropies,
 )

@@ -49,12 +49,14 @@ from extraction_lab.gf2 import (
 from extraction_lab.harness import checks
 from extraction_lab.harness.checks import CLASSICAL_SIDES, _flat_grid, _flat_sources, run_check
 from extraction_lab.harness.scenarios import LEAKS, make_markov_scenario
-from extraction_lab.operators import hermitian_stack, random_density, random_pure_state, tensor
+from extraction_lab.operators import hermitian_stack, tensor
 from conftest import (
     distance_to_uniform,
     extractor_output_from_joint,
     extractor_output_state,
     product,
+    random_density,
+    random_pure_state,
 )
 
 FAMILIES = {"field": build_field_family, "shift": build_shift_family}

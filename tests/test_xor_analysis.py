@@ -7,6 +7,7 @@ from conftest import (
     op_power,
     output_stacks,
     random_cq_state,
+    random_density,
     trace_distance,
 )
 
@@ -17,7 +18,7 @@ from extraction_lab.cq_states import (
     marginal_side,
 )
 from extraction_lab.gf2 import all_bit_vectors
-from extraction_lab.operators import partial_trace, random_density, random_pure_state, tensor
+from extraction_lab.operators import partial_trace, tensor
 from extraction_lab.xor_analysis import (
     MatrixValuedFunction,
     character_matrix,
