@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -118,9 +117,9 @@ CHOICES = {"families": ("family kind", tuple(FAMILY_BUILDERS)),
            "ns": ("ns", range(1, SOURCE_N_MAX + 1))}
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One report row.  The rows of one case share their params and flags dicts."""
+class BoundReport(NamedTuple):
+    """One report row.  The rows of one case share their check id, params and
+    flags dicts and scenario."""
 
     check_id: str
     bound_id: str
@@ -834,15 +833,7 @@ def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
         scenario = f"s{idx:05d} {case.label}"
         params, flags = dict(case.params), dict(case.flags)
         for bound_id, measured, epsilon in case.rows:
-            reports.append(BoundReport(
-                check_id=check_id,
-                bound_id=bound_id,
-                params=params,
-                measured_delta=float(measured),
-                bound_epsilon=float(epsilon),
-                runtime_ms=runtime_ms,
-                scenario=scenario,
-                flags=flags,
-            ))
+            reports.append(BoundReport(check_id, bound_id, params, float(measured),
+                                       float(epsilon), runtime_ms, scenario, flags))
         t0 = time.perf_counter()    # the next case's time is spent inside the generator
     return reports

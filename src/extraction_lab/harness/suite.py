@@ -15,12 +15,12 @@ byte-identical files); wall-clock timings go to the CSV report only.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 
 from .checks import resolve_entry, run_check
@@ -75,6 +75,8 @@ SUITES: dict[str, dict] = {
 }
 
 SUITE_NAMES = tuple(sorted(SUITES))
+# The order of a suite's rows.
+_ROW_ORDER = attrgetter("check_id", "scenario", "bound_id")
 
 
 def load_config(suite: str) -> dict:
@@ -131,7 +133,7 @@ def run_suite(config: dict, seed: int = 0, jobs: int = 1) -> SuiteResult:
     for pos, entry in enumerate(config["checks"]):
         entry_seed = entry.get("seed", (seed * 1000003 + pos) & 0x7FFFFFFF)
         reports += run_check(entry["id"], {"params": entry.get("params", {}), "seed": entry_seed})
-    reports.sort(key=lambda r: (r.check_id, r.scenario, r.bound_id))
+    reports.sort(key=_ROW_ORDER)
     return SuiteResult(name=config.get("name", "custom"), seed=seed, reports=reports)
 
 
@@ -140,20 +142,26 @@ def _summarize(reports) -> dict:
 
     ``n_solver_rows`` counts rows carrying a solver convergence flag
     (``converged``, ``converged1``, ``converged2``) and ``n_unconverged``
-    those with any such flag false.
+    those with any such flag false.  The rows of a case share their flags
+    dict, which is read once a case.
     """
     ratios: dict[str, float] = {}
     failed = solved = unconverged = 0
+    flags = object()
     for r in reports:
         failed += not r.passed
         if r.bound_epsilon > 0:
-            ratio = r.measured_delta / r.bound_epsilon
-            ratios[r.bound_id] = max(ratios.get(r.bound_id, 0.0), ratio)
-        flags = [v for k, v in r.flags.items()
-                 if isinstance(k, str) and k.startswith("converged")]
-        if flags:
+            # max(worst, ratio), spelled out: the ratio replaces the worst iff it is greater
+            ratio, worst = r.measured_delta / r.bound_epsilon, ratios.get(r.bound_id, 0.0)
+            ratios[r.bound_id] = ratio if ratio > worst else worst
+        if r.flags is not flags:
+            flags = r.flags
+            converged = [v for k, v in flags.items()
+                         if isinstance(k, str) and k.startswith("converged")]
+            flagged, diverged = bool(converged), not all(converged)
+        if flagged:
             solved += 1
-            unconverged += not all(flags)
+            unconverged += diverged
     return {
         "n_reports": len(reports),
         "n_failed": failed,
@@ -172,6 +180,7 @@ _ROW = ('    {\n      "bound_epsilon": %s,\n      "bound_id": %s,\n      "check_
 _NEXT_ROW = ",\n" + _ROW
 _NO_ROWS = '\n  "reports": [],'
 _INF = float("inf")
+_REPR = float.__repr__
 
 
 def _float(x: float) -> str:
@@ -181,7 +190,7 @@ def _float(x: float) -> str:
         return "Infinity"
     if x == -_INF:
         return "-Infinity"
-    return float.__repr__(x)
+    return _REPR(x)
 
 
 _SPELLINGS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
@@ -200,36 +209,70 @@ def _scalar(value) -> str:
     return spell(value)
 
 
-def _flat_object(obj: dict, indent: int | None = None) -> str:
-    """A dict of str keys and scalar values as ``json.dumps(obj, sort_keys=True)``
-    lays it out: on one line, or, given ``indent``, in the ``indent=2``
-    layout with its closing brace ``indent`` spaces in."""
-    if not obj:
-        return "{}"
-    items = [encode_basestring_ascii(k) + ": " + _scalar(v) for k, v in sorted(obj.items())]
+def _flat_object(indent: int | None = None):
+    """A function that spells a dict of str keys and scalar values as
+    ``json.dumps(obj, sort_keys=True)`` lays it out: on one line, or, given
+    ``indent``, in the ``indent=2`` layout with its closing brace ``indent``
+    spaces in.
+
+    Each key is spelled once, into a cache that lives as long as the
+    function, which a renderer makes once per call.  An exact ``int`` or
+    finite ``float`` is spelled directly; any other value by :func:`_scalar`.
+    """
+    keys: dict = {}
     if indent is None:
-        return "{" + ", ".join(items) + "}"
-    pad = "\n" + " " * (indent + 2)
-    return "{" + pad + ("," + pad).join(items) + "\n" + " " * indent + "}"
+        first, between, last = "{", ", ", "}"
+    else:
+        pad = "\n" + " " * (indent + 2)
+        first, between, last = "{" + pad, "," + pad, "\n" + " " * indent + "}"
+
+    def key(k) -> str:
+        text = keys[k] = encode_basestring_ascii(k) + ": "
+        return text
+
+    def spell(obj: dict) -> str:
+        if not obj:
+            return "{}"
+        return first + between.join([
+            (keys.get(k) or key(k))
+            + (_REPR(v) if type(v) is float and v - v == 0
+               else int.__repr__(v) if type(v) is int else _scalar(v))
+            for k, v in sorted(obj.items())]) + last
+    return spell
 
 
 def _row_texts(reports):
     """Each row as json.dumps lays it out in the report, every row after the
     first led by its ``,\\n`` separator.
 
-    The rows of one case share their params and flags dicts and sit next
-    to each other after the sort, so a case's dicts are spelled once.
+    The rows of one case share their check id, params and flags dicts and
+    scenario, and sit next to each other after the sort, so each of them is
+    spelled once a case.  A finite ``float`` is spelled directly, any other
+    number by :func:`_scalar`.
     """
     row = _ROW
-    params = flags = object()
+    flat = _flat_object(6)
+    check_id = params = flags = scenario = object()
     for r in reports:
+        if r.check_id is not check_id:
+            check_id = r.check_id
+            check_text = _scalar(check_id)
         if r.params is not params:
-            params, params_text = r.params, _flat_object(r.params, 6)
+            params = r.params
+            params_text = flat(params)
         if r.flags is not flags:
-            flags, flags_text = r.flags, _flat_object(r.flags, 6)
-        yield row % (_scalar(r.bound_epsilon), _scalar(r.bound_id),
-                     _scalar(r.check_id), flags_text, _scalar(r.measured_delta),
-                     params_text, _scalar(r.passed), _scalar(r.scenario))
+            flags = r.flags
+            flags_text = flat(flags)
+        if r.scenario is not scenario:
+            scenario = r.scenario
+            scenario_text = _scalar(scenario)
+        epsilon, measured = r.bound_epsilon, r.measured_delta
+        yield row % (_REPR(epsilon) if type(epsilon) is float and epsilon - epsilon == 0
+                     else _scalar(epsilon),
+                     _scalar(r.bound_id), check_text, flags_text,
+                     _REPR(measured) if type(measured) is float and measured - measured == 0
+                     else _scalar(measured),
+                     params_text, "true" if r.passed else "false", scenario_text)
         row = _NEXT_ROW
 
 
@@ -270,39 +313,65 @@ def render_json(result: SuiteResult) -> str:
 CSV_COLUMNS = ["check_id", "bound_id", "n", "m", "r", "k1", "k2",
                "measured_delta", "bound_epsilon", "pass", "runtime_ms",
                "scenario", "flags"]
+# Python 3.10 to 3.12's CSV writer leaves a lone "\r" unquoted under lineterminator="\n".
+_CSV_QUOTES_CR = sys.version_info >= (3, 13)
+
+
+def _csv_cell(value) -> str:
+    """``value`` as the stdlib's CSV writer writes a cell under QUOTE_MINIMAL with
+    ``lineterminator="\\n"``: None empty, a float (subclasses included) by
+    ``repr`` and anything else by ``str``; then quoted, its ``"`` doubled, if
+    it holds ``,``, ``"`` or ``\\n``.  A ``\\r`` is quoted only from Python
+    3.13 on, as the stdlib's writer quotes it (``_CSV_QUOTES_CR``)."""
+    text = (value if type(value) is str else "" if value is None
+            else repr(value) if isinstance(value, float) else str(value))
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text or (_CSV_QUOTES_CR and "\r" in text):
+        return '"' + text + '"'
+    return text
 
 
 def _csv_k(value) -> str:
     """A ``k1``/``k2`` cell: a float, ``numpy.float64`` included, by ``float.__repr__`` as
     report.json spells a finite one; anything else (``None`` for a missing key) by ``repr``."""
-    return float.__repr__(value) if isinstance(value, float) else repr(value)
+    return _csv_cell(_REPR(value) if isinstance(value, float) else repr(value))
 
 
-def _csv_rows(reports):
-    params = flags = object()
+def _csv_lines(reports):
+    """The CSV report line by line: the header of ``CSV_COLUMNS``, then one line
+    per row, each ending in ``\\n``.
+
+    A case's cells (check id, n, m, r, k1, k2, scenario, flags) are spelled
+    once a case, as :func:`_row_texts` spells its JSON; a row spells its
+    bound id, its two numbers by ``repr``, its verdict and ``runtime_ms``.
+    """
+    yield ",".join(CSV_COLUMNS) + "\n"
+    flat = _flat_object()
+    check_id = params = flags = scenario = object()
     for r in reports:
+        if r.check_id is not check_id:
+            check_id = r.check_id
+            check_cell = _csv_cell(check_id)
         if r.params is not params:
             params = r.params
-            case_columns = [params.get("n"), params.get("m"), params.get("r"),
-                            _csv_k(params.get("k1")), _csv_k(params.get("k2"))]
-        if r.flags is not flags:
-            flags, flags_text = r.flags, _flat_object(r.flags)
-        yield [r.check_id, r.bound_id, *case_columns, repr(r.measured_delta), repr(r.bound_epsilon),
-               r.passed, f"{r.runtime_ms:.3f}", r.scenario, flags_text]
-
-
-def _write_csv(result: SuiteResult, out) -> None:
-    """Write the CSV report to the text stream ``out``, one row at a time."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(_csv_rows(result.reports))
+            params_cells = ",".join([_csv_cell(params.get("n")), _csv_cell(params.get("m")),
+                                     _csv_cell(params.get("r")), _csv_k(params.get("k1")),
+                                     _csv_k(params.get("k2"))])
+        if r.scenario is not scenario or r.flags is not flags:
+            scenario, flags = r.scenario, r.flags
+            case_tail = f"{_csv_cell(scenario)},{_csv_cell(flat(flags))}\n"
+        measured, epsilon = r.measured_delta, r.bound_epsilon
+        yield (f"{check_cell},{_csv_cell(r.bound_id)},{params_cells},"
+               f"{_REPR(measured) if type(measured) is float else _csv_cell(repr(measured))},"
+               f"{_REPR(epsilon) if type(epsilon) is float else _csv_cell(repr(epsilon))},"
+               f"{r.passed},{r.runtime_ms:.3f},{case_tail}")
 
 
 def render_csv(result: SuiteResult) -> str:
-    """The CSV report: a header of ``CSV_COLUMNS``, then one line per row."""
-    buf = io.StringIO()
-    _write_csv(result, buf)
-    return buf.getvalue()
+    """The CSV report, joined once from :func:`_csv_lines`, which
+    :func:`write_reports` streams instead."""
+    return "".join(_csv_lines(result.reports))
 
 
 def write_reports(result: SuiteResult, out_dir) -> tuple[Path, Path]:
@@ -325,7 +394,7 @@ def write_reports(result: SuiteResult, out_dir) -> tuple[Path, Path]:
         with temps[0].open("w") as f:
             f.writelines(_json_pieces(result))
         with temps[1].open("w") as f:
-            _write_csv(result, f)
+            f.writelines(_csv_lines(result.reports))
         for temp, path in zip(temps, paths):
             temp.replace(path)
     finally:

@@ -658,6 +658,19 @@ def test_summary_counts_unconverged_rows():
     assert (summary["n_solver_rows"], summary["n_unconverged"]) == (3, 2)
 
 
+def test_a_solve_stopped_short_is_an_unconverged_row():
+    # The convergence policy by its value: five iterations leave this state's
+    # h_min_cond gap near 9e-6 bits, above CONVERGED_GAP_BITS and far below
+    # the 1e-2 that an unpinned policy could drift to; uncapped, it converges.
+    state = random_cq_state(2, 3, np.random.default_rng(2), min_support=3)
+    capped = h_min_cond(state, iters=5)
+    assert 1e-6 < capped.gap < 1e-4 and capped.converged is False
+    assert h_min_cond(state).converged is True
+    row = BoundReport("c", "B1", {}, 0.0, 1.0, 0.0, "s", {"converged": capped.converged})
+    summary = _summarize([row, _row(0.0, 1.0, {"converged": True})])
+    assert (summary["n_solver_rows"], summary["n_unconverged"]) == (2, 1)
+
+
 # Every extractor-output path of the harness on one small config: the flat
 # grids (strong x1 and x2), ip-classical, the weak output of b8-weak-quantum,
 # the block outputs of b2-markov, and hmin-le-h2 for h2_cond.  The digest was
@@ -842,7 +855,9 @@ def _result(reports, name="edge") -> SuiteResult:
 
 
 NAN, INF = float("nan"), float("inf")
-EDGE_LABELS = ['quote " and backslash \\', "new\nline, comma", "non-ASCII é ∞ 𝔽", ""]
+# A lone "\r" is left unquoted by the CSV writer before Python 3.13 and quoted from then on.
+EDGE_LABELS = ['quote " and backslash \\', "new\nline, comma", "non-ASCII é ∞ 𝔽", "",
+               "carriage\rreturn"]
 EDGE_VALUES = [NAN, INF, -INF, -0.0, 0.0, 5e-324, 0.1, 1e300]
 # 0.0 and -0.0, True, 1 and 1.0 are equal dict values spelled apart.
 EDGE_FLAGS = [{}, {"converged": True}, {"converged": 1}, {"converged": 1.0},
@@ -858,9 +873,11 @@ def _edge_reports() -> list:
     for i, measured in enumerate(EDGE_VALUES):
         for j, epsilon in enumerate(EDGE_VALUES):
             k = i * len(EDGE_VALUES) + j
-            rows.append(BoundReport("edge-check", f"B{j}", EDGE_PARAMS[i % 3], measured, epsilon,
-                                    0.25 * k,
-                                    EDGE_LABELS[k % 4], EDGE_FLAGS[k % len(EDGE_FLAGS)]))
+            # every fifth bound id holds a comma, which the CSV quotes
+            bound_id = f"B{j}" if k % 5 else f"B{j},{i}"
+            rows.append(BoundReport("edge-check", bound_id, EDGE_PARAMS[i % 3], measured, epsilon,
+                                    0.25 * k, EDGE_LABELS[k % len(EDGE_LABELS)],
+                                    EDGE_FLAGS[k % len(EDGE_FLAGS)]))
     return rows
 
 
@@ -878,7 +895,10 @@ def test_renderers_match_the_stdlib_on_edge_rows():
 
 def test_csv_spells_a_numpy_float_param_as_a_number():
     # k2 = np.float64(2.5) used to come out as np.float64(2.5) under numpy 2.
-    rows = list(csv.DictReader(io.StringIO(render_csv(_result(_edge_reports())))))
+    # The stdlib reader cannot read back the lone "\r" that its writer leaves unquoted
+    # before Python 3.13, so the rows that hold one are left out; every params dict stays.
+    edge = [r for r in _edge_reports() if "\r" not in r.scenario]
+    rows = list(csv.DictReader(io.StringIO(render_csv(_result(edge)))))
     assert {(row["k1"], row["k2"]) for row in rows} == {("-0.0", "2.5"), ("inf", "nan"),
                                                        ("None", "None")}
 
@@ -944,6 +964,10 @@ def test_rows_are_spelled_without_json_dumps(monkeypatch, tmp_path):
     assert calls == []
     write_reports(result, tmp_path)
     assert len(calls) == 1
+    # The CSV lines are spelled without the stdlib's writer, which stays the tests' oracle.
+    monkeypatch.setattr(csv, "writer", lambda *a, **k: pytest.fail("csv.writer was called"))
+    assert render_csv(result).count("\n") == len(result.reports) + 1
+    write_reports(result, tmp_path)
 
 
 def _written(result, out_dir) -> tuple[bytes, bytes]:
@@ -989,13 +1013,14 @@ def _traced_peak(emit) -> int:
 
 
 def test_each_report_is_held_once(tmp_path):
-    # render_json holds its pieces and their join, about twice the report;
-    # write_reports streams both files and holds about one row's text.
-    # Concatenating the envelope around the joined rows peaked at 3x the
-    # report, and writing that string again at 3x.
+    # render_json and render_csv each hold their pieces and their join, about
+    # twice the report; write_reports streams both files and holds about one
+    # row's text.  Concatenating the envelope around the joined rows peaked at
+    # 3x the report, and writing that string again at 3x.
     result = run_suite(load_config("paper-table-1"), seed=42)
     size = len(render_json(result))
     assert _traced_peak(lambda: render_json(result)) < 2.5 * size
+    assert _traced_peak(lambda: render_csv(result)) < 2.5 * len(render_csv(result))
     assert _traced_peak(lambda: write_reports(result, tmp_path)) < 0.5 * size
 
 

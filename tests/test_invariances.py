@@ -9,7 +9,8 @@
   output strong in X1 is the transposed one strong in X2.
 * Unitary invariance: conjugating every conditional by one unitary on E
   moves no eigenvalue of any block, operator or difference of them, so
-  neither H_min, nor H_2, nor the distance to uniform.
+  neither H_min, nor H_2, nor the distance to uniform; and it conjugates
+  every element of the pretty good measurement by the same unitary.
 * Isometric embedding: padding E with an unused dimension, each
   conditional rho_x becoming rho_x + 0, adds only zero eigenvalues, so it
   moves neither entropy nor any distance to uniform.
@@ -20,7 +21,8 @@ The first two are checked on fixed batches of product pairs (bb84 and
 random_pure side information, n 3-5, m 2-3, field and shift families) through
 ``cq_states.product_distances``; the last three on such a batch and on random
 cq-states through ``h_min_cond_many`` and ``h2_cond_many``, each batch
-holding the states and their transformed copies side by side.
+holding the states and their transformed copies side by side.  The PGM's
+covariance is checked on such batches through ``xor_analysis.pgm_stacks``.
 """
 
 import itertools
@@ -28,7 +30,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_cq_state, random_distribution
+from conftest import output_stacks, random_cq_state, random_distribution
 
 from extraction_lab.cq_states import CqState, product_distances
 from extraction_lab.entropies import h2_cond_many, h_min_cond_many
@@ -36,6 +38,7 @@ from extraction_lab.extractors import deor_extractor
 from extraction_lab.gf2 import MatrixFamily, build_field_family, build_shift_family, gf2_rank
 from extraction_lab.harness.scenarios import make_side_info
 from extraction_lab.operators import partial_trace
+from extraction_lab.xor_analysis import pgm_stacks
 
 FAMILIES = (build_field_family, build_shift_family)
 SIDES = ({"model": "bb84", "params": {"bits": 1}}, {"model": "random_pure", "params": {"dim": 2}},
@@ -127,6 +130,32 @@ def test_a_unitary_on_e_moves_no_distance(strong_in):
     deltas = product_distances(batch, strong_in)
     assert np.abs(deltas[1::2] - deltas[::2]).max() <= 1e-12
     assert deltas.min() > 0
+
+
+def test_a_unitary_on_e_conjugates_every_pgm_element():
+    # The PGM of U rho U^dagger has the elements U E_x U^dagger.  Rounding in
+    # rho_B^(-1/2) grows with the condition number of rho_B on its support, so each
+    # state's allowance is 1e-12 times that number (seen: 1.3e-15 times it at worst
+    # over 40 seeds).  Pure conditionals on fewer symbols than the side's dimension
+    # leave rho_B singular, so the completeness deficit on its kernel is covered too.
+    rng = np.random.default_rng(48)
+    singular = 0
+    for m, dim in ((1, 2), (1, 4), (2, 2), (2, 3), (3, 4)):
+        states = [random_cq_state(m, dim, rng, pure=bool(i % 2)) for i in range(8)]
+        stacks, present = output_stacks(states)
+        units = np.array([_unitary(dim, rng) for _ in states])[:, None]
+        adjoints = units.conj().swapaxes(-1, -2)
+        moved = units @ stacks @ adjoints
+        moved = 0.5 * (moved + moved.conj().swapaxes(-1, -2))     # Hermitian to the last bit
+        batch = np.stack([stacks, moved], axis=1).reshape((-1,) + stacks.shape[1:])
+        elements = pgm_stacks(batch, np.repeat(present, 2, axis=0))
+        before, after = elements[::2], elements[1::2]
+        spectra = np.linalg.eigvalsh(stacks.sum(axis=1))
+        scale = np.array([w[-1] / w[w > 1e-12 * w[-1]].min() for w in spectra])
+        singular += int(np.sum(spectra[:, 0] < 1e-12 * spectra[:, -1]))
+        deviation = np.abs(after - units @ before @ adjoints).max(axis=(1, 2, 3))
+        assert np.all(deviation <= 1e-12 * scale), (m, dim, deviation / scale)
+    assert singular > 0
 
 
 def _padded(state, first: bool) -> CqState:
