@@ -6,7 +6,9 @@ subnormalized PSD conditional operator of symbol i.  ``state.blocks``
 maps each symbol to its row, a view of the stack, never a copy.  A state
 is never materialized as one dense matrix: the distances, the relabelling
 and the conditional mutual information of states on pair symbols
-(:func:`pair_cmis`) all work on the blocks.
+(:func:`pair_cmis`) all work on the blocks.  Markov block mixtures are
+embedded on the pair alphabet per group (:func:`markov_pair_stacks`), and
+:func:`markov_block_state` is its batch of one.
 
 Symbols are hashable tuples: bit tuples for plain registers, nested
 tuples such as ``(z_bits, x_bits)`` for composite classical registers.
@@ -253,24 +255,68 @@ def markov_block_state(scenario: MarkovScenario) -> CqState:
     The side register is the direct sum over blocks of C1^z (x) C2^z,
     realized with explicit offsets; block z of weight w contributes
     w * rho^z_{C1 and x1} (x) rho^z_{C2 and x2} in its diagonal slot.
-    By construction I(X1:X2|C) = 0 for the embedded state.
+    By construction I(X1:X2|C) = 0 for the embedded state.  It is
+    :func:`markov_pair_stacks` of a batch of one, on the sorted symbols that
+    some block's factors hold, compacted to the present pairs.
     """
-    offsets = np.cumsum([0] + [s1.side_dim * s2.side_dim for s1, s2 in scenario.factors])
-    side_dim = int(offsets[-1])
     alpha1 = sorted({a for s1, _ in scenario.factors for a in s1.symbols()})
     alpha2 = sorted({b for _, s2 in scenario.factors for b in s2.symbols()})
     slot1 = {a: i for i, a in enumerate(alpha1)}
     slot2 = {b: j for j, b in enumerate(alpha2)}
-    stack = np.zeros((len(alpha1), len(alpha2), side_dim, side_dim), dtype=complex)
-    present = np.zeros(stack.shape[:2], dtype=bool)
-    for lo, hi, w, (s1, s2) in zip(offsets, offsets[1:], scenario.weights, scenario.factors):
-        if w > 0:
-            at = np.ix_([slot1[a] for a in s1.symbols()], [slot2[b] for b in s2.symbols()])
-            stack[at + (slice(lo, hi),) * 2] = w * tensor(s1.stack[:, None], s2.stack[None])
-            present[at] = True
-    rows, cols = np.nonzero(present)
+    slots = [(np.array([slot1[a] for a in s1.symbols()], dtype=np.intp),
+              np.array([slot2[b] for b in s2.symbols()], dtype=np.intp))
+             for s1, s2 in scenario.factors]
+    stacks, present = markov_pair_stacks([scenario], [slots], (len(alpha1), len(alpha2)))
+    rows, cols = np.nonzero(present[0])
     symbols = [(alpha1[r], alpha2[c]) for r, c in zip(rows.tolist(), cols.tolist())]
-    return CqState._from_stack(symbols, stack[rows, cols])
+    return CqState._from_stack(symbols, stacks[0, rows, cols])
+
+
+def markov_pair_stacks(scenarios, slots, shape):
+    """P block mixtures of one side dimension d_C embedded on the pair alphabet, as
+    :func:`pair_cmis` takes them: the zero-padded (P, A, B, d_C, d_C) stack and its
+    (P, A, B) mask, (A, B) = ``shape``.
+
+    ``slots`` holds per scenario, per block, the (i1, i2) slot indices of its
+    two factors' symbols, each ascending and below A and B.  Block z of
+    weight w > 0 writes w·ρ_{x1}⊗ρ_{x2} (:func:`tensor`) at slot [i1, i2] of
+    the diagonal d1·d2 block at its offset, the sum of the earlier blocks'
+    d1·d2, and marks the slot present; a zero weight writes nothing.  The
+    blocks are gathered per factor dimensions (d1, d2), and each such class
+    is formed by one tensor and written by one scatter, each entry the
+    product that its block formed alone gives.
+    """
+    side = sum(s1.side_dim * s2.side_dim for s1, s2 in scenarios[0].factors)
+    stacks = np.zeros((len(scenarios),) + tuple(shape) + (side, side), dtype=complex)
+    present = np.zeros(stacks.shape[:3], dtype=bool)
+    classes = {}    # (d1, d2) -> [(scenario, offset, weight, factor 1, factor 2, i1, i2)]
+    for p, (scenario, at) in enumerate(zip(scenarios, slots)):
+        lo = 0
+        for w, (s1, s2), (i1, i2) in zip(scenario.weights, scenario.factors, at):
+            if w > 0:
+                classes.setdefault((s1.side_dim, s2.side_dim), []).append(
+                    (p, lo, w, s1.stack, s2.stack, i1, i2))
+            lo += s1.side_dim * s2.side_dim
+    for (d1, d2), members in classes.items():
+        p, lo, w, a, b, i1, i2 = zip(*members)
+        k1, k2 = np.array([len(x) for x in a]), np.array([len(x) for x in b])
+        # Each block's pairs in row-major (x1, x2) order, as in its (k1, k2) tensor: r1
+        # and r2 index the concatenated factor stacks, each x1 row pairing with all
+        # of its block's x2 rows.
+        per_row = np.repeat(k2, k1)
+        r1 = np.repeat(np.arange(len(per_row)), per_row)
+        r2 = np.arange(len(r1)) + (np.repeat(np.cumsum(k2) - k2, k1)
+                                   - (np.cumsum(per_row) - per_row))[r1]
+        block = np.repeat(np.arange(len(members)), k1)[r1]
+        pieces = (np.array(w)[block, None, None]
+                  * tensor(np.concatenate(a)[r1], np.concatenate(b)[r2]))
+        rows, cols = np.concatenate(i1)[r1], np.concatenate(i2)[r2]
+        owner = np.array(p)[block]
+        diag = np.array(lo)[block, None] + np.arange(d1 * d2)
+        stacks[owner[:, None, None], rows[:, None, None], cols[:, None, None],
+               diag[:, :, None], diag[:, None, :]] = pieces
+        present[owner, rows, cols] = True
+    return stacks, present
 
 
 def pair_cmis(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
@@ -280,7 +326,8 @@ def pair_cmis(stacks: np.ndarray, present: np.ndarray) -> np.ndarray:
     State i is the zero-padded (A, B, d, d) stack stacks[i], its slot [j, k]
     the block of the pair of the j-th x1 and the k-th x2 symbol where
     present[i, j, k] holds, slots in sorted-symbol order (:func:`padded_stacks`
-    of A·B slots, reshaped).  X1 and X2 are classical, so each entropy of
+    of A·B slots, reshaped, or :func:`markov_pair_stacks` of a group of block
+    mixtures, which writes them in place).  X1 and X2 are classical, so each entropy of
     I = S(X1C) + S(X2C) - S(X1X2C) - S(C) is a sum over d×d operators:
     Σ_x1 S(Σ_x2 ρ^{x1 x2}), Σ_x2 S(Σ_x1 ρ^{x1 x2}), Σ_{x1,x2} S(ρ^{x1 x2}) and
     S(Σ ρ^{x1 x2}).  Each is one :func:`von_neumann_entropies` call, which

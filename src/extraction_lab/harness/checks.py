@@ -25,8 +25,7 @@ from ..cq_states import (
     _traces,
     apply_classical_function,
     flat_grid_distances,
-    markov_block_state,
-    padded_stacks,
+    markov_pair_stacks,
     pair_cmis,
     product_distances,
     relabelled_stacks,
@@ -68,7 +67,7 @@ from .scenarios import (
     _flat_draw,
     _flat_indices,
     _formed_group,
-    _markov_draw,
+    _markov_draws,
     _markov_scenarios,
     _random_blocks_many,
     _random_cqs,
@@ -330,24 +329,25 @@ def _b8_weak(p, rng):
 def _b2_markov(p, rng):
     """Markov block scenarios against the Markov-model bound family.
 
-    Every scenario is drawn first (:func:`_markov_draw`), then all are
-    formed together (:func:`_markov_scenarios`), and their marginals are
-    solved together (:func:`h_min_markov_sources`).  C is a direct sum over
-    blocks, so the distance is sum_j w_j delta_j over the blocks' products,
-    in block order; one :func:`product_distances` call gives every block's
-    delta_j.
+    Every scenario's seed is taken first, then all are drawn by one
+    :func:`_markov_draws` (each from its own generator, the bookkeeping once
+    for the batch) and formed together (:func:`_markov_scenarios`), and
+    their marginals are solved together (:func:`h_min_markov_sources`).  C is
+    a direct sum over blocks, so the distance is sum_j w_j delta_j over the
+    blocks' products, in block order; one :func:`product_distances` call
+    gives every block's delta_j.
     """
-    drawn = []
+    drawn, specs = [], []
     for _ in range(p["count"]):
         kind, ext = _random_extractor(rng, p["n_min"], p["n_max"], MARKOV_M_MAX)
         classical = bool(rng.random() < 0.5)
         blocks = int(rng.integers(2, MARKOV_BLOCKS_MAX + 1))
-        drawn.append((kind, ext, classical, blocks, _markov_draw(
-            ext.n, blocks, seed=int(rng.integers(2 ** 31)), classical=classical)))
-    scenarios = _markov_scenarios([draw for *_, draw in drawn])
+        drawn.append((kind, ext, classical, blocks))
+        specs.append((ext.n, blocks, int(rng.integers(2 ** 31)), classical))
+    scenarios = _markov_scenarios(_markov_draws(specs))
     deltas = iter(product_distances([(ext, s1, s2) for (_, ext, *_), scn in zip(drawn, scenarios)
                                      for s1, s2 in scn.factors], "x1").tolist())
-    for (kind, ext, classical, blocks, _), scn, (res1, res2) in zip(
+    for (kind, ext, classical, blocks), scn, (res1, res2) in zip(
             drawn, scenarios, h_min_markov_sources(scenarios)):
         delta = sum(w * next(deltas) for w in scn.weights)
         kp = _k_params(ext.n, ext.m, ext.family.r, res1.value, res2.value)
@@ -378,41 +378,36 @@ def _ip_classical(p, rng):
 def _markov_cmi(p, rng):
     """Conditional mutual information of constructed Markov block states.
 
-    Every scenario is drawn first (:func:`_markov_draw`) and all are formed
-    together (:func:`_markov_scenarios`).  The scenarios are then grouped by
-    (n, d_C) (:func:`_in_groups`); a group builds each state with
-    :func:`markov_block_state`, pads their blocks into one (P, 2^n, 2^n, d_C,
-    d_C) stack and takes their CMIs with one :func:`pair_cmis`, which never
-    forms the dense 4^n·d_C operator.  A scenario weighs 4^n·d_C², the
-    entries of its padded stack.
+    Every scenario's seed is taken first, then all are drawn by one
+    :func:`_markov_draws` and formed together (:func:`_markov_scenarios`).
+    The scenarios are then grouped by (n, d_C) (:func:`_in_groups`); a group
+    writes its weighted block products straight into one zero-padded (P,
+    2^n, 2^n, d_C, d_C) stack at the factors' drawn indices
+    (:func:`markov_pair_stacks`) and takes their CMIs with one
+    :func:`pair_cmis`, which never forms the dense 4^n·d_C operator.  A
+    scenario weighs 4^n·d_C², the entries of its padded stack.
     """
-    drawn = []
+    specs = []
     for _ in range(p["count"]):
         n = int(rng.integers(1, 3))
         classical = bool(rng.random() < 0.3)
-        drawn.append((n, _markov_draw(n, int(rng.integers(2, MARKOV_BLOCKS_MAX + 1)),
-                                      seed=int(rng.integers(2 ** 31)), classical=classical)))
-    scenarios = _markov_scenarios([draw for _, draw in drawn])
+        specs.append((n, int(rng.integers(2, MARKOV_BLOCKS_MAX + 1)),
+                      int(rng.integers(2 ** 31)), classical))
+    drawn = _markov_draws(specs)
 
     def draws():
-        for (n, _), scn in zip(drawn, scenarios):
+        for (n, *_), scn, (_, factors) in zip(specs, _markov_scenarios(drawn), drawn):
             side = sum(s1.side_dim * s2.side_dim for s1, s2 in scn.factors)
-            yield (n, side), 4 ** n * side ** 2, scn
+            yield (n, side), 4 ** n * side ** 2, (scn, [(f1[1], f2[1]) for f1, f2 in factors])
 
     def evaluate(key, items):
         n, side = key
-        alphabet = all_bit_vectors(n)
-        slot = {(a, b): i for i, (a, b) in enumerate(itertools.product(alphabet, repeat=2))}
-        states = [markov_block_state(scn) for scn in items]
-        stacks, present = padded_stacks(
-            [(s.stack, np.array([slot[sym] for sym in s.symbols()])) for s in states], len(slot))
-        shape = (len(items), len(alphabet), len(alphabet))
-        cmis = pair_cmis(stacks.reshape(shape + (side, side)), present.reshape(shape))
+        scenarios, slots = zip(*items)
+        cmis = pair_cmis(*markov_pair_stacks(scenarios, slots, (1 << n, 1 << n)))
         return [(side, cmi) for cmi in cmis.tolist()]
 
-    for (n, _), scn, (side, cmi) in zip(drawn, scenarios, _in_groups(draws(), evaluate)):
-        yield Case(_k_params(n, 1, 0, 0.0, 0.0),
-                   f"markov-cmi n={n} blocks={len(scn.weights)} side={side}",
+    for (n, blocks, *_), (side, cmi) in zip(specs, _in_groups(draws(), evaluate)):
+        yield Case(_k_params(n, 1, 0, 0.0, 0.0), f"markov-cmi n={n} blocks={blocks} side={side}",
                    [("cmi-zero", cmi, 0.0)])
 
 

@@ -8,8 +8,10 @@ Random cq-states are drawn raw and formed and validated per group
 forming once per group, not per state.  Every random cq-state is drawn by
 column, a block of them in four generator calls whatever its size
 (:func:`_random_blocks_many`): its mixed, pure or one-hot conditionals in
-one call, never one conditional at a time.  A Markov scenario's factors are
-such a block (:func:`_markov_draw`).
+one call, never one conditional at a time, and ranked, normalised and
+formed per batch (:func:`_drawn_blocks`).  A Markov scenario's factors are
+such a block drawn from its own generator, and a batch of Markov scenarios
+is formed by one :func:`_drawn_blocks` (:func:`_markov_draws`).
 Flat sources under a side model are drawn raw too (:func:`_flat_draw`), and
 every check forms them per group; :func:`make_side_info` builds one such
 state alone, for the CLI and the library, from the same conditionals
@@ -138,68 +140,133 @@ def _flat_draw(n: int, indices: np.ndarray, model: str = "trivial", params: dict
 def _random_blocks_many(n_bits, dims, rng: np.random.Generator, min_support: int = 1,
                         conds: str = "mixed") -> list:
     """A block of random distributions on n-bit strings, each with one conditional state
-    per symbol, in four generator calls.
+    per symbol, in four generator calls: :func:`_drawn_blocks` of one
+    :func:`_raw_blocks`.
+
+    Returns each scenario's (indices, weights, conds), views of the block's
+    arrays, in order.
+    """
+    [drawn] = _drawn_blocks([_raw_blocks(n_bits, dims, rng, min_support, conds)])
+    return drawn
+
+
+def _raw_blocks(n_bits, dims, rng: np.random.Generator, min_support: int = 1,
+                conds: str = "mixed") -> tuple:
+    """The four generator calls of a block of random cq-states, left raw for
+    :func:`_drawn_blocks`.
 
     ``n_bits`` and ``dims`` are arrays of each scenario's n and side
     dimension.  Draws each support, uniform in min_support..2^n (one
     ``integers`` with an array high); a uniform key for each of every
-    scenario's 2^n slots, the ``support`` smallest of whose keys make a
-    uniform subset, its slots in order the ascending indices; a weight
-    ``random() + 1e-3`` per chosen slot, normalised per scenario; and the
-    block's conditionals in one more call (:func:`_drawn_conditionals` of
-    ``conds``); a one-dimensional side draws none and gets 1x1 ones.
-    Returns each scenario's (indices, weights, conds), views of the block's
-    arrays, in order.
+    scenario's 2^n slots; a ``random()`` per chosen slot, its raw weight; and
+    the block's conditionals of kind ``conds`` in one more call, for each
+    scenario whose side dimension d is above 1: the standard normals of
+    (support, 2, d, d) Ginibre densities ("mixed") or of (support, 2, d) pure
+    states ("pure"), as one flat draw, or one-hot indices uniform in 0..d-1
+    ("one-hot", one ``integers`` with an array high).
     """
     sizes = 1 << np.asarray(n_bits)
     supports = rng.integers(min_support, sizes + 1)
+    keys = rng.random(int(sizes.sum()))
+    weights = rng.random(int(supports.sum()))
+    dims = np.asarray(dims).tolist()
+    shapes = [(s, d) for s, d in zip(supports.tolist(), dims) if d > 1]
+    if conds == "one-hot":
+        raw = rng.integers(np.repeat([d for _, d in shapes], [s for s, _ in shapes]))
+    else:
+        raw = rng.standard_normal(sum(s * 2 * d ** (1 + (conds == "mixed")) for s, d in shapes))
+    return sizes, supports, keys, weights, dims, conds, raw
+
+
+def _drawn_blocks(raws) -> list:
+    """The scenarios of each of ``raws`` (:func:`_raw_blocks`) as (indices, weights, conds),
+    in order, with the bookkeeping done once for the whole batch.
+
+    The ``support`` smallest keys of a scenario make a uniform subset of its
+    slots, in order its ascending indices, and one ``np.lexsort`` ranks every
+    scenario's keys.  Each weight is its ``random() + 1e-3``, normalised per
+    scenario by one ``np.add.reduceat``.  The conditionals are formed per
+    kind and side dimension (:func:`_formed_conditionals`); a one-dimensional
+    side draws none and gets 1x1 ones.  Returns per raw draw the list of its
+    scenarios' triples, views of the batch's arrays, each bit for bit what
+    its raw draw gives alone.
+    """
+    sizes, supports, keys, weights, dims, kinds, raw = zip(*raws)
+    counts = list(map(len, dims))       # the scenarios of each raw draw
+    sizes, supports, keys, weights = map(_joined, (sizes, supports, keys, weights))
     owner = np.repeat(np.arange(len(sizes)), sizes)     # the scenario of each slot
     slot = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     # Sorted by (scenario, key), a scenario's slots keep its range of positions, so
     # the slot index at a position is the rank of the key sorted to it.
     chosen = np.empty(len(owner), dtype=bool)
-    chosen[np.lexsort((rng.random(len(owner)), owner))] = slot < supports[owner]
-    weights = rng.random(int(supports.sum())) + 1e-3
+    chosen[np.lexsort((keys, owner))] = slot < supports[owner]
+    weights = weights + 1e-3
     weights /= np.repeat(np.add.reduceat(weights, np.cumsum(supports) - supports), supports)
-    supports, dims = supports.tolist(), np.asarray(dims).tolist()
-    drawn = iter(_drawn_conditionals(rng, [(s, d) for s, d in zip(supports, dims) if d > 1],
-                                     conds))
-    return [(indices, w, next(drawn) if d > 1 else np.ones((len(w), 1, 1), dtype=complex))
-            for indices, w, d in zip(_split(slot[chosen], supports), _split(weights, supports),
-                                     dims)]
+    supports, dims = supports.tolist(), [d for group in dims for d in group]
+    scenario_kinds = [kind for kind, count in zip(kinds, counts) for _ in range(count)]
+    conds = [None] * len(dims)
+    for kind in dict.fromkeys(kinds):
+        at = [i for i, (k, d) in enumerate(zip(scenario_kinds, dims)) if k == kind and d > 1]
+        drawn = _joined([x for x, k in zip(raw, kinds) if k == kind])
+        for i, c in zip(at, _formed_conditionals(kind, drawn, [(supports[i], dims[i])
+                                                              for i in at])):
+            conds[i] = c
+    at = [i for i, d in enumerate(dims) if d == 1]
+    ones = [supports[i] for i in at]
+    for i, c in zip(at, _split(np.ones((sum(ones), 1, 1), dtype=complex), ones)):
+        conds[i] = c
+    return _split(list(zip(_split(slot[chosen], supports), _split(weights, supports), conds)),
+                  counts)
 
 
-def _drawn_conditionals(rng: np.random.Generator, shapes: list, conds: str) -> list:
-    """The conditionals of each (support, d) of ``shapes``, in order, in one generator call.
+def _formed_conditionals(kind: str, raw: np.ndarray, shapes: list) -> list:
+    """The conditionals of each (support, d) of ``shapes``, in order, from the flat ``raw``
+    draw of kind ``kind`` that :func:`_raw_blocks` takes for them.
 
     "mixed" gives the (support, 2, d, d) standard normals of Ginibre
-    densities, left unformed for :func:`_formed_group`; "pure" the pure
-    states that :func:`pure_states` forms from (support, 2, d) standard
-    normals; "one-hot" the states |i><i| of indices i uniform in 0..d-1, from
-    one ``integers`` with an array high.
+    densities, views left unformed for :func:`_formed_group`; "pure" the pure
+    states that one :func:`pure_states` per side dimension d forms from
+    (support, 2, d) standard normals; "one-hot" the states |i><i| of the
+    drawn indices i.
     """
-    if conds == "mixed":
-        return _standard_normals(rng, [(s, 2, d, d) for s, d in shapes])
-    if conds == "pure":
-        return [pure_states(x) for x in _standard_normals(rng, [(s, 2, d) for s, d in shapes])]
-    supports = [s for s, _ in shapes]
-    hot = _split(rng.integers(np.repeat([d for _, d in shapes], supports)), supports)
-    # |i><i| is row i·(d + 1) of the d²×d² identity, taken as a d×d matrix.
-    return [np.eye(d * d, dtype=complex)[i * (d + 1)].reshape(-1, d, d)
-            for i, (_, d) in zip(hot, shapes)]
+    if kind == "mixed":
+        return _shaped(raw, [(s, 2, d, d) for s, d in shapes])
+    out = [None] * len(shapes)
+    width = [2 * d if kind == "pure" else 1 for _, d in shapes]   # raw numbers a conditional
+    for d in dict.fromkeys(d for _, d in shapes):
+        at = [i for i, (_, e) in enumerate(shapes) if e == d]
+        x = raw[np.repeat([e == d for _, e in shapes], [s * w for (s, _), w in zip(shapes, width)])]
+        if kind == "pure":
+            states = pure_states(x.reshape(-1, 2, d))
+        else:
+            # |i><i| is row i·(d + 1) of the d²×d² identity, taken as a d×d matrix.
+            states = np.eye(d * d, dtype=complex)[x * (d + 1)].reshape(-1, d, d)
+        for i, c in zip(at, _split(states, [shapes[i][0] for i in at])):
+            out[i] = c
+    return out
 
 
-def _split(flat: np.ndarray, lengths: list) -> list:
+def _joined(arrays) -> np.ndarray:
+    """``arrays`` end to end: the one array itself, not a copy, when there is one, so a
+    single block's draws are held once."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _split(flat, lengths: list) -> list:
     """Consecutive views of ``flat``, one of each of ``lengths``."""
     return [flat[end - n:end] for n, end in zip(lengths, itertools.accumulate(lengths))]
+
+
+def _shaped(flat: np.ndarray, shapes: list) -> list:
+    """Consecutive views of ``flat``, one of each of ``shapes``."""
+    return [x.reshape(shape)
+            for x, shape in zip(_split(flat, [math.prod(shape) for shape in shapes]), shapes)]
 
 
 def _standard_normals(rng: np.random.Generator, shapes: list) -> list:
     """Standard normals of each of ``shapes``, in order, from one generator call: views
     of one draw, as consecutive calls of each shape would take them."""
-    sizes = [math.prod(shape) for shape in shapes]
-    return [x.reshape(shape)
-            for x, shape in zip(_split(rng.standard_normal(sum(sizes)), sizes), shapes)]
+    return _shaped(rng.standard_normal(sum(math.prod(shape) for shape in shapes)), shapes)
 
 
 def _formed_group(names, drawn):
@@ -282,22 +349,39 @@ MARKOV_BLOCKS_MAX = 3
 
 def _markov_draw(n: int, n_blocks: int, seed: int, classical: bool = False):
     """What :func:`make_markov_scenario` draws, before its states are formed: (weights,
-    factors).
+    factors), :func:`_markov_draws` of a batch of one."""
+    return _markov_draws([(n, n_blocks, seed, classical)])[0]
+
+
+def _markov_draws(specs) -> list:
+    """The (weights, factors) of each (n, n_blocks, seed, classical) of ``specs``, in order,
+    each bit for bit what it gives alone.
 
     ``factors`` holds per block the draws (n, indices, weights, conds) of its
-    two factors, side dimension 1 or 2 each.  From the scenario's own
-    generator, ``default_rng(seed)``, in six calls whatever the block count
-    and supports: the block weights, each factor's side dimension, and the
-    factors as one block of :func:`_random_blocks_many`, with one-hot
-    (classical) or pure conditionals.
+    two factors, side dimension 1 or 2 each.  Each scenario draws from its
+    own generator, ``default_rng(seed)``, in six calls whatever the block
+    count and supports: the block weights, each factor's side dimension, and
+    the factors as one block of :func:`_raw_blocks`, with one-hot (classical)
+    or pure conditionals.  The rest is done once for the batch: the block
+    weights normalised per block count, each row by its own sum as one
+    scenario's ``w / w.sum()``, and the factors ranked, normalised and formed
+    by one :func:`_drawn_blocks`.
     """
-    rng = np.random.default_rng(seed)
-    weights = rng.random(n_blocks) + 0.2
-    weights = tuple(float(w) for w in weights / weights.sum())
-    dims = rng.integers(1, 3, size=2 * n_blocks)
-    factors = [(n, *drawn) for drawn in _random_blocks_many(
-        np.full(2 * n_blocks, n), dims, rng, conds="one-hot" if classical else "pure")]
-    return weights, list(zip(factors[::2], factors[1::2]))
+    raw_weights, raws = [], []
+    for n, n_blocks, seed, classical in specs:
+        rng = np.random.default_rng(seed)
+        raw_weights.append(rng.random(n_blocks))
+        dims = rng.integers(1, 3, size=2 * n_blocks)
+        raws.append(_raw_blocks(np.full(2 * n_blocks, n), dims, rng,
+                                conds="one-hot" if classical else "pure"))
+    weights = [None] * len(specs)
+    for count in dict.fromkeys(map(len, raw_weights)):
+        at = [i for i, w in enumerate(raw_weights) if len(w) == count]
+        rows = np.array([raw_weights[i] for i in at]) + 0.2
+        for i, row in zip(at, (rows / rows.sum(axis=1, keepdims=True)).tolist()):
+            weights[i] = tuple(row)
+    return [(w, [((n, *f1), (n, *f2)) for f1, f2 in zip(block[::2], block[1::2])])
+            for (n, *_), w, block in zip(specs, weights, _drawn_blocks(raws))]
 
 
 def _markov_scenarios(draws) -> list:

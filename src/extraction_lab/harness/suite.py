@@ -319,12 +319,11 @@ _CSV_QUOTES_CR = sys.version_info >= (3, 13)
 
 def _csv_cell(value) -> str:
     """``value`` as the stdlib's CSV writer writes a cell under QUOTE_MINIMAL with
-    ``lineterminator="\\n"``: None empty, a float (subclasses included) by
-    ``repr`` and anything else by ``str``; then quoted, its ``"`` doubled, if
-    it holds ``,``, ``"`` or ``\\n``.  A ``\\r`` is quoted only from Python
-    3.13 on, as the stdlib's writer quotes it (``_CSV_QUOTES_CR``)."""
-    text = (value if type(value) is str else "" if value is None
-            else repr(value) if isinstance(value, float) else str(value))
+    ``lineterminator="\\n"``: None empty and anything else by ``str``, so a
+    ``numpy.float64`` as a number; then quoted, its ``"`` doubled, if it holds
+    ``,``, ``"`` or ``\\n``.  A ``\\r`` is quoted only from Python 3.13 on,
+    as the stdlib's writer quotes it (``_CSV_QUOTES_CR``)."""
+    text = value if type(value) is str else "" if value is None else str(value)
     if '"' in text:
         return '"' + text.replace('"', '""') + '"'
     if "," in text or "\n" in text or (_CSV_QUOTES_CR and "\r" in text):

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from extraction_lab.cq_states import (
     CqState,
+    MarkovScenario,
     _block_sum,
     _distance_terms,
     _strong_flag,
@@ -23,6 +25,7 @@ from extraction_lab.operators import (
     ginibre_densities,
     hermitian_stack,
     partial_trace,
+    pure_states,
     tensor,
     von_neumann_entropies,
 )
@@ -111,6 +114,84 @@ def markov_draw(n: int, n_blocks: int, seed: int, classical: bool = False):
         factors.append(((n, *random_blocks(n, d1, rng, draw=draw)),
                         (n, *random_blocks(n, d2, rng, draw=draw))))
     return weights, factors
+
+
+# -- the per-scenario Markov draw, the oracle of scenarios._markov_draws ---------------
+
+def ref_random_blocks_many(n_bits, dims, rng: np.random.Generator, min_support: int = 1,
+                          conds: str = "mixed") -> list:
+    """``scenarios._random_blocks_many`` as it was before the batch drawer, verbatim: the
+    ranking, normalisation and forming done for its one generator's block."""
+    sizes = 1 << np.asarray(n_bits)
+    supports = rng.integers(min_support, sizes + 1)
+    owner = np.repeat(np.arange(len(sizes)), sizes)     # the scenario of each slot
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # Sorted by (scenario, key), a scenario's slots keep its range of positions, so
+    # the slot index at a position is the rank of the key sorted to it.
+    chosen = np.empty(len(owner), dtype=bool)
+    chosen[np.lexsort((rng.random(len(owner)), owner))] = slot < supports[owner]
+    weights = rng.random(int(supports.sum())) + 1e-3
+    weights /= np.repeat(np.add.reduceat(weights, np.cumsum(supports) - supports), supports)
+    supports, dims = supports.tolist(), np.asarray(dims).tolist()
+    drawn = iter(_ref_drawn_conditionals(rng, [(s, d) for s, d in zip(supports, dims) if d > 1],
+                                         conds))
+    return [(indices, w, next(drawn) if d > 1 else np.ones((len(w), 1, 1), dtype=complex))
+            for indices, w, d in zip(_ref_split(slot[chosen], supports),
+                                     _ref_split(weights, supports), dims)]
+
+
+def _ref_drawn_conditionals(rng: np.random.Generator, shapes: list, conds: str) -> list:
+    if conds == "mixed":
+        return _ref_standard_normals(rng, [(s, 2, d, d) for s, d in shapes])
+    if conds == "pure":
+        return [pure_states(x) for x in _ref_standard_normals(rng, [(s, 2, d) for s, d in shapes])]
+    supports = [s for s, _ in shapes]
+    hot = _ref_split(rng.integers(np.repeat([d for _, d in shapes], supports)), supports)
+    # |i><i| is row i·(d + 1) of the d²×d² identity, taken as a d×d matrix.
+    return [np.eye(d * d, dtype=complex)[i * (d + 1)].reshape(-1, d, d)
+            for i, (_, d) in zip(hot, shapes)]
+
+
+def _ref_split(flat: np.ndarray, lengths: list) -> list:
+    return [flat[end - n:end] for n, end in zip(lengths, itertools.accumulate(lengths))]
+
+
+def _ref_standard_normals(rng: np.random.Generator, shapes: list) -> list:
+    sizes = [math.prod(shape) for shape in shapes]
+    return [x.reshape(shape)
+            for x, shape in zip(_ref_split(rng.standard_normal(sum(sizes)), sizes), shapes)]
+
+
+def ref_markov_draw(n: int, n_blocks: int, seed: int, classical: bool = False):
+    """``scenarios._markov_draw`` as it was before the batch drawer, verbatim: each
+    scenario's bookkeeping done alone."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n_blocks) + 0.2
+    weights = tuple(float(w) for w in weights / weights.sum())
+    dims = rng.integers(1, 3, size=2 * n_blocks)
+    factors = [(n, *drawn) for drawn in ref_random_blocks_many(
+        np.full(2 * n_blocks, n), dims, rng, conds="one-hot" if classical else "pure")]
+    return weights, list(zip(factors[::2], factors[1::2]))
+
+
+def ref_markov_block_state(scenario: MarkovScenario) -> CqState:
+    """``cq_states.markov_block_state`` as it was before the group former, verbatim."""
+    offsets = np.cumsum([0] + [s1.side_dim * s2.side_dim for s1, s2 in scenario.factors])
+    side_dim = int(offsets[-1])
+    alpha1 = sorted({a for s1, _ in scenario.factors for a in s1.symbols()})
+    alpha2 = sorted({b for _, s2 in scenario.factors for b in s2.symbols()})
+    slot1 = {a: i for i, a in enumerate(alpha1)}
+    slot2 = {b: j for j, b in enumerate(alpha2)}
+    stack = np.zeros((len(alpha1), len(alpha2), side_dim, side_dim), dtype=complex)
+    present = np.zeros(stack.shape[:2], dtype=bool)
+    for lo, hi, w, (s1, s2) in zip(offsets, offsets[1:], scenario.weights, scenario.factors):
+        if w > 0:
+            at = np.ix_([slot1[a] for a in s1.symbols()], [slot2[b] for b in s2.symbols()])
+            stack[at + (slice(lo, hi),) * 2] = w * tensor(s1.stack[:, None], s2.stack[None])
+            present[at] = True
+    rows, cols = np.nonzero(present)
+    symbols = [(alpha1[r], alpha2[c]) for r, c in zip(rows.tolist(), cols.tolist())]
+    return CqState._from_stack(symbols, stack[rows, cols])
 
 
 def random_distribution(n_bits: int, rng, min_support: int = 1) -> dict:

@@ -63,6 +63,7 @@ from extraction_lab.harness.scenarios import (
     MARKOV_BLOCKS_MAX,
     _formed_group,
     _markov_draw,
+    _markov_draws,
     _markov_scenarios,
     _random_blocks_many,
     _random_cqs,
@@ -468,8 +469,14 @@ def test_grouped_checks_refuse_a_bad_draw_as_build_cq_does(monkeypatch, check_id
             np.asarray(n_bits).tolist(), np.asarray(dims).tolist(),
             _random_blocks_many(n_bits, dims, rng, min_support, conds))]
 
+    def markov_draws(specs):        # the Markov checks' factors, in draw order
+        return [(weights, [tuple((n, *formed(n, conds.shape[-1], indices, w, conds))
+                                 for n, indices, w, conds in pair) for pair in factors])
+                for weights, factors in _markov_draws(specs)]
+
     monkeypatch.setattr(scenarios, "_random_blocks_many", draw_blocks_many)
     monkeypatch.setattr(checks, "_random_blocks_many", draw_blocks_many)
+    monkeypatch.setattr(checks, "_markov_draws", markov_draws)
     with pytest.raises(ValueError) as grouped:
         run_check(check_id, {"params": GROUPED[check_id], "seed": 3})
     (n_bits, indices, weights, conds), = spoiled

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import extraction_lab
 import extraction_lab.harness
@@ -940,6 +940,8 @@ _NUMBERS = st.one_of(st.booleans(), st.integers(-10 ** 300, 10 ** 300),
                        st.lists(_FLAT_DICTS, min_size=1, max_size=3)),
        rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), _NUMBERS, _NUMBERS,
                                st.text(max_size=8)), max_size=8))
+# A numpy float under n, m or r, which the CSV writer spells by str, not repr.
+@example(pools=([{"r": np.float64(0.0)}], [{}]), rows=[(0, 0, False, False, "")])
 def test_render_json_matches_the_stdlib_on_random_rows(pools, rows):
     params, flags = pools
     reports = [BoundReport("c", "B1", params[p % len(params)], measured, epsilon, 0.0,

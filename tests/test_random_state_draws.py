@@ -43,7 +43,7 @@ from conftest import (
 
 from extraction_lab.harness import checks, run_check, scenarios
 from extraction_lab.harness.checks import resolve_params
-from extraction_lab.harness.scenarios import _markov_draw, _random_blocks_many
+from extraction_lab.harness.scenarios import _markov_draw, _markov_draws, _random_blocks_many
 from extraction_lab.operators import pure_states
 
 SCENARIOS = 20000
@@ -473,8 +473,10 @@ def test_a_markov_draw_takes_six_generator_calls(monkeypatch):
     specs = list(itertools.product((1, 2, 8), (1, 2, 3), (False, True), range(3)))
     for n, blocks, classical, seed in specs:
         _markov_draw(n, blocks, seed, classical)
-    assert len(made) == len(specs)
-    for generator, (_, _, classical, _) in zip(made, specs):
+    # and one batch of them all: still six calls on each scenario's own generator
+    _markov_draws([(n, blocks, seed, classical) for n, blocks, classical, seed in specs])
+    assert len(made) == 2 * len(specs)
+    for generator, (_, _, classical, _) in zip(made, specs + specs):
         assert [name for name, _ in generator.calls] == (
             ["random", "integers", "integers", "random", "random",
              "integers" if classical else "standard_normal"])
