@@ -60,10 +60,12 @@ class CqState:
     ``CqState(side_dim, blocks)`` copies the blocks into the stack and raises
     ValueError, naming the symbol, for one not of shape (side_dim, side_dim),
     not finite, not Hermitian or not PSD (:func:`check_blocks`); ``blocks``
-    then maps each symbol to its row, a view of the stack.
+    then maps each symbol to its row, a view of the stack.  The map is built
+    at its first read: the checks read only the stack and the symbols, and
+    a view per row would weigh more than the rows of a small state.
     """
 
-    __slots__ = ("side_dim", "stack", "blocks", "_symbols")
+    __slots__ = ("side_dim", "stack", "_blocks", "_symbols")
 
     def __init__(self, side_dim: int, blocks):
         symbols = sorted(blocks)
@@ -81,7 +83,13 @@ class CqState:
     def _adopt(self, symbols, stack: np.ndarray) -> None:
         stack.flags.writeable = False
         self.side_dim, self.stack, self._symbols = stack.shape[-1], stack, tuple(symbols)
-        self.blocks = MappingProxyType(dict(zip(self._symbols, stack)))
+        self._blocks = None
+
+    @property
+    def blocks(self) -> MappingProxyType:
+        if self._blocks is None:
+            self._blocks = MappingProxyType(dict(zip(self._symbols, self.stack)))
+        return self._blocks
 
     def symbols(self) -> list:
         return list(self._symbols)

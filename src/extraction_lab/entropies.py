@@ -33,12 +33,14 @@ from the optimum.  Each iteration solves one k^2 x k^2 system twice, and
 has no line search: the step goes a fixed fraction of the way to the
 boundary, which one stacked Cholesky and eigvalsh place.  So every
 iteration is the same few numpy calls for every member, and
-``h_min_cond_many`` runs the problems of one projected shape (N, k) in
-lockstep, with every member's result bit for bit its own solve's.  The
-value comes from the dual Y, made rigorous in floating point:
-lambda_min(Y - rho_x) minus a rounding bound for eigvalsh must be
-non-negative for every block, else Y is shifted by that much times the
-identity.  The iterate's E, renormalised to a POVM, gives the primal
+``h_min_cond_many`` runs all its problems of one projected shape (N, k) in
+lockstep, with every member's result bit for bit its own solve's; the
+harness pools the states of a whole suite into one call, so each shape
+is iterated once per suite.  The value comes from the dual Y, made
+rigorous in floating point: lambda_min(Y - rho_x) minus a rounding bound
+for eigvalsh must be non-negative for every block, else Y is shifted by
+that much times the identity; one eigvalsh and one pair of norms per
+shape (N, d) of the unprojected stacks certify every member of it.  The iterate's E, renormalised to a POVM, gives the primal
 bound; the gap between the two is reported on the result.
 
 At k <= 6 the np.linalg wrappers' per-call work (a dtype check and an
@@ -177,9 +179,23 @@ def _closed_form(state: CqState, order: int) -> EntropyResult | None:
     return EntropyResult(-order * float(np.log2(total)), sigma, 0.0, 0)
 
 
-def _support_basis(rho_b: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho_b)
-    return v[:, ~_kernel_mask(w)]
+def _support_bases(rho_bs: list) -> list:
+    """An orthonormal basis of the support of each of ``rho_bs``, as the columns of its
+    eigenvectors above the kernel threshold, from one eigh per dimension."""
+    bases = [None] * len(rho_bs)
+    for at in _by_shape(rho_bs):
+        w, v = np.linalg.eigh(np.array([rho_bs[i] for i in at]))
+        for i, wi, vi in zip(at, w, v):
+            bases[i] = vi[:, ~_kernel_mask(wi)]
+    return bases
+
+
+def _by_shape(arrays: list) -> list:
+    """The indices of ``arrays``, grouped by shape in order of first appearance."""
+    groups = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
+    return list(groups.values())
 
 
 def h_min_cond(state: CqState, iters: int = 500) -> EntropyResult:
@@ -202,13 +218,17 @@ def h_min_cond(state: CqState, iters: int = 500) -> EntropyResult:
 
 
 def h_min_cond_many(states, iters: int = 500) -> list[EntropyResult]:
-    """:func:`h_min_cond` of each of ``states``, in order, from one lockstep solve per shape.
+    """:func:`h_min_cond` of each of ``states``, in order, every result bit for bit its own solve's.
 
     Classical side registers take the closed form.  The other states are
-    projected onto supp rho_B; those with k <= 2 or N <= 2 are solved
-    exactly one by one, and the rest are grouped by their projected shape
-    (N, k) and solved together by :func:`_guessing_pd`, whose results are,
-    bit for bit, those of a group of one.
+    projected onto supp rho_B, whose bases come from one eigh per side
+    dimension; those with k <= 2 or N <= 2 are solved exactly one by one,
+    and the rest are grouped by their projected shape (N, k) and solved
+    together by :func:`_guessing_pd`, whose results are, bit for bit, those
+    of a group of one.  Every solution is then certified with the others
+    of its stack's shape (N, d) (:func:`_certified`).  So the more states
+    one call takes, the fewer lockstep groups there are: the harness pools
+    the states of every check of a suite into one call.
     """
     results = [_closed_form(state, 1) for state in states]
     quantum = [i for i, result in enumerate(results) if result is None]
@@ -228,10 +248,23 @@ def h_min_markov_sources(scenarios, iters: int = 500) -> list[tuple]:
     tr Y = sum_j w_j 2^-value_j, as tr rho^j_{C2} = 1: the value, with
     sigma = Y / tr Y.  Reading j and then measuring as block j's solve does
     guesses with sum_j w_j 2^-(value_j + gap_j), which gives the gap.  X2 is
-    the same with rho^j_{C1} (x) Y_j.
+    the same with rho^j_{C1} (x) Y_j.  The solve and the composition are
+    :func:`_markov_factors` and :func:`_markov_composed`, which the harness
+    calls apart so that it can pool the factors with other states.
     """
-    solved = iter(h_min_cond_many([f for scn in scenarios for pair in scn.factors for f in pair],
-                                  iters))
+    return _markov_composed(scenarios, h_min_cond_many(_markov_factors(scenarios), iters))
+
+
+def _markov_factors(scenarios) -> list:
+    """Every factor of the :class:`MarkovScenario` list, scenario by scenario and block by
+    block, C1^j before C2^j: the states whose results :func:`_markov_composed` takes."""
+    return [f for scn in scenarios for pair in scn.factors for f in pair]
+
+
+def _markov_composed(scenarios, solved) -> list[tuple]:
+    """(H_min(X1|C), H_min(X2|C)) of each scenario from ``solved``, the ``h_min_cond``
+    results of :func:`_markov_factors`, in its order."""
+    solved = iter(solved)
     results = [[(next(solved), next(solved)) for _ in scn.factors] for scn in scenarios]
     return [(_block_composed(scn, res, 0), _block_composed(scn, res, 1))
             for scn, res in zip(scenarios, results)]
@@ -255,7 +288,7 @@ def _block_composed(scenario, results: list, source: int) -> EntropyResult:
 
 def _h_min_solver(states: list, iters: int) -> list[EntropyResult]:
     """The certified min-entropy of each of ``states``, whatever its side register."""
-    bases = [_support_basis(marginal_side(state)) for state in states]
+    bases = _support_bases([marginal_side(state) for state in states])
     solved, groups = [None] * len(states), {}   # groups: projected shape -> [(index, blocks)]
     for i, (state, basis) in enumerate(zip(states, bases)):
         blocks = basis.conj().T @ state.stack @ basis
@@ -268,19 +301,28 @@ def _h_min_solver(states: list, iters: int) -> list[EntropyResult]:
         at, stacks = zip(*members)
         for i, result in zip(at, _guessing_pd(np.array(stacks), iters)):
             solved[i] = result
-    return [_certified(state, basis, *result)
-            for state, basis, result in zip(states, bases, solved)]
+    results = [None] * len(states)
+    stacks = [state.stack for state in states]
+    for at in _by_shape(stacks):
+        ys = np.array([bases[i] @ solved[i][0] @ bases[i].conj().T for i in at])
+        for i, result in zip(at, _certified(ys, np.array([stacks[i] for i in at]),
+                                            [solved[i][1:] for i in at])):
+            results[i] = result
+    return results
 
 
-def _certified(state: CqState, basis: np.ndarray, y: np.ndarray, p_primal: float,
-               steps: int) -> EntropyResult:
-    """The result of a projected solve: Y lifted back and made to dominate, and the gap to
-    the guessing probability ``p_primal`` of a measurement."""
-    y = _dominating(basis @ y @ basis.conj().T, state.stack)
-    p_dual = float(y.trace().real)
-    value = -float(np.log2(p_dual))
-    upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
-    return EntropyResult(value, y / p_dual, max(upper - value, 0.0), steps)
+def _certified(ys: np.ndarray, stacks: np.ndarray, solved: list) -> list[EntropyResult]:
+    """The results of P projected solves of one shape: each lifted Y of the (P, d, d)
+    ``ys`` made to dominate its (N, d, d) blocks of ``stacks`` (:func:`_dominating`), and
+    the gap to the guessing probability of a measurement, from ``solved``'s
+    (p_primal, steps) per member."""
+    results = []
+    for y, (p_primal, steps) in zip(_dominating(ys, stacks), solved):
+        p_dual = float(y.trace().real)
+        value = -float(np.log2(p_dual))
+        upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
+        results.append(EntropyResult(value, y / p_dual, max(upper - value, 0.0), steps))
+    return results
 
 
 def _exact_guess(blocks: np.ndarray, iters: int):
@@ -632,18 +674,20 @@ def _pgm_start(blocks: np.ndarray):
     return y, n * k / (_traces(y) - p_pgm)
 
 
-def _dominating(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``y`` plus the least multiple of I that provably dominates every block.
+def _dominating(ys: np.ndarray, stacks: np.ndarray) -> list:
+    """Each of the (P, d, d) ``ys`` plus the least multiple of I that provably dominates
+    every block of its (N, d, d) stack in ``stacks``.
 
     The smallest eigenvalue of each y - rho_x, less the eigvalsh rounding
     bound, must be non-negative; if it is not, y is shifted by its negation.
+    One eigvalsh and one norm of each operand serve the P members.
     """
-    d = y.shape[0]
-    lowest = np.linalg.eigvalsh(y - stack)[:, 0]
+    d = ys.shape[-1]
+    lowest = np.linalg.eigvalsh(ys[:, None] - stacks)[..., 0]
     rounding = ROUNDING_FACTOR * d * np.finfo(float).eps * (
-        np.linalg.norm(y) + np.linalg.norm(stack, axis=(1, 2)))
-    shift = -float((lowest - rounding).min())
-    return y + shift * np.eye(d) if shift > 0 else y
+        np.linalg.norm(ys, axis=(1, 2))[:, None] + np.linalg.norm(stacks, axis=(2, 3)))
+    shifts = -(lowest - rounding).min(axis=1)
+    return [y + shift * np.eye(d) if shift > 0 else y for y, shift in zip(ys, shifts.tolist())]
 
 
 def h2_cond(state: CqState, iters: int = 500) -> EntropyResult:
@@ -667,19 +711,19 @@ def h2_cond_many(states, iters: int = 500) -> list[EntropyResult]:
     """:func:`h2_cond` of each of ``states``, in order, from one stacked fixed point per rank.
 
     Classical side registers take the closed form.  The other states are
-    projected onto supp rho_B and grouped by its rank k; each group's
+    projected onto supp rho_B, whose bases come from one eigh per side
+    dimension, and grouped by its rank k; each group's
     (N, k, k) blocks are zero-padded to the group's largest N and iterated
     together by :func:`_collision_fixed_point`, whose results are, bit for
     bit, those of a group of one.  ``h2_rel`` then scores each best sigma
     on its own state.
     """
     results = [_closed_form(state, 2) for state in states]
+    quantum = [i for i, result in enumerate(results) if result is None]
     groups = {}     # support rank -> [(index into states, support basis, projected blocks)]
-    for i, state in enumerate(states):
-        if results[i] is None:
-            basis = _support_basis(marginal_side(state))
-            groups.setdefault(basis.shape[1], []).append(
-                (i, basis, basis.conj().T @ state.stack @ basis))
+    for i, basis in zip(quantum, _support_bases([marginal_side(states[i]) for i in quantum])):
+        groups.setdefault(basis.shape[1], []).append(
+            (i, basis, basis.conj().T @ states[i].stack @ basis))
     for members in groups.values():
         width = max(len(blocks) for _, _, blocks in members)
         padded, _ = padded_stacks([(blocks, np.arange(len(blocks))) for _, _, blocks in members],

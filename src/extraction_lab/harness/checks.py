@@ -4,11 +4,16 @@ A check is data: the params it accepts, each with its default and any
 limit of its own, and a generator that turns (params, rng) into a stream
 of cases.  A case holds
 the report params, a scenario label and one (bound_id, measured, epsilon)
-row per comparison.  :func:`run_check` does the rest in the same way for
-every check: it resolves the entry, seeds the rng, times each case,
-numbers the scenarios and emits one BoundReport per row.  A check may
-evaluate its scenarios in batches; its cases keep their draw order, and the
-first case after a batch carries the batch's time.
+row per comparison.  A check that needs certified min-entropies does not
+solve them itself: it yields a :class:`Solve` of its states and receives
+their ``h_min_cond`` results, in order.  :func:`run_checks` does the rest
+in the same way for every check entry: it resolves the entries, seeds each
+rng, answers every request pending in a round with one
+:func:`h_min_cond_many` call, times each case, numbers the scenarios and
+emits one BoundReport per row.  :func:`run_check` is it over one entry and
+``run_suite`` over a suite's entries.  A check may evaluate its scenarios
+in batches; its cases keep their draw order, and the first case after a
+batch carries the batch's time.
 A row passes iff measured <= epsilon + 1e-9.
 """
 
@@ -31,7 +36,14 @@ from ..cq_states import (
     relabelled_stacks,
     weak_distances,
 )
-from ..entropies import h2_cond_many, h2_rel, h_min_cond_many, h_min_markov_sources, h_min_rel
+from ..entropies import (
+    _markov_composed,
+    _markov_factors,
+    h2_cond_many,
+    h2_rel,
+    h_min_cond_many,
+    h_min_rel,
+)
 from ..extractors import deor_extractor, ip_extractor
 from ..gf2 import (
     MAX_TABLE_BITS,
@@ -140,26 +152,34 @@ class Case(NamedTuple):
     """One scenario of a check and the comparisons made on it."""
 
     params: dict     # n, m, r, k1, k2 as built by _k_params
-    label: str       # scenario text; run_check prefixes "sNNNNN "
+    label: str       # scenario text; run_checks prefixes "sNNNNN "
     rows: list       # (bound_id, measured, epsilon) tuples
-    flags: dict = {}     # read only; run_check copies it once per case
+    flags: dict = {}     # read only; run_checks copies it once per case
+
+
+class Solve(NamedTuple):
+    """A check's request for the ``h_min_cond`` result of each of ``states``: the check
+    yields it and is sent the results, in order, by :func:`run_checks`."""
+
+    states: list
 
 
 class Check(NamedTuple):
     """Every accepted param with its default, the case generator and the check's own limits."""
 
     defaults: dict
-    cases: Callable[[dict, np.random.Generator], Iterator[Case]]
+    cases: Callable[[dict, np.random.Generator], Iterator[Case | Solve]]
     choices: dict       # (noun, values) per param, over CHOICES
     max_m: Callable[[dict], int] | None     # the widest output drawn, for a check with bounds
+    solves: bool        # yields a Solve before its first case; run_checks runs it first
 
 
 CHECKS: dict[str, Check] = {}
 
 
-def _check(check_id: str, choices=None, max_m=None, **defaults):
+def _check(check_id: str, choices=None, max_m=None, solves=False, **defaults):
     def register(cases):
-        CHECKS[check_id] = Check(defaults, cases, choices or {}, max_m)
+        CHECKS[check_id] = Check(defaults, cases, choices or {}, max_m, solves)
         return cases
     return register
 
@@ -191,7 +211,7 @@ def _random_extractor(rng: np.random.Generator, n_min: int, n_max: int, m_max: i
 def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
     """A random family's extractor and two random flat sources: the family kind, the
     extractor, the sources' models ("bb84,random_pure", for example) and the two
-    sources' raw draws, formed and solved by :func:`_with_sources_solved`.
+    sources' raw draws, formed, measured and solved by :func:`_product_scenarios`.
 
     Each source draws a bb84 or random_pure side model (:func:`_random_source`).
     For a strong output the copied source (``strong_in``) keeps only its flat
@@ -207,20 +227,28 @@ def _random_deor_output(rng, n_min: int, n_max: int, m_max: int, strong_in):
     return kind, ext, f"{model1},{model2}", draw1, draw2
 
 
-def _with_sources_solved(scenarios) -> list:
-    """The drawn ``scenarios``, each a tuple ending in its two sources' raw draws
-    (:func:`_random_source`), in draw order, each with the draws replaced by
-    their cq-states and followed by the states' ``h_min_cond`` results.
+def _product_scenarios(scenarios, strong_in) -> list:
+    """The drawn ``scenarios`` (:func:`_random_deor_output`), in draw order, each as its
+    family kind, extractor and models, its distance to uniform (strong in
+    ``strong_in``, or weak for None) and its two sources' ``h_min_cond`` results;
+    a generator that yields one :class:`Solve` and returns the list.
 
     Every scenario is drawn before one :func:`_random_cqs` forms all the
-    sources, per group, and one :func:`h_min_cond_many` solves them; neither
+    sources, per group; one :func:`product_distances` call then gives every
+    distance and one :class:`Solve` asks for every entropy.  None of them
     draws anything, so every draw stays where a per-scenario loop makes it.
+    The distances come first and the raw draws are dropped, so that while the
+    pooled solve waits the check holds only its sources and numbers.
     """
-    scenarios = list(scenarios)
-    states = _random_cqs([draw for *_, d1, d2 in scenarios for draw in (d1, d2)])
-    results = h_min_cond_many(states)
-    formed = zip(states[::2], states[1::2], results[::2], results[1::2])
-    return [(*head, *sources) for (*head, _, _), sources in zip(scenarios, formed)]
+    drawn = list(scenarios)
+    states = _random_cqs([draw for *_, d1, d2 in drawn for draw in (d1, d2)])
+    heads = [head for *head, _, _ in drawn]
+    del drawn
+    deltas = product_distances([(ext, s1, s2) for (_, ext, _), s1, s2
+                                in zip(heads, states[::2], states[1::2])], strong_in).tolist()
+    results = yield Solve(states)
+    return [(*head, delta, res1, res2) for head, delta, res1, res2
+            in zip(heads, deltas, results[::2], results[1::2])]
 
 
 def _source_flags(res1, res2) -> dict:
@@ -228,17 +256,21 @@ def _source_flags(res1, res2) -> dict:
     return {"converged1": res1.converged, "converged2": res2.converged}
 
 
-def _flat_sources(n: int, side: str) -> tuple[list, list]:
-    """The prefix-flat n-bit sources, k = 0..n, under one side model at its default
-    params, and their certified k.
+def _flat_sources(keys):
+    """For each (n, side) of ``keys``, the prefix-flat n-bit sources, k = 0..n, under
+    that side model at its default params, and their certified k; a generator
+    that yields one :class:`Solve` for every source and returns them by key.
 
-    The n + 1 sources are drawn raw (:func:`_flat_draw`) and formed as one
-    group by one :func:`_random_cqs`, each bit for bit its
+    Each key's n + 1 sources are drawn raw (:func:`_flat_draw`) and formed as
+    one group by one :func:`_random_cqs`, each bit for bit its
     ``make_side_info(side, make_flat_source(n, k))``.
     """
-    states = _random_cqs([_flat_draw(n, _flat_indices(n, k), side, SIDE_PARAMS[side])
-                          for k in range(n + 1)])
-    return states, [res.value for res in h_min_cond_many(states)]
+    formed = {(n, side): _random_cqs([_flat_draw(n, _flat_indices(n, k), side, SIDE_PARAMS[side])
+                                      for k in range(n + 1)])
+              for n, side in keys}
+    results = iter((yield Solve([state for states in formed.values() for state in states])))
+    return {key: (states, [next(results).value for _ in states])
+            for key, states in formed.items()}
 
 
 def _flat_grid(ext, side: str, states: list, strong_in) -> list:
@@ -265,10 +297,10 @@ def _flat_grid(ext, side: str, states: list, strong_in) -> list:
 
 @_check("b1-exhaustive-flat", ns=(3, 4), ms=(1, 2), families=("field", "shift"),
         sides=("trivial", "classical_leak"), bounds=("B1",), strong_in="x1",
-        max_m=lambda p: max(p["ms"]))
+        max_m=lambda p: max(p["ms"]), solves=True)
 def _b1_exhaustive(p, rng):
     """Exhaustive prefix-flat grid for the exact product-type bound."""
-    sources = {(n, side): _flat_sources(n, side) for n in p["ns"] for side in p["sides"]}
+    sources = yield from _flat_sources([(n, side) for n in p["ns"] for side in p["sides"]])
     for kind in p["families"]:
         for n in p["ns"]:
             for m in p["ms"]:
@@ -284,58 +316,57 @@ def _b1_exhaustive(p, rng):
 
 @_check("b1-quantum-product", count=200, n_min=3, n_max=5, m_max=3,
         bounds=("B1", "B6", "B3", "B4"), strong_in="x1",
-        max_m=lambda p: min(p["m_max"], p["n_max"]))
+        max_m=lambda p: min(p["m_max"], p["n_max"]), solves=True)
 def _b1_quantum(p, rng):
     """Randomized product-type scenarios, quantum side information on the source
     that is not copied (:func:`_random_deor_output`), with certified entropies.
 
-    Every scenario is drawn first; one :func:`_random_cqs` forms every source
-    and one :func:`h_min_cond_many` gives every entropy
-    (:func:`_with_sources_solved`), and one :func:`product_distances` call
-    every distance.
+    Every scenario is drawn first; one :func:`_random_cqs` forms every source,
+    one :func:`product_distances` call gives every distance and one
+    :class:`Solve` asks for every entropy (:func:`_product_scenarios`).
     """
-    scenarios = _with_sources_solved(
-        _random_deor_output(rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
-        for _ in range(p["count"]))
-    deltas = product_distances([(ext, s1, s2) for _, ext, _, s1, s2, _, _ in scenarios],
-                               p["strong_in"])
-    for (kind, ext, models, _, _, res1, res2), delta in zip(scenarios, deltas.tolist()):
+    scenarios = yield from _product_scenarios(
+        (_random_deor_output(rng, p["n_min"], p["n_max"], p["m_max"], p["strong_in"])
+         for _ in range(p["count"])), p["strong_in"])
+    for kind, ext, models, delta, res1, res2 in scenarios:
         kp = _k_params(ext.n, ext.m, ext.family.r, res1.value, res2.value)
         yield Case(kp, f"{kind} n={ext.n} m={ext.m} sides=({models})",
                    _catalog(p["bounds"], kp, delta), _source_flags(res1, res2))
 
 
-@_check("b8-weak-quantum", count=50, n_max=4,
+@_check("b8-weak-quantum", count=50, n_max=4, solves=True,
         choices={"n_max": ("n_max", range(WEAK_N_MIN, SOURCE_N_MAX + 1))})
 def _b8_weak(p, rng):
     """Weak-output variant, both sources quantum.
 
-    Every scenario is drawn first; one :func:`_random_cqs` forms every source
-    and one :func:`h_min_cond_many` gives every entropy
-    (:func:`_with_sources_solved`), and one weak :func:`product_distances`
-    call every distance, from the output blocks Σ_x1 ρ_x1 ⊗ A_{x1,z}.
+    Every scenario is drawn first; one :func:`_random_cqs` forms every source,
+    one weak :func:`product_distances` call gives every distance, from the
+    output blocks Σ_x1 ρ_x1 ⊗ A_{x1,z}, and one :class:`Solve` asks for every
+    entropy (:func:`_product_scenarios`).
     """
-    scenarios = _with_sources_solved(_random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None)
-                                     for _ in range(p["count"]))
-    deltas = product_distances([(ext, s1, s2) for _, ext, _, s1, s2, _, _ in scenarios])
-    for (kind, ext, _, _, _, res1, res2), delta in zip(scenarios, deltas.tolist()):
+    scenarios = yield from _product_scenarios(
+        (_random_deor_output(rng, WEAK_N_MIN, p["n_max"], 2, None) for _ in range(p["count"])),
+        None)
+    for kind, ext, _, delta, res1, res2 in scenarios:
         kp = _k_params(ext.n, ext.m, ext.family.r, res1.value, res2.value)
         yield Case(kp, f"{kind} n={ext.n} m={ext.m} weak", _catalog(("B8",), kp, delta),
                    _source_flags(res1, res2))
 
 
 @_check("b2-markov", count=40, n_min=2, n_max=4, bounds=("B2", "B5", "B10", "B11"),
-        max_m=lambda p: min(MARKOV_M_MAX, p["n_max"]))
+        max_m=lambda p: min(MARKOV_M_MAX, p["n_max"]), solves=True)
 def _b2_markov(p, rng):
     """Markov block scenarios against the Markov-model bound family.
 
     Every scenario's seed is taken first, then all are drawn by one
     :func:`_markov_draws` (each from its own generator, the bookkeeping once
-    for the batch) and formed together (:func:`_markov_scenarios`), and
-    their marginals are solved together (:func:`h_min_markov_sources`).  C is
-    a direct sum over blocks, so the distance is sum_j w_j delta_j over the
+    for the batch) and formed together (:func:`_markov_scenarios`).  C is a
+    direct sum over blocks, so the distance is sum_j w_j delta_j over the
     blocks' products, in block order; one :func:`product_distances` call
-    gives every block's delta_j.
+    gives every block's delta_j.  Then one :class:`Solve` asks for every
+    factor's entropy (:func:`_markov_factors`), and each scenario's two
+    conditional entropies are composed from its factors'
+    (:func:`_markov_composed`).
     """
     drawn, specs = [], []
     for _ in range(p["count"]):
@@ -347,8 +378,8 @@ def _b2_markov(p, rng):
     scenarios = _markov_scenarios(_markov_draws(specs))
     deltas = iter(product_distances([(ext, s1, s2) for (_, ext, *_), scn in zip(drawn, scenarios)
                                      for s1, s2 in scn.factors], "x1").tolist())
-    for (kind, ext, classical, blocks), scn, (res1, res2) in zip(
-            drawn, scenarios, h_min_markov_sources(scenarios)):
+    sources = _markov_composed(scenarios, (yield Solve(_markov_factors(scenarios))))
+    for (kind, ext, classical, blocks), scn, (res1, res2) in zip(drawn, scenarios, sources):
         delta = sum(w * next(deltas) for w in scn.weights)
         kp = _k_params(ext.n, ext.m, ext.family.r, res1.value, res2.value)
         model = "classical-markov" if classical else "quantum-markov"
@@ -356,13 +387,14 @@ def _b2_markov(p, rng):
                    _catalog(p["bounds"], kp, delta), _source_flags(res1, res2))
 
 
-@_check("ip-classical", ns=(2, 3, 4), sides=("trivial", "classical_leak"))
+@_check("ip-classical", ns=(2, 3, 4), sides=("trivial", "classical_leak"), solves=True)
 def _ip_classical(p, rng):
     """Exhaustive flat grid for the inner-product extractor."""
+    sources = yield from _flat_sources([(n, side) for n in p["ns"] for side in p["sides"]])
     for n in p["ns"]:
         ext = ip_extractor(n)
         for side in p["sides"]:
-            states, ks = _flat_sources(n, side)
+            states, ks = sources[n, side]
             grid = _flat_grid(ext, side, states, "x1")
             for k1, k2 in itertools.product(range(n + 1), repeat=2):
                 kp = _k_params(n, ext.m, ext.family.r, ks[k1], ks[k2])
@@ -598,7 +630,7 @@ def _pgm_commutation(p, rng):
                    [("channel-equality", dev, 0.0)])
 
 
-@_check("hmin-linear-drop", exhaustive_n=3, random_ns=(4, 5, 6), per_n=25,
+@_check("hmin-linear-drop", exhaustive_n=3, random_ns=(4, 5, 6), per_n=25, solves=True,
         choices={"exhaustive_n": ("exhaustive_n", range(1, EXHAUSTIVE_N_MAX + 1)),
                  "random_ns": ("random_ns", range(1, SOURCE_N_MAX + 1))})
 def _hmin_linear_drop(p, rng):
@@ -612,7 +644,7 @@ def _hmin_linear_drop(p, rng):
     1..3, as one block (:func:`_random_blocks_many`), the flat one by
     :func:`_flat_draw`, and each random n's maps in one ``integers`` call.
     One :func:`_random_cqs` forms the sources before any lift, and one
-    :func:`h_min_cond_many` then solves the sources and their lifts.
+    :class:`Solve` then asks for the entropies of the sources and their lifts.
     """
     states, lifts, cases = [], {}, []   # lifts: (source, kernel) -> index into states
 
@@ -643,7 +675,7 @@ def _hmin_linear_drop(p, rng):
         at = len(states) - 1
         for mat in mats:
             add(at, mat, "random")
-    results = h_min_cond_many(states)
+    results = yield Solve(states)
     for source, lift, n, r, label in cases:
         base, lifted = results[source], results[lift]
         yield Case(_k_params(n, 1, r, base.value, lifted.value),
@@ -811,24 +843,100 @@ def resolve_entry(entry) -> dict:
 
 
 def run_check(check_id: str, config: dict | None = None) -> list[BoundReport]:
-    """Run one registered check, deterministic given ``config``'s params and seed.
+    """Run one registered check, deterministic given ``config``'s params and seed:
+    :func:`run_checks` of the one entry."""
+    return run_checks([{**(config or {}), "id": check_id}])
 
-    A row's ``runtime_ms`` is the time the generator took to yield its case.
-    Whatever a check computes before it yields a case is charged to that
-    case: a check that evaluates a batch (a grid, a group, a solve of all
-    its sources) before its first case charges the whole batch to it, and
-    the later cases of the batch take almost none.
+
+def run_checks(entries) -> list[BoundReport]:
+    """The rows of every check entry (``{"id": ..., "params": {...}, "seed": ...}``), entry
+    by entry and each in case order; every row is that of the entry run alone.
+
+    Every entry is resolved before any check runs.  The checks that solve
+    (``Check.solves``) run first, in rounds: each advances to its next
+    :class:`Solve` or to its end, and then one :func:`h_min_cond_many` call
+    answers every request of the round, each check receiving its slice.
+    Then the other checks run in the same way, so no solving check's states
+    wait while they run.  ``h_min_cond_many``'s results are each state's own
+    solve, bit for bit, so pooling moves no value.
+
+    A row's ``runtime_ms`` is the time its check's generator took to yield
+    its case.  Whatever a check computes before it yields a case is charged
+    to that case: a check that evaluates a batch (a grid, a group, the
+    forming of all its sources) before its first case charges the whole
+    batch to it, and the later cases of the batch take almost none.  A
+    round's pooled solve is charged once, to the next case of the round's
+    first requesting check.
     """
-    entry = resolve_entry({**(config or {}), "id": check_id})
-    cases = CHECKS[check_id].cases(entry["params"], np.random.default_rng(entry["seed"]))
-    reports: list[BoundReport] = []
+    runs = [_Run(resolve_entry(entry)) for entry in entries]
+    for solving in (True, False):
+        pending = [(run, None) for run in runs if run.solves is solving]
+        while pending:
+            pending = _answered([(run, request) for run, results in pending
+                                 if (request := run.advance(results)) is not None])
+    return [row for run in runs for row in run.reports]
+
+
+def _answered(asked: list) -> list:
+    """Each (run, request) of a round with its slice of one :func:`h_min_cond_many` over
+    every request's states, in order; the first run is charged the solve's time."""
+    if not asked:
+        return []
     t0 = time.perf_counter()
-    for idx, case in enumerate(cases):
-        runtime_ms = (time.perf_counter() - t0) * 1e3
-        scenario = f"s{idx:05d} {case.label}"
+    results = h_min_cond_many([state for _, request in asked for state in request.states])
+    asked[0][0].spent += time.perf_counter() - t0
+    bounds = list(itertools.accumulate((len(request.states) for _, request in asked), initial=0))
+    return [(run, results[lo:hi]) for (run, _), lo, hi in zip(asked, bounds, bounds[1:])]
+
+
+class _Run:
+    """One resolved check entry in progress: its case generator, its rows so far and the
+    seconds spent toward its next case."""
+
+    def __init__(self, entry: dict):
+        check = CHECKS[entry["id"]]
+        self.check_id, self.solves = entry["id"], check.solves
+        self.cases = check.cases(entry["params"], _LazyRng(entry["seed"]))
+        self.reports: list[BoundReport] = []
+        self.emitted, self.spent = 0, 0.0
+
+    def advance(self, results) -> Solve | None:
+        """Send ``results`` (None at the start) into the generator and emit its cases up
+        to its next request, which is returned; None once the generator ends."""
+        t0 = time.perf_counter()
+        try:
+            item = self.cases.send(results)
+            while not isinstance(item, Solve):
+                self._emit(item, (self.spent + time.perf_counter() - t0) * 1e3)
+                # the next case's time is spent inside the generator
+                self.spent, t0 = 0.0, time.perf_counter()
+                item = next(self.cases)
+        except StopIteration:
+            return None
+        self.spent += time.perf_counter() - t0
+        return item
+
+    def _emit(self, case: Case, runtime_ms: float) -> None:
+        scenario = f"s{self.emitted:05d} {case.label}"
+        self.emitted += 1
         params, flags = dict(case.params), dict(case.flags)
         for bound_id, measured, epsilon in case.rows:
-            reports.append(BoundReport(check_id, bound_id, params, float(measured),
-                                       float(epsilon), runtime_ms, scenario, flags))
-        t0 = time.perf_counter()    # the next case's time is spent inside the generator
-    return reports
+            self.reports.append(BoundReport(self.check_id, bound_id, params, float(measured),
+                                            float(epsilon), runtime_ms, scenario, flags))
+
+
+class _LazyRng:
+    """``np.random.default_rng(seed)``, built at the first attribute read, so a check
+    that draws nothing never imports ``numpy.random``.  Each attribute read once is
+    then kept on the proxy, so later reads cost what a Generator's do."""
+
+    def __init__(self, seed: int):
+        self._seed = seed
+
+    def __getattr__(self, name: str):
+        rng = self.__dict__.get("_rng")
+        if rng is None:
+            rng = self._rng = np.random.default_rng(self._seed)
+        value = getattr(rng, name)
+        setattr(self, name, value)
+        return value

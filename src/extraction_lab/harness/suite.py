@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 
-from .checks import resolve_entry, run_check
+from .checks import resolve_entry, run_checks
 from .params import resolved
 
 SCHEMA_VERSION = 1
@@ -121,7 +121,8 @@ class SuiteResult:
 
 
 def run_suite(config: dict, seed: int = 0, jobs: int = 1) -> SuiteResult:
-    """Run every check of ``config``, one after another.
+    """Run every check of ``config`` by one :func:`run_checks`, which pools the
+    min-entropy solves of all of them.
 
     ``jobs`` selects nothing: it is accepted, and refused below 1 or when
     not an ``int``, only because perfbench's worker still passes it, until
@@ -129,10 +130,9 @@ def run_suite(config: dict, seed: int = 0, jobs: int = 1) -> SuiteResult:
     """
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    reports = []
-    for pos, entry in enumerate(config["checks"]):
-        entry_seed = entry.get("seed", (seed * 1000003 + pos) & 0x7FFFFFFF)
-        reports += run_check(entry["id"], {"params": entry.get("params", {}), "seed": entry_seed})
+    reports = run_checks([{"id": entry["id"], "params": entry.get("params", {}),
+                           "seed": entry.get("seed", (seed * 1000003 + pos) & 0x7FFFFFFF)}
+                          for pos, entry in enumerate(config["checks"])])
     reports.sort(key=_ROW_ORDER)
     return SuiteResult(name=config.get("name", "custom"), seed=seed, reports=reports)
 

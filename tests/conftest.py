@@ -424,3 +424,14 @@ def grouped_draws(monkeypatch, check_id: str, config: dict):
         patch.setattr(checks, "_in_groups", recording)
         reports = checks.run_check(check_id, config)
     return reports, drawn
+
+
+def answered(requests):
+    """What a check's request generator (``checks._flat_sources``, for example) returns,
+    each :class:`checks.Solve` it yields answered by ``checks.h_min_cond_many``."""
+    try:
+        request = next(requests)
+        while True:
+            request = requests.send(checks.h_min_cond_many(request.states))
+    except StopIteration as stop:
+        return stop.value

@@ -282,7 +282,7 @@ def _after_a_valid_check(entry) -> dict:
 ])
 def test_verify_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config):
     ran = []
-    monkeypatch.setattr(suite, "run_check", lambda *args: ran.append(args) or [])
+    monkeypatch.setattr(suite, "run_checks", lambda *args: ran.append(args) or [])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["verify", "--suite", str(cfg), "--seed", "0",

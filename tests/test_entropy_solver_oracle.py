@@ -66,7 +66,7 @@ from extraction_lab.entropies import (
     _guessing_pd,
     _is_classical,
     _pgm_start,
-    _support_basis,
+    _support_bases,
     _umath_linalg,
     h2_cond,
     h2_cond_many,
@@ -90,6 +90,11 @@ KETPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
 # -- per-block reference loops ------------------------------------------------
+
+def _support_basis(rho_b):
+    """The support basis of one operator, as the solvers take it."""
+    return _support_bases([rho_b])[0]
+
 
 def _ref_kernel_projector(sigma):
     w, v = eigh(sigma)
@@ -387,7 +392,7 @@ def _barrier_h_min_solver(state, iters, barrier=_guessing_barrier):
     """``_h_min_solver`` with every problem, whatever its k and N, solved by ``barrier``."""
     basis = _support_basis(marginal_side(state))
     y, p_primal, steps = barrier(basis.conj().T @ state.stack @ basis, iters)
-    y = _dominating(basis @ y @ basis.conj().T, state.stack)
+    y = _dominating((basis @ y @ basis.conj().T)[None], state.stack[None])[0]
     p_dual = float(np.trace(y).real)
     value = -float(np.log2(p_dual))
     upper = -float(np.log2(p_primal)) if p_primal > 0 else float("inf")
@@ -1230,7 +1235,7 @@ def test_pd_problems_cover_the_cases():
 def _interval(y, p_primal, blocks):
     """[value, value + gap] in bits of a projected solve, as ``h_min_cond`` reports it."""
     assert p_primal > 0
-    return -np.log2(np.trace(_dominating(y, blocks)).real), -np.log2(p_primal)
+    return -np.log2(np.trace(_dominating(y[None], blocks[None])[0]).real), -np.log2(p_primal)
 
 
 def test_lockstep_solver_brackets_the_barrier():
@@ -1332,7 +1337,7 @@ def test_a_failed_member_leaves_with_a_sound_result(monkeypatch, name, call):
         assert _barrier_bytes(hit[j]) == _barrier_bytes(clean[j]), j
     y, p_primal, steps = hit[1]
     assert steps == 3 and p_primal == 0.0
-    certified = _dominating(y, group[1])
+    certified = _dominating(y[None], group[1][None])[0]
     assert _lowest_slack(certified, group[1]) >= 0.0
     clean_low, clean_high = _interval(*clean[1][:2], group[1])
     assert -np.log2(np.trace(certified).real) <= clean_high + ROUNDING_BITS

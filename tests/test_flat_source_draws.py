@@ -17,7 +17,7 @@ import functools
 import numpy as np
 import pytest
 
-from conftest import one_hot, random_pure_state
+from conftest import answered, one_hot, random_pure_state
 
 from extraction_lab import cq_states
 from extraction_lab.cq_states import build_cq, classical_state
@@ -147,7 +147,7 @@ def test_random_sources_match_the_per_source_route_at_three_positions():
 @pytest.mark.parametrize("side", list(SIDE_PARAMS))
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_flat_sources_match_the_per_source_route(side, n):
-    states, ks = _flat_sources(n, side)
+    [(states, ks)] = answered(_flat_sources([(n, side)])).values()
     refs = [_ref_make_side_info(side, _ref_make_flat_source(n, k)) for k in range(n + 1)]
     assert len(states) == n + 1
     for k, (state, ref) in enumerate(zip(states, refs)):

@@ -436,15 +436,18 @@ def test_suite_reports_deterministic(tmp_path):
 
 
 def test_suite_runs_every_check_in_the_calling_thread(monkeypatch):
-    # ``jobs`` selects nothing: every value runs the checks one after
-    # another in the caller's thread and gives the same bytes.
+    # ``jobs`` selects nothing: every value runs the checks' generators in
+    # the caller's thread and gives the same bytes.
     seen = []
 
-    def wrapped(*args, **kwargs):
-        seen.append(threading.get_ident())
-        return run_check(*args, **kwargs)
+    def in_thread(cases):
+        def wrapped(*args):
+            seen.append(threading.get_ident())
+            return (yield from cases(*args))
+        return wrapped
 
-    monkeypatch.setattr(suite, "run_check", wrapped)
+    for check_id, check in checks.CHECKS.items():
+        monkeypatch.setitem(checks.CHECKS, check_id, check._replace(cases=in_thread(check.cases)))
     cfg = load_config("quick")
     texts = {render_json(run_suite(cfg, seed=3, jobs=k)) for k in (1, 2, 4)}
     assert len(texts) == 1
@@ -539,9 +542,9 @@ def test_flat_sources_are_solved_once_across_families_and_ms(monkeypatch):
     batches = _counting_solves(monkeypatch)
     reports = run_check("b1-exhaustive-flat", {"params": {"ns": [3]}})
     assert len(reports) == 2 * 2 * 2 * 16 and all(r.passed for r in reports)
-    # one batch per side, one solve per flat source: k = 0..3 under each of the two sides
+    # one batch, one solve per flat source: k = 0..3 under each of the two sides
     solved = [state for batch in batches for state in batch]
-    assert len(batches) == 2 and len(solved) == 2 * 4
+    assert len(batches) == 1 and len(solved) == 2 * 4
     assert len({(s.side_dim, s.stack.tobytes()) for s in solved}) == 8
 
 

@@ -51,6 +51,7 @@ from extraction_lab.harness.checks import CLASSICAL_SIDES, _flat_grid, _flat_sou
 from extraction_lab.harness.scenarios import LEAKS, make_markov_scenario
 from extraction_lab.operators import hermitian_stack, tensor
 from conftest import (
+    answered,
     distance_to_uniform,
     extractor_output_from_joint,
     extractor_output_state,
@@ -347,7 +348,7 @@ def test_counted_flat_grids_match_cq_route():
     pairs = 0
     for ext in flat_grid_extractors(5):
         for side in CLASSICAL_SIDES:
-            states, _ = _flat_sources(ext.n, side)
+            [(states, _)] = answered(_flat_sources([(ext.n, side)])).values()
             for strong_in in ("x1", "x2"):
                 grid = _flat_grid(ext, side, states, strong_in)
                 assert [len(row) for row in grid] == [ext.n + 1] * (ext.n + 1)

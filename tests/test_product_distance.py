@@ -164,18 +164,10 @@ def test_b1_quantum_product_builds_no_output_state_and_solves_no_copied_source(m
     def refuse(*args, **kwargs):
         raise AssertionError("b1-quantum-product built an output state")
 
-    copied, solved, kernel_calls = [], [], []
-    form, solver, kernel = (checks._with_sources_solved, entropies._h_min_solver,
-                            checks.product_distances)
-
-    def recording_form(*args):
-        # each formed scenario ends in (s1, s2, res1, res2); x1 is the copied source
-        scenarios = form(*args)
-        copied.extend(scenario[-4] for scenario in scenarios)
-        return scenarios
+    solved, kernel_calls = [], []
+    solver, kernel = entropies._h_min_solver, checks.product_distances
 
     monkeypatch.setattr(checks, "apply_classical_function", refuse)
-    monkeypatch.setattr(checks, "_with_sources_solved", recording_form)
     monkeypatch.setattr(entropies, "_h_min_solver",
                         lambda states, iters: solved.extend(states) or solver(states, iters))
     monkeypatch.setattr(checks, "product_distances",
@@ -183,6 +175,8 @@ def test_b1_quantum_product_builds_no_output_state_and_solves_no_copied_source(m
     reports = checks.run_check("b1-quantum-product", {
         "params": full[pos]["params"], "seed": (7 * 1000003 + pos) & 0x7FFFFFFF})
     assert len(reports) == 4 * 200 and all(r.passed for r in reports)
+    # each pair is (ext, s1, s2); x1 is the copied source
+    copied = [s1 for _, s1, _ in kernel_calls[0][0]]
     assert len(kernel_calls) == 1 and len(copied) == 200 and kernel_calls[0][1] == "x1"
     assert all(s.side_dim == 1 for s in copied)
     assert solved and not {id(s) for s in copied} & {id(s) for s in solved}
@@ -217,7 +211,8 @@ def test_b8_weak_quantum_takes_one_kernel_call(monkeypatch):
     reports = checks.run_check("b8-weak-quantum", {
         "params": full[pos]["params"], "seed": (7 * 1000003 + pos) & 0x7FFFFFFF})
     assert len(reports) == 50 and all(r.passed for r in reports)
-    [(pairs,)] = kernel_calls
+    [(pairs, strong_in)] = kernel_calls
+    assert strong_in is None
     assert [r.measured_delta.hex() for r in reports] == [
         distance_to_uniform(extractor_output_state(ext, s1, s2), 1 << ext.m).hex()
         for ext, s1, s2 in pairs]
